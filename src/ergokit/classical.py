@@ -1,10 +1,12 @@
 """Discretized phase space: distributions on a cell grid, doubly stochastic
 dynamics, classical relative entropies, and the classical ergotropy.
 
-Liouville (volume-preserving) dynamics is represented by permutation kernels;
-general doubly stochastic kernels are accepted wherever the defining relative
-entropy makes sense but rejected by the inhomogeneity-form routines, which
-require joint entropy to equal marginal entropy.
+Liouville (volume-preserving) dynamics is represented by permutation kernels,
+held as image arrays so that kernels, joints and stationarity probes cost O(n)
+on an n-cell grid.  General doubly stochastic kernels are held densely; they
+are accepted wherever the defining relative entropy makes sense but rejected
+by the inhomogeneity-form routines, which require joint entropy to equal
+marginal entropy.
 """
 
 from __future__ import annotations
@@ -85,82 +87,159 @@ class GridDistribution:
         return self.weights.size
 
 
-@dataclass(frozen=True)
+def _permutation(image: np.ndarray) -> np.ndarray:
+    """Read-only copy of ``image`` after checking it is a permutation of 0..n-1."""
+    image = np.array(image)
+    n = image.size
+    if image.ndim != 1 or n < 1 or image.dtype.kind not in "iu":
+        raise ValueError("a permutation image must be a nonempty 1-D integer array")
+    inside = (image >= 0) & (image < n)
+    hit = np.zeros(n, dtype=bool)
+    hit[image[inside]] = True
+    if not (inside.all() and hit.all()):
+        raise ValueError(f"image is not a permutation of 0..{n - 1}")
+    image = image.astype(np.intp, copy=False)
+    image.setflags(write=False)
+    return image
+
+
+def _dense_permutation(image: np.ndarray, values: np.ndarray | float) -> np.ndarray:
+    """n x n matrix holding values[j] at [image[j], j] and zero elsewhere."""
+    n = image.size
+    m = np.zeros((n, n))
+    m[image, np.arange(n)] = values
+    m.setflags(write=False)
+    return m
+
+
+@dataclass(frozen=True, init=False)
 class TransitionKernel:
-    """Doubly stochastic transition matrix; column j is the distribution of the
-    final cell given initial cell j.  ``is_deterministic`` is set iff every
-    column is a unit vector (a permutation)."""
+    """Doubly stochastic transition kernel; column j of ``matrix`` is the
+    distribution of the final cell given initial cell j.
 
-    matrix: np.ndarray
-    is_deterministic: bool = False
+    A permutation (every column a unit vector to ``STOCHASTIC_ATOL``) is held
+    as its image array, cell j -> ``image[j]``, with ``dense`` None; any other
+    kernel is held as the dense matrix, with ``image`` None.  ``matrix`` is the
+    dense view either way, built on demand for a permutation.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.min() < 0.0:
-            raise ValueError(f"negative kernel entry {m.min():.3e}")
-        col_dev = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-        row_dev = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-        if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
-            raise ValueError(
-                f"kernel is not doubly stochastic: column dev {col_dev:.3e}, row dev {row_dev:.3e}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        deterministic = bool(np.all(m.max(axis=0) >= 1.0 - STOCHASTIC_ATOL))
-        object.__setattr__(self, "is_deterministic", deterministic)
+    image: np.ndarray | None
+    dense: np.ndarray | None
+
+    def __init__(self, matrix: np.ndarray | None = None, *, image: np.ndarray | None = None):
+        if (matrix is None) == (image is None):
+            raise ValueError("give either a kernel matrix or a permutation image")
+        dense = None
+        if matrix is not None:
+            dense = np.asarray(matrix, dtype=float)
+            if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
+                raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+            if dense.min() < 0.0:
+                raise ValueError(f"negative kernel entry {dense.min():.3e}")
+            col_dev = float(np.max(np.abs(dense.sum(axis=0) - 1.0)))
+            row_dev = float(np.max(np.abs(dense.sum(axis=1) - 1.0)))
+            if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
+                raise ValueError(
+                    f"kernel is not doubly stochastic: column dev {col_dev:.3e}, "
+                    f"row dev {row_dev:.3e}"
+                )
+            if np.all(dense.max(axis=0) >= 1.0 - STOCHASTIC_ATOL):
+                # Row sums near 1 leave room for one near-unit entry per row, so
+                # the column argmaxes are distinct: a permutation.
+                image, dense = dense.argmax(axis=0), None
+            else:
+                dense.setflags(write=False)
+        object.__setattr__(self, "image", None if image is None else _permutation(image))
+        object.__setattr__(self, "dense", dense)
+
+    @property
+    def is_deterministic(self) -> bool:
+        return self.image is not None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.dense if self.image is None else _dense_permutation(self.image, 1.0)
 
     @property
     def n_cells(self) -> int:
-        return self.matrix.shape[0]
+        return self.dense.shape[0] if self.image is None else self.image.size
 
     @classmethod
     def identity(cls, n: int) -> "TransitionKernel":
-        return cls(np.eye(n))
+        return cls(image=np.arange(n))
 
     @classmethod
     def from_permutation(cls, image: np.ndarray) -> "TransitionKernel":
         """Kernel sending cell j to cell image[j]."""
-        image = np.asarray(image, dtype=int)
-        n = image.size
-        m = np.zeros((n, n))
-        m[image, np.arange(n)] = 1.0
-        return cls(m)
+        return cls(image=image)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class JointDistribution:
-    """Joint probability of (final, initial) cells; entry [f, i] couples final
-    cell f with initial cell i."""
+    """Joint probability of (final, initial) cells; entry [f, i] of ``matrix``
+    couples final cell f with initial cell i.
 
-    matrix: np.ndarray
-    from_deterministic: bool = False
+    A joint generated by a permutation is held as ``(image, weights)``: initial
+    cell i carries ``weights[i]`` to final cell ``image[i]``, with ``dense``
+    None.  Any other joint is held as the dense matrix, with ``image`` and
+    ``weights`` None.  ``from_deterministic`` is set for the former, and for a
+    dense joint with at most one populated entry per initial cell.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.min() < 0.0:
-            raise ValueError(f"negative joint entry {m.min():.3e}")
-        if abs(m.sum() - 1.0) > MASS_ATOL:
-            raise ValueError(f"total mass deviates from 1 by {abs(m.sum() - 1.0):.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if not self.from_deterministic:
-            # Structural fallback: at most one populated entry per initial cell.
-            deterministic = bool(np.all((m > 0.0).sum(axis=0) <= 1))
-            object.__setattr__(self, "from_deterministic", deterministic)
+    image: np.ndarray | None
+    weights: np.ndarray | None
+    dense: np.ndarray | None
+    from_deterministic: bool
+
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        *,
+        image: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
+    ):
+        if (matrix is None) == (image is None) or (image is None) != (weights is None):
+            raise ValueError("give either a joint matrix or a permutation image with weights")
+        if matrix is None:
+            image = _permutation(image)
+            weights = GridDistribution(weights).weights
+            if weights.size != image.size:
+                raise ValueError(f"size mismatch: {image.size} vs {weights.size}")
+            deterministic = True
+        else:
+            matrix = np.asarray(matrix, dtype=float)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
+                raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+            if matrix.min() < 0.0:
+                raise ValueError(f"negative joint entry {matrix.min():.3e}")
+            if abs(matrix.sum() - 1.0) > MASS_ATOL:
+                raise ValueError(
+                    f"total mass deviates from 1 by {abs(matrix.sum() - 1.0):.3e}"
+                )
+            matrix.setflags(write=False)
+            deterministic = bool(np.all((matrix > 0.0).sum(axis=0) <= 1))
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "dense", matrix)
+        object.__setattr__(self, "from_deterministic", deterministic)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.dense if self.image is None else _dense_permutation(self.image, self.weights)
 
     @property
     def n_cells(self) -> int:
-        return self.matrix.shape[0]
+        return self.dense.shape[0] if self.image is None else self.image.size
 
     def initial_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+        return self.dense.sum(axis=0) if self.image is None else self.weights
 
     def final_marginal(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+        if self.image is None:
+            return self.dense.sum(axis=1)
+        out = np.empty(self.image.size)
+        out[self.image] = self.weights
+        return out
 
 
 def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: float) -> GridDistribution:
@@ -184,12 +263,12 @@ def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistributi
 
 
 def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointDistribution:
-    """Joint distribution kernel[f, i] * p_a[i]."""
+    """Joint distribution kernel[f, i] * p_a[i]; held as (image, p_a) for a permutation."""
     if p_a.n_cells != kernel.n_cells:
         raise ValueError(f"size mismatch: {p_a.n_cells} vs {kernel.n_cells}")
-    return JointDistribution(
-        kernel.matrix * p_a.weights[None, :], from_deterministic=kernel.is_deterministic
-    )
+    if kernel.image is not None:
+        return JointDistribution(image=kernel.image, weights=p_a.weights)
+    return JointDistribution(kernel.dense * p_a.weights[None, :])
 
 
 def compose_kernels(later: TransitionKernel, earlier: TransitionKernel) -> TransitionKernel:
@@ -204,13 +283,15 @@ def _xlogx(values: np.ndarray) -> float:
     return float((live * np.log(live)).sum())
 
 
-def _joint_relative_entropy_raw(joint: np.ndarray, reference: np.ndarray) -> float:
-    final_marginal = joint.sum(axis=1)
+def _entropy_minus_cross(xlogx: float, final_marginal: np.ndarray, reference: np.ndarray) -> float:
     populated = final_marginal > WEIGHT_FLOOR
     if np.any(reference[populated] <= WEIGHT_FLOOR):
         raise SupportViolation("reference distribution vanishes on a populated final cell")
-    cross = float(final_marginal[populated] @ np.log(reference[populated]))
-    return _xlogx(joint) - cross
+    return xlogx - float(final_marginal[populated] @ np.log(reference[populated]))
+
+
+def _joint_relative_entropy_raw(joint: np.ndarray, reference: np.ndarray) -> float:
+    return _entropy_minus_cross(_xlogx(joint), joint.sum(axis=1), reference)
 
 
 def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> float:
@@ -218,7 +299,12 @@ def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> 
     final coordinate: sum J ln J - sum_f (final marginal)_f ln p_eq[f]."""
     if joint.n_cells != p_eq.n_cells:
         raise ValueError(f"size mismatch: {joint.n_cells} vs {p_eq.n_cells}")
-    return _joint_relative_entropy_raw(joint.matrix, p_eq.weights)
+    if joint.image is None:
+        return _joint_relative_entropy_raw(joint.dense, p_eq.weights)
+    # A permutation joint has one entry per final cell, so its entries in
+    # final-cell (row-major) order are the final marginal.
+    marginal = joint.final_marginal()
+    return _entropy_minus_cross(_xlogx(marginal), marginal, p_eq.weights)
 
 
 def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> float:
@@ -304,14 +390,41 @@ def permutation_min_bruteforce(
     return float(totals[best]), tuple(int(i) for i in perms[best])
 
 
-def _random_doubly_stochastic(n: int, rng: np.random.Generator, components: int = 4) -> np.ndarray:
-    """Convex combination of random permutation matrices (exactly doubly stochastic)."""
+def _random_doubly_stochastic(
+    n: int, rng: np.random.Generator, components: int = 4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convex combination R = sum_c weights[c] P(images[c]) of random
+    permutation matrices, P(image)[image[j], j] = 1 (exactly doubly
+    stochastic), returned as (weights, images)."""
     weights = rng.dirichlet(np.ones(components))
-    out = np.zeros((n, n))
-    for w in weights:
-        image = rng.permutation(n)
-        out[image, np.arange(n)] += w
-    return out
+    images = np.stack([rng.permutation(n) for _ in range(components)])
+    return weights, images
+
+
+def _mixing_rows(
+    weights: np.ndarray, images: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of xi = (1 - eps) I + eps R for R from ``_random_doubly_stochastic``,
+    as layers: (xi x)[g] = sum_l coefficients[l, g] * x[sources[l, g]].
+
+    Layer 0 is the identity and layer c + 1 gathers through the inverse of
+    images[c].  A source repeated within a row keeps the summed coefficient on
+    its first layer and zero on the later ones, so each entry of xi J for a
+    permutation joint J appears once.
+    """
+    components, n = images.shape
+    sources = np.empty((components + 1, n), dtype=np.intp)
+    sources[0] = np.arange(n)
+    sources[np.arange(1, components + 1)[:, None], images] = np.arange(n)
+    coefficients = np.empty(sources.shape)
+    coefficients[0] = 1.0 - epsilon
+    coefficients[1:] = (epsilon * weights)[:, None]
+    for later in range(1, components + 1):
+        for earlier in range(later):
+            repeat = sources[later] == sources[earlier]
+            coefficients[earlier] += np.where(repeat, coefficients[later], 0.0)
+            coefficients[later, repeat] = 0.0
+    return sources, coefficients
 
 
 @dataclass(frozen=True)
@@ -374,10 +487,22 @@ def stationarity_probe(
     delta_first = np.empty(n_perturbations)
     for k in range(n_perturbations):
         # One stream per probe so the same seed draws the same R at every epsilon.
-        r = _random_doubly_stochastic(n, stream(seed, k))
-        perturbed = (1.0 - epsilon) * joint.matrix + epsilon * (r @ joint.matrix)
-        delta_total[k] = _joint_relative_entropy_raw(perturbed, p_eq.weights) - baseline
-        delta_first[k] = -epsilon * float((r @ marginal - marginal) @ log_eq)
+        weights, images = _random_doubly_stochastic(n, stream(seed, k))
+        sources, coefficients = _mixing_rows(weights, images, epsilon)
+        if joint.image is None:
+            perturbed = np.zeros_like(joint.dense)
+            for source, coefficient in zip(sources, coefficients):
+                perturbed += coefficient[:, None] * joint.dense[source]
+            entropy = _joint_relative_entropy_raw(perturbed, p_eq.weights)
+        else:
+            # Row g of a permutation joint holds marginal[g] alone, so row g of
+            # xi J holds coefficients[l, g] * marginal[sources[l, g]] per layer;
+            # the transpose lists them in row-major order.
+            entries = coefficients * marginal[sources]
+            entropy = _entropy_minus_cross(_xlogx(entries.T), entries.sum(axis=0), p_eq.weights)
+        delta_total[k] = entropy - baseline
+        mixed_marginal = weights @ marginal[sources[1:]]
+        delta_first[k] = -epsilon * float((mixed_marginal - marginal) @ log_eq)
 
     pa_uniform = bool(np.max(np.abs(p_a.weights - 1.0 / n)) <= 1e-12)
     bound = STATIONARITY_ENVELOPE * epsilon**2

@@ -1,11 +1,14 @@
 """Command-line front end: seeded experiments, identity sweeps, and JSON/CSV
 reports.
 
-Every subcommand prints a machine-readable JSON report (schema 1, sorted keys,
-floats at 12 significant digits) to stdout; ``--output`` additionally writes
-the report, or a plot-ready CSV table when ``--format csv`` is chosen.  Exit
-status is 0 when every asserted invariant holds at the configured tolerance,
-1 on an invariant failure, and 2 on I/O, parse, or configuration errors.
+Every subcommand prints a machine-readable JSON report (schema 2, sorted keys,
+floats at 12 significant digits) to stdout.  Schema 2 prints a permutation
+kernel as its image, ``{"n": n, "image": [...]}``, and any other kernel as the
+dense ``{"n": n, "matrix": [[...], ...]}`` of schema 1; ``classical --input``
+reads both.  ``--output`` additionally writes the report, or a plot-ready
+CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
+asserted invariant holds at the configured tolerance, 1 on an invariant
+failure, and 2 on I/O, parse, or configuration errors.
 ``ERGOKIT_THREADS`` caps worker threads for trial sweeps; results do not
 depend on it.
 """
@@ -62,7 +65,7 @@ from .workbench import (
     sharpened_bound_report,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class _InputError(Exception):
@@ -325,9 +328,14 @@ def _load_grid_experiment(config: RunConfig):
             kernel = cl.TransitionKernel.from_permutation(
                 stream(config.seed, 1).permutation(grid.n_cells)
             )
-        return grid, p_a, kernel
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _InputError(f"bad grid file {config.input_path}: {exc}") from exc
+    if p_a.n_cells != grid.n_cells or kernel.n_cells != grid.n_cells:
+        raise _InputError(
+            f"bad grid file {config.input_path}: {grid.n_cells} grid cells, "
+            f"{p_a.n_cells} weights and a kernel on {kernel.n_cells} cells"
+        )
+    return grid, p_a, kernel
 
 
 def _cmd_classical(config: RunConfig):

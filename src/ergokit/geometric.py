@@ -20,6 +20,7 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
+    _fix_phase,
     eigendecompose,
     gibbs_state,
     quantum_relative_entropy,
@@ -34,12 +35,6 @@ from .sampling import stream
 MATCH_OVERLAP_DEFICIT = 1e-12
 MERGE_OVERLAP_DEFICIT = 1e-14
 NORM_ATOL = 1e-12
-
-
-def _fix_phase(z: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(z)))
-    a = z[k]
-    return z * (a.conjugate() / abs(a))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,12 @@ reports.
 
 Matrices travel as ``{"dim": d, "entries": [[re, im], ...]}`` with the entries
 flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight``
-(or the equivalent JSON object).  Floats in emitted reports are rounded to 12
+(or the equivalent JSON object).  A permutation kernel travels as its image,
+``{"n": n, "image": [...]}`` with cell j sent to cell image[j]; any other kernel
+as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
+distribution of the final cell given initial cell j.  ``kernel_from_json``
+reads both.  Grid, kernel and joint dicts hold ndarrays, which ``round_floats``
+turns into lists; floats in emitted reports are rounded there to 12
 significant digits so identical runs produce identical bytes.
 """
 
@@ -47,23 +52,34 @@ def density_from_json(obj: dict) -> DensityMatrix:
 
 
 def kernel_to_json(kernel: TransitionKernel) -> dict:
-    return {"n": kernel.n_cells, "matrix": [[float(x) for x in row] for row in kernel.matrix]}
+    """``{"n", "image"}`` for a permutation, else ``{"n", "matrix"}`` (an ndarray
+    until ``round_floats``)."""
+    if kernel.is_deterministic:
+        return {"n": kernel.n_cells, "image": kernel.image}
+    return {"n": kernel.n_cells, "matrix": kernel.dense}
 
 
 def kernel_from_json(obj: dict) -> TransitionKernel:
-    return TransitionKernel(np.array(obj["matrix"], dtype=float))
+    """Read either kernel form; ``"n"`` must match the cells it holds."""
+    if "image" in obj:
+        kernel = TransitionKernel.from_permutation(obj["image"])
+    else:
+        kernel = TransitionKernel(np.array(obj["matrix"], dtype=float))
+    if kernel.n_cells != int(obj["n"]):
+        raise ValueError(f"kernel declares n = {obj['n']} but holds {kernel.n_cells} cells")
+    return kernel
 
 
 def joint_to_json(joint: JointDistribution) -> dict:
-    return {"n": joint.n_cells, "matrix": [[float(x) for x in row] for row in joint.matrix]}
+    return {"n": joint.n_cells, "matrix": joint.matrix}
 
 
 def grid_to_json(grid: PhaseGrid, weights: GridDistribution) -> dict:
     return {
         "cell_volume": float(grid.cell_volume),
-        "energy_a": [float(x) for x in grid.energy_a],
-        "energy_b": [float(x) for x in grid.energy_b],
-        "weights": [float(x) for x in weights.weights],
+        "energy_a": grid.energy_a,
+        "energy_b": grid.energy_b,
+        "weights": weights.weights,
     }
 
 
@@ -133,7 +149,10 @@ def format_float(x: float) -> str:
 
 
 def round_floats(obj: Any) -> Any:
-    """Recursively round floats to 12 significant digits for stable JSON bytes."""
+    """Recursively round floats to 12 significant digits for stable JSON bytes.
+
+    Float ndarrays are rounded a row at a time with the same ``%.12g`` format
+    as ``format_float``, so a dense kernel never becomes n^2 Python calls."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return round_floats(asdict(obj))
     if isinstance(obj, dict):
@@ -141,7 +160,11 @@ def round_floats(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [round_floats(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [round_floats(v) for v in obj.tolist()]
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
+        if obj.ndim > 1:
+            return [round_floats(row) for row in obj]
+        return np.char.mod("%.12g", obj).astype(float).tolist()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (float, np.floating)):

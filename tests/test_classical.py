@@ -26,6 +26,7 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
+from ergokit.classical import _mixing_rows, _random_doubly_stochastic
 from ergokit.sampling import stream
 
 GRID3 = PhaseGrid(energy_a=np.array([0.0, 1.0, 2.0]), energy_b=np.array([0.0, 1.0, 2.0]))
@@ -370,3 +371,45 @@ class TestStationarityProbe:
         np.testing.assert_allclose(
             coarse.delta_first_order / 1e-2, fine.delta_first_order / 5e-3, rtol=0, atol=1e-14
         )
+
+    def test_probe_rows_draw_the_dense_mixture(self):
+        # The (weights, images) draw is the dense R of the same stream, and the
+        # layered rows apply xi = (1 - eps) I + eps R.
+        for n in (2, 3, 7):
+            for k in range(6):
+                weights, images = _random_doubly_stochastic(n, stream(21, k))
+                rng = stream(21, k)
+                dense = np.zeros((n, n))
+                for w in rng.dirichlet(np.ones(4)):
+                    dense[rng.permutation(n), np.arange(n)] += w
+                assembled = np.zeros((n, n))
+                for w, image in zip(weights, images):
+                    assembled[image, np.arange(n)] += w
+                assert np.array_equal(assembled, dense)
+                x = stream(22, k).uniform(size=n)
+                sources, coefficients = _mixing_rows(weights, images, 0.3)
+                xi = 0.7 * np.eye(n) + 0.3 * dense
+                np.testing.assert_allclose(
+                    (coefficients * x[sources]).sum(axis=0), xi @ x, rtol=0, atol=1e-15
+                )
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_image_and_dense_joints_give_the_same_probe(self, n, uniform):
+        # On n = 2 and 3 the perturbation's permutations collide with each
+        # other and with the base image, so repeated entries must be summed
+        # before x ln x.
+        rng = stream(23, n)
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        p_a = GridDistribution(np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n)))
+        image_joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        dense_joint = JointDistribution(image_joint.matrix)
+        assert image_joint.image is not None and dense_joint.image is None
+        for epsilon in (0.3, 1e-3):
+            by_image = stationarity_probe(image_joint, p_a, grid, 1.0, 24, epsilon, 5)
+            by_dense = stationarity_probe(dense_joint, p_a, grid, 1.0, 24, epsilon, 5)
+            assert by_image.baseline == pytest.approx(by_dense.baseline, abs=1e-12)
+            np.testing.assert_allclose(by_image.delta_total, by_dense.delta_total, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                by_image.delta_first_order, by_dense.delta_first_order, rtol=0, atol=1e-12
+            )

@@ -25,7 +25,7 @@ class TestVerifyIdentities:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["passed"] is True
         assert payload["results"]["max_ergotropy_identity_dev"] <= 1e-8
 
@@ -117,6 +117,55 @@ class TestClassicalCommand:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "index,energy_a,energy_b,weight,phi"
         assert len(lines) == 6
+
+
+GRID3 = {"energy_a": [0.0, 1.0, 2.0], "energy_b": [0.5, 1.0, 1.5], "weights": [0.2, 0.3, 0.5]}
+
+
+class TestClassicalInput:
+    @pytest.mark.parametrize("payload", [
+        {"grid": GRID3, "kernel": {"n": 2, "image": [1, 0]}},
+        {"grid": GRID3, "kernel": {"n": 2, "matrix": [[0.5, 0.5], [0.5, 0.5]]}},
+        {"grid": dict(GRID3, weights=[0.5, 0.5])},
+        {"grid": GRID3, "kernel": {"n": 3, "image": [0, 0, 1]}},
+        {"grid": GRID3, "kernel": {"n": 3, "image": [0, 1, 3]}},
+        {"grid": GRID3, "kernel": {"n": 4, "image": [2, 0, 1]}},
+    ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
+            "declared-n"])
+    def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "classical", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dense_kernel_input(self, capsys, tmp_path):
+        mixture = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": GRID3, "kernel": {"n": 3, "matrix": mixture}}))
+        code, out, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "8")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["kernel_deterministic"] is False
+        assert results["kernel"] == {"n": 3, "matrix": mixture}
+
+    def test_large_grid_prints_the_image_and_reads_it_back(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "classical", "--dim", "1000", "--trials", "8", "--seed", "2")
+        assert code == 0
+        assert len(out.encode()) < 200_000
+        results = json.loads(out)["results"]
+        assert sorted(results["kernel"]["image"]) == list(range(1000))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": results["grid"], "kernel": results["kernel"]}))
+        code, again, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "8",
+                                 "--seed", "2")
+        assert code == 0
+        reread = json.loads(again)["results"]
+        assert reread["kernel"] == results["kernel"]
+        assert reread["ergotropy_relative_entropy_route"] == pytest.approx(
+            results["ergotropy_relative_entropy_route"], abs=1e-9
+        )
 
 
 class TestGeometricZCommand:

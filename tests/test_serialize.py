@@ -1,5 +1,7 @@
 """Wire-format round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -52,9 +54,22 @@ def test_matrix_entry_count_checked():
 
 def test_kernel_round_trip():
     kernel = TransitionKernel.from_permutation(np.array([1, 2, 0]))
-    rebuilt = kernel_from_json(kernel_to_json(kernel))
+    wire = round_floats(kernel_to_json(kernel))
+    assert wire == {"n": 3, "image": [1, 2, 0]}
+    rebuilt = kernel_from_json(wire)
     assert np.array_equal(rebuilt.matrix, kernel.matrix)
     assert rebuilt.is_deterministic
+
+
+def test_dense_kernel_round_trip():
+    mixture = np.array([[0.25, 0.75, 0.0], [0.75, 0.25, 0.0], [0.0, 0.0, 1.0]])
+    wire = round_floats(kernel_to_json(TransitionKernel(mixture)))
+    assert wire == {"n": 3, "matrix": mixture.tolist()}
+    rebuilt = kernel_from_json(wire)
+    assert np.array_equal(rebuilt.matrix, mixture)
+    assert not rebuilt.is_deterministic
+    # A dense permutation matrix reads back in the image form.
+    assert kernel_from_json({"n": 2, "matrix": [[0, 1], [1, 0]]}).image.tolist() == [1, 0]
 
 
 def test_grid_json_round_trip():
@@ -101,3 +116,11 @@ def test_round_floats_handles_containers():
     assert out["a"] == float("0.123456789012")
     assert out["b"] == [3, [1.0]]
     assert out["flag"] is True
+
+
+def test_round_floats_array_matches_per_element_form():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e300, 1.0 / 3.0, float("nan"), -2.5e-7]
+    per_element = [round_floats(v) for v in values]
+    assert json.dumps(round_floats(np.array(values))) == json.dumps(per_element)
+    table = np.array([values, values[::-1]])
+    assert json.dumps(round_floats(table)) == json.dumps([per_element, per_element[::-1]])
