@@ -2,6 +2,8 @@
 rearrangement, relative-entropy identities, and geometric-state constructions,
 plus conditional-thermal-state work bounds on desk-scale systems."""
 
+from types import ModuleType as _ModuleType
+
 from .classical import (
     GridDistribution,
     JointDistribution,
@@ -86,78 +88,8 @@ from .workbench import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentUnitary",
-    "BoundTerms",
-    "ConditionalThermalState",
-    "DensityMatrix",
-    "DrivingProtocol",
-    "EmptyShell",
-    "ErgokitError",
-    "ErgotropyReport",
-    "GeometricPoint",
-    "GeometricState",
-    "GibbsState",
-    "GridDistribution",
-    "HermitianOperator",
-    "JointDistribution",
-    "NonDeterministicKernel",
-    "NotConverged",
-    "PhaseGrid",
-    "SortedSpectrum",
-    "StationarityProbeResult",
-    "SupportMismatch",
-    "SupportViolation",
-    "TransitionKernel",
-    "UnitaryProbeResult",
-    "WorkReport",
-    "aligned_geometric_state",
-    "canonical_density",
-    "classical_ergotropy",
-    "classical_relative_entropy",
-    "coherence_relative_entropy",
-    "coherent_ergotropy_eq11",
-    "compose_kernels",
-    "conditional_thermal_state",
-    "dephase",
-    "dephased_ergotropy",
-    "eigendecompose",
-    "ergotropy_direct",
-    "ergotropy_geometric",
-    "ergotropy_report",
-    "ergotropy_via_entropies",
-    "ergotropy_via_phi",
-    "evolve_unitary",
-    "expectation",
-    "fs_uniform_sample",
-    "fubini_study_distance",
-    "geometric_partition_function",
-    "geometric_relative_entropy",
-    "geometric_state_of",
-    "gibbs_state",
-    "grid_gibbs",
-    "haar_unitary",
-    "inhomogeneity_phi",
-    "joint_from_kernel",
-    "joint_relative_entropy",
-    "manifold_volume",
-    "microcanonical",
-    "optimal_alignment_unitary",
-    "passive_energy",
-    "passive_state",
-    "permutation_min_bruteforce",
-    "quantum_relative_entropy",
-    "qubit_partition_closed_form",
-    "random_density",
-    "random_hermitian",
-    "random_pure",
-    "sharpened_bound_report",
-    "sorted_pairing_divergence",
-    "spectral_relative_entropy",
-    "stationarity_probe",
-    "step_product",
-    "stream",
-    "unitary_min_probe",
-    "von_neumann_entropy",
-    "work_accounting",
-]
+# Everything imported above is public; each name is listed once.
+__all__ = sorted(
+    name for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

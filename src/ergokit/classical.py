@@ -40,16 +40,13 @@ class PhaseGrid:
     cell_volume: float = 1.0
 
     def __post_init__(self):
-        ea = np.asarray(self.energy_a, dtype=float)
-        eb = np.asarray(self.energy_b, dtype=float)
+        ea, eb = _frozen(self.energy_a), _frozen(self.energy_b)
         if ea.ndim != 1 or eb.shape != ea.shape or ea.size < 1:
             raise ValueError("energy_a and energy_b must be 1-D vectors of equal length")
         if not (np.all(np.isfinite(ea)) and np.all(np.isfinite(eb))):
             raise ValueError("grid energies must be finite")
         if not self.cell_volume > 0.0:
             raise ValueError("cell_volume must be positive")
-        ea.setflags(write=False)
-        eb.setflags(write=False)
         object.__setattr__(self, "energy_a", ea)
         object.__setattr__(self, "energy_b", eb)
 
@@ -72,19 +69,26 @@ class GridDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _frozen(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a 1-D vector")
         if w.min() < 0.0:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > MASS_ATOL:
             raise ValueError(f"total mass deviates from 1 by {abs(w.sum() - 1.0):.3e}")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
     def n_cells(self) -> int:
         return self.weights.size
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float array of ``values``; an ndarray is copied first, so
+    the caller's own array stays writeable."""
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _permutation(image: np.ndarray) -> np.ndarray:
@@ -131,7 +135,7 @@ class TransitionKernel:
             raise ValueError("give either a kernel matrix or a permutation image")
         dense = None
         if matrix is not None:
-            dense = np.asarray(matrix, dtype=float)
+            dense = _frozen(matrix)
             if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
                 raise ValueError(f"expected a square matrix, got shape {dense.shape}")
             if dense.min() < 0.0:
@@ -147,8 +151,6 @@ class TransitionKernel:
                 # Row sums near 1 leave room for one near-unit entry per row, so
                 # the column argmaxes are distinct: a permutation.
                 image, dense = dense.argmax(axis=0), None
-            else:
-                dense.setflags(write=False)
         object.__setattr__(self, "image", None if image is None else _permutation(image))
         object.__setattr__(self, "dense", dense)
 
@@ -207,7 +209,7 @@ class JointDistribution:
                 raise ValueError(f"size mismatch: {image.size} vs {weights.size}")
             deterministic = True
         else:
-            matrix = np.asarray(matrix, dtype=float)
+            matrix = _frozen(matrix)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
                 raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
             if matrix.min() < 0.0:
@@ -216,7 +218,6 @@ class JointDistribution:
                 raise ValueError(
                     f"total mass deviates from 1 by {abs(matrix.sum() - 1.0):.3e}"
                 )
-            matrix.setflags(write=False)
             deterministic = bool(np.all((matrix > 0.0).sum(axis=0) <= 1))
         object.__setattr__(self, "image", image)
         object.__setattr__(self, "weights", weights)

@@ -8,7 +8,7 @@ dense ``{"n": n, "matrix": [[...], ...]}`` of schema 1; ``classical --input``
 reads both.  ``--output`` additionally writes the report, or a plot-ready
 CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
 asserted invariant holds at the configured tolerance, 1 on an invariant
-failure, and 2 on I/O, parse, or configuration errors.
+failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
 ``ERGOKIT_THREADS`` caps worker threads for trial sweeps; results do not
 depend on it.
 """
@@ -29,22 +29,9 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import (
-    coherent_ergotropy_eq11,
-    ergotropy_direct,
-    ergotropy_report,
-    ergotropy_via_entropies,
-    unitary_min_probe,
-)
-from .errors import ErgokitError
-from .quantum import (
-    DensityMatrix,
-    HermitianOperator,
-    coherence_relative_entropy,
-    dephase,
-    gibbs_state,
-    quantum_relative_entropy,
-)
+from .ergotropy import ergotropy_direct, ergotropy_report, unitary_min_probe
+from .errors import ErgokitError, OutOfScope
+from .quantum import DensityMatrix, HermitianOperator
 from .sampling import random_density, random_hermitian, stream
 from .serialize import (
     density_from_json,
@@ -58,12 +45,7 @@ from .serialize import (
     matrix_to_json,
     round_floats,
 )
-from .workbench import (
-    DrivingProtocol,
-    conditional_thermal_state,
-    evolve_unitary,
-    sharpened_bound_report,
-)
+from .workbench import DrivingProtocol, evolve_unitary, sharpened_bound_report
 
 SCHEMA_VERSION = 2
 
@@ -150,21 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        beta=args.beta,
-        dim=args.dim,
-        seed=args.seed,
-        trials=args.trials,
-        tolerance=args.tolerance,
-        samples=args.samples,
-        input_path=args.input_path,
-        output_path=args.output_path,
-        out_format=args.out_format,
-    )
-
-
 def _max_workers() -> int:
     raw = os.environ.get("ERGOKIT_THREADS", "1")
     try:
@@ -235,8 +202,7 @@ def _cmd_ergotropy(config: RunConfig):
         "state": matrix_to_json(rho.matrix),
         "hamiltonian": matrix_to_json(hamiltonian.matrix),
     }
-    header = ["total", "via_entropies", "via_geometric", "coherent_eq11", "incoherent",
-              "dephased_ergotropy", "beta_used", "passive_energy"]
+    header = CSV_COLUMNS["ergotropy"].split(",")
     rows = [[results[k] for k in header]]
     return results, checks, header, rows
 
@@ -248,22 +214,19 @@ def _cmd_verify_identities(config: RunConfig):
     def worker(i: int) -> dict:
         rho = random_density(config.dim, stream(config.seed, 3 * i))
         hamiltonian = random_hermitian(config.dim, stream(config.seed, 3 * i + 1))
-        eq = gibbs_state(hamiltonian, beta)
         direct = ergotropy_direct(rho, hamiltonian)
-        via = ergotropy_via_entropies(rho, hamiltonian, beta)
-        eq11 = coherent_ergotropy_eq11(rho, hamiltonian, beta)
+        report = ergotropy_report(rho, hamiltonian, beta)
+        context = report.context
         chain = abs(
-            quantum_relative_entropy(rho, eq.rho)
-            - coherence_relative_entropy(rho, hamiltonian)
-            - quantum_relative_entropy(dephase(rho, hamiltonian), eq.rho)
+            context.relative_entropy() - context.coherence() - context.population_divergence()
         )
         probe = unitary_min_probe(
-            rho, eq.rho, probe_samples, seed=config.seed + 7919 * i, include_optimal=True
+            rho, context.gibbs, probe_samples, seed=config.seed + 7919 * i, include_optimal=True
         )
         return {
             "trial": i,
-            "ergotropy_identity_dev": abs(direct - via) / (1.0 + abs(direct)),
-            "coherent_identity_dev": abs(eq11 - via),
+            "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
+            "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
             "chain_identity_dev": chain,
             "unitary_min_gap": probe.min_gap,
             "optimal_unitary_gap": abs(probe.optimal_gap),
@@ -291,13 +254,15 @@ def _cmd_verify_identities(config: RunConfig):
         "max_optimal_unitary_gap": max_opt,
         "haar_samples_per_trial": probe_samples,
     }
-    header = ["trial", "ergotropy_identity_dev", "coherent_identity_dev",
-              "chain_identity_dev", "unitary_min_gap", "optimal_unitary_gap"]
+    header = CSV_COLUMNS["verify-identities"].split(",")
     rows = [[t[k] for k in header] for t in trials]
     return results, checks, header, rows
 
 
 def _load_grid_experiment(config: RunConfig):
+    def generated_kernel(n: int) -> cl.TransitionKernel:
+        return cl.TransitionKernel.from_permutation(stream(config.seed, 1).permutation(n))
+
     if config.input_path is None:
         n = config.dim
         rng = stream(config.seed, 0)
@@ -306,28 +271,21 @@ def _load_grid_experiment(config: RunConfig):
         # Anchor the shell at an actual cell energy so it is never empty.
         shell_floor = float(grid.energy_a[n // 2])
         shell_width = float(grid.energy_a.max() - grid.energy_a.min()) / max(1, n // 2) + 1e-9
-        p_a = cl.microcanonical(grid, "A", shell_floor, shell_width)
-        kernel = cl.TransitionKernel.from_permutation(stream(config.seed, 1).permutation(n))
-        return grid, p_a, kernel
+        return grid, cl.microcanonical(grid, "A", shell_floor, shell_width), generated_kernel(n)
     if config.input_path.endswith(".csv"):
         try:
             with open(config.input_path, "r", encoding="utf-8") as handle:
                 grid, p_a = grid_from_csv(handle.read())
         except (OSError, ValueError, IndexError) as exc:
             raise _InputError(f"bad grid CSV {config.input_path}: {exc}") from exc
-        kernel = cl.TransitionKernel.from_permutation(
-            stream(config.seed, 1).permutation(grid.n_cells)
-        )
-        return grid, p_a, kernel
+        return grid, p_a, generated_kernel(grid.n_cells)
     obj = _read_json(config.input_path)
     try:
         grid, p_a = grid_from_json(obj["grid"])
         if "kernel" in obj:
             kernel = kernel_from_json(obj["kernel"])
         else:
-            kernel = cl.TransitionKernel.from_permutation(
-                stream(config.seed, 1).permutation(grid.n_cells)
-            )
+            kernel = generated_kernel(grid.n_cells)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _InputError(f"bad grid file {config.input_path}: {exc}") from exc
     if p_a.n_cells != grid.n_cells or kernel.n_cells != grid.n_cells:
@@ -378,21 +336,18 @@ def _cmd_classical(config: RunConfig):
     experiment_probe = cl.stationarity_probe(
         joint, p_a, grid, beta, n_probes, epsilon, config.seed + 2
     )
+    uniform_max = float(np.max(np.abs(uniform_probe.delta_first_order)))
     results["stationarity"] = {
         "epsilon": epsilon,
         "n_perturbations": n_probes,
-        "uniform_max_first_order": float(np.max(np.abs(uniform_probe.delta_first_order))),
+        "uniform_max_first_order": uniform_max,
         "uniform_envelope": uniform_probe.first_order_bound,
         "experiment_min_first_order": float(experiment_probe.delta_first_order.min()),
         "experiment_negative_probes": experiment_probe.n_negative_first_order,
     }
-    checks["uniform_stationarity_envelope"] = _check(
-        float(np.max(np.abs(uniform_probe.delta_first_order))), uniform_probe.first_order_bound
-    )
-    header = ["index", "energy_a", "energy_b", "weight", "phi"]
-    rows = [
-        [i, grid.energy_a[i], grid.energy_b[i], p_a.weights[i], phi[i]] for i in range(n)
-    ]
+    checks["uniform_stationarity_envelope"] = _check(uniform_max, uniform_probe.first_order_bound)
+    header = CSV_COLUMNS["classical"].split(",")
+    rows = [[i, grid.energy_a[i], grid.energy_b[i], p_a.weights[i], phi[i]] for i in range(n)]
     return results, checks, header, rows
 
 
@@ -417,17 +372,16 @@ def _cmd_geometric_z(config: RunConfig):
         "hamiltonian": matrix_to_json(hamiltonian.matrix),
     }
     checks: dict = {}
+    header = ["dim", "beta", "samples", "estimate", "standard_error"]
+    rows = [[hamiltonian.dim, config.beta, config.samples, estimate, stderr]]
     if hamiltonian.dim == 2:
         closed = geo.qubit_partition_closed_form(hamiltonian, config.beta)
         z_score = abs(estimate - closed) / stderr if stderr > 0 else 0.0
         results["closed_form"] = closed
         results["z_score"] = z_score
         checks["within_four_standard_errors"] = _check(z_score, 4.0)
-    header = ["dim", "beta", "samples", "estimate", "standard_error"]
-    rows = [[hamiltonian.dim, config.beta, config.samples, estimate, stderr]]
-    if hamiltonian.dim == 2:
         header += ["closed_form", "z_score"]
-        rows[0] += [results["closed_form"], results["z_score"]]
+        rows[0] += [closed, z_score]
     return results, checks, header, rows
 
 
@@ -445,8 +399,6 @@ def _cmd_otm(config: RunConfig):
             protocol = DrivingProtocol.linear_ramp(h_a, h_b, tau)
             unitary = evolve_unitary(protocol, n_steps=64, tol=1e-6)
         report = sharpened_bound_report(protocol, unitary, beta)
-        conditional = conditional_thermal_state(h_a, h_b, unitary, beta)
-        log_z_b = gibbs_state(h_b, beta).log_z
         assert report.bound is not None and report.bound_terms is not None
         return {
             "trial": i,
@@ -457,9 +409,7 @@ def _cmd_otm(config: RunConfig):
             "bound": report.bound,
             "jensen_gap": beta * report.w_irr - report.bound,
             "decomposition_dev": abs(report.bound_terms.total() - report.bound),
-            "conditional_z_identity_dev": abs(
-                report.bound - (log_z_b - conditional.log_conditional_z)
-            ),
+            "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
         }
 
     trials = _map_trials(worker, config.trials)
@@ -474,29 +424,28 @@ def _cmd_otm(config: RunConfig):
     oracle = float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0)))
     assert quench.bound is not None
 
+    min_gap = min(t["jensen_gap"] for t in trials)
+    max_decomposition = max(t["decomposition_dev"] for t in trials)
+    max_z_identity = max(t["conditional_z_identity_dev"] for t in trials)
+    min_w_irr = min(t["w_irr"] for t in trials)
     checks = {
-        "maximum_work_bound": _check(min(t["jensen_gap"] for t in trials), -1e-9, at_most=False),
-        "bound_decomposition": _check(max(t["decomposition_dev"] for t in trials), 1e-9),
-        "conditional_z_identity": _check(
-            max(t["conditional_z_identity_dev"] for t in trials), 1e-9
-        ),
-        "irreversible_work_nonnegative": _check(
-            min(t["w_irr"] for t in trials), -1e-9, at_most=False
-        ),
+        "maximum_work_bound": _check(min_gap, -1e-9, at_most=False),
+        "bound_decomposition": _check(max_decomposition, 1e-9),
+        "conditional_z_identity": _check(max_z_identity, 1e-9),
+        "irreversible_work_nonnegative": _check(min_w_irr, -1e-9, at_most=False),
         "sudden_quench_equality": _check(abs(quench.beta * quench.w_irr - quench.bound), 1e-9),
         "sudden_quench_value": _check(abs(quench.bound - oracle), 1e-6),
     }
     results = {
         "trials": config.trials,
-        "min_jensen_gap": min(t["jensen_gap"] for t in trials),
-        "max_decomposition_dev": max(t["decomposition_dev"] for t in trials),
-        "max_conditional_z_identity_dev": max(t["conditional_z_identity_dev"] for t in trials),
+        "min_jensen_gap": min_gap,
+        "max_decomposition_dev": max_decomposition,
+        "max_conditional_z_identity_dev": max_z_identity,
         "sudden_quench_bound": quench.bound,
         "sudden_quench_oracle": oracle,
         "sudden_quench_w_irr": quench.w_irr,
     }
-    header = ["trial", "tau", "avg_work", "delta_f", "w_irr", "bound", "jensen_gap",
-              "decomposition_dev", "conditional_z_identity_dev"]
+    header = CSV_COLUMNS["otm"].split(",")
     rows = [[t[k] for k in header] for t in trials]
     return results, checks, header, rows
 
@@ -547,12 +496,12 @@ def _emit(config: RunConfig, results: dict, checks: dict, header: list, rows: li
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    config = RunConfig(**vars(args))
     if config.out_format == "csv" and config.output_path is None:
         parser.error("--format csv requires --output")
     try:
         results, checks, header, rows = _COMMANDS[config.command](config)
-    except _InputError as exc:
+    except (_InputError, OutOfScope) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ErgokitError as exc:

@@ -12,24 +12,23 @@ Three independent routes to the same number:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvariantViolation, SupportViolation
 from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
+    GibbsState,
     HermitianOperator,
-    coherence_relative_entropy,
+    SpectralContext,
     dephase,
     eigendecompose,
     expectation,
-    gibbs_state,
-    quantum_relative_entropy,
-    spectral_relative_entropy,
+    spectral_context,
 )
 from .sampling import haar_unitaries, stream
-from .errors import SupportViolation
 
 UNITARITY_ATOL = 1e-10
 
@@ -48,10 +47,6 @@ class AlignmentUnitary:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         return DensityMatrix(self.matrix @ rho.matrix @ self.matrix.conj().T)
 
@@ -62,7 +57,7 @@ class ErgotropyReport:
 
     ``incoherent`` is total - coherent_eq11; with the printed three-term
     coherent form this is ~0 for every state (see ``dephased_ergotropy`` for
-    the alternative split).
+    the alternative split).  ``context`` holds the spectra every route used.
     """
 
     total: float
@@ -72,15 +67,16 @@ class ErgotropyReport:
     dephased_ergotropy: float
     beta_used: float
     passive_energy: float
+    context: SpectralContext | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         dev = abs(self.total - self.via_entropies)
         if dev > 1e-8 * (1.0 + abs(self.total)):
-            raise ValueError(f"route disagreement |direct - entropies| = {dev:.3e}")
+            raise InvariantViolation(f"route disagreement |direct - entropies| = {dev:.3e}")
         if abs(self.incoherent - (self.total - self.coherent_eq11)) > 1e-12:
-            raise ValueError("incoherent must equal total - coherent_eq11")
+            raise InvariantViolation("incoherent must equal total - coherent_eq11")
         if self.total < -1e-9:
-            raise ValueError(f"negative ergotropy {self.total:.3e}")
+            raise InvariantViolation(f"negative ergotropy {self.total:.3e}")
 
 
 def passive_state(
@@ -126,14 +122,21 @@ def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> Align
     return AlignmentUnitary(s.vectors @ p.vectors.conj().T)
 
 
+def _via_entropies(context: SpectralContext) -> float:
+    return (context.relative_entropy() - context.spectral_divergence()) / context.gibbs.beta
+
+
+def _coherent_eq11(context: SpectralContext) -> float:
+    return (
+        context.coherence() + context.population_divergence() - context.spectral_divergence()
+    ) / context.gibbs.beta
+
+
 def ergotropy_via_entropies(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> float:
     """(S(rho||rho_eq) - D(rho||rho_eq)) / beta; beta-independent by construction."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    eq = gibbs_state(hamiltonian, beta).rho
-    return (quantum_relative_entropy(rho, eq) - spectral_relative_entropy(rho, eq)) / beta
+    return _via_entropies(spectral_context(rho, hamiltonian, beta))
 
 
 def coherent_ergotropy_eq11(
@@ -141,13 +144,7 @@ def coherent_ergotropy_eq11(
 ) -> float:
     """Three-term coherent ergotropy, implemented exactly as printed:
     (C(rho) + S(dephased||rho_eq) - D(rho||rho_eq)) / beta."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    eq = gibbs_state(hamiltonian, beta).rho
-    coherence = coherence_relative_entropy(rho, hamiltonian)
-    population = quantum_relative_entropy(dephase(rho, hamiltonian), eq)
-    spectral = spectral_relative_entropy(rho, eq)
-    return (coherence + population - spectral) / beta
+    return _coherent_eq11(spectral_context(rho, hamiltonian, beta))
 
 
 def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -159,18 +156,21 @@ def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> fl
 def ergotropy_report(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> ErgotropyReport:
-    """Evaluate every route and package them with the consistency invariants."""
-    total = ergotropy_direct(rho, hamiltonian)
-    via = ergotropy_via_entropies(rho, hamiltonian, beta)
-    coherent = coherent_ergotropy_eq11(rho, hamiltonian, beta)
+    """Every route from one spectral context, with the consistency invariants."""
+    context = spectral_context(rho, hamiltonian, beta)
+    energies = context.gibbs.energies
+    passive = float(context.populations @ energies)
+    total = context.energy - passive
+    coherent = _coherent_eq11(context)
     return ErgotropyReport(
         total=total,
-        via_entropies=via,
+        via_entropies=_via_entropies(context),
         coherent_eq11=coherent,
         incoherent=total - coherent,
-        dephased_ergotropy=dephased_ergotropy(rho, hamiltonian),
+        dephased_ergotropy=context.dephased_energy - float(context.dephased_populations @ energies),
         beta_used=float(beta),
-        passive_energy=passive_energy(rho, hamiltonian),
+        passive_energy=passive,
+        context=context,
     )
 
 
@@ -190,7 +190,7 @@ class UnitaryProbeResult:
 
 def unitary_min_probe(
     rho: DensityMatrix,
-    sigma: DensityMatrix,
+    sigma: DensityMatrix | GibbsState,
     n_samples: int,
     seed: int,
     include_optimal: bool = False,
@@ -198,24 +198,42 @@ def unitary_min_probe(
 ) -> UnitaryProbeResult:
     """Haar-sample unitaries and track min/mean of S(U rho U†||sigma).
 
-    The minimum can never undercut the sorted-spectrum divergence D(rho||sigma);
-    with ``include_optimal`` the aligning unitary is evaluated alongside the
-    samples and closes the gap to rounding error.
+    A ``GibbsState`` ``sigma`` brings its basis and analytic log-populations
+    (every level is support); a density matrix is diagonalized here.  The
+    minimum can never undercut the sorted-spectrum divergence D(rho||sigma);
+    with ``include_optimal`` the aligning unitary is evaluated by the same
+    formula as the samples and closes the gap to rounding error.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    if isinstance(sigma, GibbsState):
+        s_vectors, ln_s = sigma.basis, sigma.log_populations
+    else:
+        s_spec = eigendecompose(sigma, "descending")
+        s_vectors = s_spec.vectors
+        ln_s = np.log(s_spec.values[s_spec.values > SUPPORT_FLOOR])
+    if rho.dim != len(s_vectors):
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {len(s_vectors)}")
 
     p_spec = eigendecompose(rho, "descending")
-    s_spec = eigendecompose(sigma, "descending")
     live = p_spec.values > SUPPORT_FLOOR
-    support = s_spec.values > SUPPORT_FLOOR
     p_live = p_spec.values[live]
     v_live = p_spec.vectors[:, live]
-    s_support = s_spec.vectors[:, support]
-    ln_s = np.log(s_spec.values[support])
+    s_support = s_vectors[:, : len(ln_s)]
     entropy_term = float((p_live * np.log(p_live)).sum())
+    if len(p_live) > len(ln_s):
+        raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
+    bound = entropy_term - float(p_live @ ln_s[: len(p_live)])
+
+    def entropies(units: np.ndarray) -> np.ndarray:
+        rotated = units @ v_live  # (m, d, n_live)
+        overlap = np.abs(np.einsum("dj,kdi->kji", s_support.conj(), rotated)) ** 2
+        deviation = float(np.max(np.abs(overlap.sum(axis=1) - 1.0)))
+        if deviation > SUPPORT_FLOOR:
+            raise SupportViolation(
+                f"a rotated state leaks {deviation:.3e} outside support(sigma)"
+            )
+        return entropy_term - np.einsum("kji,j,i->k", overlap, ln_s, p_live)
 
     rng = stream(seed)
     total = 0.0
@@ -223,27 +241,15 @@ def unitary_min_probe(
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        units = haar_unitaries(rho.dim, m, rng)
-        rotated = units @ v_live  # (m, d, n_live)
-        overlap = np.abs(np.einsum("dj,kdi->kji", s_support.conj(), rotated)) ** 2
-        mass = overlap.sum(axis=1)  # (m, n_live)
-        deviation = float(np.max(np.abs(mass - 1.0)))
-        if deviation > SUPPORT_FLOOR:
-            raise SupportViolation(
-                f"a rotated state leaks {deviation:.3e} outside support(sigma)"
-            )
-        cross = np.einsum("kji,j,i->k", overlap, ln_s, p_live)
-        values = entropy_term - cross
+        values = entropies(haar_unitaries(rho.dim, m, rng))
         total += float(values.sum())
         best = min(best, float(values.min()))
         done += m
 
-    bound = spectral_relative_entropy(rho, sigma)
     optimal_entropy = None
     optimal_gap = None
     if include_optimal:
-        aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
-        optimal_entropy = quantum_relative_entropy(aligned, sigma)
+        optimal_entropy = float(entropies((s_vectors @ p_spec.vectors.conj().T)[None])[0])
         optimal_gap = optimal_entropy - bound
         best = min(best, optimal_entropy)
     return UnitaryProbeResult(

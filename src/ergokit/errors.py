@@ -25,3 +25,12 @@ class NonDeterministicKernel(ErgokitError):
 
 class NotConverged(ErgokitError):
     """Iterative refinement hit its limit before meeting the accuracy gate."""
+
+
+class OutOfScope(ErgokitError, ValueError):
+    """Outside the documented scope: Gibbs populations that underflow, or a
+    manifold CP^(d-1) with d < 2.  The command line exits 2 on it."""
+
+
+class InvariantViolation(ErgokitError, ValueError):
+    """A report failed a consistency invariant checked at its construction."""

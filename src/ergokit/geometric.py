@@ -15,15 +15,14 @@ from math import factorial, pi
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import SupportMismatch
+from .errors import OutOfScope, SupportMismatch
 from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
     _fix_phase,
     eigendecompose,
-    gibbs_state,
-    quantum_relative_entropy,
+    spectral_context,
 )
 from .sampling import stream
 
@@ -69,8 +68,11 @@ def fubini_study_distance(a: GeometricPoint, b: GeometricPoint) -> float:
     return float(np.arccos(min(1.0, overlap)))
 
 
-def _overlap_deficit(a: GeometricPoint, b: GeometricPoint) -> float:
-    return max(0.0, 1.0 - abs(np.vdot(a.amplitudes, b.amplitudes)))
+def _overlap_deficits(a: tuple[GeometricPoint, ...], b: tuple[GeometricPoint, ...]) -> np.ndarray:
+    """[i, j] = 1 - |<a_i|b_j>|, clipped at 0, from one Gram product."""
+    rows = np.array([p.amplitudes for p in a])
+    cols = np.array([p.amplitudes for p in b])
+    return np.maximum(0.0, 1.0 - np.abs(rows.conj() @ cols.T))
 
 
 @dataclass(frozen=True)
@@ -91,19 +93,16 @@ class GeometricState:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights deviate from unit mass by {abs(w.sum() - 1.0):.3e}")
-        merged_pts: list[GeometricPoint] = []
-        merged_w: list[float] = []
-        for point, weight in zip(pts, w):
-            for i, existing in enumerate(merged_pts):
-                if _overlap_deficit(point, existing) <= MERGE_OVERLAP_DEFICIT:
-                    merged_w[i] += float(weight)
-                    break
-            else:
-                merged_pts.append(point)
-                merged_w.append(float(weight))
-        wm = np.array(merged_w)
+        # Greedy merge in input order: a point joins the first earlier point
+        # that still stands for itself and lies within the merge deficit.
+        close = np.triu(_overlap_deficits(pts, pts) <= MERGE_OVERLAP_DEFICIT, 1)
+        owner = np.arange(len(pts))
+        for i in np.flatnonzero(close.any(axis=0)):
+            owner[i] = next((j for j in np.flatnonzero(close[:i, i]) if owner[j] == j), i)
+        heads = np.flatnonzero(owner == np.arange(len(pts)))
+        wm = np.bincount(owner, weights=w, minlength=len(pts))[heads]
+        object.__setattr__(self, "points", tuple(pts[i] for i in heads))
         wm.setflags(write=False)
-        object.__setattr__(self, "points", tuple(merged_pts))
         object.__setattr__(self, "weights", wm)
 
     @property
@@ -119,14 +118,19 @@ class GeometricState:
         return DensityMatrix(m)
 
 
+def _weights_on(values: np.ndarray, vectors: np.ndarray) -> GeometricState:
+    """Descending ``values`` above ``SUPPORT_FLOOR``, renormalized, as weights
+    on the matching columns of ``vectors``."""
+    keep = values > SUPPORT_FLOOR
+    points = tuple(GeometricPoint(vectors[:, i]) for i in np.flatnonzero(keep))
+    return GeometricState(points=points, weights=values[keep] / values[keep].sum())
+
+
 def geometric_state_of(rho: DensityMatrix) -> GeometricState:
     """Point-mass representation from the eigendecomposition of ``rho``
     (descending weights; zero-weight eigenvectors dropped)."""
     spectrum = eigendecompose(rho, "descending")
-    keep = spectrum.values > SUPPORT_FLOOR
-    weights = spectrum.values[keep]
-    points = tuple(GeometricPoint(spectrum.vectors[:, i]) for i in np.flatnonzero(keep))
-    return GeometricState(points=points, weights=weights / weights.sum())
+    return _weights_on(spectrum.values, spectrum.vectors)
 
 
 def aligned_geometric_state(rho: DensityMatrix, sigma: DensityMatrix) -> GeometricState:
@@ -135,11 +139,25 @@ def aligned_geometric_state(rho: DensityMatrix, sigma: DensityMatrix) -> Geometr
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     p = eigendecompose(rho, "descending")
-    s = eigendecompose(sigma, "descending")
-    keep = p.values > SUPPORT_FLOOR
-    weights = p.values[keep]
-    points = tuple(GeometricPoint(s.vectors[:, i]) for i in np.flatnonzero(keep))
-    return GeometricState(points=points, weights=weights / weights.sum())
+    return _weights_on(p.values, eigendecompose(sigma, "descending").vectors)
+
+
+def _pair(p_state: GeometricState, s_state: GeometricState) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): each point of ``p_state`` with its own partner in
+    ``s_state``, within ``MATCH_OVERLAP_DEFICIT``."""
+    if p_state.dim != s_state.dim:
+        raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
+    np_, ns = p_state.n_points, s_state.n_points
+    if np_ > ns:
+        raise SupportMismatch(
+            f"{np_} support points cannot inject into {ns} reference points"
+        )
+    deficit = _overlap_deficits(p_state.points, s_state.points)
+    cost = np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6)
+    rows, cols = linear_sum_assignment(cost)
+    if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
+        raise SupportMismatch("no bijection pairs the support points within tolerance")
+    return rows, cols
 
 
 def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState) -> float:
@@ -150,21 +168,7 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
     ``MATCH_OVERLAP_DEFICIT``); weight-degenerate groups are therefore paired
     geometrically, never by index order.
     """
-    if p_state.dim != s_state.dim:
-        raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
-    np_, ns = p_state.n_points, s_state.n_points
-    if np_ > ns:
-        raise SupportMismatch(
-            f"{np_} support points cannot inject into {ns} reference points"
-        )
-    deficit = np.empty((np_, ns))
-    for i, pp in enumerate(p_state.points):
-        for j, sp in enumerate(s_state.points):
-            deficit[i, j] = _overlap_deficit(pp, sp)
-    cost = np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6)
-    rows, cols = linear_sum_assignment(cost)
-    if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
-        raise SupportMismatch("no bijection pairs the support points within tolerance")
+    rows, cols = _pair(p_state, s_state)
     p_w = p_state.weights[rows]
     s_w = s_state.weights[cols]
     live = p_w > SUPPORT_FLOOR
@@ -175,15 +179,21 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
 
 def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float) -> float:
     """Third route to the ergotropy:
-    (S(rho||rho_eq) - D_geom(aligned||geometric(rho_eq))) / beta."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    eq = gibbs_state(hamiltonian, beta).rho
-    aligned = aligned_geometric_state(rho, eq)
-    reference = geometric_state_of(eq)
-    return (
-        quantum_relative_entropy(rho, eq) - geometric_relative_entropy(aligned, reference)
-    ) / beta
+    (S(rho||rho_eq) - D_geom(aligned||geometric(rho_eq))) / beta.
+
+    Both states sit on the Gibbs eigenvector points of one spectral context;
+    every reference point counts, with its analytic ln rho_eq.
+    """
+    _require_manifold(rho.dim)
+    context = spectral_context(rho, hamiltonian, beta)
+    gibbs = context.gibbs
+    points = tuple(GeometricPoint(v) for v in gibbs.basis.T)
+    weights = context.populations[context.populations > SUPPORT_FLOOR]
+    aligned = GeometricState(points=points[: len(weights)], weights=weights / weights.sum())
+    rows, cols = _pair(aligned, GeometricState(points=points, weights=gibbs.populations))
+    p_w = aligned.weights[rows]
+    divergence = float((p_w * (np.log(p_w) - gibbs.log_populations[cols])).sum())
+    return (context.relative_entropy() - divergence) / beta
 
 
 def energy_density(hamiltonian: HermitianOperator, z: np.ndarray) -> float:
@@ -198,17 +208,25 @@ def canonical_density(hamiltonian: HermitianOperator, beta: float, z: GeometricP
     return float(np.exp(-beta * energy_density(hamiltonian, z.amplitudes)))
 
 
+def _require_manifold(dim: int) -> None:
+    if dim < 2:
+        raise OutOfScope(f"dim must be >= 2 for the manifold CP^(dim-1), got {dim}")
+
+
 def manifold_volume(dim: int) -> float:
     """Total Fubini-Study volume of CP^(dim-1): pi^(dim-1) / (dim-1)!."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    _require_manifold(dim)
     return pi ** (dim - 1) / factorial(dim - 1)
 
 
 def _sample_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Rows are uniform (Fubini-Study) points: normalized complex Gaussians."""
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """Rows are uniform (Fubini-Study) points: normalized complex Gaussians,
+    filled in place (the draws of re + 1j*im without its complex temporaries)."""
+    z = np.empty((count, dim), dtype=complex)
+    z.real = rng.standard_normal((count, dim))
+    z.imag = rng.standard_normal((count, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def fs_uniform_sample(dim: int, n: int, seed: int) -> list[GeometricPoint]:
@@ -216,8 +234,7 @@ def fs_uniform_sample(dim: int, n: int, seed: int) -> list[GeometricPoint]:
 
     The draw order is fixed by the seed, so the sequence is bit-reproducible.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    _require_manifold(dim)
     if n < 1:
         raise ValueError("n must be >= 1")
     amplitudes = _sample_amplitudes(dim, n, stream(seed))
@@ -240,6 +257,7 @@ def geometric_partition_function(
         raise ValueError(f"beta must be positive, got {beta}")
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
+    _require_manifold(hamiltonian.dim)
     rng = stream(seed)
     h_matrix = hamiltonian.matrix
     # Chunk-merged Welford accumulation: the naive E[X^2] - E[X]^2 form loses
@@ -250,7 +268,9 @@ def geometric_partition_function(
     while count < n_samples:
         m = min(chunk, n_samples - count)
         amp = _sample_amplitudes(hamiltonian.dim, m, rng)
-        h = np.einsum("ni,ij,nj->n", amp.conj(), h_matrix, amp).real
+        # <z|H|z> row by row: Re(conj(z) . Hz) is the dot of the real views.
+        h = np.einsum("nk,nk->n", amp.view(float), (amp @ h_matrix.T).view(float))
+        del amp  # free this chunk's amplitudes before the next chunk is drawn
         w = np.exp(-beta * h)
         chunk_mean = float(w.mean())
         chunk_m2 = float(((w - chunk_mean) ** 2).sum())

@@ -8,12 +8,13 @@ matrix-carrying types are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import SupportViolation
+from .errors import OutOfScope, SupportViolation
 
 # Construction tolerances.
 HERMITICITY_ATOL = 1e-12
@@ -94,21 +95,20 @@ class DensityMatrix(HermitianOperator):
             self._store(m)
 
 
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the largest-magnitude component is real positive."""
-    k = int(np.argmax(np.abs(column)))
-    a = column[k]
-    mag = abs(a)
-    if mag == 0.0:
-        return column
-    return column * (a.conjugate() / mag)
+def _fix_phase(z: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of a vector, or of each column of a matrix, so
+    that its largest-magnitude component is real positive."""
+    cols = z.reshape(len(z), -1)
+    a = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    mag = np.hypot(a.real, a.imag)
+    mag[mag == 0.0] = 1.0  # an all-zero column stays zero
+    return (cols * (a.conj() / mag)).reshape(z.shape)
 
 
 def _canonical_columns(block: np.ndarray) -> np.ndarray:
     """Deterministic basis for a degenerate eigenspace: re-orthonormalize,
     phase-fix, then order columns lexicographically by |component|."""
-    q, _ = np.linalg.qr(block)
-    q = np.column_stack([_fix_phase(q[:, j]) for j in range(q.shape[1])])
+    q = _fix_phase(np.linalg.qr(block)[0])
     keys = [tuple(np.round(np.abs(q[:, j]), 12)) for j in range(q.shape[1])]
     order = sorted(range(q.shape[1]), key=keys.__getitem__)
     return q[:, order]
@@ -131,12 +131,6 @@ class SortedSpectrum:
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
-    def cluster_ids(self) -> np.ndarray:
-        ids = np.empty(len(self.values), dtype=int)
-        for c, members in enumerate(self.clusters):
-            ids[list(members)] = c
-        return ids
-
 
 def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     """Eigendecomposition with deterministic degenerate-subspace tie-breaking.
@@ -148,27 +142,18 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
         raise ValueError(f"unknown order {order!r}")
     w, v = np.linalg.eigh(operator.matrix)
     if order == "descending":
-        w = w[::-1].copy()
-        v = v[:, ::-1].copy()
-    else:
-        w = w.copy()
-        v = v.copy()
+        w, v = w[::-1].copy(), v[:, ::-1].copy()
 
-    clusters: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, len(w)):
-        gap = abs(w[i] - w[i - 1])
-        if gap > DEGENERACY_RTOL * (1.0 + max(abs(w[i]), abs(w[i - 1]))):
-            clusters.append(tuple(range(start, i)))
-            start = i
-    clusters.append(tuple(range(start, len(w))))
-
+    scale = 1.0 + np.maximum(np.abs(w[1:]), np.abs(w[:-1]))
+    breaks = (np.flatnonzero(np.abs(np.diff(w)) > DEGENERACY_RTOL * scale) + 1).tolist()
+    clusters = [tuple(range(a, b)) for a, b in zip([0] + breaks, breaks + [len(w)])]
+    single = np.ones(len(w), dtype=bool)
     for members in clusters:
-        sl = slice(members[0], members[-1] + 1)
         if len(members) > 1:
+            sl = slice(members[0], members[-1] + 1)
             v[:, sl] = _canonical_columns(v[:, sl])
-        else:
-            v[:, sl] = _fix_phase(v[:, members[0]])[:, None]
+            single[sl] = False
+    v[:, single] = _fix_phase(v[:, single])
 
     residual = np.linalg.norm(operator.matrix @ v - v * w, axis=0)
     scale = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
@@ -179,42 +164,56 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
 
 @dataclass(frozen=True)
 class GibbsState:
-    """Thermal equilibrium state exp(-beta H)/Z with its log partition function.
-
-    ``energies``/``populations``/``basis`` come from the canonical ascending
-    spectrum of H, so ``rho`` reconstructs exactly from them.
+    """Thermal equilibrium state exp(-beta H)/Z on the canonical ascending
+    ``spectrum`` of H, with ln Z and ``log_populations`` = -beta E - ln Z (exact
+    to rounding however small the populations).  The dense ``rho`` is built on
+    first use; relative entropies to a Gibbs state never diagonalize it.
     """
 
-    rho: DensityMatrix
     beta: float
     log_z: float
-    energies: np.ndarray
+    spectrum: SortedSpectrum
     populations: np.ndarray
-    basis: np.ndarray
+    log_populations: np.ndarray
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.spectrum.values
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.spectrum.vectors
+
+    @cached_property
+    def rho(self) -> DensityMatrix:
+        return DensityMatrix((self.basis * self.populations) @ self.basis.conj().T)
 
 
 def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
     """Gibbs state of ``hamiltonian`` at inverse temperature ``beta`` (k_B = 1).
 
     Populations are computed with a max-shift so the partition sum never
-    overflows; they must remain strictly positive at double precision.
+    overflows; they must remain strictly positive at double precision
+    (``OutOfScope`` otherwise).
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     spectrum = eigendecompose(hamiltonian, "ascending")
     logits = -beta * spectrum.values
     log_z = float(logsumexp(logits))
-    populations = np.exp(logits - log_z)
+    log_populations = logits - log_z
+    populations = np.exp(log_populations)
     if populations.min() <= 0.0:
-        raise ValueError("Gibbs populations underflow to zero; beta too large for this spectrum")
-    rho = DensityMatrix((spectrum.vectors * populations) @ spectrum.vectors.conj().T)
+        raise OutOfScope(
+            f"Gibbs populations underflow to zero at beta = {beta:g}; "
+            "beta too large for this spectrum"
+        )
     return GibbsState(
-        rho=rho,
         beta=float(beta),
         log_z=log_z,
-        energies=spectrum.values,
+        spectrum=spectrum,
         populations=populations,
-        basis=spectrum.vectors,
+        log_populations=log_populations,
     )
 
 
@@ -223,11 +222,15 @@ def expectation(state: DensityMatrix, observable: HermitianOperator) -> float:
     return float(np.einsum("ij,ji->", state.matrix, observable.matrix).real)
 
 
+def _entropy(values: np.ndarray) -> float:
+    """-sum w ln w over the eigenvalues above ``SUPPORT_FLOOR`` (0 ln 0 := 0)."""
+    live = values[values > SUPPORT_FLOOR]
+    return float(-(live * np.log(live)).sum())
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 := 0."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    live = w[w > SUPPORT_FLOOR]
-    return float(-(live * np.log(live)).sum())
+    return _entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -240,20 +243,15 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     p = eigendecompose(rho, "descending")
     s = eigendecompose(sigma, "descending")
-    overlap = np.abs(s.vectors.conj().T @ p.vectors) ** 2  # [j, i] = |<s_j|p_i>|^2
     support = s.values > SUPPORT_FLOOR
     live = p.values > SUPPORT_FLOOR
-    if live.any():
-        mass = overlap[np.ix_(support, live)].sum(axis=0)
-        deviation = float(np.max(np.abs(mass - 1.0)))
-        if deviation > SUPPORT_FLOOR:
-            raise SupportViolation(
-                f"rho leaks {deviation:.3e} probability outside support(sigma)"
-            )
-    p_live = p.values[live]
-    ln_s = np.log(s.values[support])
-    cross = float(np.einsum("i,ji,j->", p_live, overlap[np.ix_(support, live)], ln_s))
-    return float((p_live * np.log(p_live)).sum()) - cross
+    # [j, i] = |<s_j|p_i>|^2 for the populated eigenvectors of both states
+    overlap = np.abs(s.vectors[:, support].conj().T @ p.vectors[:, live]) ** 2
+    deviation = float(np.max(np.abs(overlap.sum(axis=0) - 1.0)))
+    if deviation > SUPPORT_FLOOR:
+        raise SupportViolation(f"rho leaks {deviation:.3e} probability outside support(sigma)")
+    cross = np.einsum("i,ji,j->", p.values[live], overlap, np.log(s.values[support]))
+    return -_entropy(p.values) - float(cross)
 
 
 def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -268,6 +266,14 @@ def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float
     return float((p[live] * (np.log(p[live]) - np.log(s[live]))).sum())
 
 
+def _pinch(rho: DensityMatrix, spectrum: SortedSpectrum) -> np.ndarray:
+    """``rho`` in the energy eigenbasis with the blocks between distinct levels
+    zeroed; intra-cluster blocks of a degenerate spectrum are kept."""
+    ids = np.repeat(np.arange(len(spectrum.clusters)), [len(c) for c in spectrum.clusters])
+    a = spectrum.vectors.conj().T @ rho.matrix @ spectrum.vectors
+    return a * (ids[:, None] == ids[None, :])
+
+
 def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix:
     """Remove coherences between distinct energy levels of ``hamiltonian``.
 
@@ -278,12 +284,75 @@ def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
     spectrum = eigendecompose(hamiltonian, "ascending")
-    ids = spectrum.cluster_ids()
-    a = spectrum.vectors.conj().T @ rho.matrix @ spectrum.vectors
-    mask = ids[:, None] == ids[None, :]
-    return DensityMatrix(spectrum.vectors @ (a * mask) @ spectrum.vectors.conj().T)
+    return DensityMatrix(spectrum.vectors @ _pinch(rho, spectrum) @ spectrum.vectors.conj().T)
 
 
 def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
     """Relative entropy of coherence in the energy basis: H(dephased) - H(rho)."""
     return von_neumann_entropy(dephase(rho, hamiltonian)) - von_neumann_entropy(rho)
+
+
+@dataclass(frozen=True)
+class SpectralContext:
+    """The spectra of one (rho, H, beta) triple, each computed once: ``gibbs``
+    (the ascending spectrum of H with ln rho_eq = -beta E - ln Z), the
+    eigenvalues of rho in ``populations`` (descending) and ``energy`` =
+    tr(rho H).  Every relative entropy to rho_eq is then a closed form, and
+    nothing diagonalizes exp(-beta H)/Z.  The dephased state is pinched on
+    first use; its eigenvalues need a solver only under a degenerate spectrum.
+    """
+
+    rho: DensityMatrix
+    gibbs: GibbsState
+    populations: np.ndarray
+    energy: float
+
+    @cached_property
+    def _pinched(self) -> np.ndarray:
+        return _pinch(self.rho, self.gibbs.spectrum)
+
+    @cached_property
+    def dephased_populations(self) -> np.ndarray:
+        """Eigenvalues of the dephased state, descending."""
+        if len(self.gibbs.spectrum.clusters) == len(self.populations):
+            return np.sort(np.diagonal(self._pinched).real)[::-1]
+        return np.linalg.eigvalsh(self._pinched)[::-1]
+
+    @property
+    def dephased_energy(self) -> float:
+        """tr(dephased H), summed on the energy basis."""
+        return float(np.diagonal(self._pinched).real @ self.gibbs.energies)
+
+    def relative_entropy(self) -> float:
+        """S(rho||rho_eq) = sum p ln p + beta tr(rho H) + ln Z."""
+        return -_entropy(self.populations) + self.gibbs.beta * self.energy + self.gibbs.log_z
+
+    def spectral_divergence(self) -> float:
+        """D(rho||rho_eq) = sum p_desc (ln p_desc + beta E_asc + ln Z)."""
+        live = self.populations > SUPPORT_FLOOR
+        p = self.populations[live]
+        return float((p * (np.log(p) - self.gibbs.log_populations[live])).sum())
+
+    def coherence(self) -> float:
+        """Relative entropy of coherence, H(dephased) - H(rho)."""
+        return _entropy(self.dephased_populations) - _entropy(self.populations)
+
+    def population_divergence(self) -> float:
+        """S(dephased||rho_eq) = -H(dephased) + beta tr(dephased H) + ln Z."""
+        gibbs = self.gibbs
+        return -_entropy(self.dephased_populations) + gibbs.beta * self.dephased_energy + gibbs.log_z
+
+
+def spectral_context(
+    rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
+) -> SpectralContext:
+    """One ``eigh`` of H (with the Gibbs log-populations) and one ``eigvalsh``
+    of rho, for every route that compares rho with the Gibbs state of H."""
+    if rho.dim != hamiltonian.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
+    return SpectralContext(
+        rho=rho,
+        gibbs=gibbs_state(hamiltonian, beta),
+        populations=np.linalg.eigvalsh(rho.matrix)[::-1],
+        energy=expectation(rho, hamiltonian),
+    )

@@ -7,9 +7,9 @@ flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight`
 ``{"n": n, "image": [...]}`` with cell j sent to cell image[j]; any other kernel
 as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
 distribution of the final cell given initial cell j.  ``kernel_from_json``
-reads both.  Grid, kernel and joint dicts hold ndarrays, which ``round_floats``
-turns into lists; floats in emitted reports are rounded there to 12
-significant digits so identical runs produce identical bytes.
+reads both.  Matrix, grid, kernel and joint dicts hold ndarrays, which
+``round_floats`` turns into lists; floats in emitted reports are rounded there
+to 12 significant digits so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from .quantum import DensityMatrix, HermitianOperator
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:
+    """``{"dim", "entries"}`` with the entries as a (d^2, 2) array of (re, im)
+    rows, row-major (an ndarray until ``round_floats``)."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    flat = m.reshape(-1)
-    return {"dim": int(m.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in flat]}
+    return {"dim": int(m.shape[0]), "entries": m.reshape(-1, 1).view(float)}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -64,7 +65,7 @@ def kernel_from_json(obj: dict) -> TransitionKernel:
     if "image" in obj:
         kernel = TransitionKernel.from_permutation(obj["image"])
     else:
-        kernel = TransitionKernel(np.array(obj["matrix"], dtype=float))
+        kernel = TransitionKernel(obj["matrix"])
     if kernel.n_cells != int(obj["n"]):
         raise ValueError(f"kernel declares n = {obj['n']} but holds {kernel.n_cells} cells")
     return kernel
@@ -85,11 +86,11 @@ def grid_to_json(grid: PhaseGrid, weights: GridDistribution) -> dict:
 
 def grid_from_json(obj: dict) -> tuple[PhaseGrid, GridDistribution]:
     grid = PhaseGrid(
-        energy_a=np.array(obj["energy_a"], dtype=float),
-        energy_b=np.array(obj["energy_b"], dtype=float),
+        energy_a=obj["energy_a"],
+        energy_b=obj["energy_b"],
         cell_volume=float(obj.get("cell_volume", 1.0)),
     )
-    return grid, GridDistribution(np.array(obj["weights"], dtype=float))
+    return grid, GridDistribution(obj["weights"])
 
 
 GRID_CSV_COLUMNS = ("index", "energy_a", "energy_b", "weight")
@@ -116,10 +117,9 @@ def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
     if not rows:
         raise ValueError("grid CSV has no rows")
     grid = PhaseGrid(
-        energy_a=np.array([r[1] for r in rows]),
-        energy_b=np.array([r[2] for r in rows]),
+        energy_a=[r[1] for r in rows], energy_b=[r[2] for r in rows]
     )
-    return grid, GridDistribution(np.array([r[3] for r in rows]))
+    return grid, GridDistribution([r[3] for r in rows])
 
 
 def geometric_state_to_json(state: GeometricState) -> dict:
@@ -148,13 +148,19 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+# Most float-array values ``round_floats`` formats at once: 4096 '<U18' strings
+# are 0.3 MB, and a d <= 45 matrix is one call.
+ROUND_BLOCK = 1 << 12
+
+
 def round_floats(obj: Any) -> Any:
     """Recursively round floats to 12 significant digits for stable JSON bytes.
 
-    Float ndarrays are rounded a row at a time with the same ``%.12g`` format
-    as ``format_float``, so a dense kernel never becomes n^2 Python calls."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return round_floats(asdict(obj))
+    Float ndarrays are rounded in blocks of whole rows, about ``ROUND_BLOCK``
+    values each at most, with the same ``%.12g`` format as
+    ``format_float``, so a dense matrix never becomes one Python call per entry."""
+    if isinstance(obj, (float, np.floating)):
+        return float(format_float(float(obj)))
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -162,13 +168,13 @@ def round_floats(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu":
             return obj.tolist()
-        if obj.ndim > 1:
-            return [round_floats(row) for row in obj]
-        return np.char.mod("%.12g", obj).astype(float).tolist()
+        step = max(1, ROUND_BLOCK * len(obj) // max(1, obj.size))
+        blocks = (obj[i : i + step] for i in range(0, len(obj), step))
+        return [v for b in blocks for v in np.char.mod("%.12g", b).astype(float).tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(format_float(float(obj)))
     if isinstance(obj, (int, np.integer)):
         return int(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return round_floats(asdict(obj))
     return obj

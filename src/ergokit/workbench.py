@@ -10,20 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .errors import NotConverged
-from .ergotropy import coherent_ergotropy_eq11, dephased_ergotropy, ergotropy_direct
+from .errors import InvariantViolation, NotConverged
+from .ergotropy import ergotropy_report
 from .quantum import (
     DensityMatrix,
+    GibbsState,
     HermitianOperator,
-    coherence_relative_entropy,
-    dephase,
+    SortedSpectrum,
     eigendecompose,
     expectation,
     gibbs_state,
-    quantum_relative_entropy,
 )
-from scipy.special import logsumexp
 
 ENDPOINT_ATOL = 1e-12
 UNITARY_ATOL = 1e-9
@@ -184,18 +183,25 @@ def conditional_thermal_state(
     the basis chosen inside each degenerate subspace; the canonical tie-broken
     basis is used and the degeneracy flagged on the result.
     """
+    return _conditional(eigendecompose(h_initial, "ascending"), h_final, unitary, beta)
+
+
+def _conditional(
+    spectrum: SortedSpectrum, h_final: HermitianOperator, unitary: np.ndarray, beta: float
+) -> ConditionalThermalState:
+    """``conditional_thermal_state`` from the ascending spectrum of H_A."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
+    dim = len(spectrum.values)
     u = np.asarray(unitary, dtype=complex)
-    if u.shape != (h_initial.dim, h_initial.dim):
-        raise ValueError(f"propagator shape {u.shape} does not match dim {h_initial.dim}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(h_initial.dim))))
+    if u.shape != (dim, dim):
+        raise ValueError(f"propagator shape {u.shape} does not match dim {dim}")
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if defect > UNITARY_ATOL:
         raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
-    if h_initial.dim != h_final.dim:
+    if dim != h_final.dim:
         raise ValueError("Hamiltonian dimensions must match")
 
-    spectrum = eigendecompose(h_initial, "ascending")
     evolved = u @ spectrum.vectors
     h_values = np.einsum("di,de,ei->i", evolved.conj(), h_final.matrix, evolved).real
     logits = -beta * h_values
@@ -232,6 +238,8 @@ class WorkReport:
     ``bound`` and its pieces are present only after the sharpened-bound
     analysis; ``jensen_slack`` is beta <W> + ln <exp(-beta W)> under the
     initial thermal weights, the exact gap between beta <W_irr> and the bound.
+    ``bound_closed_form`` is ln Z_B - ln Z(B|A), which the bound equals exactly
+    (the conditional partition identity).
     """
 
     avg_work: float
@@ -243,38 +251,42 @@ class WorkReport:
     jensen_slack: float | None = None
     alt_incoherent_ergotropy: float | None = None
     alt_coherent_ergotropy: float | None = None
+    bound_closed_form: float | None = None
 
     def __post_init__(self):
         if abs(self.w_irr - (self.avg_work - self.delta_f)) > 1e-12:
-            raise ValueError("w_irr must equal avg_work - delta_f")
+            raise InvariantViolation("w_irr must equal avg_work - delta_f")
         if self.bound is not None:
             if self.beta * self.w_irr < self.bound - 1e-9:
-                raise ValueError(
+                raise InvariantViolation(
                     "maximum work bound violated: beta*w_irr = "
                     f"{self.beta * self.w_irr:.12e} < bound = {self.bound:.12e}"
                 )
             if self.bound_terms is not None:
                 gap = abs(self.bound_terms.total() - self.bound)
                 if gap > 1e-9:
-                    raise ValueError(f"bound decomposition misses the bound by {gap:.3e}")
+                    raise InvariantViolation(f"bound decomposition misses the bound by {gap:.3e}")
 
 
 def work_accounting(protocol: DrivingProtocol, unitary: np.ndarray, beta: float) -> WorkReport:
     """Average work, free-energy change, and irreversible work for a thermal
     initial state driven through ``unitary``."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     initial = gibbs_state(protocol.initial, beta)
-    final_eq = gibbs_state(protocol.final, beta)
+    return _accounting(protocol, unitary, initial, gibbs_state(protocol.final, beta))
+
+
+def _accounting(
+    protocol: DrivingProtocol, unitary: np.ndarray, initial: GibbsState, final_eq: GibbsState
+) -> WorkReport:
     u = np.asarray(unitary, dtype=complex)
     evolved = DensityMatrix(u @ initial.rho.matrix @ u.conj().T)
     avg_work = expectation(evolved, protocol.final) - expectation(initial.rho, protocol.initial)
-    delta_f = -(final_eq.log_z - initial.log_z) / beta
+    delta_f = -(final_eq.log_z - initial.log_z) / initial.beta
     return WorkReport(
         avg_work=avg_work,
         delta_f=delta_f,
         w_irr=avg_work - delta_f,
-        beta=float(beta),
+        beta=initial.beta,
     )
 
 
@@ -286,32 +298,25 @@ def sharpened_bound_report(
     The bound is the relative entropy of the conditional thermal state to the
     final Gibbs state; its three pieces follow the printed coherent/incoherent
     convention (which makes the incoherent piece vanish identically - the
-    dephasing-based alternative is reported alongside).
+    dephasing-based alternative is reported alongside).  H_A and H_B are
+    diagonalized once each; H_B in the spectral context of the conditional state.
     """
-    base = work_accounting(protocol, unitary, beta)
-    conditional = conditional_thermal_state(protocol.initial, protocol.final, unitary, beta)
-    final_eq = gibbs_state(protocol.final, beta)
-    bound = quantum_relative_entropy(conditional.rho, final_eq.rho)
-
-    incoherent_ergotropy = ergotropy_direct(conditional.rho, protocol.final) - coherent_ergotropy_eq11(
-        conditional.rho, protocol.final, beta
-    )
-    terms = BoundTerms(
-        incoherent=beta * incoherent_ergotropy,
-        coherence=coherence_relative_entropy(conditional.rho, protocol.final),
-        population=quantum_relative_entropy(
-            dephase(conditional.rho, protocol.final), final_eq.rho
-        ),
-    )
     initial = gibbs_state(protocol.initial, beta)
+    conditional = _conditional(initial.spectrum, protocol.final, unitary, beta)
+    report = ergotropy_report(conditional.rho, protocol.final, beta)
+    context = report.context
+    base = _accounting(protocol, unitary, initial, context.gibbs)
+    bound = context.relative_entropy()
+    terms = BoundTerms(
+        incoherent=beta * report.incoherent,
+        coherence=context.coherence(),
+        population=context.population_divergence(),
+    )
     # ln <exp(-beta W)> under the initial thermal weights equals
     # ln Z(B|A) - ln Z_A; keeping the exponential form explicit for clarity.
     work_values = conditional.h_values - initial.energies
     log_avg = float(logsumexp(-beta * (initial.energies + work_values))) - initial.log_z
     slack = beta * base.avg_work + log_avg
-
-    alt_incoherent = dephased_ergotropy(conditional.rho, protocol.final)
-    alt_coherent = ergotropy_direct(conditional.rho, protocol.final) - alt_incoherent
     return WorkReport(
         avg_work=base.avg_work,
         delta_f=base.delta_f,
@@ -320,6 +325,7 @@ def sharpened_bound_report(
         bound=bound,
         bound_terms=terms,
         jensen_slack=slack,
-        alt_incoherent_ergotropy=alt_incoherent,
-        alt_coherent_ergotropy=alt_coherent,
+        alt_incoherent_ergotropy=report.dephased_ergotropy,
+        alt_coherent_ergotropy=report.total - report.dephased_ergotropy,
+        bound_closed_form=context.gibbs.log_z - conditional.log_conditional_z,
     )

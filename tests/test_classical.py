@@ -64,6 +64,21 @@ class TestTypes:
         with pytest.raises(ValueError, match="mass"):
             JointDistribution(np.full((2, 2), 0.3))
 
+    def test_constructors_leave_the_callers_arrays_writeable(self):
+        energies, weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
+        kernel = random_doubly_stochastic(2, stream(2))
+        joint = np.array([[0.25, 0.25], [0.25, 0.25]])
+        grid = PhaseGrid(energy_a=energies, energy_b=energies)
+        distribution = GridDistribution(weights)
+        transition = TransitionKernel(kernel)
+        coupling = JointDistribution(joint)
+        for array in (energies, weights, kernel, joint):
+            assert array.flags.writeable
+        for held in (grid.energy_a, distribution.weights, transition.dense, coupling.dense):
+            assert not held.flags.writeable
+        weights[0] = 0.5
+        assert distribution.weights[0] == 0.25
+
     def test_joint_marginals(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
         kernel = TransitionKernel(random_doubly_stochastic(3, stream(1)))

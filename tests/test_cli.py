@@ -9,7 +9,7 @@ import pytest
 
 from ergokit.cli import main
 from ergokit.sampling import random_density, random_hermitian, stream
-from ergokit.serialize import matrix_to_json
+from ergokit.serialize import matrix_to_json, round_floats
 
 
 def run_cli(capsys, *argv):
@@ -73,10 +73,10 @@ class TestErgotropyCommand:
         rho = random_density(3, stream(4))
         hamiltonian = random_hermitian(3, stream(5))
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({
+        path.write_text(json.dumps(round_floats({
             "rho": matrix_to_json(rho.matrix),
             "hamiltonian": matrix_to_json(hamiltonian.matrix),
-        }))
+        })))
         code, out, _ = run_cli(capsys, "ergotropy", "--input", str(path))
         assert code == 0
         assert json.loads(out)["passed"] is True
@@ -226,3 +226,65 @@ class TestArgumentValidation:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "ergokit", *argv], capture_output=True, text=True
+    )
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ergotropy", "--beta", "200", "--dim", "4"),
+            ("otm", "--dim", "2", "--beta", "300"),
+            ("ergotropy", "--dim", "1"),
+            ("geometric-z", "--dim", "1"),
+        ],
+        ids=["gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1"],
+    )
+    def test_out_of_scope_exits_2_with_one_error_line(self, argv):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert proc.stdout == ""
+
+    def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
+        from ergokit import ErgotropyReport, cli
+
+        def broken_report(rho, hamiltonian, beta):
+            return ErgotropyReport(
+                total=1.0, via_entropies=2.0, coherent_eq11=1.0, incoherent=0.0,
+                dephased_ergotropy=0.0, beta_used=beta, passive_energy=0.0,
+            )
+
+        monkeypatch.setattr(cli, "ergotropy_report", broken_report)
+        code, out, err = run_cli(capsys, "ergotropy", "--dim", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invariant failed: route disagreement")
+
+
+class TestLargeDimensions:
+    @pytest.mark.parametrize("dim", [48, 64])
+    def test_ergotropy_routes_agree(self, capsys, dim):
+        code, out, err = run_cli(capsys, "ergotropy", "--dim", str(dim), "--seed", "2")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        scale = 1.0 + abs(results["total"])
+        assert abs(results["total"] - results["via_entropies"]) <= 1e-8 * scale
+        assert abs(results["total"] - results["via_geometric"]) <= 1e-8 * scale
+
+    def test_verify_identities_at_dim_40_meets_its_gates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-identities", "--dim", "40", "--seed", "1", "--trials", "4"
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["checks"]["chain_identity"]["tolerance"] == 1e-9
+        assert payload["checks"]["coherent_identity"]["tolerance"] == 1e-8
+        assert all(check["passed"] for check in payload["checks"].values())

@@ -8,6 +8,8 @@ import pytest
 
 from ergokit import (
     DensityMatrix,
+    ErgokitError,
+    ErgotropyReport,
     HermitianOperator,
     coherent_ergotropy_eq11,
     dephased_ergotropy,
@@ -17,11 +19,13 @@ from ergokit import (
     expectation,
     gibbs_state,
     optimal_alignment_unitary,
+    passive_energy,
     passive_state,
     quantum_relative_entropy,
     spectral_relative_entropy,
     unitary_min_probe,
 )
+from ergokit.errors import InvariantViolation
 from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -265,3 +269,71 @@ class TestIdentitySweeps:
         assert abs(
             ergotropy_via_entropies(rho, h, 1.0) - ergotropy_via_entropies(rho, h_rot, 1.0)
         ) <= 1e-9
+
+
+class TestSpectralContextReuse:
+    @staticmethod
+    def count_eigensolver_calls(monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_report_makes_at_most_three_eigensolver_calls(self, monkeypatch, degenerate):
+        rho = random_density(6, stream(110))
+        h = (
+            HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
+            if degenerate
+            else random_hermitian(6, stream(111))
+        )
+        calls = self.count_eigensolver_calls(monkeypatch)
+        ergotropy_report(rho, h, 1.0)
+        assert calls["eigh"] + calls["eigvalsh"] <= 3
+
+    def test_routes_match_the_general_relative_entropies(self):
+        rho = random_density(5, stream(112))
+        h = random_hermitian(5, stream(113))
+        eq = gibbs_state(h, 0.7).rho
+        expected = (
+            quantum_relative_entropy(rho, eq) - spectral_relative_entropy(rho, eq)
+        ) / 0.7
+        report = ergotropy_report(rho, h, 0.7)
+        assert report.via_entropies == pytest.approx(expected, abs=1e-10)
+        assert report.dephased_ergotropy == pytest.approx(dephased_ergotropy(rho, h), abs=1e-12)
+        assert report.passive_energy == pytest.approx(passive_energy(rho, h), abs=1e-12)
+
+    def test_probe_against_a_gibbs_state_matches_its_density_matrix(self):
+        rho = random_density(4, stream(114))
+        g = gibbs_state(random_hermitian(4, stream(115)), 1.0)
+        from_gibbs = unitary_min_probe(rho, g, 64, seed=5, include_optimal=True)
+        from_matrix = unitary_min_probe(rho, g.rho, 64, seed=5, include_optimal=True)
+        assert from_gibbs.spectral_bound == pytest.approx(from_matrix.spectral_bound, abs=1e-12)
+        assert from_gibbs.mean_entropy == pytest.approx(from_matrix.mean_entropy, abs=1e-12)
+        assert abs(from_gibbs.optimal_gap) <= 1e-12
+
+    def test_gibbs_probe_keeps_levels_below_the_support_floor(self):
+        # Gibbs populations down to ~1e-22: a rebuilt density matrix would drop
+        # them from its support; the analytic log-populations keep every level.
+        h = HermitianOperator(np.diag([0.0, 10.0, 50.0]))
+        g = gibbs_state(h, 1.0)
+        assert g.populations.min() < 1e-12
+        probe = unitary_min_probe(DensityMatrix(np.eye(3) / 3), g, 16, seed=1, include_optimal=True)
+        assert abs(probe.optimal_gap) <= 1e-12
+        assert probe.spectral_bound == pytest.approx(
+            -math.log(3.0) - float(np.mean(g.log_populations)), abs=1e-12
+        )
+
+    def test_invariant_failures_are_toolkit_errors(self):
+        with pytest.raises(InvariantViolation, match="route disagreement"):
+            ErgotropyReport(
+                total=1.0, via_entropies=2.0, coherent_eq11=1.0, incoherent=0.0,
+                dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,
+            )
+        assert issubclass(InvariantViolation, ErgokitError)

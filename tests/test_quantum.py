@@ -18,6 +18,7 @@ from ergokit import (
     spectral_relative_entropy,
     von_neumann_entropy,
 )
+from ergokit.errors import OutOfScope
 from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -128,6 +129,17 @@ class TestGibbs:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError, match="beta"):
             gibbs_state(H01, 0.0)
+
+    def test_underflow_is_out_of_scope(self):
+        with pytest.raises(OutOfScope, match="underflow"):
+            gibbs_state(HermitianOperator(np.diag([0.0, 4.0])), 200.0)
+        assert issubclass(OutOfScope, ValueError)
+
+    def test_log_populations_stay_exact_below_the_support_floor(self):
+        g = gibbs_state(HermitianOperator(np.diag([0.0, 30.0, 60.0])), 1.0)
+        assert g.populations[-1] < 1e-12
+        assert np.allclose(g.log_populations, -np.array([0.0, 30.0, 60.0]) - g.log_z, atol=1e-14)
+        assert np.allclose(np.exp(g.log_populations), g.populations, rtol=1e-14, atol=0.0)
 
 
 class TestEntropies:

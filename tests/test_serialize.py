@@ -11,6 +11,7 @@ from ergokit import (
     TransitionKernel,
     geometric_state_of,
 )
+from ergokit import serialize
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import (
     density_from_json,
@@ -124,3 +125,24 @@ def test_round_floats_array_matches_per_element_form():
     assert json.dumps(round_floats(np.array(values))) == json.dumps(per_element)
     table = np.array([values, values[::-1]])
     assert json.dumps(round_floats(table)) == json.dumps([per_element, per_element[::-1]])
+
+
+def test_matrix_entries_print_as_the_per_element_pairs():
+    m = random_density(5, stream(21)).matrix
+    per_element = {"dim": 5, "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)]}
+    assert json.dumps(round_floats(matrix_to_json(m)), indent=2) == json.dumps(
+        round_floats(per_element), indent=2
+    )
+
+
+def test_round_floats_blocks_match_the_per_element_form(monkeypatch):
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((37, 2)) * 10.0 ** rng.integers(-20, 20, (37, 2))
+    per_element = [[round_floats(float(x)) for x in row] for row in table]
+    expected = json.dumps(per_element)
+    assert json.dumps(round_floats(table)) == expected
+    # Blocks of 3 rows (7 values), so rows split across many np.char.mod calls.
+    monkeypatch.setattr(serialize, "ROUND_BLOCK", 7)
+    assert json.dumps(round_floats(table)) == expected
+    vector = table[:, 0]
+    assert json.dumps(round_floats(vector)) == json.dumps([row[0] for row in per_element])
