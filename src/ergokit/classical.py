@@ -273,9 +273,12 @@ def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointD
 
 
 def compose_kernels(later: TransitionKernel, earlier: TransitionKernel) -> TransitionKernel:
-    """Kernel of `earlier` followed by `later` (matrix product)."""
+    """Kernel of `earlier` followed by `later`: the composed image for two
+    permutations, else the matrix product."""
     if later.n_cells != earlier.n_cells:
         raise ValueError(f"size mismatch: {later.n_cells} vs {earlier.n_cells}")
+    if later.image is not None and earlier.image is not None:
+        return TransitionKernel(image=later.image[earlier.image])
     return TransitionKernel(later.matrix @ earlier.matrix)
 
 

@@ -142,24 +142,6 @@ def aligned_geometric_state(rho: DensityMatrix, sigma: DensityMatrix) -> Geometr
     return _weights_on(p.values, eigendecompose(sigma, "descending").vectors)
 
 
-def _pair(p_state: GeometricState, s_state: GeometricState) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols): each point of ``p_state`` with its own partner in
-    ``s_state``, within ``MATCH_OVERLAP_DEFICIT``."""
-    if p_state.dim != s_state.dim:
-        raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
-    np_, ns = p_state.n_points, s_state.n_points
-    if np_ > ns:
-        raise SupportMismatch(
-            f"{np_} support points cannot inject into {ns} reference points"
-        )
-    deficit = _overlap_deficits(p_state.points, s_state.points)
-    cost = np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6)
-    rows, cols = linear_sum_assignment(cost)
-    if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
-        raise SupportMismatch("no bijection pairs the support points within tolerance")
-    return rows, cols
-
-
 def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState) -> float:
     """sum_j p_j ln(p_j / s_j) over bijectively matched support points.
 
@@ -168,7 +150,17 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
     ``MATCH_OVERLAP_DEFICIT``); weight-degenerate groups are therefore paired
     geometrically, never by index order.
     """
-    rows, cols = _pair(p_state, s_state)
+    if p_state.dim != s_state.dim:
+        raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
+    if p_state.n_points > s_state.n_points:
+        raise SupportMismatch(
+            f"{p_state.n_points} support points cannot inject into "
+            f"{s_state.n_points} reference points"
+        )
+    deficit = _overlap_deficits(p_state.points, s_state.points)
+    rows, cols = linear_sum_assignment(np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6))
+    if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
+        raise SupportMismatch("no bijection pairs the support points within tolerance")
     p_w = p_state.weights[rows]
     s_w = s_state.weights[cols]
     live = p_w > SUPPORT_FLOOR
@@ -181,18 +173,18 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     """Third route to the ergotropy:
     (S(rho||rho_eq) - D_geom(aligned||geometric(rho_eq))) / beta.
 
-    Both states sit on the Gibbs eigenvector points of one spectral context;
-    every reference point counts, with its analytic ln rho_eq.
+    The aligned state puts the populations of rho above ``SUPPORT_FLOOR``,
+    renormalized and descending, on the first k Gibbs eigenvector points; the
+    reference puts rho_eq on all d of the same points.  Each aligned point is
+    thus its own reference point (the points are orthonormal, so none merge),
+    the matching of ``geometric_relative_entropy`` is the identity, and
+    D_geom = sum_{i<k} w_i (ln w_i - ln rho_eq,i) with the analytic ln rho_eq.
     """
     _require_manifold(rho.dim)
     context = spectral_context(rho, hamiltonian, beta)
-    gibbs = context.gibbs
-    points = tuple(GeometricPoint(v) for v in gibbs.basis.T)
     weights = context.populations[context.populations > SUPPORT_FLOOR]
-    aligned = GeometricState(points=points[: len(weights)], weights=weights / weights.sum())
-    rows, cols = _pair(aligned, GeometricState(points=points, weights=gibbs.populations))
-    p_w = aligned.weights[rows]
-    divergence = float((p_w * (np.log(p_w) - gibbs.log_populations[cols])).sum())
+    w = weights / weights.sum()
+    divergence = float((w * (np.log(w) - context.gibbs.log_populations[: len(w)])).sum())
     return (context.relative_entropy() - divergence) / beta
 
 
@@ -289,7 +281,7 @@ def qubit_partition_closed_form(hamiltonian: HermitianOperator, beta: float) -> 
         raise ValueError("closed form applies to d = 2 only")
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    e0, e1 = np.linalg.eigvalsh(hamiltonian.matrix)
+    e0, e1 = eigendecompose(hamiltonian, "ascending").values
     gap = e1 - e0
     if gap <= 1e-14:
         return pi * float(np.exp(-beta * e0))

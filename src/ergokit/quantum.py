@@ -35,10 +35,11 @@ class HermitianOperator:
 
     Construction rejects matrices whose anti-Hermitian part exceeds
     ``HERMITICITY_ATOL`` entrywise; the stored matrix is the exactly
-    symmetrized (M + M†)/2 and is read-only.
+    symmetrized (M + M†)/2 and is read-only.  The object also keeps its one
+    ``eigh`` and the canonical spectra ``eigendecompose`` derives from it.
     """
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_eigh", "_spectra")
 
     def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
@@ -56,7 +57,9 @@ class HermitianOperator:
 
     def _store(self, m: np.ndarray) -> None:
         m.setflags(write=False)
-        object.__setattr__(self, "_matrix", m)
+        self._matrix = m
+        self._eigh = None  # np.linalg.eigh(m), once computed
+        self._spectra = {}  # order -> SortedSpectrum
 
     @property
     def matrix(self) -> np.ndarray:
@@ -74,7 +77,8 @@ class DensityMatrix(HermitianOperator):
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
     Eigenvalues in [-NEGATIVE_EIG_ATOL, 0) are clamped to zero and the state
-    renormalized; anything more negative is rejected.
+    renormalized; anything more negative is rejected.  The validating ``eigh``
+    is kept for ``eigendecompose`` unless the state was rebuilt.
     """
 
     __slots__ = ()
@@ -87,6 +91,7 @@ class DensityMatrix(HermitianOperator):
         w, v = np.linalg.eigh(self._matrix)
         if w[0] < -NEGATIVE_EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
+        self._eigh = (w, v)  # dropped by _store if the state is rebuilt
         if w[0] < 0.0 or abs(trace - 1.0) > 1e-15:
             w = np.clip(w, 0.0, None)
             m = (v * w) @ v.conj().T
@@ -136,13 +141,19 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     """Eigendecomposition with deterministic degenerate-subspace tie-breaking.
 
     Use ``"descending"`` for states (largest population first) and
-    ``"ascending"`` for Hamiltonians (ground energy first).
+    ``"ascending"`` for Hamiltonians (ground energy first).  Each operator
+    object is diagonalized at most once; the read-only spectrum of each order
+    is kept on it and returned by later calls.
     """
+    if order in operator._spectra:
+        return operator._spectra[order]
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown order {order!r}")
-    w, v = np.linalg.eigh(operator.matrix)
-    if order == "descending":
-        w, v = w[::-1].copy(), v[:, ::-1].copy()
+    if operator._eigh is None:
+        operator._eigh = np.linalg.eigh(operator.matrix)
+    step = -1 if order == "descending" else 1
+    w, v = operator._eigh
+    w, v = w[::step].copy(), v[:, ::step].copy()
 
     scale = 1.0 + np.maximum(np.abs(w[1:]), np.abs(w[:-1]))
     breaks = (np.flatnonzero(np.abs(np.diff(w)) > DEGENERACY_RTOL * scale) + 1).tolist()
@@ -159,7 +170,10 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     scale = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
     if float(residual.max()) > EIGEN_RESIDUAL_RTOL * scale:
         raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
-    return SortedSpectrum(values=w, vectors=v, order=order, clusters=tuple(clusters))
+    for a in (w, v):
+        a.setflags(write=False)
+    operator._spectra[order] = SortedSpectrum(w, v, order, tuple(clusters))
+    return operator._spectra[order]
 
 
 @dataclass(frozen=True)
@@ -230,7 +244,7 @@ def _entropy(values: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 := 0."""
-    return _entropy(np.linalg.eigvalsh(rho.matrix))
+    return _entropy(eigendecompose(rho, "descending").values)
 
 
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -258,8 +272,8 @@ def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float
     """Kullback-Leibler divergence of the descending-sorted eigenvalue lists."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    p = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-    s = np.sort(np.linalg.eigvalsh(sigma.matrix))[::-1]
+    p = eigendecompose(rho, "descending").values
+    s = eigendecompose(sigma, "descending").values
     live = p > SUPPORT_FLOOR
     if np.any(s[live] <= SUPPORT_FLOOR):
         raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
@@ -294,9 +308,9 @@ def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperato
 
 @dataclass(frozen=True)
 class SpectralContext:
-    """The spectra of one (rho, H, beta) triple, each computed once: ``gibbs``
-    (the ascending spectrum of H with ln rho_eq = -beta E - ln Z), the
-    eigenvalues of rho in ``populations`` (descending) and ``energy`` =
+    """The spectra of one (rho, H, beta) triple, read from the operators:
+    ``gibbs`` (the ascending spectrum of H with ln rho_eq = -beta E - ln Z),
+    the eigenvalues of rho in ``populations`` (descending) and ``energy`` =
     tr(rho H).  Every relative entropy to rho_eq is then a closed form, and
     nothing diagonalizes exp(-beta H)/Z.  The dephased state is pinched on
     first use; its eigenvalues need a solver only under a degenerate spectrum.
@@ -346,13 +360,13 @@ class SpectralContext:
 def spectral_context(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> SpectralContext:
-    """One ``eigh`` of H (with the Gibbs log-populations) and one ``eigvalsh``
-    of rho, for every route that compares rho with the Gibbs state of H."""
+    """The spectra of H (with the Gibbs log-populations) and of rho, for every
+    route that compares rho with the Gibbs state of H."""
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
     return SpectralContext(
         rho=rho,
         gibbs=gibbs_state(hamiltonian, beta),
-        populations=np.linalg.eigvalsh(rho.matrix)[::-1],
+        populations=eigendecompose(rho, "descending").values,
         energy=expectation(rho, hamiltonian),
     )

@@ -7,7 +7,7 @@ flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight`
 ``{"n": n, "image": [...]}`` with cell j sent to cell image[j]; any other kernel
 as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
 distribution of the final cell given initial cell j.  ``kernel_from_json``
-reads both.  Matrix, grid, kernel and joint dicts hold ndarrays, which
+reads both.  Matrix, grid and kernel dicts hold ndarrays, which
 ``round_floats`` turns into lists; floats in emitted reports are rounded there
 to 12 significant digits so identical runs produce identical bytes.
 """
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, is_dataclass
 from typing import Any
 
 import numpy as np
 
-from .classical import GridDistribution, JointDistribution, PhaseGrid, TransitionKernel
+from .classical import GridDistribution, PhaseGrid, TransitionKernel
 from .geometric import GeometricPoint, GeometricState
 from .quantum import DensityMatrix, HermitianOperator
 
@@ -69,10 +68,6 @@ def kernel_from_json(obj: dict) -> TransitionKernel:
     if kernel.n_cells != int(obj["n"]):
         raise ValueError(f"kernel declares n = {obj['n']} but holds {kernel.n_cells} cells")
     return kernel
-
-
-def joint_to_json(joint: JointDistribution) -> dict:
-    return {"n": joint.n_cells, "matrix": joint.matrix}
 
 
 def grid_to_json(grid: PhaseGrid, weights: GridDistribution) -> dict:
@@ -175,6 +170,4 @@ def round_floats(obj: Any) -> Any:
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return round_floats(asdict(obj))
     return obj

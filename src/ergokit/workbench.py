@@ -18,7 +18,6 @@ from .quantum import (
     DensityMatrix,
     GibbsState,
     HermitianOperator,
-    SortedSpectrum,
     eigendecompose,
     expectation,
     gibbs_state,
@@ -183,16 +182,9 @@ def conditional_thermal_state(
     the basis chosen inside each degenerate subspace; the canonical tie-broken
     basis is used and the degeneracy flagged on the result.
     """
-    return _conditional(eigendecompose(h_initial, "ascending"), h_final, unitary, beta)
-
-
-def _conditional(
-    spectrum: SortedSpectrum, h_final: HermitianOperator, unitary: np.ndarray, beta: float
-) -> ConditionalThermalState:
-    """``conditional_thermal_state`` from the ascending spectrum of H_A."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    dim = len(spectrum.values)
+    dim = h_initial.dim
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (dim, dim):
         raise ValueError(f"propagator shape {u.shape} does not match dim {dim}")
@@ -202,6 +194,7 @@ def _conditional(
     if dim != h_final.dim:
         raise ValueError("Hamiltonian dimensions must match")
 
+    spectrum = eigendecompose(h_initial, "ascending")
     evolved = u @ spectrum.vectors
     h_values = np.einsum("di,de,ei->i", evolved.conj(), h_final.matrix, evolved).real
     logits = -beta * h_values
@@ -299,10 +292,10 @@ def sharpened_bound_report(
     final Gibbs state; its three pieces follow the printed coherent/incoherent
     convention (which makes the incoherent piece vanish identically - the
     dephasing-based alternative is reported alongside).  H_A and H_B are
-    diagonalized once each; H_B in the spectral context of the conditional state.
+    diagonalized once each, the spectra kept on the operators.
     """
     initial = gibbs_state(protocol.initial, beta)
-    conditional = _conditional(initial.spectrum, protocol.final, unitary, beta)
+    conditional = conditional_thermal_state(protocol.initial, protocol.final, unitary, beta)
     report = ergotropy_report(conditional.rho, protocol.final, beta)
     context = report.context
     base = _accounting(protocol, unitary, initial, context.gibbs)

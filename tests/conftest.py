@@ -1,0 +1,19 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eigensolver_calls(monkeypatch):
+    """Counts of ``numpy.linalg.eigh`` and ``eigvalsh`` calls from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -26,6 +26,7 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
+from ergokit import classical
 from ergokit.classical import _mixing_rows, _random_doubly_stochastic
 from ergokit.sampling import stream
 
@@ -145,6 +146,20 @@ class TestJointAndKernels:
         inverse = TransitionKernel(perm.matrix.T)
         composed = compose_kernels(inverse, perm)
         assert np.max(np.abs(composed.matrix - np.eye(4))) < 1e-12
+
+    def test_compose_two_permutations_as_images(self, monkeypatch):
+        later = TransitionKernel.from_permutation(stream(8).permutation(7))
+        earlier = TransitionKernel.from_permutation(stream(9).permutation(7))
+        dense = later.matrix @ earlier.matrix
+
+        def refuse(*args):
+            raise AssertionError("dense permutation built")
+
+        monkeypatch.setattr(classical, "_dense_permutation", refuse)
+        composed = compose_kernels(later, earlier)
+        assert composed.is_deterministic
+        monkeypatch.undo()
+        assert np.array_equal(composed.matrix, dense)
 
     def test_compose_identity(self):
         kernel = TransitionKernel(random_doubly_stochastic(4, stream(4)))

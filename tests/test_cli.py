@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergokit.cli import main
+from ergokit.cli import CSV_COLUMNS, main
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import matrix_to_json, round_floats
 
@@ -53,11 +53,29 @@ class TestDeterminism:
         assert first == second
 
     def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        args = ("otm", "--dim", "2", "--trials", "6", "--seed", "3")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("ERGOKIT_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
+        for args in (
+            ("otm", "--dim", "2", "--trials", "6", "--seed", "3"),
+            ("verify-identities", "--dim", "8", "--trials", "6", "--seed", "3"),
+        ):
+            monkeypatch.delenv("ERGOKIT_THREADS", raising=False)
+            _, serial, _ = run_cli(capsys, *args)
+            monkeypatch.setenv("ERGOKIT_THREADS", "4")
+            _, threaded, _ = run_cli(capsys, *args)
+            assert serial == threaded
+
+
+class TestEigensolverCalls:
+    @pytest.mark.parametrize(
+        "argv, most",
+        [
+            (("ergotropy", "--dim", "16", "--seed", "0"), 2),
+            (("verify-identities", "--dim", "8", "--trials", "1"), 4),
+        ],
+    )
+    def test_one_diagonalization_per_operator(self, capsys, eigensolver_calls, argv, most):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= most
 
 
 class TestErgotropyCommand:
@@ -208,6 +226,15 @@ class TestOtmCommand:
 
 
 class TestArgumentValidation:
+    @pytest.mark.parametrize("command", sorted(CSV_COLUMNS))
+    def test_subcommand_help_prints_its_csv_columns(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        # argparse wraps the epilog, also inside the long column list
+        out = "".join(capsys.readouterr().out.split())
+        assert f"CSVcolumns(--formatcsv):{CSV_COLUMNS[command]}" in out
+
     def test_nonpositive_beta_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["verify-identities", "--beta", "0"])

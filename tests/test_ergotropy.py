@@ -272,30 +272,24 @@ class TestIdentitySweeps:
 
 
 class TestSpectralContextReuse:
-    @staticmethod
-    def count_eigensolver_calls(monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
-        for name in calls:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
-        return calls
-
     @pytest.mark.parametrize("degenerate", [False, True])
-    def test_report_makes_at_most_three_eigensolver_calls(self, monkeypatch, degenerate):
+    def test_report_makes_at_most_three_eigensolver_calls(self, eigensolver_calls, degenerate):
         rho = random_density(6, stream(110))
         h = (
             HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
             if degenerate
             else random_hermitian(6, stream(111))
         )
-        calls = self.count_eigensolver_calls(monkeypatch)
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
         ergotropy_report(rho, h, 1.0)
-        assert calls["eigh"] + calls["eigvalsh"] <= 3
+        assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= 3
+
+    def test_report_on_an_existing_state_diagonalizes_only_h(self, eigensolver_calls):
+        rho = random_density(6, stream(110))
+        h = random_hermitian(6, stream(111))
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
+        ergotropy_report(rho, h, 1.0)
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_routes_match_the_general_relative_entropies(self):
         rho = random_density(5, stream(112))

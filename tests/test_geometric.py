@@ -155,6 +155,21 @@ class TestGeometricErgotropy:
     def test_plus_state_half(self):
         assert ergotropy_geometric(PLUS, H01, 1.0) == pytest.approx(0.5, abs=1e-10)
 
+    def test_builds_no_points_and_no_matching(self, monkeypatch):
+        from ergokit import geometric
+        from ergokit.sampling import random_hermitian
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("geometric matching used")
+
+        for name in ("GeometricPoint", "GeometricState", "linear_sum_assignment"):
+            monkeypatch.setattr(geometric, name, refuse)
+        rho = random_density(6, stream(10))
+        h = random_hermitian(6, stream(11))
+        assert ergotropy_geometric(rho, h, 1.0) == pytest.approx(
+            ergotropy_direct(rho, h), abs=1e-12
+        )
+
     def test_triple_route_agreement(self):
         from ergokit.sampling import random_hermitian
 

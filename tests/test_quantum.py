@@ -103,6 +103,51 @@ class TestEigendecompose:
             assert abs(col[k].imag) < 1e-12
 
 
+class TestStoredSpectrum:
+    def test_one_eigh_per_object_in_either_order(self, eigensolver_calls):
+        for first, second in (("ascending", "descending"), ("descending", "ascending")):
+            op = random_hermitian(5, stream(30))
+            eigensolver_calls.update(eigh=0, eigvalsh=0)
+            a = eigendecompose(op, first)
+            b = eigendecompose(op, second)
+            assert eigendecompose(op, first) is a
+            assert eigendecompose(op, second) is b
+            assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+            assert np.array_equal(a.values, b.values[::-1])
+
+    def test_equal_matrices_in_distinct_objects_are_diagonalized_apart(self, eigensolver_calls):
+        m = random_hermitian(4, stream(31)).matrix
+        first, second = HermitianOperator(m), HermitianOperator(m)
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
+        eigendecompose(first, "ascending")
+        eigendecompose(second, "ascending")
+        assert eigensolver_calls["eigh"] == 2
+
+    def test_density_matrix_keeps_its_validating_eigh(self, eigensolver_calls):
+        rho = random_density(5, stream(32))
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
+        spec = eigendecompose(rho, "descending")
+        von_neumann_entropy(rho)
+        assert eigensolver_calls == {"eigh": 0, "eigvalsh": 0}
+        assert np.max(np.abs(spec.reconstruct() - rho.matrix)) < 1e-12
+
+    def test_clamped_state_gets_the_spectrum_of_its_stored_matrix(self):
+        u = haar_unitary(3, stream(33))
+        m = u @ np.diag([0.7 + 4e-11, 0.3, -4e-11]) @ u.conj().T
+        rho = DensityMatrix(m)
+        spec = eigendecompose(rho, "descending")
+        assert np.array_equal(spec.values, np.linalg.eigh(rho.matrix)[0][::-1])
+        assert spec.values.min() >= -1e-15
+        assert np.max(np.abs(spec.reconstruct() - rho.matrix)) < 1e-12
+
+    def test_stored_arrays_are_read_only(self):
+        spec = eigendecompose(random_hermitian(3, stream(34)), "ascending")
+        with pytest.raises(ValueError):
+            spec.values[0] = 0.0
+        with pytest.raises(ValueError):
+            spec.vectors[0, 0] = 0.0
+
+
 class TestGibbs:
     def test_two_level_populations(self):
         g = gibbs_state(H01, 1.0)
