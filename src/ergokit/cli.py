@@ -116,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=help_text,
             description=help_text,
             epilog=f"CSV columns (--format csv): {CSV_COLUMNS[name]}",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--beta", type=_positive_float, default=1.0, help="inverse temperature (k_B = 1)")
         p.add_argument("--dim", type=_positive_int, default=2,

@@ -1,7 +1,16 @@
 """Shared fixtures."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+
+# Hypothesis caches source constants in its storage directory even with
+# database=None; keep that cache out of the working tree.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ergokit-hypothesis")
+)
 
 
 @pytest.fixture

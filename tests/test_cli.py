@@ -231,9 +231,8 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit) as info:
             main([command, "--help"])
         assert info.value.code == 0
-        # argparse wraps the epilog, also inside the long column list
-        out = "".join(capsys.readouterr().out.split())
-        assert f"CSVcolumns(--formatcsv):{CSV_COLUMNS[command]}" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert f"CSV columns (--format csv): {CSV_COLUMNS[command]}" in lines
 
     def test_nonpositive_beta_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ergokit import (
@@ -11,6 +13,7 @@ from ergokit import (
     DrivingProtocol,
     HermitianOperator,
     conditional_thermal_state,
+    eigendecompose,
     evolve_unitary,
     gibbs_state,
     quantum_relative_entropy,
@@ -158,6 +161,13 @@ class TestWorkAccounting:
         assert w_fast > 0.1
         assert w_slow < 0.05 * w_fast
 
+    def test_checks_the_propagator(self):
+        protocol = DrivingProtocol.sudden(H_A, H_B)
+        with pytest.raises(ValueError, match="not unitary"):
+            work_accounting(protocol, np.diag([1.0, 2.0]).astype(complex), 1.0)
+        with pytest.raises(ValueError, match="propagator shape"):
+            work_accounting(protocol, np.eye(3, dtype=complex), 1.0)
+
 
 class TestSharpenedBound:
     def test_sudden_quench_equality_case(self):
@@ -196,3 +206,64 @@ class TestSharpenedBound:
         from ergokit import ergotropy_direct
 
         assert total == pytest.approx(ergotropy_direct(conditional.rho, H_B), abs=1e-12)
+
+
+@st.composite
+def bound_cases(draw):
+    """(H_A, H_B, Haar U, beta) with d in [2, 12]; H_A has pairwise degenerate
+    levels in about half of the examples."""
+    dim = draw(st.integers(2, 12))
+    beta = draw(st.floats(0.05, 5.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    h_a = random_hermitian(dim, stream(seed, 0))
+    if draw(st.booleans()):
+        basis = haar_unitary(dim, stream(seed, 3))
+        levels = stream(seed, 4).normal(size=dim)[np.arange(dim) // 2]
+        h_a = HermitianOperator((basis * levels) @ basis.conj().T)
+    return h_a, random_hermitian(dim, stream(seed, 1)), haar_unitary(dim, stream(seed, 2)), beta
+
+
+class TestBoundReportProperties:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(bound_cases())
+    def test_bound_slack_and_average_work(self, case):
+        h_a, h_b, u, beta = case
+        report = sharpened_bound_report(DrivingProtocol.sudden(h_a, h_b), u, beta)
+        assert report.beta * report.w_irr >= report.bound - 1e-9
+        assert report.bound_terms.total() == pytest.approx(report.bound, abs=1e-9)
+        assert report.jensen_slack >= -1e-9
+        assert report.jensen_slack == pytest.approx(
+            report.beta * report.w_irr - report.bound, abs=1e-9
+        )
+        # dense reference: tr(U rho U^dagger H_B) - tr(rho H_A) for rho = exp(-beta H_A)/Z
+        energies, vectors = np.linalg.eigh(h_a.matrix)
+        populations = np.exp(-beta * (energies - energies[0]))
+        rho = (vectors * (populations / populations.sum())) @ vectors.conj().T
+        dense = np.trace(u @ rho @ u.conj().T @ h_b.matrix).real - np.trace(rho @ h_a.matrix).real
+        assert abs(report.avg_work - dense) <= 1e-12 * (1.0 + abs(dense))
+
+
+class TestEigensolverCalls:
+    @staticmethod
+    def operators(seed):
+        return (
+            random_hermitian(5, stream(20, seed)),
+            random_hermitian(5, stream(21, seed)),
+            haar_unitary(5, stream(22, seed)),
+        )
+
+    def test_bound_report_diagonalizes_h_a_h_b_and_the_conditional_state(
+        self, eigensolver_calls
+    ):
+        h_a, h_b, u = self.operators(0)
+        sharpened_bound_report(DrivingProtocol.sudden(h_a, h_b), u, 0.7)
+        assert eigensolver_calls == {"eigh": 3, "eigvalsh": 0}
+        # the case is one whose conditional state keeps its validating eigh
+        eigensolver_calls["eigh"] = 0
+        eigendecompose(conditional_thermal_state(h_a, h_b, u, 0.7).rho, "descending")
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_work_accounting_makes_at_most_three_eigensolver_calls(self, eigensolver_calls):
+        h_a, h_b, u = self.operators(1)
+        work_accounting(DrivingProtocol.sudden(h_a, h_b), u, 0.7)
+        assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= 3
