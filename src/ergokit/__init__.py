@@ -73,7 +73,7 @@ from .quantum import (
     spectral_relative_entropy,
     von_neumann_entropy,
 )
-from .sampling import haar_unitary, random_density, random_hermitian, random_pure, stream
+from .sampling import haar_unitary, random_density, random_hermitian, stream
 from .workbench import (
     BoundTerms,
     ConditionalThermalState,

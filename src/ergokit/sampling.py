@@ -30,12 +30,6 @@ def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random state vector."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
-
-
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     """GUE-style random Hermitian operator with entries of order ``scale``."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

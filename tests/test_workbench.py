@@ -22,6 +22,7 @@ from ergokit import (
     work_accounting,
 )
 from ergokit.sampling import haar_unitary, random_hermitian, stream
+from ergokit.workbench import magnus_product
 
 H_A = HermitianOperator(np.diag([0.0, 1.0]))
 H_B = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
@@ -50,6 +51,22 @@ class TestProtocol:
         protocol = DrivingProtocol.linear_ramp(H_A, H_B, 2.0)
         assert np.allclose(protocol.hamiltonian_at(1.0), 0.5 * (H_A.matrix + H_B.matrix))
 
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            DrivingProtocol.sudden(H_A, H_B),
+            DrivingProtocol.linear_ramp(H_A, H_B, 2.0),
+            DrivingProtocol.from_schedule([(0.0, H_A), (0.4, SIGMA_X), (0.4, H_A), (1.0, H_B)]),
+        ],
+        ids=["sudden", "linear_ramp", "custom"],
+    )
+    def test_array_of_times_stacks_the_scalar_calls(self, protocol):
+        times = np.array([[-0.1, 0.0, 0.13, 0.4], [0.57, 0.9, 1.0, 2.5]])
+        stacked = protocol.hamiltonian_at(times)
+        assert stacked.shape == (2, 4, 2, 2)
+        for index, t in np.ndenumerate(times):
+            assert np.array_equal(stacked[index], protocol.hamiltonian_at(float(t)))
+
 
 class TestEvolveUnitary:
     def test_sudden_is_identity(self):
@@ -73,6 +90,30 @@ class TestEvolveUnitary:
         coarse = np.max(np.abs(u2 - u1))
         fine = np.max(np.abs(u3 - u2))
         assert coarse / fine == pytest.approx(4.0, rel=0.3)
+
+    def test_magnus_fourth_order_richardson_ratio(self):
+        protocol = DrivingProtocol.linear_ramp(H_A, SIGMA_X, 3.0)
+        u1, u2, u3 = (magnus_product(protocol, n) for n in (16, 32, 64))
+        coarse = np.max(np.abs(u2 - u1))
+        fine = np.max(np.abs(u3 - u2))
+        assert coarse / fine == pytest.approx(16.0, rel=0.3)
+
+    def test_magnus_keeps_fourth_order_across_schedule_kinks(self):
+        # The kink at t = 1.1 falls inside a step of a uniform 16-, 32- or
+        # 64-step grid; knot-aligned steps keep every Gauss node off it.
+        protocol = DrivingProtocol.from_schedule([(0.0, H_A), (1.1, SIGMA_X), (3.0, H_B)])
+        u1, u2, u3 = (magnus_product(protocol, n) for n in (16, 32, 64))
+        coarse = np.max(np.abs(u2 - u1))
+        fine = np.max(np.abs(u3 - u2))
+        assert coarse / fine == pytest.approx(16.0, rel=0.3)
+
+    def test_magnus_matches_extrapolated_midpoint_reference(self):
+        h_a = random_hermitian(4, stream(11, 0))
+        h_b = random_hermitian(4, stream(11, 1))
+        protocol = DrivingProtocol.linear_ramp(h_a, h_b, 1.3)
+        reference = (4.0 * step_product(protocol, 1024) - step_product(protocol, 512)) / 3.0
+        assert np.max(np.abs(magnus_product(protocol, 256) - reference)) < 1e-10
+        assert np.max(np.abs(step_product(protocol, 256) - reference)) > 1e-6
 
     def test_unitarity_defect(self):
         protocol = DrivingProtocol.linear_ramp(H_A, SIGMA_X, 5.0)
@@ -262,6 +303,15 @@ class TestEigensolverCalls:
         eigensolver_calls["eigh"] = 0
         eigendecompose(conditional_thermal_state(h_a, h_b, u, 0.7).rho, "descending")
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls):
+        # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45
+        tau = float(stream(0, 2).uniform(0.0, 1.5))
+        protocol = DrivingProtocol.linear_ramp(
+            random_hermitian(64, stream(0, 0)), random_hermitian(64, stream(0, 1)), tau
+        )
+        evolve_unitary(protocol, n_steps=64, tol=1e-6)
+        assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0}
 
     def test_work_accounting_makes_at_most_three_eigensolver_calls(self, eigensolver_calls):
         h_a, h_b, u = self.operators(1)
