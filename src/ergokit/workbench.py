@@ -137,10 +137,11 @@ def _ordered_exponential(generators: np.ndarray) -> np.ndarray:
     Hermitian generators; each factor comes from one batched ``eigh``."""
     w, v = np.linalg.eigh(generators)
     steps = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    unitary = steps[0]
-    for step in steps[1:]:
-        unitary = step @ unitary
-    u, _, vh = np.linalg.svd(unitary)
+    while len(steps) > 1:  # pairwise, later step on the left: log2(n) batched products
+        if len(steps) % 2:
+            steps = np.concatenate([steps, np.eye(steps.shape[1])[None]])
+        steps = steps[1::2] @ steps[::2]
+    u, _, vh = np.linalg.svd(steps[0])
     return u @ vh
 
 
@@ -172,9 +173,11 @@ def magnus_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
         return np.eye(protocol.initial.dim, dtype=complex)
     nodes, dt = _step_nodes(protocol, n_steps, _GAUSS_NODES)
     h1, h2 = np.moveaxis(protocol.hamiltonian_at(nodes), 1, 0)
+    commutator = h2 @ h1  # [H_2, H_1] = H_2 H_1 - (H_2 H_1)^dagger for Hermitian H_1, H_2
+    commutator -= commutator.conj().swapaxes(1, 2)
     dt = dt[:, None, None]
-    generators = 0.5 * dt * (h1 + h2) - (1j * np.sqrt(3.0) / 12.0) * dt**2 * (h2 @ h1 - h1 @ h2)
-    del h1, h2  # free the 2n sampled matrices before the batched eigh
+    generators = 0.5 * dt * (h1 + h2) - (1j * np.sqrt(3.0) / 12.0) * dt**2 * commutator
+    del h1, h2, commutator  # free the 2n sampled matrices before the batched eigh
     return _ordered_exponential(generators)
 
 
