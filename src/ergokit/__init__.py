@@ -12,7 +12,6 @@ from .classical import (
     TransitionKernel,
     classical_ergotropy,
     classical_relative_entropy,
-    compose_kernels,
     ergotropy_via_phi,
     grid_gibbs,
     inhomogeneity_phi,
@@ -32,7 +31,6 @@ from .ergotropy import (
     ergotropy_direct,
     ergotropy_report,
     ergotropy_via_entropies,
-    optimal_alignment_unitary,
     passive_energy,
     passive_state,
     unitary_min_probe,
@@ -49,10 +47,7 @@ from .geometric import (
     GeometricPoint,
     GeometricState,
     aligned_geometric_state,
-    canonical_density,
     ergotropy_geometric,
-    fs_uniform_sample,
-    fubini_study_distance,
     geometric_partition_function,
     geometric_relative_entropy,
     geometric_state_of,
@@ -73,7 +68,7 @@ from .quantum import (
     spectral_relative_entropy,
     von_neumann_entropy,
 )
-from .sampling import haar_unitary, random_density, random_hermitian, stream
+from .sampling import random_density, random_hermitian, stream
 from .workbench import (
     BoundTerms,
     ConditionalThermalState,

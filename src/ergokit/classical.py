@@ -18,11 +18,13 @@ from typing import Literal
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import EmptyShell, ErgokitError, NonDeterministicKernel, SupportViolation
+from .errors import EmptyShell, ErgokitError, NonDeterministicKernel, OutOfScope, SupportViolation
 from .sampling import stream
 
 MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
+# Argument weights at or below the floor count as zero (0 ln 0 := 0).  Reference
+# weights are exact inputs, so a reference vanishes only where it is exactly 0.
 WEIGHT_FLOOR = 1e-15
 # Asserted per-probe envelope on the first-order relative-entropy change when
 # the initial distribution is uniform over every cell.
@@ -256,11 +258,15 @@ def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: floa
 
 
 def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistribution:
-    """Boltzmann weights over the cells of one energy surface."""
+    """Boltzmann weights over the cells of one energy surface; ``OutOfScope``
+    when one is below the smallest normal float (beta * spread above ~708)."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     logits = -beta * grid.energies(surface)
-    return GridDistribution(np.exp(logits - logsumexp(logits)))
+    weights = np.exp(logits - logsumexp(logits))
+    if weights.min() < np.finfo(float).tiny:
+        raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")
+    return GridDistribution(weights)
 
 
 def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointDistribution:
@@ -272,16 +278,6 @@ def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointD
     return JointDistribution(kernel.dense * p_a.weights[None, :])
 
 
-def compose_kernels(later: TransitionKernel, earlier: TransitionKernel) -> TransitionKernel:
-    """Kernel of `earlier` followed by `later`: the composed image for two
-    permutations, else the matrix product."""
-    if later.n_cells != earlier.n_cells:
-        raise ValueError(f"size mismatch: {later.n_cells} vs {earlier.n_cells}")
-    if later.image is not None and earlier.image is not None:
-        return TransitionKernel(image=later.image[earlier.image])
-    return TransitionKernel(later.matrix @ earlier.matrix)
-
-
 def _xlogx(values: np.ndarray) -> float:
     live = values[values > WEIGHT_FLOOR]
     return float((live * np.log(live)).sum())
@@ -289,7 +285,7 @@ def _xlogx(values: np.ndarray) -> float:
 
 def _entropy_minus_cross(xlogx: float, final_marginal: np.ndarray, reference: np.ndarray) -> float:
     populated = final_marginal > WEIGHT_FLOOR
-    if np.any(reference[populated] <= WEIGHT_FLOOR):
+    if np.any(reference[populated] == 0.0):
         raise SupportViolation("reference distribution vanishes on a populated final cell")
     return xlogx - float(final_marginal[populated] @ np.log(reference[populated]))
 
@@ -317,7 +313,7 @@ def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> floa
         raise ValueError(f"size mismatch: {p.n_cells} vs {q.n_cells}")
     pw, qw = p.weights, q.weights
     live = pw > WEIGHT_FLOOR
-    if np.any(qw[live] <= WEIGHT_FLOOR):
+    if np.any(qw[live] == 0.0):
         raise SupportViolation("q vanishes where p is populated")
     return float((pw[live] * (np.log(pw[live]) - np.log(qw[live]))).sum())
 
@@ -362,7 +358,7 @@ def sorted_pairing_divergence(p: np.ndarray, q: np.ndarray) -> float:
     ps = np.sort(np.asarray(p, dtype=float))[::-1]
     qs = np.sort(np.asarray(q, dtype=float))[::-1]
     live = ps > WEIGHT_FLOOR
-    if np.any(qs[live] <= WEIGHT_FLOOR):
+    if np.any(qs[live] == 0.0):
         return float("inf")
     return float((ps[live] * (np.log(ps[live]) - np.log(qs[live]))).sum())
 
@@ -382,13 +378,13 @@ def permutation_min_bruteforce(
         raise ValueError(f"factorial search limited to n <= 8 cells, got {n}")
     perms = np.array(list(permutations(range(n))), dtype=int)
     pp = p.weights[perms]  # (n!, n)
-    with np.errstate(divide="ignore"):
-        log_q = np.where(q.weights > WEIGHT_FLOOR, np.log(np.maximum(q.weights, 1e-300)), -np.inf)
-    terms = np.where(
-        pp > WEIGHT_FLOOR,
-        pp * (np.log(np.maximum(pp, 1e-300)) - log_q[None, :]),
-        0.0,
-    )
+    # ln 0 = -inf makes a pairing onto an empty reference cell cost +inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(
+            pp > WEIGHT_FLOOR,
+            pp * (np.log(np.maximum(pp, 1e-300)) - np.log(q.weights)[None, :]),
+            0.0,
+        )
     totals = terms.sum(axis=1)
     best = int(np.argmin(totals))
     return float(totals[best]), tuple(int(i) for i in perms[best])

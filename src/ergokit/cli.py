@@ -9,8 +9,8 @@ reads both.  ``--output`` additionally writes the report, or a plot-ready
 CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
 asserted invariant holds at the configured tolerance, 1 on an invariant
 failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
-``ERGOKIT_THREADS`` caps worker threads for trial sweeps; results do not
-depend on it.
+``ERGOKIT_THREADS``, a positive integer, caps worker threads for trial
+sweeps; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
 
@@ -52,21 +51,7 @@ SCHEMA_VERSION = 2
 
 
 class _InputError(Exception):
-    """I/O or parse problem with user-supplied files (exit 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    beta: float
-    dim: int
-    seed: int
-    trials: int
-    tolerance: float
-    samples: int
-    input_path: str | None
-    output_path: str | None
-    out_format: str
+    """I/O, parse or configuration problem with user-supplied input (exit 2)."""
 
 
 def _positive_float(text: str) -> float:
@@ -139,9 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _max_workers() -> int:
     raw = os.environ.get("ERGOKIT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise _InputError(f"ERGOKIT_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _map_trials(worker: Callable[[int], dict], n_trials: int) -> list[dict]:
@@ -172,7 +160,7 @@ def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
 # Subcommands.  Each returns (results, checks, csv_header, csv_rows).
 
 
-def _load_state_pair(config: RunConfig) -> tuple[DensityMatrix, HermitianOperator]:
+def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
     if config.input_path is None:
         rho = random_density(config.dim, stream(config.seed, 0))
         hamiltonian = random_hermitian(config.dim, stream(config.seed, 1))
@@ -184,7 +172,7 @@ def _load_state_pair(config: RunConfig) -> tuple[DensityMatrix, HermitianOperato
         raise _InputError(f"bad state file {config.input_path}: {exc}") from exc
 
 
-def _cmd_ergotropy(config: RunConfig):
+def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
     report = ergotropy_report(rho, hamiltonian, config.beta)
     via_geometric = geo.ergotropy_geometric(rho, hamiltonian, config.beta)
@@ -211,7 +199,7 @@ def _cmd_ergotropy(config: RunConfig):
     return results, checks, header, rows
 
 
-def _cmd_verify_identities(config: RunConfig):
+def _cmd_verify_identities(config: argparse.Namespace):
     beta = config.beta
     probe_samples = 32
 
@@ -263,7 +251,7 @@ def _cmd_verify_identities(config: RunConfig):
     return results, checks, header, rows
 
 
-def _load_grid_experiment(config: RunConfig):
+def _load_grid_experiment(config: argparse.Namespace):
     def generated_kernel(n: int) -> cl.TransitionKernel:
         return cl.TransitionKernel.from_permutation(stream(config.seed, 1).permutation(n))
 
@@ -300,7 +288,7 @@ def _load_grid_experiment(config: RunConfig):
     return grid, p_a, kernel
 
 
-def _cmd_classical(config: RunConfig):
+def _cmd_classical(config: argparse.Namespace):
     grid, p_a, kernel = _load_grid_experiment(config)
     n = grid.n_cells
     beta = config.beta
@@ -355,7 +343,7 @@ def _cmd_classical(config: RunConfig):
     return results, checks, header, rows
 
 
-def _cmd_geometric_z(config: RunConfig):
+def _cmd_geometric_z(config: argparse.Namespace):
     if config.input_path is not None:
         obj = _read_json(config.input_path)
         try:
@@ -389,7 +377,7 @@ def _cmd_geometric_z(config: RunConfig):
     return results, checks, header, rows
 
 
-def _cmd_otm(config: RunConfig):
+def _cmd_otm(config: argparse.Namespace):
     beta = config.beta
 
     def worker(i: int) -> dict:
@@ -463,7 +451,7 @@ _COMMANDS = {
 }
 
 
-def _emit(config: RunConfig, results: dict, checks: dict, header: list, rows: list) -> None:
+def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list, rows: list) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": config.command,
@@ -499,8 +487,7 @@ def _emit(config: RunConfig, results: dict, checks: dict, header: list, rows: li
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(**vars(args))
+    config = parser.parse_args(argv)
     if config.out_format == "csv" and config.output_path is None:
         parser.error("--format csv requires --output")
     try:

@@ -1,13 +1,15 @@
 """Passive states and the ergotropy identities.
 
-Three independent routes to the same number:
+Two of the three independent routes to the same number live here (the third
+is ``geometric.ergotropy_geometric``):
 
 * ``ergotropy_direct`` - energy above the passive state (sorted rearrangement);
 * ``ergotropy_via_entropies`` - difference of quantum and spectral relative
-  entropies with respect to the Gibbs state, divided by beta;
-* the coherent/incoherent split, with the printed three-term form implemented
-  verbatim in ``coherent_ergotropy_eq11`` and the dephasing-based alternative
-  in ``dephased_ergotropy``.
+  entropies with respect to the Gibbs state, divided by beta.
+
+The coherent/incoherent split of the same number is implemented verbatim in
+its printed three-term form in ``coherent_ergotropy_eq11``, with the
+dephasing-based alternative in ``dephased_ergotropy``.
 """
 
 from __future__ import annotations

@@ -62,12 +62,6 @@ class GeometricPoint:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def fubini_study_distance(a: GeometricPoint, b: GeometricPoint) -> float:
-    """arccos |<a|b>|, the geodesic distance on the projective space."""
-    overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
-    return float(np.arccos(min(1.0, overlap)))
-
-
 def _overlap_deficits(a: tuple[GeometricPoint, ...], b: tuple[GeometricPoint, ...]) -> np.ndarray:
     """[i, j] = 1 - |<a_i|b_j>|, clipped at 0, from one Gram product."""
     rows = np.array([p.amplitudes for p in a])
@@ -188,18 +182,6 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     return (context.relative_entropy() - divergence) / beta
 
 
-def energy_density(hamiltonian: HermitianOperator, z: np.ndarray) -> float:
-    """h(z) = <z|H|z> for unit amplitudes z."""
-    return float(np.vdot(z, hamiltonian.matrix @ z).real)
-
-
-def canonical_density(hamiltonian: HermitianOperator, beta: float, z: GeometricPoint) -> float:
-    """Unnormalized geometric canonical weight exp(-beta h(z))."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return float(np.exp(-beta * energy_density(hamiltonian, z.amplitudes)))
-
-
 def _require_manifold(dim: int) -> None:
     if dim < 2:
         raise OutOfScope(f"dim must be >= 2 for the manifold CP^(dim-1), got {dim}")
@@ -219,18 +201,6 @@ def _sample_amplitudes(dim: int, count: int, rng: np.random.Generator) -> np.nda
     z.imag = rng.standard_normal((count, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
-
-
-def fs_uniform_sample(dim: int, n: int, seed: int) -> list[GeometricPoint]:
-    """``n`` points drawn from the unitarily invariant measure on CP^(dim-1).
-
-    The draw order is fixed by the seed, so the sequence is bit-reproducible.
-    """
-    _require_manifold(dim)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    amplitudes = _sample_amplitudes(dim, n, stream(seed))
-    return [GeometricPoint(row) for row in amplitudes]
 
 
 def geometric_partition_function(

@@ -1,5 +1,4 @@
-"""JSON/CSV wire formats for matrices, grids, kernels, geometric states, and
-reports.
+"""JSON/CSV wire formats for matrices, grids, kernels, and reports.
 
 Matrices travel as ``{"dim": d, "entries": [[re, im], ...]}`` with the entries
 flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight``
@@ -21,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .classical import GridDistribution, PhaseGrid, TransitionKernel
-from .geometric import GeometricPoint, GeometricState
 from .quantum import DensityMatrix, HermitianOperator
 
 
@@ -115,27 +113,6 @@ def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
         energy_a=[r[1] for r in rows], energy_b=[r[2] for r in rows]
     )
     return grid, GridDistribution([r[3] for r in rows])
-
-
-def geometric_state_to_json(state: GeometricState) -> dict:
-    return {
-        "points": [
-            {
-                "weight": float(w),
-                "amplitudes": [[float(z.real), float(z.imag)] for z in p.amplitudes],
-            }
-            for w, p in zip(state.weights, state.points)
-        ]
-    }
-
-
-def geometric_state_from_json(obj: dict) -> GeometricState:
-    points = []
-    weights = []
-    for item in obj["points"]:
-        weights.append(float(item["weight"]))
-        points.append(GeometricPoint(np.array([complex(re, im) for re, im in item["amplitudes"]])))
-    return GeometricState(points=tuple(points), weights=np.array(weights))
 
 
 def format_float(x: float) -> str:

@@ -15,7 +15,6 @@ from ergokit import (
     TransitionKernel,
     classical_ergotropy,
     classical_relative_entropy,
-    compose_kernels,
     ergotropy_via_phi,
     grid_gibbs,
     inhomogeneity_phi,
@@ -26,8 +25,8 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
-from ergokit import classical
 from ergokit.classical import _mixing_rows, _random_doubly_stochastic
+from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
 
 GRID3 = PhaseGrid(energy_a=np.array([0.0, 1.0, 2.0]), energy_b=np.array([0.0, 1.0, 2.0]))
@@ -120,6 +119,17 @@ class TestGridGibbs:
         with pytest.raises(ValueError, match="beta"):
             grid_gibbs(GRID3, "B", -1.0)
 
+    def test_keeps_the_smallest_normal_weights(self):
+        grid = PhaseGrid(energy_a=np.zeros(2), energy_b=np.array([0.0, 1.0]))
+        weights = grid_gibbs(grid, "B", 700.0).weights
+        assert weights[1] == pytest.approx(math.exp(-700.0), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [720.0, 2000.0], ids=["subnormal", "zero"])
+    def test_underflowing_weight_is_out_of_scope(self, beta):
+        grid = PhaseGrid(energy_a=np.zeros(2), energy_b=np.array([0.0, 1.0]))
+        with pytest.raises(OutOfScope, match="underflow"):
+            grid_gibbs(grid, "B", beta)
+
 
 class TestJointAndKernels:
     def test_identity_kernel_diagonal_joint(self):
@@ -140,49 +150,6 @@ class TestJointAndKernels:
         kernel = TransitionKernel(random_doubly_stochastic(5, stream(3)))
         joint = joint_from_kernel(p_a, kernel)
         assert np.max(np.abs(joint.initial_marginal() - p_a.weights)) < 1e-12
-
-    def test_compose_permutation_inverse(self):
-        perm = TransitionKernel.from_permutation(np.array([2, 0, 3, 1]))
-        inverse = TransitionKernel(perm.matrix.T)
-        composed = compose_kernels(inverse, perm)
-        assert np.max(np.abs(composed.matrix - np.eye(4))) < 1e-12
-
-    def test_compose_two_permutations_as_images(self, monkeypatch):
-        later = TransitionKernel.from_permutation(stream(8).permutation(7))
-        earlier = TransitionKernel.from_permutation(stream(9).permutation(7))
-        dense = later.matrix @ earlier.matrix
-
-        def refuse(*args):
-            raise AssertionError("dense permutation built")
-
-        monkeypatch.setattr(classical, "_dense_permutation", refuse)
-        composed = compose_kernels(later, earlier)
-        assert composed.is_deterministic
-        monkeypatch.undo()
-        assert np.array_equal(composed.matrix, dense)
-
-    def test_compose_identity(self):
-        kernel = TransitionKernel(random_doubly_stochastic(4, stream(4)))
-        composed = compose_kernels(TransitionKernel.identity(4), kernel)
-        assert np.max(np.abs(composed.matrix - kernel.matrix)) < 1e-12
-
-    def test_compose_stays_doubly_stochastic(self):
-        a = TransitionKernel(random_doubly_stochastic(6, stream(5)))
-        b = TransitionKernel(random_doubly_stochastic(6, stream(6)))
-        composed = compose_kernels(a, b)
-        assert np.max(np.abs(composed.matrix.sum(axis=0) - 1.0)) < 1e-10
-        assert np.max(np.abs(composed.matrix.sum(axis=1) - 1.0)) < 1e-10
-
-    def test_closure_sweep(self):
-        for trial in range(200):
-            n = 2 + trial % 49
-            rng = stream(7, trial)
-            composed = compose_kernels(
-                TransitionKernel(random_doubly_stochastic(n, rng)),
-                TransitionKernel(random_doubly_stochastic(n, rng)),
-            )
-            assert np.max(np.abs(composed.matrix.sum(axis=0) - 1.0)) < 1e-9
-            assert np.max(np.abs(composed.matrix.sum(axis=1) - 1.0)) < 1e-9
 
 
 class TestRelativeEntropies:
@@ -220,6 +187,17 @@ class TestRelativeEntropies:
         q = grid_gibbs(GRID3, "B", 1.0)
         expected = 0.5 * math.log(0.5 / q.weights[0]) + 0.5 * math.log(0.5 / q.weights[1])
         assert classical_relative_entropy(p, q) == pytest.approx(expected, abs=1e-12)
+
+    def test_tiny_reference_weight_is_support(self):
+        # A reference weight far below WEIGHT_FLOOR is exact input, not rounding.
+        p = GridDistribution(np.array([0.5, 0.5]))
+        q = GridDistribution(np.array([1.0, 1e-20]))
+        expected = 0.5 * math.log(0.5) + 0.5 * math.log(0.5 / 1e-20)
+        joint = joint_from_kernel(p, TransitionKernel.identity(2))
+        assert classical_relative_entropy(p, q) == pytest.approx(expected, rel=1e-14)
+        assert joint_relative_entropy(joint, q) == pytest.approx(expected, rel=1e-14)
+        assert sorted_pairing_divergence(p.weights, q.weights) == pytest.approx(expected, rel=1e-14)
+        assert permutation_min_bruteforce(p, q)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_support_violation(self):
         p = GridDistribution(np.array([0.5, 0.5]))

@@ -125,6 +125,24 @@ class TestClassicalCommand:
         assert payload["checks"]["inhomogeneity_route_agrees"]["passed"] is True
         assert payload["checks"]["uniform_stationarity_envelope"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--dim", "400", "--beta", "20"), ("--dim", "400", "--beta", "340"),
+         ("--dim", "8", "--beta", "30")],
+        ids=["n400-beta20", "n400-beta340", "n8-beta30"],
+    )
+    def test_small_gibbs_weights_stay_in_scope(self, argv):
+        # Gibbs weights far below 1e-15 are still support; the subprocess
+        # also shows that no RuntimeWarning reaches stderr.
+        proc = run_module("classical", *argv, "--trials", "16")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        results = json.loads(proc.stdout)["results"]
+        assert (
+            results["ergotropy_relative_entropy_route"]
+            == results["ergotropy_inhomogeneity_route"]
+        )
+
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "cells.csv"
         code, _, _ = run_cli(
@@ -268,8 +286,13 @@ class TestErrorContract:
             ("otm", "--dim", "2", "--beta", "300"),
             ("ergotropy", "--dim", "1"),
             ("geometric-z", "--dim", "1"),
+            ("classical", "--dim", "8", "--beta", "2000"),
+            ("classical", "--dim", "400", "--beta", "360", "--trials", "16"),
         ],
-        ids=["gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1"],
+        ids=[
+            "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
+            "classical-gibbs-underflow", "classical-gibbs-subnormal",
+        ],
     )
     def test_out_of_scope_exits_2_with_one_error_line(self, argv):
         proc = run_module(*argv)
@@ -278,6 +301,16 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+    def test_malformed_thread_count_exits_2(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("ERGOKIT_THREADS", threads)
+        code, out, err = run_cli(capsys, "verify-identities", "--dim", "2", "--trials", "3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: ERGOKIT_THREADS must be a positive integer, got {threads!r}"
+        ]
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
         from ergokit import ErgotropyReport, cli

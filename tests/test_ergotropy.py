@@ -18,13 +18,13 @@ from ergokit import (
     ergotropy_via_entropies,
     expectation,
     gibbs_state,
-    optimal_alignment_unitary,
     passive_energy,
     passive_state,
     quantum_relative_entropy,
     spectral_relative_entropy,
     unitary_min_probe,
 )
+from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import InvariantViolation
 from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 

@@ -14,21 +14,18 @@ from ergokit import (
     HermitianOperator,
     SupportMismatch,
     aligned_geometric_state,
-    canonical_density,
     ergotropy_direct,
     ergotropy_geometric,
     ergotropy_via_entropies,
-    fs_uniform_sample,
-    fubini_study_distance,
     geometric_partition_function,
     geometric_relative_entropy,
     geometric_state_of,
     gibbs_state,
     manifold_volume,
-    optimal_alignment_unitary,
     qubit_partition_closed_form,
     spectral_relative_entropy,
 )
+from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.geometric import _sample_amplitudes
 from ergokit.sampling import haar_unitary, random_density, stream
 
@@ -45,12 +42,6 @@ class TestPoints:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             GeometricPoint(np.array([1.0, 1.0]))
-
-    def test_distance_range(self):
-        a = GeometricPoint(np.array([1.0, 0.0]))
-        b = GeometricPoint(np.array([0.0, 1.0]))
-        assert fubini_study_distance(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
-        assert fubini_study_distance(a, a) == pytest.approx(0.0, abs=1e-7)
 
 
 class TestGeometricStateOf:
@@ -185,28 +176,9 @@ class TestGeometricErgotropy:
             assert abs(direct - geom) <= 1e-8 * scale
 
 
-class TestCanonicalDensity:
-    def test_ground_state_weight_one(self):
-        z = GeometricPoint(np.array([1.0, 0.0]))
-        assert canonical_density(H01, 1.0, z) == pytest.approx(1.0, abs=1e-12)
-
-    def test_plus_state(self):
-        z = GeometricPoint(np.full(2, 1.0 / math.sqrt(2.0)))
-        assert canonical_density(H01, 1.0, z) == pytest.approx(math.exp(-0.5), abs=1e-12)
-
-    def test_excited_state(self):
-        z = GeometricPoint(np.array([0.0, 1.0]))
-        assert canonical_density(H01, 1.0, z) == pytest.approx(math.exp(-1.0), abs=1e-12)
-
-
 class TestUniformSampler:
-    def test_qubit_component_moment(self):
-        points = fs_uniform_sample(2, 100_000, seed=0)
-        mean = float(np.mean([abs(p.amplitudes[0]) ** 2 for p in points]))
-        assert abs(mean - 0.5) < 0.005
-
     def test_component_moment_general_dim(self):
-        for dim in (3, 5):
+        for dim in (2, 3, 5):
             amp = _sample_amplitudes(dim, 50_000, stream(1))
             moments = (np.abs(amp) ** 2).mean(axis=0)
             # Var(|z_a|^2) = (d-1)/(d^2 (d+1)); stay within 4 sigma of 1/d.
@@ -214,10 +186,9 @@ class TestUniformSampler:
             assert np.max(np.abs(moments - 1.0 / dim)) < 4.0 * sigma
 
     def test_bit_identical_for_fixed_seed(self):
-        a = fs_uniform_sample(3, 50, seed=42)
-        b = fs_uniform_sample(3, 50, seed=42)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.amplitudes, pb.amplitudes)
+        a = _sample_amplitudes(3, 50, stream(42))
+        b = _sample_amplitudes(3, 50, stream(42))
+        assert np.array_equal(a, b)
 
     def test_unitary_invariance_ks(self):
         amp = _sample_amplitudes(2, 100_000, stream(2))

@@ -5,19 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import (
-    GridDistribution,
-    PhaseGrid,
-    TransitionKernel,
-    geometric_state_of,
-)
+from ergokit import GridDistribution, PhaseGrid, TransitionKernel
 from ergokit import serialize
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import (
     density_from_json,
     format_float,
-    geometric_state_from_json,
-    geometric_state_to_json,
     grid_from_csv,
     grid_from_json,
     grid_to_csv,
@@ -95,15 +88,6 @@ def test_grid_csv_round_trip():
 def test_grid_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         grid_from_csv("a,b,c\n1,2,3\n")
-
-
-def test_geometric_state_round_trip():
-    state = geometric_state_of(random_density(3, stream(3)))
-    rebuilt = geometric_state_from_json(geometric_state_to_json(state))
-    assert rebuilt.n_points == state.n_points
-    assert np.allclose(rebuilt.weights, state.weights)
-    for a, b in zip(rebuilt.points, state.points):
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-15
 
 
 def test_float_formatting():
