@@ -177,8 +177,13 @@ class TestGeometricErgotropy:
 
 
 class TestUniformSampler:
+    def test_qubit_component_moment(self):
+        amp = _sample_amplitudes(2, 100_000, stream(0))
+        mean = float(np.mean(np.abs(amp[:, 0]) ** 2))
+        assert abs(mean - 0.5) < 0.005
+
     def test_component_moment_general_dim(self):
-        for dim in (2, 3, 5):
+        for dim in (3, 5):
             amp = _sample_amplitudes(dim, 50_000, stream(1))
             moments = (np.abs(amp) ** 2).mean(axis=0)
             # Var(|z_a|^2) = (d-1)/(d^2 (d+1)); stay within 4 sigma of 1/d.
