@@ -11,7 +11,8 @@ marginal entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Literal
 
@@ -427,6 +428,13 @@ def _mixing_rows(
     return sources, coefficients
 
 
+def _probe_mixing(n: int, seed: int, k: int, epsilon: float):
+    """Probe k's draw: the mixture weights and ``_mixing_rows`` layers.  One
+    stream per probe, so the same seed draws the same R at every epsilon."""
+    weights, images = _random_doubly_stochastic(n, stream(seed, k))
+    return (weights, *_mixing_rows(weights, images, epsilon))
+
+
 @dataclass(frozen=True)
 class StationarityProbeResult:
     """Response of the joint relative entropy to doubly-stochastic mixing.
@@ -435,20 +443,48 @@ class StationarityProbeResult:
     i.e. the discrete variational expression whose vanishing defines
     stationarity; the entropy term is invariant under volume-preserving
     transport and is excluded from it.  ``delta_total`` is the full change
-    including the entropy term that mixing (as opposed to transport) adds.
+    including the entropy term that mixing (as opposed to transport) adds.  It
+    needs an n x n perturbed joint per probe for a dense ``joint``, so it and
+    ``n_negative_total`` are computed on first read, from the same draws and
+    against the same reference ``p_eq`` as ``delta_first_order``.
     """
 
     epsilon: float
     n_perturbations: int
     seed: int
     baseline: float
-    delta_total: np.ndarray
     delta_first_order: np.ndarray
     pa_uniform: bool
     first_order_bound: float
     first_order_ok: bool | None
-    n_negative_total: int
     n_negative_first_order: int
+    joint: JointDistribution = field(repr=False, compare=False)
+    p_eq: GridDistribution = field(repr=False, compare=False)
+
+    @cached_property
+    def delta_total(self) -> np.ndarray:
+        joint, reference = self.joint, self.p_eq.weights
+        marginal = joint.final_marginal()
+        out = np.empty(self.n_perturbations)
+        for k in range(self.n_perturbations):
+            _, sources, coefficients = _probe_mixing(joint.n_cells, self.seed, k, self.epsilon)
+            if joint.image is None:
+                perturbed = np.zeros_like(joint.dense)
+                for source, coefficient in zip(sources, coefficients):
+                    perturbed += coefficient[:, None] * joint.dense[source]
+                entropy = _joint_relative_entropy_raw(perturbed, reference)
+            else:
+                # Row g of a permutation joint holds marginal[g] alone, so row g
+                # of xi J holds coefficients[l, g] * marginal[sources[l, g]] per
+                # layer; the transpose lists them in row-major order.
+                entries = coefficients * marginal[sources]
+                entropy = _entropy_minus_cross(_xlogx(entries.T), entries.sum(axis=0), reference)
+            out[k] = entropy - self.baseline
+        return out
+
+    @cached_property
+    def n_negative_total(self) -> int:
+        return int((self.delta_total < 0.0).sum())
 
 
 def stationarity_probe(
@@ -483,24 +519,9 @@ def stationarity_probe(
     baseline = joint_relative_entropy(joint, p_eq)
     marginal = joint.final_marginal()
 
-    delta_total = np.empty(n_perturbations)
     delta_first = np.empty(n_perturbations)
     for k in range(n_perturbations):
-        # One stream per probe so the same seed draws the same R at every epsilon.
-        weights, images = _random_doubly_stochastic(n, stream(seed, k))
-        sources, coefficients = _mixing_rows(weights, images, epsilon)
-        if joint.image is None:
-            perturbed = np.zeros_like(joint.dense)
-            for source, coefficient in zip(sources, coefficients):
-                perturbed += coefficient[:, None] * joint.dense[source]
-            entropy = _joint_relative_entropy_raw(perturbed, p_eq.weights)
-        else:
-            # Row g of a permutation joint holds marginal[g] alone, so row g of
-            # xi J holds coefficients[l, g] * marginal[sources[l, g]] per layer;
-            # the transpose lists them in row-major order.
-            entries = coefficients * marginal[sources]
-            entropy = _entropy_minus_cross(_xlogx(entries.T), entries.sum(axis=0), p_eq.weights)
-        delta_total[k] = entropy - baseline
+        weights, sources, _ = _probe_mixing(n, seed, k, epsilon)
         mixed_marginal = weights @ marginal[sources[1:]]
         delta_first[k] = -epsilon * float((mixed_marginal - marginal) @ log_eq)
 
@@ -520,11 +541,11 @@ def stationarity_probe(
         n_perturbations=n_perturbations,
         seed=seed,
         baseline=baseline,
-        delta_total=delta_total,
         delta_first_order=delta_first,
         pa_uniform=pa_uniform,
         first_order_bound=bound,
         first_order_ok=first_order_ok,
-        n_negative_total=int((delta_total < 0.0).sum()),
         n_negative_first_order=int((delta_first < 0.0).sum()),
+        joint=joint,
+        p_eq=p_eq,
     )

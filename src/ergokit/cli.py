@@ -451,6 +451,33 @@ _COMMANDS = {
 }
 
 
+# Item types of a list that the C encoder writes with no ", " inside an item.
+_SCALARS = frozenset({int, float, bool, type(None)})
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for string-keyed payloads.
+
+    With ``indent`` set, the standard library always runs its pure-Python
+    encoder.  This copies that layout but hands each list of scalars to the C
+    encoder in one call, then puts each ", " separator on a new line.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        brackets = "{}"
+        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)) and obj:
+        brackets = "[]"
+        if set(map(type, obj)) <= _SCALARS:
+            items = [json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)]
+        else:
+            items = (_dumps(v, inner) for v in obj)
+    else:
+        return json.dumps(obj)
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list, rows: list) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
@@ -467,7 +494,7 @@ def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
-    text = json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
+    text = _dumps(round_floats(payload)) + "\n"
     sys.stdout.write(text)
     if config.output_path is not None:
         if config.out_format == "csv":

@@ -89,18 +89,6 @@ def grid_from_json(obj: dict) -> tuple[PhaseGrid, GridDistribution]:
 GRID_CSV_COLUMNS = ("index", "energy_a", "energy_b", "weight")
 
 
-def grid_to_csv(grid: PhaseGrid, weights: GridDistribution) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GRID_CSV_COLUMNS)
-    for i in range(grid.n_cells):
-        writer.writerow(
-            [i, format_float(grid.energy_a[i]), format_float(grid.energy_b[i]),
-             format_float(weights.weights[i])]
-        )
-    return buf.getvalue()
-
-
 def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -120,17 +108,12 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-# Most float-array values ``round_floats`` formats at once: 4096 '<U18' strings
-# are 0.3 MB, and a d <= 45 matrix is one call.
-ROUND_BLOCK = 1 << 12
-
-
 def round_floats(obj: Any) -> Any:
     """Recursively round floats to 12 significant digits for stable JSON bytes.
 
-    Float ndarrays are rounded in blocks of whole rows, about ``ROUND_BLOCK``
-    values each at most, with the same ``%.12g`` format as
-    ``format_float``, so a dense matrix never becomes one Python call per entry."""
+    Float ndarrays round only their nonzero entries, each through
+    ``format_float``; a zero of either sign already is its own rounding, so a
+    sparse dense kernel costs one Python call per populated entry."""
     if isinstance(obj, (float, np.floating)):
         return float(format_float(float(obj)))
     if isinstance(obj, dict):
@@ -140,9 +123,10 @@ def round_floats(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu":
             return obj.tolist()
-        step = max(1, ROUND_BLOCK * len(obj) // max(1, obj.size))
-        blocks = (obj[i : i + step] for i in range(0, len(obj), step))
-        return [v for b in blocks for v in np.char.mod("%.12g", b).astype(float).tolist()]
+        flat = obj.astype(float).reshape(-1)
+        live = np.flatnonzero(flat)
+        flat[live] = [float(format_float(v)) for v in flat[live].tolist()]
+        return flat.reshape(obj.shape).tolist()
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -25,6 +25,7 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
+import ergokit.classical as classical_module
 from ergokit.classical import _mixing_rows, _random_doubly_stochastic
 from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
@@ -421,3 +422,33 @@ class TestStationarityProbe:
             np.testing.assert_allclose(
                 by_image.delta_first_order, by_dense.delta_first_order, rtol=0, atol=1e-12
             )
+
+    def test_total_change_is_unchanged_and_computed_on_read(self, monkeypatch):
+        # Pinned from the eager computation; the lazy one must give the same bits.
+        pinned = {
+            True: ["-0x1.a4e5d2d9f55c8p-3", "-0x1.a4d21ef8b2bb0p-3", "-0x1.c2153eb6a9d90p-3",
+                   "-0x1.7f0a6793bd180p-3", "-0x1.a778776e9ada8p-3", "-0x1.25e934da45a08p-3"],
+            False: ["-0x1.4c61e5e19d300p-3", "-0x1.61e38c491e2f0p-3", "-0x1.42e4193c70e10p-3",
+                    "-0x1.48299b739f750p-3", "-0x1.3efeab18d2cf0p-3", "-0x1.c80aa8a468480p-4"],
+        }
+        n = 7
+        rng = stream(31, n)
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
+        image = TransitionKernel.from_permutation(rng.permutation(n))
+        dense = np.zeros((n, n))
+        for w in rng.dirichlet(np.ones(3)):
+            dense[rng.permutation(n), np.arange(n)] += w
+        for kernel in (image, TransitionKernel(dense)):
+            assert kernel.is_deterministic is (kernel is image)
+            draws = []
+            monkeypatch.setattr(classical_module, "stream",
+                                lambda *key: draws.append(key) or stream(*key))
+            probe = stationarity_probe(joint_from_kernel(p_a, kernel), p_a, grid, 1.0, 6, 0.05, 9)
+            assert len(draws) == 6
+            expected = np.array([float.fromhex(h) for h in pinned[kernel.is_deterministic]])
+            assert np.array_equal(probe.delta_total, expected)
+            assert probe.n_negative_total == int((expected < 0.0).sum())
+            assert len(draws) == 12
+            assert probe.delta_total is probe.delta_total
+            assert len(draws) == 12

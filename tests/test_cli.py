@@ -6,8 +6,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ergokit.cli import CSV_COLUMNS, main
+from ergokit import classical
+from ergokit.cli import CSV_COLUMNS, _dumps, main
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import matrix_to_json, round_floats
 
@@ -202,6 +205,84 @@ class TestClassicalInput:
         assert reread["ergotropy_relative_entropy_route"] == pytest.approx(
             results["ergotropy_relative_entropy_route"], abs=1e-9
         )
+
+
+def _dense_grid_file(tmp_path, n=24, seed=4):
+    rng = stream(seed)
+    kernel = np.zeros((n, n))
+    for w in rng.dirichlet(np.ones(3)):
+        kernel[rng.permutation(n), np.arange(n)] += w
+    grid = {"energy_a": rng.uniform(0, 2, n).tolist(), "energy_b": rng.uniform(0, 2, n).tolist(),
+            "weights": rng.dirichlet(np.ones(n)).tolist()}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"grid": grid, "kernel": {"n": n, "matrix": kernel.tolist()}}))
+    return path
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e11, max_value=1e17),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, float("nan"), float("inf"), float("-inf")]),
+)
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["a, b", ", ", '"q", "r"', "\u00e9, \u00fc"]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALAR, st.lists(st.one_of(_FLOATS, st.integers()), max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestReportLayout:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(_PAYLOADS)
+    @example({})
+    @example([[]])
+    @example({"a": [{}], "b": [[1.0, -0.0], ["x, y"], [None, True]]})
+    def test_dumps_matches_the_standard_indented_encoder(self, payload):
+        assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ("classical", "--dim", "1000", "--trials", "4"),
+        ("ergotropy", "--dim", "3", "--seed", "1"),
+        ("otm", "--dim", "2", "--trials", "2"),
+    ])
+    def test_stdout_has_the_standard_indented_layout(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+    def test_dense_input_stdout_has_the_standard_indented_layout(self, capsys, tmp_path):
+        path = _dense_grid_file(tmp_path)
+        code, out, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "4")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class TestLazyProbeTotal:
+    def test_dense_op_computes_no_perturbed_joint_entropy(self, capsys, tmp_path, monkeypatch):
+        # The report prints only first-order changes; the two probes' 2 x 16
+        # perturbed joints are never formed.  The route and the two baselines
+        # are the only dense joint relative entropies.
+        path = _dense_grid_file(tmp_path)
+        calls = []
+        original = classical._joint_relative_entropy_raw
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(classical, "_joint_relative_entropy_raw", counted)
+        code, out, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "16")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["kernel_deterministic"] is False
+        assert results["stationarity"]["n_perturbations"] == 16
+        assert len(calls) == 3
 
 
 class TestGeometricZCommand:
