@@ -78,7 +78,6 @@ from .workbench import (
     evolve_unitary,
     sharpened_bound_report,
     step_product,
-    work_accounting,
 )
 
 __version__ = "0.1.0"

@@ -456,7 +456,6 @@ class StationarityProbeResult:
     delta_first_order: np.ndarray
     pa_uniform: bool
     first_order_bound: float
-    first_order_ok: bool | None
     n_negative_first_order: int
     joint: JointDistribution = field(repr=False, compare=False)
     p_eq: GridDistribution = field(repr=False, compare=False)
@@ -527,15 +526,12 @@ def stationarity_probe(
 
     pa_uniform = bool(np.max(np.abs(p_a.weights - 1.0 / n)) <= 1e-12)
     bound = STATIONARITY_ENVELOPE * epsilon**2
-    first_order_ok: bool | None = None
-    if pa_uniform:
-        first_order_ok = bool(np.max(np.abs(delta_first)) <= bound)
-        if not first_order_ok:
-            raise ErgokitError(
-                "first-order relative-entropy change "
-                f"{np.max(np.abs(delta_first)):.3e} exceeds quadratic envelope {bound:.3e} "
-                "for a uniform initial distribution"
-            )
+    if pa_uniform and not np.max(np.abs(delta_first)) <= bound:
+        raise ErgokitError(
+            "first-order relative-entropy change "
+            f"{np.max(np.abs(delta_first)):.3e} exceeds quadratic envelope {bound:.3e} "
+            "for a uniform initial distribution"
+        )
     return StationarityProbeResult(
         epsilon=float(epsilon),
         n_perturbations=n_perturbations,
@@ -544,7 +540,6 @@ def stationarity_probe(
         delta_first_order=delta_first,
         pa_uniform=pa_uniform,
         first_order_bound=bound,
-        first_order_ok=first_order_ok,
         n_negative_first_order=int((delta_first < 0.0).sum()),
         joint=joint,
         p_eq=p_eq,

@@ -33,6 +33,9 @@ from .quantum import (
 from .sampling import haar_unitaries, stream
 
 UNITARITY_ATOL = 1e-10
+# Haar unitaries drawn per block; it fixes how the seeded stream is split, so
+# changing it changes the probe's bits.
+PROBE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,6 @@ def unitary_min_probe(
     n_samples: int,
     seed: int,
     include_optimal: bool = False,
-    chunk: int = 4096,
 ) -> UnitaryProbeResult:
     """Haar-sample unitaries and track min/mean of S(U rho U†||sigma).
 
@@ -242,7 +244,7 @@ def unitary_min_probe(
     best = np.inf
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(PROBE_CHUNK, n_samples - done)
         values = entropies(haar_unitaries(rho.dim, m, rng))
         total += float(values.sum())
         best = min(best, float(values.min()))

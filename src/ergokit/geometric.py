@@ -34,6 +34,9 @@ from .sampling import stream
 MATCH_OVERLAP_DEFICIT = 1e-12
 MERGE_OVERLAP_DEFICIT = 1e-14
 NORM_ATOL = 1e-12
+# Monte Carlo samples drawn per block; it fixes how the seeded stream is split,
+# so changing it changes the estimate's bits.
+MC_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,6 @@ def geometric_partition_function(
     beta: float,
     n_samples: int,
     seed: int,
-    chunk: int = 1 << 18,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the geometric partition integral over CP^(d-1).
 
@@ -228,7 +230,7 @@ def geometric_partition_function(
     mean = 0.0
     m2 = 0.0
     while count < n_samples:
-        m = min(chunk, n_samples - count)
+        m = min(MC_CHUNK, n_samples - count)
         amp = _sample_amplitudes(hamiltonian.dim, m, rng)
         # <z|H|z> row by row: Re(conj(z) . Hz) is the dot of the real views.
         h = np.einsum("nk,nk->n", amp.view(float), (amp @ h_matrix.T).view(float))

@@ -260,7 +260,7 @@ def test_criterion_10_stationarity_probe():
     for eps in epsilons:
         probe = stationarity_probe(joint, uniform, grid, 1.0, 32, eps, seed=42)
         first_order_max[eps] = float(np.max(np.abs(probe.delta_first_order)))
-        envelope_ok &= probe.first_order_ok is True
+        envelope_ok &= probe.pa_uniform
         envelope_ok &= first_order_max[eps] <= 10.0 * eps**2
     measurable = all(v > 1e-13 for v in first_order_max.values())
     ratio_note = "identically zero at machine precision"
