@@ -1,12 +1,14 @@
 """Discretized phase space: distributions on a cell grid, doubly stochastic
 dynamics, classical relative entropies, and the classical ergotropy.
 
-Liouville (volume-preserving) dynamics is represented by permutation kernels,
-held as image arrays so that kernels, joints and stationarity probes cost O(n)
-on an n-cell grid.  General doubly stochastic kernels are held densely; they
-are accepted wherever the defining relative entropy makes sense but rejected
-by the inhomogeneity-form routines, which require joint entropy to equal
-marginal entropy.
+Kernels and joints are held as column layers: column j puts ``values[l, j]``
+on row ``rows[l, j]``.  Liouville (volume-preserving) dynamics is a
+permutation, one layer, so kernels, joints and stationarity probes cost O(n)
+on an n-cell grid; a general doubly stochastic kernel keeps the nonzero
+entries of each column, at most c layers for a mixture of c permutations.  General
+kernels are accepted wherever the defining relative entropy makes sense but
+rejected by the inhomogeneity-form routines, which require joint entropy to
+equal marginal entropy.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _frozen(values) -> np.ndarray:
     return a
 
 
-def _permutation(image: np.ndarray) -> np.ndarray:
-    """Read-only copy of ``image`` after checking it is a permutation of 0..n-1."""
+def _permutation(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One layer (rows, values) of unit entries after checking ``image`` is a
+    permutation of 0..n-1; the caller's array is copied."""
     image = np.array(image)
     n = image.size
     if image.ndim != 1 or n < 1 or image.dtype.kind not in "iu":
@@ -105,145 +108,135 @@ def _permutation(image: np.ndarray) -> np.ndarray:
     hit[image[inside]] = True
     if not (inside.all() and hit.all()):
         raise ValueError(f"image is not a permutation of 0..{n - 1}")
-    image = image.astype(np.intp, copy=False)
-    image.setflags(write=False)
-    return image
+    return image.astype(np.intp, copy=False)[None, :], np.ones((1, n))
 
 
-def _dense_permutation(image: np.ndarray, values: np.ndarray | float) -> np.ndarray:
-    """n x n matrix holding values[j] at [image[j], j] and zero elsewhere."""
-    n = image.size
-    m = np.zeros((n, n))
-    m[image, np.arange(n)] = values
-    m.setflags(write=False)
-    return m
+def _column_layers(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of the nonzero entries of each column, in ascending row
+    order, short columns padded with value 0 at row 0."""
+    n = dense.shape[0]
+    columns, rows = np.nonzero(dense.T)
+    counts = np.bincount(columns, minlength=n)
+    depth = np.arange(columns.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    held_rows = np.zeros((counts.max(), n), dtype=np.intp)
+    held_values = np.zeros(held_rows.shape)
+    held_rows[depth, columns] = rows
+    held_values[depth, columns] = dense[rows, columns]
+    return held_rows, held_values
 
 
 @dataclass(frozen=True, init=False)
-class TransitionKernel:
+class _ColumnLayers:
+    """Matrix held as column layers: column j puts ``values[l, j]`` on row
+    ``rows[l, j]``, each (row, column) pair at most once.  A column with fewer
+    entries than the fullest one is padded with value 0 at row 0.  A
+    permutation is one layer."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def _hold(self, rows: np.ndarray, values: np.ndarray) -> None:
+        for name, array in (("rows", rows), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def _of(cls, rows: np.ndarray, values: np.ndarray):
+        layers = object.__new__(cls)
+        layers._hold(rows, values)
+        return layers
+
+    @property
+    def n_cells(self) -> int:
+        return self.rows.shape[1]
+
+    @property
+    def image(self) -> np.ndarray | None:
+        """Row of each column's entry when there is one layer, else None."""
+        return self.rows[0] if self.rows.shape[0] == 1 else None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense view; padding adds 0 to row 0, it never overwrites it."""
+        m = np.zeros((self.n_cells, self.n_cells))
+        np.add.at(m, (self.rows, np.arange(self.n_cells)), self.values)
+        m.setflags(write=False)
+        return m
+
+
+def _square(matrix: np.ndarray, what: str) -> np.ndarray:
+    dense = _frozen(matrix)
+    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+    if dense.min() < 0.0:
+        raise ValueError(f"negative {what} entry {dense.min():.3e}")
+    return dense
+
+
+@dataclass(frozen=True, init=False)
+class TransitionKernel(_ColumnLayers):
     """Doubly stochastic transition kernel; column j of ``matrix`` is the
     distribution of the final cell given initial cell j.
 
-    A permutation (every column a unit vector to ``STOCHASTIC_ATOL``) is held
-    as its image array, cell j -> ``image[j]``, with ``dense`` None; any other
-    kernel is held as the dense matrix, with ``image`` None.  ``matrix`` is the
-    dense view either way, built on demand for a permutation.
+    A permutation (every column a unit vector to ``STOCHASTIC_ATOL``) is one
+    layer, cell j -> ``image[j]``; any other kernel holds the nonzero entries
+    of the given matrix.
     """
 
-    image: np.ndarray | None
-    dense: np.ndarray | None
-
-    def __init__(self, matrix: np.ndarray | None = None, *, image: np.ndarray | None = None):
-        if (matrix is None) == (image is None):
-            raise ValueError("give either a kernel matrix or a permutation image")
-        dense = None
-        if matrix is not None:
-            dense = _frozen(matrix)
-            if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
-                raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-            if dense.min() < 0.0:
-                raise ValueError(f"negative kernel entry {dense.min():.3e}")
-            col_dev = float(np.max(np.abs(dense.sum(axis=0) - 1.0)))
-            row_dev = float(np.max(np.abs(dense.sum(axis=1) - 1.0)))
-            if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
-                raise ValueError(
-                    f"kernel is not doubly stochastic: column dev {col_dev:.3e}, "
-                    f"row dev {row_dev:.3e}"
-                )
-            if np.all(dense.max(axis=0) >= 1.0 - STOCHASTIC_ATOL):
-                # Row sums near 1 leave room for one near-unit entry per row, so
-                # the column argmaxes are distinct: a permutation.
-                image, dense = dense.argmax(axis=0), None
-        object.__setattr__(self, "image", None if image is None else _permutation(image))
-        object.__setattr__(self, "dense", dense)
+    def __init__(self, matrix: np.ndarray):
+        dense = _square(matrix, "kernel")
+        col_dev = float(np.max(np.abs(dense.sum(axis=0) - 1.0)))
+        row_dev = float(np.max(np.abs(dense.sum(axis=1) - 1.0)))
+        if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
+            raise ValueError(
+                f"kernel is not doubly stochastic: column dev {col_dev:.3e}, "
+                f"row dev {row_dev:.3e}"
+            )
+        if np.all(dense.max(axis=0) >= 1.0 - STOCHASTIC_ATOL):
+            # Row sums near 1 leave room for one near-unit entry per row, so
+            # the column argmaxes are distinct: a permutation.
+            self._hold(*_permutation(dense.argmax(axis=0)))
+        else:
+            self._hold(*_column_layers(dense))
 
     @property
     def is_deterministic(self) -> bool:
         return self.image is not None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.dense if self.image is None else _dense_permutation(self.image, 1.0)
-
-    @property
-    def n_cells(self) -> int:
-        return self.dense.shape[0] if self.image is None else self.image.size
-
     @classmethod
     def identity(cls, n: int) -> "TransitionKernel":
-        return cls(image=np.arange(n))
+        return cls.from_permutation(np.arange(n))
 
     @classmethod
     def from_permutation(cls, image: np.ndarray) -> "TransitionKernel":
         """Kernel sending cell j to cell image[j]."""
-        return cls(image=image)
+        return cls._of(*_permutation(image))
 
 
 @dataclass(frozen=True, init=False)
-class JointDistribution:
+class JointDistribution(_ColumnLayers):
     """Joint probability of (final, initial) cells; entry [f, i] of ``matrix``
-    couples final cell f with initial cell i.
-
-    A joint generated by a permutation is held as ``(image, weights)``: initial
-    cell i carries ``weights[i]`` to final cell ``image[i]``, with ``dense``
-    None.  Any other joint is held as the dense matrix, with ``image`` and
-    ``weights`` None.  ``from_deterministic`` is set for the former, and for a
-    dense joint with at most one populated entry per initial cell.
+    couples final cell f with initial cell i, and column i sums to the initial
+    weight of cell i.  ``from_deterministic`` is set when every initial cell
+    has at most one populated final cell, as for a permutation's joint.
     """
 
-    image: np.ndarray | None
-    weights: np.ndarray | None
-    dense: np.ndarray | None
-    from_deterministic: bool
-
-    def __init__(
-        self,
-        matrix: np.ndarray | None = None,
-        *,
-        image: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ):
-        if (matrix is None) == (image is None) or (image is None) != (weights is None):
-            raise ValueError("give either a joint matrix or a permutation image with weights")
-        if matrix is None:
-            image = _permutation(image)
-            weights = GridDistribution(weights).weights
-            if weights.size != image.size:
-                raise ValueError(f"size mismatch: {image.size} vs {weights.size}")
-            deterministic = True
-        else:
-            matrix = _frozen(matrix)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
-                raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-            if matrix.min() < 0.0:
-                raise ValueError(f"negative joint entry {matrix.min():.3e}")
-            if abs(matrix.sum() - 1.0) > MASS_ATOL:
-                raise ValueError(
-                    f"total mass deviates from 1 by {abs(matrix.sum() - 1.0):.3e}"
-                )
-            deterministic = bool(np.all((matrix > 0.0).sum(axis=0) <= 1))
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "dense", matrix)
-        object.__setattr__(self, "from_deterministic", deterministic)
+    def __init__(self, matrix: np.ndarray):
+        dense = _square(matrix, "joint")
+        if abs(dense.sum() - 1.0) > MASS_ATOL:
+            raise ValueError(f"total mass deviates from 1 by {abs(dense.sum() - 1.0):.3e}")
+        self._hold(*_column_layers(dense))
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.dense if self.image is None else _dense_permutation(self.image, self.weights)
-
-    @property
-    def n_cells(self) -> int:
-        return self.dense.shape[0] if self.image is None else self.image.size
+    def from_deterministic(self) -> bool:
+        return bool(np.all((self.values > 0.0).sum(axis=0) <= 1))
 
     def initial_marginal(self) -> np.ndarray:
-        return self.dense.sum(axis=0) if self.image is None else self.weights
+        return self.values.sum(axis=0)
 
     def final_marginal(self) -> np.ndarray:
-        if self.image is None:
-            return self.dense.sum(axis=1)
-        out = np.empty(self.image.size)
-        out[self.image] = self.weights
-        return out
+        rows, values = self.rows.ravel(), self.values.ravel()
+        return np.bincount(rows, weights=values, minlength=self.n_cells)
 
 
 def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: float) -> GridDistribution:
@@ -271,28 +264,33 @@ def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistributi
 
 
 def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointDistribution:
-    """Joint distribution kernel[f, i] * p_a[i]; held as (image, p_a) for a permutation."""
+    """Joint distribution kernel[f, i] * p_a[i], on the kernel's layers."""
     if p_a.n_cells != kernel.n_cells:
         raise ValueError(f"size mismatch: {p_a.n_cells} vs {kernel.n_cells}")
-    if kernel.image is not None:
-        return JointDistribution(image=kernel.image, weights=p_a.weights)
-    return JointDistribution(kernel.dense * p_a.weights[None, :])
+    return JointDistribution._of(kernel.rows, kernel.values * p_a.weights)
 
 
-def _xlogx(values: np.ndarray) -> float:
-    live = values[values > WEIGHT_FLOOR]
-    return float((live * np.log(live)).sum())
-
-
-def _entropy_minus_cross(xlogx: float, final_marginal: np.ndarray, reference: np.ndarray) -> float:
-    populated = final_marginal > WEIGHT_FLOOR
+def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: np.ndarray) -> float:
+    """sum x ln x over the joint's entries minus sum_f row_sums[f] ln reference[f]."""
+    live = entries[entries > WEIGHT_FLOOR]
+    populated = row_sums > WEIGHT_FLOOR
     if np.any(reference[populated] == 0.0):
         raise SupportViolation("reference distribution vanishes on a populated final cell")
-    return xlogx - float(final_marginal[populated] @ np.log(reference[populated]))
+    xlogx = float((live * np.log(live)).sum())
+    return xlogx - float(row_sums[populated] @ np.log(reference[populated]))
 
 
 def _joint_relative_entropy_raw(joint: np.ndarray, reference: np.ndarray) -> float:
-    return _entropy_minus_cross(_xlogx(joint), joint.sum(axis=1), reference)
+    return _entropy_minus_cross(joint, joint.sum(axis=1), reference)
+
+
+def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of column layers in row-major order, with a repeated (row,
+    column) pair summed in layer order, and the row sums."""
+    n = rows.shape[1]
+    cells, slot = np.unique((rows * n + np.arange(n)).ravel(), return_inverse=True)
+    entries = np.bincount(slot, weights=values.ravel())
+    return entries, np.bincount(cells // n, weights=entries, minlength=n)
 
 
 def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> float:
@@ -300,12 +298,7 @@ def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> 
     final coordinate: sum J ln J - sum_f (final marginal)_f ln p_eq[f]."""
     if joint.n_cells != p_eq.n_cells:
         raise ValueError(f"size mismatch: {joint.n_cells} vs {p_eq.n_cells}")
-    if joint.image is None:
-        return _joint_relative_entropy_raw(joint.dense, p_eq.weights)
-    # A permutation joint has one entry per final cell, so its entries in
-    # final-cell (row-major) order are the final marginal.
-    marginal = joint.final_marginal()
-    return _entropy_minus_cross(_xlogx(marginal), marginal, p_eq.weights)
+    return _entropy_minus_cross(*_row_major(joint.rows, joint.values), p_eq.weights)
 
 
 def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> float:
@@ -410,8 +403,8 @@ def _mixing_rows(
 
     Layer 0 is the identity and layer c + 1 gathers through the inverse of
     images[c].  A source repeated within a row keeps the summed coefficient on
-    its first layer and zero on the later ones, so each entry of xi J for a
-    permutation joint J appears once.
+    its first layer and zero on the later ones, so xi J multiplies the summed
+    coefficient once instead of adding two products.
     """
     components, n = images.shape
     sources = np.empty((components + 1, n), dtype=np.intp)
@@ -444,9 +437,10 @@ class StationarityProbeResult:
     stationarity; the entropy term is invariant under volume-preserving
     transport and is excluded from it.  ``delta_total`` is the full change
     including the entropy term that mixing (as opposed to transport) adds.  It
-    needs an n x n perturbed joint per probe for a dense ``joint``, so it and
-    ``n_negative_total`` are computed on first read, from the same draws and
-    against the same reference ``p_eq`` as ``delta_first_order``.
+    forms each perturbed joint xi J as the layers of xi composed with the
+    joint's, so it and ``n_negative_total`` are computed on first read, from
+    the same draws and against the same reference ``p_eq`` as
+    ``delta_first_order``.
     """
 
     epsilon: float
@@ -463,22 +457,20 @@ class StationarityProbeResult:
     @cached_property
     def delta_total(self) -> np.ndarray:
         joint, reference = self.joint, self.p_eq.weights
-        marginal = joint.final_marginal()
+        n = joint.n_cells
         out = np.empty(self.n_perturbations)
         for k in range(self.n_perturbations):
-            _, sources, coefficients = _probe_mixing(joint.n_cells, self.seed, k, self.epsilon)
-            if joint.image is None:
-                perturbed = np.zeros_like(joint.dense)
-                for source, coefficient in zip(sources, coefficients):
-                    perturbed += coefficient[:, None] * joint.dense[source]
-                entropy = _joint_relative_entropy_raw(perturbed, reference)
-            else:
-                # Row g of a permutation joint holds marginal[g] alone, so row g
-                # of xi J holds coefficients[l, g] * marginal[sources[l, g]] per
-                # layer; the transpose lists them in row-major order.
-                entries = coefficients * marginal[sources]
-                entropy = _entropy_minus_cross(_xlogx(entries.T), entries.sum(axis=0), reference)
-            out[k] = entropy - self.baseline
+            _, sources, coefficients = _probe_mixing(n, self.seed, k, self.epsilon)
+            # Layer l of xi moves row sources[l, g] to row g, so entry (r, j)
+            # of the joint lands on row targets[l, r] with that row's
+            # coefficient.  Listing xi J probe layer by joint layer sums a
+            # repeated entry in the order of the dense product's layer loop.
+            targets = np.empty_like(sources)
+            targets[np.arange(len(sources))[:, None], sources] = np.arange(n)
+            rows = targets[:, joint.rows]
+            values = np.take_along_axis(coefficients[:, None, :], rows, axis=2) * joint.values
+            entries, row_sums = _row_major(rows.reshape(-1, n), values.reshape(-1, n))
+            out[k] = _entropy_minus_cross(entries, row_sums, reference) - self.baseline
         return out
 
     @cached_property

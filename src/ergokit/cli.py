@@ -56,8 +56,8 @@ class _InputError(Exception):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -352,9 +352,12 @@ def _cmd_geometric_z(config: argparse.Namespace):
             raise _InputError(f"bad Hamiltonian file {config.input_path}: {exc}") from exc
     else:
         hamiltonian = HermitianOperator(np.diag(np.arange(config.dim, dtype=float)))
-    estimate, stderr = geo.geometric_partition_function(
-        hamiltonian, config.beta, config.samples, config.seed
-    )
+    try:
+        estimate, stderr = geo.geometric_partition_function(
+            hamiltonian, config.beta, config.samples, config.seed
+        )
+    except ValueError as exc:
+        raise _InputError(f"--samples {config.samples}: {exc}") from exc
     results = {
         "dim": hamiltonian.dim,
         "estimate": estimate,

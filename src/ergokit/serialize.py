@@ -54,7 +54,7 @@ def kernel_to_json(kernel: TransitionKernel) -> dict:
     until ``round_floats``)."""
     if kernel.is_deterministic:
         return {"n": kernel.n_cells, "image": kernel.image}
-    return {"n": kernel.n_cells, "matrix": kernel.dense}
+    return {"n": kernel.n_cells, "matrix": kernel.matrix}
 
 
 def kernel_from_json(obj: dict) -> TransitionKernel:

@@ -267,16 +267,16 @@ class TestLazyProbeTotal:
     def test_dense_op_computes_no_perturbed_joint_entropy(self, capsys, tmp_path, monkeypatch):
         # The report prints only first-order changes; the two probes' 2 x 16
         # perturbed joints are never formed.  The route and the two baselines
-        # are the only dense joint relative entropies.
+        # are the only joint relative entropies.
         path = _dense_grid_file(tmp_path)
         calls = []
-        original = classical._joint_relative_entropy_raw
+        original = classical._row_major
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(classical, "_joint_relative_entropy_raw", counted)
+        monkeypatch.setattr(classical, "_row_major", counted)
         code, out, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "16")
         assert code == 0
         results = json.loads(out)["results"]
@@ -338,6 +338,14 @@ class TestArgumentValidation:
             main(["verify-identities", "--beta", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--beta", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_float_exits_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["ergotropy", "--dim", "2", flag, value])
+        assert info.value.code == 2
+        assert "must be positive and finite" in capsys.readouterr().err
+
     def test_csv_without_output_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["classical", "--format", "csv"])
@@ -369,10 +377,13 @@ class TestErrorContract:
             ("geometric-z", "--dim", "1"),
             ("classical", "--dim", "8", "--beta", "2000"),
             ("classical", "--dim", "400", "--beta", "360", "--trials", "16"),
+            ("geometric-z", "--samples", "1"),
+            ("geometric-z", "--samples", "99"),
         ],
         ids=[
             "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
-            "classical-gibbs-underflow", "classical-gibbs-subnormal",
+            "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
+            "geometric-z-99-samples",
         ],
     )
     def test_out_of_scope_exits_2_with_one_error_line(self, argv):
