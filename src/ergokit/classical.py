@@ -19,9 +19,9 @@ from itertools import permutations
 from typing import Literal
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyShell, ErgokitError, NonDeterministicKernel, OutOfScope, SupportViolation
+from .quantum import _logsumexp
 from .sampling import stream
 
 MASS_ATOL = 1e-10
@@ -257,7 +257,7 @@ def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistributi
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     logits = -beta * grid.energies(surface)
-    weights = np.exp(logits - logsumexp(logits))
+    weights = np.exp(logits - _logsumexp(logits))
     if weights.min() < np.finfo(float).tiny:
         raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")
     return GridDistribution(weights)

@@ -12,7 +12,6 @@ from functools import cached_property
 from typing import Literal
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import OutOfScope, SupportViolation
 
@@ -203,6 +202,15 @@ class GibbsState:
         return DensityMatrix((self.basis * self.populations) @ self.basis.conj().T)
 
 
+def _logsumexp(x: np.ndarray) -> float:
+    """ln sum exp(x) of a finite vector, bit for bit as scipy 1.17's ``logsumexp``:
+    the entries tied at the maximum are counted apart from the others' sum."""
+    top = x.max()
+    tied = x == top
+    count = np.count_nonzero(tied)
+    return float(np.log1p(np.where(tied, 0.0, np.exp(x - top)).sum() / count) + np.log(count) + top)
+
+
 def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
     """Gibbs state of ``hamiltonian`` at inverse temperature ``beta`` (k_B = 1).
 
@@ -214,7 +222,7 @@ def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
         raise ValueError(f"beta must be positive, got {beta}")
     spectrum = eigendecompose(hamiltonian, "ascending")
     logits = -beta * spectrum.values
-    log_z = float(logsumexp(logits))
+    log_z = _logsumexp(logits)
     log_populations = logits - log_z
     populations = np.exp(log_populations)
     if populations.min() <= 0.0:

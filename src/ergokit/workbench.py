@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvariantViolation, NotConverged
 from .ergotropy import ergotropy_report
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
+    _logsumexp,
     eigendecompose,
     gibbs_state,
 )
@@ -224,7 +224,7 @@ def conditional_thermal_state(
     evolved = u @ spectrum.vectors
     h_values = np.einsum("di,de,ei->i", evolved.conj(), h_final.matrix, evolved).real
     logits = -beta * h_values
-    log_z = float(logsumexp(logits))
+    log_z = _logsumexp(logits)
     weights = np.exp(logits - log_z)
     rho = DensityMatrix((evolved * weights) @ evolved.conj().T)
     return ConditionalThermalState(

@@ -80,6 +80,19 @@ class TestEigensolverCalls:
         assert code == 0
         assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= most
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("geometric-z", "--dim", "2", "--samples", "1000"),
+            ("geometric-z", "--dim", "16", "--samples", "1000"),
+        ],
+    )
+    def test_geometric_z_diagonalizes_its_hamiltonian_once(self, capsys, eigensolver_calls, argv):
+        # The sampler reads H's stored spectrum, which the d = 2 closed form shares.
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+
 
 class TestErgotropyCommand:
     def test_random_state_report(self, capsys):

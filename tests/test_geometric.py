@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
 from ergokit import (
@@ -26,8 +27,8 @@ from ergokit import (
     spectral_relative_entropy,
 )
 from ergokit.ergotropy import optimal_alignment_unitary
-from ergokit.geometric import _sample_amplitudes
-from ergokit.sampling import haar_unitary, random_density, stream
+from ergokit.geometric import _sample_energies
+from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -176,34 +177,50 @@ class TestGeometricErgotropy:
             assert abs(direct - geom) <= 1e-8 * scale
 
 
+def hermite_genocchi_partition(energies, beta):
+    """pi^(d-1) exp[-beta E_1, ..., -beta E_d]: the Dirichlet mean of
+    exp(-beta sum E_k w_k) is (d-1)! times this divided difference, which is the
+    top-right entry of expm of the bidiagonal matrix (Opitz)."""
+    d = len(energies)
+    bidiagonal = np.diag(-beta * np.asarray(energies, dtype=float)) + np.eye(d, k=1)
+    return math.pi ** (d - 1) * float(expm(bidiagonal)[0, -1])
+
+
 class TestUniformSampler:
     def test_qubit_component_moment(self):
-        amp = _sample_amplitudes(2, 100_000, stream(0))
-        mean = float(np.mean(np.abs(amp[:, 0]) ** 2))
-        assert abs(mean - 0.5) < 0.005
+        population = _sample_energies(np.array([1.0, 0.0]), 100_000, stream(0))
+        assert abs(float(population.mean()) - 0.5) < 0.005
 
     def test_component_moment_general_dim(self):
         for dim in (3, 5):
-            amp = _sample_amplitudes(dim, 50_000, stream(1))
-            moments = (np.abs(amp) ** 2).mean(axis=0)
+            # Unit energies pick out each population |z_k|^2 of the same draw.
+            moments = np.array(
+                [_sample_energies(e_k, 50_000, stream(1)).mean() for e_k in np.eye(dim)]
+            )
             # Var(|z_a|^2) = (d-1)/(d^2 (d+1)); stay within 4 sigma of 1/d.
             sigma = math.sqrt((dim - 1) / (dim**2 * (dim + 1)) / 50_000)
             assert np.max(np.abs(moments - 1.0 / dim)) < 4.0 * sigma
 
     def test_bit_identical_for_fixed_seed(self):
-        a = _sample_amplitudes(3, 50, stream(42))
-        b = _sample_amplitudes(3, 50, stream(42))
+        energies = np.array([0.0, 0.4, 1.0])
+        a = _sample_energies(energies, 50, stream(42))
+        b = _sample_energies(energies, 50, stream(42))
         assert np.array_equal(a, b)
+        h = random_hermitian(3, stream(6))
+        assert geometric_partition_function(h, 1.0, 1_000, 42) == geometric_partition_function(
+            h, 1.0, 1_000, 42
+        )
 
-    def test_unitary_invariance_ks(self):
-        amp = _sample_amplitudes(2, 100_000, stream(2))
-        u = haar_unitary(2, stream(3))
-        h = H01.matrix
-        energies = np.einsum("ni,ij,nj->n", amp.conj(), h, amp).real
-        rotated = amp @ u.T
-        energies_rot = np.einsum("ni,ij,nj->n", rotated.conj(), h, rotated).real
-        statistic = ks_2samp(energies, energies_rot).statistic
-        assert statistic <= 0.01
+    def test_simplex_energies_match_uniform_points(self):
+        # <z|H|z> over normalized complex Gaussians z, against sum_k E_k w_k
+        # over the simplex draw with H's eigenvalues: the same distribution.
+        h = random_hermitian(3, stream(2))
+        g = stream(3)
+        z = g.standard_normal((200_000, 3)) + 1j * g.standard_normal((200_000, 3))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        direct = np.einsum("ni,ij,nj->n", z.conj(), h.matrix, z).real
+        simplex = _sample_energies(np.linalg.eigvalsh(h.matrix), 200_000, stream(4))
+        assert ks_2samp(direct, simplex).statistic <= 0.01
 
 
 class TestPartitionFunction:
@@ -244,3 +261,19 @@ class TestPartitionFunction:
         for seed in range(5):
             estimate, stderr = geometric_partition_function(H01, 1.0, 100_000, seed=seed)
             assert abs(estimate - closed) <= 4.0 * stderr
+
+    def test_non_diagonal_hamiltonian_matches_hermite_genocchi(self):
+        # The CLI and the benchmark pass diagonal H only; a kernel that read
+        # H's diagonal instead of its spectrum would fail here.
+        h = random_hermitian(4, stream(8))
+        assert np.max(np.abs(h.matrix - np.diag(np.diag(h.matrix)))) > 0.1
+        exact = hermite_genocchi_partition(np.linalg.eigvalsh(h.matrix), 1.0)
+        for seed in range(5):
+            estimate, stderr = geometric_partition_function(h, 1.0, 400_000, seed=seed)
+            assert abs(estimate - exact) <= 4.0 * stderr
+
+    def test_hermite_genocchi_reference_is_the_qubit_closed_form(self):
+        h = HermitianOperator(np.diag([0.2, 1.7]))
+        assert hermite_genocchi_partition([0.2, 1.7], 1.3) == pytest.approx(
+            qubit_partition_closed_form(h, 1.3), rel=1e-13
+        )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ergokit import (
     DensityMatrix,
@@ -19,6 +20,7 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit.errors import OutOfScope
+from ergokit.quantum import _logsumexp
 from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -185,6 +187,32 @@ class TestGibbs:
         assert g.populations[-1] < 1e-12
         assert np.allclose(g.log_populations, -np.array([0.0, 30.0, 60.0]) - g.log_z, atol=1e-14)
         assert np.allclose(np.exp(g.log_populations), g.populations, rtol=1e-14, atol=0.0)
+
+
+class TestLogSumExp:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(11)
+        yield np.array([0.3])
+        yield np.array([-700.0])
+        yield np.array([2.0, 2.0])
+        yield np.array([1.0, 5.0, 5.0, -3.0, 5.0])
+        yield np.zeros(7)
+        for _ in range(300):
+            d = int(rng.integers(1, 65))
+            x = rng.uniform(-1.0, 1.0, d) * rng.choice([1e-9, 1.0, 30.0, 350.0, 700.0])
+            if d > 1 and rng.random() < 0.4:
+                x[rng.choice(d, int(rng.integers(2, d + 1)), replace=False)] = x.max()
+            yield x
+
+    def test_bit_identical_to_scipy(self):
+        for x in self.inputs():
+            assert _logsumexp(x).hex() == float(logsumexp(x)).hex(), x
+
+    def test_gibbs_log_z_is_the_helpers(self):
+        op = random_hermitian(6, stream(4))
+        g = gibbs_state(op, 1.3)
+        assert g.log_z.hex() == float(logsumexp(-1.3 * g.energies)).hex()
 
 
 class TestEntropies:
