@@ -68,6 +68,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error: ...`` line on stderr (exit 2);
+    subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 CSV_COLUMNS = {
     "ergotropy": "total,via_entropies,via_geometric,coherent_eq11,incoherent,"
                  "dephased_ergotropy,beta_used,passive_energy",
@@ -83,7 +91,7 @@ CSV_COLUMNS = {
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ergokit",
         description="Quantum/classical ergotropy experiments with reproducible seeds.",
     )
@@ -357,7 +365,7 @@ def _cmd_geometric_z(config: argparse.Namespace):
             hamiltonian, config.beta, config.samples, config.seed
         )
     except ValueError as exc:
-        raise _InputError(f"--samples {config.samples}: {exc}") from exc
+        raise _InputError(str(exc)) from exc
     results = {
         "dim": hamiltonian.dim,
         "estimate": estimate,

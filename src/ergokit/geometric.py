@@ -6,6 +6,10 @@ normalized so the total volume is pi^(d-1)/(d-1)!.  For d = 2 this gives the
 closed-form partition integral pi (e^{-beta E0} - e^{-beta E1}) / (beta (E1-E0)),
 used as the analytic cross-check for the Monte Carlo estimator, which samples
 <z|H|z> = sum_k E_k |<e_k|z>|^2 on the simplex of eigenbasis populations.
+
+``geometric_relative_entropy`` pairs support points with scipy's assignment
+solver, imported when it is called; ``ergotropy_geometric`` knows its pairing
+is the identity and needs no scipy, so neither does the command line.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import OutOfScope, SupportMismatch
 from .quantum import (
@@ -152,6 +155,9 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
             f"{p_state.n_points} support points cannot inject into "
             f"{s_state.n_points} reference points"
         )
+    # Imported here, its one use: loading scipy.optimize costs every process ~0.6 s.
+    from scipy.optimize import linear_sum_assignment
+
     deficit = _overlap_deficits(p_state.points, s_state.points)
     rows, cols = linear_sum_assignment(np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6))
     if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
@@ -215,7 +221,7 @@ def geometric_partition_function(
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
+        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     _require_manifold(hamiltonian.dim)
     rng = stream(seed)
     energies = eigendecompose(hamiltonian, "ascending").values

@@ -392,11 +392,17 @@ class TestErrorContract:
             ("classical", "--dim", "400", "--beta", "360", "--trials", "16"),
             ("geometric-z", "--samples", "1"),
             ("geometric-z", "--samples", "99"),
+            ("ergotropy", "--beta", "nan"),
+            ("ergotropy", "--dim", "0"),
+            ("verify-identities", "--trials", "0"),
+            (),
+            ("classical", "--format", "csv"),
         ],
         ids=[
             "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
             "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
-            "geometric-z-99-samples",
+            "geometric-z-99-samples", "argparse-beta-nan", "argparse-dim-0", "argparse-trials-0",
+            "argparse-no-subcommand", "argparse-csv-without-output",
         ],
     )
     def test_out_of_scope_exits_2_with_one_error_line(self, argv):
@@ -406,6 +412,19 @@ class TestErrorContract:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("--dim", "1"), "error: dim must be >= 2 for the manifold CP^(dim-1), got 1"),
+            (("--samples", "1"), "error: n_samples must be >= 100, got 1"),
+        ],
+        ids=["dim-1", "1-sample"],
+    )
+    def test_geometric_z_passes_the_library_message_through(self, argv, line):
+        proc = run_module("geometric-z", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [line]
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
     def test_malformed_thread_count_exits_2(self, capsys, monkeypatch, threads):
@@ -431,6 +450,51 @@ class TestErrorContract:
         assert code == 1
         assert out == ""
         assert err.startswith("invariant failed: route disagreement")
+
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, os, sys, tempfile
+import numpy as np
+from ergokit import cli
+
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    report, grid = os.path.join(tmp, "report.json"), os.path.join(tmp, "grid.json")
+    runs = [
+        ["ergotropy", "--dim", "3"],
+        ["verify-identities", "--dim", "3", "--trials", "2"],
+        ["classical", "--dim", "6", "--trials", "2", "--output", report],
+        ["classical", "--input", grid, "--trials", "2"],
+        ["otm", "--dim", "2", "--trials", "1"],
+        ["geometric-z", "--dim", "3", "--samples", "1000"],
+        ["ergotropy", "--dim", "2", "--format", "csv", "--output", os.path.join(tmp, "e.csv")],
+    ]
+    for argv in runs:
+        if "--input" in argv:
+            with open(report) as src, open(grid, "w") as dst:
+                json.dump(json.load(src)["results"], dst)
+        assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules
+
+from ergokit import GeometricPoint, GeometricState, geometric_relative_entropy
+from ergokit.sampling import random_density, stream
+
+vectors = np.linalg.eigh(random_density(4, stream(5)).matrix)[1]
+points = [GeometricPoint(vectors[:, i]) for i in range(4)]
+weights = np.array([0.1, 0.2, 0.3, 0.4])
+order = [2, 0, 3, 1]
+state = GeometricState(tuple(points), weights)
+reordered_state = GeometricState(tuple(points[i] for i in order), weights[order])
+assert abs(geometric_relative_entropy(state, reordered_state)) <= 1e-12
+assert "scipy.optimize" in sys.modules
+"""
+
+
+class TestStartup:
+    def test_cli_runs_without_scipy_until_points_are_matched(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLargeDimensions:

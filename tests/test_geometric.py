@@ -154,8 +154,10 @@ class TestGeometricErgotropy:
         def refuse(*args, **kwargs):
             raise AssertionError("geometric matching used")
 
-        for name in ("GeometricPoint", "GeometricState", "linear_sum_assignment"):
+        for name in ("GeometricPoint", "GeometricState"):
             monkeypatch.setattr(geometric, name, refuse)
+        # geometric_relative_entropy imports the solver when called, so patch its source.
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", refuse)
         rho = random_density(6, stream(10))
         h = random_hermitian(6, stream(11))
         assert ergotropy_geometric(rho, h, 1.0) == pytest.approx(
