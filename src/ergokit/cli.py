@@ -2,7 +2,10 @@
 reports.
 
 Every subcommand prints a machine-readable JSON report (schema 2, sorted keys,
-floats at 12 significant digits) to stdout.  Schema 2 prints a permutation
+floats at 12 significant digits) to stdout.  The report is encoded in one
+pass: each float is formatted once, ndarrays are written straight from their
+entries, and the bytes equal ``json.dumps(round_floats(payload),
+sort_keys=True, indent=2)``.  Schema 2 prints a permutation
 kernel as its image, ``{"n": n, "image": [...]}``, and any other kernel as the
 dense ``{"n": n, "matrix": [[...], ...]}`` of schema 1; ``classical --input``
 reads both.  ``--output`` additionally writes the report, or a plot-ready
@@ -23,7 +26,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .serialize import (
     kernel_from_json,
     kernel_to_json,
     matrix_to_json,
-    round_floats,
 )
 from .workbench import DrivingProtocol, evolve_unitary, sharpened_bound_report
 
@@ -165,7 +167,8 @@ def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
 
 
 # ----------------------------------------------------------------------------
-# Subcommands.  Each returns (results, checks, csv_header, csv_rows).
+# Subcommands.  Each returns (results, checks, csv_header, csv_rows); the rows
+# are read once, and only for ``--format csv``.
 
 
 def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
@@ -347,7 +350,8 @@ def _cmd_classical(config: argparse.Namespace):
     }
     checks["uniform_stationarity_envelope"] = _check(uniform_max, uniform_probe.first_order_bound)
     header = CSV_COLUMNS["classical"].split(",")
-    rows = [[i, grid.energy_a[i], grid.energy_b[i], p_a.weights[i], phi[i]] for i in range(n)]
+    rows = zip(range(n), grid.energy_a.tolist(), grid.energy_b.tolist(), p_a.weights.tolist(),
+               phi.tolist())
     return results, checks, header, rows
 
 
@@ -459,34 +463,95 @@ _COMMANDS = {
 }
 
 
-# Item types of a list that the C encoder writes with no ", " inside an item.
-_SCALARS = frozenset({int, float, bool, type(None)})
+def _float_tokens(values: list[float]) -> list[str]:
+    """``json.dumps(float(format_float(x)))`` for each x, formatting it once.
+
+    A ``%.12g`` text that holds a "." and no ``e+1..`` or ``e-3..`` exponent
+    already is that token: it parses to a normal double whose shortest repr
+    has the same digits (12 < DBL_DIG), and ``%g`` and ``repr`` choose the
+    same notation outside 1e12..1e16.  The rest (integral values, zeros, nan,
+    infinities, that band and subnormals) is parsed and encoded again.
+    """
+    texts = [f"{x:.12g}" for x in values]
+    return [t if "." in t and "e+1" not in t and "e-3" not in t else json.dumps(float(t))
+            for t in texts]
+
+
+def _array_tokens(array: np.ndarray) -> list[str]:
+    """The JSON token of each entry of a nonempty ``array``, row-major, floats
+    rounded.
+
+    A zero of either sign is its own rounding, so only nonzero floats are
+    formatted: a sparse dense kernel costs one format per populated entry."""
+    flat = array.reshape(-1)
+    if flat.dtype.kind in "biu":
+        return json.dumps(flat.tolist())[1:-1].split(", ")
+    values = flat.astype(float, copy=False)
+    zero = values == 0
+    tokens = ["0.0"] * values.size
+    for i in np.flatnonzero(zero & np.signbit(values)).tolist():
+        tokens[i] = "-0.0"
+    live = np.flatnonzero(~zero)
+    for i, token in zip(live.tolist(), _float_tokens(values[live].tolist())):
+        tokens[i] = token
+    return tokens
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Already encoded ``items`` one per line between ``brackets``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
+    """The text before the first entry of an array of ``shape`` (no zero in
+    it) and the text after each entry, the last one closing the array."""
+    if not shape:
+        return "", [""]
+    inner = indent + "  "
+    head, tails = _layout(shape[1:], inner)
+    close = tails.pop()
+    tails = (tails + [close + ",\n" + inner + head]) * shape[0]
+    tails[-1] = close + "\n" + indent + "]"
+    return "[\n" + inner + head, tails
 
 
 def _dumps(obj, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for string-keyed payloads.
+    """``json.dumps(round_floats(obj), sort_keys=True, indent=2)`` for
+    string-keyed payloads, in one pass.
 
     With ``indent`` set, the standard library always runs its pure-Python
-    encoder.  This copies that layout but hands each list of scalars to the C
-    encoder in one call, then puts each ", " separator on a new line.
+    encoder and writes each float's shortest repr.  This copies that layout,
+    rounds each float as it writes it (``_float_tokens``), and takes float,
+    int and bool ndarrays whole, with no list of rounded floats in between.
     """
+    if isinstance(obj, (float, np.floating)):
+        return _float_tokens([float(obj)])[0]
+    if isinstance(obj, np.ndarray):
+        if not obj.size:  # a zero side, (r, 0) or (0, c): nested empty lists
+            return _dumps(obj.tolist(), indent)
+        head, tails = _layout(obj.shape, indent)
+        pieces = [""] * (2 * obj.size)
+        pieces[::2] = _array_tokens(obj)
+        pieces[1::2] = tails
+        return head + "".join(pieces)
     inner = indent + "  "
-    if isinstance(obj, dict) and obj:
-        brackets = "{}"
-        items = (f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items()))
-    elif isinstance(obj, (list, tuple)) and obj:
-        brackets = "[]"
-        if set(map(type, obj)) <= _SCALARS:
-            items = [json.dumps(obj)[1:-1].replace(", ", ",\n" + inner)]
-        else:
-            items = (_dumps(v, inner) for v in obj)
-    else:
-        return json.dumps(obj)
-    body = (",\n" + inner).join(items)
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+    if isinstance(obj, dict):
+        return _block([f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())],
+                      indent, "{}")
+    if isinstance(obj, (list, tuple)):
+        return _block([_dumps(v, inner) for v in obj], indent)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return json.dumps(obj)
 
 
-def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list, rows: list) -> None:
+def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list,
+          rows: Iterable[Sequence]) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": config.command,
@@ -502,7 +567,7 @@ def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
-    text = _dumps(round_floats(payload)) + "\n"
+    text = _dumps(payload) + "\n"
     sys.stdout.write(text)
     if config.output_path is not None:
         if config.out_format == "csv":

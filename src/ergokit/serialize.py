@@ -6,9 +6,12 @@ flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight`
 ``{"n": n, "image": [...]}`` with cell j sent to cell image[j]; any other kernel
 as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
 distribution of the final cell given initial cell j.  ``kernel_from_json``
-reads both.  Matrix, grid and kernel dicts hold ndarrays, which
-``round_floats`` turns into lists; floats in emitted reports are rounded there
-to 12 significant digits so identical runs produce identical bytes.
+reads both.  Matrix, grid and kernel dicts hold ndarrays, which the command
+line's report encoder writes as they are, in one pass: every float in a report
+is rounded to 12 significant digits (``format_float``) as it is written, so
+identical runs produce identical bytes.  ``round_floats`` is the reference for
+that encoder: a report reads ``json.dumps(round_floats(payload),
+sort_keys=True, indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .quantum import DensityMatrix, HermitianOperator
 
 def matrix_to_json(matrix: np.ndarray) -> dict:
     """``{"dim", "entries"}`` with the entries as a (d^2, 2) array of (re, im)
-    rows, row-major (an ndarray until ``round_floats``)."""
+    rows, row-major; the report encoder writes the ndarray itself."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -50,8 +53,8 @@ def density_from_json(obj: dict) -> DensityMatrix:
 
 
 def kernel_to_json(kernel: TransitionKernel) -> dict:
-    """``{"n", "image"}`` for a permutation, else ``{"n", "matrix"}`` (an ndarray
-    until ``round_floats``)."""
+    """``{"n", "image"}`` for a permutation, else ``{"n", "matrix"}``, each an
+    ndarray that the report encoder writes itself."""
     if kernel.is_deterministic:
         return {"n": kernel.n_cells, "image": kernel.image}
     return {"n": kernel.n_cells, "matrix": kernel.matrix}
@@ -109,11 +112,14 @@ def format_float(x: float) -> str:
 
 
 def round_floats(obj: Any) -> Any:
-    """Recursively round floats to 12 significant digits for stable JSON bytes.
+    """Recursively round floats to 12 significant digits, turning ndarrays
+    into lists: the reference that reports are checked against.
 
-    Float ndarrays round only their nonzero entries, each through
-    ``format_float``; a zero of either sign already is its own rounding, so a
-    sparse dense kernel costs one Python call per populated entry."""
+    The command line never calls it; its encoder rounds each float as it
+    writes it, and the tests compare that encoder with
+    ``json.dumps(round_floats(payload), sort_keys=True, indent=2)``.  Float
+    ndarrays round only their nonzero entries, each through
+    ``format_float``; a zero of either sign already is its own rounding."""
     if isinstance(obj, (float, np.floating)):
         return float(format_float(float(obj)))
     if isinstance(obj, dict):

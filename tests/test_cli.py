@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ergokit import classical
-from ergokit.cli import CSV_COLUMNS, _dumps, main
+from ergokit.cli import CSV_COLUMNS, _dumps, _float_tokens, main
 from ergokit.sampling import random_density, random_hermitian, stream
-from ergokit.serialize import matrix_to_json, round_floats
+from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
 
 
 def run_cli(capsys, *argv):
@@ -239,8 +240,16 @@ _FLOATS = st.one_of(
 )
 _TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["a, b", ", ", '"q", "r"', "\u00e9, \u00fc"]))
 _SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT)
+# Shapes with a zero side, (r, 0) and (0, c), are drawn as well.
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
+    hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.0, -0.0, 0.5, 1.0])),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+)
 _PAYLOADS = st.recursive(
-    st.one_of(_SCALAR, st.lists(st.one_of(_FLOATS, st.integers()), max_size=6)),
+    st.one_of(_SCALAR, st.lists(st.one_of(_FLOATS, st.integers()), max_size=6), _ARRAYS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=3).map(tuple),
@@ -250,14 +259,56 @@ _PAYLOADS = st.recursive(
 )
 
 
+def _dense_kernel(n=6, seed=2):
+    rng = stream(seed)
+    matrix = np.zeros((n, n))
+    for w in rng.dirichlet(np.ones(3)):
+        matrix[rng.permutation(n), np.arange(n)] += w
+    return classical.TransitionKernel(matrix)
+
+
+def _token_sweep() -> list[float]:
+    """Subnormals, powers of ten and their neighbours, integers, the band
+    where ``%g`` and ``repr`` switch to exponents apart, and special values."""
+    powers = np.array([float(f"1e{e}") for e in range(-330, 309)])
+    subnormals = np.concatenate([
+        np.arange(1, 200) * 5e-324,
+        np.geomspace(5e-324, 2.2250738585072014e-308, 400),
+        stream(0).integers(1, 2**52, 400).view(np.float64),
+    ])
+    band = np.geomspace(1e12, 1e16, 2001)
+    values = np.concatenate([
+        subnormals,
+        [2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0)],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.arange(-2000, 2001),
+        band, np.round(band), band + 0.5,
+        [0.0, np.nan, np.inf],
+    ])
+    return np.concatenate([values, -values]).tolist()
+
+
 class TestReportLayout:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(_PAYLOADS)
     @example({})
     @example([[]])
     @example({"a": [{}], "b": [[1.0, -0.0], ["x, y"], [None, True]]})
+    @example({"r0": np.zeros((3, 0)), "0c": np.zeros((0, 2)), "scalar": np.array(-0.0)})
+    @example({"state": matrix_to_json(random_density(3, stream(1)).matrix),
+              "hamiltonian": matrix_to_json(random_hermitian(3, stream(2)).matrix)})
+    @example({"kernel": kernel_to_json(_dense_kernel())})
     def test_dumps_matches_the_standard_indented_encoder(self, payload):
-        assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+        assert _dumps(payload) == json.dumps(round_floats(payload), sort_keys=True, indent=2)
+
+    def test_float_tokens_match_the_rounded_standard_encoding_on_a_sweep(self):
+        values = _token_sweep()
+        assert _float_tokens(values) == [json.dumps(float(format_float(x))) for x in values]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.lists(st.floats(), max_size=50))
+    def test_float_tokens_match_the_rounded_standard_encoding(self, values):
+        assert _float_tokens(values) == [json.dumps(float(format_float(x))) for x in values]
 
     @pytest.mark.parametrize("argv", [
         ("classical", "--dim", "1000", "--trials", "4"),
