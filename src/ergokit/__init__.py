@@ -48,11 +48,11 @@ from .geometric import (
     GeometricState,
     aligned_geometric_state,
     ergotropy_geometric,
+    geometric_partition_closed_form,
     geometric_partition_function,
     geometric_relative_entropy,
     geometric_state_of,
     manifold_volume,
-    qubit_partition_closed_form,
 )
 from .quantum import (
     DensityMatrix,

@@ -2,18 +2,13 @@
 reports.
 
 Every subcommand prints a machine-readable JSON report (schema 2, sorted keys,
-floats at 12 significant digits) to stdout.  The report is encoded in one
-pass: each float is formatted once, ndarrays are written straight from their
-entries, and the bytes equal ``json.dumps(round_floats(payload),
-sort_keys=True, indent=2)``.  Schema 2 prints a permutation
-kernel as its image, ``{"n": n, "image": [...]}``, and any other kernel as the
-dense ``{"n": n, "matrix": [[...], ...]}`` of schema 1; ``classical --input``
-reads both.  ``--output`` additionally writes the report, or a plot-ready
-CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
-asserted invariant holds at the configured tolerance, 1 on an invariant
-failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
-``ERGOKIT_THREADS``, a positive integer, caps worker threads for trial
-sweeps; results do not depend on it.
+floats at 12 significant digits, kernels in the forms of ``serialize``) to
+stdout, encoded in one pass by ``_dumps``.  ``--output`` additionally writes
+the report, or a plot-ready CSV table when ``--format csv`` is chosen.  Exit
+status is 0 when every asserted invariant holds at the configured tolerance, 1
+on an invariant failure, and 2 on I/O, parse, configuration, or scope
+(``OutOfScope``) errors.  ``ERGOKIT_THREADS``, a positive integer, caps worker
+threads for trial sweeps; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ CSV_COLUMNS = {
     "verify-identities": "trial,ergotropy_identity_dev,coherent_identity_dev,"
                          "chain_identity_dev,unitary_min_gap,optimal_unitary_gap",
     "classical": "index,energy_a,energy_b,weight,phi",
-    "geometric-z": "dim,beta,samples,estimate,standard_error[,closed_form,z_score]",
+    "geometric-z": "dim,beta,samples,estimate,standard_error,closed_form,z_score",
     "otm": "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,"
            "decomposition_dev,conditional_z_identity_dev",
 }
@@ -365,11 +360,13 @@ def _cmd_geometric_z(config: argparse.Namespace):
     else:
         hamiltonian = HermitianOperator(np.diag(np.arange(config.dim, dtype=float)))
     try:
+        closed = geo.geometric_partition_closed_form(hamiltonian, config.beta)
         estimate, stderr = geo.geometric_partition_function(
             hamiltonian, config.beta, config.samples, config.seed
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    z_score = abs(estimate - closed) / stderr if stderr > 0 else 0.0
     results = {
         "dim": hamiltonian.dim,
         "estimate": estimate,
@@ -377,18 +374,12 @@ def _cmd_geometric_z(config: argparse.Namespace):
         "samples": config.samples,
         "manifold_volume": geo.manifold_volume(hamiltonian.dim),
         "hamiltonian": matrix_to_json(hamiltonian.matrix),
+        "closed_form": closed,
+        "z_score": z_score,
     }
-    checks: dict = {}
-    header = ["dim", "beta", "samples", "estimate", "standard_error"]
-    rows = [[hamiltonian.dim, config.beta, config.samples, estimate, stderr]]
-    if hamiltonian.dim == 2:
-        closed = geo.qubit_partition_closed_form(hamiltonian, config.beta)
-        z_score = abs(estimate - closed) / stderr if stderr > 0 else 0.0
-        results["closed_form"] = closed
-        results["z_score"] = z_score
-        checks["within_four_standard_errors"] = _check(z_score, 4.0)
-        header += ["closed_form", "z_score"]
-        rows[0] += [closed, z_score]
+    checks = {"within_four_standard_errors": _check(z_score, 4.0)}
+    header = CSV_COLUMNS["geometric-z"].split(",")
+    rows = [[hamiltonian.dim, config.beta, config.samples, estimate, stderr, closed, z_score]]
     return results, checks, header, rows
 
 

@@ -1,8 +1,12 @@
 """End-to-end checks of the command-line front end."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -89,7 +93,7 @@ class TestEigensolverCalls:
         ],
     )
     def test_geometric_z_diagonalizes_its_hamiltonian_once(self, capsys, eigensolver_calls, argv):
-        # The sampler reads H's stored spectrum, which the d = 2 closed form shares.
+        # The sampler and the closed form read the spectrum stored on H.
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
@@ -366,8 +370,41 @@ class TestGeometricZCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        assert "closed_form" not in payload["results"]
+        assert payload["results"]["closed_form"] > 0.0
+        assert payload["results"]["z_score"] <= 4.0
+        assert payload["checks"]["within_four_standard_errors"]["passed"] is True
         assert payload["results"]["standard_error"] > 0.0
+
+    def test_under_sampled_estimate_fails_the_gate(self, capsys):
+        # At d = 16, beta = 40 the default 10^5 samples almost never reach the
+        # ground-state corner: the estimate is 35 orders below the closed form.
+        code, out, err = run_cli(capsys, "geometric-z", "--dim", "16", "--beta", "40")
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invariant failed: within_four_standard_errors")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        dim=st.integers(2, 64),
+        log10_beta=st.floats(-12.0, 3.0),
+        samples=st.integers(100, 2000),
+    )
+    def test_exit_code_contract_over_the_scope(self, dim, log10_beta, samples):
+        argv = ["geometric-z", "--dim", str(dim), "--beta", repr(10.0**log10_beta),
+                "--samples", str(samples)]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 1, 2)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1
+            assert "Traceback" not in err.getvalue()
+        if code == 0:
+            closed = json.loads(out.getvalue())["results"]["closed_form"]
+            assert math.isfinite(closed) and closed > 0.0
 
 
 class TestOtmCommand:
@@ -439,6 +476,7 @@ class TestErrorContract:
             ("otm", "--dim", "2", "--beta", "300"),
             ("ergotropy", "--dim", "1"),
             ("geometric-z", "--dim", "1"),
+            ("geometric-z", "--dim", "2", "--beta", "800"),
             ("classical", "--dim", "8", "--beta", "2000"),
             ("classical", "--dim", "400", "--beta", "360", "--trials", "16"),
             ("geometric-z", "--samples", "1"),
@@ -451,7 +489,7 @@ class TestErrorContract:
         ],
         ids=[
             "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
-            "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
+            "geometric-z-gibbs-underflow", "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
             "geometric-z-99-samples", "argparse-beta-nan", "argparse-dim-0", "argparse-trials-0",
             "argparse-no-subcommand", "argparse-csv-without-output",
         ],

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
 from ergokit import (
@@ -18,15 +17,16 @@ from ergokit import (
     ergotropy_direct,
     ergotropy_geometric,
     ergotropy_via_entropies,
+    geometric_partition_closed_form,
     geometric_partition_function,
     geometric_relative_entropy,
     geometric_state_of,
     gibbs_state,
     manifold_volume,
-    qubit_partition_closed_form,
     spectral_relative_entropy,
 )
 from ergokit.ergotropy import optimal_alignment_unitary
+from ergokit.errors import OutOfScope
 from ergokit.geometric import _sample_energies
 from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
 
@@ -179,15 +179,6 @@ class TestGeometricErgotropy:
             assert abs(direct - geom) <= 1e-8 * scale
 
 
-def hermite_genocchi_partition(energies, beta):
-    """pi^(d-1) exp[-beta E_1, ..., -beta E_d]: the Dirichlet mean of
-    exp(-beta sum E_k w_k) is (d-1)! times this divided difference, which is the
-    top-right entry of expm of the bidiagonal matrix (Opitz)."""
-    d = len(energies)
-    bidiagonal = np.diag(-beta * np.asarray(energies, dtype=float)) + np.eye(d, k=1)
-    return math.pi ** (d - 1) * float(expm(bidiagonal)[0, -1])
-
-
 class TestUniformSampler:
     def test_qubit_component_moment(self):
         population = _sample_energies(np.array([1.0, 0.0]), 100_000, stream(0))
@@ -228,7 +219,7 @@ class TestUniformSampler:
 class TestPartitionFunction:
     def test_qubit_estimate_matches_closed_form(self):
         estimate, stderr = geometric_partition_function(H01, 1.0, 400_000, seed=0)
-        closed = qubit_partition_closed_form(H01, 1.0)
+        closed = geometric_partition_closed_form(H01, 1.0)
         assert abs(estimate - closed) <= 4.0 * stderr
 
     def test_closed_form_against_quadrature(self):
@@ -242,7 +233,7 @@ class TestPartitionFunction:
             return 0.5 * math.pi * math.sin(theta) * math.exp(-beta * energy)
 
         numeric, _ = quad(integrand, 0.0, math.pi, epsabs=1e-12)
-        assert qubit_partition_closed_form(h, beta) == pytest.approx(numeric, abs=1e-10)
+        assert geometric_partition_closed_form(h, beta) == pytest.approx(numeric, abs=1e-10)
 
     def test_high_temperature_limit_is_volume(self):
         estimate, _ = geometric_partition_function(H01, 1e-9, 10_000, seed=1)
@@ -259,7 +250,7 @@ class TestPartitionFunction:
         assert manifold_volume(4) == pytest.approx(math.pi**3 / 6.0)
 
     def test_seed_sweep_within_four_sigma(self):
-        closed = qubit_partition_closed_form(H01, 1.0)
+        closed = geometric_partition_closed_form(H01, 1.0)
         for seed in range(5):
             estimate, stderr = geometric_partition_function(H01, 1.0, 100_000, seed=seed)
             assert abs(estimate - closed) <= 4.0 * stderr
@@ -269,13 +260,77 @@ class TestPartitionFunction:
         # H's diagonal instead of its spectrum would fail here.
         h = random_hermitian(4, stream(8))
         assert np.max(np.abs(h.matrix - np.diag(np.diag(h.matrix)))) > 0.1
-        exact = hermite_genocchi_partition(np.linalg.eigvalsh(h.matrix), 1.0)
+        exact = geometric_partition_closed_form(h, 1.0)
         for seed in range(5):
             estimate, stderr = geometric_partition_function(h, 1.0, 400_000, seed=seed)
             assert abs(estimate - exact) <= 4.0 * stderr
 
     def test_hermite_genocchi_reference_is_the_qubit_closed_form(self):
         h = HermitianOperator(np.diag([0.2, 1.7]))
-        assert hermite_genocchi_partition([0.2, 1.7], 1.3) == pytest.approx(
-            qubit_partition_closed_form(h, 1.3), rel=1e-13
-        )
+        qubit = math.pi * (math.exp(-1.3 * 0.2) - math.exp(-1.3 * 1.7)) / (1.3 * 1.5)
+        assert geometric_partition_closed_form(h, 1.3) == pytest.approx(qubit, rel=1e-13, abs=0)
+
+
+# name: (energies, or d for random_hermitian(d, stream(d)); beta; mpmath value).
+PINNED_PARTITION_FUNCTIONS = {
+    "random-2": (2, 1.3, "8.8297976319011256929"),
+    "random-16": (16, 2.0, "0.000079609385701851190401"),
+    "random-32": (32, 3.0, "2.3207516382488369378e-17"),
+    "random-64": (64, 5.0, "1.4277891899832106897e-51"),
+    "degenerate-4": ([0.3, 0.3, 1.0, 1.0], 2.0, "1.4785946589359643881"),
+    "degenerate-6": ([0.0, 0.0, 0.0, 1.0, 2.0, 2.0], 1.5, "0.82666617365951507758"),
+    # beta (E_max - E_min) = 735 and 740, next to the Gibbs edge near 745; e^(min y)
+    # is subnormal, and at d = 2 the sum passes 1e300 and is rescaled.
+    "edge-16": (list(range(16)), 49.0, "9.7231565632292614231e-31"),
+    "edge-2": ([0.0, 1.0], 740.0, "0.0042453954778240449168"),
+}
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("name", sorted(PINNED_PARTITION_FUNCTIONS))
+    def test_matches_pinned_mpmath_values(self, name):
+        """pi^(d-1) exp[-beta E_1, ..., -beta E_d] from the float eigenvalues at
+        600 digits (distinct points) or 60 digits (repeated points, through the
+        bidiagonal expm of Opitz).  CI installs no mpmath, so the values are
+        pasted; they came from::
+
+            import mpmath as mp
+            def reference(energies, beta):
+                distinct = len(set(energies)) == len(energies)
+                mp.mp.dps = 600 if distinct else 60
+                y = [-mp.mpf(float(beta)) * mp.mpf(float(e)) for e in energies]
+                if distinct:
+                    dd = mp.fsum(mp.exp(a) / mp.fprod(a - b for b in y if b is not a)
+                                 for a in y)
+                else:
+                    d = len(y)
+                    j = mp.diag(y) + mp.matrix([[int(c == r + 1) for c in range(d)]
+                                                for r in range(d)])
+                    dd = mp.expm(j)[0, d - 1]
+                return mp.nstr(mp.pi ** (len(y) - 1) * dd, 20)
+
+        with energies = np.linalg.eigvalsh(random_hermitian(d, stream(d)).matrix)
+        for the random cases.
+        """
+        spectrum, beta, value = PINNED_PARTITION_FUNCTIONS[name]
+        if isinstance(spectrum, int):
+            h = random_hermitian(spectrum, stream(spectrum))
+        else:
+            h = HermitianOperator(np.diag(np.asarray(spectrum, dtype=float)))
+        closed = geometric_partition_closed_form(h, beta)
+        assert closed == pytest.approx(float(value), rel=1e-12, abs=0)
+
+    def test_fully_degenerate_spectrum_is_volume_times_boltzmann_weight(self):
+        h = HermitianOperator(np.diag([0.7] * 5))
+        expected = manifold_volume(5) * math.exp(-1.4)
+        assert geometric_partition_closed_form(h, 2.0) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_out_of_scope_past_the_gibbs_edge(self):
+        with pytest.raises(OutOfScope):
+            geometric_partition_closed_form(HermitianOperator(np.diag(np.arange(16.0))), 50.0)
+
+    def test_monte_carlo_agrees_above_the_qubit(self):
+        for dim in (3, 6, 16):
+            h = random_hermitian(dim, stream(20, dim))
+            estimate, stderr = geometric_partition_function(h, 1.5, 200_000, seed=dim)
+            assert abs(estimate - geometric_partition_closed_form(h, 1.5)) <= 4.0 * stderr
