@@ -6,9 +6,9 @@ normalized so the total volume is pi^(d-1)/(d-1)!.  The partition integral, in
 closed form at every d, checks the Monte Carlo estimator, which samples
 <z|H|z> = sum_k E_k |<e_k|z>|^2 on the simplex of eigenbasis populations.
 
-``geometric_relative_entropy`` pairs support points with scipy's assignment
-solver, imported when it is called; ``ergotropy_geometric`` knows its pairing
-is the identity and needs no scipy, so neither does the command line.
+``geometric_relative_entropy`` pairs each support point with its one neighbour
+within ``MATCH_OVERLAP_DEFICIT``; ``ergotropy_geometric`` knows its pairing is
+the identity.  Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -144,27 +144,18 @@ def aligned_geometric_state(rho: DensityMatrix, sigma: DensityMatrix) -> Geometr
 def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState) -> float:
     """sum_j p_j ln(p_j / s_j) over bijectively matched support points.
 
-    Points are paired by proximity on the manifold (every point of ``p_state``
-    must find its own partner with overlap deficit below
-    ``MATCH_OVERLAP_DEFICIT``); weight-degenerate groups are therefore paired
-    geometrically, never by index order.
+    Each point of ``p_state`` pairs with its one neighbour in ``s_state`` within
+    ``MATCH_OVERLAP_DEFICIT``, so weight-degenerate groups pair geometrically,
+    never by index order.  No neighbour, or an ambiguous pairing (two candidates
+    for a point, or one shared by two points), raises ``SupportMismatch``.
     """
     if p_state.dim != s_state.dim:
         raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
-    if p_state.n_points > s_state.n_points:
-        raise SupportMismatch(
-            f"{p_state.n_points} support points cannot inject into "
-            f"{s_state.n_points} reference points"
-        )
-    # Imported here, its one use: loading scipy.optimize costs every process ~0.6 s.
-    from scipy.optimize import linear_sum_assignment
-
-    deficit = _overlap_deficits(p_state.points, s_state.points)
-    rows, cols = linear_sum_assignment(np.where(deficit <= MATCH_OVERLAP_DEFICIT, deficit, 1e6))
-    if np.any(deficit[rows, cols] > MATCH_OVERLAP_DEFICIT):
-        raise SupportMismatch("no bijection pairs the support points within tolerance")
-    p_w = p_state.weights[rows]
-    s_w = s_state.weights[cols]
+    near = _overlap_deficits(p_state.points, s_state.points) <= MATCH_OVERLAP_DEFICIT
+    if np.any(near.sum(axis=1) != 1) or np.any(near.sum(axis=0) > 1):
+        raise SupportMismatch("support points do not pair one to one within tolerance")
+    p_w = p_state.weights
+    s_w = s_state.weights[near.argmax(axis=1)]
     live = p_w > SUPPORT_FLOOR
     if np.any(s_w[live] <= SUPPORT_FLOOR):
         raise SupportMismatch("matched reference point carries no weight")

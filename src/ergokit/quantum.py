@@ -76,8 +76,8 @@ class DensityMatrix(HermitianOperator):
     """A quantum state: Hermitian, unit trace, positive semidefinite.
 
     Eigenvalues in [-NEGATIVE_EIG_ATOL, 0) are clamped to zero and the state
-    renormalized; anything more negative is rejected.  The validating ``eigh``
-    is kept for ``eigendecompose`` unless the state was rebuilt.
+    renormalized; anything more negative is rejected.  Otherwise a rounded trace
+    is divided out of the matrix and its validating ``eigh``, which is kept.
     """
 
     __slots__ = ()
@@ -90,13 +90,15 @@ class DensityMatrix(HermitianOperator):
         w, v = np.linalg.eigh(self._matrix)
         if w[0] < -NEGATIVE_EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
-        self._eigh = (w, v)  # dropped by _store if the state is rebuilt
-        if w[0] < 0.0 or abs(trace - 1.0) > 1e-15:
-            w = np.clip(w, 0.0, None)
-            m = (v * w) @ v.conj().T
+        if w[0] < 0.0:
+            m = (v * np.clip(w, 0.0, None)) @ v.conj().T
             m = (m + m.conj().T) / 2.0
-            m /= m.trace().real
-            self._store(m)
+            self._store(m / m.trace().real)
+            return
+        if abs(trace - 1.0) > 1e-15:
+            self._store(self._matrix / trace)
+            w = w / trace
+        self._eigh = (w, v)
 
 
 def _fix_phase(z: np.ndarray) -> np.ndarray:

@@ -108,6 +108,18 @@ class TestGeometricRelativeEntropy:
         with pytest.raises(SupportMismatch):
             geometric_relative_entropy(a, b)
 
+    def test_ambiguous_pairing_mismatch(self):
+        # p's second point lies within the match deficit of both reference points.
+        def state(angles, weights):
+            points = tuple(GeometricPoint(np.array([math.cos(t), math.sin(t)])) for t in angles)
+            return GeometricState(points=points, weights=np.array(weights))
+
+        p = state((0.0, 2e-6), (0.6, 0.4))
+        s = state((1e-6, 2.5e-6), (0.5, 0.5))
+        assert (p.n_points, s.n_points) == (2, 2)
+        with pytest.raises(SupportMismatch):
+            geometric_relative_entropy(p, s)
+
     def test_more_points_than_reference_mismatch(self):
         mixed = geometric_state_of(DensityMatrix(np.eye(2) / 2))
         pure = geometric_state_of(DensityMatrix(np.diag([1.0, 0.0])))
@@ -156,8 +168,7 @@ class TestGeometricErgotropy:
 
         for name in ("GeometricPoint", "GeometricState"):
             monkeypatch.setattr(geometric, name, refuse)
-        # geometric_relative_entropy imports the solver when called, so patch its source.
-        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", refuse)
+        monkeypatch.setattr(geometric, "_overlap_deficits", refuse)
         rho = random_density(6, stream(10))
         h = random_hermitian(6, stream(11))
         assert ergotropy_geometric(rho, h, 1.0) == pytest.approx(

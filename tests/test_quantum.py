@@ -133,6 +133,16 @@ class TestStoredSpectrum:
         assert eigensolver_calls == {"eigh": 0, "eigvalsh": 0}
         assert np.max(np.abs(spec.reconstruct() - rho.matrix)) < 1e-12
 
+    def test_trace_rounded_state_keeps_its_validating_eigh(self, eigensolver_calls):
+        m = random_density(5, stream(35)).matrix * (1.0 + 3e-13)
+        rho = DensityMatrix(m)
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
+        spec = eigendecompose(rho, "descending")
+        von_neumann_entropy(rho)
+        assert eigensolver_calls == {"eigh": 0, "eigvalsh": 0}
+        assert abs(rho.matrix.trace().real - 1.0) <= 1e-15
+        assert np.max(np.abs(spec.reconstruct() - rho.matrix)) < 1e-12
+
     def test_clamped_state_gets_the_spectrum_of_its_stored_matrix(self):
         u = haar_unitary(3, stream(33))
         m = u @ np.diag([0.7 + 4e-11, 0.3, -4e-11]) @ u.conj().T
