@@ -7,8 +7,7 @@ stdout, encoded in one pass by ``_dumps``.  ``--output`` additionally writes
 the report, or a plot-ready CSV table when ``--format csv`` is chosen.  Exit
 status is 0 when every asserted invariant holds at the configured tolerance, 1
 on an invariant failure, and 2 on I/O, parse, configuration, or scope
-(``OutOfScope``) errors.  ``ERGOKIT_THREADS``, a positive integer, caps worker
-threads for trial sweeps; results do not depend on it.
+(``OutOfScope``) errors.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -117,33 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tolerance for the identity checks")
         p.add_argument("--samples", type=_positive_int, default=100000,
                        help="Monte Carlo / Haar sample count")
-        p.add_argument("--input", dest="input_path", default=None,
-                       help="input file (JSON; grid tables may be CSV index,energy_a,energy_b,weight)")
+        if name in ("ergotropy", "classical", "geometric-z"):
+            p.add_argument("--input", dest="input_path", default=None,
+                           help="input file (JSON; grid tables may be CSV "
+                                "index,energy_a,energy_b,weight)")
         p.add_argument("--output", dest="output_path", default=None,
                        help="write the report here (JSON, or CSV with --format csv)")
         p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json",
                        help="--output format; see the epilog for the CSV columns")
     return parser
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("ERGOKIT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise _InputError(f"ERGOKIT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _map_trials(worker: Callable[[int], dict], n_trials: int) -> list[dict]:
-    """Run trials 0..n-1, possibly in parallel; order of results is fixed."""
-    workers = _max_workers()
-    if workers == 1:
-        return [worker(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_trials)))
 
 
 def _read_json(path: str) -> dict:
@@ -173,9 +152,13 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
         return rho, hamiltonian
     obj = _read_json(config.input_path)
     try:
-        return density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
+        rho, hamiltonian = density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _InputError(f"bad state file {config.input_path}: {exc}") from exc
+    if rho.dim != hamiltonian.dim:
+        raise _InputError(f"bad state file {config.input_path}: rho has dimension {rho.dim}, "
+                          f"the Hamiltonian {hamiltonian.dim}")
+    return rho, hamiltonian
 
 
 def _cmd_ergotropy(config: argparse.Namespace):
@@ -230,7 +213,7 @@ def _cmd_verify_identities(config: argparse.Namespace):
             "optimal_unitary_gap": abs(probe.optimal_gap),
         }
 
-    trials = _map_trials(worker, config.trials)
+    trials = [worker(i) for i in range(config.trials)]
     max_dev9 = max(t["ergotropy_identity_dev"] for t in trials)
     max_dev11 = max(t["coherent_identity_dev"] for t in trials)
     max_chain = max(t["chain_identity_dev"] for t in trials)
@@ -408,7 +391,7 @@ def _cmd_otm(config: argparse.Namespace):
             "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
         }
 
-    trials = _map_trials(worker, config.trials)
+    trials = [worker(i) for i in range(config.trials)]
 
     # Documented equality case: sudden quench from diag(0, 1) onto a coupled qubit.
     h_a = HermitianOperator(np.diag([0.0, 1.0]))

@@ -100,6 +100,10 @@ def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
     rows = sorted((int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader if r)
     if not rows:
         raise ValueError("grid CSV has no rows")
+    for position, row in enumerate(rows):
+        if row[0] != position:
+            raise ValueError(f"grid CSV index {row[0]} is repeated or out of range: "
+                             f"the indices must be 0..{len(rows) - 1}, each once")
     grid = PhaseGrid(
         energy_a=[r[1] for r in rows], energy_b=[r[2] for r in rows]
     )

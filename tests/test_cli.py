@@ -60,17 +60,6 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        for args in (
-            ("otm", "--dim", "2", "--trials", "6", "--seed", "3"),
-            ("verify-identities", "--dim", "8", "--trials", "6", "--seed", "3"),
-        ):
-            monkeypatch.delenv("ERGOKIT_THREADS", raising=False)
-            _, serial, _ = run_cli(capsys, *args)
-            monkeypatch.setenv("ERGOKIT_THREADS", "4")
-            _, threaded, _ = run_cli(capsys, *args)
-            assert serial == threaded
-
 
 class TestEigensolverCalls:
     @pytest.mark.parametrize(
@@ -136,6 +125,19 @@ class TestErgotropyCommand:
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "ergotropy", "--input", "/nonexistent/state.json")
         assert code == 2
+
+    def test_state_and_hamiltonian_of_different_dimension_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(round_floats({
+            "rho": matrix_to_json(random_density(2, stream(4)).matrix),
+            "hamiltonian": matrix_to_json(random_hermitian(3, stream(5)).matrix),
+        })))
+        code, out, err = run_cli(capsys, "ergotropy", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: bad state file {path}: rho has dimension 2, the Hamiltonian 3"
+        ]
 
 
 class TestClassicalCommand:
@@ -434,6 +436,15 @@ class TestArgumentValidation:
         lines = capsys.readouterr().out.splitlines()
         assert f"CSV columns (--format csv): {CSV_COLUMNS[command]}" in lines
 
+    @pytest.mark.parametrize("command", ["verify-identities", "otm"])
+    def test_random_state_sweeps_take_no_input_file(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--input", "anything.json"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unrecognized arguments: --input anything.json"]
+
     def test_nonpositive_beta_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["verify-identities", "--beta", "0"])
@@ -515,16 +526,6 @@ class TestErrorContract:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [line]
 
-    @pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-    def test_malformed_thread_count_exits_2(self, capsys, monkeypatch, threads):
-        monkeypatch.setenv("ERGOKIT_THREADS", threads)
-        code, out, err = run_cli(capsys, "verify-identities", "--dim", "2", "--trials", "3")
-        assert code == 2
-        assert out == ""
-        assert err.splitlines() == [
-            f"error: ERGOKIT_THREADS must be a positive integer, got {threads!r}"
-        ]
-
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
         from ergokit import ErgotropyReport, cli
 
@@ -578,10 +579,27 @@ assert sys.modules["scipy"] is None
 """
 
 
+_SERIAL_SWEEP_SCRIPT = """
+import contextlib, io, sys
+from ergokit import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify-identities", "--trials", "3"]) == 0
+    assert cli.main(["otm", "--trials", "2"]) == 0
+assert "concurrent.futures" not in sys.modules
+"""
+
+
 class TestStartup:
     def test_runs_with_scipy_blocked(self):
         proc = subprocess.run(
             [sys.executable, "-c", _STARTUP_SCRIPT], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_trial_sweeps_start_no_thread_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SERIAL_SWEEP_SCRIPT], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -88,6 +88,17 @@ def test_grid_csv_rejects_bad_header():
         grid_from_csv("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize(
+    "indices, bad", [((0, 0), 0), ((0, 7), 7)], ids=["duplicate", "gap"]
+)
+def test_grid_csv_rejects_an_index_column_other_than_0_to_n(indices, bad):
+    text = "index,energy_a,energy_b,weight\n" + "".join(
+        f"{i},0,0,0.5\n" for i in indices
+    )
+    with pytest.raises(ValueError, match=f"index {bad} is repeated or out of range"):
+        grid_from_csv(text)
+
+
 def test_float_formatting():
     assert format_float(0.1234567890123456) == "0.123456789012"
     assert format_float(1.0) == "1"
