@@ -395,6 +395,13 @@ def _random_doubly_stochastic(
     return weights, images
 
 
+def _inverse_images(images: np.ndarray) -> np.ndarray:
+    """Row c holds the inverse of the permutation images[c]."""
+    inverse = np.empty_like(images)
+    inverse[np.arange(len(images))[:, None], images] = np.arange(images.shape[1])
+    return inverse
+
+
 def _mixing_rows(
     weights: np.ndarray, images: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -407,9 +414,7 @@ def _mixing_rows(
     coefficient once instead of adding two products.
     """
     components, n = images.shape
-    sources = np.empty((components + 1, n), dtype=np.intp)
-    sources[0] = np.arange(n)
-    sources[np.arange(1, components + 1)[:, None], images] = np.arange(n)
+    sources = np.vstack([np.arange(n), _inverse_images(images)])
     coefficients = np.empty(sources.shape)
     coefficients[0] = 1.0 - epsilon
     coefficients[1:] = (epsilon * weights)[:, None]
@@ -421,11 +426,10 @@ def _mixing_rows(
     return sources, coefficients
 
 
-def _probe_mixing(n: int, seed: int, k: int, epsilon: float):
-    """Probe k's draw: the mixture weights and ``_mixing_rows`` layers.  One
-    stream per probe, so the same seed draws the same R at every epsilon."""
-    weights, images = _random_doubly_stochastic(n, stream(seed, k))
-    return (weights, *_mixing_rows(weights, images, epsilon))
+def _probe_draw(n: int, seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe k's R as (weights, images).  One stream per probe, so the same
+    seed draws the same R at every epsilon."""
+    return _random_doubly_stochastic(n, stream(seed, k))
 
 
 @dataclass(frozen=True)
@@ -460,13 +464,12 @@ class StationarityProbeResult:
         n = joint.n_cells
         out = np.empty(self.n_perturbations)
         for k in range(self.n_perturbations):
-            _, sources, coefficients = _probe_mixing(n, self.seed, k, self.epsilon)
+            sources, coefficients = _mixing_rows(*_probe_draw(n, self.seed, k), self.epsilon)
             # Layer l of xi moves row sources[l, g] to row g, so entry (r, j)
             # of the joint lands on row targets[l, r] with that row's
             # coefficient.  Listing xi J probe layer by joint layer sums a
             # repeated entry in the order of the dense product's layer loop.
-            targets = np.empty_like(sources)
-            targets[np.arange(len(sources))[:, None], sources] = np.arange(n)
+            targets = _inverse_images(sources)
             rows = targets[:, joint.rows]
             values = np.take_along_axis(coefficients[:, None, :], rows, axis=2) * joint.values
             entries, row_sums = _row_major(rows.reshape(-1, n), values.reshape(-1, n))
@@ -512,8 +515,8 @@ def stationarity_probe(
 
     delta_first = np.empty(n_perturbations)
     for k in range(n_perturbations):
-        weights, sources, _ = _probe_mixing(n, seed, k, epsilon)
-        mixed_marginal = weights @ marginal[sources[1:]]
+        weights, images = _probe_draw(n, seed, k)
+        mixed_marginal = weights @ marginal[_inverse_images(images)]
         delta_first[k] = -epsilon * float((mixed_marginal - marginal) @ log_eq)
 
     pa_uniform = bool(np.max(np.abs(p_a.weights - 1.0 / n)) <= 1e-12)

@@ -1,24 +1,24 @@
 """Command-line front end: seeded experiments, identity sweeps, and JSON/CSV
 reports.
 
-Every subcommand prints a machine-readable JSON report (schema 2, sorted keys,
-floats at 12 significant digits, kernels in the forms of ``serialize``) to
-stdout, encoded in one pass by ``_dumps``.  ``--output`` additionally writes
-the report, or a plot-ready CSV table when ``--format csv`` is chosen.  Exit
-status is 0 when every asserted invariant holds at the configured tolerance, 1
-on an invariant failure, and 2 on I/O, parse, configuration, or scope
-(``OutOfScope``) errors.
+Each subcommand is one ``COMMANDS`` entry and takes only the options it reads;
+its report's ``config`` echoes their values.  Every subcommand prints a
+machine-readable JSON report (schema 2, sorted keys, floats at 12 significant
+digits, kernels in the forms of ``serialize``) to stdout, encoded in one pass
+by ``_dumps``.  ``--output`` additionally writes the report, or a plot-ready
+CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
+asserted invariant holds at the configured tolerance, 1 on an invariant
+failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,6 +62,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A Philox key with room above it: the probes key their streams by
+    seed + 1, seed + 2 and seed + 7919 i, all below 2**128."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``error: ...`` line on stderr (exit 2);
     subparsers are built from the same class."""
@@ -70,59 +79,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-CSV_COLUMNS = {
-    "ergotropy": "total,via_entropies,via_geometric,coherent_eq11,incoherent,"
-                 "dephased_ergotropy,beta_used,passive_energy",
-    "verify-identities": "trial,ergotropy_identity_dev,coherent_identity_dev,"
-                         "chain_identity_dev,unitary_min_gap,optimal_unitary_gap",
-    "classical": "index,energy_a,energy_b,weight,phi",
-    "geometric-z": "dim,beta,samples,estimate,standard_error,closed_form,z_score",
-    "otm": "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,"
-           "decomposition_dev,conditional_z_identity_dev",
+# The value options, each defined once as (type, default, help).  A subcommand
+# registers those its ``Command.options`` names; its report's ``config`` echoes them.
+_OPTIONS = {
+    "beta": (_positive_float, 1.0, "inverse temperature (k_B = 1)"),
+    "dim": (_positive_int, 2, "Hilbert-space dimension / number of grid cells"),
+    "trials": (_positive_int, 100, "number of random trials"),
+    "seed": (_seed, 0, "master seed for all random streams, in [0, 2**64)"),
+    "tolerance": (_positive_float, 1e-8, "tolerance for the identity checks"),
+    "samples": (_positive_int, 100000, "Monte Carlo sample count"),
 }
-
-
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = _Parser(
-        prog="ergokit",
-        description="Quantum/classical ergotropy experiments with reproducible seeds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "ergotropy": "Full ergotropy report (direct, entropy, and geometric routes) for one state.",
-        "verify-identities": "Random-state sweep of the ergotropy and coherence identities.",
-        "classical": "Grid experiment: classical ergotropy routes, inhomogeneity, probes.",
-        "geometric-z": "Monte Carlo geometric partition function with error bars.",
-        "otm": "Driven-protocol work accounting and the sharpened maximum work bound.",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(
-            name,
-            help=help_text,
-            description=help_text,
-            epilog=f"CSV columns (--format csv): {CSV_COLUMNS[name]}",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.add_argument("--beta", type=_positive_float, default=1.0, help="inverse temperature (k_B = 1)")
-        p.add_argument("--dim", type=_positive_int, default=2,
-                       help="Hilbert-space dimension / number of grid cells")
-        p.add_argument("--trials", type=_positive_int, default=100, help="number of random trials")
-        p.add_argument("--seed", type=int, default=0, help="master seed for all random streams")
-        p.add_argument("--tolerance", type=_positive_float, default=1e-8,
-                       help="tolerance for the identity checks")
-        p.add_argument("--samples", type=_positive_int, default=100000,
-                       help="Monte Carlo / Haar sample count")
-        if name in ("ergotropy", "classical", "geometric-z"):
-            p.add_argument("--input", dest="input_path", default=None,
-                           help="input file (JSON; grid tables may be CSV "
-                                "index,energy_a,energy_b,weight)")
-        p.add_argument("--output", dest="output_path", default=None,
-                       help="write the report here (JSON, or CSV with --format csv)")
-        p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json",
-                       help="--output format; see the epilog for the CSV columns")
-    return parser
 
 
 def _read_json(path: str) -> dict:
@@ -141,8 +107,8 @@ def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
 
 
 # ----------------------------------------------------------------------------
-# Subcommands.  Each returns (results, checks, csv_header, csv_rows); the rows
-# are read once, and only for ``--format csv``.
+# Subcommands.  Each returns (results, checks, csv_rows): the rows map column
+# names to cells, and are read once, and only for ``--format csv``.
 
 
 def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
@@ -183,9 +149,7 @@ def _cmd_ergotropy(config: argparse.Namespace):
         "state": matrix_to_json(rho.matrix),
         "hamiltonian": matrix_to_json(hamiltonian.matrix),
     }
-    header = CSV_COLUMNS["ergotropy"].split(",")
-    rows = [[results[k] for k in header]]
-    return results, checks, header, rows
+    return results, checks, [results]
 
 
 def _cmd_verify_identities(config: argparse.Namespace):
@@ -214,30 +178,23 @@ def _cmd_verify_identities(config: argparse.Namespace):
         }
 
     trials = [worker(i) for i in range(config.trials)]
-    max_dev9 = max(t["ergotropy_identity_dev"] for t in trials)
-    max_dev11 = max(t["coherent_identity_dev"] for t in trials)
-    max_chain = max(t["chain_identity_dev"] for t in trials)
-    min_gap = min(t["unitary_min_gap"] for t in trials)
-    max_opt = max(t["optimal_unitary_gap"] for t in trials)
-    checks = {
-        "ergotropy_identity": _check(max_dev9, config.tolerance),
-        "coherent_identity": _check(max_dev11, config.tolerance),
-        "chain_identity": _check(max_chain, 1e-9),
-        "unitary_minimum_bound": _check(min_gap, -1e-9, at_most=False),
-        "optimal_unitary_equality": _check(max_opt, 1e-9),
-    }
     results = {
         "trials": config.trials,
-        "max_ergotropy_identity_dev": max_dev9,
-        "max_coherent_identity_dev": max_dev11,
-        "max_chain_identity_dev": max_chain,
-        "min_unitary_min_gap": min_gap,
-        "max_optimal_unitary_gap": max_opt,
+        "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),
+        "max_coherent_identity_dev": max(t["coherent_identity_dev"] for t in trials),
+        "max_chain_identity_dev": max(t["chain_identity_dev"] for t in trials),
+        "min_unitary_min_gap": min(t["unitary_min_gap"] for t in trials),
+        "max_optimal_unitary_gap": max(t["optimal_unitary_gap"] for t in trials),
         "haar_samples_per_trial": probe_samples,
     }
-    header = CSV_COLUMNS["verify-identities"].split(",")
-    rows = [[t[k] for k in header] for t in trials]
-    return results, checks, header, rows
+    checks = {
+        "ergotropy_identity": _check(results["max_ergotropy_identity_dev"], config.tolerance),
+        "coherent_identity": _check(results["max_coherent_identity_dev"], config.tolerance),
+        "chain_identity": _check(results["max_chain_identity_dev"], 1e-9),
+        "unitary_minimum_bound": _check(results["min_unitary_min_gap"], -1e-9, at_most=False),
+        "optimal_unitary_equality": _check(results["max_optimal_unitary_gap"], 1e-9),
+    }
+    return results, checks, trials
 
 
 def _load_grid_experiment(config: argparse.Namespace):
@@ -327,10 +284,10 @@ def _cmd_classical(config: argparse.Namespace):
         "experiment_negative_probes": experiment_probe.n_negative_first_order,
     }
     checks["uniform_stationarity_envelope"] = _check(uniform_max, uniform_probe.first_order_bound)
-    header = CSV_COLUMNS["classical"].split(",")
-    rows = zip(range(n), grid.energy_a.tolist(), grid.energy_b.tolist(), p_a.weights.tolist(),
-               phi.tolist())
-    return results, checks, header, rows
+    rows = (dict(index=i, energy_a=a, energy_b=b, weight=w, phi=f) for i, a, b, w, f in zip(
+        range(n), grid.energy_a.tolist(), grid.energy_b.tolist(), p_a.weights.tolist(),
+        phi.tolist()))
+    return results, checks, rows
 
 
 def _cmd_geometric_z(config: argparse.Namespace):
@@ -361,9 +318,7 @@ def _cmd_geometric_z(config: argparse.Namespace):
         "z_score": z_score,
     }
     checks = {"within_four_standard_errors": _check(z_score, 4.0)}
-    header = CSV_COLUMNS["geometric-z"].split(",")
-    rows = [[hamiltonian.dim, config.beta, config.samples, estimate, stderr, closed, z_score]]
-    return results, checks, header, rows
+    return results, checks, [{**results, "beta": config.beta}]
 
 
 def _cmd_otm(config: argparse.Namespace):
@@ -402,39 +357,91 @@ def _cmd_otm(config: argparse.Namespace):
     eigs = np.linalg.eigvalsh(h_b.matrix)
     oracle = float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0)))
 
-    min_gap = min(t["jensen_gap"] for t in trials)
-    max_decomposition = max(t["decomposition_dev"] for t in trials)
-    max_z_identity = max(t["conditional_z_identity_dev"] for t in trials)
-    min_w_irr = min(t["w_irr"] for t in trials)
-    checks = {
-        "maximum_work_bound": _check(min_gap, -1e-9, at_most=False),
-        "bound_decomposition": _check(max_decomposition, 1e-9),
-        "conditional_z_identity": _check(max_z_identity, 1e-9),
-        "irreversible_work_nonnegative": _check(min_w_irr, -1e-9, at_most=False),
-        "sudden_quench_equality": _check(abs(quench.beta * quench.w_irr - quench.bound), 1e-9),
-        "sudden_quench_value": _check(abs(quench.bound - oracle), 1e-6),
-    }
     results = {
         "trials": config.trials,
-        "min_jensen_gap": min_gap,
-        "max_decomposition_dev": max_decomposition,
-        "max_conditional_z_identity_dev": max_z_identity,
+        "min_jensen_gap": min(t["jensen_gap"] for t in trials),
+        "max_decomposition_dev": max(t["decomposition_dev"] for t in trials),
+        "max_conditional_z_identity_dev": max(t["conditional_z_identity_dev"] for t in trials),
         "sudden_quench_bound": quench.bound,
         "sudden_quench_oracle": oracle,
         "sudden_quench_w_irr": quench.w_irr,
     }
-    header = CSV_COLUMNS["otm"].split(",")
-    rows = [[t[k] for k in header] for t in trials]
-    return results, checks, header, rows
+    checks = {
+        "maximum_work_bound": _check(results["min_jensen_gap"], -1e-9, at_most=False),
+        "bound_decomposition": _check(results["max_decomposition_dev"], 1e-9),
+        "conditional_z_identity": _check(results["max_conditional_z_identity_dev"], 1e-9),
+        "irreversible_work_nonnegative":
+            _check(min(t["w_irr"] for t in trials), -1e-9, at_most=False),
+        "sudden_quench_equality": _check(abs(quench.beta * quench.w_irr - quench.bound), 1e-9),
+        "sudden_quench_value": _check(abs(quench.bound - oracle), 1e-6),
+    }
+    return results, checks, trials
 
 
-_COMMANDS = {
-    "ergotropy": _cmd_ergotropy,
-    "verify-identities": _cmd_verify_identities,
-    "classical": _cmd_classical,
-    "geometric-z": _cmd_geometric_z,
-    "otm": _cmd_otm,
+class Command(NamedTuple):
+    """A subcommand: what it runs, the value options it reads, those of them an
+    ``--input`` file replaces (None: it takes no ``--input``), its help text
+    and its CSV columns."""
+
+    run: Callable[[argparse.Namespace], tuple[dict, dict, Iterable[dict]]]
+    options: tuple[str, ...]
+    input_replaces: tuple[str, ...] | None
+    help: str
+    csv_columns: str
+
+
+COMMANDS = {
+    "ergotropy": Command(
+        _cmd_ergotropy, ("beta", "dim", "seed", "tolerance"), ("dim", "seed"),
+        "Full ergotropy report (direct, entropy, and geometric routes) for one state.",
+        "total,via_entropies,via_geometric,coherent_eq11,incoherent,dephased_ergotropy,"
+        "beta_used,passive_energy"),
+    "verify-identities": Command(
+        _cmd_verify_identities, ("beta", "dim", "trials", "seed", "tolerance"), None,
+        "Random-state sweep of the ergotropy and coherence identities.",
+        "trial,ergotropy_identity_dev,coherent_identity_dev,chain_identity_dev,"
+        "unitary_min_gap,optimal_unitary_gap"),
+    "classical": Command(
+        _cmd_classical, ("beta", "dim", "trials", "seed"), ("dim",),
+        "Grid experiment: classical ergotropy routes, inhomogeneity, probes.",
+        "index,energy_a,energy_b,weight,phi"),
+    "geometric-z": Command(
+        _cmd_geometric_z, ("beta", "dim", "seed", "samples"), ("dim",),
+        "Monte Carlo geometric partition function with error bars.",
+        "dim,beta,samples,estimate,standard_error,closed_form,z_score"),
+    "otm": Command(
+        _cmd_otm, ("beta", "dim", "trials", "seed"), None,
+        "Driven-protocol work accounting and the sharpened maximum work bound.",
+        "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,decomposition_dev,"
+        "conditional_z_identity_dev"),
 }
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged).
+    A value option enters the namespace only if given; ``main`` adds defaults."""
+    parser = _Parser(prog="ergokit",
+                     description="Quantum/classical ergotropy experiments with reproducible seeds.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, description=command.help,
+                           epilog=f"CSV columns (--format csv): {command.csv_columns}",
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        for option, (kind, default, text) in _OPTIONS.items():
+            if option in command.options:
+                p.add_argument(f"--{option}", type=kind, default=argparse.SUPPRESS,
+                               help=f"{text}; default {default}")
+        if command.input_replaces is not None:
+            p.add_argument("--input", dest="input_path", default=None,
+                           help="input file (JSON; grid tables may be CSV "
+                                "index,energy_a,energy_b,weight); replaces --"
+                                + " and --".join(command.input_replaces))
+        p.add_argument("--output", dest="output_path", default=None,
+                       help="write the report here (JSON, or CSV with --format csv)")
+        p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json",
+                       help="--output format; see the epilog for the CSV columns")
+    return parser
 
 
 def _float_tokens(values: list[float]) -> list[str]:
@@ -524,39 +531,30 @@ def _dumps(obj, indent: str = "") -> str:
     return json.dumps(obj)
 
 
-def _emit(config: argparse.Namespace, results: dict, checks: dict, header: list,
-          rows: Iterable[Sequence]) -> None:
+def _emit(config: argparse.Namespace, results: dict, checks: dict,
+          rows: Iterable[dict]) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": config.command,
-        "config": {
-            "beta": config.beta,
-            "dim": config.dim,
-            "seed": config.seed,
-            "trials": config.trials,
-            "tolerance": config.tolerance,
-            "samples": config.samples,
-        },
+        "config": {name: value for name, value in vars(config).items() if name in _OPTIONS},
         "results": results,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
     text = _dumps(payload) + "\n"
     sys.stdout.write(text)
-    if config.output_path is not None:
-        if config.out_format == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [format_float(x) if isinstance(x, float) else x for x in row]
-                )
-            content = buf.getvalue()
-        else:
-            content = text
-        with open(config.output_path, "w", encoding="utf-8") as handle:
-            handle.write(content)
+    if config.output_path is None:
+        return
+    with open(config.output_path, "w", encoding="utf-8") as handle:
+        if config.out_format == "json":
+            handle.write(text)
+            return
+        columns = COMMANDS[config.command].csv_columns.split(",")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            cells = [row[k] for k in columns]
+            writer.writerow([format_float(x) if isinstance(x, float) else x for x in cells])
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -564,8 +562,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = parser.parse_args(argv)
     if config.out_format == "csv" and config.output_path is None:
         parser.error("--format csv requires --output")
+    command = COMMANDS[config.command]
+    replaced = () if getattr(config, "input_path", None) is None else command.input_replaces
+    for name in command.options:
+        if name not in replaced:
+            vars(config).setdefault(name, _OPTIONS[name][1])
+        elif hasattr(config, name):
+            parser.error(f"argument --{name}: not allowed with argument --input")
     try:
-        results, checks, header, rows = _COMMANDS[config.command](config)
+        results, checks, rows = command.run(config)
     except (_InputError, OutOfScope) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -573,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(config, results, checks, header, rows)
+        _emit(config, results, checks, rows)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

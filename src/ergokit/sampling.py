@@ -13,8 +13,15 @@ from .quantum import DensityMatrix, HermitianOperator
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator number ``index`` of the stream keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    """Independent generator number ``index`` (0 <= index < 2**64) of the stream
+    keyed by ``seed`` (0 <= seed < 2**128).
+
+    It starts where ``Philox(key=seed).jumped(index)`` does, with the jump
+    written into the counter's third word; the counter is built as uint64,
+    since numpy would route a list entry above 2**63 through float64.
+    """
+    counter = np.array([0, 0, index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

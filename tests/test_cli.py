@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ergokit import classical
-from ergokit.cli import CSV_COLUMNS, _dumps, _float_tokens, main
+from ergokit.cli import COMMANDS, _dumps, _float_tokens, main
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
 
@@ -428,22 +429,100 @@ class TestOtmCommand:
 
 
 class TestArgumentValidation:
-    @pytest.mark.parametrize("command", sorted(CSV_COLUMNS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_subcommand_help_prints_its_csv_columns(self, capsys, command):
         with pytest.raises(SystemExit) as info:
             main([command, "--help"])
         assert info.value.code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert f"CSV columns (--format csv): {CSV_COLUMNS[command]}" in lines
+        assert f"CSV columns (--format csv): {COMMANDS[command].csv_columns}" in lines
 
-    @pytest.mark.parametrize("command", ["verify-identities", "otm"])
-    def test_random_state_sweeps_take_no_input_file(self, capsys, command):
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            pytest.param(argv, "error: unrecognized arguments: " + " ".join(argv[1:]),
+                         id="-".join(argv))
+            for argv in [
+                ("ergotropy", "--trials", "5"),
+                ("ergotropy", "--samples", "5"),
+                ("verify-identities", "--samples", "5"),
+                ("verify-identities", "--input", "anything.json"),
+                ("classical", "--tolerance", "1e-3"),
+                ("classical", "--samples", "5"),
+                ("geometric-z", "--trials", "5"),
+                ("geometric-z", "--tolerance", "1e-3"),
+                ("otm", "--tolerance", "1e-3"),
+                ("otm", "--samples", "5"),
+                ("otm", "--input", "anything.json"),
+            ]
+        ] + [
+            pytest.param(argv, f"error: argument {flag}: not allowed with argument --input",
+                         id="-".join(argv))
+            for argv, flag in [
+                (("ergotropy", "--input", "anything.json", "--dim", "40"), "--dim"),
+                # Refused also at its default value.
+                (("ergotropy", "--input", "anything.json", "--seed", "0"), "--seed"),
+                (("classical", "--dim", "2", "--input", "anything.json"), "--dim"),
+                (("geometric-z", "--input", "anything.json", "--dim", "5"), "--dim"),
+            ]
+        ],
+    )
+    def test_subcommand_refuses_options_it_leaves_unused(self, capsys, argv, line):
         with pytest.raises(SystemExit) as info:
-            main([command, "--input", "anything.json"])
+            main(list(argv))
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: unrecognized arguments: --input anything.json"]
+        assert captured.err.splitlines() == [line]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ergotropy",),
+            ("verify-identities", "--trials", "1"),
+            ("classical", "--dim", "4", "--trials", "1"),
+            ("geometric-z", "--samples", "1000"),
+            ("otm", "--trials", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_echoes_the_value_options_in_the_help(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        flags = set(re.findall(r"^  --(\w+)", capsys.readouterr().out, re.M))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert set(json.loads(out)["config"]) == flags - {"input", "output", "format"}
+
+    def test_input_reports_echo_only_the_options_they_read(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "ergotropy", "--dim", "3")
+        state = json.loads(out)["results"]
+        _, out, _ = run_cli(capsys, "classical", "--dim", "6", "--trials", "1")
+        grid = json.loads(out)["results"]
+        cases = [
+            ("ergotropy", {"rho": state["state"], "hamiltonian": state["hamiltonian"]}, (),
+             {"beta", "tolerance"}),
+            ("classical", {"grid": grid["grid"], "kernel": grid["kernel"]}, ("--trials", "1"),
+             {"beta", "seed", "trials"}),
+            ("geometric-z", {"hamiltonian": state["hamiltonian"]}, ("--samples", "1000"),
+             {"beta", "samples", "seed"}),
+        ]
+        for command, payload, extra, kept in cases:
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(payload))
+            code, out, _ = run_cli(capsys, command, "--input", str(path), *extra)
+            assert code == 0
+            assert set(json.loads(out)["config"]) == kept
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("classical", "--dim", "4", "--trials", "2"), ("verify-identities", "--trials", "2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_largest_seed_keys_every_derived_stream(self, capsys, argv):
+        # The probes key their streams by seed + 1, seed + 2 and seed + 7919 i.
+        code, _, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+        assert (code, err) == (0, "")
 
     def test_nonpositive_beta_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -497,12 +576,20 @@ class TestErrorContract:
             ("verify-identities", "--trials", "0"),
             (),
             ("classical", "--format", "csv"),
+            ("ergotropy", "--seed", "-1"),
+            ("verify-identities", "--seed", str(2**128)),
+            ("classical", "--seed", "-1"),
+            ("geometric-z", "--seed", str(2**128)),
+            ("otm", "--seed", str(2**64)),
         ],
         ids=[
             "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
             "geometric-z-gibbs-underflow", "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
             "geometric-z-99-samples", "argparse-beta-nan", "argparse-dim-0", "argparse-trials-0",
             "argparse-no-subcommand", "argparse-csv-without-output",
+            "argparse-ergotropy-seed-negative", "argparse-verify-identities-seed-2**128",
+            "argparse-classical-seed-negative", "argparse-geometric-z-seed-2**128",
+            "argparse-otm-seed-2**64",
         ],
     )
     def test_out_of_scope_exits_2_with_one_error_line(self, argv):

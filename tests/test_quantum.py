@@ -370,3 +370,18 @@ class TestRandomSweeps:
         assert np.allclose(
             np.linalg.eigvalsh(rotated.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
         )
+
+
+class TestStreams:
+    @pytest.mark.parametrize(
+        "seed, index",
+        [(0, 0), (0, 1), (7, 5), (2**64 - 1, 3), (12345, 2**53 + 1), (3, 2**63),
+         (3, 2**63 + 1), (2**128 - 1, 2**64 - 1)],
+    )
+    def test_stream_starts_where_the_jumped_key_does(self, seed, index):
+        jumped = np.random.Philox(key=seed).jumped(index)
+        state = stream(seed, index).bit_generator.state["state"]
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(state[name], jumped.state["state"][name])
+        np.testing.assert_array_equal(stream(seed, index).random(9),
+                                      np.random.Generator(jumped).random(9))
