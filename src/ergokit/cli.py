@@ -379,38 +379,42 @@ def _cmd_otm(config: argparse.Namespace):
 
 
 class Command(NamedTuple):
-    """A subcommand: what it runs, the value options it reads, those of them an
-    ``--input`` file replaces (None: it takes no ``--input``), its help text
-    and its CSV columns."""
+    """A subcommand: what it runs, the value options it reads, the file its ``--input``
+    reads (None: no ``--input``) and the options that replaces, its help and CSV columns."""
 
     run: Callable[[argparse.Namespace], tuple[dict, dict, Iterable[dict]]]
     options: tuple[str, ...]
-    input_replaces: tuple[str, ...] | None
+    input_file: str | None
+    input_replaces: tuple[str, ...]
     help: str
     csv_columns: str
 
 
 COMMANDS = {
     "ergotropy": Command(
-        _cmd_ergotropy, ("beta", "dim", "seed", "tolerance"), ("dim", "seed"),
+        _cmd_ergotropy, ("beta", "dim", "seed", "tolerance"),
+        "state file (JSON with rho and hamiltonian)", ("dim", "seed"),
         "Full ergotropy report (direct, entropy, and geometric routes) for one state.",
         "total,via_entropies,via_geometric,coherent_eq11,incoherent,dephased_ergotropy,"
         "beta_used,passive_energy"),
     "verify-identities": Command(
-        _cmd_verify_identities, ("beta", "dim", "trials", "seed", "tolerance"), None,
+        _cmd_verify_identities, ("beta", "dim", "trials", "seed", "tolerance"), None, (),
         "Random-state sweep of the ergotropy and coherence identities.",
         "trial,ergotropy_identity_dev,coherent_identity_dev,chain_identity_dev,"
         "unitary_min_gap,optimal_unitary_gap"),
     "classical": Command(
-        _cmd_classical, ("beta", "dim", "trials", "seed"), ("dim",),
+        _cmd_classical, ("beta", "dim", "trials", "seed"),
+        "grid file (JSON with grid and an optional kernel, or a .csv table "
+        "index,energy_a,energy_b,weight)", ("dim",),
         "Grid experiment: classical ergotropy routes, inhomogeneity, probes.",
         "index,energy_a,energy_b,weight,phi"),
     "geometric-z": Command(
-        _cmd_geometric_z, ("beta", "dim", "seed", "samples"), ("dim",),
+        _cmd_geometric_z, ("beta", "dim", "seed", "samples"),
+        "Hamiltonian file (JSON with hamiltonian)", ("dim",),
         "Monte Carlo geometric partition function with error bars.",
         "dim,beta,samples,estimate,standard_error,closed_form,z_score"),
     "otm": Command(
-        _cmd_otm, ("beta", "dim", "trials", "seed"), None,
+        _cmd_otm, ("beta", "dim", "trials", "seed"), None, (),
         "Driven-protocol work accounting and the sharpened maximum work bound.",
         "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,decomposition_dev,"
         "conditional_z_identity_dev"),
@@ -432,10 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
             if option in command.options:
                 p.add_argument(f"--{option}", type=kind, default=argparse.SUPPRESS,
                                help=f"{text}; default {default}")
-        if command.input_replaces is not None:
+        if command.input_file is not None:
             p.add_argument("--input", dest="input_path", default=None,
-                           help="input file (JSON; grid tables may be CSV "
-                                "index,energy_a,energy_b,weight); replaces --"
+                           help=f"{command.input_file}; replaces --"
                                 + " and --".join(command.input_replaces))
         p.add_argument("--output", dest="output_path", default=None,
                        help="write the report here (JSON, or CSV with --format csv)")
@@ -478,14 +481,6 @@ def _array_tokens(array: np.ndarray) -> list[str]:
     return tokens
 
 
-def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Already encoded ``items`` one per line between ``brackets``."""
-    if not items:
-        return brackets
-    inner = indent + "  "
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
-
-
 def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
     """The text before the first entry of an array of ``shape`` (no zero in
     it) and the text after each entry, the last one closing the array."""
@@ -499,7 +494,7 @@ def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
     return "[\n" + inner + head, tails
 
 
-def _dumps(obj, indent: str = "") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(round_floats(obj), sort_keys=True, indent=2)`` for
     string-keyed payloads, in one pass.
 
@@ -507,28 +502,41 @@ def _dumps(obj, indent: str = "") -> str:
     encoder and writes each float's shortest repr.  This copies that layout,
     rounds each float as it writes it (``_float_tokens``), and takes float,
     int and bool ndarrays whole, with no list of rounded floats in between.
+    Every piece goes to one list, joined once, so no level copies the text below it.
     """
+    out: list[str] = []
+    _encode(obj, "", out)
+    return "".join(out)
+
+
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``obj``'s text, its first line at ``indent``, to ``out``."""
     if isinstance(obj, (float, np.floating)):
-        return _float_tokens([float(obj)])[0]
-    if isinstance(obj, np.ndarray):
-        if not obj.size:  # a zero side, (r, 0) or (0, c): nested empty lists
-            return _dumps(obj.tolist(), indent)
+        out.append(_float_tokens([float(obj)])[0])
+    elif isinstance(obj, np.ndarray) and obj.size:
         head, tails = _layout(obj.shape, indent)
-        pieces = [""] * (2 * obj.size)
-        pieces[::2] = _array_tokens(obj)
-        pieces[1::2] = tails
-        return head + "".join(pieces)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        return _block([f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(obj.items())],
-                      indent, "{}")
-    if isinstance(obj, (list, tuple)):
-        return _block([_dumps(v, inner) for v in obj], indent)
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return json.dumps(obj)
+        pieces = [head] * (2 * obj.size + 1)
+        pieces[1::2] = _array_tokens(obj)
+        pieces[2::2] = tails
+        out += pieces
+    elif isinstance(obj, np.ndarray):  # a zero side, (r, 0) or (0, c): nested empty lists
+        _encode(obj.tolist(), indent, out)
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        items = ([(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())] if brackets == "{}"
+                 else [("", v) for v in obj])
+        inner, sep = indent + "  ", brackets[0]
+        for key, value in items:
+            out.append(f"{sep}\n{inner}{key}")
+            _encode(value, inner, out)
+            sep = ","
+        out.append(f"\n{indent}{brackets[1]}" if items else brackets)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    else:
+        out.append(json.dumps(obj))
 
 
 def _emit(config: argparse.Namespace, results: dict, checks: dict,

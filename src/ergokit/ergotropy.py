@@ -223,21 +223,21 @@ def unitary_min_probe(
     live = p_spec.values > SUPPORT_FLOOR
     p_live = p_spec.values[live]
     v_live = p_spec.vectors[:, live]
-    s_support = s_vectors[:, : len(ln_s)]
+    s_adjoint = s_vectors[:, : len(ln_s)].conj().T
     entropy_term = float((p_live * np.log(p_live)).sum())
     if len(p_live) > len(ln_s):
         raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
     bound = entropy_term - float(p_live @ ln_s[: len(p_live)])
 
     def entropies(units: np.ndarray) -> np.ndarray:
-        rotated = units @ v_live  # (m, d, n_live)
-        overlap = np.abs(np.einsum("dj,kdi->kji", s_support.conj(), rotated)) ** 2
+        amplitudes = s_adjoint @ (units @ v_live)  # <s_j|U|v_i>: (m, n_support, n_live)
+        overlap = amplitudes.real**2 + amplitudes.imag**2
         deviation = float(np.max(np.abs(overlap.sum(axis=1) - 1.0)))
         if deviation > SUPPORT_FLOOR:
             raise SupportViolation(
                 f"a rotated state leaks {deviation:.3e} outside support(sigma)"
             )
-        return entropy_term - np.einsum("kji,j,i->k", overlap, ln_s, p_live)
+        return entropy_term - (ln_s @ overlap) @ p_live
 
     rng = stream(seed)
     total = 0.0

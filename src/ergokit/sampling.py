@@ -31,8 +31,10 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-distributed unitaries, shape (count, dim, dim)."""
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    z = np.empty((count, dim, dim), dtype=complex)
+    z.real, z.imag = rng.standard_normal(z.shape), rng.standard_normal(z.shape)
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     diag = np.einsum("kii->ki", r)
     return q * (diag / np.abs(diag))[:, None, :]
 

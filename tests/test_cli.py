@@ -437,6 +437,16 @@ class TestArgumentValidation:
         lines = capsys.readouterr().out.splitlines()
         assert f"CSV columns (--format csv): {COMMANDS[command].csv_columns}" in lines
 
+    @pytest.mark.parametrize("command", ["ergotropy", "classical", "geometric-z"])
+    def test_input_help_offers_csv_only_where_it_is_read(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        entry = re.search(r"^  --input INPUT_PATH(.*?)^  --output", capsys.readouterr().out,
+                          re.M | re.S).group(1)
+        assert "JSON" in entry
+        assert ("csv" in entry.lower()) == (command == "classical")
+
     @pytest.mark.parametrize(
         "argv, line",
         [

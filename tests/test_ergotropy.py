@@ -25,8 +25,14 @@ from ergokit import (
     unitary_min_probe,
 )
 from ergokit.ergotropy import optimal_alignment_unitary
-from ergokit.errors import InvariantViolation
-from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
+from ergokit.errors import InvariantViolation, SupportViolation
+from ergokit.sampling import (
+    haar_unitaries,
+    haar_unitary,
+    random_density,
+    random_hermitian,
+    stream,
+)
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
@@ -199,6 +205,34 @@ class TestUnitaryMinProbe:
         b = unitary_min_probe(rho, sigma, 64, seed=9)
         assert a.min_entropy == b.min_entropy
         assert a.mean_entropy == b.mean_entropy
+
+    @pytest.mark.parametrize("dim", [2, 8, 28])
+    @pytest.mark.parametrize("gibbs", [True, False], ids=["gibbs-sigma", "matrix-sigma"])
+    @pytest.mark.parametrize("rank", [None, 2], ids=["full-rank-rho", "rank-2-rho"])
+    def test_matches_the_relative_entropy_of_each_rotated_state(self, dim, gibbs, rank):
+        rho = random_density(dim, stream(57, dim), rank=rank)
+        if gibbs:
+            sigma = gibbs_state(random_hermitian(dim, stream(58, dim)), 0.8)
+            sigma_matrix = sigma.rho
+        else:
+            sigma = sigma_matrix = random_density(dim, stream(59, dim))
+        n, seed = 24, 11 + dim
+        probe = unitary_min_probe(rho, sigma, n, seed=seed)
+        expected = [
+            quantum_relative_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T), sigma_matrix)
+            for u in haar_unitaries(dim, n, stream(seed))
+        ]
+        for value, reference in [(probe.min_entropy, min(expected)),
+                                 (probe.mean_entropy, float(np.mean(expected)))]:
+            assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
+        aligned = unitary_min_probe(rho, sigma, 1, seed=seed, include_optimal=True)
+        assert abs(aligned.optimal_gap) <= 1e-12
+
+    def test_a_rotated_state_leaking_out_of_the_support_is_refused(self):
+        rho = random_density(3, stream(60), rank=1)
+        sigma = random_density(3, stream(61), rank=2)
+        with pytest.raises(SupportViolation, match="a rotated state leaks"):
+            unitary_min_probe(rho, sigma, 8, seed=1)
 
 
 class TestReport:
