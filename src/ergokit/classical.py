@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Literal
 
 import numpy as np
@@ -32,6 +32,8 @@ WEIGHT_FLOOR = 1e-15
 # Asserted per-probe envelope on the first-order relative-entropy change when
 # the initial distribution is uniform over every cell.
 STATIONARITY_ENVELOPE = 10.0
+# Permutation-image entries per stationarity-probe block; no bit depends on it.
+PROBE_CHUNK = 1 << 16
 
 Surface = Literal["A", "B"]
 
@@ -384,15 +386,20 @@ def permutation_min_bruteforce(
     return float(totals[best]), tuple(int(i) for i in perms[best])
 
 
-def _random_doubly_stochastic(
-    n: int, rng: np.random.Generator, components: int = 4
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convex combination R = sum_c weights[c] P(images[c]) of random
-    permutation matrices, P(image)[image[j], j] = 1 (exactly doubly
-    stochastic), returned as (weights, images)."""
-    weights = rng.dirichlet(np.ones(components))
-    images = np.stack([rng.permutation(n) for _ in range(components)])
-    return weights, images
+def _probe_draws(n: int, seed: int, count: int):
+    """Perturbations 0..count-1 of the probe keyed by ``seed``, in blocks of
+    weights (B, 4) and images (B, 4, n): R_k = sum_c weights[k, c] P(images[k, c]),
+    P(image)[image[j], j] = 1, is exactly doubly stochastic.  The Dirichlet weights
+    come from ``stream(seed, 0)`` and the images, row by row, from ``stream(seed,
+    1)``, so perturbation k is the same at every ``count`` and block size."""
+    weights = stream(seed, 0).dirichlet(np.ones(4), size=count)
+    rng = stream(seed, 1)
+    step = max(1, PROBE_CHUNK // (4 * n))
+    for start in range(0, count, step):
+        block = weights[start:start + step]
+        images = np.tile(np.arange(n), (block.size, 1))
+        rng.permuted(images, axis=1, out=images)
+        yield block, images.reshape(*block.shape, n)
 
 
 def _inverse_images(images: np.ndarray) -> np.ndarray:
@@ -405,7 +412,7 @@ def _inverse_images(images: np.ndarray) -> np.ndarray:
 def _mixing_rows(
     weights: np.ndarray, images: np.ndarray, epsilon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of xi = (1 - eps) I + eps R for R from ``_random_doubly_stochastic``,
+    """Rows of xi = (1 - eps) I + eps R for one R of ``_probe_draws``,
     as layers: (xi x)[g] = sum_l coefficients[l, g] * x[sources[l, g]].
 
     Layer 0 is the identity and layer c + 1 gathers through the inverse of
@@ -424,12 +431,6 @@ def _mixing_rows(
             coefficients[earlier] += np.where(repeat, coefficients[later], 0.0)
             coefficients[later, repeat] = 0.0
     return sources, coefficients
-
-
-def _probe_draw(n: int, seed: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probe k's R as (weights, images).  One stream per probe, so the same
-    seed draws the same R at every epsilon."""
-    return _random_doubly_stochastic(n, stream(seed, k))
 
 
 @dataclass(frozen=True)
@@ -462,9 +463,10 @@ class StationarityProbeResult:
     def delta_total(self) -> np.ndarray:
         joint, reference = self.joint, self.p_eq.weights
         n = joint.n_cells
-        out = np.empty(self.n_perturbations)
-        for k in range(self.n_perturbations):
-            sources, coefficients = _mixing_rows(*_probe_draw(n, self.seed, k), self.epsilon)
+        out = []
+        draws = _probe_draws(n, self.seed, self.n_perturbations)
+        for weights, images in chain.from_iterable(zip(*block) for block in draws):
+            sources, coefficients = _mixing_rows(weights, images, self.epsilon)
             # Layer l of xi moves row sources[l, g] to row g, so entry (r, j)
             # of the joint lands on row targets[l, r] with that row's
             # coefficient.  Listing xi J probe layer by joint layer sums a
@@ -473,8 +475,8 @@ class StationarityProbeResult:
             rows = targets[:, joint.rows]
             values = np.take_along_axis(coefficients[:, None, :], rows, axis=2) * joint.values
             entries, row_sums = _row_major(rows.reshape(-1, n), values.reshape(-1, n))
-            out[k] = _entropy_minus_cross(entries, row_sums, reference) - self.baseline
-        return out
+            out.append(_entropy_minus_cross(entries, row_sums, reference) - self.baseline)
+        return np.array(out)
 
     @cached_property
     def n_negative_total(self) -> int:
@@ -513,11 +515,15 @@ def stationarity_probe(
     baseline = joint_relative_entropy(joint, p_eq)
     marginal = joint.final_marginal()
 
-    delta_first = np.empty(n_perturbations)
-    for k in range(n_perturbations):
-        weights, images = _probe_draw(n, seed, k)
-        mixed_marginal = weights @ marginal[_inverse_images(images)]
-        delta_first[k] = -epsilon * float((mixed_marginal - marginal) @ log_eq)
+    changes = []
+    for weights, images in _probe_draws(n, seed, n_perturbations):
+        # (P(image) m)[image[j]] = m[j], so one scatter moves m through every
+        # image; the dot with log_eq goes row by row, so no bit depends on the block.
+        moved = np.empty(images.shape)
+        moved.reshape(-1, n)[np.arange(images.size // n)[:, None], images.reshape(-1, n)] = marginal
+        mixed = (weights[:, None, :] @ moved)[:, 0]
+        changes.append((mixed - marginal)[:, None, :] @ log_eq)
+    delta_first = -epsilon * np.concatenate(changes)[:, 0]
 
     pa_uniform = bool(np.max(np.abs(p_a.weights - 1.0 / n)) <= 1e-12)
     bound = STATIONARITY_ENVELOPE * epsilon**2

@@ -454,9 +454,13 @@ def _float_tokens(values: list[float]) -> list[str]:
     already is that token: it parses to a normal double whose shortest repr
     has the same digits (12 < DBL_DIG), and ``%g`` and ``repr`` choose the
     same notation outside 1e12..1e16.  The rest (integral values, zeros, nan,
-    infinities, that band and subnormals) is parsed and encoded again.
+    infinities, that band and subnormals) is parsed and encoded again.  The
+    batch is formatted and checked as one text, token by token only if it fails.
     """
-    texts = [f"{x:.12g}" for x in values]
+    text = ("%.12g\0" * len(values)) % tuple(values)
+    texts = text.split("\0")[:-1]
+    if text.count(".") == len(texts) and "e+1" not in text and "e-3" not in text:
+        return texts
     return [t if "." in t and "e+1" not in t and "e-3" not in t else json.dumps(float(t))
             for t in texts]
 

@@ -26,7 +26,7 @@ from ergokit import (
     stationarity_probe,
 )
 import ergokit.classical as classical_module
-from ergokit.classical import _mixing_rows, _random_doubly_stochastic
+from ergokit.classical import _mixing_rows, _probe_draws
 from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
 
@@ -39,6 +39,21 @@ def random_doubly_stochastic(n, rng, components=6):
         image = rng.permutation(n)
         out[image, np.arange(n)] += w
     return out
+
+
+def probe_draws(n, seed, count):
+    """All ``count`` (weights, images) of ``_probe_draws``, its blocks joined."""
+    blocks = list(_probe_draws(n, seed, count))
+    return np.concatenate([w for w, _ in blocks]), np.concatenate([i for _, i in blocks])
+
+
+def mixture(weights, images):
+    """Dense R = sum_c weights[c] P(images[c]), P(image)[image[j], j] = 1."""
+    n = images.shape[1]
+    dense = np.zeros((n, n))
+    for w, image in zip(weights, images):
+        dense[image, np.arange(n)] += w
+    return dense
 
 
 class TestTypes:
@@ -407,25 +422,77 @@ class TestStationarityProbe:
         )
 
     def test_probe_rows_draw_the_dense_mixture(self):
-        # The (weights, images) draw is the dense R of the same stream, and the
-        # layered rows apply xi = (1 - eps) I + eps R.
-        for n in (2, 3, 7):
+        # The helper's (weights, images) are the dense R of one Dirichlet draw
+        # per perturbation from stream 0 and four permutation draws from stream
+        # 1, and the layered rows apply xi = (1 - eps) I + eps R.
+        for n in (1, 2, 3, 7):
+            weights, images = probe_draws(n, 21, 6)
+            assert weights.shape == (6, 4) and images.shape == (6, 4, n)
+            simplex, shuffles = stream(21, 0), stream(21, 1)
             for k in range(6):
-                weights, images = _random_doubly_stochastic(n, stream(21, k))
-                rng = stream(21, k)
                 dense = np.zeros((n, n))
-                for w in rng.dirichlet(np.ones(4)):
-                    dense[rng.permutation(n), np.arange(n)] += w
-                assembled = np.zeros((n, n))
-                for w, image in zip(weights, images):
-                    assembled[image, np.arange(n)] += w
-                assert np.array_equal(assembled, dense)
+                for w in simplex.dirichlet(np.ones(4)):
+                    dense[shuffles.permutation(n), np.arange(n)] += w
+                assert np.array_equal(mixture(weights[k], images[k]), dense)
                 x = stream(22, k).uniform(size=n)
-                sources, coefficients = _mixing_rows(weights, images, 0.3)
+                sources, coefficients = _mixing_rows(weights[k], images[k], 0.3)
                 xi = 0.7 * np.eye(n) + 0.3 * dense
                 np.testing.assert_allclose(
                     (coefficients * x[sources]).sum(axis=0), xi @ x, rtol=0, atol=1e-15
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    @pytest.mark.parametrize("point_mass", [False, True])
+    def test_first_order_matches_each_dense_perturbation(self, n, point_mass):
+        # Against -((xi m - m) . ln p_eq), with xi formed densely from the
+        # helper's draws for one perturbation at a time.
+        rng = stream(51, n)
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        weights = np.full(n, 1.0 / n)
+        if point_mass:
+            weights = np.zeros(n)
+            weights[n - 1] = 1.0
+        p_a = GridDistribution(weights)
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        epsilon, seed, count = 0.05, 12, 24
+        probe = stationarity_probe(joint, p_a, grid, 1.0, count, epsilon, seed)
+        log_eq = np.log(grid_gibbs(grid, "B", 1.0).weights)
+        m = joint.final_marginal()
+        expected = []
+        for w, image_set in zip(*probe_draws(n, seed, count)):
+            xi = (1.0 - epsilon) * np.eye(n) + epsilon * mixture(w, image_set)
+            expected.append(-float((xi @ m - m) @ log_eq))
+        np.testing.assert_allclose(probe.delta_first_order, expected, rtol=0, atol=1e-14)
+
+    def test_draws_are_prefix_stable(self):
+        # Perturbation k does not depend on how many perturbations are drawn.
+        n = 9
+        rng = stream(52)
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        short = stationarity_probe(joint, p_a, grid, 1.0, 8, 1e-2, 4)
+        long = stationarity_probe(joint, p_a, grid, 1.0, 16, 1e-2, 4)
+        assert np.array_equal(short.delta_first_order, long.delta_first_order[:8])
+        assert np.array_equal(short.delta_total, long.delta_total[:8])
+
+    @pytest.mark.parametrize("n", [7, 40, 416])
+    def test_block_size_changes_no_bit(self, n, monkeypatch):
+        # One perturbation per block against the default blocks; at n = 416
+        # the default splits 64 perturbations into two blocks.
+        rng = stream(53, n)
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        count = 64
+        blocked = stationarity_probe(joint, p_a, grid, 1.0, count, 1e-3, 6)
+        blocks = list(_probe_draws(n, 6, count))
+        assert len(blocks) == (2 if n == 416 else 1)
+        monkeypatch.setattr(classical_module, "PROBE_CHUNK", 1)
+        assert [len(w) for w, _ in _probe_draws(n, 6, count)] == [1] * count
+        single = stationarity_probe(joint, p_a, grid, 1.0, count, 1e-3, 6)
+        assert np.array_equal(blocked.delta_first_order, single.delta_first_order)
+        assert np.array_equal(blocked.delta_total, single.delta_total)
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("uniform", [True, False])
@@ -468,24 +535,19 @@ class TestStationarityProbe:
             live = m[m > 1e-15]
             return float((live * np.log(live)).sum()) - float(m.sum(axis=1) @ log_eq)
 
-        for k, total in enumerate(probe.delta_total):
-            weights, images = _random_doubly_stochastic(n, stream(seed, k))
-            mixture = np.zeros((n, n))
-            for w, image in zip(weights, images):
-                mixture[image, np.arange(n)] += w
-            xi = (1.0 - epsilon) * np.eye(n) + epsilon * mixture
+        for total, w, image_set in zip(probe.delta_total, *probe_draws(n, seed, 8)):
+            xi = (1.0 - epsilon) * np.eye(n) + epsilon * mixture(w, image_set)
             expected = relative_entropy(xi @ joint.matrix) - relative_entropy(joint.matrix)
             assert abs(total - expected) <= 1e-12
 
     def test_total_change_is_unchanged_and_computed_on_read(self, monkeypatch):
-        # Pinned from the eager computation; the lazy one must give the same
-        # bits.  Entry 3 of the permutation pins is the dense joint's value:
-        # xi J sums its entries in row-major order for every joint.
+        # Pinned at the two-stream draw (within 5e-16 of xi J formed densely);
+        # the lazy value draws once, from the probe's two streams, on first read.
         pinned = {
-            True: ["-0x1.a4e5d2d9f55c8p-3", "-0x1.a4d21ef8b2bb0p-3", "-0x1.c2153eb6a9d90p-3",
-                   "-0x1.7f0a6793bd170p-3", "-0x1.a778776e9ada8p-3", "-0x1.25e934da45a08p-3"],
-            False: ["-0x1.4c61e5e19d300p-3", "-0x1.61e38c491e2f0p-3", "-0x1.42e4193c70e10p-3",
-                    "-0x1.48299b739f750p-3", "-0x1.3efeab18d2cf0p-3", "-0x1.c80aa8a468480p-4"],
+            True: ["-0x1.80832bdbc1be0p-3", "-0x1.f33378bb4cfd0p-3", "-0x1.359319f54c9f0p-3",
+                   "-0x1.bc1fec62bc8c8p-3", "-0x1.bf1620c8283e8p-3", "-0x1.8b8066eb15e60p-3"],
+            False: ["-0x1.42ef414cd2c70p-3", "-0x1.9057313b52060p-3", "-0x1.fee54c3b54960p-4",
+                    "-0x1.8462938fb85a0p-3", "-0x1.304337ff4f120p-3", "-0x1.ef3f9ce396ec0p-4"],
         }
         n = 7
         rng = stream(31, n)
@@ -501,10 +563,10 @@ class TestStationarityProbe:
             monkeypatch.setattr(classical_module, "stream",
                                 lambda *key: draws.append(key) or stream(*key))
             probe = stationarity_probe(joint_from_kernel(p_a, kernel), p_a, grid, 1.0, 6, 0.05, 9)
-            assert len(draws) == 6
+            assert len(draws) == 2
             expected = np.array([float.fromhex(h) for h in pinned[kernel.is_deterministic]])
             assert np.array_equal(probe.delta_total, expected)
             assert probe.n_negative_total == int((expected < 0.0).sum())
-            assert len(draws) == 12
+            assert len(draws) == 4
             assert probe.delta_total is probe.delta_total
-            assert len(draws) == 12
+            assert len(draws) == 4
