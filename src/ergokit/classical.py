@@ -3,9 +3,9 @@ dynamics, classical relative entropies, and the classical ergotropy.
 
 Kernels and joints are held as column layers: column j puts ``values[l, j]``
 on row ``rows[l, j]``.  Liouville (volume-preserving) dynamics is a
-permutation, one layer, so kernels, joints and stationarity probes cost O(n)
-on an n-cell grid; a general doubly stochastic kernel keeps the nonzero
-entries of each column, at most c layers for a mixture of c permutations.  General
+permutation, one layer, so kernels and joints cost O(n) on an n-cell grid and
+the stationarity probe one sort; a general doubly stochastic kernel keeps the
+nonzero entries of each column, at most c layers for a mixture of c permutations.  General
 kernels are accepted wherever the defining relative entropy makes sense but
 rejected by the inhomogeneity-form routines, which require joint entropy to
 equal marginal entropy.
@@ -14,26 +14,22 @@ equal marginal entropy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, permutations
+from itertools import permutations
 from typing import Literal
 
 import numpy as np
 
-from .errors import EmptyShell, ErgokitError, NonDeterministicKernel, OutOfScope, SupportViolation
+from .errors import EmptyShell, NonDeterministicKernel, OutOfScope, SupportViolation
 from .quantum import _logsumexp
-from .sampling import stream
 
 MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
 # Argument weights at or below the floor count as zero (0 ln 0 := 0).  Reference
 # weights are exact inputs, so a reference vanishes only where it is exactly 0.
 WEIGHT_FLOOR = 1e-15
-# Asserted per-probe envelope on the first-order relative-entropy change when
-# the initial distribution is uniform over every cell.
+# Asserted envelope, in units of eps^2, on the first-order relative-entropy
+# change when the final marginal is uniform over every cell.
 STATIONARITY_ENVELOPE = 10.0
-# Permutation-image entries per stationarity-probe block; no bit depends on it.
-PROBE_CHUNK = 1 << 16
 
 Surface = Literal["A", "B"]
 
@@ -386,162 +382,72 @@ def permutation_min_bruteforce(
     return float(totals[best]), tuple(int(i) for i in perms[best])
 
 
-def _probe_draws(n: int, seed: int, count: int):
-    """Perturbations 0..count-1 of the probe keyed by ``seed``, in blocks of
-    weights (B, 4) and images (B, 4, n): R_k = sum_c weights[k, c] P(images[k, c]),
-    P(image)[image[j], j] = 1, is exactly doubly stochastic.  The Dirichlet weights
-    come from ``stream(seed, 0)`` and the images, row by row, from ``stream(seed,
-    1)``, so perturbation k is the same at every ``count`` and block size."""
-    weights = stream(seed, 0).dirichlet(np.ones(4), size=count)
-    rng = stream(seed, 1)
-    step = max(1, PROBE_CHUNK // (4 * n))
-    for start in range(0, count, step):
-        block = weights[start:start + step]
-        images = np.tile(np.arange(n), (block.size, 1))
-        rng.permuted(images, axis=1, out=images)
-        yield block, images.reshape(*block.shape, n)
-
-
-def _inverse_images(images: np.ndarray) -> np.ndarray:
-    """Row c holds the inverse of the permutation images[c]."""
-    inverse = np.empty_like(images)
-    inverse[np.arange(len(images))[:, None], images] = np.arange(images.shape[1])
-    return inverse
-
-
-def _mixing_rows(
-    weights: np.ndarray, images: np.ndarray, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of xi = (1 - eps) I + eps R for one R of ``_probe_draws``,
-    as layers: (xi x)[g] = sum_l coefficients[l, g] * x[sources[l, g]].
-
-    Layer 0 is the identity and layer c + 1 gathers through the inverse of
-    images[c].  A source repeated within a row keeps the summed coefficient on
-    its first layer and zero on the later ones, so xi J multiplies the summed
-    coefficient once instead of adding two products.
-    """
-    components, n = images.shape
-    sources = np.vstack([np.arange(n), _inverse_images(images)])
-    coefficients = np.empty(sources.shape)
-    coefficients[0] = 1.0 - epsilon
-    coefficients[1:] = (epsilon * weights)[:, None]
-    for later in range(1, components + 1):
-        for earlier in range(later):
-            repeat = sources[later] == sources[earlier]
-            coefficients[earlier] += np.where(repeat, coefficients[later], 0.0)
-            coefficients[later, repeat] = 0.0
-    return sources, coefficients
-
-
 @dataclass(frozen=True)
 class StationarityProbeResult:
-    """Response of the joint relative entropy to doubly-stochastic mixing.
+    """Extremes of the first-order change of the joint relative entropy when
+    the dynamics is followed by xi = (1 - eps) I + eps R, over every doubly
+    stochastic R.
 
-    ``delta_first_order`` is the change of the reference (energy) term alone,
-    i.e. the discrete variational expression whose vanishing defines
-    stationarity; the entropy term is invariant under volume-preserving
-    transport and is excluded from it.  ``delta_total`` is the full change
-    including the entropy term that mixing (as opposed to transport) adds.  It
-    forms each perturbed joint xi J as the layers of xi composed with the
-    joint's, so it and ``n_negative_total`` are computed on first read, from
-    the same draws and against the same reference ``p_eq`` as
-    ``delta_first_order``.
+    The change of the reference (energy) term, -eps (R m - m) . ln p_eq for the
+    final marginal m, is the variation whose vanishing defines stationarity (the
+    entropy term is invariant under transport).  It is linear in R, so its
+    extremes over the Birkhoff polytope sit at permutations, and the
+    rearrangement inequality names them: the minimum pairs m and ln p_eq sorted
+    alike, the maximum sorted oppositely.  A uniform m gives exactly 0 for both.  The minimum is negative unless m is
+    passive (populations non-increasing in energy).  ``image`` is the
+    permutation attaining the minimum, cell j -> image[j].
     """
 
     epsilon: float
-    n_perturbations: int
-    seed: int
-    baseline: float
-    delta_first_order: np.ndarray
-    pa_uniform: bool
-    first_order_bound: float
-    n_negative_first_order: int
-    joint: JointDistribution = field(repr=False, compare=False)
-    p_eq: GridDistribution = field(repr=False, compare=False)
+    min_first_order: float
+    max_first_order: float
+    image: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def delta_total(self) -> np.ndarray:
-        joint, reference = self.joint, self.p_eq.weights
-        n = joint.n_cells
-        out = []
-        draws = _probe_draws(n, self.seed, self.n_perturbations)
-        for weights, images in chain.from_iterable(zip(*block) for block in draws):
-            sources, coefficients = _mixing_rows(weights, images, self.epsilon)
-            # Layer l of xi moves row sources[l, g] to row g, so entry (r, j)
-            # of the joint lands on row targets[l, r] with that row's
-            # coefficient.  Listing xi J probe layer by joint layer sums a
-            # repeated entry in the order of the dense product's layer loop.
-            targets = _inverse_images(sources)
-            rows = targets[:, joint.rows]
-            values = np.take_along_axis(coefficients[:, None, :], rows, axis=2) * joint.values
-            entries, row_sums = _row_major(rows.reshape(-1, n), values.reshape(-1, n))
-            out.append(_entropy_minus_cross(entries, row_sums, reference) - self.baseline)
-        return np.array(out)
+    @property
+    def first_order_bound(self) -> float:
+        """Asserted envelope on either extreme for a uniform marginal."""
+        return STATIONARITY_ENVELOPE * self.epsilon**2
 
-    @cached_property
-    def n_negative_total(self) -> int:
-        return int((self.delta_total < 0.0).sum())
+    def delta_total(self, joint: JointDistribution, p_eq: GridDistribution) -> float:
+        """Finite-eps change of D(xi J || p_eq) along the extremal permutation,
+        xi = (1 - eps) I + eps P(image), for the joint J whose final marginal
+        the probe read.  It includes the entropy term that mixing adds.  xi J is
+        the joint's layers scaled by 1 - eps followed by the same layers moved
+        through ``image`` and scaled by eps."""
+        if joint.n_cells != self.image.size or p_eq.n_cells != self.image.size:
+            raise ValueError("joint, p_eq and probe sizes must match")
+        rows = np.vstack([joint.rows, self.image[joint.rows]])
+        values = np.vstack([(1.0 - self.epsilon) * joint.values, self.epsilon * joint.values])
+        mixed = _entropy_minus_cross(*_row_major(rows, values), p_eq.weights)
+        return mixed - joint_relative_entropy(joint, p_eq)
 
 
 def stationarity_probe(
-    joint: JointDistribution,
-    p_a: GridDistribution,
-    grid: PhaseGrid,
-    beta: float,
-    n_perturbations: int,
-    epsilon: float,
-    seed: int,
+    marginal: np.ndarray, log_eq: np.ndarray, epsilon: float
 ) -> StationarityProbeResult:
-    """Perturb the dynamics after the given joint by xi = (1-eps) I + eps R with
-    random doubly stochastic R, and report the relative-entropy changes.
+    """Exact minimum and maximum over doubly stochastic R of the first-order
+    change -eps (R m - m) . ln p_eq of the joint relative entropy, for the final
+    marginal m and the reference log-weights ``log_eq``, from one sort of each:
+    min = -eps (sort(m) - m[order]) . ln p_eq[order], order = argsort(ln p_eq)
+    with ties in ln p_eq broken by m, and the max with sort(m) reversed.
 
-    When ``p_a`` is uniform over every cell the first-order change must stay
-    inside the quadratic envelope 10 * eps^2 (it vanishes identically on a
-    uniform marginal); for non-uniform ``p_a`` negative changes are reported,
-    not asserted away.
+    The subtraction comes before the dot product, so a uniform marginal gives
+    exactly 0; negative values are reported, not asserted away.
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if n_perturbations < 1:
-        raise ValueError("n_perturbations must be >= 1")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"infeasible epsilon {epsilon}: perturbed kernels must stay nonnegative")
-    n = joint.n_cells
-    if p_a.n_cells != n or grid.n_cells != n:
-        raise ValueError("joint, p_a, and grid sizes must match")
-
-    p_eq = grid_gibbs(grid, "B", beta)
-    log_eq = np.log(p_eq.weights)
-    baseline = joint_relative_entropy(joint, p_eq)
-    marginal = joint.final_marginal()
-
-    changes = []
-    for weights, images in _probe_draws(n, seed, n_perturbations):
-        # (P(image) m)[image[j]] = m[j], so one scatter moves m through every
-        # image; the dot with log_eq goes row by row, so no bit depends on the block.
-        moved = np.empty(images.shape)
-        moved.reshape(-1, n)[np.arange(images.size // n)[:, None], images.reshape(-1, n)] = marginal
-        mixed = (weights[:, None, :] @ moved)[:, 0]
-        changes.append((mixed - marginal)[:, None, :] @ log_eq)
-    delta_first = -epsilon * np.concatenate(changes)[:, 0]
-
-    pa_uniform = bool(np.max(np.abs(p_a.weights - 1.0 / n)) <= 1e-12)
-    bound = STATIONARITY_ENVELOPE * epsilon**2
-    if pa_uniform and not np.max(np.abs(delta_first)) <= bound:
-        raise ErgokitError(
-            "first-order relative-entropy change "
-            f"{np.max(np.abs(delta_first)):.3e} exceeds quadratic envelope {bound:.3e} "
-            "for a uniform initial distribution"
-        )
+    marginal, log_eq = np.asarray(marginal, dtype=float), np.asarray(log_eq, dtype=float)
+    if marginal.ndim != 1 or log_eq.shape != marginal.shape:
+        raise ValueError("marginal and log_eq must be 1-D vectors of equal length")
+    # Cells with equal ln p_eq are ordered by m, so a passive m reads
+    # m[order] == sort(m) to the bit and its minimum is exactly 0.
+    rank, order = np.argsort(marginal, kind="stable"), np.lexsort((marginal, log_eq))
+    ascending, present, weights = marginal[rank], marginal[order], log_eq[order]
+    image = np.empty(rank.size, dtype=np.intp)
+    image[rank] = order
     return StationarityProbeResult(
         epsilon=float(epsilon),
-        n_perturbations=n_perturbations,
-        seed=seed,
-        baseline=baseline,
-        delta_first_order=delta_first,
-        pa_uniform=pa_uniform,
-        first_order_bound=bound,
-        n_negative_first_order=int((delta_first < 0.0).sum()),
-        joint=joint,
-        p_eq=p_eq,
+        min_first_order=epsilon * float((present - ascending) @ weights),
+        max_first_order=epsilon * float((present - ascending[::-1]) @ weights),
+        image=image,
     )

@@ -1,6 +1,7 @@
 """Grid distributions, doubly stochastic kernels, and the classical ergotropy."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
-import ergokit.classical as classical_module
-from ergokit.classical import _mixing_rows, _probe_draws
 from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
 
@@ -39,21 +38,6 @@ def random_doubly_stochastic(n, rng, components=6):
         image = rng.permutation(n)
         out[image, np.arange(n)] += w
     return out
-
-
-def probe_draws(n, seed, count):
-    """All ``count`` (weights, images) of ``_probe_draws``, its blocks joined."""
-    blocks = list(_probe_draws(n, seed, count))
-    return np.concatenate([w for w, _ in blocks]), np.concatenate([i for _, i in blocks])
-
-
-def mixture(weights, images):
-    """Dense R = sum_c weights[c] P(images[c]), P(image)[image[j], j] = 1."""
-    n = images.shape[1]
-    dense = np.zeros((n, n))
-    for w, image in zip(weights, images):
-        dense[image, np.arange(n)] += w
-    return dense
 
 
 class TestTypes:
@@ -370,23 +354,39 @@ class TestPermutationBruteForce:
             permutation_min_bruteforce(big, big)
 
 
+def first_order_change(marginal, log_eq, epsilon, dense):
+    """-eps (R m - m) . ln p_eq for a dense doubly stochastic R."""
+    return -epsilon * float((dense @ marginal - marginal) @ log_eq)
+
+
+def permutation_matrix(image):
+    dense = np.zeros((image.size, image.size))
+    dense[image, np.arange(image.size)] = 1.0
+    return dense
+
+
 class TestStationarityProbe:
     def test_zero_epsilon_is_exactly_flat(self):
-        p_a = GridDistribution(np.full(4, 0.25))
+        p_a = GridDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
         grid = PhaseGrid(energy_a=np.arange(4.0), energy_b=np.arange(4.0))
+        p_eq = grid_gibbs(grid, "B", 1.0)
         joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.array([1, 0, 3, 2])))
-        probe = stationarity_probe(joint, p_a, grid, 1.0, 8, 0.0, 0)
-        assert np.all(probe.delta_total == 0.0)
-        assert np.all(probe.delta_first_order == 0.0)
+        probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), 0.0)
+        assert probe.min_first_order == 0.0 and probe.max_first_order == 0.0
+        assert probe.delta_total(joint, p_eq) == 0.0
 
-    def test_uniform_first_order_vanishes(self):
-        n = 6
+    @pytest.mark.parametrize("n", [1, 2, 6, 100, 416, 10_000])
+    def test_uniform_first_order_vanishes(self, n):
+        # Exactly 0 for a permutation kernel: its uniform marginal is uniform
+        # to the bit, and the subtraction comes before the dot product.
+        rng = stream(13, n)
         p_a = GridDistribution(np.full(n, 1.0 / n))
-        grid = PhaseGrid(energy_a=np.arange(float(n)), energy_b=np.linspace(0.0, 2.0, n))
-        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(stream(13).permutation(n)))
-        probe = stationarity_probe(joint, p_a, grid, 1.0, 32, 1e-3, 5)
-        assert probe.pa_uniform
-        assert np.max(np.abs(probe.delta_first_order)) <= 10.0 * 1e-3**2
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        log_eq = np.log(grid_gibbs(grid, "B", 3.0).weights)
+        probe = stationarity_probe(joint.final_marginal(), log_eq, 1e-3)
+        assert probe.min_first_order == 0.0 and probe.max_first_order == 0.0
+        assert probe.first_order_bound == 10.0 * 1e-3**2
 
     def test_point_mass_finds_negative_probes(self):
         n = 6
@@ -394,179 +394,126 @@ class TestStationarityProbe:
         weights[n - 1] = 1.0  # mass parked on the highest-energy cell
         p_a = GridDistribution(weights)
         grid = PhaseGrid(energy_a=np.arange(float(n)), energy_b=np.linspace(0.0, 2.0, n))
+        p_eq = grid_gibbs(grid, "B", 1.0)
         joint = joint_from_kernel(p_a, TransitionKernel.identity(n))
-        probe = stationarity_probe(joint, p_a, grid, 1.0, 64, 0.1, 7)
-        assert not probe.pa_uniform
-        assert probe.n_negative_first_order > 0
-        assert probe.n_negative_total > 0
+        probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), 0.1)
+        # The extremal permutation moves the mass to the lowest-energy cell.
+        assert probe.image[n - 1] == 0
+        assert probe.min_first_order == pytest.approx(-0.1 * 2.0, rel=1e-14, abs=0)
+        assert probe.max_first_order == 0.0
+        assert probe.delta_total(joint, p_eq) < 0.0
 
     def test_infeasible_epsilon(self):
-        p_a = GridDistribution(np.full(3, 1.0 / 3))
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(3))
         with pytest.raises(ValueError, match="epsilon"):
-            stationarity_probe(joint, p_a, GRID3, 1.0, 4, 1.5, 0)
+            stationarity_probe(np.full(3, 1.0 / 3), np.log(np.full(3, 1.0 / 3)), 1.5)
 
-    def test_same_seed_same_perturbations_across_epsilon(self):
-        # The probe index, not epsilon, selects the random perturbation, so the
-        # first-order change scales exactly linearly between epsilon levels.
-        n = 5
-        weights = np.zeros(n)
-        weights[2] = 1.0
-        p_a = GridDistribution(weights)
-        grid = PhaseGrid(energy_a=np.arange(float(n)), energy_b=np.arange(float(n)))
-        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(stream(14).permutation(n)))
-        coarse = stationarity_probe(joint, p_a, grid, 1.0, 8, 1e-2, 3)
-        fine = stationarity_probe(joint, p_a, grid, 1.0, 8, 5e-3, 3)
-        np.testing.assert_allclose(
-            coarse.delta_first_order / 1e-2, fine.delta_first_order / 5e-3, rtol=0, atol=1e-14
-        )
+    def test_mismatched_sizes_are_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            stationarity_probe(np.full(3, 1.0 / 3), np.zeros(4), 1e-3)
+        p_a = GridDistribution(np.full(3, 1.0 / 3))
+        probe = stationarity_probe(p_a.weights, np.log(grid_gibbs(GRID3, "B", 1.0).weights), 1e-3)
+        four = GridDistribution(np.full(4, 0.25))
+        with pytest.raises(ValueError, match="sizes must match"):
+            probe.delta_total(joint_from_kernel(four, TransitionKernel.identity(4)), four)
 
-    def test_probe_rows_draw_the_dense_mixture(self):
-        # The helper's (weights, images) are the dense R of one Dirichlet draw
-        # per perturbation from stream 0 and four permutation draws from stream
-        # 1, and the layered rows apply xi = (1 - eps) I + eps R.
-        for n in (1, 2, 3, 7):
-            weights, images = probe_draws(n, 21, 6)
-            assert weights.shape == (6, 4) and images.shape == (6, 4, n)
-            simplex, shuffles = stream(21, 0), stream(21, 1)
-            for k in range(6):
-                dense = np.zeros((n, n))
-                for w in simplex.dirichlet(np.ones(4)):
-                    dense[shuffles.permutation(n), np.arange(n)] += w
-                assert np.array_equal(mixture(weights[k], images[k]), dense)
-                x = stream(22, k).uniform(size=n)
-                sources, coefficients = _mixing_rows(weights[k], images[k], 0.3)
-                xi = 0.7 * np.eye(n) + 0.3 * dense
-                np.testing.assert_allclose(
-                    (coefficients * x[sources]).sum(axis=0), xi @ x, rtol=0, atol=1e-15
-                )
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_extremes_equal_the_bruteforce_over_every_permutation(self, n):
+        for trial in range(4):
+            rng = stream(55, 8 * n + trial)
+            marginal = rng.dirichlet(np.ones(n))
+            if trial == 3:
+                marginal = np.round(marginal, 1)  # ties
+                marginal /= marginal.sum()
+            log_eq = np.log(rng.dirichlet(np.ones(n)))
+            probe = stationarity_probe(marginal, log_eq, 0.05)
+            changes = [first_order_change(marginal, log_eq, 0.05, permutation_matrix(np.array(p)))
+                       for p in permutations(range(n))]
+            assert abs(probe.min_first_order - min(changes)) <= 1e-15
+            assert abs(probe.max_first_order - max(changes)) <= 1e-15
+            attained = first_order_change(marginal, log_eq, 0.05, permutation_matrix(probe.image))
+            assert abs(attained - probe.min_first_order) <= 1e-15
 
-    @pytest.mark.parametrize("n", [2, 3, 7, 40])
-    @pytest.mark.parametrize("point_mass", [False, True])
-    def test_first_order_matches_each_dense_perturbation(self, n, point_mass):
-        # Against -((xi m - m) . ln p_eq), with xi formed densely from the
-        # helper's draws for one perturbation at a time.
-        rng = stream(51, n)
-        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
-        weights = np.full(n, 1.0 / n)
-        if point_mass:
-            weights = np.zeros(n)
-            weights[n - 1] = 1.0
-        p_a = GridDistribution(weights)
-        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
-        epsilon, seed, count = 0.05, 12, 24
-        probe = stationarity_probe(joint, p_a, grid, 1.0, count, epsilon, seed)
-        log_eq = np.log(grid_gibbs(grid, "B", 1.0).weights)
-        m = joint.final_marginal()
-        expected = []
-        for w, image_set in zip(*probe_draws(n, seed, count)):
-            xi = (1.0 - epsilon) * np.eye(n) + epsilon * mixture(w, image_set)
-            expected.append(-float((xi @ m - m) @ log_eq))
-        np.testing.assert_allclose(probe.delta_first_order, expected, rtol=0, atol=1e-14)
+    def test_no_random_mixture_leaves_the_extremes(self):
+        # 10^4 Dirichlet mixtures of four random permutations at n = 50.
+        n, count, epsilon = 50, 10_000, 1e-3
+        rng = stream(56)
+        marginal = rng.dirichlet(np.ones(n))
+        log_eq = np.log(rng.dirichlet(np.ones(n)))
+        probe = stationarity_probe(marginal, log_eq, epsilon)
+        images = np.tile(np.arange(n), (4 * count, 1))
+        rng.permuted(images, axis=1, out=images)
+        moved = np.empty(images.shape)
+        moved[np.arange(4 * count)[:, None], images] = marginal
+        weights = rng.dirichlet(np.ones(4), size=count)
+        mixed = np.einsum("kc,kcn->kn", weights, moved.reshape(count, 4, n))
+        changes = -epsilon * ((mixed - marginal) @ log_eq)
+        assert probe.min_first_order < 0.0 < probe.max_first_order
+        assert changes.min() >= probe.min_first_order
+        assert changes.max() <= probe.max_first_order
 
-    def test_draws_are_prefix_stable(self):
-        # Perturbation k does not depend on how many perturbations are drawn.
-        n = 9
-        rng = stream(52)
-        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
-        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
-        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
-        short = stationarity_probe(joint, p_a, grid, 1.0, 8, 1e-2, 4)
-        long = stationarity_probe(joint, p_a, grid, 1.0, 16, 1e-2, 4)
-        assert np.array_equal(short.delta_first_order, long.delta_first_order[:8])
-        assert np.array_equal(short.delta_total, long.delta_total[:8])
-
-    @pytest.mark.parametrize("n", [7, 40, 416])
-    def test_block_size_changes_no_bit(self, n, monkeypatch):
-        # One perturbation per block against the default blocks; at n = 416
-        # the default splits 64 perturbations into two blocks.
-        rng = stream(53, n)
-        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
-        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
-        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
-        count = 64
-        blocked = stationarity_probe(joint, p_a, grid, 1.0, count, 1e-3, 6)
-        blocks = list(_probe_draws(n, 6, count))
-        assert len(blocks) == (2 if n == 416 else 1)
-        monkeypatch.setattr(classical_module, "PROBE_CHUNK", 1)
-        assert [len(w) for w, _ in _probe_draws(n, 6, count)] == [1] * count
-        single = stationarity_probe(joint, p_a, grid, 1.0, count, 1e-3, 6)
-        assert np.array_equal(blocked.delta_first_order, single.delta_first_order)
-        assert np.array_equal(blocked.delta_total, single.delta_total)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tied_energies_leave_a_passive_marginal_exactly_flat(self, n):
+        # Degenerate energy levels: cells of equal ln p_eq in any order of m.
+        # A marginal non-increasing in energy is passive, so its minimum is
+        # exactly 0, and no permutation goes below it.
+        rng = stream(57, n)
+        levels = rng.integers(0, max(1, n // 2), n).astype(float)
+        log_eq = np.log(grid_gibbs(PhaseGrid(energy_a=levels, energy_b=levels), "B", 1.0).weights)
+        marginal = rng.dirichlet(np.ones(n))
+        # Populations falling with energy, and within a level with the index.
+        marginal[np.argsort(-log_eq, kind="stable")] = np.sort(marginal)[::-1]
+        probe = stationarity_probe(marginal, log_eq, 0.05)
+        assert probe.min_first_order == 0.0
+        changes = [first_order_change(marginal, log_eq, 0.05, permutation_matrix(np.array(p)))
+                   for p in permutations(range(n))]
+        assert min(changes) >= -1e-15
+        assert abs(probe.max_first_order - max(changes)) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("uniform", [True, False])
     def test_image_and_dense_joints_give_the_same_probe(self, n, uniform):
-        # On n = 2 and 3 the perturbation's permutations collide with each
-        # other and with the base image, so repeated entries must be summed
-        # before x ln x.  A dense permutation joint reads back as the same
-        # single layer, so the probes agree bit for bit.
+        # A dense permutation joint reads back as the image joint's single
+        # layer, so the probe and its total change agree bit for bit.
         rng = stream(23, n)
         grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
         p_a = GridDistribution(np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n)))
+        p_eq = grid_gibbs(grid, "B", 1.0)
         image_joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
         dense_joint = JointDistribution(image_joint.matrix)
         assert image_joint.image is not None
         assert np.array_equal(dense_joint.rows, image_joint.rows)
         assert np.array_equal(dense_joint.values, image_joint.values)
         for epsilon in (0.3, 1e-3):
-            by_image = stationarity_probe(image_joint, p_a, grid, 1.0, 24, epsilon, 5)
-            by_dense = stationarity_probe(dense_joint, p_a, grid, 1.0, 24, epsilon, 5)
-            assert by_image.baseline == by_dense.baseline
-            assert np.array_equal(by_image.delta_total, by_dense.delta_total)
-            assert np.array_equal(by_image.delta_first_order, by_dense.delta_first_order)
+            by_image = stationarity_probe(image_joint.final_marginal(), np.log(p_eq.weights), epsilon)
+            by_dense = stationarity_probe(dense_joint.final_marginal(), np.log(p_eq.weights), epsilon)
+            assert by_image.min_first_order == by_dense.min_first_order
+            assert by_image.max_first_order == by_dense.max_first_order
+            assert np.array_equal(by_image.image, by_dense.image)
+            assert by_image.delta_total(image_joint, p_eq) == by_dense.delta_total(dense_joint, p_eq)
 
-    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("n", [2, 3, 12, 40])
     @pytest.mark.parametrize("components", [1, 3])
     def test_total_change_matches_the_dense_perturbed_joint(self, n, components):
-        # Above numpy's 8-element pairwise-sum block, against xi J formed
-        # densely from the same draws: ((1 - eps) I + eps R) J.
+        # Against xi J formed densely, xi = (1 - eps) I + eps P(image).  At
+        # n = 2 and 3 the extremal permutation fixes cells, so its layer lands
+        # on entries of the joint's own and repeated entries must be summed
+        # before x ln x; n = 40 is above numpy's 8-element pairwise-sum block.
         rng = stream(41 + components, n)
         grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
         p_a = GridDistribution(rng.dirichlet(np.ones(n)))
         kernel = TransitionKernel(random_doubly_stochastic(n, rng, components))
-        assert kernel.is_deterministic is (components == 1)
+        if n >= 12:  # at n = 2 and 3 the three drawn permutations may coincide
+            assert kernel.is_deterministic is (components == 1)
         joint = joint_from_kernel(p_a, kernel)
-        epsilon, seed = 0.05, 11
-        probe = stationarity_probe(joint, p_a, grid, 1.0, 8, epsilon, seed)
-        log_eq = np.log(grid_gibbs(grid, "B", 1.0).weights)
+        p_eq = grid_gibbs(grid, "B", 1.0)
+        epsilon = 0.05
+        probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), epsilon)
+        log_eq = np.log(p_eq.weights)
 
         def relative_entropy(m):
             live = m[m > 1e-15]
             return float((live * np.log(live)).sum()) - float(m.sum(axis=1) @ log_eq)
 
-        for total, w, image_set in zip(probe.delta_total, *probe_draws(n, seed, 8)):
-            xi = (1.0 - epsilon) * np.eye(n) + epsilon * mixture(w, image_set)
-            expected = relative_entropy(xi @ joint.matrix) - relative_entropy(joint.matrix)
-            assert abs(total - expected) <= 1e-12
-
-    def test_total_change_is_unchanged_and_computed_on_read(self, monkeypatch):
-        # Pinned at the two-stream draw (within 5e-16 of xi J formed densely);
-        # the lazy value draws once, from the probe's two streams, on first read.
-        pinned = {
-            True: ["-0x1.80832bdbc1be0p-3", "-0x1.f33378bb4cfd0p-3", "-0x1.359319f54c9f0p-3",
-                   "-0x1.bc1fec62bc8c8p-3", "-0x1.bf1620c8283e8p-3", "-0x1.8b8066eb15e60p-3"],
-            False: ["-0x1.42ef414cd2c70p-3", "-0x1.9057313b52060p-3", "-0x1.fee54c3b54960p-4",
-                    "-0x1.8462938fb85a0p-3", "-0x1.304337ff4f120p-3", "-0x1.ef3f9ce396ec0p-4"],
-        }
-        n = 7
-        rng = stream(31, n)
-        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
-        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
-        image = TransitionKernel.from_permutation(rng.permutation(n))
-        dense = np.zeros((n, n))
-        for w in rng.dirichlet(np.ones(3)):
-            dense[rng.permutation(n), np.arange(n)] += w
-        for kernel in (image, TransitionKernel(dense)):
-            assert kernel.is_deterministic is (kernel is image)
-            draws = []
-            monkeypatch.setattr(classical_module, "stream",
-                                lambda *key: draws.append(key) or stream(*key))
-            probe = stationarity_probe(joint_from_kernel(p_a, kernel), p_a, grid, 1.0, 6, 0.05, 9)
-            assert len(draws) == 2
-            expected = np.array([float.fromhex(h) for h in pinned[kernel.is_deterministic]])
-            assert np.array_equal(probe.delta_total, expected)
-            assert probe.n_negative_total == int((expected < 0.0).sum())
-            assert len(draws) == 4
-            assert probe.delta_total is probe.delta_total
-            assert len(draws) == 4
+        xi = (1.0 - epsilon) * np.eye(n) + epsilon * permutation_matrix(probe.image)
+        expected = relative_entropy(xi @ joint.matrix) - relative_entropy(joint.matrix)
+        assert abs(probe.delta_total(joint, p_eq) - expected) <= 1e-12

@@ -34,7 +34,7 @@ class TestVerifyIdentities:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["passed"] is True
         assert payload["results"]["max_ergotropy_identity_dev"] <= 1e-8
 
@@ -336,24 +336,57 @@ class TestReportLayout:
 
 class TestLazyProbeTotal:
     def test_dense_op_computes_no_perturbed_joint_entropy(self, capsys, tmp_path, monkeypatch):
-        # The report prints only first-order changes; the two probes' 2 x 16
-        # perturbed joints are never formed.  The route and the two baselines
-        # are the only joint relative entropies.
+        # The report prints only the exact first-order extremes; no perturbed
+        # joint is formed.  The route's D(J || p_eq) is the only joint relative
+        # entropy, and the grid Gibbs weights are computed once.
         path = _dense_grid_file(tmp_path)
-        calls = []
-        original = classical._row_major
+        calls = {"_row_major": 0, "grid_gibbs": 0}
+        for name in calls:
+            original = getattr(classical, name)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(classical, "_row_major", counted)
+            monkeypatch.setattr(classical, name, counted)
         code, out, _ = run_cli(capsys, "classical", "--input", str(path), "--trials", "16")
         assert code == 0
         results = json.loads(out)["results"]
         assert results["kernel_deterministic"] is False
-        assert results["stationarity"]["n_perturbations"] == 16
-        assert len(calls) == 3
+        assert calls == {"_row_major": 1, "grid_gibbs": 1}
+
+
+class TestExactStationarity:
+    def test_finds_the_direction_that_random_mixtures_missed(self, capsys):
+        # 2 x 16 random mixtures reported a minimum of +1.38e-4 here.
+        code, out, _ = run_cli(capsys, "classical", "--dim", "1000", "--trials", "16")
+        assert code == 0
+        stationarity = json.loads(out)["results"]["stationarity"]
+        assert stationarity["experiment_min_first_order"] == pytest.approx(-2.37e-4, abs=5e-7)
+        assert stationarity["experiment_max_first_order"] > 0.0
+        assert stationarity["experiment_marginal_passive"] is False
+        assert stationarity["uniform_max_first_order"] == 0.0
+        assert set(stationarity) == {
+            "epsilon", "uniform_max_first_order", "uniform_envelope", "experiment_min_first_order",
+            "experiment_max_first_order", "experiment_marginal_passive",
+        }
+
+    def test_trials_is_echoed_and_changes_no_result(self, capsys):
+        reports = []
+        for trials in ("1", "16", "64"):
+            code, out, _ = run_cli(capsys, "classical", "--dim", "300", "--trials", trials)
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r["config"]["trials"] for r in reports] == [1, 16, 64]
+        assert reports[0]["results"] == reports[1]["results"] == reports[2]["results"]
+
+    def test_sorted_pairing_is_printed_at_every_size(self, capsys):
+        for dim, bruteforce in (("8", True), ("9", False)):
+            code, out, _ = run_cli(capsys, "classical", "--dim", dim)
+            assert code == 0
+            results = json.loads(out)["results"]
+            assert "sorted_pairing_divergence" in results
+            assert ("bruteforce_min_divergence" in results) is bruteforce
 
 
 class TestGeometricZCommand:
