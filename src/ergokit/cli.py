@@ -553,13 +553,13 @@ def _emit(config: argparse.Namespace, results: dict, checks: dict,
         "checks": checks,
         "passed": all(c["passed"] for c in checks.values()),
     }
-    text = _dumps(payload) + "\n"
-    sys.stdout.write(text)
+    text = _dumps(payload)
+    print(text)
     if config.output_path is None:
         return
     with open(config.output_path, "w", encoding="utf-8") as handle:
         if config.out_format == "json":
-            handle.write(text)
+            print(text, file=handle)
             return
         columns = COMMANDS[config.command].csv_columns.split(",")
         writer = csv.writer(handle, lineterminator="\n")

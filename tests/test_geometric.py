@@ -1,6 +1,7 @@
 """Geometric states, the geometric relative entropy, and the manifold ensemble."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ergokit import (
     manifold_volume,
     spectral_relative_entropy,
 )
+from ergokit import geometric
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.geometric import _sample_energies
@@ -160,7 +162,6 @@ class TestGeometricErgotropy:
         assert ergotropy_geometric(PLUS, H01, 1.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_builds_no_points_and_no_matching(self, monkeypatch):
-        from ergokit import geometric
         from ergokit.sampling import random_hermitian
 
         def refuse(*args, **kwargs):
@@ -215,6 +216,19 @@ class TestUniformSampler:
             h, 1.0, 1_000, 42
         )
 
+    def test_fused_sums_match_separate_reductions(self):
+        # One product gives the energy sum and the plain sum.  On the same stream they match
+        # x @ E over x.sum(axis=1) up to the rounding of d-term sums, measured against the
+        # energy scale sum_k |E_k| w_k, since signed energies may cancel.
+        for dim in (2, 3, 16, 64):
+            energies = np.linalg.eigvalsh(random_hermitian(dim, stream(30, dim)).matrix)
+            fused = _sample_energies(energies, 20_000, stream(31, dim))
+            x = stream(31, dim).standard_exponential((20_000, dim))
+            separate = (x @ energies) / x.sum(axis=1)
+            scale = (x @ np.abs(energies)) / x.sum(axis=1)
+            deviation = np.max(np.abs(fused - separate) / scale)
+            assert deviation <= 4.0 * np.finfo(float).eps * math.sqrt(dim)
+
     def test_simplex_energies_match_uniform_points(self):
         # <z|H|z> over normalized complex Gaussians z, against sum_k E_k w_k
         # over the simplex draw with H's eigenvalues: the same distribution.
@@ -259,6 +273,28 @@ class TestPartitionFunction:
     def test_volume_normalization(self):
         assert manifold_volume(2) == pytest.approx(math.pi)
         assert manifold_volume(4) == pytest.approx(math.pi**3 / 6.0)
+
+    def test_block_size_fixes_only_the_merge_order(self, monkeypatch):
+        h = random_hermitian(5, stream(9))
+        results = []
+        for chunk in (1000, 1 << 14):
+            monkeypatch.setattr(geometric, "MC_CHUNK", chunk)
+            results.append(geometric_partition_function(h, 1.0, 50_000, seed=3))
+        (estimate, stderr), (reference, reference_stderr) = results
+        assert estimate == pytest.approx(reference, rel=1e-13, abs=0)
+        assert stderr == pytest.approx(reference_stderr, rel=1e-13, abs=0)
+
+    def test_working_set_is_one_block(self):
+        # Drawn whole, 10^5 samples at d = 64 hold 51.2 MB of exponentials; one block of
+        # MC_CHUNK rows holds 8.4 MB.
+        h = HermitianOperator(np.diag(np.arange(64.0)))
+        tracemalloc.start()
+        try:
+            geometric_partition_function(h, 0.05, 100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_seed_sweep_within_four_sigma(self):
         closed = geometric_partition_closed_form(H01, 1.0)
