@@ -44,7 +44,6 @@ from .errors import (
     SupportViolation,
 )
 from .geometric import (
-    GeometricPoint,
     GeometricState,
     aligned_geometric_state,
     ergotropy_geometric,

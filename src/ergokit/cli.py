@@ -86,7 +86,11 @@ _OPTIONS = {
     "dim": (_positive_int, 2, "Hilbert-space dimension / number of grid cells"),
     "trials": (_positive_int, 100, "number of random trials"),
     "seed": (_seed, 0, "master seed for all random streams, in [0, 2**64)"),
-    "tolerance": (_positive_float, 1e-8, "tolerance for the identity checks"),
+    "tolerance": (
+        _positive_float, 1e-8,
+        "tolerance for the identity checks; it can tighten, not loosen, the "
+        "1e-8 (1 + |total|) route gate every ergotropy report applies when built",
+    ),
     "samples": (_positive_int, 100000, "Monte Carlo sample count"),
 }
 

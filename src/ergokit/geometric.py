@@ -45,85 +45,61 @@ NORM_ATOL = 1e-12
 MC_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class GeometricPoint:
-    """A pure state as a point on CP^(d-1): unit amplitudes, phase-fixed so the
-    largest-magnitude component is real positive."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.amplitudes, dtype=complex)
-        if z.ndim != 1 or z.size < 2:
-            raise ValueError("amplitudes must be a vector of length >= 2")
-        norm = float(np.linalg.norm(z))
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"amplitudes norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        z = _fix_phase(z / norm)
-        z.setflags(write=False)
-        object.__setattr__(self, "amplitudes", z)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-def _overlap_deficits(a: tuple[GeometricPoint, ...], b: tuple[GeometricPoint, ...]) -> np.ndarray:
-    """[i, j] = 1 - |<a_i|b_j>|, clipped at 0, from one Gram product."""
-    rows = np.array([p.amplitudes for p in a])
-    cols = np.array([p.amplitudes for p in b])
-    return np.maximum(0.0, 1.0 - np.abs(rows.conj() @ cols.T))
+def _overlap_deficits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, j] = 1 - |<a_i|b_j>| over the rows of ``a`` and ``b``, clipped at 0."""
+    return np.maximum(0.0, 1.0 - np.abs(a.conj() @ b.T))
 
 
 @dataclass(frozen=True)
 class GeometricState:
-    """Probability distribution on the manifold given as weighted point masses.
-    Coincident points (overlap deficit below ``MERGE_OVERLAP_DEFICIT``) are
-    merged at construction."""
+    """Probability distribution on CP^(d-1) as weighted point masses: row i of the
+    (k, d) array ``points`` is the unit vector that carries ``weights[i]``, phase-fixed
+    so its largest-magnitude component is real positive.  Coincident rows (overlap
+    deficit below ``MERGE_OVERLAP_DEFICIT``) are merged at construction."""
 
-    points: tuple[GeometricPoint, ...]
+    points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
+        z = np.asarray(self.points, dtype=complex)
         w = np.asarray(self.weights, dtype=float)
-        if len(pts) == 0 or w.shape != (len(pts),):
+        if z.ndim != 2 or z.shape[1] < 2:
+            raise ValueError("points must be a (k, d) array with d >= 2")
+        if len(z) == 0 or w.shape != (len(z),):
             raise ValueError("points and weights must be nonempty and equal length")
+        norms = np.linalg.norm(z, axis=1)
+        if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
+            raise ValueError(f"point norm deviates from 1 by {np.abs(norms - 1.0).max():.3e}")
         if w.min() < 0.0:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights deviate from unit mass by {abs(w.sum() - 1.0):.3e}")
+        z = _fix_phase((z / norms[:, None]).T).T
         # Greedy merge in input order: a point joins the first earlier point
         # that still stands for itself and lies within the merge deficit.
-        close = np.triu(_overlap_deficits(pts, pts) <= MERGE_OVERLAP_DEFICIT, 1)
-        owner = np.arange(len(pts))
+        close = np.triu(_overlap_deficits(z, z) <= MERGE_OVERLAP_DEFICIT, 1)
+        owner = np.arange(len(z))
         for i in np.flatnonzero(close.any(axis=0)):
             owner[i] = next((j for j in np.flatnonzero(close[:i, i]) if owner[j] == j), i)
-        heads = np.flatnonzero(owner == np.arange(len(pts)))
-        wm = np.bincount(owner, weights=w, minlength=len(pts))[heads]
-        object.__setattr__(self, "points", tuple(pts[i] for i in heads))
-        wm.setflags(write=False)
-        object.__setattr__(self, "weights", wm)
+        heads = np.flatnonzero(owner == np.arange(len(z)))
+        wm = np.bincount(owner, weights=w, minlength=len(z))[heads]
+        for name, value in (("points", z[heads]), ("weights", wm)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
+        return self.points.shape[1]
 
     def density(self) -> DensityMatrix:
-        amplitudes = np.array([p.amplitudes for p in self.points]).T
-        return DensityMatrix((amplitudes * self.weights) @ amplitudes.conj().T)
+        return DensityMatrix((self.points.T * self.weights) @ self.points.conj())
 
 
 def _weights_on(values: np.ndarray, vectors: np.ndarray) -> GeometricState:
     """Descending ``values`` above ``SUPPORT_FLOOR``, renormalized, as weights
     on the matching columns of ``vectors``."""
     keep = values > SUPPORT_FLOOR
-    points = tuple(GeometricPoint(vectors[:, i]) for i in np.flatnonzero(keep))
-    return GeometricState(points=points, weights=values[keep] / values[keep].sum())
+    return GeometricState(points=vectors[:, keep].T, weights=values[keep] / values[keep].sum())
 
 
 def geometric_state_of(rho: DensityMatrix) -> GeometricState:

@@ -24,11 +24,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A single Haar-distributed unitary (QR of a Ginibre matrix, phase-corrected)."""
-    return haar_unitaries(dim, 1, rng)[0]
-
-
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-distributed unitaries, shape (count, dim, dim)."""
     z = np.empty((count, dim, dim), dtype=complex)

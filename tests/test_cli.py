@@ -671,6 +671,20 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("invariant failed: route disagreement")
 
+    @pytest.mark.parametrize("command", ["ergotropy", "verify-identities"])
+    def test_tolerance_cannot_loosen_the_report_gate(self, capsys, command):
+        # At beta = 1e-12 the entropy route's deviation (2.6e-4) passes --tolerance 1e-3,
+        # but the report's own 1e-8 (1 + |total|) gate fails it first.
+        code, out, err = run_cli(
+            capsys, command, "--dim", "8", "--beta", "1e-12", "--tolerance", "1e-3",
+            *(("--trials", "1") if command == "verify-identities" else ()),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "invariant failed: route disagreement |direct - entropies| = 2.619e-04"
+        ]
+
 
 _STARTUP_SCRIPT = """
 import contextlib, io, json, os, sys, tempfile
@@ -695,15 +709,14 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
                 json.dump(json.load(src)["results"], dst)
         assert cli.main(argv) == 0, argv
 
-from ergokit import GeometricPoint, GeometricState, geometric_relative_entropy
+from ergokit import GeometricState, geometric_relative_entropy
 from ergokit.sampling import random_density, stream
 
-vectors = np.linalg.eigh(random_density(4, stream(5)).matrix)[1]
-points = [GeometricPoint(vectors[:, i]) for i in range(4)]
+points = np.linalg.eigh(random_density(4, stream(5)).matrix)[1].T
 weights = np.array([0.1, 0.2, 0.3, 0.4])
 order = [2, 0, 3, 1]
-state = GeometricState(tuple(points), weights)
-reordered_state = GeometricState(tuple(points[i] for i in order), weights[order])
+state = GeometricState(points, weights)
+reordered_state = GeometricState(points[order], weights[order])
 assert abs(geometric_relative_entropy(state, reordered_state)) <= 1e-12
 assert sys.modules["scipy"] is None
 """

@@ -28,7 +28,6 @@ from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import InvariantViolation, SupportViolation
 from ergokit.sampling import (
     haar_unitaries,
-    haar_unitary,
     random_density,
     random_hermitian,
     stream,
@@ -72,7 +71,7 @@ class TestPassiveState:
         floor = expectation(passive, h)
         rng = stream(5)
         for _ in range(200):
-            u = haar_unitary(3, rng)
+            u = haar_unitaries(3, 1, rng)[0]
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert floor <= expectation(rotated, h) + 1e-9
 
@@ -292,11 +291,11 @@ class TestIdentitySweeps:
     def test_invariance_under_degenerate_rotations(self):
         # Rotating inside degenerate eigenspaces leaves every route unchanged.
         rng = stream(97)
-        u = haar_unitary(4, rng)
+        u = haar_unitaries(4, 1, rng)[0]
         rho = DensityMatrix(u @ np.diag([0.4, 0.4, 0.15, 0.05]) @ u.conj().T)
         h = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0]))
         block = np.eye(4, dtype=complex)
-        block[1:3, 1:3] = haar_unitary(2, rng)  # acts inside the degenerate energy pair
+        block[1:3, 1:3] = haar_unitaries(2, 1, rng)[0]  # acts inside the degenerate energy pair
         h_rot = HermitianOperator(block @ h.matrix @ block.conj().T)
         for routes in (ergotropy_direct,):
             assert abs(routes(rho, h) - routes(rho, h_rot)) <= 1e-9

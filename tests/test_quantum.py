@@ -21,7 +21,7 @@ from ergokit import (
 )
 from ergokit.errors import OutOfScope
 from ergokit.quantum import _logsumexp
-from ergokit.sampling import haar_unitary, random_density, random_hermitian, stream
+from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
@@ -89,7 +89,7 @@ class TestEigendecompose:
     def test_degenerate_tie_break_is_reproducible(self):
         # Two-fold degenerate subspace reached through different roundings.
         rng = stream(13)
-        u = haar_unitary(3, rng)
+        u = haar_unitaries(3, 1, rng)[0]
         m = u @ np.diag([0.5, 0.25, 0.25]) @ u.conj().T
         a = eigendecompose(DensityMatrix(m), "descending")
         b = eigendecompose(DensityMatrix(m.conj().T.conj().T + 0.0), "descending")
@@ -144,7 +144,7 @@ class TestStoredSpectrum:
         assert np.max(np.abs(spec.reconstruct() - rho.matrix)) < 1e-12
 
     def test_clamped_state_gets_the_spectrum_of_its_stored_matrix(self):
-        u = haar_unitary(3, stream(33))
+        u = haar_unitaries(3, 1, stream(33))[0]
         m = u @ np.diag([0.7 + 4e-11, 0.3, -4e-11]) @ u.conj().T
         rho = DensityMatrix(m)
         spec = eigendecompose(rho, "descending")
@@ -358,13 +358,13 @@ class TestRandomSweeps:
         bound = spectral_relative_entropy(rho, sigma)
         rng = stream(302)
         for _ in range(500):
-            u = haar_unitary(3, rng)
+            u = haar_unitaries(3, 1, rng)[0]
             rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
             assert quantum_relative_entropy(rotated, sigma) >= bound - 1e-9
 
     def test_unitary_invariance(self):
         rho = random_density(4, stream(400))
-        u = haar_unitary(4, stream(401))
+        u = haar_unitaries(4, 1, stream(401))[0]
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert von_neumann_entropy(rotated) == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
         assert np.allclose(

@@ -20,7 +20,7 @@ from ergokit import (
     sharpened_bound_report,
     step_product,
 )
-from ergokit.sampling import haar_unitary, random_hermitian, stream
+from ergokit.sampling import haar_unitaries, random_hermitian, stream
 from ergokit.workbench import magnus_product
 
 H_A = HermitianOperator(np.diag([0.0, 1.0]))
@@ -157,7 +157,7 @@ class TestConditionalThermalState:
         assert state.log_conditional_z == pytest.approx(math.log(z), abs=1e-12)
 
     def test_eigenvalues_equal_weights(self):
-        u = haar_unitary(3, stream(1))
+        u = haar_unitaries(3, 1, stream(1))[0]
         h_a = random_hermitian(3, stream(2))
         h_b = random_hermitian(3, stream(3))
         state = conditional_thermal_state(h_a, h_b, u, 0.8)
@@ -168,7 +168,7 @@ class TestConditionalThermalState:
         # S(conditional||gibbs_B) = ln Z_B - ln Z(B|A), for any driving.
         for trial in range(40):
             dim = 2 + trial % 2
-            u = haar_unitary(dim, stream(4, trial))
+            u = haar_unitaries(dim, 1, stream(4, trial))[0]
             h_a = random_hermitian(dim, stream(5, trial))
             h_b = random_hermitian(dim, stream(6, trial))
             beta = (0.5, 1.0, 2.0)[trial % 3]
@@ -243,7 +243,7 @@ class TestSharpenedBound:
             dim = 2 + trial % 2
             h_a = random_hermitian(dim, stream(7, trial))
             h_b = random_hermitian(dim, stream(8, trial))
-            u = haar_unitary(dim, stream(9, trial))
+            u = haar_unitaries(dim, 1, stream(9, trial))[0]
             protocol = DrivingProtocol.sudden(h_a, h_b)
             report = sharpened_bound_report(protocol, u, 1.0)
             assert report.beta * report.w_irr >= report.bound - 1e-9
@@ -272,10 +272,11 @@ def bound_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     h_a = random_hermitian(dim, stream(seed, 0))
     if draw(st.booleans()):
-        basis = haar_unitary(dim, stream(seed, 3))
+        basis = haar_unitaries(dim, 1, stream(seed, 3))[0]
         levels = stream(seed, 4).normal(size=dim)[np.arange(dim) // 2]
         h_a = HermitianOperator((basis * levels) @ basis.conj().T)
-    return h_a, random_hermitian(dim, stream(seed, 1)), haar_unitary(dim, stream(seed, 2)), beta
+    u = haar_unitaries(dim, 1, stream(seed, 2))[0]
+    return h_a, random_hermitian(dim, stream(seed, 1)), u, beta
 
 
 class TestBoundReportProperties:
@@ -304,7 +305,7 @@ class TestEigensolverCalls:
         return (
             random_hermitian(5, stream(20, seed)),
             random_hermitian(5, stream(21, seed)),
-            haar_unitary(5, stream(22, seed)),
+            haar_unitaries(5, 1, stream(22, seed))[0],
         )
 
     def test_bound_report_diagonalizes_h_a_h_b_and_the_conditional_state(
