@@ -48,8 +48,8 @@ class PhaseGrid:
             raise ValueError("energy_a and energy_b must be 1-D vectors of equal length")
         if not (np.all(np.isfinite(ea)) and np.all(np.isfinite(eb))):
             raise ValueError("grid energies must be finite")
-        if not self.cell_volume > 0.0:
-            raise ValueError("cell_volume must be positive")
+        if not 0.0 < self.cell_volume < np.inf:
+            raise ValueError(f"cell_volume must be positive and finite, got {self.cell_volume}")
         object.__setattr__(self, "energy_a", ea)
         object.__setattr__(self, "energy_b", eb)
 

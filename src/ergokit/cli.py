@@ -5,7 +5,9 @@ Each subcommand is one ``COMMANDS`` entry and takes only the options it reads;
 its report's ``config`` echoes their values.  Every subcommand prints a
 machine-readable JSON report (schema 3, sorted keys, floats at 12 significant
 digits, kernels in the forms of ``serialize``) to stdout, encoded in one pass
-by ``_dumps``.  ``--output`` additionally writes the report, or a plot-ready
+by ``_dumps``; a 1-D or 2-D float array that is at least half zeros, such as a
+dense kernel echo, is written as zero runs and costs one formatted token per
+nonzero entry.  ``--output`` additionally writes the report, or a plot-ready
 CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
 asserted invariant holds at the configured tolerance, 1 on an invariant
 failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
@@ -474,7 +476,7 @@ def _array_tokens(array: np.ndarray) -> list[str]:
     rounded.
 
     A zero of either sign is its own rounding, so only nonzero floats are
-    formatted: a sparse dense kernel costs one format per populated entry."""
+    formatted, in one ``_float_tokens`` batch."""
     flat = array.reshape(-1)
     if flat.dtype.kind in "biu":
         return json.dumps(flat.tolist())[1:-1].split(", ")
@@ -502,6 +504,48 @@ def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
     return "[\n" + inner + head, tails
 
 
+def _zero_runs(array: np.ndarray, indent: str) -> list[str]:
+    """The pieces of the text of a mostly-zero 1-D or 2-D float ``array``, laid
+    out as ``_layout`` lays it out.
+
+    The entries other than +0.0, and the last entry, are kept and formatted.
+    The run of +0.0 entries before each kept entry is written as at most three
+    repeated strings: the zeros to the end of its first row, the whole zero
+    rows after it, and the zeros that open the kept entry's row.  Each
+    distinct string is built once, so the work scales with the kept entries."""
+    flat = array.reshape(-1)
+    width = array.shape[-1]
+    head, tails = _layout((2,) * array.ndim, indent)
+    # Two rows of two entries show every separator.  A 1-D array is one row,
+    # which only its last entry, always kept, ends: its row_sep is never used.
+    sep, row_sep, close = tails[0], tails[1], tails[-1]
+    kept = (flat != 0) | np.signbit(flat)
+    kept[-1] = True
+    at = kept.nonzero()[0]
+    m = at.size
+    # The row and column where the run before each kept entry starts, then
+    # those of the kept entries.
+    rows, cols = np.divmod(np.concatenate(([0], at[:-1] + 1, at)), width)
+    span = rows[m:] - rows[:m]
+    lead = (np.where(span, width - 1, cols[m:]) - cols[:m]).tolist()
+    trail = (cols[m:] * (span > 0)).tolist()
+    span = span.tolist()
+    zero, zero_row_end = "0.0" + sep, "0.0" + row_sep
+    zeros = {k: zero * k for k in {*lead, *trail}}
+    spans = {r: zero_row_end + (zero * (width - 1) + zero_row_end) * (r - 1) if r else ""
+             for r in set(span)}
+    pieces = [head] * (5 * m + 1)
+    pieces[1::5] = [zeros[k] for k in lead]
+    pieces[2::5] = [spans[r] for r in span]
+    pieces[3::5] = [zeros[k] for k in trail]
+    # The last entry, kept even when zero, is formatted apart, so that the
+    # batch of nonzero entries stays on the fast path of ``_float_tokens``.
+    pieces[4::5] = _float_tokens(flat[at[:-1]].tolist()) + _float_tokens([float(flat[-1])])
+    pieces[5::5] = [row_sep if c == width - 1 else sep for c in cols[m:].tolist()]
+    pieces[-1] = close
+    return pieces
+
+
 def _dumps(obj) -> str:
     """``json.dumps(round_floats(obj), sort_keys=True, indent=2)`` for
     string-keyed payloads, in one pass.
@@ -510,7 +554,12 @@ def _dumps(obj) -> str:
     encoder and writes each float's shortest repr.  This copies that layout,
     rounds each float as it writes it (``_float_tokens``), and takes float,
     int and bool ndarrays whole, with no list of rounded floats in between.
-    Every piece goes to one list, joined once, so no level copies the text below it.
+    An array has one of two writers, chosen by its zero count: a 1-D or 2-D
+    float array with at least as many zeros as nonzero entries goes to
+    ``_zero_runs``, which formats only its nonzero entries and writes each
+    run of zeros as a few repeated strings; any other array interleaves every
+    entry's token with the text ``_layout`` puts after it.  Every piece goes
+    to one list, joined once, so no level copies the text below it.
     """
     out: list[str] = []
     _encode(obj, "", out)
@@ -522,6 +571,9 @@ def _encode(obj, indent: str, out: list[str]) -> None:
     if isinstance(obj, (float, np.floating)):
         out.append(_float_tokens([float(obj)])[0])
     elif isinstance(obj, np.ndarray) and obj.size:
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2) and 2 * np.count_nonzero(obj) <= obj.size:
+            out += _zero_runs(obj, indent)
+            return
         head, tails = _layout(obj.shape, indent)
         pieces = [head] * (2 * obj.size + 1)
         pieces[1::2] = _array_tokens(obj)

@@ -35,8 +35,16 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries": m.reshape(-1, 1).view(float)}
 
 
+def _size(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: not a fraction, nor a bool."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    dim = _size(obj, "dim")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
@@ -66,7 +74,7 @@ def kernel_from_json(obj: dict) -> TransitionKernel:
         kernel = TransitionKernel.from_permutation(obj["image"])
     else:
         kernel = TransitionKernel(obj["matrix"])
-    if kernel.n_cells != int(obj["n"]):
+    if kernel.n_cells != _size(obj, "n"):
         raise ValueError(f"kernel declares n = {obj['n']} but holds {kernel.n_cells} cells")
     return kernel
 

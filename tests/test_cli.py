@@ -117,11 +117,23 @@ class TestErgotropyCommand:
         assert code == 2
         assert "error" in err
 
-    def test_bad_matrix_payload_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command, payload, kind", [
+        ("ergotropy", {"rho": {"dim": 2, "entries": [[1, 0]]}}, "state"),
+        ("ergotropy", {"rho": {"dim": 2.5, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
+                       "hamiltonian": {"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}},
+         "state"),
+        ("geometric-z", {"hamiltonian": {"dim": 2.5, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}},
+         "Hamiltonian"),
+        ("geometric-z", {"hamiltonian": {"dim": True, "entries": [[1, 0]]}}, "Hamiltonian"),
+    ], ids=["entry-count", "fractional-dim", "geometric-fractional-dim", "geometric-bool-dim"])
+    def test_bad_matrix_payload_exits_2(self, capsys, tmp_path, command, payload, kind):
+        # A size must be a JSON integer: 2.5 is not read as 2, nor true as 1.
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"rho": {"dim": 2, "entries": [[1, 0]]}}))
-        code, _, _ = run_cli(capsys, "ergotropy", "--input", str(path))
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
         assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: bad {kind} file ") and err.count("\n") == 1
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "ergotropy", "--input", "/nonexistent/state.json")
@@ -180,6 +192,8 @@ class TestClassicalCommand:
 
 
 GRID3 = {"energy_a": [0.0, 1.0, 2.0], "energy_b": [0.5, 1.0, 1.5], "weights": [0.2, 0.3, 0.5]}
+GRID2 = {"energy_a": [0.0, 1.0], "energy_b": [0.5, 1.0], "weights": [0.4, 0.6]}
+GRID1 = {"energy_a": [0.0], "energy_b": [0.5], "weights": [1.0]}
 
 
 class TestClassicalInput:
@@ -190,15 +204,19 @@ class TestClassicalInput:
         {"grid": GRID3, "kernel": {"n": 3, "image": [0, 0, 1]}},
         {"grid": GRID3, "kernel": {"n": 3, "image": [0, 1, 3]}},
         {"grid": GRID3, "kernel": {"n": 4, "image": [2, 0, 1]}},
+        {"grid": GRID2, "kernel": {"n": 2.9, "image": [1, 0]}},
+        {"grid": GRID1, "kernel": {"n": True, "image": [0]}},
+        # 1e400 overflows to inf when read, as json.dumps's Infinity does.
+        {"grid": dict(GRID3, cell_volume=float("inf"))},
     ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
-            "declared-n"])
+            "declared-n", "fractional-n", "bool-n", "infinite-cell-volume"])
     def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, "classical", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: bad grid file ") and err.count("\n") == 1
 
     def test_dense_kernel_input(self, capsys, tmp_path):
         mixture = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]
@@ -252,6 +270,9 @@ _SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)
 _ARRAYS = st.one_of(
     hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
     hnp.arrays(np.float64, _SHAPES, elements=st.sampled_from([0.0, -0.0, 0.5, 1.0])),
+    # Mostly +0.0, with sides up to 40: zero runs that span whole rows.
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=40),
+               elements=_FLOATS, fill=st.just(0.0)),
     hnp.arrays(np.int64, _SHAPES),
     hnp.arrays(np.bool_, _SHAPES),
 )
@@ -305,6 +326,11 @@ class TestReportLayout:
     @example({"state": matrix_to_json(random_density(3, stream(1)).matrix),
               "hamiltonian": matrix_to_json(random_hermitian(3, stream(2)).matrix)})
     @example({"kernel": kernel_to_json(_dense_kernel())})
+    @example({"zeros": np.zeros((3, 4))})
+    @example({"lone": np.where(np.arange(20).reshape(4, 5) == 13, -0.0, 0.0)})
+    @example({"middle": np.pad([[0.5, 0.0, -1.5]], ((2, 3), (0, 0)))})
+    @example({"half": np.array([[0.0, 1.5, 0.0], [2.5, -0.0, 3.0]])})
+    @example({"hamiltonian": matrix_to_json(np.diag(np.arange(6.0)))})
     def test_dumps_matches_the_standard_indented_encoder(self, payload):
         assert _dumps(payload) == json.dumps(round_floats(payload), sort_keys=True, indent=2)
 
