@@ -26,9 +26,9 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import ergotropy_direct, ergotropy_report, unitary_min_probe
+from .ergotropy import _direct, _unitary_min_probes, ergotropy_report
 from .errors import ErgokitError, OutOfScope
-from .quantum import DensityMatrix, HermitianOperator
+from .quantum import DensityMatrix, HermitianOperator, _eigendecompose_all
 from .sampling import random_density, random_hermitian, stream
 from .serialize import (
     density_from_json,
@@ -158,32 +158,41 @@ def _cmd_ergotropy(config: argparse.Namespace):
     return results, checks, [results]
 
 
+def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperator], beta: float,
+                   probe_samples: int, probe_seeds: list[int]) -> list[dict]:
+    """The sweep's rows for one block of trials: one ``eigh`` for the block's
+    Hamiltonians, one ``eigvalsh`` each for the passive energies and one QR for
+    the Haar unitaries; the spectral routes then run row by row."""
+    _eigendecompose_all(hamiltonians, "ascending")
+    _eigendecompose_all(rhos, "descending")
+    direct = _direct(*(np.array([op.matrix for op in ops]) for ops in (rhos, hamiltonians)))[0]
+    reports = [ergotropy_report(rho, h, beta) for rho, h in zip(rhos, hamiltonians)]
+    probes = _unitary_min_probes(rhos, [report.context.gibbs for report in reports],
+                                 probe_samples, probe_seeds, include_optimal=True)
+    return [{
+        "ergotropy_identity_dev": abs(total - report.via_entropies) / (1.0 + abs(total)),
+        "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
+        "chain_identity_dev": abs(c.relative_entropy() - c.coherence() - c.population_divergence()),
+        "unitary_min_gap": probe.min_gap,
+        "optimal_unitary_gap": abs(probe.optimal_gap),
+    } for total, report, c, probe in zip(direct.tolist(), reports, [r.context for r in reports], probes)]
+
+
 def _cmd_verify_identities(config: argparse.Namespace):
-    beta = config.beta
+    """Random-state sweep of the identities, in blocks of at most 2^16 Haar-probe
+    entries (trials x 32 x d^2, 1 MiB per complex array), so memory does not grow
+    with --trials.  Trial i draws from its own streams, so its row does not
+    depend on the block it falls in."""
     probe_samples = 32
-
-    def worker(i: int) -> dict:
-        rho = random_density(config.dim, stream(config.seed, 3 * i))
-        hamiltonian = random_hermitian(config.dim, stream(config.seed, 3 * i + 1))
-        direct = ergotropy_direct(rho, hamiltonian)
-        report = ergotropy_report(rho, hamiltonian, beta)
-        context = report.context
-        chain = abs(
-            context.relative_entropy() - context.coherence() - context.population_divergence()
-        )
-        probe = unitary_min_probe(
-            rho, context.gibbs, probe_samples, seed=config.seed + 7919 * i, include_optimal=True
-        )
-        return {
-            "trial": i,
-            "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
-            "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
-            "chain_identity_dev": chain,
-            "unitary_min_gap": probe.min_gap,
-            "optimal_unitary_gap": abs(probe.optimal_gap),
-        }
-
-    trials = [worker(i) for i in range(config.trials)]
+    block = max(1, 2**16 // (probe_samples * config.dim**2))
+    trials = []
+    for start in range(0, config.trials, block):
+        index = range(start, min(start + block, config.trials))
+        rhos = [random_density(config.dim, stream(config.seed, 3 * i)) for i in index]
+        hamiltonians = [random_hermitian(config.dim, stream(config.seed, 3 * i + 1)) for i in index]
+        rows = _identity_rows(rhos, hamiltonians, config.beta, probe_samples,
+                              [config.seed + 7919 * i for i in index])
+        trials += [{"trial": i, **row} for i, row in zip(index, rows)]
     results = {
         "trials": config.trials,
         "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),

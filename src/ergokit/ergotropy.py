@@ -27,10 +27,9 @@ from .quantum import (
     SpectralContext,
     dephase,
     eigendecompose,
-    expectation,
     spectral_context,
 )
-from .sampling import haar_unitaries, stream
+from .sampling import _haar_blocks, stream
 
 UNITARITY_ATOL = 1e-10
 # Haar unitaries drawn per block; it fixes how the seeded stream is split, so
@@ -108,14 +107,19 @@ def passive_energy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
     """Minimal mean energy over the unitary orbit: sum of p_sorted_desc * E_sorted_asc."""
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
-    p = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-    e = np.sort(np.linalg.eigvalsh(hamiltonian.matrix))
-    return float(p @ e)
+    return float(_direct(rho.matrix, hamiltonian.matrix)[1])
 
 
 def ergotropy_direct(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
     """tr(rho H) minus the passive energy."""
-    return expectation(rho, hamiltonian) - passive_energy(rho, hamiltonian)
+    return float(_direct(rho.matrix, hamiltonian.matrix)[0])
+
+
+def _direct(rho: np.ndarray, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``ergotropy_direct``, ``passive_energy``) over stacks (..., d, d) of matrices."""
+    p = np.sort(np.linalg.eigvalsh(rho))[..., None, ::-1]
+    passive = (p @ np.sort(np.linalg.eigvalsh(hamiltonian))[..., None])[..., 0, 0]
+    return np.einsum("...ij,...ji->...", rho, hamiltonian).real - passive, passive
 
 
 def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> AlignmentUnitary:
@@ -208,61 +212,67 @@ def unitary_min_probe(
     with ``include_optimal`` the aligning unitary is evaluated by the same
     formula as the samples and closes the gap to rounding error.
     """
+    return _unitary_min_probes([rho], [sigma], n_samples, [seed], include_optimal)[0]
+
+
+def _unitary_min_probes(rhos: list[DensityMatrix], sigmas: list[DensityMatrix | GibbsState],
+                        n_samples: int, seeds: list[int], include_optimal: bool
+                        ) -> list[UnitaryProbeResult]:
+    """``unitary_min_probe`` of each row of a block of one dimension: each row draws from
+    its own stream, and one QR per chunk and one set of contractions serve the block."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if isinstance(sigma, GibbsState):
-        s_vectors, ln_s = sigma.basis, sigma.log_populations
-    else:
-        s_spec = eigendecompose(sigma, "descending")
-        s_vectors = s_spec.vectors
-        ln_s = np.log(s_spec.values[s_spec.values > SUPPORT_FLOOR])
-    if rho.dim != len(s_vectors):
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {len(s_vectors)}")
-
-    p_spec = eigendecompose(rho, "descending")
-    live = p_spec.values > SUPPORT_FLOOR
-    p_live = p_spec.values[live]
-    v_live = p_spec.vectors[:, live]
-    s_adjoint = s_vectors[:, : len(ln_s)].conj().T
-    entropy_term = float((p_live * np.log(p_live)).sum())
-    if len(p_live) > len(ln_s):
-        raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
-    bound = entropy_term - float(p_live @ ln_s[: len(p_live)])
+    rows, bounds = [], []
+    for rho, sigma in zip(rhos, sigmas):
+        if isinstance(sigma, GibbsState):
+            s_vectors, ln_s = sigma.basis, sigma.log_populations
+        else:
+            s_spec = eigendecompose(sigma, "descending")
+            s_vectors = s_spec.vectors
+            ln_s = np.log(s_spec.values[s_spec.values > SUPPORT_FLOOR])
+        if rho.dim != len(s_vectors):
+            raise ValueError(f"dimension mismatch: {rho.dim} vs {len(s_vectors)}")
+        p_spec = eigendecompose(rho, "descending")
+        live = p_spec.values > SUPPORT_FLOOR
+        p_live = p_spec.values[live]
+        entropy_term = float((p_live * np.log(p_live)).sum())
+        if len(p_live) > len(ln_s):
+            raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
+        bounds.append(entropy_term - float(p_live @ ln_s[: len(p_live)]))
+        rows.append((s_vectors[:, : len(ln_s)].conj(), p_spec.vectors[:, live], ln_s, p_live,
+                     entropy_term, s_vectors @ p_spec.vectors.conj().T))
+    if len({(len(row[2]), len(row[3])) for row in rows}) > 1:  # mixed support sizes: row by row
+        return [_unitary_min_probes([rho], [sigma], n_samples, [seed], include_optimal)[0]
+                for rho, sigma, seed in zip(rhos, sigmas, seeds)]
+    s_conj, v_live, ln_s, p_live, entropy_term, aligned = (np.array(c) for c in zip(*rows))
 
     def entropies(units: np.ndarray) -> np.ndarray:
-        amplitudes = s_adjoint @ (units @ v_live)  # <s_j|U|v_i>: (m, n_support, n_live)
+        # <s_j|U|v_i>: (rows, m, n_support, n_live); S† keeps a single row's transposed layout
+        amplitudes = s_conj.swapaxes(1, 2)[:, None] @ (units @ v_live[:, None])
         overlap = amplitudes.real**2 + amplitudes.imag**2
-        deviation = float(np.max(np.abs(overlap.sum(axis=1) - 1.0)))
+        deviation = float(np.max(np.abs(overlap.sum(axis=-2) - 1.0)))
         if deviation > SUPPORT_FLOOR:
-            raise SupportViolation(
-                f"a rotated state leaks {deviation:.3e} outside support(sigma)"
-            )
-        return entropy_term - (ln_s @ overlap) @ p_live
+            raise SupportViolation(f"a rotated state leaks {deviation:.3e} outside support(sigma)")
+        cross = (ln_s[:, None, None] @ overlap)[..., 0, :] @ p_live[..., None]
+        return entropy_term[:, None] - cross[..., 0]
 
-    rng = stream(seed)
-    total = 0.0
-    best = np.inf
-    done = 0
-    while done < n_samples:
-        m = min(PROBE_CHUNK, n_samples - done)
-        values = entropies(haar_unitaries(rho.dim, m, rng))
-        total += float(values.sum())
-        best = min(best, float(values.min()))
-        done += m
-
-    optimal_entropy = None
-    optimal_gap = None
+    rngs = [stream(seed) for seed in seeds]
+    total, best = np.zeros(len(rows)), np.full(len(rows), np.inf)
+    for done in range(0, n_samples, PROBE_CHUNK):
+        values = entropies(_haar_blocks(rhos[0].dim, min(PROBE_CHUNK, n_samples - done), rngs))
+        total += values.sum(axis=-1)
+        best = np.minimum(best, values.min(axis=-1))
+    optimal = np.full(len(rows), np.nan)
     if include_optimal:
-        optimal_entropy = float(entropies((s_vectors @ p_spec.vectors.conj().T)[None])[0])
-        optimal_gap = optimal_entropy - bound
-        best = min(best, optimal_entropy)
-    return UnitaryProbeResult(
-        n_samples=n_samples,
-        seed=seed,
-        spectral_bound=bound,
-        min_entropy=best,
-        mean_entropy=total / n_samples,
-        min_gap=best - bound,
-        optimal_entropy=optimal_entropy,
-        optimal_gap=optimal_gap,
-    )
+        optimal = entropies(aligned[:, None])[:, 0]
+        best = np.minimum(best, optimal)
+    return [
+        UnitaryProbeResult(
+            n_samples=n_samples, seed=seed, spectral_bound=bound, min_entropy=low,
+            mean_entropy=mean, min_gap=low - bound,
+            optimal_entropy=found if include_optimal else None,
+            optimal_gap=found - bound if include_optimal else None,
+        )
+        for seed, bound, low, mean, found in zip(
+            seeds, bounds, best.tolist(), (total / n_samples).tolist(), optimal.tolist())
+    ]

@@ -102,13 +102,13 @@ class DensityMatrix(HermitianOperator):
 
 
 def _fix_phase(z: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of a vector, or of each column of a matrix, so
-    that its largest-magnitude component is real positive."""
-    cols = z.reshape(len(z), -1)
-    a = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    """Rotate the global phase of each column of ``z`` (..., n, k) so that its
+    largest-magnitude component is real positive."""
+    cols = z.reshape((-1,) + z.shape[-2:])
+    a = cols[np.arange(len(cols))[:, None], np.abs(cols).argmax(axis=1), np.arange(cols.shape[2])]
     mag = np.hypot(a.real, a.imag)
     mag[mag == 0.0] = 1.0  # an all-zero column stays zero
-    return (cols * (a.conj() / mag)).reshape(z.shape)
+    return (cols * (a.conj() / mag)[:, None, :]).reshape(z.shape)
 
 
 def _canonical_columns(block: np.ndarray) -> np.ndarray:
@@ -146,35 +146,47 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     object is diagonalized at most once; the read-only spectrum of each order
     is kept on it and returned by later calls.
     """
-    if order in operator._spectra:
-        return operator._spectra[order]
+    if order not in operator._spectra:
+        _eigendecompose_all([operator], order)
+    return operator._spectra[order]
+
+
+def _eigendecompose_all(operators: list[HermitianOperator], order: Order) -> None:
+    """``eigendecompose`` of a block of operators of one dimension: one stacked
+    ``eigh`` for those not yet diagonalized, the canonicalization over the stack,
+    and the degenerate-cluster tie-break only on the rows that need it."""
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown order {order!r}")
-    if operator._eigh is None:
-        operator._eigh = np.linalg.eigh(operator.matrix)
+    todo = [op for op in operators if op._eigh is None]
+    if todo:
+        for op, *eigh in zip(todo, *np.linalg.eigh(np.array([op.matrix for op in todo]))):
+            op._eigh = tuple(eigh)
     step = -1 if order == "descending" else 1
-    w, v = operator._eigh
-    w, v = w[::step].copy(), v[:, ::step].copy()
+    w = np.array([op._eigh[0][::step] for op in operators])
+    v = np.array([op._eigh[1][:, ::step] for op in operators])
 
-    scale = 1.0 + np.maximum(np.abs(w[1:]), np.abs(w[:-1]))
-    breaks = (np.flatnonzero(np.abs(np.diff(w)) > DEGENERACY_RTOL * scale) + 1).tolist()
-    clusters = [tuple(range(a, b)) for a, b in zip([0] + breaks, breaks + [len(w)])]
-    single = np.ones(len(w), dtype=bool)
-    for members in clusters:
-        if len(members) > 1:
-            sl = slice(members[0], members[-1] + 1)
-            v[:, sl] = _canonical_columns(v[:, sl])
-            single[sl] = False
-    v[:, single] = _fix_phase(v[:, single])
+    dim, magnitude = w.shape[1], np.abs(w)
+    scale = 1.0 + np.maximum(magnitude[:, 1:], magnitude[:, :-1])
+    gaps = np.abs(w[:, 1:] - w[:, :-1]) > DEGENERACY_RTOL * scale
+    clusters = [tuple((i,) for i in range(dim))] * len(operators)
+    fixed = _fix_phase(v)
+    degenerate = () if gaps.all() else np.flatnonzero(~gaps.all(axis=1))  # rows with a cluster
+    for r in degenerate:
+        breaks = (np.flatnonzero(gaps[r]) + 1).tolist()
+        clusters[r] = tuple(tuple(range(a, b)) for a, b in zip([0] + breaks, breaks + [dim]))
+        for members in clusters[r]:
+            if len(members) > 1:
+                sl = slice(members[0], members[-1] + 1)
+                fixed[r, :, sl] = _canonical_columns(v[r, :, sl])
 
-    residual = np.linalg.norm(operator.matrix @ v - v * w, axis=0)
-    scale = max(float(np.max(np.abs(w))), np.finfo(float).tiny)
-    if float(residual.max()) > EIGEN_RESIDUAL_RTOL * scale:
+    matrices = np.array([op.matrix for op in operators])
+    residual = np.linalg.norm(matrices @ fixed - fixed * w[:, None, :], axis=1).max(axis=1)
+    if np.any(residual > EIGEN_RESIDUAL_RTOL * np.maximum(magnitude.max(axis=1), np.finfo(float).tiny)):
         raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
-    for a in (w, v):
+    for a in (w, fixed):
         a.setflags(write=False)
-    operator._spectra[order] = SortedSpectrum(w, v, order, tuple(clusters))
-    return operator._spectra[order]
+    for op, values, vectors, runs in zip(operators, w, fixed, clusters):
+        op._spectra[order] = SortedSpectrum(values, vectors, order, runs)
 
 
 @dataclass(frozen=True)
@@ -342,14 +354,18 @@ class SpectralContext:
             return np.sort(np.diagonal(self._pinched).real)[::-1]
         return np.linalg.eigvalsh(self._pinched)[::-1]
 
-    @property
+    @cached_property
     def dephased_energy(self) -> float:
         """tr(dephased H), summed on the energy basis."""
         return float(np.diagonal(self._pinched).real @ self.gibbs.energies)
 
+    # H(rho) and H(dephased), each computed once
+    entropy = cached_property(lambda self: _entropy(self.populations))
+    dephased_entropy = cached_property(lambda self: _entropy(self.dephased_populations))
+
     def relative_entropy(self) -> float:
         """S(rho||rho_eq) = sum p ln p + beta tr(rho H) + ln Z."""
-        return -_entropy(self.populations) + self.gibbs.beta * self.energy + self.gibbs.log_z
+        return -self.entropy + self.gibbs.beta * self.energy + self.gibbs.log_z
 
     def spectral_divergence(self) -> float:
         """D(rho||rho_eq) = sum p_desc (ln p_desc + beta E_asc + ln Z)."""
@@ -359,12 +375,12 @@ class SpectralContext:
 
     def coherence(self) -> float:
         """Relative entropy of coherence, H(dephased) - H(rho)."""
-        return _entropy(self.dephased_populations) - _entropy(self.populations)
+        return self.dephased_entropy - self.entropy
 
     def population_divergence(self) -> float:
         """S(dephased||rho_eq) = -H(dephased) + beta tr(dephased H) + ln Z."""
         gibbs = self.gibbs
-        return -_entropy(self.dephased_populations) + gibbs.beta * self.dephased_energy + gibbs.log_z
+        return -self.dephased_entropy + gibbs.beta * self.dephased_energy + gibbs.log_z
 
 
 def spectral_context(

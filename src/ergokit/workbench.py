@@ -44,6 +44,11 @@ class DrivingProtocol:
             raise ValueError("a protocol needs at least two knots, with times rising from 0")
         if len({h.dim for _, h in self.knots}) != 1:
             raise ValueError("every knot Hamiltonian must share one dimension")
+        # The knot times and matrices, held once and read-only for the propagators.
+        for name, array in (("_times", np.array(times)),
+                            ("_matrices", np.stack([h.matrix for _, h in self.knots]))):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def initial(self) -> HermitianOperator:
@@ -77,15 +82,14 @@ class DrivingProtocol:
         """Interpolated Hamiltonian matrix at time t in [0, tau]; an array of
         times gives the matrices stacked along its shape, t.shape + (d, d)."""
         s = np.asarray(t, dtype=float).clip(0.0, self.tau)
-        times = np.array([tk for tk, _ in self.knots])
+        times = self._times
         # times[0] = 0 <= s, so j >= 0: only the last interval needs a cap
         j = np.minimum(np.searchsorted(times, s, side="right") - 1, len(times) - 2)
         t0, t1 = times[j], times[j + 1]
         # a zero-width interval is a jump, reached only at its end: take the later knot
         x = np.divide(s - t0, t1 - t0, out=np.ones_like(s), where=t1 > t0)[..., None, None]
-        matrices = np.stack([h.matrix for _, h in self.knots])
-        # (1 - x) M[j] + x M[j + 1] in place: no third (..., d, d) temporary
-        lower, upper = matrices[j], matrices[j + 1]
+        # (1 - x) M[j] + x M[j + 1] in place on copies (even for a scalar j): no third temporary
+        lower, upper = (np.take(self._matrices, k, axis=0) for k in (j, j + 1))
         lower *= 1.0 - x
         upper *= x
         lower += upper
@@ -104,7 +108,7 @@ def _step_nodes(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1 for non-sudden protocols")
-    times = np.array([t for t, _ in protocol.knots])
+    times = protocol._times
     lengths = np.diff(times)
     counts = np.maximum(1, np.rint(n_steps * lengths / protocol.tau).astype(int))
     starts = np.repeat(times[:-1], counts)[:, None]

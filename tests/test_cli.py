@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ergokit import classical
-from ergokit.cli import COMMANDS, _dumps, _float_tokens, main
-from ergokit.sampling import random_density, random_hermitian, stream
+from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
+from ergokit.ergotropy import ergotropy_direct, ergotropy_report, unitary_min_probe
+from ergokit.quantum import HermitianOperator, eigendecompose
+from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
 
 
@@ -48,6 +51,61 @@ class TestVerifyIdentities:
         assert "ergotropy_identity" in err
 
 
+def _single_state_row(rho, hamiltonian, beta, probe_seed):
+    """A verify-identities row from the single-state routes, one trial at a time:
+    the reference the blocked sweep must match bit for bit."""
+    direct = ergotropy_direct(rho, hamiltonian)
+    report = ergotropy_report(rho, hamiltonian, beta)
+    c = report.context
+    probe = unitary_min_probe(rho, c.gibbs, 32, probe_seed, include_optimal=True)
+    return {
+        "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
+        "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
+        "chain_identity_dev": abs(c.relative_entropy() - c.coherence() - c.population_divergence()),
+        "unitary_min_gap": probe.min_gap,
+        "optimal_unitary_gap": abs(probe.optimal_gap),
+    }
+
+
+class TestVerifyBlocks:
+    # d = 40 runs one trial per block; the others run every trial in one block.
+    @pytest.mark.parametrize("dim, many, few", [(2, 16, 5), (3, 16, 5), (8, 16, 5), (40, 3, 2)])
+    def test_rows_equal_single_state_trials(self, capsys, tmp_path, dim, many, few):
+        lines = {}
+        for trials in (many, few):
+            path = tmp_path / f"{trials}.csv"
+            code, _, _ = run_cli(
+                capsys, "verify-identities", "--dim", str(dim), "--trials", str(trials),
+                "--seed", "9", "--format", "csv", "--output", str(path),
+            )
+            assert code == 0
+            lines[trials] = path.read_text().splitlines()
+        assert lines[many][: few + 1] == lines[few]
+        config = argparse.Namespace(dim=dim, trials=many, seed=9, beta=1.0, tolerance=1e-8)
+        _, _, rows = COMMANDS["verify-identities"].run(config)
+        for i, row in enumerate(rows):
+            rho = random_density(dim, stream(9, 3 * i))
+            hamiltonian = random_hermitian(dim, stream(9, 3 * i + 1))
+            assert row == {"trial": i, **_single_state_row(rho, hamiltonian, 1.0, 9 + 7919 * i)}
+
+    def test_degenerate_and_rank_deficient_rows_in_one_block(self):
+        def block():
+            rhos = [random_density(4, stream(5, k)) for k in range(3)]
+            rhos[2] = random_density(4, stream(5, 2), rank=2)
+            hamiltonians = [random_hermitian(4, stream(6, k)) for k in range(3)]
+            u = haar_unitaries(4, 1, stream(7))[0]
+            hamiltonians[1] = HermitianOperator(u @ np.diag([0.0, 1.0, 1.0, 2.0]) @ u.conj().T)
+            return rhos, hamiltonians
+
+        seeds = [11, 12, 13]
+        rhos, hamiltonians = block()
+        rows = _identity_rows(rhos, hamiltonians, 1.0, 32, seeds)
+        assert [len(eigendecompose(h, "ascending").clusters) for h in hamiltonians] == [4, 3, 4]
+        assert [int(np.sum(eigendecompose(r, "descending").values > 1e-12)) for r in rhos] == [4, 4, 2]
+        for row, rho, hamiltonian, seed in zip(rows, *block(), seeds):
+            assert row == _single_state_row(rho, hamiltonian, 1.0, seed)
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ("verify-identities", "--dim", "3", "--trials", "10", "--seed", "11")
@@ -68,6 +126,8 @@ class TestEigensolverCalls:
         [
             (("ergotropy", "--dim", "16", "--seed", "0"), 2),
             (("verify-identities", "--dim", "8", "--trials", "1"), 4),
+            # 20 validating eigh of the states, then one eigh and two eigvalsh for the block
+            (("verify-identities", "--dim", "8", "--trials", "20"), 24),
         ],
     )
     def test_one_diagonalization_per_operator(self, capsys, eigensolver_calls, argv, most):

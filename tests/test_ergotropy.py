@@ -24,7 +24,7 @@ from ergokit import (
     spectral_relative_entropy,
     unitary_min_probe,
 )
-from ergokit.ergotropy import optimal_alignment_unitary
+from ergokit.ergotropy import PROBE_CHUNK, _unitary_min_probes, optimal_alignment_unitary
 from ergokit.errors import InvariantViolation, SupportViolation
 from ergokit.sampling import (
     haar_unitaries,
@@ -226,6 +226,22 @@ class TestUnitaryMinProbe:
             assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
         aligned = unitary_min_probe(rho, sigma, 1, seed=seed, include_optimal=True)
         assert abs(aligned.optimal_gap) <= 1e-12
+
+    @pytest.mark.parametrize("n_samples", [5, PROBE_CHUNK + 3])
+    @pytest.mark.parametrize("include_optimal", [False, True])
+    def test_a_block_equals_its_rows_probed_one_at_a_time(self, n_samples, include_optimal):
+        # Gibbs and matrix sigmas, full-rank and rank-2 states: rows of two support sizes
+        rhos = [random_density(3, stream(62, k), rank=(None, 2, None, None)[k]) for k in range(4)]
+        sigmas = [gibbs_state(random_hermitian(3, stream(63, k)), 0.7) for k in range(2)]
+        sigmas += [random_density(3, stream(64, k)) for k in range(2)]
+        seeds = [21, 22, 23, 24]
+        block = _unitary_min_probes(rhos, sigmas, n_samples, seeds, include_optimal)
+        assert block == [unitary_min_probe(rho, sigma, n_samples, seed, include_optimal)
+                         for rho, sigma, seed in zip(rhos, sigmas, seeds)]
+        full_rank = [0, 2, 3]  # one support size: one stacked QR and contraction
+        assert _unitary_min_probes([rhos[k] for k in full_rank], [sigmas[k] for k in full_rank],
+                                   n_samples, [seeds[k] for k in full_rank], include_optimal
+                                   ) == [block[k] for k in full_rank]
 
     def test_a_rotated_state_leaking_out_of_the_support_is_refused(self):
         rho = random_density(3, stream(60), rank=1)
