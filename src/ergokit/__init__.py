@@ -25,7 +25,6 @@ from .classical import (
 from .ergotropy import (
     AlignmentUnitary,
     ErgotropyReport,
-    UnitaryProbeResult,
     coherent_ergotropy_eq11,
     dephased_ergotropy,
     ergotropy_direct,
@@ -33,7 +32,6 @@ from .ergotropy import (
     ergotropy_via_entropies,
     passive_energy,
     passive_state,
-    unitary_min_probe,
 )
 from .errors import (
     EmptyShell,

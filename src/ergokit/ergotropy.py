@@ -18,23 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, SupportViolation
+from .errors import InvariantViolation
 from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
-    GibbsState,
     HermitianOperator,
     SpectralContext,
     dephase,
     eigendecompose,
     spectral_context,
 )
-from .sampling import _haar_blocks, stream
 
 UNITARITY_ATOL = 1e-10
-# Haar unitaries drawn per block; it fixes how the seeded stream is split, so
-# changing it changes the probe's bits.
-PROBE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -183,96 +178,18 @@ def ergotropy_report(
     )
 
 
-@dataclass(frozen=True)
-class UnitaryProbeResult:
-    """Sampled minimum of S(U rho U†||sigma) against its spectral lower bound."""
-
-    n_samples: int
-    seed: int
-    spectral_bound: float
-    min_entropy: float
-    mean_entropy: float
-    min_gap: float
-    optimal_entropy: float | None
-    optimal_gap: float | None
-
-
-def unitary_min_probe(
-    rho: DensityMatrix,
-    sigma: DensityMatrix | GibbsState,
-    n_samples: int,
-    seed: int,
-    include_optimal: bool = False,
-) -> UnitaryProbeResult:
-    """Haar-sample unitaries and track min/mean of S(U rho U†||sigma).
-
-    A ``GibbsState`` ``sigma`` brings its basis and analytic log-populations
-    (every level is support); a density matrix is diagonalized here.  The
-    minimum can never undercut the sorted-spectrum divergence D(rho||sigma);
-    with ``include_optimal`` the aligning unitary is evaluated by the same
-    formula as the samples and closes the gap to rounding error.
-    """
-    return _unitary_min_probes([rho], [sigma], n_samples, [seed], include_optimal)[0]
-
-
-def _unitary_min_probes(rhos: list[DensityMatrix], sigmas: list[DensityMatrix | GibbsState],
-                        n_samples: int, seeds: list[int], include_optimal: bool
-                        ) -> list[UnitaryProbeResult]:
-    """``unitary_min_probe`` of each row of a block of one dimension: each row draws from
-    its own stream, and one QR per chunk and one set of contractions serve the block."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rows, bounds = [], []
-    for rho, sigma in zip(rhos, sigmas):
-        if isinstance(sigma, GibbsState):
-            s_vectors, ln_s = sigma.basis, sigma.log_populations
-        else:
-            s_spec = eigendecompose(sigma, "descending")
-            s_vectors = s_spec.vectors
-            ln_s = np.log(s_spec.values[s_spec.values > SUPPORT_FLOOR])
-        if rho.dim != len(s_vectors):
-            raise ValueError(f"dimension mismatch: {rho.dim} vs {len(s_vectors)}")
-        p_spec = eigendecompose(rho, "descending")
-        live = p_spec.values > SUPPORT_FLOOR
-        p_live = p_spec.values[live]
-        entropy_term = float((p_live * np.log(p_live)).sum())
-        if len(p_live) > len(ln_s):
-            raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
-        bounds.append(entropy_term - float(p_live @ ln_s[: len(p_live)]))
-        rows.append((s_vectors[:, : len(ln_s)].conj(), p_spec.vectors[:, live], ln_s, p_live,
-                     entropy_term, s_vectors @ p_spec.vectors.conj().T))
-    if len({(len(row[2]), len(row[3])) for row in rows}) > 1:  # mixed support sizes: row by row
-        return [_unitary_min_probes([rho], [sigma], n_samples, [seed], include_optimal)[0]
-                for rho, sigma, seed in zip(rhos, sigmas, seeds)]
-    s_conj, v_live, ln_s, p_live, entropy_term, aligned = (np.array(c) for c in zip(*rows))
-
-    def entropies(units: np.ndarray) -> np.ndarray:
-        # <s_j|U|v_i>: (rows, m, n_support, n_live); S† keeps a single row's transposed layout
-        amplitudes = s_conj.swapaxes(1, 2)[:, None] @ (units @ v_live[:, None])
-        overlap = amplitudes.real**2 + amplitudes.imag**2
-        deviation = float(np.max(np.abs(overlap.sum(axis=-2) - 1.0)))
-        if deviation > SUPPORT_FLOOR:
-            raise SupportViolation(f"a rotated state leaks {deviation:.3e} outside support(sigma)")
-        cross = (ln_s[:, None, None] @ overlap)[..., 0, :] @ p_live[..., None]
-        return entropy_term[:, None] - cross[..., 0]
-
-    rngs = [stream(seed) for seed in seeds]
-    total, best = np.zeros(len(rows)), np.full(len(rows), np.inf)
-    for done in range(0, n_samples, PROBE_CHUNK):
-        values = entropies(_haar_blocks(rhos[0].dim, min(PROBE_CHUNK, n_samples - done), rngs))
-        total += values.sum(axis=-1)
-        best = np.minimum(best, values.min(axis=-1))
-    optimal = np.full(len(rows), np.nan)
-    if include_optimal:
-        optimal = entropies(aligned[:, None])[:, 0]
-        best = np.minimum(best, optimal)
-    return [
-        UnitaryProbeResult(
-            n_samples=n_samples, seed=seed, spectral_bound=bound, min_entropy=low,
-            mean_entropy=mean, min_gap=low - bound,
-            optimal_entropy=found if include_optimal else None,
-            optimal_gap=found - bound if include_optimal else None,
-        )
-        for seed, bound, low, mean, found in zip(
-            seeds, bounds, best.tolist(), (total / n_samples).tolist(), optimal.tolist())
-    ]
+def _aligned_gap(context: SpectralContext) -> float:
+    """S(U rho U†||rho_eq) - D(rho||rho_eq) at the aligning unitary U = S P†.  U attains
+    the minimum over the unitary orbit (von Neumann's trace inequality), so the gap is
+    zero up to rounding; it is evaluated through the overlaps |<s_j|U|v_i>|^2, not the
+    sorted spectra the bound is made of."""
+    p_spec = eigendecompose(context.rho, "descending")
+    n_live = int(np.count_nonzero(p_spec.values > SUPPORT_FLOOR))  # a descending prefix
+    p_live, v_live = p_spec.values[:n_live], p_spec.vectors[:, :n_live]
+    basis, ln_s = context.gibbs.basis, context.gibbs.log_populations  # every level is support
+    entropy_term = -context.entropy
+    amplitudes = basis.conj().T @ ((basis @ p_spec.vectors.conj().T) @ v_live)
+    overlap = amplitudes.real**2 + amplitudes.imag**2
+    cross = float(ln_s @ overlap @ p_live)
+    divergence = entropy_term - float(p_live @ ln_s[:n_live])  # D: the sorted pairing
+    return entropy_term - cross - divergence

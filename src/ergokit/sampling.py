@@ -25,17 +25,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed unitaries, shape (count, dim, dim)."""
-    return _haar_blocks(dim, count, [rng])[0]
-
-
-def _haar_blocks(dim: int, count: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """``count`` Haar unitaries per generator, shape (len(rngs), count, dim, dim):
-    each row's Ginibre normals come from its own generator, in order, and one
-    phase-fixed QR (Mezzadri, Notices AMS 54, 592 (2007)) runs over the stack."""
-    z = np.empty((len(rngs), count, dim, dim), dtype=complex)
-    for row, rng in zip(z, rngs):
-        row.real, row.imag = rng.standard_normal(row.shape), rng.standard_normal(row.shape)
+    """``count`` Haar-distributed unitaries, shape (count, dim, dim): phase-fixed QR
+    of complex Ginibre matrices (Mezzadri, Notices AMS 54, 592 (2007))."""
+    z = np.empty((count, dim, dim), dtype=complex)
+    z.real, z.imag = rng.standard_normal(z.shape), rng.standard_normal(z.shape)
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.einsum("...ii->...i", r)

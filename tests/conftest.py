@@ -15,8 +15,8 @@ os.environ.setdefault(
 
 @pytest.fixture
 def eigensolver_calls(monkeypatch):
-    """Counts of ``numpy.linalg.eigh`` and ``eigvalsh`` calls from here on."""
-    calls = {"eigh": 0, "eigvalsh": 0}
+    """Counts of ``numpy.linalg.eigh``, ``eigvalsh`` and ``qr`` calls from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0, "qr": 0}
     for name in calls:
         original = getattr(np.linalg, name)
 

@@ -42,9 +42,9 @@ from ergokit import (
     sharpened_bound_report,
     spectral_relative_entropy,
     stationarity_probe,
-    unitary_min_probe,
 )
 from ergokit.classical import _joint_relative_entropy_raw
+from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 
 
@@ -86,17 +86,19 @@ def test_criterion_2_beta_independence():
 
 
 def test_criterion_3_unitary_minimum():
-    worst_gap = 0.0
+    # The aligning unitary attains min_U S(U rho U†||sigma) = D(rho||sigma); that no U
+    # undercuts it is checked over every permutation unitary and 10^4 Haar draws per d
+    # in tests/test_ergotropy.py (TestUnitaryOrbit).
     worst_opt = 0.0
-    for dim in (2, 3, 4):
+    for dim in range(2, 9):
         rho = random_density(dim, stream(1200, dim))
         sigma = random_density(dim, stream(1201, dim))
-        probe = unitary_min_probe(rho, sigma, 10_000, seed=1202 + dim, include_optimal=True)
-        worst_gap = min(worst_gap, probe.min_gap)
-        worst_opt = max(worst_opt, abs(probe.optimal_gap))
-    ok = worst_gap >= -1e-9 and worst_opt <= 1e-9
-    _report(3, ok, "10^4 Haar samples per d in {2,3,4}: min undercut "
-                   f"{worst_gap:.2e} (floor -1e-09), aligning-unitary gap {worst_opt:.2e} (tol 1e-09)")
+        aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
+        gap = quantum_relative_entropy(aligned, sigma) - spectral_relative_entropy(rho, sigma)
+        worst_opt = max(worst_opt, abs(gap))
+    ok = worst_opt <= 1e-9
+    _report(3, ok, f"aligning unitary per d in 2..8: |S(U rho U+||sigma) - D(rho||sigma)| "
+                   f"{worst_opt:.2e} (tol 1e-09)")
 
 
 def test_criterion_4_coherent_split_and_chain():
@@ -324,7 +326,7 @@ def test_internal_joint_entropy_helper_matches_public():
 
 
 def test_criterion_3_support_matches_haar_batch():
-    # Sanity anchor for the batched sampler used by criterion 3.
+    # Sanity anchor for the Haar sampler that criterion 3's orbit checks draw from.
     units = haar_unitaries(3, 64, stream(2000))
     eye = np.eye(3)
     defect = np.max(np.abs(np.einsum("kij,kil->kjl", units.conj(), units) - eye))

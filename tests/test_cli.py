@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from ergokit import classical
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
-from ergokit.ergotropy import ergotropy_direct, ergotropy_report, unitary_min_probe
+from ergokit.ergotropy import _aligned_gap, ergotropy_direct, ergotropy_report
 from ergokit.quantum import HermitianOperator, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
@@ -37,7 +37,7 @@ class TestVerifyIdentities:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["passed"] is True
         assert payload["results"]["max_ergotropy_identity_dev"] <= 1e-8
 
@@ -51,25 +51,24 @@ class TestVerifyIdentities:
         assert "ergotropy_identity" in err
 
 
-def _single_state_row(rho, hamiltonian, beta, probe_seed):
+def _single_state_row(rho, hamiltonian, beta):
     """A verify-identities row from the single-state routes, one trial at a time:
     the reference the blocked sweep must match bit for bit."""
     direct = ergotropy_direct(rho, hamiltonian)
     report = ergotropy_report(rho, hamiltonian, beta)
     c = report.context
-    probe = unitary_min_probe(rho, c.gibbs, 32, probe_seed, include_optimal=True)
     return {
         "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
         "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
         "chain_identity_dev": abs(c.relative_entropy() - c.coherence() - c.population_divergence()),
-        "unitary_min_gap": probe.min_gap,
-        "optimal_unitary_gap": abs(probe.optimal_gap),
+        "optimal_unitary_gap": abs(_aligned_gap(c)),
     }
 
 
 class TestVerifyBlocks:
-    # d = 40 runs one trial per block; the others run every trial in one block.
-    @pytest.mark.parametrize("dim, many, few", [(2, 16, 5), (3, 16, 5), (8, 16, 5), (40, 3, 2)])
+    # d = 64 runs 16 trials per block, so trial 16 opens a second block; the others
+    # run every trial in one block.
+    @pytest.mark.parametrize("dim, many, few", [(2, 16, 5), (3, 16, 5), (8, 16, 5), (64, 17, 16)])
     def test_rows_equal_single_state_trials(self, capsys, tmp_path, dim, many, few):
         lines = {}
         for trials in (many, few):
@@ -86,7 +85,7 @@ class TestVerifyBlocks:
         for i, row in enumerate(rows):
             rho = random_density(dim, stream(9, 3 * i))
             hamiltonian = random_hermitian(dim, stream(9, 3 * i + 1))
-            assert row == {"trial": i, **_single_state_row(rho, hamiltonian, 1.0, 9 + 7919 * i)}
+            assert row == {"trial": i, **_single_state_row(rho, hamiltonian, 1.0)}
 
     def test_degenerate_and_rank_deficient_rows_in_one_block(self):
         def block():
@@ -97,13 +96,12 @@ class TestVerifyBlocks:
             hamiltonians[1] = HermitianOperator(u @ np.diag([0.0, 1.0, 1.0, 2.0]) @ u.conj().T)
             return rhos, hamiltonians
 
-        seeds = [11, 12, 13]
         rhos, hamiltonians = block()
-        rows = _identity_rows(rhos, hamiltonians, 1.0, 32, seeds)
+        rows = _identity_rows(rhos, hamiltonians, 1.0)
         assert [len(eigendecompose(h, "ascending").clusters) for h in hamiltonians] == [4, 3, 4]
         assert [int(np.sum(eigendecompose(r, "descending").values > 1e-12)) for r in rhos] == [4, 4, 2]
-        for row, rho, hamiltonian, seed in zip(rows, *block(), seeds):
-            assert row == _single_state_row(rho, hamiltonian, 1.0, seed)
+        for row, rho, hamiltonian in zip(rows, *block()):
+            assert row == _single_state_row(rho, hamiltonian, 1.0)
 
 
 class TestDeterminism:
@@ -134,6 +132,7 @@ class TestEigensolverCalls:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= most
+        assert eigensolver_calls["qr"] == 0  # no Haar draw, no degenerate cluster
 
     @pytest.mark.parametrize(
         "argv",
@@ -146,7 +145,7 @@ class TestEigensolverCalls:
         # The sampler and the closed form read the spectrum stored on H.
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
 
 class TestErgotropyCommand:
@@ -649,7 +648,7 @@ class TestArgumentValidation:
         ids=lambda argv: argv[0],
     )
     def test_largest_seed_keys_every_derived_stream(self, capsys, argv):
-        # The probes key their streams by seed + 1, seed + 2 and seed + 7919 i.
+        # Every derived stream is keyed by the seed itself, at the top of its range.
         code, _, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
         assert (code, err) == (0, "")
 

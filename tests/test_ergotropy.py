@@ -22,10 +22,10 @@ from ergokit import (
     passive_state,
     quantum_relative_entropy,
     spectral_relative_entropy,
-    unitary_min_probe,
 )
-from ergokit.ergotropy import PROBE_CHUNK, _unitary_min_probes, optimal_alignment_unitary
-from ergokit.errors import InvariantViolation, SupportViolation
+from ergokit.ergotropy import _aligned_gap, optimal_alignment_unitary
+from ergokit.errors import InvariantViolation
+from ergokit.quantum import spectral_context
 from ergokit.sampling import (
     haar_unitaries,
     random_density,
@@ -176,78 +176,90 @@ class TestDephasedErgotropy:
             assert -1e-9 <= value <= ergotropy_direct(rho, h) + 1e-9
 
 
-class TestUnitaryMinProbe:
-    def test_identical_states(self):
-        rho = random_density(2, stream(50))
-        probe = unitary_min_probe(rho, rho, 200, seed=1)
-        assert probe.min_entropy >= -1e-9
-        assert probe.spectral_bound == pytest.approx(0.0, abs=1e-12)
+def _orbit_extremes(rho, sigma):
+    """(min, max) of S(U rho U†||sigma) over every unitary U, from the two spectra alone:
+    descending p paired with descending s, and with ascending s."""
+    p = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
+    ln_s = np.log(np.sort(np.linalg.eigvalsh(sigma.matrix))[::-1])
+    entropy_term = float(p @ np.log(p))
+    return entropy_term - float(p @ ln_s), entropy_term - float(p @ ln_s[::-1])
 
-    def test_min_approaches_bound_statistically(self):
-        rho = random_density(2, stream(51))
-        sigma = random_density(2, stream(52))
-        probe = unitary_min_probe(rho, sigma, 10_000, seed=2)
-        assert probe.min_gap >= -1e-9
-        assert probe.min_gap <= 0.05
 
-    def test_optimal_sample_closes_gap(self):
-        rho = random_density(4, stream(53))
-        sigma = random_density(4, stream(54))
-        probe = unitary_min_probe(rho, sigma, 100, seed=3, include_optimal=True)
-        assert abs(probe.optimal_gap) <= 1e-9
-        assert probe.min_gap >= -1e-9
+class TestUnitaryOrbit:
+    """S(U rho U†||sigma) = -S(rho) - sum_ij |<s_j|U|v_i>|^2 p_i ln s_j is linear in a
+    doubly stochastic matrix, so its extremes over every U sit at permutation unitaries
+    (Birkhoff; von Neumann's trace inequality)."""
 
-    def test_seed_reproducible(self):
-        rho = random_density(3, stream(55))
-        sigma = random_density(3, stream(56))
-        a = unitary_min_probe(rho, sigma, 64, seed=9)
-        b = unitary_min_probe(rho, sigma, 64, seed=9)
-        assert a.min_entropy == b.min_entropy
-        assert a.mean_entropy == b.mean_entropy
-
-    @pytest.mark.parametrize("dim", [2, 8, 28])
-    @pytest.mark.parametrize("gibbs", [True, False], ids=["gibbs-sigma", "matrix-sigma"])
-    @pytest.mark.parametrize("rank", [None, 2], ids=["full-rank-rho", "rank-2-rho"])
-    def test_matches_the_relative_entropy_of_each_rotated_state(self, dim, gibbs, rank):
-        rho = random_density(dim, stream(57, dim), rank=rank)
-        if gibbs:
-            sigma = gibbs_state(random_hermitian(dim, stream(58, dim)), 0.8)
-            sigma_matrix = sigma.rho
-        else:
-            sigma = sigma_matrix = random_density(dim, stream(59, dim))
-        n, seed = 24, 11 + dim
-        probe = unitary_min_probe(rho, sigma, n, seed=seed)
-        expected = [
-            quantum_relative_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T), sigma_matrix)
-            for u in haar_unitaries(dim, n, stream(seed))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_permutation_unitaries_reach_both_extremes(self, dim):
+        rho = random_density(dim, stream(70, dim))
+        sigma = random_density(dim, stream(71, dim))
+        v, s = np.linalg.eigh(rho.matrix)[1], np.linalg.eigh(sigma.matrix)[1]
+        values = [  # every unitary sending the eigenvectors of rho onto those of sigma
+            quantum_relative_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T), sigma)
+            for u in (s[:, list(perm)] @ v.conj().T for perm in itertools.permutations(range(dim)))
         ]
-        for value, reference in [(probe.min_entropy, min(expected)),
-                                 (probe.mean_entropy, float(np.mean(expected)))]:
-            assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
-        aligned = unitary_min_probe(rho, sigma, 1, seed=seed, include_optimal=True)
-        assert abs(aligned.optimal_gap) <= 1e-12
+        low, high = _orbit_extremes(rho, sigma)
+        assert low == pytest.approx(spectral_relative_entropy(rho, sigma), abs=1e-12)
+        assert min(values) == pytest.approx(low, abs=1e-12)
+        assert max(values) == pytest.approx(high, abs=1e-12)
 
-    @pytest.mark.parametrize("n_samples", [5, PROBE_CHUNK + 3])
-    @pytest.mark.parametrize("include_optimal", [False, True])
-    def test_a_block_equals_its_rows_probed_one_at_a_time(self, n_samples, include_optimal):
-        # Gibbs and matrix sigmas, full-rank and rank-2 states: rows of two support sizes
-        rhos = [random_density(3, stream(62, k), rank=(None, 2, None, None)[k]) for k in range(4)]
-        sigmas = [gibbs_state(random_hermitian(3, stream(63, k)), 0.7) for k in range(2)]
-        sigmas += [random_density(3, stream(64, k)) for k in range(2)]
-        seeds = [21, 22, 23, 24]
-        block = _unitary_min_probes(rhos, sigmas, n_samples, seeds, include_optimal)
-        assert block == [unitary_min_probe(rho, sigma, n_samples, seed, include_optimal)
-                         for rho, sigma, seed in zip(rhos, sigmas, seeds)]
-        full_rank = [0, 2, 3]  # one support size: one stacked QR and contraction
-        assert _unitary_min_probes([rhos[k] for k in full_rank], [sigmas[k] for k in full_rank],
-                                   n_samples, [seeds[k] for k in full_rank], include_optimal
-                                   ) == [block[k] for k in full_rank]
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_haar_unitaries_stay_inside_the_extremes(self, dim):
+        rho = random_density(dim, stream(72, dim))
+        sigma = random_density(dim, stream(73, dim))
+        units = haar_unitaries(dim, 10_000, stream(74, dim))
+        w, s = np.linalg.eigh(sigma.matrix)
+        p = np.linalg.eigvalsh(rho.matrix)
+        # tr(rho ln rho) - tr(U rho U† ln sigma), one trace per sample
+        rotated = units @ rho.matrix @ units.conj().swapaxes(1, 2)
+        values = float(p @ np.log(p)) - np.einsum(
+            "kij,ji->k", rotated, (s * np.log(w)) @ s.conj().T).real
+        for u, value in zip(units[:32], values):
+            rotated_state = DensityMatrix(u @ rho.matrix @ u.conj().T)
+            assert value == pytest.approx(quantum_relative_entropy(rotated_state, sigma), abs=1e-12)
+        low, high = _orbit_extremes(rho, sigma)
+        assert low - 1e-9 <= values.min() and values.max() <= high + 1e-9
 
-    def test_a_rotated_state_leaking_out_of_the_support_is_refused(self):
-        rho = random_density(3, stream(60), rank=1)
-        sigma = random_density(3, stream(61), rank=2)
-        with pytest.raises(SupportViolation, match="a rotated state leaks"):
-            unitary_min_probe(rho, sigma, 8, seed=1)
+
+class TestAlignedGap:
+    @pytest.mark.parametrize("dim", [2, 8, 28])
+    @pytest.mark.parametrize("rank", [None, 2, 1], ids=["full-rank-rho", "rank-2-rho", "pure-rho"])
+    def test_the_aligning_unitary_closes_the_gap(self, dim, rank):
+        rho = random_density(dim, stream(75, dim), rank=rank)
+        c = spectral_context(rho, random_hermitian(dim, stream(76, dim)), 0.8)
+        assert abs(_aligned_gap(c)) <= 1e-12
+        # the same gap through the density-matrix routes
+        sigma = c.gibbs.rho
+        aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
+        gap = quantum_relative_entropy(aligned, sigma) - spectral_relative_entropy(rho, sigma)
+        assert abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "energies, weights",
+        [([0.0, 1.0, 1.0, 2.0], None), ([0.0, 0.5, 1.3, 2.0], [0.4, 0.2, 0.2, 0.2]),
+         ([0.0, 1.0, 1.0, 1.0], [0.5, 0.5, 0.0, 0.0])],
+        ids=["degenerate-H", "degenerate-rho", "both-rank-2-rho"],
+    )
+    def test_degenerate_spectra_close_the_gap(self, energies, weights):
+        # A repeated eigenvalue leaves the aligning unitary free inside its eigenspace;
+        # whichever basis the spectra carry, the gap must still close.
+        u, v = haar_unitaries(4, 2, stream(80))
+        h = HermitianOperator(u @ np.diag(energies) @ u.conj().T)
+        rho = (random_density(4, stream(81)) if weights is None
+               else DensityMatrix(v @ np.diag(weights) @ v.conj().T))
+        assert abs(_aligned_gap(spectral_context(rho, h, 1.3))) <= 1e-12
+
+    def test_gibbs_levels_below_the_support_floor_count_as_support(self):
+        # Gibbs populations down to ~1e-22: a rebuilt density matrix would drop
+        # them from its support; the analytic log-populations keep every level.
+        h = HermitianOperator(np.diag([0.0, 10.0, 50.0]))
+        c = spectral_context(DensityMatrix(np.eye(3) / 3), h, 1.0)
+        assert c.gibbs.populations.min() < 1e-12
+        assert abs(_aligned_gap(c)) <= 1e-12
+        assert c.spectral_divergence() == pytest.approx(
+            -math.log(3.0) - float(np.mean(c.gibbs.log_populations)), abs=1e-12
+        )
 
 
 class TestReport:
@@ -338,7 +350,7 @@ class TestSpectralContextReuse:
         h = random_hermitian(6, stream(111))
         eigensolver_calls.update(eigh=0, eigvalsh=0)
         ergotropy_report(rho, h, 1.0)
-        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
     def test_routes_match_the_general_relative_entropies(self):
         rho = random_density(5, stream(112))
@@ -351,27 +363,6 @@ class TestSpectralContextReuse:
         assert report.via_entropies == pytest.approx(expected, abs=1e-10)
         assert report.dephased_ergotropy == pytest.approx(dephased_ergotropy(rho, h), abs=1e-12)
         assert report.passive_energy == pytest.approx(passive_energy(rho, h), abs=1e-12)
-
-    def test_probe_against_a_gibbs_state_matches_its_density_matrix(self):
-        rho = random_density(4, stream(114))
-        g = gibbs_state(random_hermitian(4, stream(115)), 1.0)
-        from_gibbs = unitary_min_probe(rho, g, 64, seed=5, include_optimal=True)
-        from_matrix = unitary_min_probe(rho, g.rho, 64, seed=5, include_optimal=True)
-        assert from_gibbs.spectral_bound == pytest.approx(from_matrix.spectral_bound, abs=1e-12)
-        assert from_gibbs.mean_entropy == pytest.approx(from_matrix.mean_entropy, abs=1e-12)
-        assert abs(from_gibbs.optimal_gap) <= 1e-12
-
-    def test_gibbs_probe_keeps_levels_below_the_support_floor(self):
-        # Gibbs populations down to ~1e-22: a rebuilt density matrix would drop
-        # them from its support; the analytic log-populations keep every level.
-        h = HermitianOperator(np.diag([0.0, 10.0, 50.0]))
-        g = gibbs_state(h, 1.0)
-        assert g.populations.min() < 1e-12
-        probe = unitary_min_probe(DensityMatrix(np.eye(3) / 3), g, 16, seed=1, include_optimal=True)
-        assert abs(probe.optimal_gap) <= 1e-12
-        assert probe.spectral_bound == pytest.approx(
-            -math.log(3.0) - float(np.mean(g.log_populations)), abs=1e-12
-        )
 
     def test_invariant_failures_are_toolkit_errors(self):
         with pytest.raises(InvariantViolation, match="route disagreement"):

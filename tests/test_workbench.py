@@ -312,12 +312,13 @@ class TestEigensolverCalls:
         self, eigensolver_calls
     ):
         h_a, h_b, u = self.operators(0)
+        eigensolver_calls["qr"] = 0  # the Haar draw of u
         sharpened_bound_report(DrivingProtocol.sudden(h_a, h_b), u, 0.7)
-        assert eigensolver_calls == {"eigh": 3, "eigvalsh": 0}
+        assert eigensolver_calls == {"eigh": 3, "eigvalsh": 0, "qr": 0}
         # the case is one whose conditional state keeps its validating eigh
         eigensolver_calls["eigh"] = 0
         eigendecompose(conditional_thermal_state(h_a, h_b, u, 0.7).rho, "descending")
-        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0}
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
     def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls):
         # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45
@@ -326,4 +327,4 @@ class TestEigensolverCalls:
             random_hermitian(64, stream(0, 0)), random_hermitian(64, stream(0, 1)), tau
         )
         evolve_unitary(protocol, n_steps=64, tol=1e-6)
-        assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0}
+        assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
