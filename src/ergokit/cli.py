@@ -26,10 +26,18 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gap, _direct, ergotropy_report
+from .ergotropy import _aligned_gaps, _check_routes, _direct, _routes, ergotropy_report
 from .errors import ErgokitError, OutOfScope
-from .quantum import DensityMatrix, HermitianOperator, _eigendecompose_all
-from .sampling import random_density, random_hermitian, stream
+from .quantum import DensityMatrix, HermitianOperator, _SpectralBlock
+from .sampling import (
+    _densities,
+    _ginibre,
+    _hermitians,
+    _streams,
+    random_density,
+    random_hermitian,
+    stream,
+)
 from .serialize import (
     density_from_json,
     format_float,
@@ -136,7 +144,7 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
     report = ergotropy_report(rho, hamiltonian, config.beta)
-    via_geometric = geo.ergotropy_geometric(rho, hamiltonian, config.beta)
+    via_geometric = geo._geometric_route(report.context)
     scale = 1.0 + abs(report.total)
     checks = {
         "route_entropies_agrees": _check(abs(report.total - report.via_entropies), config.tolerance * scale),
@@ -160,33 +168,50 @@ def _cmd_ergotropy(config: argparse.Namespace):
 
 def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperator],
                    beta: float) -> list[dict]:
-    """The sweep's rows for one block of trials: one ``eigh`` for the block's
-    Hamiltonians and one ``eigvalsh`` each for the passive energies; the spectral
-    routes and the aligning-unitary gap then run row by row."""
-    _eigendecompose_all(hamiltonians, "ascending")
-    _eigendecompose_all(rhos, "descending")
-    direct = _direct(*(np.array([op.matrix for op in ops]) for ops in (rhos, hamiltonians)))[0]
-    reports = [ergotropy_report(rho, h, beta) for rho, h in zip(rhos, hamiltonians)]
-    return [{
-        "ergotropy_identity_dev": abs(total - report.via_entropies) / (1.0 + abs(total)),
-        "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
-        "chain_identity_dev": abs(c.relative_entropy() - c.coherence() - c.population_divergence()),
-        "optimal_unitary_gap": abs(_aligned_gap(c)),
-    } for total, report, c in zip(direct.tolist(), reports, (r.context for r in reports))]
+    """The sweep's rows for one block of trials, every column evaluated once over
+    the block: the spectral routes, the chain identity and the aligning-unitary
+    gap from one ``_SpectralBlock`` (one stacked ``eigh`` of the Hamiltonians; the
+    states keep their validating ``eigh``), and the direct route from one stacked
+    ``eigvalsh`` each of the states and the Hamiltonians.  Each row has the bits
+    the same trial gets as a block of one."""
+    block = _SpectralBlock.of(rhos, hamiltonians, beta)
+    routes = _routes(block)
+    _check_routes(**routes)
+    direct = _direct(block.matrices, np.array([h.matrix for h in hamiltonians]))[0]
+    via = routes["via_entropies"]
+    columns = {
+        "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
+        "coherent_identity_dev": np.abs(routes["coherent_eq11"] - via),
+        "chain_identity_dev":
+            np.abs(block.relative_entropy - block.coherence - block.population_divergence),
+        "optimal_unitary_gap": np.abs(_aligned_gaps(block)),
+    }
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
+def _random_block(seed: int, index: range,
+                  dim: int) -> tuple[list[DensityMatrix], list[HermitianOperator]]:
+    """The states and Hamiltonians of the trials i in ``index``, drawn from
+    ``stream(seed, 3i)`` and ``stream(seed, 3i + 1)`` (one repositioned generator
+    for the block) and then validated together."""
+    streams = _streams(seed, (k for i in index for k in (3 * i, 3 * i + 1)))
+    draws = _ginibre(streams, 2 * len(index), (dim, dim))
+    return (DensityMatrix._block(_densities(draws[0::2])),
+            HermitianOperator._block(_hermitians(draws[1::2])))
 
 
 def _cmd_verify_identities(config: argparse.Namespace):
     """Random-state sweep of the identities, in blocks of at most 2^16 matrix
     entries (trials x d^2, 1 MiB per complex array), so memory does not grow
-    with --trials.  Trial i draws from its own streams, so its row does not
-    depend on the block it falls in."""
+    with --trials.  The block is the unit of work: each trial only makes its
+    seeded draws, and the block's states and Hamiltonians are validated
+    together and evaluated as arrays by ``_identity_rows``.  A trial's row does
+    not depend on the block it falls in."""
     block = max(1, 2**16 // config.dim**2)
     trials = []
     for start in range(0, config.trials, block):
         index = range(start, min(start + block, config.trials))
-        rhos = [random_density(config.dim, stream(config.seed, 3 * i)) for i in index]
-        hamiltonians = [random_hermitian(config.dim, stream(config.seed, 3 * i + 1)) for i in index]
-        rows = _identity_rows(rhos, hamiltonians, config.beta)
+        rows = _identity_rows(*_random_block(config.seed, index, config.dim), config.beta)
         trials += [{"trial": i, **row} for i, row in zip(index, rows)]
     results = {
         "trials": config.trials,

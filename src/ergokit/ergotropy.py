@@ -24,6 +24,9 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     SpectralContext,
+    _dots,
+    _SpectralBlock,
+    _traces,
     dephase,
     eigendecompose,
     spectral_context,
@@ -69,13 +72,26 @@ class ErgotropyReport:
     context: SpectralContext | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        dev = abs(self.total - self.via_entropies)
-        if dev > 1e-8 * (1.0 + abs(self.total)):
-            raise InvariantViolation(f"route disagreement |direct - entropies| = {dev:.3e}")
-        if abs(self.incoherent - (self.total - self.coherent_eq11)) > 1e-12:
-            raise InvariantViolation("incoherent must equal total - coherent_eq11")
-        if self.total < -1e-9:
-            raise InvariantViolation(f"negative ergotropy {self.total:.3e}")
+        _check_routes(self.total, self.via_entropies, self.coherent_eq11, self.incoherent)
+
+
+def _check_routes(total, via_entropies, coherent_eq11, incoherent, **_) -> None:
+    """The ``ErgotropyReport`` invariants, on floats or on arrays of a block's rows
+    (other routes passed by name are ignored): raises ``InvariantViolation`` for
+    the first invariant that the first failing row breaks."""
+    dev = abs(total - via_entropies)
+    failed = np.array([
+        dev > 1e-8 * (1.0 + abs(total)),
+        abs(incoherent - (total - coherent_eq11)) > 1e-12,
+        total < -1e-9,
+    ]).reshape(3, -1)
+    if failed.any():
+        row = int(failed.any(axis=0).argmax())
+        raise InvariantViolation((
+            f"route disagreement |direct - entropies| = {np.ravel(dev)[row]:.3e}",
+            "incoherent must equal total - coherent_eq11",
+            f"negative ergotropy {np.ravel(total)[row]:.3e}",
+        )[int(failed[:, row].argmax())])
 
 
 def passive_state(
@@ -114,7 +130,7 @@ def _direct(rho: np.ndarray, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.nd
     """(``ergotropy_direct``, ``passive_energy``) over stacks (..., d, d) of matrices."""
     p = np.sort(np.linalg.eigvalsh(rho))[..., None, ::-1]
     passive = (p @ np.sort(np.linalg.eigvalsh(hamiltonian))[..., None])[..., 0, 0]
-    return np.einsum("...ij,...ji->...", rho, hamiltonian).real - passive, passive
+    return _traces(rho, hamiltonian) - passive, passive
 
 
 def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> AlignmentUnitary:
@@ -126,21 +142,19 @@ def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> Align
     return AlignmentUnitary(s.vectors @ p.vectors.conj().T)
 
 
-def _via_entropies(context: SpectralContext) -> float:
-    return (context.relative_entropy() - context.spectral_divergence()) / context.gibbs.beta
+def _via_entropies(block: _SpectralBlock) -> np.ndarray:
+    return (block.relative_entropy - block.spectral_divergence) / block.beta
 
 
-def _coherent_eq11(context: SpectralContext) -> float:
-    return (
-        context.coherence() + context.population_divergence() - context.spectral_divergence()
-    ) / context.gibbs.beta
+def _coherent_eq11(block: _SpectralBlock) -> np.ndarray:
+    return (block.coherence + block.population_divergence - block.spectral_divergence) / block.beta
 
 
 def ergotropy_via_entropies(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> float:
     """(S(rho||rho_eq) - D(rho||rho_eq)) / beta; beta-independent by construction."""
-    return _via_entropies(spectral_context(rho, hamiltonian, beta))
+    return float(_via_entropies(spectral_context(rho, hamiltonian, beta).block)[0])
 
 
 def coherent_ergotropy_eq11(
@@ -148,7 +162,7 @@ def coherent_ergotropy_eq11(
 ) -> float:
     """Three-term coherent ergotropy, implemented exactly as printed:
     (C(rho) + S(dephased||rho_eq) - D(rho||rho_eq)) / beta."""
-    return _coherent_eq11(spectral_context(rho, hamiltonian, beta))
+    return float(_coherent_eq11(spectral_context(rho, hamiltonian, beta).block)[0])
 
 
 def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -157,39 +171,54 @@ def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> fl
     return ergotropy_direct(dephase(rho, hamiltonian), hamiltonian)
 
 
+def _routes(block: _SpectralBlock) -> dict[str, np.ndarray]:
+    """The ``ErgotropyReport`` routes of every row of a block, unchecked."""
+    total = block.energy - block.passive_energy
+    coherent = _coherent_eq11(block)
+    return {
+        "total": total,
+        "via_entropies": _via_entropies(block),
+        "coherent_eq11": coherent,
+        "incoherent": total - coherent,
+        "dephased_ergotropy":
+            block.dephased_energy - _dots(block.dephased_populations, block.energies),
+        "passive_energy": block.passive_energy,
+    }
+
+
 def ergotropy_report(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> ErgotropyReport:
     """Every route from one spectral context, with the consistency invariants."""
     context = spectral_context(rho, hamiltonian, beta)
-    energies = context.gibbs.energies
-    passive = float(context.populations @ energies)
-    total = context.energy - passive
-    coherent = _coherent_eq11(context)
-    return ErgotropyReport(
-        total=total,
-        via_entropies=_via_entropies(context),
-        coherent_eq11=coherent,
-        incoherent=total - coherent,
-        dephased_ergotropy=context.dephased_energy - float(context.dephased_populations @ energies),
-        beta_used=float(beta),
-        passive_energy=passive,
-        context=context,
-    )
+    routes = {name: float(values[0]) for name, values in _routes(context.block).items()}
+    return ErgotropyReport(**routes, beta_used=float(beta), context=context)
+
+
+def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:
+    """S(U rho U†||rho_eq) - D(rho||rho_eq) at the aligning unitary U = S P† of each
+    row.  U attains the minimum over the unitary orbit (von Neumann's trace
+    inequality), so the gap is zero up to rounding; it is evaluated through the
+    overlaps |<s_j|U|v_i>|^2, not the sorted spectra the bound is made of.  Only
+    the populated eigenvectors v_i (a descending prefix) enter, so rows are
+    evaluated in groups of equal support size."""
+    sizes = (block.populations > SUPPORT_FLOOR).sum(axis=1)
+    groups = set(sizes.tolist())
+    gaps = np.empty(len(sizes))
+    for n in groups:
+        rows = sizes == n if len(groups) > 1 else slice(None)
+        basis, vectors = block.basis[rows], block.vectors[rows]
+        p_live, ln_s = block.populations[rows, :n], block.log_populations[rows]
+        entropy_term = -block.entropy[rows]
+        amplitudes = basis.conj().swapaxes(1, 2) @ (
+            (basis @ vectors.conj().swapaxes(1, 2)) @ vectors[:, :, :n])
+        overlap = amplitudes.real**2 + amplitudes.imag**2
+        cross = (ln_s[:, None, :] @ overlap @ p_live[:, :, None])[:, 0, 0]
+        divergence = entropy_term - _dots(p_live, ln_s[:, :n])  # D: the sorted pairing
+        gaps[rows] = entropy_term - cross - divergence
+    return gaps
 
 
 def _aligned_gap(context: SpectralContext) -> float:
-    """S(U rho U†||rho_eq) - D(rho||rho_eq) at the aligning unitary U = S P†.  U attains
-    the minimum over the unitary orbit (von Neumann's trace inequality), so the gap is
-    zero up to rounding; it is evaluated through the overlaps |<s_j|U|v_i>|^2, not the
-    sorted spectra the bound is made of."""
-    p_spec = eigendecompose(context.rho, "descending")
-    n_live = int(np.count_nonzero(p_spec.values > SUPPORT_FLOOR))  # a descending prefix
-    p_live, v_live = p_spec.values[:n_live], p_spec.vectors[:, :n_live]
-    basis, ln_s = context.gibbs.basis, context.gibbs.log_populations  # every level is support
-    entropy_term = -context.entropy
-    amplitudes = basis.conj().T @ ((basis @ p_spec.vectors.conj().T) @ v_live)
-    overlap = amplitudes.real**2 + amplitudes.imag**2
-    cross = float(ln_s @ overlap @ p_live)
-    divergence = entropy_term - float(p_live @ ln_s[:n_live])  # D: the sorted pairing
-    return entropy_term - cross - divergence
+    """``_aligned_gaps`` of one context."""
+    return float(_aligned_gaps(context.block)[0])

@@ -24,6 +24,7 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
+    SpectralContext,
     _fix_phase,
     eigendecompose,
     gibbs_state,
@@ -148,11 +149,16 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     is the identity, and D_geom = sum_{i<k} w_i (ln w_i - ln rho_eq,i), with the
     analytic ln rho_eq."""
     _require_manifold(rho.dim)
-    context = spectral_context(rho, hamiltonian, beta)
+    return _geometric_route(spectral_context(rho, hamiltonian, beta))
+
+
+def _geometric_route(context: SpectralContext) -> float:
+    """``ergotropy_geometric`` of the triple of a context the caller already holds."""
+    _require_manifold(context.rho.dim)
     weights = context.populations[context.populations > SUPPORT_FLOOR]
     w = weights / weights.sum()
     divergence = float((w * (np.log(w) - context.gibbs.log_populations[: len(w)])).sum())
-    return (context.relative_entropy() - divergence) / beta
+    return (context.relative_entropy() - divergence) / context.gibbs.beta
 
 
 def _require_manifold(dim: int) -> None:

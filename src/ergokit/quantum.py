@@ -36,6 +36,8 @@ class HermitianOperator:
     ``HERMITICITY_ATOL`` entrywise; the stored matrix is the exactly
     symmetrized (M + M†)/2 and is read-only.  The object also keeps its one
     ``eigh`` and the canonical spectra ``eigendecompose`` derives from it.
+    One matrix is validated as a block of one: ``_block`` validates a stack
+    of them together, row for row as one at a time.
     """
 
     __slots__ = ("_matrix", "_eigh", "_spectra")
@@ -44,20 +46,39 @@ class HermitianOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max |M - M.conj().T| = {defect:.3e} "
-                f"> {HERMITICITY_ATOL:.0e}"
-            )
-        self._store((m + m.conj().T) / 2.0)
+        (m,), (eigh,) = self._validate(m[None])
+        self._store(m, eigh)
 
-    def _store(self, m: np.ndarray) -> None:
+    @classmethod
+    def _block(cls, matrices: np.ndarray) -> list:
+        """One operator per matrix of a stack (B, d, d), validated together; a
+        failing stack raises the error of its first failing row."""
+        operators = []
+        for m, eigh in zip(*cls._validate(matrices)):
+            operator = cls.__new__(cls)
+            operator._store(m, eigh)
+            operators.append(operator)
+        return operators
+
+    @staticmethod
+    def _validate(m: np.ndarray) -> tuple[np.ndarray, list]:
+        """The matrices to store for a stack (B, d, d), and the ``eigh`` each keeps
+        (None: not yet computed)."""
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        adjoint = m.conj().swapaxes(1, 2)
+        for defect in np.abs(m - adjoint).max(axis=(1, 2)).tolist():
+            if defect > HERMITICITY_ATOL:
+                raise ValueError(
+                    f"matrix is not Hermitian: max |M - M.conj().T| = {defect:.3e} "
+                    f"> {HERMITICITY_ATOL:.0e}"
+                )
+        return (m + adjoint) / 2.0, [None] * len(m)
+
+    def _store(self, m: np.ndarray, eigh: tuple | None = None) -> None:
         m.setflags(write=False)
         self._matrix = m
-        self._eigh = None  # np.linalg.eigh(m), once computed
+        self._eigh = eigh  # np.linalg.eigh(m), once computed
         self._spectra = {}  # order -> SortedSpectrum
 
     @property
@@ -82,23 +103,29 @@ class DensityMatrix(HermitianOperator):
 
     __slots__ = ()
 
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(matrix)
-        trace = float(self._matrix.trace().real)
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        w, v = np.linalg.eigh(self._matrix)
-        if w[0] < -NEGATIVE_EIG_ATOL:
-            raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
-        if w[0] < 0.0:
-            m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            m = (m + m.conj().T) / 2.0
-            self._store(m / m.trace().real)
-            return
-        if abs(trace - 1.0) > 1e-15:
-            self._store(self._matrix / trace)
-            w = w / trace
-        self._eigh = (w, v)
+    @staticmethod
+    def _validate(m: np.ndarray) -> tuple[np.ndarray, list]:
+        """One stacked ``eigh`` validates every state; the clamp and the division
+        by the trace run on the rows that need them, one at a time."""
+        m = HermitianOperator._validate(m)[0]
+        traces = np.trace(m, axis1=1, axis2=2).real.tolist()
+        for trace in traces:
+            if abs(trace - 1.0) > TRACE_ATOL:
+                raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
+        w, v = np.linalg.eigh(m)
+        eighs = list(zip(w, v))
+        for r, (trace, low) in enumerate(zip(traces, w[:, 0].tolist())):
+            if low < -NEGATIVE_EIG_ATOL:
+                raise ValueError(f"minimum eigenvalue {low:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
+            if low < 0.0:
+                clamped = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
+                clamped = (clamped + clamped.conj().T) / 2.0
+                m[r] = clamped / clamped.trace().real
+                eighs[r] = None
+            elif abs(trace - 1.0) > 1e-15:
+                m[r] /= trace
+                w[r] /= trace
+        return m, eighs
 
 
 def _fix_phase(z: np.ndarray) -> np.ndarray:
@@ -151,10 +178,13 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     return operator._spectra[order]
 
 
-def _eigendecompose_all(operators: list[HermitianOperator], order: Order) -> None:
+def _eigendecompose_all(
+    operators: list[HermitianOperator], order: Order
+) -> tuple[np.ndarray, np.ndarray, list]:
     """``eigendecompose`` of a block of operators of one dimension: one stacked
     ``eigh`` for those not yet diagonalized, the canonicalization over the stack,
-    and the degenerate-cluster tie-break only on the rows that need it."""
+    and the degenerate-cluster tie-break only on the rows that need it.  Returns
+    the stacked values (B, d), vectors (B, d, d) and each row's clusters."""
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown order {order!r}")
     todo = [op for op in operators if op._eigh is None]
@@ -187,6 +217,7 @@ def _eigendecompose_all(operators: list[HermitianOperator], order: Order) -> Non
         a.setflags(write=False)
     for op, values, vectors, runs in zip(operators, w, fixed, clusters):
         op._spectra[order] = SortedSpectrum(values, vectors, order, runs)
+    return w, fixed, clusters
 
 
 @dataclass(frozen=True)
@@ -216,13 +247,32 @@ class GibbsState:
         return DensityMatrix((self.basis * self.populations) @ self.basis.conj().T)
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """ln sum exp(x) of a finite vector, bit for bit as scipy 1.17's ``logsumexp``:
-    the entries tied at the maximum are counted apart from the others' sum."""
-    top = x.max()
-    tied = x == top
-    count = np.count_nonzero(tied)
-    return float(np.log1p(np.where(tied, 0.0, np.exp(x - top)).sum() / count) + np.log(count) + top)
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """ln sum exp(x) along the last axis of a finite array, bit for bit as scipy
+    1.17's ``logsumexp``: the entries tied at the maximum are counted apart from
+    the others' sum."""
+    top = x.max(axis=-1)
+    tied = x == top[..., None]
+    count = tied.sum(axis=-1)
+    others = np.where(tied, 0.0, np.exp(x - top[..., None])).sum(axis=-1)
+    return np.log1p(others / count) + np.log(count) + top
+
+
+def _gibbs_logs(energies: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of
+    spectra, with ``OutOfScope`` if any population underflows to zero."""
+    if beta <= 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    logits = -beta * energies
+    log_z = _logsumexp(logits)
+    log_populations = logits - log_z[:, None]
+    populations = np.exp(log_populations)
+    if populations.min() <= 0.0:
+        raise OutOfScope(
+            f"Gibbs populations underflow to zero at beta = {beta:g}; "
+            "beta too large for this spectrum"
+        )
+    return log_z, log_populations, populations
 
 
 def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
@@ -232,36 +282,60 @@ def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
     overflows; they must remain strictly positive at double precision
     (``OutOfScope`` otherwise).
     """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     spectrum = eigendecompose(hamiltonian, "ascending")
-    logits = -beta * spectrum.values
-    log_z = _logsumexp(logits)
-    log_populations = logits - log_z
-    populations = np.exp(log_populations)
-    if populations.min() <= 0.0:
-        raise OutOfScope(
-            f"Gibbs populations underflow to zero at beta = {beta:g}; "
-            "beta too large for this spectrum"
-        )
+    log_z, log_populations, populations = _gibbs_logs(spectrum.values[None], beta)
     return GibbsState(
         beta=float(beta),
-        log_z=log_z,
+        log_z=float(log_z[0]),
         spectrum=spectrum,
-        populations=populations,
-        log_populations=log_populations,
+        populations=populations[0],
+        log_populations=log_populations[0],
     )
+
+
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re tr(A B) over stacks (..., d, d) of matrices."""
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def expectation(state: DensityMatrix, observable: HermitianOperator) -> float:
     """Re tr(rho O)."""
-    return float(np.einsum("ij,ji->", state.matrix, observable.matrix).real)
+    return float(_traces(state.matrix, observable.matrix))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of stacks (B, d): matrix products of (1, d) by (d, 1),
+    which give each row the bits of the 1-D ``a[r] @ b[r]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _support_sums(term, p: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """sum_i term(p_i, *others_i) over the entries p_i > ``SUPPORT_FLOOR`` of each
+    row of a stack (B, d).  Rows with the same number of such entries are summed
+    together over just those entries, so a row adds its terms as the 1-D sum of
+    its live entries does (a sum with the dead entries zeroed would group them
+    differently once d >= 8)."""
+    live = p > SUPPORT_FLOOR
+    picked = [a[live] for a in (p, *others)]
+    if picked[0].size == p.size:  # every entry populated
+        return term(*(a.reshape(p.shape) for a in picked)).sum(axis=1)
+    sizes = live.sum(axis=1)
+    sums = np.empty(len(p))
+    for n in set(sizes.tolist()):
+        rows = sizes == n
+        sums[rows] = term(*(a[rows][live[rows]].reshape(-1, n) for a in (p, *others))).sum(axis=1)
+    return sums
+
+
+def _entropies(values: np.ndarray) -> np.ndarray:
+    """-sum w ln w over the entries above ``SUPPORT_FLOOR`` of each row of a stack
+    (B, d) of eigenvalues (0 ln 0 := 0)."""
+    return -_support_sums(lambda w: w * np.log(w), values)
 
 
 def _entropy(values: np.ndarray) -> float:
-    """-sum w ln w over the eigenvalues above ``SUPPORT_FLOOR`` (0 ln 0 := 0)."""
-    live = values[values > SUPPORT_FLOOR]
-    return float(-(live * np.log(live)).sum())
+    """``_entropies`` of one list of eigenvalues."""
+    return float(_entropies(values[None])[0])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -302,12 +376,16 @@ def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float
     return float((p[live] * (np.log(p[live]) - np.log(s[live]))).sum())
 
 
-def _pinch(rho: DensityMatrix, spectrum: SortedSpectrum) -> np.ndarray:
-    """``rho`` in the energy eigenbasis with the blocks between distinct levels
+def _rotate(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """V† M V over stacks (..., d, d): each matrix in its energy eigenbasis."""
+    return basis.conj().swapaxes(-1, -2) @ matrices @ basis
+
+
+def _pinch(rotated: np.ndarray, clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """A matrix in the energy eigenbasis with the blocks between distinct levels
     zeroed; intra-cluster blocks of a degenerate spectrum are kept."""
-    ids = np.repeat(np.arange(len(spectrum.clusters)), [len(c) for c in spectrum.clusters])
-    a = spectrum.vectors.conj().T @ rho.matrix @ spectrum.vectors
-    return a * (ids[:, None] == ids[None, :])
+    ids = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
+    return rotated * (ids[:, None] == ids[None, :])
 
 
 def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix:
@@ -320,7 +398,8 @@ def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
     spectrum = eigendecompose(hamiltonian, "ascending")
-    return DensityMatrix(spectrum.vectors @ _pinch(rho, spectrum) @ spectrum.vectors.conj().T)
+    pinched = _pinch(_rotate(rho.matrix, spectrum.vectors), spectrum.clusters)
+    return DensityMatrix(spectrum.vectors @ pinched @ spectrum.vectors.conj().T)
 
 
 def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -329,13 +408,102 @@ def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperato
 
 
 @dataclass(frozen=True)
+class _SpectralBlock:
+    """The spectra of a block of (rho, H) pairs of one dimension at one beta,
+    stacked so that row b of every array belongs to pair b: rho's ``matrices``,
+    eigenvectors ``vectors`` and eigenvalues ``populations`` (descending), H's
+    eigenbasis ``basis``, ``energies`` (ascending) and ``clusters``, the Gibbs
+    ``log_z`` and ``log_populations`` (ln rho_eq = -beta E - ln Z), and
+    ``energy`` = tr(rho H).  Every quantity of ``SpectralContext`` is evaluated
+    here once for the whole block, each row with the bits a block of one gives
+    it: rows with fewer populated levels are summed in their own groups, and
+    only a degenerate H needs a solver for its row's dephased spectrum.
+    """
+
+    beta: float
+    matrices: np.ndarray
+    vectors: np.ndarray
+    populations: np.ndarray
+    basis: np.ndarray
+    energies: np.ndarray
+    clusters: list
+    log_z: np.ndarray
+    log_populations: np.ndarray
+    energy: np.ndarray
+
+    @classmethod
+    def of(cls, rhos: list[DensityMatrix], hamiltonians: list[HermitianOperator],
+           beta: float) -> _SpectralBlock:
+        """The block of the pairs (rhos[b], hamiltonians[b]): one stacked
+        ``eigendecompose`` of each list, then the Gibbs logs of every row."""
+        energies, basis, clusters = _eigendecompose_all(hamiltonians, "ascending")
+        populations, vectors, _ = _eigendecompose_all(rhos, "descending")
+        log_z, log_populations, _ = _gibbs_logs(energies, beta)
+        matrices = np.array([rho.matrix for rho in rhos])
+        energy = _traces(matrices, np.array([h.matrix for h in hamiltonians]))
+        return cls(float(beta), matrices, vectors, populations, basis, energies, clusters,
+                   log_z, log_populations, energy)
+
+    @cached_property
+    def _rotated(self) -> np.ndarray:
+        return _rotate(self.matrices, self.basis)
+
+    @cached_property
+    def dephased_populations(self) -> np.ndarray:
+        """Eigenvalues of the dephased states, descending: the sorted energy-basis
+        diagonal, or those of the pinched state where H is degenerate."""
+        rotated = self._rotated
+        values = np.sort(np.diagonal(rotated, axis1=1, axis2=2).real, axis=1)[:, ::-1]
+        degenerate = [r for r, runs in enumerate(self.clusters) if len(runs) < rotated.shape[1]]
+        if degenerate:
+            pinched = np.array([_pinch(rotated[r], self.clusters[r]) for r in degenerate])
+            values[degenerate] = np.linalg.eigvalsh(pinched)[:, ::-1]
+        return values
+
+    @cached_property
+    def dephased_energy(self) -> np.ndarray:
+        """tr(dephased H), summed on the energy basis."""
+        return _dots(np.diagonal(self._rotated, axis1=1, axis2=2).real, self.energies)
+
+    @cached_property
+    def passive_energy(self) -> np.ndarray:
+        """sum p_desc E_asc."""
+        return _dots(self.populations, self.energies)
+
+    # H(rho) and H(dephased)
+    entropy = cached_property(lambda self: _entropies(self.populations))
+    dephased_entropy = cached_property(lambda self: _entropies(self.dephased_populations))
+
+    @cached_property
+    def relative_entropy(self) -> np.ndarray:
+        """S(rho||rho_eq) = sum p ln p + beta tr(rho H) + ln Z."""
+        return -self.entropy + self.beta * self.energy + self.log_z
+
+    @cached_property
+    def spectral_divergence(self) -> np.ndarray:
+        """D(rho||rho_eq) = sum p_desc (ln p_desc + beta E_asc + ln Z)."""
+        return _support_sums(lambda p, ln_s: p * (np.log(p) - ln_s),
+                             self.populations, self.log_populations)
+
+    @cached_property
+    def coherence(self) -> np.ndarray:
+        """Relative entropy of coherence, H(dephased) - H(rho)."""
+        return self.dephased_entropy - self.entropy
+
+    @cached_property
+    def population_divergence(self) -> np.ndarray:
+        """S(dephased||rho_eq) = -H(dephased) + beta tr(dephased H) + ln Z."""
+        return -self.dephased_entropy + self.beta * self.dephased_energy + self.log_z
+
+
+@dataclass(frozen=True)
 class SpectralContext:
     """The spectra of one (rho, H, beta) triple, read from the operators:
     ``gibbs`` (the ascending spectrum of H with ln rho_eq = -beta E - ln Z),
     the eigenvalues of rho in ``populations`` (descending) and ``energy`` =
     tr(rho H).  Every relative entropy to rho_eq is then a closed form, and
-    nothing diagonalizes exp(-beta H)/Z.  The dephased state is pinched on
-    first use; its eigenvalues need a solver only under a degenerate spectrum.
+    nothing diagonalizes exp(-beta H)/Z.  Each quantity is row 0 of ``block``,
+    the triple as a ``_SpectralBlock`` of one, evaluated on first use.
     """
 
     rho: DensityMatrix
@@ -344,43 +512,31 @@ class SpectralContext:
     energy: float
 
     @cached_property
-    def _pinched(self) -> np.ndarray:
-        return _pinch(self.rho, self.gibbs.spectrum)
+    def block(self) -> _SpectralBlock:
+        gibbs = self.gibbs
+        vectors = eigendecompose(self.rho, "descending").vectors
+        return _SpectralBlock(
+            gibbs.beta, self.rho.matrix[None], vectors[None], self.populations[None],
+            gibbs.basis[None], gibbs.energies[None], [gibbs.spectrum.clusters],
+            np.array([gibbs.log_z]), gibbs.log_populations[None], np.array([self.energy]),
+        )
 
-    @cached_property
-    def dephased_populations(self) -> np.ndarray:
-        """Eigenvalues of the dephased state, descending."""
-        if len(self.gibbs.spectrum.clusters) == len(self.populations):
-            return np.sort(np.diagonal(self._pinched).real)[::-1]
-        return np.linalg.eigvalsh(self._pinched)[::-1]
-
-    @cached_property
-    def dephased_energy(self) -> float:
-        """tr(dephased H), summed on the energy basis."""
-        return float(np.diagonal(self._pinched).real @ self.gibbs.energies)
-
-    # H(rho) and H(dephased), each computed once
-    entropy = cached_property(lambda self: _entropy(self.populations))
-    dephased_entropy = cached_property(lambda self: _entropy(self.dephased_populations))
+    dephased_populations = cached_property(lambda self: self.block.dephased_populations[0])
+    dephased_energy = cached_property(lambda self: float(self.block.dephased_energy[0]))
+    entropy = cached_property(lambda self: float(self.block.entropy[0]))
+    dephased_entropy = cached_property(lambda self: float(self.block.dephased_entropy[0]))
 
     def relative_entropy(self) -> float:
-        """S(rho||rho_eq) = sum p ln p + beta tr(rho H) + ln Z."""
-        return -self.entropy + self.gibbs.beta * self.energy + self.gibbs.log_z
+        return float(self.block.relative_entropy[0])
 
     def spectral_divergence(self) -> float:
-        """D(rho||rho_eq) = sum p_desc (ln p_desc + beta E_asc + ln Z)."""
-        live = self.populations > SUPPORT_FLOOR
-        p = self.populations[live]
-        return float((p * (np.log(p) - self.gibbs.log_populations[live])).sum())
+        return float(self.block.spectral_divergence[0])
 
     def coherence(self) -> float:
-        """Relative entropy of coherence, H(dephased) - H(rho)."""
-        return self.dephased_entropy - self.entropy
+        return float(self.block.coherence[0])
 
     def population_divergence(self) -> float:
-        """S(dephased||rho_eq) = -H(dephased) + beta tr(dephased H) + ln Z."""
-        gibbs = self.gibbs
-        return -self.dephased_entropy + gibbs.beta * self.dephased_energy + gibbs.log_z
+        return float(self.block.population_divergence[0])
 
 
 def spectral_context(

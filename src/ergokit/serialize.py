@@ -43,11 +43,25 @@ def _size(obj: dict, key: str) -> int:
     return value
 
 
+# The types a JSON number is read as, and the entries of a float ndarray: a
+# string or a bool is refused, not read as its number.
+_NUMBER_TYPES = {int, float, np.float64}
+
+
+def _numbers(values: list, key: str) -> list:
+    """``values``, read for ``key``, which must all be JSON numbers."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{key}: expected a number, got {bad!r}")
+    return values
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     dim = _size(obj, "dim")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+    _numbers([x for pair in entries for x in pair], "entries")
     flat = np.array([complex(re, im) for re, im in entries])
     return flat.reshape(dim, dim)
 
@@ -90,11 +104,11 @@ def grid_to_json(grid: PhaseGrid, weights: GridDistribution) -> dict:
 
 def grid_from_json(obj: dict) -> tuple[PhaseGrid, GridDistribution]:
     grid = PhaseGrid(
-        energy_a=obj["energy_a"],
-        energy_b=obj["energy_b"],
-        cell_volume=float(obj.get("cell_volume", 1.0)),
+        energy_a=_numbers(obj["energy_a"], "energy_a"),
+        energy_b=_numbers(obj["energy_b"], "energy_b"),
+        cell_volume=float(_numbers([obj.get("cell_volume", 1.0)], "cell_volume")[0]),
     )
-    return grid, GridDistribution(obj["weights"])
+    return grid, GridDistribution(_numbers(obj["weights"], "weights"))
 
 
 GRID_CSV_COLUMNS = ("index", "energy_a", "energy_b", "weight")

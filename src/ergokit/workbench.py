@@ -228,7 +228,7 @@ def conditional_thermal_state(
     evolved = u @ spectrum.vectors
     h_values = np.einsum("di,de,ei->i", evolved.conj(), h_final.matrix, evolved).real
     logits = -beta * h_values
-    log_z = _logsumexp(logits)
+    log_z = float(_logsumexp(logits))
     weights = np.exp(logits - log_z)
     rho = DensityMatrix((evolved * weights) @ evolved.conj().T)
     return ConditionalThermalState(

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from ergokit import classical
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
 from ergokit.ergotropy import _aligned_gap, ergotropy_direct, ergotropy_report
-from ergokit.quantum import HermitianOperator, eigendecompose
+from ergokit.quantum import DensityMatrix, HermitianOperator, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
 
@@ -103,6 +103,38 @@ class TestVerifyBlocks:
         for row, rho, hamiltonian in zip(rows, *block()):
             assert row == _single_state_row(rho, hamiltonian, 1.0)
 
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.sampled_from(["plain", "degenerate", "rank", "clamp"]), max_size=4),
+           beta=st.sampled_from([0.3, 1.0, 4.0]))
+    def test_block_rows_equal_blocks_of_one(self, dim, seed, extra, beta):
+        # Each block mixes a degenerate H, a rank-deficient state and a state that
+        # validation clamps (where d allows them) with plain trials.
+        def trial(k, kind):
+            rng = stream(seed, k)
+            h = random_hermitian(dim, rng).matrix
+            if kind == "degenerate" and dim > 1:
+                levels = rng.standard_normal(dim)
+                levels[1] = levels[0]
+                u = haar_unitaries(dim, 1, rng)[0]
+                h = u @ np.diag(levels) @ u.conj().T
+            rho = random_density(dim, rng, rank=dim - 1 if kind == "rank" and dim > 1 else None)
+            if kind == "clamp" and dim > 1:
+                p = np.append(np.full(dim - 1, (1 + 1e-12) / (dim - 1)), -1e-12)
+                u = haar_unitaries(dim, 1, rng)[0]
+                assert np.linalg.eigvalsh((u * p) @ u.conj().T)[0] < 0.0
+                return (u * p) @ u.conj().T, h
+            return rho.matrix, h
+
+        kinds = ["plain", "degenerate", "rank", "clamp"] + extra
+        pairs = [trial(k, kind) for k, kind in enumerate(kinds)]
+        rhos = DensityMatrix._block(np.array([m for m, _ in pairs]))
+        assert (rhos[3]._eigh is None) == (dim > 1)  # the clamp rebuilt the state
+        hamiltonians = HermitianOperator._block(np.array([h for _, h in pairs]))
+        rows = _identity_rows(rhos, hamiltonians, beta)
+        for row, (m, h) in zip(rows, pairs):
+            assert row == _identity_rows([DensityMatrix(m)], [HermitianOperator(h)], beta)[0]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
@@ -124,8 +156,9 @@ class TestEigensolverCalls:
         [
             (("ergotropy", "--dim", "16", "--seed", "0"), 2),
             (("verify-identities", "--dim", "8", "--trials", "1"), 4),
-            # 20 validating eigh of the states, then one eigh and two eigvalsh for the block
-            (("verify-identities", "--dim", "8", "--trials", "20"), 24),
+            # One block: one stacked eigh validates the states, one diagonalizes the
+            # Hamiltonians, and one stacked eigvalsh each gives the direct route.
+            (("verify-identities", "--dim", "8", "--trials", "20"), 4),
         ],
     )
     def test_one_diagonalization_per_operator(self, capsys, eigensolver_calls, argv, most):
@@ -184,9 +217,14 @@ class TestErgotropyCommand:
         ("geometric-z", {"hamiltonian": {"dim": 2.5, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}},
          "Hamiltonian"),
         ("geometric-z", {"hamiltonian": {"dim": True, "entries": [[1, 0]]}}, "Hamiltonian"),
-    ], ids=["entry-count", "fractional-dim", "geometric-fractional-dim", "geometric-bool-dim"])
+        ("ergotropy", {"rho": {"dim": 2, "entries": [[True, False], [0, 0], [0, 0], [0, 0]]},
+                       "hamiltonian": {"dim": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}},
+         "state"),
+    ], ids=["entry-count", "fractional-dim", "geometric-fractional-dim", "geometric-bool-dim",
+            "bool-entry"])
     def test_bad_matrix_payload_exits_2(self, capsys, tmp_path, command, payload, kind):
-        # A size must be a JSON integer: 2.5 is not read as 2, nor true as 1.
+        # A size must be a JSON integer: 2.5 is not read as 2, nor true as 1; an entry
+        # must be a JSON number, so true is not read as 1.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(capsys, command, "--input", str(path))
@@ -267,8 +305,16 @@ class TestClassicalInput:
         {"grid": GRID1, "kernel": {"n": True, "image": [0]}},
         # 1e400 overflows to inf when read, as json.dumps's Infinity does.
         {"grid": dict(GRID3, cell_volume=float("inf"))},
+        # A number must be a JSON number: "2" is not read as 2.0, nor true as 1.0.
+        {"grid": dict(GRID3, cell_volume="2")},
+        {"grid": dict(GRID3, cell_volume=True)},
+        {"grid": dict(GRID3, energy_a=["0", "1", "2"])},
+        {"grid": dict(GRID3, energy_b=[0.5, False, 1.5])},
+        {"grid": dict(GRID3, weights=[True, False, False])},
     ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
-            "declared-n", "fractional-n", "bool-n", "infinite-cell-volume"])
+            "declared-n", "fractional-n", "bool-n", "infinite-cell-volume",
+            "string-cell-volume", "bool-cell-volume", "string-energy-a", "bool-energy-b",
+            "bool-weights"])
     def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))
