@@ -278,10 +278,6 @@ def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: n
     return xlogx - float(row_sums[populated] @ np.log(reference[populated]))
 
 
-def _joint_relative_entropy_raw(joint: np.ndarray, reference: np.ndarray) -> float:
-    return _entropy_minus_cross(joint, joint.sum(axis=1), reference)
-
-
 def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of column layers in row-major order, with a repeated (row,
     column) pair summed in layer order, and the row sums."""

@@ -23,7 +23,6 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
-    SpectralContext,
     _dots,
     _SpectralBlock,
     _traces,
@@ -59,7 +58,8 @@ class ErgotropyReport:
 
     ``incoherent`` is total - coherent_eq11; with the printed three-term
     coherent form this is ~0 for every state (see ``dephased_ergotropy`` for
-    the alternative split).  ``context`` holds the spectra every route used.
+    the alternative split).  ``context`` holds the spectra every route used: the
+    triple as a ``_SpectralBlock`` of one row.
     """
 
     total: float
@@ -69,7 +69,7 @@ class ErgotropyReport:
     dephased_ergotropy: float
     beta_used: float
     passive_energy: float
-    context: SpectralContext | None = field(default=None, repr=False, compare=False)
+    context: _SpectralBlock | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_routes(self.total, self.via_entropies, self.coherent_eq11, self.incoherent)
@@ -154,7 +154,7 @@ def ergotropy_via_entropies(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> float:
     """(S(rho||rho_eq) - D(rho||rho_eq)) / beta; beta-independent by construction."""
-    return float(_via_entropies(spectral_context(rho, hamiltonian, beta).block)[0])
+    return float(_via_entropies(spectral_context(rho, hamiltonian, beta))[0])
 
 
 def coherent_ergotropy_eq11(
@@ -162,7 +162,7 @@ def coherent_ergotropy_eq11(
 ) -> float:
     """Three-term coherent ergotropy, implemented exactly as printed:
     (C(rho) + S(dephased||rho_eq) - D(rho||rho_eq)) / beta."""
-    return float(_coherent_eq11(spectral_context(rho, hamiltonian, beta).block)[0])
+    return float(_coherent_eq11(spectral_context(rho, hamiltonian, beta))[0])
 
 
 def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -189,9 +189,10 @@ def _routes(block: _SpectralBlock) -> dict[str, np.ndarray]:
 def ergotropy_report(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> ErgotropyReport:
-    """Every route from one spectral context, with the consistency invariants."""
+    """Every route from row 0 of one spectral block, with the consistency
+    invariants.  The block is kept as the report's ``context``."""
     context = spectral_context(rho, hamiltonian, beta)
-    routes = {name: float(values[0]) for name, values in _routes(context.block).items()}
+    routes = {name: float(values[0]) for name, values in _routes(context).items()}
     return ErgotropyReport(**routes, beta_used=float(beta), context=context)
 
 
@@ -217,8 +218,3 @@ def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:
         divergence = entropy_term - _dots(p_live, ln_s[:, :n])  # D: the sorted pairing
         gaps[rows] = entropy_term - cross - divergence
     return gaps
-
-
-def _aligned_gap(context: SpectralContext) -> float:
-    """``_aligned_gaps`` of one context."""
-    return float(_aligned_gaps(context.block)[0])

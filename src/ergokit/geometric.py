@@ -24,8 +24,8 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
-    SpectralContext,
     _fix_phase,
+    _SpectralBlock,
     eigendecompose,
     gibbs_state,
     spectral_context,
@@ -152,13 +152,15 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     return _geometric_route(spectral_context(rho, hamiltonian, beta))
 
 
-def _geometric_route(context: SpectralContext) -> float:
-    """``ergotropy_geometric`` of the triple of a context the caller already holds."""
-    _require_manifold(context.rho.dim)
-    weights = context.populations[context.populations > SUPPORT_FLOOR]
+def _geometric_route(block: _SpectralBlock) -> float:
+    """``ergotropy_geometric`` of the one row of a spectral block the caller already
+    holds (``spectral_context``); a block of more rows raises."""
+    (populations,), (log_eq,) = block.populations, block.log_populations
+    _require_manifold(len(populations))
+    weights = populations[populations > SUPPORT_FLOOR]
     w = weights / weights.sum()
-    divergence = float((w * (np.log(w) - context.gibbs.log_populations[: len(w)])).sum())
-    return (context.relative_entropy() - divergence) / context.gibbs.beta
+    divergence = float((w * (np.log(w) - log_eq[: len(w)])).sum())
+    return (float(block.relative_entropy[0]) - divergence) / block.beta
 
 
 def _require_manifold(dim: int) -> None:

@@ -174,17 +174,29 @@ def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     is kept on it and returned by later calls.
     """
     if order not in operator._spectra:
-        _eigendecompose_all([operator], order)
+        _canonicalize([operator], order)
     return operator._spectra[order]
 
 
 def _eigendecompose_all(
     operators: list[HermitianOperator], order: Order
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """``eigendecompose`` of a block of operators of one dimension: one stacked
-    ``eigh`` for those not yet diagonalized, the canonicalization over the stack,
-    and the degenerate-cluster tie-break only on the rows that need it.  Returns
-    the stacked values (B, d), vectors (B, d, d) and each row's clusters."""
+    """``eigendecompose`` of a block of operators of one dimension, stacked: the
+    values (B, d), vectors (B, d, d) and each row's clusters.  An operator that
+    holds the spectrum of ``order`` keeps it; the others get one stacked ``eigh``
+    (for those not yet diagonalized), the canonicalization over their stack, and
+    the degenerate-cluster tie-break only on the rows that need it."""
+    missing = [op for op in operators if order not in op._spectra]
+    if missing:
+        _canonicalize(missing, order)
+    spectra = [op._spectra[order] for op in operators]
+    return (np.array([s.values for s in spectra]), np.array([s.vectors for s in spectra]),
+            [s.clusters for s in spectra])
+
+
+def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
+    """Store the canonical spectrum of ``order`` on each operator of a block, under
+    the eigensolver's residual gate."""
     if order not in ("ascending", "descending"):
         raise ValueError(f"unknown order {order!r}")
     todo = [op for op in operators if op._eigh is None]
@@ -217,7 +229,6 @@ def _eigendecompose_all(
         a.setflags(write=False)
     for op, values, vectors, runs in zip(operators, w, fixed, clusters):
         op._spectra[order] = SortedSpectrum(values, vectors, order, runs)
-    return w, fixed, clusters
 
 
 @dataclass(frozen=True)
@@ -414,10 +425,12 @@ class _SpectralBlock:
     eigenvectors ``vectors`` and eigenvalues ``populations`` (descending), H's
     eigenbasis ``basis``, ``energies`` (ascending) and ``clusters``, the Gibbs
     ``log_z`` and ``log_populations`` (ln rho_eq = -beta E - ln Z), and
-    ``energy`` = tr(rho H).  Every quantity of ``SpectralContext`` is evaluated
-    here once for the whole block, each row with the bits a block of one gives
-    it: rows with fewer populated levels are summed in their own groups, and
-    only a degenerate H needs a solver for its row's dephased spectrum.
+    ``energy`` = tr(rho H).  Every relative entropy to rho_eq is then a closed
+    form, and nothing diagonalizes exp(-beta H)/Z.  Each quantity is evaluated
+    once for the whole block, each row with the bits a block of one gives it:
+    rows with fewer populated levels are summed in their own groups, and only a
+    degenerate H needs a solver for its row's dephased spectrum.  One triple is a
+    block of one row (``spectral_context``).
     """
 
     beta: float
@@ -496,59 +509,11 @@ class _SpectralBlock:
         return -self.dephased_entropy + self.beta * self.dephased_energy + self.log_z
 
 
-@dataclass(frozen=True)
-class SpectralContext:
-    """The spectra of one (rho, H, beta) triple, read from the operators:
-    ``gibbs`` (the ascending spectrum of H with ln rho_eq = -beta E - ln Z),
-    the eigenvalues of rho in ``populations`` (descending) and ``energy`` =
-    tr(rho H).  Every relative entropy to rho_eq is then a closed form, and
-    nothing diagonalizes exp(-beta H)/Z.  Each quantity is row 0 of ``block``,
-    the triple as a ``_SpectralBlock`` of one, evaluated on first use.
-    """
-
-    rho: DensityMatrix
-    gibbs: GibbsState
-    populations: np.ndarray
-    energy: float
-
-    @cached_property
-    def block(self) -> _SpectralBlock:
-        gibbs = self.gibbs
-        vectors = eigendecompose(self.rho, "descending").vectors
-        return _SpectralBlock(
-            gibbs.beta, self.rho.matrix[None], vectors[None], self.populations[None],
-            gibbs.basis[None], gibbs.energies[None], [gibbs.spectrum.clusters],
-            np.array([gibbs.log_z]), gibbs.log_populations[None], np.array([self.energy]),
-        )
-
-    dephased_populations = cached_property(lambda self: self.block.dephased_populations[0])
-    dephased_energy = cached_property(lambda self: float(self.block.dephased_energy[0]))
-    entropy = cached_property(lambda self: float(self.block.entropy[0]))
-    dephased_entropy = cached_property(lambda self: float(self.block.dephased_entropy[0]))
-
-    def relative_entropy(self) -> float:
-        return float(self.block.relative_entropy[0])
-
-    def spectral_divergence(self) -> float:
-        return float(self.block.spectral_divergence[0])
-
-    def coherence(self) -> float:
-        return float(self.block.coherence[0])
-
-    def population_divergence(self) -> float:
-        return float(self.block.population_divergence[0])
-
-
 def spectral_context(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
-) -> SpectralContext:
-    """The spectra of H (with the Gibbs log-populations) and of rho, for every
-    route that compares rho with the Gibbs state of H."""
+) -> _SpectralBlock:
+    """The (rho, H, beta) triple as a ``_SpectralBlock`` of one row, for every route
+    that compares rho with the Gibbs state of H."""
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
-    return SpectralContext(
-        rho=rho,
-        gibbs=gibbs_state(hamiltonian, beta),
-        populations=eigendecompose(rho, "descending").values,
-        energy=expectation(rho, hamiltonian),
-    )
+    return _SpectralBlock.of([rho], [hamiltonian], beta)

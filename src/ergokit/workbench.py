@@ -309,20 +309,20 @@ def sharpened_bound_report(
     report = ergotropy_report(conditional.rho, protocol.final, beta)
     context = report.context
     avg_work = float(initial.populations @ (conditional.h_values - initial.energies))
-    delta_f = -(context.gibbs.log_z - initial.log_z) / initial.beta
+    delta_f = -(float(context.log_z[0]) - initial.log_z) / initial.beta
     return WorkReport(
         avg_work=avg_work,
         delta_f=delta_f,
         w_irr=avg_work - delta_f,
         beta=initial.beta,
-        bound=context.relative_entropy(),
+        bound=float(context.relative_entropy[0]),
         bound_terms=BoundTerms(
             incoherent=beta * report.incoherent,
-            coherence=context.coherence(),
-            population=context.population_divergence(),
+            coherence=float(context.coherence[0]),
+            population=float(context.population_divergence[0]),
         ),
         jensen_slack=beta * avg_work + conditional.log_conditional_z - initial.log_z,
         alt_incoherent_ergotropy=report.dephased_ergotropy,
         alt_coherent_ergotropy=report.total - report.dephased_ergotropy,
-        bound_closed_form=context.gibbs.log_z - conditional.log_conditional_z,
+        bound_closed_form=float(context.log_z[0]) - conditional.log_conditional_z,
     )

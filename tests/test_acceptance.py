@@ -43,7 +43,7 @@ from ergokit import (
     spectral_relative_entropy,
     stationarity_probe,
 )
-from ergokit.classical import _joint_relative_entropy_raw
+from ergokit.classical import _entropy_minus_cross
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 
@@ -310,8 +310,8 @@ def test_criterion_10_stationarity_probe():
             f"{counter.min_first_order:.3f} first order, {counter_total:.3f} total")
 
 
-# Keep the helper import exercised so refactors of the internal entry point
-# surface here rather than in the CLI.
+# The internal helper on the dense joint matrix and its row sums must match the
+# public path, which sums the kernel's layers in row-major order.
 def test_internal_joint_entropy_helper_matches_public():
     rng = stream(1900)
     n = 5
@@ -322,7 +322,8 @@ def test_internal_joint_entropy_helper_matches_public():
     p_eq = grid_gibbs(grid, "B", 1.0)
     from ergokit import joint_relative_entropy
 
-    assert _joint_relative_entropy_raw(joint.matrix, p_eq.weights) == joint_relative_entropy(joint, p_eq)
+    dense = joint.matrix
+    assert _entropy_minus_cross(dense, dense.sum(axis=1), p_eq.weights) == joint_relative_entropy(joint, p_eq)
 
 
 def test_criterion_3_support_matches_haar_batch():

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from ergokit import classical
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
-from ergokit.ergotropy import _aligned_gap, ergotropy_direct, ergotropy_report
+from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.quantum import DensityMatrix, HermitianOperator, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
@@ -60,8 +60,8 @@ def _single_state_row(rho, hamiltonian, beta):
     return {
         "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
         "coherent_identity_dev": abs(report.coherent_eq11 - report.via_entropies),
-        "chain_identity_dev": abs(c.relative_entropy() - c.coherence() - c.population_divergence()),
-        "optimal_unitary_gap": abs(_aligned_gap(c)),
+        "chain_identity_dev": abs(c.relative_entropy[0] - c.coherence[0] - c.population_divergence[0]),
+        "optimal_unitary_gap": abs(_aligned_gaps(c)[0]),
     }
 
 

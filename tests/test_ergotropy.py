@@ -13,6 +13,7 @@ from ergokit import (
     HermitianOperator,
     coherent_ergotropy_eq11,
     dephased_ergotropy,
+    eigendecompose,
     ergotropy_direct,
     ergotropy_report,
     ergotropy_via_entropies,
@@ -23,7 +24,7 @@ from ergokit import (
     quantum_relative_entropy,
     spectral_relative_entropy,
 )
-from ergokit.ergotropy import _aligned_gap, optimal_alignment_unitary
+from ergokit.ergotropy import _aligned_gaps, optimal_alignment_unitary
 from ergokit.errors import InvariantViolation
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
@@ -227,10 +228,11 @@ class TestAlignedGap:
     @pytest.mark.parametrize("rank", [None, 2, 1], ids=["full-rank-rho", "rank-2-rho", "pure-rho"])
     def test_the_aligning_unitary_closes_the_gap(self, dim, rank):
         rho = random_density(dim, stream(75, dim), rank=rank)
-        c = spectral_context(rho, random_hermitian(dim, stream(76, dim)), 0.8)
-        assert abs(_aligned_gap(c)) <= 1e-12
+        h = random_hermitian(dim, stream(76, dim))
+        c = spectral_context(rho, h, 0.8)
+        assert abs(_aligned_gaps(c)[0]) <= 1e-12
         # the same gap through the density-matrix routes
-        sigma = c.gibbs.rho
+        sigma = gibbs_state(h, 0.8).rho
         aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
         gap = quantum_relative_entropy(aligned, sigma) - spectral_relative_entropy(rho, sigma)
         assert abs(gap) <= 1e-12
@@ -248,17 +250,17 @@ class TestAlignedGap:
         h = HermitianOperator(u @ np.diag(energies) @ u.conj().T)
         rho = (random_density(4, stream(81)) if weights is None
                else DensityMatrix(v @ np.diag(weights) @ v.conj().T))
-        assert abs(_aligned_gap(spectral_context(rho, h, 1.3))) <= 1e-12
+        assert abs(_aligned_gaps(spectral_context(rho, h, 1.3))[0]) <= 1e-12
 
     def test_gibbs_levels_below_the_support_floor_count_as_support(self):
         # Gibbs populations down to ~1e-22: a rebuilt density matrix would drop
         # them from its support; the analytic log-populations keep every level.
         h = HermitianOperator(np.diag([0.0, 10.0, 50.0]))
         c = spectral_context(DensityMatrix(np.eye(3) / 3), h, 1.0)
-        assert c.gibbs.populations.min() < 1e-12
-        assert abs(_aligned_gap(c)) <= 1e-12
-        assert c.spectral_divergence() == pytest.approx(
-            -math.log(3.0) - float(np.mean(c.gibbs.log_populations)), abs=1e-12
+        assert gibbs_state(h, 1.0).populations.min() < 1e-12
+        assert abs(_aligned_gaps(c)[0]) <= 1e-12
+        assert c.spectral_divergence[0] == pytest.approx(
+            -math.log(3.0) - float(np.mean(c.log_populations)), abs=1e-12
         )
 
 
@@ -351,6 +353,17 @@ class TestSpectralContextReuse:
         eigensolver_calls.update(eigh=0, eigvalsh=0)
         ergotropy_report(rho, h, 1.0)
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
+
+    def test_a_second_report_reuses_the_stored_spectra(self, eigensolver_calls):
+        rho = random_density(6, stream(110))
+        h = random_hermitian(6, stream(111))
+        ergotropy_report(rho, h, 1.0)
+        energies, populations = eigendecompose(h, "ascending"), eigendecompose(rho, "descending")
+        eigensolver_calls.update(eigh=0, eigvalsh=0, qr=0)
+        ergotropy_report(rho, h, 1.0)
+        assert eigensolver_calls == {"eigh": 0, "eigvalsh": 0, "qr": 0}
+        assert eigendecompose(h, "ascending") is energies
+        assert eigendecompose(rho, "descending") is populations
 
     def test_routes_match_the_general_relative_entropies(self):
         rho = random_density(5, stream(112))
