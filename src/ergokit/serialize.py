@@ -83,11 +83,16 @@ def kernel_to_json(kernel: TransitionKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> TransitionKernel:
-    """Read either kernel form; ``"n"`` must match the cells it holds."""
+    """Read either kernel form; ``"n"`` must match the cells it holds.  The dense
+    ``"matrix"`` is read in one type-inferring pass and refused unless that finds
+    numbers: a string, a null or an all-bool matrix is not read as its number."""
     if "image" in obj:
         kernel = TransitionKernel.from_permutation(obj["image"])
     else:
-        kernel = TransitionKernel(obj["matrix"])
+        matrix = np.array(obj["matrix"])
+        if matrix.dtype.kind not in "iuf":
+            raise ValueError(f"matrix: expected numbers, got {matrix.dtype} entries")
+        kernel = TransitionKernel(matrix)
     if kernel.n_cells != _size(obj, "n"):
         raise ValueError(f"kernel declares n = {obj['n']} but holds {kernel.n_cells} cells")
     return kernel

@@ -8,17 +8,20 @@ is the setting in which average work compares against the free-energy change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .errors import InvariantViolation, NotConverged
-from .ergotropy import ergotropy_report
+from .ergotropy import _check_routes, _routes
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
+    _dots,
+    _eigendecompose_all,
+    _gibbs_logs,
     _logsumexp,
-    eigendecompose,
-    gibbs_state,
+    _SpectralBlock,
 )
 
 UNITARY_ATOL = 1e-9
@@ -96,6 +99,13 @@ class DrivingProtocol:
         return lower
 
 
+def _step_counts(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
+    """The steps on each knot interval: at least one, in proportion to its length."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1 for non-sudden protocols")
+    return np.maximum(1, np.rint(n_steps * np.diff(protocol._times) / protocol.tau).astype(int))
+
+
 def _step_nodes(
     protocol: DrivingProtocol, n_steps: int, fractions: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,28 +116,48 @@ def _step_nodes(
     counts in proportion to the interval's length, so no step straddles a
     kink; a linear ramp takes ``n_steps`` equal steps.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1 for non-sudden protocols")
     times = protocol._times
     lengths = np.diff(times)
-    counts = np.maximum(1, np.rint(n_steps * lengths / protocol.tau).astype(int))
+    counts = _step_counts(protocol, n_steps)
     starts = np.repeat(times[:-1], counts)[:, None]
     dt = np.repeat(lengths / counts, counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     return starts + (index[:, None] + fractions) * dt[:, None], dt
 
 
-def _ordered_exponential(generators: np.ndarray) -> np.ndarray:
-    """Polar-projected ordered product exp(-i K_n) ... exp(-i K_1) of stacked
-    Hermitian generators; each factor comes from one batched ``eigh``."""
-    w, v = np.linalg.eigh(generators)
-    steps = (v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
-    while len(steps) > 1:  # pairwise, later step on the left: log2(n) batched products
-        if len(steps) % 2:
-            steps = np.concatenate([steps, np.eye(steps.shape[1])[None]])
-        steps = steps[1::2] @ steps[::2]
-    u, _, vh = np.linalg.svd(steps[0])
+def _ordered_products(steps: np.ndarray) -> np.ndarray:
+    """Polar-projected ordered product U_n ... U_1 of each row of a stack (k, n, d, d)
+    of step propagators: pairwise, later step on the left, in log2(n) batched
+    products."""
+    while steps.shape[1] > 1:
+        if steps.shape[1] % 2:
+            identity = np.broadcast_to(np.eye(steps.shape[2]), (len(steps), 1) + steps.shape[2:])
+            steps = np.concatenate([steps, identity], axis=1)
+        steps = steps[:, 1::2] @ steps[:, ::2]
+    u, _, vh = np.linalg.svd(steps[:, 0])
     return u @ vh
+
+
+def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
+    """The polar-projected ordered product exp(-i K_n) ... exp(-i K_1) of each stack
+    of Hermitian generators in ``stacks``: every factor of every stack from one
+    batched ``eigh``, and each run of stacks of one length multiplied together.
+    ``stacks`` is emptied, so that the eigh's input is the only copy of the
+    generators it holds."""
+    lengths = [len(k) for k in stacks]
+    generators = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    stacks.clear()
+    w, v = np.linalg.eigh(generators)
+    del generators
+    steps = v * np.exp(-1j * w)[:, None, :]
+    steps = steps @ np.conjugate(v, out=v).swapaxes(1, 2)
+    del v
+    products, start = [], 0
+    for n, run in groupby(lengths):
+        stop = start + n * len(list(run))
+        products.extend(_ordered_products(steps[start:stop].reshape((-1, n) + steps.shape[1:])))
+        start = stop
+    return products
 
 
 def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
@@ -140,10 +170,44 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
     nodes, dt = _step_nodes(protocol, n_steps, np.array([0.5]))
-    return _ordered_exponential(dt[:, None, None] * protocol.hamiltonian_at(nodes[:, 0]))
+    return _ordered_exponentials([dt[:, None, None] * protocol.hamiltonian_at(nodes[:, 0])])[0]
 
 
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+# Stacked generator entries (steps x d^2, 8 MiB of complex) that one ``eigh`` takes:
+# the units of ``_magnus_products`` are stacked in order up to this bound, and a
+# larger unit runs alone, so memory does not grow with the number of protocols.  A
+# ramp's 64- and 128-step units share one eigh up to d = 52.
+GENERATOR_BLOCK = 2**19
+
+
+def _magnus_generators(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
+    """The fourth-order Magnus generators K of a non-sudden protocol's steps."""
+    nodes, dt = _step_nodes(protocol, n_steps, _GAUSS_NODES)
+    h1, h2 = np.moveaxis(protocol.hamiltonian_at(nodes), 1, 0)
+    commutator = h2 @ h1  # [H_2, H_1] = H_2 H_1 - (H_2 H_1)^dagger for Hermitian H_1, H_2
+    commutator -= commutator.conj().swapaxes(1, 2)
+    dt = dt[:, None, None]
+    generators = 0.5 * dt * (h1 + h2)
+    del h1, h2  # free the 2n sampled matrices; the second term reuses the commutator's
+    generators -= np.multiply((1j * np.sqrt(3.0) / 12.0) * dt**2, commutator, out=commutator)
+    return generators
+
+
+def _magnus_products(units: list[tuple[DrivingProtocol, int]]) -> list[np.ndarray]:
+    """``magnus_product`` of each (non-sudden protocol, n_steps) unit, in order.  The
+    units' generators are stacked in order, up to ``GENERATOR_BLOCK`` entries a stack
+    (a larger unit alone), and each stack is diagonalized by one ``eigh``.  A stack
+    is diagonalized before the next unit's generators are built."""
+    products, stack, size = [], [], 0
+    for protocol, n_steps in units:
+        entries = int(_step_counts(protocol, n_steps).sum()) * protocol.initial.dim**2
+        if stack and size + entries > GENERATOR_BLOCK:
+            products += _ordered_exponentials(stack)
+            size = 0
+        stack.append(_magnus_generators(protocol, n_steps))
+        size += entries
+    return products + (_ordered_exponentials(stack) if stack else [])
 
 
 def magnus_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
@@ -156,14 +220,7 @@ def magnus_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     """
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
-    nodes, dt = _step_nodes(protocol, n_steps, _GAUSS_NODES)
-    h1, h2 = np.moveaxis(protocol.hamiltonian_at(nodes), 1, 0)
-    commutator = h2 @ h1  # [H_2, H_1] = H_2 H_1 - (H_2 H_1)^dagger for Hermitian H_1, H_2
-    commutator -= commutator.conj().swapaxes(1, 2)
-    dt = dt[:, None, None]
-    generators = 0.5 * dt * (h1 + h2) - (1j * np.sqrt(3.0) / 12.0) * dt**2 * commutator
-    del h1, h2, commutator  # free the 2n sampled matrices before the batched eigh
-    return _ordered_exponential(generators)
+    return _magnus_products([(protocol, n_steps)])[0]
 
 
 def evolve_unitary(
@@ -175,13 +232,30 @@ def evolve_unitary(
     step-halving until two successive resolutions agree entrywise within
     ``tol``.  Raises ``NotConverged`` if ``MAX_DOUBLINGS`` halvings do not
     meet the gate."""
-    current = magnus_product(protocol, n_steps)
-    for _ in range(MAX_DOUBLINGS):
+    return _evolve_all([protocol], n_steps, tol)[0]
+
+
+def _evolve_all(protocols: list[DrivingProtocol], n_steps: int, tol: float) -> list[np.ndarray]:
+    """``evolve_unitary`` of each protocol.  A sudden switch is the identity; the
+    first two resolutions of every other protocol are one ``_magnus_products`` pass,
+    and each further doubling is one pass over the protocols that missed the gate."""
+    unitaries = [np.eye(p.initial.dim, dtype=complex) for p in protocols]
+    pending = [i for i, p in enumerate(protocols) if p.tau != 0.0]
+    # The finer resolution first (its larger generators are built while fewer are
+    # held), each resolution's units in a run that is multiplied together.
+    first = _magnus_products([(protocols[i], n) for n in (2 * n_steps, n_steps) for i in pending])
+    refined, current = first[:len(pending)], first[len(pending):]
+    for doubling in range(MAX_DOUBLINGS):
         n_steps *= 2
-        refined = magnus_product(protocol, n_steps)
-        if float(np.max(np.abs(refined - current))) <= tol:
-            return refined
-        current = refined
+        if doubling:
+            refined = _magnus_products([(protocols[i], n_steps) for i in pending])
+        missed = [float(np.max(np.abs(new - old))) > tol for old, new in zip(current, refined)]
+        for i, u in zip(pending, refined):
+            unitaries[i] = u
+        pending = [i for i, miss in zip(pending, missed) if miss]
+        current = [u for u, miss in zip(refined, missed) if miss]
+        if not pending:
+            return unitaries
     raise NotConverged(
         f"propagator did not converge to {tol:.0e} within {n_steps} steps"
     )
@@ -212,32 +286,41 @@ def conditional_thermal_state(
     the basis chosen inside each degenerate subspace; the canonical tie-broken
     basis is used and the degeneracy flagged on the result.
     """
+    return _conditional_states([h_initial], [h_final], np.asarray(unitary, dtype=complex)[None],
+                               beta)[0]
+
+
+def _conditional_states(
+    h_initial: list[HermitianOperator],
+    h_final: list[HermitianOperator],
+    unitaries: np.ndarray,
+    beta: float,
+) -> list[ConditionalThermalState]:
+    """``conditional_thermal_state`` of each row of a block of one dimension: one
+    stacked ``eigendecompose`` of the initial Hamiltonians, and the states validated
+    together by ``DensityMatrix._block``.  Each row has the bits of a block of one."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    dim = h_initial.dim
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"propagator shape {u.shape} does not match dim {dim}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if defect > UNITARY_ATOL:
-        raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
-    if dim != h_final.dim:
+    dim = h_initial[0].dim
+    u = np.asarray(unitaries, dtype=complex)
+    if u.shape[1:] != (dim, dim):
+        raise ValueError(f"propagator shape {u.shape[1:]} does not match dim {dim}")
+    for defect in np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim)).max(axis=(1, 2)).tolist():
+        if defect > UNITARY_ATOL:
+            raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
+    if any(h.dim != dim for h in h_final):
         raise ValueError("Hamiltonian dimensions must match")
 
-    spectrum = eigendecompose(h_initial, "ascending")
-    evolved = u @ spectrum.vectors
-    h_values = np.einsum("di,de,ei->i", evolved.conj(), h_final.matrix, evolved).real
+    _, vectors, clusters = _eigendecompose_all(h_initial, "ascending")
+    evolved = u @ vectors
+    finals = np.array([h.matrix for h in h_final])
+    h_values = np.einsum("bdi,bde,bei->bi", evolved.conj(), finals, evolved).real
     logits = -beta * h_values
-    log_z = float(_logsumexp(logits))
-    weights = np.exp(logits - log_z)
-    rho = DensityMatrix((evolved * weights) @ evolved.conj().T)
-    return ConditionalThermalState(
-        rho=rho,
-        weights=weights,
-        h_values=h_values,
-        log_conditional_z=log_z,
-        degenerate_initial=any(len(c) > 1 for c in spectrum.clusters),
-    )
+    log_z = _logsumexp(logits)
+    weights = np.exp(logits - log_z[:, None])
+    rhos = DensityMatrix._block((evolved * weights[:, None, :]) @ evolved.conj().swapaxes(1, 2))
+    return [ConditionalThermalState(rho, w, h, z, any(len(c) > 1 for c in runs))
+            for rho, w, h, z, runs in zip(rhos, weights, h_values, log_z.tolist(), clusters)]
 
 
 @dataclass(frozen=True)
@@ -304,25 +387,32 @@ def sharpened_bound_report(
     <W> = sum_j p_j (h_B(j) - E_j) over the initial Gibbs spectrum and
     Delta F = -(ln Z_B - ln Z_A) / beta.
     """
-    initial = gibbs_state(protocol.initial, beta)
-    conditional = conditional_thermal_state(protocol.initial, protocol.final, unitary, beta)
-    report = ergotropy_report(conditional.rho, protocol.final, beta)
-    context = report.context
-    avg_work = float(initial.populations @ (conditional.h_values - initial.energies))
-    delta_f = -(float(context.log_z[0]) - initial.log_z) / initial.beta
-    return WorkReport(
-        avg_work=avg_work,
-        delta_f=delta_f,
-        w_irr=avg_work - delta_f,
-        beta=initial.beta,
-        bound=float(context.relative_entropy[0]),
-        bound_terms=BoundTerms(
-            incoherent=beta * report.incoherent,
-            coherence=float(context.coherence[0]),
-            population=float(context.population_divergence[0]),
-        ),
-        jensen_slack=beta * avg_work + conditional.log_conditional_z - initial.log_z,
-        alt_incoherent_ergotropy=report.dephased_ergotropy,
-        alt_coherent_ergotropy=report.total - report.dephased_ergotropy,
-        bound_closed_form=float(context.log_z[0]) - conditional.log_conditional_z,
-    )
+    return _bound_reports([protocol], np.asarray(unitary, dtype=complex)[None], beta)[0]
+
+
+def _bound_reports(protocols: list[DrivingProtocol], unitaries: np.ndarray,
+                   beta: float) -> list[WorkReport]:
+    """``sharpened_bound_report`` of each row of a block of one dimension: the H_A
+    spectra and Gibbs logs stacked, the conditional states built as one stack, and
+    one ``_SpectralBlock`` of the conditional states and H_B's for every route and
+    check.  Each row has the bits of a block of one."""
+    h_initial = [p.initial for p in protocols]
+    h_final = [p.final for p in protocols]
+    energies = _eigendecompose_all(h_initial, "ascending")[0]
+    log_z_a, _, populations = _gibbs_logs(energies, beta)
+    conditional = _conditional_states(h_initial, h_final, unitaries, beta)
+    block = _SpectralBlock.of([c.rho for c in conditional], h_final, beta)
+    routes = _routes(block)
+    _check_routes(**routes)
+    log_cz = np.array([c.log_conditional_z for c in conditional])
+    avg_work = _dots(populations, np.array([c.h_values for c in conditional]) - energies)
+    delta_f = -(block.log_z - log_z_a) / float(beta)
+    rows = zip(*(column.tolist() for column in (
+        avg_work, delta_f, avg_work - delta_f, block.relative_entropy,
+        beta * routes["incoherent"], block.coherence, block.population_divergence,
+        beta * avg_work + log_cz - log_z_a, routes["dephased_ergotropy"],
+        routes["total"] - routes["dephased_ergotropy"], block.log_z - log_cz,
+    )))
+    # WorkReport's fields in order, beta and the bound's three terms put in place.
+    return [WorkReport(*row[:3], float(beta), row[3], BoundTerms(*row[4:7]), *row[7:])
+            for row in rows]

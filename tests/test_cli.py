@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ergokit import classical
+from ergokit import DrivingProtocol, classical, cli, evolve_unitary, sharpened_bound_report
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
+from ergokit.errors import InvariantViolation
 from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.quantum import DensityMatrix, HermitianOperator, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
@@ -167,6 +168,19 @@ class TestEigensolverCalls:
         assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= most
         assert eigensolver_calls["qr"] == 0  # no Haar draw, no degenerate cluster
 
+    def test_otm_block_and_its_quench_case_once_per_process(self, capsys, eigensolver_calls):
+        cli._sudden_quench.cache_clear()
+        _, first, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
+        # The quench case: one eigh each of its H_A, H_B and conditional state, and the
+        # oracle's eigvalsh.
+        assert eigensolver_calls == {"eigh": 4 + 3, "eigvalsh": 1, "qr": 0}
+        eigensolver_calls.update(eigh=0, eigvalsh=0)
+        _, second, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
+        # One block: one eigh of every ramp's 128- and 64-step generators, and one each
+        # of the H_A's, the conditional states and the H_B's.
+        assert eigensolver_calls == {"eigh": 4, "eigvalsh": 0, "qr": 0}
+        assert second == first
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -311,10 +325,18 @@ class TestClassicalInput:
         {"grid": dict(GRID3, energy_a=["0", "1", "2"])},
         {"grid": dict(GRID3, energy_b=[0.5, False, 1.5])},
         {"grid": dict(GRID3, weights=[True, False, False])},
+        # The dense matrix is refused unless it reads as numbers; mixed with numbers a
+        # bool is upcast, as the README says.
+        {"grid": GRID3, "kernel": {"n": 3, "matrix": [
+            ["0.5", 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, "0.5"]]}},
+        {"grid": GRID3, "kernel": {"n": 3, "matrix": [
+            [0.5, 0.5, None], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]}},
+        {"grid": GRID3, "kernel": {"n": 3, "matrix": [
+            [True, False, False], [False, True, False], [False, False, True]]}},
     ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
             "declared-n", "fractional-n", "bool-n", "infinite-cell-volume",
             "string-cell-volume", "bool-cell-volume", "string-energy-a", "bool-energy-b",
-            "bool-weights"])
+            "bool-weights", "string-matrix", "null-matrix", "bool-matrix"])
     def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))
@@ -572,6 +594,55 @@ class TestGeometricZCommand:
         if code == 0:
             closed = json.loads(out.getvalue())["results"]["closed_form"]
             assert math.isfinite(closed) and closed > 0.0
+
+
+class TestOtmBlocks:
+    def test_rows_equal_the_per_trial_path_across_blocks(self, capsys, monkeypatch):
+        _, whole, _ = run_cli(capsys, "otm", "--dim", "3", "--trials", "6", "--seed", "4")
+        # Blocks of 4 trials at d = 3: trials 0-3, then 4-5.
+        monkeypatch.setattr(cli, "BLOCK_ENTRIES", 4 * 9)
+        _, split, _ = run_cli(capsys, "otm", "--dim", "3", "--trials", "6", "--seed", "4")
+        assert split == whole
+        _, _, rows = COMMANDS["otm"].run(argparse.Namespace(dim=3, trials=6, seed=4, beta=0.5))
+        for i, row in enumerate(rows):
+            h_a = random_hermitian(3, stream(4, 4 * i))
+            h_b = random_hermitian(3, stream(4, 4 * i + 1))
+            tau = float(stream(4, 4 * i + 2).uniform(0.0, 1.5))
+            protocol = (DrivingProtocol.sudden(h_a, h_b) if tau < 0.15
+                        else DrivingProtocol.linear_ramp(h_a, h_b, tau))
+            report = sharpened_bound_report(protocol, evolve_unitary(protocol, 64, 1e-6), 0.5)
+            assert row == {
+                "trial": i, "tau": tau, "avg_work": report.avg_work, "delta_f": report.delta_f,
+                "w_irr": report.w_irr, "bound": report.bound,
+                "jensen_gap": 0.5 * report.w_irr - report.bound,
+                "decomposition_dev": abs(report.bound_terms.total() - report.bound),
+                "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
+            }
+
+    def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
+        # The block as a whole fails first on a later trial's error; run alone, trial 1
+        # is the first that fails.
+        def rows(seed, index, dim, beta):
+            if len(index) > 1:
+                raise InvariantViolation("the block's error")
+            if index[0] >= 1:
+                raise InvariantViolation(f"trial {index[0]}")
+            return [{"trial": 0}]
+
+        monkeypatch.setattr(cli, "_otm_rows", rows)
+        code, out, err = run_cli(capsys, "otm", "--trials", "3")
+        assert (code, out, err) == (1, "", "invariant failed: trial 1\n")
+
+    def test_route_disagreement_is_the_first_failing_trials(self, capsys):
+        code, _, err = run_cli(capsys, "otm", "--dim", "4", "--trials", "3", "--beta", "1e-300")
+        first = None
+        for i in range(3):
+            try:
+                cli._otm_rows(0, range(i, i + 1), 4, 1e-300)
+            except InvariantViolation as exc:
+                first = first or str(exc)
+        assert code == 1
+        assert err == f"invariant failed: {first}\n" and "route disagreement" in first
 
 
 class TestOtmCommand:

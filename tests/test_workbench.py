@@ -21,7 +21,7 @@ from ergokit import (
     step_product,
 )
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
-from ergokit.workbench import magnus_product
+from ergokit.workbench import _bound_reports, _evolve_all, magnus_product
 
 H_A = HermitianOperator(np.diag([0.0, 1.0]))
 H_B = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
@@ -321,10 +321,51 @@ class TestEigensolverCalls:
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
     def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls):
-        # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45
+        # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45.  Its 128- and 64-step
+        # generators (2^19 + 2^18 entries) exceed one GENERATOR_BLOCK, so two eighs.
         tau = float(stream(0, 2).uniform(0.0, 1.5))
         protocol = DrivingProtocol.linear_ramp(
             random_hermitian(64, stream(0, 0)), random_hermitian(64, stream(0, 1)), tau
         )
         evolve_unitary(protocol, n_steps=64, tol=1e-6)
         assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
+
+
+class TestBlocks:
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.sampled_from(["sudden", "ramp", "slow", "degenerate"]), max_size=3),
+           beta=st.sampled_from([0.3, 1.0, 4.0]))
+    def test_block_rows_equal_trials_run_alone(self, dim, seed, extra, beta):
+        # Each block mixes a sudden switch, a ramp, a ramp that misses the 1e-6 gate at
+        # 128 steps (levels 12 apart coupled by 12) and a degenerate H_B (where d allows).
+        kinds = ["sudden", "ramp", "slow", "degenerate"] + extra
+
+        def protocols():
+            made = []
+            for k, kind in enumerate(kinds):
+                rng = stream(seed, k)
+                h_a, h_b = random_hermitian(dim, rng), random_hermitian(dim, rng)
+                if kind == "slow":
+                    h_a = HermitianOperator(12.0 * np.diag(np.arange(dim, dtype=float)))
+                    h_b = HermitianOperator(12.0 * (np.eye(dim, k=1) + np.eye(dim, k=-1)))
+                if kind == "degenerate" and dim > 1:
+                    levels = rng.standard_normal(dim)
+                    levels[1] = levels[0]
+                    u = haar_unitaries(dim, 1, rng)[0]
+                    h_b = HermitianOperator(u @ np.diag(levels) @ u.conj().T)
+                tau = 0.0 if kind == "sudden" else 1.5 if kind == "slow" else rng.uniform(0.15, 1.5)
+                made.append(DrivingProtocol.linear_ramp(h_a, h_b, tau))
+            return made
+
+        block = protocols()
+        unitaries = _evolve_all(block, 64, 1e-6)
+        reports = _bound_reports(block, np.array(unitaries), beta)
+        for kind, protocol, u, report in zip(kinds, protocols(), unitaries, reports):
+            alone = evolve_unitary(protocol, n_steps=64, tol=1e-6)
+            assert np.array_equal(u, alone)
+            assert report == sharpened_bound_report(protocol, alone, beta)
+            if kind == "slow" and dim > 1:
+                assert not np.array_equal(alone, magnus_product(protocol, 128))
+        if dim > 1:
+            assert len(eigendecompose(block[3].final, "ascending").clusters) == dim - 1
