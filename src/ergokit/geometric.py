@@ -14,6 +14,8 @@ the identity.  Nothing here needs more than numpy.
 from __future__ import annotations
 
 import itertools
+import os
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import exp, factorial, log, pi
 
@@ -30,7 +32,7 @@ from .quantum import (
     gibbs_state,
     spectral_context,
 )
-from .sampling import stream
+from .sampling import _streams
 
 # Support matching and merging use the overlap deficit 1 - |<a|b>| rather than
 # the arccos distance: the deficit carries ~1e-15 absolute rounding error,
@@ -40,10 +42,14 @@ from .sampling import stream
 MATCH_OVERLAP_DEFICIT = 1e-12
 MERGE_OVERLAP_DEFICIT = 1e-14
 NORM_ATOL = 1e-12
-# Monte Carlo samples drawn per block: 2^14 rows of d exponentials, 8 MB at d = 64, bound
-# the working set.  Blocks read the seeded stream in order, so the block size fixes only the
-# order in which block means merge, which moves the estimate in its last bits.
-MC_CHUNK = 1 << 14
+# Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
+# Block b draws from stream(seed, b), so the block size decides which stream draws which
+# sample, and blocks may run in any order on any thread; their moments merge in block order,
+# so the output bits do not depend on the thread count.  Runs of at least MC_PARALLEL_DRAWS
+# exponentials draw their blocks on two threads (numpy releases the GIL while it draws); a
+# smaller run loses more to the threads' start than it gains.
+MC_BLOCK_DRAWS = 1 << 16
+MC_PARALLEL_DRAWS = 800_000
 
 
 def _overlap_deficits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,6 +189,36 @@ def _sample_energies(energies: np.ndarray, count: int, rng: np.random.Generator)
     return sums[:, 0] / sums[:, 1]
 
 
+def _block_moments(energies: np.ndarray, beta: float, sizes: list[int], seed: int,
+                   claim: Callable[[], int | None]) -> dict[int, tuple[float, float]]:
+    """(mean, sum of squared deviations) of exp(-beta h(z)) over each block b that ``claim()``
+    hands out until it returns None: ``sizes[b]`` samples from ``stream(seed, b)``, through
+    one repositioned generator."""
+    claimed = []
+
+    def blocks() -> Iterator[int]:
+        while (b := claim()) is not None:
+            claimed.append(b)
+            yield b
+
+    moments = {}
+    for rng in _streams(seed, blocks()):
+        w = _sample_energies(energies, sizes[claimed[-1]], rng)
+        w *= -beta
+        np.exp(w, out=w)
+        mean = float(w.mean())
+        w -= mean
+        np.square(w, out=w)
+        moments[claimed[-1]] = (mean, float(w.sum()))
+    return moments
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def geometric_partition_function(
     hamiltonian: HermitianOperator,
     beta: float,
@@ -196,22 +232,43 @@ def geometric_partition_function(
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     _require_manifold(hamiltonian.dim)
-    rng = stream(seed)
     energies = eigendecompose(hamiltonian, "ascending").values
-    # Chunk-merged Welford accumulation: the naive E[X^2] - E[X]^2 form loses
-    # all significance for near-constant integrands.
+    rows = max(1, MC_BLOCK_DRAWS // energies.size)
+    full, rest = divmod(n_samples, rows)
+    sizes = [rows] * full + [rest] * (rest > 0)
+    workers = 1
+    if n_samples * energies.size >= MC_PARALLEL_DRAWS:
+        workers = min(2, _usable_cpus(), len(sizes))
+    todo = iter(range(len(sizes)))
+    if workers == 1:
+        moments = _block_moments(energies, beta, sizes, seed, lambda: next(todo, None))
+    else:
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        # Each worker claims the next undrawn block, so one on a busier CPU draws fewer, and
+        # holds one block at a time.
+        lock = threading.Lock()
+
+        def claim() -> int | None:
+            with lock:
+                return next(todo, None)
+
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(
+                lambda _: _block_moments(energies, beta, sizes, seed, claim), range(workers)))
+        moments = {b: part[b] for part in parts for b in part}
+    # Block-merged Welford accumulation in block order: the naive E[X^2] - E[X]^2 form
+    # loses all significance for near-constant integrands.
     count = 0
     mean = 0.0
     m2 = 0.0
-    while count < n_samples:
-        m = min(MC_CHUNK, n_samples - count)
-        w = np.exp(-beta * _sample_energies(energies, m, rng))
-        chunk_mean = float(w.mean())
-        chunk_m2 = float(((w - chunk_mean) ** 2).sum())
-        delta = chunk_mean - mean
+    for b, m in enumerate(sizes):
+        block_mean, block_m2 = moments[b]
+        delta = block_mean - mean
         count += m
         mean += delta * m / count
-        m2 += chunk_m2 + delta * delta * m * (count - m) / count
+        m2 += block_m2 + delta * delta * m * (count - m) / count
     variance = m2 / max(1, n_samples - 1)
     volume = manifold_volume(hamiltonian.dim)
     return volume * mean, volume * float(np.sqrt(variance / n_samples))

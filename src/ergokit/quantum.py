@@ -208,6 +208,14 @@ def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
     v = np.array([op._eigh[1][:, ::step] for op in operators])
 
     dim, magnitude = w.shape[1], np.abs(w)
+    # The gate reads the eigensolver's own pairs, before the tie-break below mixes each
+    # cluster's vectors: a cluster's eigenvalues may differ by DEGENERACY_RTOL (1 + |w|), about
+    # 1e-10 for a state, which is more than the gate allows once max |w| is below 0.1.
+    matrices = np.array([op.matrix for op in operators])
+    residual = np.linalg.norm(matrices @ v - v * w[:, None, :], axis=1).max(axis=1)
+    gate = EIGEN_RESIDUAL_RTOL * np.maximum(magnitude.max(axis=1), np.finfo(float).tiny)
+    if np.any(residual > gate):
+        raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
     scale = 1.0 + np.maximum(magnitude[:, 1:], magnitude[:, :-1])
     gaps = np.abs(w[:, 1:] - w[:, :-1]) > DEGENERACY_RTOL * scale
     clusters = [tuple((i,) for i in range(dim))] * len(operators)
@@ -221,10 +229,6 @@ def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
                 sl = slice(members[0], members[-1] + 1)
                 fixed[r, :, sl] = _canonical_columns(v[r, :, sl])
 
-    matrices = np.array([op.matrix for op in operators])
-    residual = np.linalg.norm(matrices @ fixed - fixed * w[:, None, :], axis=1).max(axis=1)
-    if np.any(residual > EIGEN_RESIDUAL_RTOL * np.maximum(magnitude.max(axis=1), np.finfo(float).tiny)):
-        raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
     for a in (w, fixed):
         a.setflags(write=False)
     for op, values, vectors, runs in zip(operators, w, fixed, clusters):

@@ -654,6 +654,18 @@ class TestOtmCommand:
         assert payload["checks"]["sudden_quench_value"]["passed"] is True
         assert payload["results"]["min_jensen_gap"] >= -1e-9
 
+    @pytest.mark.parametrize("seed, code, stderr", [
+        (1, 0, ""),
+        # Item 2's high-temperature route gap (1.8e-8), past the decomposition.
+        (0, 1, "invariant failed: route disagreement |direct - entropies| = 1.832e-08\n"),
+    ], ids=["seed-1", "seed-0"])
+    def test_near_degenerate_conditional_states_decompose(self, seed, code, stderr):
+        # At beta = 1e-7 the conditional states' spectra crowd near 1/16, some pairs within
+        # the degeneracy tolerance; the eigensolver's residual gate used to raise on them.
+        proc = run_module("otm", "--dim", "16", "--trials", "4", "--seed", str(seed),
+                          "--beta", "1e-7")
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+
     def test_json_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run_cli(

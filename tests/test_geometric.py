@@ -1,7 +1,9 @@
 """Geometric states, the geometric relative entropy, and the manifold ensemble."""
 
+import concurrent.futures
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -324,19 +326,51 @@ class TestPartitionFunction:
         assert manifold_volume(2) == pytest.approx(math.pi)
         assert manifold_volume(4) == pytest.approx(math.pi**3 / 6.0)
 
-    def test_block_size_fixes_only_the_merge_order(self, monkeypatch):
+    def test_output_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # Blocks of 1000 samples at d = 5: 50 blocks, which two workers claim one at a time,
+        # so they finish out of block order.
         h = random_hermitian(5, stream(9))
-        results = []
-        for chunk in (1000, 1 << 14):
-            monkeypatch.setattr(geometric, "MC_CHUNK", chunk)
-            results.append(geometric_partition_function(h, 1.0, 50_000, seed=3))
-        (estimate, stderr), (reference, reference_stderr) = results
-        assert estimate == pytest.approx(reference, rel=1e-13, abs=0)
-        assert stderr == pytest.approx(reference_stderr, rel=1e-13, abs=0)
+        monkeypatch.setattr(geometric, "MC_BLOCK_DRAWS", 5000)
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(geometric, "_usable_cpus", lambda: 2)
+        serial = geometric_partition_function(h, 1.0, 50_000, seed=3)
+        assert pools == []
+        monkeypatch.setattr(geometric, "MC_PARALLEL_DRAWS", 500)
+        assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
+        assert pools == [2]
+        monkeypatch.setattr(geometric, "_usable_cpus", lambda: 1)
+        assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
+        assert pools == [2]
+
+    def test_blocks_are_the_seeds_streams_merged(self):
+        # d = 4 draws 16384 samples per block: 20 000 samples are block 0 from
+        # stream(seed, 0) and 3616 samples of block 1 from stream(seed, 1), merged by
+        # the pairwise update of Chan, Golub and LeVeque.
+        energies = np.array([0.0, 0.3, 1.1, 2.0])
+        h = HermitianOperator(np.diag(energies))
+        sizes = (geometric.MC_BLOCK_DRAWS // 4, 20_000 - geometric.MC_BLOCK_DRAWS // 4)
+        assert sizes == (16384, 3616)
+        w = [np.exp(-0.7 * _sample_energies(energies, m, stream(5, b)))
+             for b, m in enumerate(sizes)]
+        means = [float(x.mean()) for x in w]
+        m2 = sum(float(((x - mu) ** 2).sum()) for x, mu in zip(w, means))
+        m2 += (means[1] - means[0]) ** 2 * sizes[0] * sizes[1] / 20_000
+        mean = (sizes[0] * means[0] + sizes[1] * means[1]) / 20_000
+        volume = manifold_volume(4)
+        estimate, stderr = geometric_partition_function(h, 0.7, 20_000, seed=5)
+        assert estimate == pytest.approx(volume * mean, rel=1e-14, abs=0)
+        assert stderr == pytest.approx(volume * math.sqrt(m2 / 19_999 / 20_000), rel=1e-12, abs=0)
 
     def test_working_set_is_one_block(self):
-        # Drawn whole, 10^5 samples at d = 64 hold 51.2 MB of exponentials; one block of
-        # MC_CHUNK rows holds 8.4 MB.
+        # Drawn whole, 10^5 samples at d = 64 hold 51.2 MB of exponentials; each of the two
+        # workers holds one block of MC_BLOCK_DRAWS exponentials, 0.5 MB.
         h = HermitianOperator(np.diag(np.arange(64.0)))
         tracemalloc.start()
         try:

@@ -96,6 +96,32 @@ class TestEigendecompose:
         assert np.allclose(a.vectors, b.vectors, atol=1e-12)
         assert a.clusters == ((0,), (1, 2))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_degenerate_pair_on_a_small_spectrum_decomposes(self, seed):
+        # Eigenvalues 7 and 8 lie 1e-10 apart, inside the degeneracy tolerance, so the
+        # tie-break mixes their vectors; the mixed vectors miss the residual gate, which is
+        # 1e-9 * 0.07 here.  The gate reads the eigensolver's own pairs, so this decomposes.
+        u = haar_unitaries(16, 1, stream(seed))[0]
+        p = 1.0 / 16 + 1e-3 * (np.arange(16) - 7.5)
+        p[7:9] = p[7:9].mean() + np.array([0.5e-10, -0.5e-10])
+        assert p.max() <= 0.2
+        spec = eigendecompose(DensityMatrix((u * p) @ u.conj().T), "descending")
+        assert (7, 8) in spec.clusters
+        assert np.max(np.abs(spec.values - np.sort(p)[::-1])) <= 1e-15
+        gram = spec.vectors.conj().T @ spec.vectors
+        assert np.max(np.abs(gram - np.eye(16))) < 1e-12
+
+    def test_residual_gate_rejects_a_bad_eigensolver_pair(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def skewed_eigh(matrices):
+            w, v = eigh(matrices)
+            return w, v + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        with pytest.raises(ValueError, match="eigensolver residual"):
+            eigendecompose(random_density(4, stream(3)), "descending")
+
     def test_phase_fix_largest_component_real_positive(self):
         spec = eigendecompose(random_density(4, stream(21)), "descending")
         for j in range(4):
