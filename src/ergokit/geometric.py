@@ -14,13 +14,12 @@ the identity.  Nothing here needs more than numpy.
 from __future__ import annotations
 
 import itertools
-import os
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import exp, factorial, log, pi
 
 import numpy as np
 
+from . import _threads
 from .errors import OutOfScope, SupportMismatch
 from .quantum import (
     SUPPORT_FLOOR,
@@ -44,12 +43,11 @@ MERGE_OVERLAP_DEFICIT = 1e-14
 NORM_ATOL = 1e-12
 # Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
 # Block b draws from stream(seed, b), so the block size decides which stream draws which
-# sample, and blocks may run in any order on any thread; their moments merge in block order,
-# so the output bits do not depend on the thread count.  Runs of at least MC_PARALLEL_DRAWS
-# exponentials draw their blocks on two threads (numpy releases the GIL while it draws); a
-# smaller run loses more to the threads' start than it gains.
+# sample; blocks may run in any order on any thread, and their moments merge in block order.
+# A run of at least 8 blocks' worth draws on two threads (``_threads.in_halves``); a smaller
+# one loses more to the hand-off than it gains.
 MC_BLOCK_DRAWS = 1 << 16
-MC_PARALLEL_DRAWS = 800_000
+MC_PARALLEL_DRAWS = 8 * MC_BLOCK_DRAWS
 
 
 def _overlap_deficits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,36 +187,6 @@ def _sample_energies(energies: np.ndarray, count: int, rng: np.random.Generator)
     return sums[:, 0] / sums[:, 1]
 
 
-def _block_moments(energies: np.ndarray, beta: float, sizes: list[int], seed: int,
-                   claim: Callable[[], int | None]) -> dict[int, tuple[float, float]]:
-    """(mean, sum of squared deviations) of exp(-beta h(z)) over each block b that ``claim()``
-    hands out until it returns None: ``sizes[b]`` samples from ``stream(seed, b)``, through
-    one repositioned generator."""
-    claimed = []
-
-    def blocks() -> Iterator[int]:
-        while (b := claim()) is not None:
-            claimed.append(b)
-            yield b
-
-    moments = {}
-    for rng in _streams(seed, blocks()):
-        w = _sample_energies(energies, sizes[claimed[-1]], rng)
-        w *= -beta
-        np.exp(w, out=w)
-        mean = float(w.mean())
-        w -= mean
-        np.square(w, out=w)
-        moments[claimed[-1]] = (mean, float(w.sum()))
-    return moments
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def geometric_partition_function(
     hamiltonian: HermitianOperator,
     beta: float,
@@ -236,33 +204,29 @@ def geometric_partition_function(
     rows = max(1, MC_BLOCK_DRAWS // energies.size)
     full, rest = divmod(n_samples, rows)
     sizes = [rows] * full + [rest] * (rest > 0)
-    workers = 1
-    if n_samples * energies.size >= MC_PARALLEL_DRAWS:
-        workers = min(2, _usable_cpus(), len(sizes))
-    todo = iter(range(len(sizes)))
-    if workers == 1:
-        moments = _block_moments(energies, beta, sizes, seed, lambda: next(todo, None))
-    else:
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
+    todo = [None, None, *reversed(range(len(sizes)))]  # list.pop is atomic, free-threaded too
 
-        # Each worker claims the next undrawn block, so one on a busier CPU draws fewer, and
-        # holds one block at a time.
-        lock = threading.Lock()
+    def draw(_) -> dict[int, tuple[float, float]]:
+        # (mean, sum of squared deviations) of exp(-beta h(z)) over each block b this half pops
+        # until a None, so a half on a busier CPU draws fewer: sizes[b] samples from
+        # stream(seed, b), through one repositioned generator.
+        moments = {}
+        mine, positions = itertools.tee(iter(todo.pop, None))
+        for b, rng in zip(mine, _streams(seed, positions)):
+            w = _sample_energies(energies, sizes[b], rng)
+            w *= -beta
+            np.exp(w, out=w)
+            mean = float(w.mean())
+            w -= mean
+            np.square(w, out=w)
+            moments[b] = (mean, float(w.sum()))
+        return moments
 
-        def claim() -> int | None:
-            with lock:
-                return next(todo, None)
-
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(
-                lambda _: _block_moments(energies, beta, sizes, seed, claim), range(workers)))
-        moments = {b: part[b] for part in parts for b in part}
+    parts = _threads.in_halves(draw, len(sizes), n_samples * energies.size, MC_PARALLEL_DRAWS)
+    moments = {b: part[b] for part in parts for b in part}
     # Block-merged Welford accumulation in block order: the naive E[X^2] - E[X]^2 form
     # loses all significance for near-constant integrands.
-    count = 0
-    mean = 0.0
-    m2 = 0.0
+    count, mean, m2 = 0, 0.0, 0.0
     for b, m in enumerate(sizes):
         block_mean, block_m2 = moments[b]
         delta = block_mean - mean

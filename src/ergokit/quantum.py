@@ -13,6 +13,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import _threads
 from .errors import OutOfScope, SupportViolation
 
 # Construction tolerances.
@@ -105,27 +106,34 @@ class DensityMatrix(HermitianOperator):
 
     @staticmethod
     def _validate(m: np.ndarray) -> tuple[np.ndarray, list]:
-        """One stacked ``eigh`` validates every state; the clamp and the division
-        by the trace run on the rows that need them, one at a time."""
+        """One stacked ``eigh`` (``_eigh_rows``) validates every state; the clamp and
+        the division by the trace run on the rows that need them, one at a time."""
         m = HermitianOperator._validate(m)[0]
         traces = np.trace(m, axis1=1, axis2=2).real.tolist()
         for trace in traces:
             if abs(trace - 1.0) > TRACE_ATOL:
                 raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        w, v = np.linalg.eigh(m)
-        eighs = list(zip(w, v))
-        for r, (trace, low) in enumerate(zip(traces, w[:, 0].tolist())):
-            if low < -NEGATIVE_EIG_ATOL:
-                raise ValueError(f"minimum eigenvalue {low:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
-            if low < 0.0:
-                clamped = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
+        eighs = _eigh_rows(m)
+        for r, (trace, (w, v)) in enumerate(zip(traces, eighs)):
+            if w[0] < -NEGATIVE_EIG_ATOL:
+                raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
+            if w[0] < 0.0:
+                clamped = (v * np.clip(w, 0.0, None)) @ v.conj().T
                 clamped = (clamped + clamped.conj().T) / 2.0
                 m[r] = clamped / clamped.trace().real
                 eighs[r] = None
             elif abs(trace - 1.0) > 1e-15:
                 m[r] /= trace
-                w[r] /= trace
+                w /= trace
         return m, eighs
+
+
+def _eigh_rows(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``np.linalg.eigh`` of a stack (B, d, d) as (w, v) per matrix, a large stack in two
+    halves (``_threads.in_halves``): each matrix is solved on its own, so no bit moves."""
+    parts = _threads.in_halves(lambda part: np.linalg.eigh(m[part]), len(m), m.size,
+                               _threads.EIGH_SPLIT_ENTRIES)
+    return [pair for w, v in parts for pair in zip(w, v)]
 
 
 def _fix_phase(z: np.ndarray) -> np.ndarray:
@@ -201,8 +209,8 @@ def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
         raise ValueError(f"unknown order {order!r}")
     todo = [op for op in operators if op._eigh is None]
     if todo:
-        for op, *eigh in zip(todo, *np.linalg.eigh(np.array([op.matrix for op in todo]))):
-            op._eigh = tuple(eigh)
+        for op, eigh in zip(todo, _eigh_rows(np.array([op.matrix for op in todo]))):
+            op._eigh = eigh
     step = -1 if order == "descending" else 1
     w = np.array([op._eigh[0][::step] for op in operators])
     v = np.array([op._eigh[1][:, ::step] for op in operators])

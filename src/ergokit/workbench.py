@@ -12,6 +12,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import _threads
 from .errors import InvariantViolation, NotConverged
 from .ergotropy import _check_routes, _routes
 from .quantum import (
@@ -140,18 +141,23 @@ def _ordered_products(steps: np.ndarray) -> np.ndarray:
 
 def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The polar-projected ordered product exp(-i K_n) ... exp(-i K_1) of each stack
-    of Hermitian generators in ``stacks``: every factor of every stack from one
-    batched ``eigh``, and each run of stacks of one length multiplied together.
-    ``stacks`` is emptied, so that the eigh's input is the only copy of the
-    generators it holds."""
+    of Hermitian generators in ``stacks``: every factor of every stack from batched
+    ``eigh`` calls of at most ``EIGH_CHUNK`` entries (in halves, ``_threads.in_halves``),
+    each chunk's factors overwriting its generators, and each run of stacks of one
+    length multiplied together.  ``stacks`` is emptied: the generators are held once."""
     lengths = [len(k) for k in stacks]
-    generators = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    steps = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     stacks.clear()
-    w, v = np.linalg.eigh(generators)
-    del generators
-    steps = v * np.exp(-1j * w)[:, None, :]
-    steps = steps @ np.conjugate(v, out=v).swapaxes(1, 2)
-    del v
+    chunk = max(1, EIGH_CHUNK // steps[0].size)
+
+    def exponentiate(part: slice) -> None:
+        for start in range(part.start, part.stop, chunk):
+            rows = slice(start, min(start + chunk, part.stop))
+            w, v = np.linalg.eigh(steps[rows])
+            factors = v * np.exp(-1j * w)[:, None, :]
+            np.matmul(factors, np.conjugate(v, out=v).swapaxes(1, 2), out=steps[rows])
+
+    _threads.in_halves(exponentiate, len(steps), steps.size, _threads.EIGH_SPLIT_ENTRIES)
     products, start = [], 0
     for n, run in groupby(lengths):
         stop = start + n * len(list(run))
@@ -174,11 +180,12 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
 
 
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
-# Stacked generator entries (steps x d^2, 8 MiB of complex) that one ``eigh`` takes:
-# the units of ``_magnus_products`` are stacked in order up to this bound, and a
+# Stacked generator entries (steps x d^2, 8 MiB of complex) that one ``_ordered_exponentials``
+# takes: the units of ``_magnus_products`` are stacked in order up to this bound, and a
 # larger unit runs alone, so memory does not grow with the number of protocols.  A
-# ramp's 64- and 128-step units share one eigh up to d = 52.
+# ramp's 64- and 128-step units share one stack up to d = 52.
 GENERATOR_BLOCK = 2**19
+EIGH_CHUNK = 2**16  # entries (1 MiB) per eigh call there: a thread's temporaries stay small
 
 
 def _magnus_generators(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:

@@ -168,17 +168,22 @@ class TestEigensolverCalls:
         assert eigensolver_calls["eigh"] + eigensolver_calls["eigvalsh"] <= most
         assert eigensolver_calls["qr"] == 0  # no Haar draw, no degenerate cluster
 
-    def test_otm_block_and_its_quench_case_once_per_process(self, capsys, eigensolver_calls):
+    def test_otm_block_and_its_quench_case_once_per_process(self, capsys, eigensolver_calls,
+                                                             two_cpus):
         cli._sudden_quench.cache_clear()
         _, first, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
         # The quench case: one eigh each of its H_A, H_B and conditional state, and the
         # oracle's eigvalsh.
-        assert eigensolver_calls == {"eigh": 4 + 3, "eigvalsh": 1, "qr": 0}
+        assert eigensolver_calls == {"eigh": 3 + 4 + 3, "eigvalsh": 1, "qr": 0}
+        assert eigensolver_calls.matrices == {"eigh": 3324 + 3, "eigvalsh": 1, "qr": 0}
         eigensolver_calls.update(eigh=0, eigvalsh=0)
         _, second, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
-        # One block: one eigh of every ramp's 128- and 64-step generators, and one each
-        # of the H_A's, the conditional states and the H_B's.
-        assert eigensolver_calls == {"eigh": 4, "eigvalsh": 0, "qr": 0}
+        # One block: one eigh each of the H_A's, the conditional states and the H_B's, and 4
+        # of the 17 ramps' 128- and 64-step generators: 3 264 matrices of 64 entries in two
+        # halves, each in eigh calls of at most EIGH_CHUNK = 2^16 entries (1 024 matrices).
+        # The matrices, counted on from the first run, are those of unsplit calls: 3 x 20 + 3 264.
+        assert eigensolver_calls == {"eigh": 3 + 4, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == 3327 + 3 * 20 + 3264
         assert second == first
 
     @pytest.mark.parametrize(
@@ -936,14 +941,24 @@ assert sys.modules["scipy"] is None
 """
 
 
+# Once a thread has started, glibc's malloc leaves its single-thread path for the rest of
+# the process, which made later small ops 1-2.5% slower in an in-process A/B: the small-d
+# benchmark's shapes stay below the thread helper's size rules (its largest stack, the
+# generators of otm --dim 4 --trials 2, is 2 x 192 x 16 = 6 144 entries, and geometric-z
+# --dim 2 draws 2 x 10^5 exponentials) and start no thread.
 _SERIAL_SWEEP_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, sys, threading
 from ergokit import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify-identities", "--trials", "3"]) == 0
     assert cli.main(["otm", "--trials", "2"]) == 0
+    assert cli.main(["ergotropy", "--dim", "8"]) == 0
+    assert cli.main(["verify-identities", "--dim", "8", "--trials", "16"]) == 0
+    assert cli.main(["otm", "--dim", "4", "--trials", "2"]) == 0
+    assert cli.main(["geometric-z", "--dim", "2", "--samples", "100000"]) == 0
 assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
 """
 
 

@@ -1,9 +1,9 @@
 """Geometric states, the geometric relative entropy, and the manifold ensemble."""
 
-import concurrent.futures
 import math
+import sys
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from ergokit import (
     manifold_volume,
     spectral_relative_entropy,
 )
-from ergokit import geometric
+from ergokit import _threads, geometric
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.geometric import _sample_energies
@@ -326,28 +326,44 @@ class TestPartitionFunction:
         assert manifold_volume(2) == pytest.approx(math.pi)
         assert manifold_volume(4) == pytest.approx(math.pi**3 / 6.0)
 
-    def test_output_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
-        # Blocks of 1000 samples at d = 5: 50 blocks, which two workers claim one at a time,
-        # so they finish out of block order.
+    def test_output_bits_do_not_depend_on_the_worker_count(self, monkeypatch, two_cpus):
+        # Blocks of 1000 samples at d = 5: 50 blocks, which the two halves claim one at a time,
+        # so they finish out of block order.  Each half draws through its own generator, so
+        # the spy sees the thread of each half.
         h = random_hermitian(5, stream(9))
         monkeypatch.setattr(geometric, "MC_BLOCK_DRAWS", 5000)
-        pools = []
+        halves = []
+        streams = geometric._streams
 
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, workers):
-                pools.append(workers)
-                super().__init__(workers)
+        def spy(seed, indices):
+            halves.append(threading.get_ident())
+            return streams(seed, indices)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(geometric, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(geometric, "_streams", spy)
         serial = geometric_partition_function(h, 1.0, 50_000, seed=3)
-        assert pools == []
+        assert halves == [threading.get_ident()]
         monkeypatch.setattr(geometric, "MC_PARALLEL_DRAWS", 500)
         assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
-        assert pools == [2]
-        monkeypatch.setattr(geometric, "_usable_cpus", lambda: 1)
+        assert len(halves) == 3 and len(set(halves[1:])) == 2  # the helper thread drew
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
         assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
-        assert pools == [2]
+        assert halves[3:] == [threading.get_ident()]
+
+    def test_every_block_is_drawn_once_under_fast_thread_switches(self, monkeypatch, two_cpus):
+        # 200 blocks of 10 samples, both halves popping from one list while the interpreter
+        # switches threads every microsecond: a block drawn twice or lost changes the bits
+        # or raises KeyError in the merge.
+        h = random_hermitian(5, stream(10))
+        monkeypatch.setattr(geometric, "MC_BLOCK_DRAWS", 50)
+        serial = geometric_partition_function(h, 1.0, 2000, seed=4)
+        monkeypatch.setattr(geometric, "MC_PARALLEL_DRAWS", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert geometric_partition_function(h, 1.0, 2000, seed=4) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_blocks_are_the_seeds_streams_merged(self):
         # d = 4 draws 16384 samples per block: 20 000 samples are block 0 from
@@ -370,7 +386,7 @@ class TestPartitionFunction:
 
     def test_working_set_is_one_block(self):
         # Drawn whole, 10^5 samples at d = 64 hold 51.2 MB of exponentials; each of the two
-        # workers holds one block of MC_BLOCK_DRAWS exponentials, 0.5 MB.
+        # threads holds one block of MC_BLOCK_DRAWS exponentials, 0.5 MB.
         h = HermitianOperator(np.diag(np.arange(64.0)))
         tracemalloc.start()
         try:

@@ -1,6 +1,9 @@
 """Core linear algebra, spectra, Gibbs states, entropies, and coherence."""
 
 import math
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from ergokit import (
     spectral_relative_entropy,
     von_neumann_entropy,
 )
+from ergokit import _threads
 from ergokit.errors import OutOfScope
-from ergokit.quantum import _logsumexp
+from ergokit.quantum import _eigendecompose_all, _eigh_rows, _logsumexp
 from ergokit.sampling import _streams, haar_unitaries, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -184,6 +188,83 @@ class TestStoredSpectrum:
             spec.values[0] = 0.0
         with pytest.raises(ValueError):
             spec.vectors[0, 0] = 0.0
+
+
+def _stack(length: int, dim: int, seed: int) -> np.ndarray:
+    """A stack of Hermitian matrices; where dim >= 3, row 0 has a twice degenerate level."""
+    m = np.array([random_hermitian(dim, stream(seed, k)).matrix for k in range(length)])
+    if dim >= 3:
+        u = haar_unitaries(dim, 1, stream(seed, length))[0]
+        levels = np.linspace(-1.0, 1.0, dim)
+        levels[1] = levels[0]
+        m[0] = (u * levels) @ u.conj().T
+    return m
+
+
+class TestSplitEigh:
+    """A stacked eigh in two halves, the first on the helper thread, keeps every bit of
+    the whole-stack call: LAPACK solves each matrix of a stack on its own."""
+
+    @pytest.mark.parametrize("length, dim", [(2, 1), (5, 1), (4, 3), (7, 3), (2, 16), (9, 16)])
+    def test_halves_equal_the_whole_stack(self, monkeypatch, two_cpus, eigensolver_calls,
+                                          length, dim):
+        m = _stack(length, dim, seed=40 + dim)
+        w, v = np.linalg.eigh(m)
+        monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", 0)
+        threads = []
+        counted = np.linalg.eigh
+
+        def spy(a):
+            threads.append((threading.get_ident(), len(a)))
+            return counted(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        rows = _eigh_rows(m)
+        assert sorted(n for _, n in threads) == sorted([length // 2, length - length // 2])
+        assert len({ident for ident, _ in threads}) == 2
+        # The whole stack and its two halves: the same matrices are solved twice.
+        assert eigensolver_calls["eigh"] == 3
+        assert eigensolver_calls.matrices["eigh"] == 2 * length
+        assert len(rows) == length
+        for (row_w, row_v), whole_w, whole_v in zip(rows, w, v):
+            assert row_w.tobytes() == whole_w.tobytes()
+            assert row_v.tobytes() == whole_v.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_a_helper_of_its_own(self, two_cpus):
+        # The parent's helper thread does not exist in a child: a split job there must
+        # start a new one, not wait forever on the copy.
+        assert _threads.in_halves(lambda part: part, 2, 1, 0) == [slice(0, 1), slice(1, 2)]
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            halves = _threads.in_halves(lambda part: (part.start, part.stop), 4, 1, 0)
+            os._exit(0 if halves == [(0, 2), (2, 4)] else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_blocks_keep_their_bits_split_or_whole(self, monkeypatch, two_cpus, dim):
+        # Density matrices with a clamped row and a rounded trace, then Hermitian operators
+        # through the canonical spectra, with the split forced on and then disabled.
+        states = np.array([random_density(dim, stream(50, k)).matrix for k in range(7)])
+        states[2] *= 1.0 + 3e-13
+        u = haar_unitaries(dim, 1, stream(51))[0]
+        levels = np.linspace(0.0, 1.0, dim)
+        states[4] = (u * np.r_[-4e-11, levels[1:] / levels[1:].sum()]) @ u.conj().T
+        operators = _stack(9, dim, seed=52)
+        runs = []
+        for entries in (0, 2**62):
+            monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
+            rhos = DensityMatrix._block(states.copy())
+            assert rhos[4]._eigh is None  # the clamped row, diagonalized again below
+            kept = [a.tobytes() for r in rhos if r._eigh is not None for a in r._eigh]
+            hamiltonians = HermitianOperator._block(operators.copy())
+            runs.append(
+                [r.matrix.tobytes() for r in rhos] + kept
+                + [a.tobytes() for a in _eigendecompose_all(rhos, "descending")[:2]]
+                + [a.tobytes() for a in _eigendecompose_all(hamiltonians, "ascending")[:2]]
+            )
+        assert runs[0] == runs[1]
 
 
 class TestGibbs:

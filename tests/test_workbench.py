@@ -20,6 +20,7 @@ from ergokit import (
     sharpened_bound_report,
     step_product,
 )
+from ergokit import _threads, workbench
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
 from ergokit.workbench import _bound_reports, _evolve_all, magnus_product
 
@@ -320,18 +321,40 @@ class TestEigensolverCalls:
         eigendecompose(conditional_thermal_state(h_a, h_b, u, 0.7).rho, "descending")
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
-    def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls):
+    def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls,
+                                                                 two_cpus):
         # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45.  Its 128- and 64-step
-        # generators (2^19 + 2^18 entries) exceed one GENERATOR_BLOCK, so two eighs.
+        # generators (2^19 + 2^18 entries) exceed one GENERATOR_BLOCK, so two stacks, each
+        # solved in two halves of eigh calls of EIGH_CHUNK = 2^16 entries (16 matrices):
+        # 4 + 4 calls for the 128 steps and 2 + 2 for the 64, on 192 matrices as unsplit.
         tau = float(stream(0, 2).uniform(0.0, 1.5))
         protocol = DrivingProtocol.linear_ramp(
             random_hermitian(64, stream(0, 0)), random_hermitian(64, stream(0, 1)), tau
         )
         evolve_unitary(protocol, n_steps=64, tol=1e-6)
-        assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls == {"eigh": 8 + 4, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == 128 + 64
 
 
 class TestBlocks:
+    @pytest.mark.parametrize("dim", [3, 16])
+    def test_propagators_keep_their_bits_split_chunked_or_whole(self, monkeypatch, two_cpus,
+                                                               dim):
+        # Ramps, a sudden switch and a ramp that doubles further, their step exponentials
+        # from one whole eigh per stack, then in two halves of 5-matrix chunks.
+        h = [random_hermitian(dim, stream(60, k)) for k in range(8)]
+        slow_a = HermitianOperator(12.0 * np.diag(np.arange(dim, dtype=float)))
+        slow_b = HermitianOperator(12.0 * (np.eye(dim, k=1) + np.eye(dim, k=-1)))
+        block = [DrivingProtocol.linear_ramp(h[0], h[1], 0.7), DrivingProtocol.sudden(h[2], h[3]),
+                 DrivingProtocol.linear_ramp(slow_a, slow_b, 1.5),
+                 DrivingProtocol.from_schedule([(0.0, h[4]), (0.3, h[5]), (1.1, h[6])])]
+        runs = []
+        for entries, chunk in ((2**62, 2**62), (0, 5 * dim * dim)):
+            monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
+            monkeypatch.setattr(workbench, "EIGH_CHUNK", chunk)
+            runs.append([u.tobytes() for u in _evolve_all(block, 64, 1e-6)])
+        assert runs[0] == runs[1]
+
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            extra=st.lists(st.sampled_from(["sudden", "ramp", "slow", "degenerate"]), max_size=3),
