@@ -2,7 +2,7 @@
 helper thread.  Small jobs stay serial: once a thread starts, glibc's malloc is slower for good."""
 
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 # Stack entries (length x d^2) from which a stacked eigh runs in halves: a split lost below
 # 1k entries (a hand-off costs about 0.15 ms) and took 0.6-0.85x the time at 3-9k.
@@ -34,3 +34,13 @@ def in_halves(job: Callable[[slice], object], length: int, size: int, least: int
     finally:
         first.exception()  # waits, so that no half outlives the call
     return [first.result(), second]
+
+
+def claimed(job: Callable[[Iterator[int]], dict], count: int, size: int, least: int) -> dict:
+    """``job(iter(range(count)))``, or the merged dicts of two calls over ``in_halves``, each
+    claiming the next of the ``count`` parts that neither has, so the less busy CPU takes more."""
+    if count < 2 or size < least or _usable_cpus() < 2:
+        return job(iter(range(count)))
+    todo = [None, None, *reversed(range(count))]  # list.pop is atomic, free-threaded too
+    halves = in_halves(lambda _: job(iter(todo.pop, None)), count, size, least)
+    return {k: v for half in halves for k, v in half.items()}

@@ -352,8 +352,8 @@ def _cmd_geometric_z(config: argparse.Namespace):
 def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     """The rows of the trials i in ``index``: H_A and H_B drawn from ``stream(seed, 4i)``
     and ``stream(seed, 4i + 1)`` and validated together, tau from ``stream(seed, 4i + 2)``
-    (a sudden switch below 0.15), then one ``_evolve_all`` and one ``_bound_reports``
-    over the block."""
+    (a sudden switch below 0.15), then one ``_evolve_all`` (doubling from 32 steps to the
+    1e-6 gate) and one ``_bound_reports`` over the block."""
     draws = _ginibre(_streams(seed, (k for i in index for k in (4 * i, 4 * i + 1))),
                      2 * len(index), (dim, dim))
     h_a, h_b = (HermitianOperator._block(_hermitians(draws[k::2])) for k in (0, 1))
@@ -361,7 +361,7 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     taus = [float(rng.uniform(0.0, 1.5)) for rng in _streams(seed, (4 * i + 2 for i in index))]
     protocols = [DrivingProtocol.sudden(a, b) if tau < 0.15
                  else DrivingProtocol.linear_ramp(a, b, tau) for a, b, tau in zip(h_a, h_b, taus)]
-    reports = _bound_reports(protocols, np.array(_evolve_all(protocols, 64, 1e-6)), beta)
+    reports = _bound_reports(protocols, np.array(_evolve_all(protocols, 32, 1e-6)), beta)
     return [{
         "trial": i,
         "tau": tau,

@@ -44,7 +44,7 @@ NORM_ATOL = 1e-12
 # Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
 # Block b draws from stream(seed, b), so the block size decides which stream draws which
 # sample; blocks may run in any order on any thread, and their moments merge in block order.
-# A run of at least 8 blocks' worth draws on two threads (``_threads.in_halves``); a smaller
+# A run of at least 8 blocks' worth draws on two threads (``_threads.claimed``); a smaller
 # one loses more to the hand-off than it gains.
 MC_BLOCK_DRAWS = 1 << 16
 MC_PARALLEL_DRAWS = 8 * MC_BLOCK_DRAWS
@@ -204,14 +204,13 @@ def geometric_partition_function(
     rows = max(1, MC_BLOCK_DRAWS // energies.size)
     full, rest = divmod(n_samples, rows)
     sizes = [rows] * full + [rest] * (rest > 0)
-    todo = [None, None, *reversed(range(len(sizes)))]  # list.pop is atomic, free-threaded too
 
-    def draw(_) -> dict[int, tuple[float, float]]:
-        # (mean, sum of squared deviations) of exp(-beta h(z)) over each block b this half pops
-        # until a None, so a half on a busier CPU draws fewer: sizes[b] samples from
+    def draw(claims) -> dict[int, tuple[float, float]]:
+        # (mean, sum of squared deviations) of exp(-beta h(z)) over each block b this half
+        # claims, so a half on a busier CPU draws fewer: sizes[b] samples from
         # stream(seed, b), through one repositioned generator.
         moments = {}
-        mine, positions = itertools.tee(iter(todo.pop, None))
+        mine, positions = itertools.tee(claims)
         for b, rng in zip(mine, _streams(seed, positions)):
             w = _sample_energies(energies, sizes[b], rng)
             w *= -beta
@@ -222,8 +221,7 @@ def geometric_partition_function(
             moments[b] = (mean, float(w.sum()))
         return moments
 
-    parts = _threads.in_halves(draw, len(sizes), n_samples * energies.size, MC_PARALLEL_DRAWS)
-    moments = {b: part[b] for part in parts for b in part}
+    moments = _threads.claimed(draw, len(sizes), n_samples * energies.size, MC_PARALLEL_DRAWS)
     # Block-merged Welford accumulation in block order: the naive E[X^2] - E[X]^2 form
     # loses all significance for near-constant integrands.
     count, mean, m2 = 0, 0.0, 0.0

@@ -101,29 +101,25 @@ class DrivingProtocol:
 
 
 def _step_counts(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
-    """The steps on each knot interval: at least one, in proportion to its length."""
+    """The steps on each knot interval: at least one, in proportion to its length, so no
+    step straddles a kink and a linear ramp takes ``n_steps`` equal steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1 for non-sudden protocols")
     return np.maximum(1, np.rint(n_steps * np.diff(protocol._times) / protocol.tau).astype(int))
 
 
-def _step_nodes(
-    protocol: DrivingProtocol, n_steps: int, fractions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times t_k + c dt_k of each step k at each fraction c, shape
-    (steps, len(fractions)), and the step widths dt_k.
-
-    Each knot interval gets its own uniform grid of at least one step, with
-    counts in proportion to the interval's length, so no step straddles a
-    kink; a linear ramp takes ``n_steps`` equal steps.
-    """
-    times = protocol._times
-    lengths = np.diff(times)
+def _step_midpoints(protocol: DrivingProtocol, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint t_k + dt_k / 2 and the width dt_k of each step k."""
     counts = _step_counts(protocol, n_steps)
-    starts = np.repeat(times[:-1], counts)[:, None]
-    dt = np.repeat(lengths / counts, counts)
+    dt = np.repeat(np.diff(protocol._times) / counts, counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return starts + (index[:, None] + fractions) * dt[:, None], dt
+    return np.repeat(protocol._times[:-1], counts) + (index + 0.5) * dt, dt
+
+
+def _polar(m: np.ndarray) -> np.ndarray:
+    """The nearest unitary (polar factor) to each matrix of a stack, by one batched ``svd``."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
 
 
 def _ordered_products(steps: np.ndarray) -> np.ndarray:
@@ -135,29 +131,31 @@ def _ordered_products(steps: np.ndarray) -> np.ndarray:
             identity = np.broadcast_to(np.eye(steps.shape[2]), (len(steps), 1) + steps.shape[2:])
             steps = np.concatenate([steps, identity], axis=1)
         steps = steps[:, 1::2] @ steps[:, ::2]
-    u, _, vh = np.linalg.svd(steps[:, 0])
-    return u @ vh
+    return _polar(steps[:, 0])
 
 
 def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The polar-projected ordered product exp(-i K_n) ... exp(-i K_1) of each stack
     of Hermitian generators in ``stacks``: every factor of every stack from batched
-    ``eigh`` calls of at most ``EIGH_CHUNK`` entries (in halves, ``_threads.in_halves``),
-    each chunk's factors overwriting its generators, and each run of stacks of one
-    length multiplied together.  ``stacks`` is emptied: the generators are held once."""
+    ``eigh`` chunks of at most ``EIGH_CHUNK`` entries (two or more, claimed in turn, if the
+    stack may split: ``_threads.claimed``), each chunk's factors overwriting its generators,
+    and each run of stacks of one length multiplied together.  ``stacks`` is emptied."""
     lengths = [len(k) for k in stacks]
     steps = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     stacks.clear()
     chunk = max(1, EIGH_CHUNK // steps[0].size)
+    if steps.size >= _threads.EIGH_SPLIT_ENTRIES:
+        chunk = min(chunk, -(-len(steps) // 2))
 
-    def exponentiate(part: slice) -> None:
-        for start in range(part.start, part.stop, chunk):
-            rows = slice(start, min(start + chunk, part.stop))
+    def exponentiate(claims) -> dict:
+        for part in claims:
+            rows = slice(part * chunk, (part + 1) * chunk)
             w, v = np.linalg.eigh(steps[rows])
             factors = v * np.exp(-1j * w)[:, None, :]
             np.matmul(factors, np.conjugate(v, out=v).swapaxes(1, 2), out=steps[rows])
+        return {}
 
-    _threads.in_halves(exponentiate, len(steps), steps.size, _threads.EIGH_SPLIT_ENTRIES)
+    _threads.claimed(exponentiate, -(-len(steps) // chunk), steps.size, _threads.EIGH_SPLIT_ENTRIES)
     products, start = [], 0
     for n, run in groupby(lengths):
         stop = start + n * len(list(run))
@@ -175,37 +173,40 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     """
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
-    nodes, dt = _step_nodes(protocol, n_steps, np.array([0.5]))
-    return _ordered_exponentials([dt[:, None, None] * protocol.hamiltonian_at(nodes[:, 0])])[0]
+    midpoints, dt = _step_midpoints(protocol, n_steps)
+    return _ordered_exponentials([dt[:, None, None] * protocol.hamiltonian_at(midpoints)])[0]
 
 
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
 # Stacked generator entries (steps x d^2, 8 MiB of complex) that one ``_ordered_exponentials``
 # takes: the units of ``_magnus_products`` are stacked in order up to this bound, and a
 # larger unit runs alone, so memory does not grow with the number of protocols.  A
-# ramp's 64- and 128-step units share one stack up to d = 52.
+# ramp's 64- and 32-step units share one stack up to d = 73, past the scope's d = 64.
 GENERATOR_BLOCK = 2**19
 EIGH_CHUNK = 2**16  # entries (1 MiB) per eigh call there: a thread's temporaries stay small
 
 
 def _magnus_generators(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
-    """The fourth-order Magnus generators K of a non-sudden protocol's steps."""
-    nodes, dt = _step_nodes(protocol, n_steps, _GAUSS_NODES)
-    h1, h2 = np.moveaxis(protocol.hamiltonian_at(nodes), 1, 0)
-    commutator = h2 @ h1  # [H_2, H_1] = H_2 H_1 - (H_2 H_1)^dagger for Hermitian H_1, H_2
-    commutator -= commutator.conj().swapaxes(1, 2)
-    dt = dt[:, None, None]
-    generators = 0.5 * dt * (h1 + h2)
-    del h1, h2  # free the 2n sampled matrices; the second term reuses the commutator's
-    generators -= np.multiply((1j * np.sqrt(3.0) / 12.0) * dt**2, commutator, out=commutator)
+    """The fourth-order Magnus generators K of a non-sudden protocol's steps.  On knot interval
+    j, H is linear, so [H_2, H_1] = (x_2 - x_1) [H_{j+1}, H_j] at the nodes' fractions x_1 < x_2
+    of it: K = dt/2 ((2 - s) H_j + s H_{j+1}) - i (sqrt(3)/12) dt^2 (x_2 - x_1) [H_{j+1}, H_j],
+    s = x_1 + x_2 = (2i + 1)/c at step i of c, x_2 - x_1 = 1/(sqrt(3) c).  A jump has K = 0."""
+    counts = _step_counts(protocol, n_steps)
+    dt, m = np.diff(protocol._times) / counts, protocol._matrices
+    generators = np.empty((int(counts.sum()),) + m.shape[1:], dtype=complex)
+    for j, rows in enumerate(np.split(generators, np.cumsum(counts)[:-1])):
+        c = len(rows)
+        product = m[j + 1] @ m[j]  # [H_{j+1}, H_j] = H_{j+1} H_j - (H_{j+1} H_j)^dagger
+        # dt/2 ((2 - s) H_j + s H_{j+1}) = dt H_j + dt s/2 (H_{j+1} - H_j), in place on the rows
+        np.multiply((dt[j] / c * (np.arange(c) + 0.5))[:, None, None], m[j + 1] - m[j], out=rows)
+        rows += dt[j] * m[j] - (1j * dt[j] ** 2 / (12.0 * c)) * (product - product.conj().T)
     return generators
 
 
 def _magnus_products(units: list[tuple[DrivingProtocol, int]]) -> list[np.ndarray]:
     """``magnus_product`` of each (non-sudden protocol, n_steps) unit, in order.  The
     units' generators are stacked in order, up to ``GENERATOR_BLOCK`` entries a stack
-    (a larger unit alone), and each stack is diagonalized by one ``eigh``.  A stack
-    is diagonalized before the next unit's generators are built."""
+    (a larger unit alone), and each stack is exponentiated by ``_ordered_exponentials``
+    before the next unit's generators are built."""
     products, stack, size = [], [], 0
     for protocol, n_steps in units:
         entries = int(_step_counts(protocol, n_steps).sum()) * protocol.initial.dim**2
@@ -222,30 +223,28 @@ def magnus_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     K = dt/2 (H_1 + H_2) - i sqrt(3)/12 dt^2 [H_2, H_1], with H_1 and H_2 the
     Hamiltonian at the two Gauss-Legendre nodes t_k + (1/2 -+ sqrt(3)/6) dt.
 
-    K is Hermitian, so each step costs one ``eigh`` like a midpoint step.
-    Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009).
+    K is Hermitian, so each step costs one ``eigh`` like a midpoint step.  The step is
+    time-symmetric, so its error is even in dt.  K is built per knot interval
+    (``_magnus_generators``).  Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 151 (2009).
     """
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
     return _magnus_products([(protocol, n_steps)])[0]
 
 
-def evolve_unitary(
-    protocol: DrivingProtocol,
-    n_steps: int = 64,
-    tol: float = REFINEMENT_TOL,
-) -> np.ndarray:
-    """Propagator of the protocol from ``magnus_product``, refined by
-    step-halving until two successive resolutions agree entrywise within
-    ``tol``.  Raises ``NotConverged`` if ``MAX_DOUBLINGS`` halvings do not
-    meet the gate."""
+def evolve_unitary(protocol: DrivingProtocol, n_steps: int = 32,
+                   tol: float = REFINEMENT_TOL) -> np.ndarray:
+    """Propagator from ``magnus_product`` at n and 2n steps, n doubling from ``n_steps`` until
+    the two agree entrywise within ``tol``: the Richardson extrapolant polar((16 U_2n - U_n)/15)
+    of that pair, whose dt^4 error term cancels (Hairer, Lubich and Wanner, Geometric Numerical
+    Integration, 2006).  Raises ``NotConverged`` if ``MAX_DOUBLINGS`` doublings miss the gate."""
     return _evolve_all([protocol], n_steps, tol)[0]
 
 
 def _evolve_all(protocols: list[DrivingProtocol], n_steps: int, tol: float) -> list[np.ndarray]:
-    """``evolve_unitary`` of each protocol.  A sudden switch is the identity; the
-    first two resolutions of every other protocol are one ``_magnus_products`` pass,
-    and each further doubling is one pass over the protocols that missed the gate."""
+    """``evolve_unitary`` of each protocol of one dimension.  A sudden switch is the identity;
+    the first two resolutions of every other protocol are one ``_magnus_products`` pass, and
+    each further doubling is one pass over the protocols that missed the gate."""
     unitaries = [np.eye(p.initial.dim, dtype=complex) for p in protocols]
     pending = [i for i, p in enumerate(protocols) if p.tau != 0.0]
     # The finer resolution first (its larger generators are built while fewer are
@@ -257,8 +256,11 @@ def _evolve_all(protocols: list[DrivingProtocol], n_steps: int, tol: float) -> l
         if doubling:
             refined = _magnus_products([(protocols[i], n_steps) for i in pending])
         missed = [float(np.max(np.abs(new - old))) > tol for old, new in zip(current, refined)]
-        for i, u in zip(pending, refined):
-            unitaries[i] = u
+        met = [k for k, miss in enumerate(missed) if not miss]
+        if met:  # the pass's extrapolants, polar-projected by one batched svd
+            extrapolants = np.array([16.0 * refined[k] - current[k] for k in met]) / 15.0
+            for k, u in zip(met, _polar(extrapolants)):
+                unitaries[pending[k]] = u
         pending = [i for i, miss in zip(pending, missed) if miss]
         current = [u for u, miss in zip(refined, missed) if miss]
         if not pending:

@@ -174,16 +174,17 @@ class TestEigensolverCalls:
         _, first, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
         # The quench case: one eigh each of its H_A, H_B and conditional state, and the
         # oracle's eigvalsh.
-        assert eigensolver_calls == {"eigh": 3 + 4 + 3, "eigvalsh": 1, "qr": 0}
-        assert eigensolver_calls.matrices == {"eigh": 3324 + 3, "eigvalsh": 1, "qr": 0}
+        block = 3 * 20 + 17 * (64 + 32) + 128
+        assert eigensolver_calls == {"eigh": 3 + 2 + 2 + 3, "eigvalsh": 1, "qr": 0}
+        assert eigensolver_calls.matrices == {"eigh": block + 3, "eigvalsh": 1, "qr": 0}
         eigensolver_calls.update(eigh=0, eigvalsh=0)
         _, second, _ = run_cli(capsys, "otm", "--dim", "8", "--trials", "20")
-        # One block: one eigh each of the H_A's, the conditional states and the H_B's, and 4
-        # of the 17 ramps' 128- and 64-step generators: 3 264 matrices of 64 entries in two
-        # halves, each in eigh calls of at most EIGH_CHUNK = 2^16 entries (1 024 matrices).
-        # The matrices, counted on from the first run, are those of unsplit calls: 3 x 20 + 3 264.
-        assert eigensolver_calls == {"eigh": 3 + 4, "eigvalsh": 0, "qr": 0}
-        assert eigensolver_calls.matrices["eigh"] == 3327 + 3 * 20 + 3264
+        # One block: one eigh each of the H_A's, the conditional states and the H_B's; the
+        # 17 ramps' 64- and 32-step generators, 1 632 matrices of 64 entries in one stack,
+        # in two chunks of 816 that the two threads claim; and trial 0's (tau = 1.45) 128
+        # steps, the one ramp to miss the gate at (32, 64), in two chunks of 64.
+        assert eigensolver_calls == {"eigh": 3 + 2 + 2, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == block + 3 + block
         assert second == first
 
     @pytest.mark.parametrize(
@@ -615,7 +616,7 @@ class TestOtmBlocks:
             tau = float(stream(4, 4 * i + 2).uniform(0.0, 1.5))
             protocol = (DrivingProtocol.sudden(h_a, h_b) if tau < 0.15
                         else DrivingProtocol.linear_ramp(h_a, h_b, tau))
-            report = sharpened_bound_report(protocol, evolve_unitary(protocol, 64, 1e-6), 0.5)
+            report = sharpened_bound_report(protocol, evolve_unitary(protocol, 32, 1e-6), 0.5)
             assert row == {
                 "trial": i, "tau": tau, "avg_work": report.avg_work, "delta_f": report.delta_f,
                 "w_irr": report.w_irr, "bound": report.bound,
@@ -660,13 +661,14 @@ class TestOtmCommand:
         assert payload["results"]["min_jensen_gap"] >= -1e-9
 
     @pytest.mark.parametrize("seed, code, stderr", [
-        (1, 0, ""),
-        # Item 2's high-temperature route gap (1.8e-8), past the decomposition.
-        (0, 1, "invariant failed: route disagreement |direct - entropies| = 1.832e-08\n"),
-    ], ids=["seed-1", "seed-0"])
+        (10, 0, ""),
+        # Item 2's high-temperature route gap (1.1e-8), past the decomposition.
+        (0, 1, "invariant failed: route disagreement |direct - entropies| = 1.138e-08\n"),
+    ], ids=["seed-10", "seed-0"])
     def test_near_degenerate_conditional_states_decompose(self, seed, code, stderr):
         # At beta = 1e-7 the conditional states' spectra crowd near 1/16, some pairs within
-        # the degeneracy tolerance; the eigensolver's residual gate used to raise on them.
+        # the degeneracy tolerance (one state of each seed's block holds such a cluster); the
+        # eigensolver's residual gate used to raise on them.
         proc = run_module("otm", "--dim", "16", "--trials", "4", "--seed", str(seed),
                           "--beta", "1e-7")
         assert (proc.returncode, proc.stderr) == (code, stderr)
@@ -995,3 +997,36 @@ class TestLargeDimensions:
         assert payload["checks"]["chain_identity"]["tolerance"] == 1e-9
         assert payload["checks"]["coherent_identity"]["tolerance"] == 1e-8
         assert all(check["passed"] for check in payload["checks"].values())
+
+
+def _known_failure(argv, measured):
+    return pytest.param(argv, id=argv, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"exits 1: {measured}"))
+
+
+class TestKnownFailures:
+    """Configs inside the documented scope that exit 1 today, each with its measured
+    deviation.  A fix turns its case into a failure (strict xfail): the fixing change
+    removes the case, and the README line that names it, together."""
+
+    @pytest.mark.parametrize("argv", [
+        # High temperature (ROADMAP item 2): the routes disagree by more than 1e-8.
+        _known_failure("verify-identities --dim 8 --beta 1e-8", "route gap 3.161e-08"),
+        _known_failure("otm --dim 4 --beta 1e-7", "route gap 1.332e-08"),
+        _known_failure("otm --dim 16 --trials 4 --seed 0 --beta 1e-7", "route gap 1.138e-08"),
+        _known_failure("classical --dim 50 --beta 1e-8", "inhomogeneity routes 5.686e-08"),
+        _known_failure("ergotropy --dim 8 --beta 1e-12", "route gap 2.619e-04"),
+        _known_failure("ergotropy --dim 64 --beta 1e-300", "route gap 9.437e+284"),
+        _known_failure("classical --dim 50 --beta 1e-300", "inhomogeneity routes 0.220"),
+        # The uniform geometric sampler (item 7) misses the low-energy corner: z > 4.
+        _known_failure("geometric-z --dim 16 --beta 40", "z = 1.68e+33"),
+        _known_failure("geometric-z --dim 8 --beta 10 --seed 1", "z = 4.35"),
+        _known_failure("geometric-z --dim 32 --beta 3 --seed 2", "z = 8.88"),
+        _known_failure("geometric-z --dim 8 --beta 15 --seed 1", "z = 19.4"),
+        _known_failure("geometric-z --dim 64 --beta 3 --seed 0", "z = 79.2"),
+        _known_failure("geometric-z --dim 64 --beta 3 --seed 1", "z = 32.8"),
+        _known_failure("geometric-z --dim 64 --beta 3 --seed 2", "z = 36.6"),
+    ])
+    def test_exits_0(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 0, err

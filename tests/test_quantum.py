@@ -230,6 +230,16 @@ class TestSplitEigh:
             assert row_w.tobytes() == whole_w.tobytes()
             assert row_v.tobytes() == whole_v.tobytes()
 
+    def test_claimed_parts_go_out_once_in_turn(self, two_cpus):
+        # Serial, one call takes every part in order; split, the two calls claim parts in
+        # turn, each once, whichever thread is faster.
+        assert _threads.claimed(lambda claims: {"order": list(claims)}, 5, 1, 2) == {
+            "order": [0, 1, 2, 3, 4]}
+        threads = _threads.claimed(lambda claims: {k: threading.get_ident() for k in claims},
+                                   200, 1, 0)
+        assert sorted(threads) == list(range(200))
+        assert threading.get_ident() in threads.values()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_gets_a_helper_of_its_own(self, two_cpus):
         # The parent's helper thread does not exist in a child: a split job there must

@@ -136,11 +136,62 @@ class TestEvolveUnitary:
         u = step_product(protocol, 401)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-9
 
+    def test_interval_commutators_equal_the_node_sampled_generators(self):
+        # Unequal intervals and a jump at t = 0.7; the reference samples H at each step's
+        # Gauss nodes and takes each step's own commutator.
+        h = [random_hermitian(5, stream(12, k)) for k in range(5)]
+        protocol = DrivingProtocol.from_schedule(
+            [(0.0, h[0]), (0.25, h[1]), (0.7, h[2]), (0.7, h[3]), (1.6, h[4])])
+        for n_steps in (1, 7, 64):
+            counts = workbench._step_counts(protocol, n_steps)
+            dt = np.repeat(np.diff(protocol._times) / counts, counts)[:, None, None]
+            start = np.repeat(protocol._times[:-1], counts)
+            index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            nodes = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+            h1, h2 = (protocol.hamiltonian_at(start + (index + c) * dt[:, 0, 0]) for c in nodes)
+            reference = 0.5 * dt * (h1 + h2) - 1j * math.sqrt(3.0) / 12.0 * dt**2 * (
+                h2 @ h1 - h1 @ h2)
+            generators = workbench._magnus_generators(protocol, n_steps)
+            scale = np.abs(reference).max(axis=(1, 2), keepdims=True)
+            jump = np.flatnonzero(dt[:, 0, 0] == 0.0)
+            assert len(jump) == 1 and not generators[jump].any()  # the jump's step is exp(0) = I
+            scale[jump] = 1.0
+            assert np.all(np.abs(generators - reference) <= 1e-15 * scale)
+
     def test_refinement_gate(self):
         protocol = DrivingProtocol.linear_ramp(H_A, SIGMA_X, 1.0)
         u = evolve_unitary(protocol, n_steps=8, tol=1e-8)
         reference = evolve_unitary(protocol, n_steps=1024, tol=1e-10)
         assert np.max(np.abs(u - reference)) < 1e-6
+
+
+class TestPropagatorAccuracy:
+    """REFERENCES holds (bound, w_irr) of a tau = 1.5 ramp from random_hermitian(d,
+    stream(0, 0)) to random_hermitian(d, stream(0, 1)) at beta = 1, driven by a 4 096-step
+    Magnus product (n = 2 048 at d = 64), whose step error is below 1e-12::
+
+        protocol = DrivingProtocol.linear_ramp(random_hermitian(d, stream(0, 0)),
+                                               random_hermitian(d, stream(0, 1)), 1.5)
+        report = sharpened_bound_report(protocol, magnus_product(protocol, n), 1.0)
+        print(repr(report.bound), repr(report.w_irr))
+    """
+
+    REFERENCES = {
+        4: ("0.5708833257645192", "0.826403642681188"),
+        16: ("2.2899377879074523", "2.8448774273202586"),
+        64: ("3.6104380419561046", "3.9454474902611394"),
+    }
+
+    @pytest.mark.parametrize("dim, atol", [(4, 1e-10), (16, 1e-10), (64, 2e-10)])
+    def test_otm_propagator_meets_a_converged_reference(self, dim, atol):
+        # The propagator otm runs: doubling from (32, 64) to a 1e-6 gate, then extrapolated.
+        # Without the extrapolation, the accepted U_2n is off by 1e-9 to 1e-7 here.
+        protocol = DrivingProtocol.linear_ramp(
+            random_hermitian(dim, stream(0, 0)), random_hermitian(dim, stream(0, 1)), 1.5)
+        report = sharpened_bound_report(protocol, evolve_unitary(protocol, 32, 1e-6), 1.0)
+        bound, w_irr = map(float, self.REFERENCES[dim])
+        assert abs(report.bound - bound) <= atol
+        assert abs(report.w_irr - w_irr) <= atol
 
 
 class TestConditionalThermalState:
@@ -321,19 +372,20 @@ class TestEigensolverCalls:
         eigendecompose(conditional_thermal_state(h_a, h_b, u, 0.7).rho, "descending")
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
 
-    def test_otm_ramp_at_dim_64_converges_at_the_first_doubling(self, eigensolver_calls,
-                                                                 two_cpus):
-        # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45.  Its 128- and 64-step
-        # generators (2^19 + 2^18 entries) exceed one GENERATOR_BLOCK, so two stacks, each
-        # solved in two halves of eigh calls of EIGH_CHUNK = 2^16 entries (16 matrices):
-        # 4 + 4 calls for the 128 steps and 2 + 2 for the 64, on 192 matrices as unsplit.
+    def test_otm_ramp_at_dim_64_converges_at_the_second_doubling(self, eigensolver_calls,
+                                                                  two_cpus):
+        # otm --dim 64 --seed 0, trial 0: a ramp with tau = 1.45.  Its 64- and 32-step
+        # generators (2^18 + 2^17 entries) fit one GENERATOR_BLOCK, one stack solved in the
+        # 6 chunks of EIGH_CHUNK = 2^16 entries (16 matrices) that the threads claim.  The
+        # two resolutions differ by more than 1e-6, so the 128 steps follow: 2^19 entries,
+        # 8 chunks.
         tau = float(stream(0, 2).uniform(0.0, 1.5))
         protocol = DrivingProtocol.linear_ramp(
             random_hermitian(64, stream(0, 0)), random_hermitian(64, stream(0, 1)), tau
         )
-        evolve_unitary(protocol, n_steps=64, tol=1e-6)
-        assert eigensolver_calls == {"eigh": 8 + 4, "eigvalsh": 0, "qr": 0}
-        assert eigensolver_calls.matrices["eigh"] == 128 + 64
+        evolve_unitary(protocol, n_steps=32, tol=1e-6)
+        assert eigensolver_calls == {"eigh": 6 + 8, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == 64 + 32 + 128
 
 
 class TestBlocks:
@@ -352,7 +404,7 @@ class TestBlocks:
         for entries, chunk in ((2**62, 2**62), (0, 5 * dim * dim)):
             monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
             monkeypatch.setattr(workbench, "EIGH_CHUNK", chunk)
-            runs.append([u.tobytes() for u in _evolve_all(block, 64, 1e-6)])
+            runs.append([u.tobytes() for u in _evolve_all(block, 32, 1e-6)])
         assert runs[0] == runs[1]
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -361,7 +413,7 @@ class TestBlocks:
            beta=st.sampled_from([0.3, 1.0, 4.0]))
     def test_block_rows_equal_trials_run_alone(self, dim, seed, extra, beta):
         # Each block mixes a sudden switch, a ramp, a ramp that misses the 1e-6 gate at
-        # 128 steps (levels 12 apart coupled by 12) and a degenerate H_B (where d allows).
+        # (32, 64) steps (levels 12 apart coupled by 12) and a degenerate H_B (where d allows).
         kinds = ["sudden", "ramp", "slow", "degenerate"] + extra
 
         def protocols():
@@ -382,13 +434,14 @@ class TestBlocks:
             return made
 
         block = protocols()
-        unitaries = _evolve_all(block, 64, 1e-6)
+        unitaries = _evolve_all(block, 32, 1e-6)
         reports = _bound_reports(block, np.array(unitaries), beta)
         for kind, protocol, u, report in zip(kinds, protocols(), unitaries, reports):
-            alone = evolve_unitary(protocol, n_steps=64, tol=1e-6)
+            alone = evolve_unitary(protocol, n_steps=32, tol=1e-6)
             assert np.array_equal(u, alone)
             assert report == sharpened_bound_report(protocol, alone, beta)
             if kind == "slow" and dim > 1:
-                assert not np.array_equal(alone, magnus_product(protocol, 128))
+                coarse, fine = magnus_product(protocol, 32), magnus_product(protocol, 64)
+                assert np.max(np.abs(fine - coarse)) > 1e-6
         if dim > 1:
             assert len(eigendecompose(block[3].final, "ascending").clusters) == dim - 1
