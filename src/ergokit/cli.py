@@ -7,7 +7,7 @@ and ``otm``, run their trials in blocks of ``BLOCK_ENTRIES``: a trial only draws
 its seeded inputs, the block is evaluated as stacked arrays, and a trial's row
 does not depend on the block it falls in.  ``otm``'s sudden-quench equality case
 has literal inputs and is built once per process.  Every subcommand prints a
-machine-readable JSON report (schema 4, sorted keys, floats at 12 significant
+machine-readable JSON report (schema 5, sorted keys, floats at 12 significant
 digits, kernels in the forms of ``serialize``) to stdout, encoded in one pass
 by ``_dumps``; a 1-D or 2-D float array that is at least half zeros, such as a
 dense kernel echo, is written as zero runs and costs one formatted token per
@@ -47,7 +47,7 @@ from .serialize import (
 )
 from .workbench import DrivingProtocol, WorkReport, _bound_reports, _evolve_all, sharpened_bound_report
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 # Matrix entries (trials x d^2, 1 MiB per complex array) in one block of a sweep's
 # trials, so that memory does not grow with --trials.
 BLOCK_ENTRIES = 2**16
@@ -147,7 +147,6 @@ def _cmd_ergotropy(config: argparse.Namespace):
     checks = {
         "route_entropies_agrees": _check(abs(report.total - report.via_entropies), config.tolerance * scale),
         "route_geometric_agrees": _check(abs(report.total - via_geometric), config.tolerance * scale),
-        "ergotropy_nonnegative": _check(report.total, -1e-9, at_most=False),
     }
     results = {
         "total": report.total,
@@ -174,12 +173,11 @@ def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperat
     the same trial gets as a block of one."""
     block = _SpectralBlock.of(rhos, hamiltonians, beta)
     routes = _routes(block)
-    _check_routes(**routes)
+    _check_routes(routes["total"], routes["via_entropies"])
     direct = _direct(block.matrices, np.array([h.matrix for h in hamiltonians]))[0]
     via = routes["via_entropies"]
     columns = {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
-        "coherent_identity_dev": np.abs(routes["coherent_eq11"] - via),
         "chain_identity_dev":
             np.abs(block.relative_entropy - block.coherence - block.population_divergence),
         "optimal_unitary_gap": np.abs(_aligned_gaps(block)),
@@ -213,14 +211,13 @@ def _cmd_verify_identities(config: argparse.Namespace):
     results = {
         "trials": config.trials,
         "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),
-        "max_coherent_identity_dev": max(t["coherent_identity_dev"] for t in trials),
         "max_chain_identity_dev": max(t["chain_identity_dev"] for t in trials),
         "max_optimal_unitary_gap": max(t["optimal_unitary_gap"] for t in trials),
     }
     checks = {
         "ergotropy_identity": _check(results["max_ergotropy_identity_dev"], config.tolerance),
-        "coherent_identity": _check(results["max_coherent_identity_dev"], config.tolerance),
-        "chain_identity": _check(results["max_chain_identity_dev"], 1e-9),
+        "chain_identity":
+            _check(results["max_chain_identity_dev"], min(1e-9, config.beta * config.tolerance)),
         "optimal_unitary_equality": _check(results["max_optimal_unitary_gap"], 1e-9),
     }
     return results, checks, trials
@@ -297,21 +294,13 @@ def _cmd_classical(config: argparse.Namespace):
         checks["bruteforce_matches_sorted_pairing"] = _check(abs(brute - sorted_value), 1e-12)
 
     epsilon = 1e-3
-    uniform = cl.GridDistribution(np.full(n, 1.0 / n))
-    uniform_probe = cl.stationarity_probe(
-        cl.joint_from_kernel(uniform, kernel).final_marginal(), log_eq, epsilon
-    )
     experiment_probe = cl.stationarity_probe(marginal, log_eq, epsilon)
-    uniform_max = max(abs(uniform_probe.min_first_order), abs(uniform_probe.max_first_order))
     results["stationarity"] = {
         "epsilon": epsilon,
-        "uniform_max_first_order": uniform_max,
-        "uniform_envelope": uniform_probe.first_order_bound,
         "experiment_min_first_order": experiment_probe.min_first_order,
         "experiment_max_first_order": experiment_probe.max_first_order,
         "experiment_marginal_passive": experiment_probe.min_first_order >= 0.0,
     }
-    checks["uniform_stationarity_envelope"] = _check(uniform_max, uniform_probe.first_order_bound)
     rows = (dict(index=i, energy_a=a, energy_b=b, weight=w, phi=f) for i, a, b, w, f in zip(
         range(n), grid.energy_a.tolist(), grid.energy_b.tolist(), p_a.weights.tolist(),
         phi.tolist()))
@@ -370,7 +359,6 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
         "w_irr": report.w_irr,
         "bound": report.bound,
         "jensen_gap": beta * report.w_irr - report.bound,
-        "decomposition_dev": abs(report.bound_terms.total() - report.bound),
         "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
     } for i, tau, report in zip(index, taus, reports)]
 
@@ -413,15 +401,12 @@ def _cmd_otm(config: argparse.Namespace):
     results = {
         "trials": config.trials,
         "min_jensen_gap": min(t["jensen_gap"] for t in trials),
-        "max_decomposition_dev": max(t["decomposition_dev"] for t in trials),
         "max_conditional_z_identity_dev": max(t["conditional_z_identity_dev"] for t in trials),
         "sudden_quench_bound": quench.bound,
         "sudden_quench_oracle": oracle,
         "sudden_quench_w_irr": quench.w_irr,
     }
     checks = {
-        "maximum_work_bound": _check(results["min_jensen_gap"], -1e-9, at_most=False),
-        "bound_decomposition": _check(results["max_decomposition_dev"], 1e-9),
         "conditional_z_identity": _check(results["max_conditional_z_identity_dev"], 1e-9),
         "irreversible_work_nonnegative":
             _check(min(t["w_irr"] for t in trials), -1e-9, at_most=False),
@@ -453,8 +438,7 @@ COMMANDS = {
     "verify-identities": Command(
         _cmd_verify_identities, ("beta", "dim", "trials", "seed", "tolerance"), None, (),
         "Random-state sweep of the ergotropy and coherence identities.",
-        "trial,ergotropy_identity_dev,coherent_identity_dev,chain_identity_dev,"
-        "optimal_unitary_gap"),
+        "trial,ergotropy_identity_dev,chain_identity_dev,optimal_unitary_gap"),
     "classical": Command(
         _cmd_classical, ("beta", "dim", "trials", "seed"),
         "grid file (JSON with grid and an optional kernel, or a .csv table "
@@ -470,8 +454,7 @@ COMMANDS = {
     "otm": Command(
         _cmd_otm, ("beta", "dim", "trials", "seed"), None, (),
         "Driven-protocol work accounting and the sharpened maximum work bound.",
-        "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,decomposition_dev,"
-        "conditional_z_identity_dev"),
+        "trial,tau,avg_work,delta_f,w_irr,bound,jensen_gap,conditional_z_identity_dev"),
 }
 
 

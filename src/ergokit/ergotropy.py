@@ -56,10 +56,11 @@ class AlignmentUnitary:
 class ErgotropyReport:
     """All ergotropy routes for one (state, Hamiltonian, beta) triple.
 
-    ``incoherent`` is total - coherent_eq11; with the printed three-term
-    coherent form this is ~0 for every state (see ``dephased_ergotropy`` for
-    the alternative split).  ``context`` holds the spectra every route used: the
-    triple as a ``_SpectralBlock`` of one row.
+    ``incoherent`` is total - coherent_eq11 by construction (``_routes``); with the
+    printed three-term coherent form this is ~0 for every state (see
+    ``dephased_ergotropy`` for the alternative split).  Building a report applies
+    ``_check_routes``.  ``context`` holds the spectra every route used: the triple
+    as a ``_SpectralBlock`` of one row.
     """
 
     total: float
@@ -72,24 +73,20 @@ class ErgotropyReport:
     context: _SpectralBlock | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_routes(self.total, self.via_entropies, self.coherent_eq11, self.incoherent)
+        _check_routes(self.total, self.via_entropies)
 
 
-def _check_routes(total, via_entropies, coherent_eq11, incoherent, **_) -> None:
-    """The ``ErgotropyReport`` invariants, on floats or on arrays of a block's rows
-    (other routes passed by name are ignored): raises ``InvariantViolation`` for
-    the first invariant that the first failing row breaks."""
+def _check_routes(total, via_entropies) -> None:
+    """The ``ErgotropyReport`` invariants, on floats or on arrays of a block's rows:
+    the direct and entropy routes agree within 1e-8 (1 + |total|), and the total is
+    at least -1e-9.  Raises ``InvariantViolation`` for the first invariant that the
+    first failing row breaks."""
     dev = abs(total - via_entropies)
-    failed = np.array([
-        dev > 1e-8 * (1.0 + abs(total)),
-        abs(incoherent - (total - coherent_eq11)) > 1e-12,
-        total < -1e-9,
-    ]).reshape(3, -1)
+    failed = np.array([dev > 1e-8 * (1.0 + abs(total)), total < -1e-9]).reshape(2, -1)
     if failed.any():
         row = int(failed.any(axis=0).argmax())
         raise InvariantViolation((
             f"route disagreement |direct - entropies| = {np.ravel(dev)[row]:.3e}",
-            "incoherent must equal total - coherent_eq11",
             f"negative ergotropy {np.ravel(total)[row]:.3e}",
         )[int(failed[:, row].argmax())])
 
@@ -199,8 +196,9 @@ def ergotropy_report(
 def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:
     """S(U rho U†||rho_eq) - D(rho||rho_eq) at the aligning unitary U = S P† of each
     row.  U attains the minimum over the unitary orbit (von Neumann's trace
-    inequality), so the gap is zero up to rounding; it is evaluated through the
-    overlaps |<s_j|U|v_i>|^2, not the sorted spectra the bound is made of.  Only
+    inequality), so the gap is zero up to rounding.  S(U rho U†||rho_eq) is
+    evaluated through the overlaps |<s_j|U|v_i>|^2, not the sorted pairing, and D
+    is the block's ``spectral_divergence``, the one the entropy route reads.  Only
     the populated eigenvectors v_i (a descending prefix) enter, so rows are
     evaluated in groups of equal support size."""
     sizes = (block.populations > SUPPORT_FLOOR).sum(axis=1)
@@ -210,11 +208,9 @@ def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:
         rows = sizes == n if len(groups) > 1 else slice(None)
         basis, vectors = block.basis[rows], block.vectors[rows]
         p_live, ln_s = block.populations[rows, :n], block.log_populations[rows]
-        entropy_term = -block.entropy[rows]
         amplitudes = basis.conj().swapaxes(1, 2) @ (
             (basis @ vectors.conj().swapaxes(1, 2)) @ vectors[:, :, :n])
         overlap = amplitudes.real**2 + amplitudes.imag**2
         cross = (ln_s[:, None, :] @ overlap @ p_live[:, :, None])[:, 0, 0]
-        divergence = entropy_term - _dots(p_live, ln_s[:, :n])  # D: the sorted pairing
-        gaps[rows] = entropy_term - cross - divergence
+        gaps[rows] = -block.entropy[rows] - cross - block.spectral_divergence[rows]
     return gaps

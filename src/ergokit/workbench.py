@@ -354,7 +354,10 @@ class WorkReport:
     ln <exp(-beta W)> under the initial thermal weights), the exact gap
     between beta <W_irr> and the bound.  ``bound_closed_form`` is
     ln Z_B - ln Z(B|A), which the bound equals exactly (the conditional
-    partition identity).
+    partition identity).  ``w_irr`` is avg_work - delta_f, as ``_bound_reports``
+    computes it.  Building a report raises ``InvariantViolation`` if beta w_irr
+    falls below the bound, or the three terms miss it, by more than 1e-9: a
+    printed report has passed both, so ``otm`` prints neither as a check.
     """
 
     avg_work: float
@@ -369,8 +372,6 @@ class WorkReport:
     bound_closed_form: float
 
     def __post_init__(self):
-        if abs(self.w_irr - (self.avg_work - self.delta_f)) > 1e-12:
-            raise InvariantViolation("w_irr must equal avg_work - delta_f")
         if self.beta * self.w_irr < self.bound - 1e-9:
             raise InvariantViolation(
                 "maximum work bound violated: beta*w_irr = "
@@ -412,7 +413,7 @@ def _bound_reports(protocols: list[DrivingProtocol], unitaries: np.ndarray,
     conditional = _conditional_states(h_initial, h_final, unitaries, beta)
     block = _SpectralBlock.of([c.rho for c in conditional], h_final, beta)
     routes = _routes(block)
-    _check_routes(**routes)
+    _check_routes(routes["total"], routes["via_entropies"])
     log_cz = np.array([c.log_conditional_z for c in conditional])
     avg_work = _dots(populations, np.array([c.h_values for c in conditional]) - energies)
     delta_f = -(block.log_z - log_z_a) / float(beta)

@@ -386,7 +386,6 @@ class TestStationarityProbe:
         log_eq = np.log(grid_gibbs(grid, "B", 3.0).weights)
         probe = stationarity_probe(joint.final_marginal(), log_eq, 1e-3)
         assert probe.min_first_order == 0.0 and probe.max_first_order == 0.0
-        assert probe.first_order_bound == 10.0 * 1e-3**2
 
     def test_point_mass_finds_negative_probes(self):
         n = 6
