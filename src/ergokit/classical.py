@@ -248,10 +248,12 @@ def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: floa
 
 def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistribution:
     """Boltzmann weights over the cells of one energy surface; ``OutOfScope``
-    when one is below the smallest normal float (beta * spread above ~708)."""
+    when one is below the smallest normal float (beta * spread above ~708).  The
+    logits are taken above the lowest energy, so an offset costs no precision."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    logits = -beta * grid.energies(surface)
+    energies = grid.energies(surface)
+    logits = -beta * (energies - energies.min())
     weights = np.exp(logits - _logsumexp(logits))
     if weights.min() < np.finfo(float).tiny:
         raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")

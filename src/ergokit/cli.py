@@ -196,18 +196,28 @@ def _random_block(seed: int, index: range,
             HermitianOperator._block(_hermitians(draws[1::2])))
 
 
-def _cmd_verify_identities(config: argparse.Namespace):
-    """Random-state sweep of the identities, in blocks of ``BLOCK_ENTRIES``.  The
-    block is the unit of work: each trial only makes its seeded draws, and the
-    block's states and Hamiltonians are validated together and evaluated as
-    arrays by ``_identity_rows``.  A trial's row does not depend on the block it
-    falls in."""
+def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> list[dict]:
+    """The numbered rows of a sweep's trials, ``rows(index)`` for each block ``index`` of at
+    most ``BLOCK_ENTRIES // dim**2`` trials.  A trial's row does not depend on the block it
+    falls in, and a failing block runs again trial by trial: the error is its first failing
+    trial's."""
     size = max(1, BLOCK_ENTRIES // config.dim**2)
     trials = []
     for start in range(0, config.trials, size):
         index = range(start, min(start + size, config.trials))
-        rows = _identity_rows(*_random_block(config.seed, index, config.dim), config.beta)
-        trials += [{"trial": i, **row} for i, row in zip(index, rows)]
+        try:
+            block = rows(index)
+        except (ErgokitError, ValueError):
+            block = [row for i in index for row in rows(range(i, i + 1))]
+        trials += [{"trial": i, **row} for i, row in zip(index, block)]
+    return trials
+
+
+def _cmd_verify_identities(config: argparse.Namespace):
+    """Random-state sweep of the identities: ``_sweep`` over blocks whose states and
+    Hamiltonians are validated together and evaluated by ``_identity_rows``."""
+    trials = _sweep(config, lambda index: _identity_rows(
+        *_random_block(config.seed, index, config.dim), config.beta))
     results = {
         "trials": config.trials,
         "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),
@@ -352,7 +362,6 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
                  else DrivingProtocol.linear_ramp(a, b, tau) for a, b, tau in zip(h_a, h_b, taus)]
     reports = _bound_reports(protocols, np.array(_evolve_all(protocols, 32, 1e-6)), beta)
     return [{
-        "trial": i,
         "tau": tau,
         "avg_work": report.avg_work,
         "delta_f": report.delta_f,
@@ -360,7 +369,7 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
         "bound": report.bound,
         "jensen_gap": beta * report.w_irr - report.bound,
         "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
-    } for i, tau, report in zip(index, taus, reports)]
+    } for tau, report in zip(taus, reports)]
 
 
 @cache
@@ -378,24 +387,10 @@ def _sudden_quench() -> tuple[WorkReport, float]:
 
 
 def _cmd_otm(config: argparse.Namespace):
-    """Driven-protocol sweep, in blocks of ``BLOCK_ENTRIES`` evaluated by ``_otm_rows``
-    (the propagators' stacked generators are bounded apart, by ``GENERATOR_BLOCK``),
-    then the sudden-quench equality case of ``_sudden_quench``.  A trial's row does
-    not depend on the block it falls in, and a failing block reports its first
-    failing trial's error."""
-    beta = config.beta
-    size = max(1, BLOCK_ENTRIES // config.dim**2)
-    trials = []
-    for start in range(0, config.trials, size):
-        index = range(start, min(start + size, config.trials))
-        try:
-            trials += _otm_rows(config.seed, index, config.dim, beta)
-            continue
-        except (ErgokitError, ValueError):
-            pass
-        # A failing block runs again trial by trial: the error is its first failing trial's.
-        for i in index:
-            trials += _otm_rows(config.seed, range(i, i + 1), config.dim, beta)
+    """Driven-protocol sweep: ``_sweep`` over blocks evaluated by ``_otm_rows`` (the
+    propagators' stacked generators are bounded apart, by ``GENERATOR_BLOCK``), then the
+    sudden-quench equality case of ``_sudden_quench``."""
+    trials = _sweep(config, lambda index: _otm_rows(config.seed, index, config.dim, config.beta))
     quench, oracle = _sudden_quench()
 
     results = {

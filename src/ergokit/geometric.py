@@ -152,7 +152,6 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     that carry rho_eq.  So no point merges, the matching of ``geometric_relative_entropy``
     is the identity, and D_geom = sum_{i<k} w_i (ln w_i - ln rho_eq,i), with the
     analytic ln rho_eq."""
-    _require_manifold(rho.dim)
     return _geometric_route(spectral_context(rho, hamiltonian, beta))
 
 
@@ -170,6 +169,12 @@ def _geometric_route(block: _SpectralBlock) -> float:
 def _require_manifold(dim: int) -> None:
     if dim < 2:
         raise OutOfScope(f"dim must be >= 2 for the manifold CP^(dim-1), got {dim}")
+
+
+def _require_normal(log_value: float, name: str, beta: float) -> None:
+    """``OutOfScope`` unless exp(``log_value``) is a positive normal double."""
+    if not log(np.finfo(float).tiny) <= log_value < log(np.finfo(float).max):
+        raise OutOfScope(f"{name} = exp({log_value:.6g}) is not a normal double at beta = {beta:g}")
 
 
 def manifold_volume(dim: int) -> float:
@@ -194,13 +199,17 @@ def geometric_partition_function(
     seed: int,
 ) -> tuple[float, float]:
     """Monte Carlo ``(estimate, standard_error)`` of the geometric partition integral
-    over CP^(d-1): Vol(CP^(d-1)) * mean(exp(-beta h(z))) over uniform samples."""
+    over CP^(d-1): Vol(CP^(d-1)) e^(-beta E_0) * mean(exp(-beta (h(z) - E_0))) over uniform
+    samples, E_0 the ground energy; that scale must be a normal double (``OutOfScope``)."""
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
-    _require_manifold(hamiltonian.dim)
+    volume = manifold_volume(hamiltonian.dim)
     energies = eigendecompose(hamiltonian, "ascending").values
+    ground = float(energies[0])
+    _require_normal(log(volume) - beta * ground, "Vol e^(-beta E_0)", beta)
+    energies = energies - ground  # so that no weight exceeds 1
     rows = max(1, MC_BLOCK_DRAWS // energies.size)
     full, rest = divmod(n_samples, rows)
     sizes = [rows] * full + [rest] * (rest > 0)
@@ -232,8 +241,8 @@ def geometric_partition_function(
         mean += delta * m / count
         m2 += block_m2 + delta * delta * m * (count - m) / count
     variance = m2 / max(1, n_samples - 1)
-    volume = manifold_volume(hamiltonian.dim)
-    return volume * mean, volume * float(np.sqrt(variance / n_samples))
+    scale = exp(log(volume) - beta * ground) if ground else volume  # same bits at E_0 = 0
+    return scale * mean, scale * float(np.sqrt(variance / n_samples))
 
 
 def geometric_partition_closed_form(hamiltonian: HermitianOperator, beta: float) -> float:
@@ -251,6 +260,7 @@ def geometric_partition_closed_form(hamiltonian: HermitianOperator, beta: float)
         g = np.cumsum(z * g) / (m + z.size - 1)
         total += float(g[-1])
         if g[-1] < 1e-17 * total and m > z.max():
+            _require_normal((z.size - 1) * log(pi) + log_scale + log(total), "Z", beta)
             return pi ** (z.size - 1) * exp(log_scale + log(total))
         if total > 1e300:
             log_scale += log(total)

@@ -21,7 +21,6 @@ from .quantum import (
     _dots,
     _eigendecompose_all,
     _gibbs_logs,
-    _logsumexp,
     _SpectralBlock,
 )
 
@@ -92,12 +91,7 @@ class DrivingProtocol:
         t0, t1 = times[j], times[j + 1]
         # a zero-width interval is a jump, reached only at its end: take the later knot
         x = np.divide(s - t0, t1 - t0, out=np.ones_like(s), where=t1 > t0)[..., None, None]
-        # (1 - x) M[j] + x M[j + 1] in place on copies (even for a scalar j): no third temporary
-        lower, upper = (np.take(self._matrices, k, axis=0) for k in (j, j + 1))
-        lower *= 1.0 - x
-        upper *= x
-        lower += upper
-        return lower
+        return (1.0 - x) * self._matrices[j] + x * self._matrices[j + 1]
 
 
 def _step_counts(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
@@ -306,10 +300,10 @@ def _conditional_states(
     beta: float,
 ) -> list[ConditionalThermalState]:
     """``conditional_thermal_state`` of each row of a block of one dimension: one
-    stacked ``eigendecompose`` of the initial Hamiltonians, and the states validated
-    together by ``DensityMatrix._block``.  Each row has the bits of a block of one."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    stacked ``eigendecompose`` of the initial Hamiltonians, ln Z(B|A) and the weights
+    from ``_gibbs_logs`` of the conditional energies (``OutOfScope`` if a weight
+    underflows, as for a Gibbs state), and the states validated together by
+    ``DensityMatrix._block``.  Each row has the bits of a block of one."""
     dim = h_initial[0].dim
     u = np.asarray(unitaries, dtype=complex)
     if u.shape[1:] != (dim, dim):
@@ -324,9 +318,7 @@ def _conditional_states(
     evolved = u @ vectors
     finals = np.array([h.matrix for h in h_final])
     h_values = np.einsum("bdi,bde,bei->bi", evolved.conj(), finals, evolved).real
-    logits = -beta * h_values
-    log_z = _logsumexp(logits)
-    weights = np.exp(logits - log_z[:, None])
+    log_z, _, weights = _gibbs_logs(h_values, beta)
     rhos = DensityMatrix._block((evolved * weights[:, None, :]) @ evolved.conj().swapaxes(1, 2))
     return [ConditionalThermalState(rho, w, h, z, any(len(c) > 1 for c in runs))
             for rho, w, h, z, runs in zip(rhos, weights, h_values, log_z.tolist(), clusters)]

@@ -11,7 +11,9 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from ergokit import (
     DrivingProtocol, classical, cli, evolve_unitary, geometric, sharpened_bound_report, workbench,
 )
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
-from ergokit.errors import InvariantViolation
+from ergokit.errors import InvariantViolation, OutOfScope
 from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.quantum import DensityMatrix, HermitianOperator, _SpectralBlock, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
@@ -139,6 +141,23 @@ class TestVerifyBlocks:
         rows = _identity_rows(rhos, hamiltonians, beta)
         for row, (m, h) in zip(rows, pairs):
             assert row == _identity_rows([DensityMatrix(m)], [HermitianOperator(h)], beta)[0]
+
+    def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
+        # The twin of otm's case: the block as a whole fails first on a later trial's
+        # error; run alone, trial 1 is the first that fails.  A trial is known by its state.
+        states = [random_density(2, stream(0, 3 * i)).matrix for i in range(3)]
+
+        def rows(rhos, hamiltonians, beta):
+            if len(rhos) > 1:
+                raise InvariantViolation("the block's error")
+            (trial,) = [i for i, m in enumerate(states) if np.allclose(m, rhos[0].matrix)]
+            if trial >= 1:
+                raise InvariantViolation(f"trial {trial}")
+            return [{}]
+
+        monkeypatch.setattr(cli, "_identity_rows", rows)
+        code, out, err = run_cli(capsys, "verify-identities", "--trials", "3")
+        assert (code, out, err) == (1, "", "invariant failed: trial 1\n")
 
 
 class TestDeterminism:
@@ -354,6 +373,26 @@ class TestClassicalInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad grid file ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("offset", [1e6, -1e8])
+    def test_energies_with_a_large_common_offset(self, capsys, tmp_path, offset):
+        # At beta = 30 the logits -beta E reach 3e9; taken from the energies themselves,
+        # their rounding broke the 1e-10 mass check of the Gibbs weights.
+        reports = []
+        for shift in (0.0, offset):
+            grid = {"energy_a": [shift, shift + 0.5, shift + 1.0],
+                    "energy_b": [shift, shift + 0.25, shift + 1.0], "weights": [0.5, 0.3, 0.2]}
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps({"grid": grid}))
+            code, out, err = run_cli(capsys, "classical", "--input", str(path), "--beta", "30")
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["results"])
+        plain, shifted = reports
+        route = "ergotropy_relative_entropy_route"
+        assert shifted[route] == plain[route]
+        assert shifted["stationarity"] == plain["stationarity"]
+        assert shifted["ergotropy_inhomogeneity_route"] == pytest.approx(
+            plain["ergotropy_inhomogeneity_route"], abs=1e-10)
 
     def test_dense_kernel_input(self, capsys, tmp_path):
         mixture = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]
@@ -581,6 +620,32 @@ class TestGeometricZCommand:
         assert json.loads(out)["passed"] is False
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invariant failed: within_four_standard_errors")
+
+    @pytest.mark.parametrize("ground, beta", [(-1000.0, 0.5), (-1000.0, 1.0), (1000.0, 0.5),
+                                              (1000.0, 1.0)])
+    def test_spectrum_far_from_zero_energy(self, capsys, tmp_path, ground, beta):
+        # The weights are drawn above the ground energy, so none exceeds 1; Z itself must be a
+        # normal double: exp(-beta E_0) is e^500 or e^-500 at beta = 0.5, e^1000 or e^-1000 at 1.
+        hamiltonian = HermitianOperator(np.diag([ground, ground + 1.0]))
+        path = tmp_path / "hamiltonian.json"
+        path.write_text(_dumps({"hamiltonian": matrix_to_json(hamiltonian.matrix)}))
+        code, out, err = run_cli(capsys, "geometric-z", "--input", str(path), "--beta", str(beta),
+                                 "--samples", "1000")
+        if beta == 1.0:
+            assert (code, out) == (2, "")
+            assert re.fullmatch(r"error: Z = exp\(-?[\d.]+\) is not a normal double at beta = 1\n",
+                                err)
+            with pytest.raises(OutOfScope, match="is not a normal double"):
+                geometric.geometric_partition_closed_form(hamiltonian, beta)
+            with pytest.raises(OutOfScope, match="is not a normal double"):
+                geometric.geometric_partition_function(hamiltonian, beta, 1000, 0)
+            return
+        assert (code, err) == (0, "")
+        results = json.loads(out, parse_constant=pytest.fail)["results"]
+        assert results["z_score"] == pytest.approx(0.857, abs=1e-3)
+        assert 0.0 < results["standard_error"] < 0.01 * results["estimate"]
+        assert results["closed_form"] == pytest.approx(
+            np.pi * math.exp(-beta * ground) * -math.expm1(-beta) / beta, rel=1e-11)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(
@@ -907,6 +972,86 @@ class TestErrorContract:
         assert err.splitlines() == [
             "invariant failed: route disagreement |direct - entropies| = 2.619e-04"
         ]
+
+
+def _matrix_file(**matrices) -> dict:
+    return {name: {"dim": len(m), "entries": np.asarray(m, dtype=complex).reshape(-1, 1)
+                   .view(float).tolist()} for name, m in matrices.items()}
+
+
+@st.composite
+def _contract_argv(draw):
+    """A run of any subcommand over the documented scope and past its edges: d from 1 to
+    64 (otm to 16) and beta from 1e-300 to 1e300, or an input file: a rank-deficient state
+    with a degenerate H, a grid whose energies share an offset of up to 1e8 (with no, a
+    permutation or a mixed kernel), or a Hamiltonian offset by up to 1e3.  Returns the
+    argv and the input file's payload (None without --input)."""
+    command = draw(st.sampled_from(["ergotropy", "verify-identities", "classical", "otm",
+                                    "ergotropy --input", "classical --input",
+                                    "geometric-z --input"]))
+    beta = repr(10.0 ** draw(st.floats(-300.0, 300.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if not command.endswith("--input"):
+        dim = draw(st.integers(1, 16 if command == "otm" else 64))
+        argv = [command, "--dim", str(dim), "--beta", beta, "--seed", str(draw(st.integers(0, 9)))]
+        if command in ("verify-identities", "otm"):
+            argv += ["--trials", str(draw(st.integers(1, 3)))]
+        return argv, None
+    command = command.split()[0]
+    dim = draw(st.integers(1 if command == "ergotropy" else 2, 8))
+    if command == "ergotropy":
+        rank = draw(st.integers(1, dim))
+        rho = random_density(dim, rng, rank=rank).matrix
+        levels = rng.integers(0, draw(st.integers(1, dim)), dim) * 10.0 ** draw(st.floats(-3, 3))
+        u = haar_unitaries(dim, 1, rng)[0]
+        payload = _matrix_file(rho=rho, hamiltonian=(u * levels) @ u.conj().T)
+        return [command, "--beta", beta], payload
+    offset = draw(st.floats(-1e8, 1e8) if command == "classical" else st.floats(-1e3, 1e3))
+    spread = 10.0 ** draw(st.floats(-3, 2))
+    if command == "geometric-z":
+        energies = offset + np.sort(rng.uniform(0.0, spread, dim))
+        beta = repr(10.0 ** draw(st.floats(-3.0, 3.0)))
+        samples = str(draw(st.integers(100, 2000)))
+        return ([command, "--beta", beta, "--samples", samples],
+                _matrix_file(hamiltonian=np.diag(energies)))
+    grid = {"energy_a": (offset + rng.uniform(0.0, spread, dim)).tolist(),
+            "energy_b": (offset + rng.uniform(0.0, spread, dim)).tolist(),
+            "weights": rng.dirichlet(np.ones(dim)).tolist()}
+    payload = {"grid": grid}
+    kernel = draw(st.sampled_from(["generated", "image", "mixture"]))
+    if kernel == "image":
+        payload["kernel"] = {"n": dim, "image": rng.permutation(dim).tolist()}
+    elif kernel == "mixture":
+        matrix = sum(w * np.eye(dim)[rng.permutation(dim)] for w in rng.dirichlet(np.ones(3)))
+        payload["kernel"] = {"n": dim, "matrix": matrix.tolist()}
+    return [command, "--beta", beta], payload
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(case=_contract_argv())
+    def test_every_subcommand_keeps_the_contract(self, case):
+        # Exit 0, 1 or 2; one stderr line on a failure and none on success; no traceback
+        # (an exception out of main fails the test) and no warning; no NaN or Infinity token.
+        argv, payload = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if payload is not None:
+                path = f"{tmp}/input.json"
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle)
+                argv = argv + ["--input", path]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert len(lines) == (1 if code else 0), lines
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=pytest.fail)
+        else:
+            assert code
 
 
 _STARTUP_SCRIPT = """

@@ -21,6 +21,8 @@ from ergokit import (
     step_product,
 )
 from ergokit import _threads, workbench
+from ergokit.errors import OutOfScope
+from ergokit.quantum import _gibbs_logs
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
 from ergokit.workbench import _bound_reports, _evolve_all, magnus_product
 
@@ -228,6 +230,25 @@ class TestConditionalThermalState:
             g_b = gibbs_state(h_b, beta)
             lhs = quantum_relative_entropy(state.rho, g_b.rho)
             assert lhs == pytest.approx(g_b.log_z - state.log_conditional_z, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [0.03, 0.1, 0.7, 70.0])
+    def test_weights_are_the_gibbs_logs_of_the_conditional_energies(self, beta):
+        u = haar_unitaries(3, 1, stream(1))[0]
+        state = conditional_thermal_state(random_hermitian(3, stream(2)),
+                                          random_hermitian(3, stream(3)), u, beta)
+        log_z, _, weights = _gibbs_logs(state.h_values[None], beta)
+        assert np.array_equal(state.weights, weights[0])
+        assert state.log_conditional_z == float(log_z[0])
+
+    def test_an_underflowing_weight_is_out_of_scope(self):
+        # beta times the spread of h is 800, past the ~745 at which exp underflows to zero:
+        # the conditional state is refused as the Gibbs state of the same spectrum is.
+        h_b = HermitianOperator(np.diag([0.0, 1.0]))
+        with pytest.raises(OutOfScope) as gibbs:
+            gibbs_state(h_b, 800.0)
+        with pytest.raises(OutOfScope) as conditional:
+            conditional_thermal_state(H_A, h_b, np.eye(2, dtype=complex), 800.0)
+        assert str(conditional.value) == str(gibbs.value)
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
