@@ -72,7 +72,7 @@ class GridDistribution:
         w = _frozen(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a 1-D vector")
-        if w.min() < 0.0:
+        if not w.min() >= 0.0:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > MASS_ATOL:
             raise ValueError(f"total mass deviates from 1 by {abs(w.sum() - 1.0):.3e}")
@@ -163,7 +163,7 @@ def _square(matrix: np.ndarray, what: str) -> np.ndarray:
     dense = _frozen(matrix)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    if dense.min() < 0.0:
+    if not dense.min() >= 0.0:
         raise ValueError(f"negative {what} entry {dense.min():.3e}")
     return dense
 
@@ -250,8 +250,8 @@ def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistributi
     """Boltzmann weights over the cells of one energy surface; ``OutOfScope``
     when one is below the smallest normal float (beta * spread above ~708).  The
     logits are taken above the lowest energy, so an offset costs no precision."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     energies = grid.energies(surface)
     logits = -beta * (energies - energies.min())
     weights = np.exp(logits - _logsumexp(logits))
@@ -310,8 +310,8 @@ def classical_ergotropy(
 ) -> float:
     """(D(joint||p_eq) - D(p_a||p_eq)) / beta.  Returned as computed: the value
     can be negative when the dynamics has already lowered the energy."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return (joint_relative_entropy(joint, p_eq) - classical_relative_entropy(p_a, p_eq)) / beta
 
 
@@ -325,7 +325,10 @@ def inhomogeneity_phi(joint: JointDistribution, p_a: GridDistribution) -> np.nda
 def ergotropy_via_phi(
     joint: JointDistribution, p_a: GridDistribution, grid: PhaseGrid
 ) -> float:
-    """Work stored in inhomogeneities: sum_f phi[f] * E_B[f].
+    """Work stored in inhomogeneities: sum_f phi[f] * E_B[f].  Since sum phi = 0,
+    the energies are taken above the integer part of the lowest one: a common
+    offset costs no precision, and energies whose lowest lies in [0, 1) are used
+    as given.
 
     Valid only for joints generated by a deterministic (permutation) kernel;
     otherwise the joint entropy no longer matches the marginal entropy and the
@@ -337,7 +340,7 @@ def ergotropy_via_phi(
         raise NonDeterministicKernel(
             "inhomogeneity form requires a permutation-kernel joint"
         )
-    return float(inhomogeneity_phi(joint, p_a) @ grid.energy_b)
+    return float(inhomogeneity_phi(joint, p_a) @ (grid.energy_b - np.floor(grid.energy_b.min())))
 
 
 def sorted_pairing_divergence(p: np.ndarray, q: np.ndarray) -> float:

@@ -14,7 +14,8 @@ dense kernel echo, is written as zero runs and costs one formatted token per
 nonzero entry.  ``--output`` additionally writes the report, or a plot-ready
 CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
 asserted invariant holds at the configured tolerance, 1 on an invariant
-failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors.
+failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors;
+a failed run prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import csv
 import json
 import sys
 from functools import cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gaps, _check_routes, _direct, _routes, ergotropy_report
+from .ergotropy import _aligned_gaps, _direct, _routes, ergotropy_report
 from .errors import ErgokitError, OutOfScope
 from .quantum import DensityMatrix, HermitianOperator, _SpectralBlock
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
@@ -104,14 +105,19 @@ _OPTIONS = {
 }
 
 
-def _read_json(path: str) -> dict:
+def _read_input(path: str, what: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the text of the ``--input`` file ``path``.  A file that cannot be
+    read, bad JSON, and a payload that ``parse`` rejects each raise one ``_InputError``
+    (``what`` names the file in the last)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
+            return parse(handle.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:  # a ValueError, so caught first
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+        raise _InputError(f"bad {what} {path}: {exc}") from exc
 
 
 def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
@@ -128,15 +134,15 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
     if config.input_path is None:
         (rho,), (hamiltonian,) = _random_block(config.seed, range(1), config.dim)
         return rho, hamiltonian
-    obj = _read_json(config.input_path)
-    try:
+
+    def parse(text: str) -> tuple[DensityMatrix, HermitianOperator]:
+        obj = json.loads(text)
         rho, hamiltonian = density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise _InputError(f"bad state file {config.input_path}: {exc}") from exc
-    if rho.dim != hamiltonian.dim:
-        raise _InputError(f"bad state file {config.input_path}: rho has dimension {rho.dim}, "
-                          f"the Hamiltonian {hamiltonian.dim}")
-    return rho, hamiltonian
+        if rho.dim != hamiltonian.dim:
+            raise ValueError(f"rho has dimension {rho.dim}, the Hamiltonian {hamiltonian.dim}")
+        return rho, hamiltonian
+
+    return _read_input(config.input_path, "state file", parse)
 
 
 def _cmd_ergotropy(config: argparse.Namespace):
@@ -172,10 +178,8 @@ def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperat
     ``eigvalsh`` each of the states and the Hamiltonians.  Each row has the bits
     the same trial gets as a block of one."""
     block = _SpectralBlock.of(rhos, hamiltonians, beta)
-    routes = _routes(block)
-    _check_routes(routes["total"], routes["via_entropies"])
+    via = _routes(block)["via_entropies"]
     direct = _direct(block.matrices, np.array([h.matrix for h in hamiltonians]))[0]
-    via = routes["via_entropies"]
     columns = {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
         "chain_identity_dev":
@@ -247,27 +251,20 @@ def _load_grid_experiment(config: argparse.Namespace):
         shell_width = float(grid.energy_a.max() - grid.energy_a.min()) / max(1, n // 2) + 1e-9
         return grid, cl.microcanonical(grid, "A", shell_floor, shell_width), generated_kernel(n)
     if config.input_path.endswith(".csv"):
-        try:
-            with open(config.input_path, "r", encoding="utf-8") as handle:
-                grid, p_a = grid_from_csv(handle.read())
-        except (OSError, ValueError, IndexError) as exc:
-            raise _InputError(f"bad grid CSV {config.input_path}: {exc}") from exc
+        grid, p_a = _read_input(config.input_path, "grid CSV", grid_from_csv)
         return grid, p_a, generated_kernel(grid.n_cells)
-    obj = _read_json(config.input_path)
-    try:
+
+    def parse(text: str):
+        obj = json.loads(text)
         grid, p_a = grid_from_json(obj["grid"])
-        if "kernel" in obj:
-            kernel = kernel_from_json(obj["kernel"])
-        else:
-            kernel = generated_kernel(grid.n_cells)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise _InputError(f"bad grid file {config.input_path}: {exc}") from exc
-    if p_a.n_cells != grid.n_cells or kernel.n_cells != grid.n_cells:
-        raise _InputError(
-            f"bad grid file {config.input_path}: {grid.n_cells} grid cells, "
-            f"{p_a.n_cells} weights and a kernel on {kernel.n_cells} cells"
-        )
-    return grid, p_a, kernel
+        kernel = (kernel_from_json(obj["kernel"]) if "kernel" in obj
+                  else generated_kernel(grid.n_cells))
+        if p_a.n_cells != grid.n_cells or kernel.n_cells != grid.n_cells:
+            raise ValueError(f"{grid.n_cells} grid cells, {p_a.n_cells} weights and a kernel "
+                             f"on {kernel.n_cells} cells")
+        return grid, p_a, kernel
+
+    return _read_input(config.input_path, "grid file", parse)
 
 
 def _cmd_classical(config: argparse.Namespace):
@@ -319,11 +316,8 @@ def _cmd_classical(config: argparse.Namespace):
 
 def _cmd_geometric_z(config: argparse.Namespace):
     if config.input_path is not None:
-        obj = _read_json(config.input_path)
-        try:
-            hamiltonian = hermitian_from_json(obj["hamiltonian"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise _InputError(f"bad Hamiltonian file {config.input_path}: {exc}") from exc
+        hamiltonian = _read_input(config.input_path, "Hamiltonian file",
+                                  lambda text: hermitian_from_json(json.loads(text)["hamiltonian"]))
     else:
         hamiltonian = HermitianOperator(np.diag(np.arange(config.dim, dtype=float)))
     try:
@@ -676,13 +670,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    failed = {name: c for name, c in checks.items() if not c["passed"]}
-    for name, c in failed.items():
-        print(
-            f"invariant failed: {name}: value={format_float(c['value'])}, "
-            f"tolerance={format_float(c['tolerance'])}",
-            file=sys.stderr,
-        )
+    failed = [f"invariant failed: {name}: value={format_float(c['value'])}, "
+              f"tolerance={format_float(c['tolerance'])}"
+              for name, c in checks.items() if not c["passed"]]
+    if failed:
+        print("; ".join(failed), file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -59,8 +59,9 @@ class ErgotropyReport:
     ``incoherent`` is total - coherent_eq11 by construction (``_routes``); with the
     printed three-term coherent form this is ~0 for every state (see
     ``dephased_ergotropy`` for the alternative split).  Building a report applies
-    ``_check_routes``.  ``context`` holds the spectra every route used: the triple
-    as a ``_SpectralBlock`` of one row.
+    ``_check_routes``, as ``_routes`` does, so a report built by hand is gated too.
+    ``context`` holds the spectra every route used: the triple as a
+    ``_SpectralBlock`` of one row.
     """
 
     total: float
@@ -79,16 +80,13 @@ class ErgotropyReport:
 def _check_routes(total, via_entropies) -> None:
     """The ``ErgotropyReport`` invariants, on floats or on arrays of a block's rows:
     the direct and entropy routes agree within 1e-8 (1 + |total|), and the total is
-    at least -1e-9.  Raises ``InvariantViolation`` for the first invariant that the
-    first failing row breaks."""
-    dev = abs(total - via_entropies)
-    failed = np.array([dev > 1e-8 * (1.0 + abs(total)), total < -1e-9]).reshape(2, -1)
-    if failed.any():
-        row = int(failed.any(axis=0).argmax())
-        raise InvariantViolation((
-            f"route disagreement |direct - entropies| = {np.ravel(dev)[row]:.3e}",
-            f"negative ergotropy {np.ravel(total)[row]:.3e}",
-        )[int(failed[:, row].argmax())])
+    at least -1e-9; a NaN breaks both.  Raises ``InvariantViolation`` if any row
+    breaks one, with the worst row's value."""
+    dev = np.abs(total - via_entropies)
+    if not np.all(dev <= 1e-8 * (1.0 + np.abs(total))):
+        raise InvariantViolation(f"route disagreement |direct - entropies| = {np.max(dev):.3e}")
+    if not np.all(total >= -1e-9):
+        raise InvariantViolation(f"negative ergotropy {np.min(total):.3e}")
 
 
 def passive_state(
@@ -169,12 +167,15 @@ def dephased_ergotropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> fl
 
 
 def _routes(block: _SpectralBlock) -> dict[str, np.ndarray]:
-    """The ``ErgotropyReport`` routes of every row of a block, unchecked."""
+    """The ``ErgotropyReport`` routes of every row of a block, gated by
+    ``_check_routes``."""
     total = block.energy - block.passive_energy
+    via_entropies = _via_entropies(block)
+    _check_routes(total, via_entropies)
     coherent = _coherent_eq11(block)
     return {
         "total": total,
-        "via_entropies": _via_entropies(block),
+        "via_entropies": via_entropies,
         "coherent_eq11": coherent,
         "incoherent": total - coherent,
         "dephased_ergotropy":

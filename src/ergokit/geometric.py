@@ -75,7 +75,7 @@ class GeometricState:
         norms = np.linalg.norm(z, axis=1)
         if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
             raise ValueError(f"point norm deviates from 1 by {np.abs(norms - 1.0).max():.3e}")
-        if w.min() < 0.0:
+        if not w.min() >= 0.0:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights deviate from unit mass by {abs(w.sum() - 1.0):.3e}")
@@ -201,8 +201,8 @@ def geometric_partition_function(
     """Monte Carlo ``(estimate, standard_error)`` of the geometric partition integral
     over CP^(d-1): Vol(CP^(d-1)) e^(-beta E_0) * mean(exp(-beta (h(z) - E_0))) over uniform
     samples, E_0 the ground energy; that scale must be a normal double (``OutOfScope``)."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     volume = manifold_volume(hamiltonian.dim)

@@ -284,8 +284,8 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 def _gibbs_logs(energies: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of
     spectra, with ``OutOfScope`` if any population underflows to zero."""
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     logits = -beta * energies
     log_z = _logsumexp(logits)
     log_populations = logits - log_z[:, None]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _threads
 from .errors import InvariantViolation, NotConverged
-from .ergotropy import _check_routes, _routes
+from .ergotropy import _routes
 from .quantum import (
     DensityMatrix,
     HermitianOperator,
@@ -405,7 +405,6 @@ def _bound_reports(protocols: list[DrivingProtocol], unitaries: np.ndarray,
     conditional = _conditional_states(h_initial, h_final, unitaries, beta)
     block = _SpectralBlock.of([c.rho for c in conditional], h_final, beta)
     routes = _routes(block)
-    _check_routes(routes["total"], routes["via_entropies"])
     log_cz = np.array([c.log_conditional_z for c in conditional])
     avg_work = _dots(populations, np.array([c.h_values for c in conditional]) - energies)
     delta_f = -(block.log_z - log_z_a) / float(beta)

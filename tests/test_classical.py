@@ -45,9 +45,19 @@ class TestTypes:
         with pytest.raises(ValueError, match="mass"):
             GridDistribution(np.array([0.5, 0.4]))
 
-    def test_distribution_nonnegative(self):
-        with pytest.raises(ValueError, match="negative"):
-            GridDistribution(np.array([1.5, -0.5]))
+    @pytest.mark.parametrize("weights, match", [
+        ([1.5, -0.5], "negative"), ([np.nan, 0.5, 0.5], "negative"), ([0.5, 0.5, np.inf], "mass"),
+    ], ids=["negative", "nan", "inf"])
+    def test_distribution_nonnegative(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            GridDistribution(np.array(weights))
+
+    def test_kernel_and_joint_refuse_a_nan_entry(self):
+        matrix = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="negative kernel entry nan"):
+            TransitionKernel(matrix)
+        with pytest.raises(ValueError, match="nan"):
+            JointDistribution(matrix / 2)
 
     def test_kernel_must_be_doubly_stochastic(self):
         column_only = np.array([[0.5, 1.0], [0.5, 0.0]])
@@ -117,9 +127,15 @@ class TestGridGibbs:
         grid = PhaseGrid(energy_a=np.zeros(4), energy_b=np.full(4, 0.7))
         assert np.allclose(grid_gibbs(grid, "B", 2.0).weights, 0.25, atol=1e-12)
 
-    def test_rejects_nonpositive_beta(self):
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf],
+                             ids=["nonpositive", "nan", "inf"])
+    def test_rejects_nonpositive_beta(self, beta):
+        p = GridDistribution(np.full(3, 1 / 3))
+        joint = joint_from_kernel(p, TransitionKernel.identity(3))
         with pytest.raises(ValueError, match="beta"):
-            grid_gibbs(GRID3, "B", -1.0)
+            grid_gibbs(GRID3, "B", beta)
+        with pytest.raises(ValueError, match="beta"):
+            classical_ergotropy(joint, p, grid_gibbs(GRID3, "B", 1.0), beta)
 
     def test_keeps_the_smallest_normal_weights(self):
         grid = PhaseGrid(energy_a=np.zeros(2), energy_b=np.array([0.0, 1.0]))

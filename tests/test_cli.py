@@ -58,6 +58,17 @@ class TestVerifyIdentities:
         assert "invariant failed" in err
         assert "ergotropy_identity" in err
 
+    def test_two_failed_checks_share_one_stderr_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify-identities", "--dim", "3", "--trials", "4", "--tolerance", "1e-18"
+        )
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+        (line,) = err.splitlines()
+        first, second = line.split("; ")
+        assert first.startswith("invariant failed: ergotropy_identity: value=")
+        assert second.startswith("invariant failed: chain_identity: value=")
+
 
 def _single_state_row(rho, hamiltonian, beta):
     """A verify-identities row from the single-state routes, one trial at a time:
@@ -279,6 +290,22 @@ class TestErgotropyCommand:
         code, _, _ = run_cli(capsys, "ergotropy", "--input", "/nonexistent/state.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command, data, start", [
+        ("ergotropy", b"\xff{", "error: cannot read "),
+        ("geometric-z", b'{"hamiltonian": {"dim": 1, "entries": [[1' + b"0" * 400 + b', 0]]}}',
+         "error: bad Hamiltonian file "),
+        ("ergotropy", b"[" * 100_000 + b"]" * 100_000, "error: bad state file "),
+    ], ids=["not-utf-8", "past-the-doubles", "nested-too-deep"])
+    def test_reader_errors_that_are_no_value_error_exit_2(self, capsys, tmp_path, command,
+                                                           data, start):
+        # A UnicodeDecodeError when read, an OverflowError when a 401-digit integer becomes
+        # a float, and a RecursionError from json.loads.
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{start}{path}: ") and err.count("\n") == 1
+
     def test_state_and_hamiltonian_of_different_dimension_exit_2(self, capsys, tmp_path):
         path = tmp_path / "mismatch.json"
         path.write_text(json.dumps(round_floats({
@@ -362,10 +389,17 @@ class TestClassicalInput:
             [0.5, 0.5, None], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]}},
         {"grid": GRID3, "kernel": {"n": 3, "matrix": [
             [True, False, False], [False, True, False], [False, False, True]]}},
+        # json.dumps writes NaN and Infinity tokens, which json.loads reads as floats.
+        {"grid": dict(GRID3, weights=[math.nan, 0.5, 0.5])},
+        {"grid": GRID3, "kernel": {"n": 3, "matrix": [
+            [math.nan, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]}},
+        {"grid": dict(GRID3, weights=[math.inf, 0.5, 0.5])},
+        {"grid": dict(GRID3, energy_b=[0.5, math.nan, 1.5])},
     ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
             "declared-n", "fractional-n", "bool-n", "infinite-cell-volume",
             "string-cell-volume", "bool-cell-volume", "string-energy-a", "bool-energy-b",
-            "bool-weights", "string-matrix", "null-matrix", "bool-matrix"])
+            "bool-weights", "string-matrix", "null-matrix", "bool-matrix", "nan-weight",
+            "nan-kernel-entry", "infinite-weight", "nan-energy"])
     def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))
@@ -373,6 +407,34 @@ class TestClassicalInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad grid file ") and err.count("\n") == 1
+
+    def test_nan_csv_weight_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("index,energy_a,energy_b,weight\n0,0,0.5,nan\n1,1,1,0.5\n2,2,1.5,0.5\n")
+        code, out, err = run_cli(capsys, "classical", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad grid CSV {path}: negative weight nan\n"
+
+    @pytest.mark.parametrize("name", ["grid.csv", "grid.json"])
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, name):
+        path = tmp_path / "missing" / name
+        code, out, err = run_cli(capsys, "classical", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_inhomogeneity_route_on_an_offset_grid(self, capsys, tmp_path, seed):
+        # 400 sorted cells over 20 energy units, offset by 1e8: phi @ E_B with the raw
+        # energies read 1.1e-9 to 1.7e-9 against the 1e-9 gate for seeds 1 to 4.
+        rng = np.random.default_rng(seed)
+        grid = {"energy_a": (np.sort(rng.uniform(0.0, 20.0, 400)) + 1e8).tolist(),
+                "energy_b": (np.sort(rng.uniform(0.0, 20.0, 400)) + 1e8).tolist(),
+                "weights": rng.dirichlet(np.ones(400)).tolist()}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": grid}))
+        code, out, err = run_cli(capsys, "classical", "--input", str(path), "--beta", "0.1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["checks"]["inhomogeneity_route_agrees"]["value"] < 1e-13
 
     @pytest.mark.parametrize("offset", [1e6, -1e8])
     def test_energies_with_a_large_common_offset(self, capsys, tmp_path, offset):
@@ -979,10 +1041,33 @@ def _matrix_file(**matrices) -> dict:
                    .view(float).tolist()} for name, m in matrices.items()}
 
 
+def _float_slots(obj):
+    """(container, key) of each float in a payload of dicts and lists."""
+    for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+        if isinstance(value, float):
+            yield obj, key
+        elif isinstance(value, (dict, list)):
+            yield from _float_slots(value)
+
+
 @st.composite
 def _contract_argv(draw):
+    """``_run_argv``, with a quarter of the input files holding one non-finite number, or
+    one past the doubles, in place of a float (a grid weight or energy, a kernel or matrix
+    entry)."""
+    argv, payload = draw(_run_argv())
+    if payload is not None and draw(st.integers(0, 3)) == 0:
+        slots = list(_float_slots(payload))
+        container, key = slots[draw(st.integers(0, len(slots) - 1))]
+        container[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+    return argv, payload
+
+
+@st.composite
+def _run_argv(draw):
     """A run of any subcommand over the documented scope and past its edges: d from 1 to
-    64 (otm to 16) and beta from 1e-300 to 1e300, or an input file: a rank-deficient state
+    64 (otm to 16), beta from 1e-300 to 1e300 and, for ergotropy and verify-identities, a
+    tolerance down to 1e-18 in half the runs, or an input file: a rank-deficient state
     with a degenerate H, a grid whose energies share an offset of up to 1e8 (with no, a
     permutation or a mixed kernel), or a Hamiltonian offset by up to 1e3.  Returns the
     argv and the input file's payload (None without --input)."""
@@ -991,9 +1076,13 @@ def _contract_argv(draw):
                                     "geometric-z --input"]))
     beta = repr(10.0 ** draw(st.floats(-300.0, 300.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tolerance = []
+    if command.split()[0] in ("ergotropy", "verify-identities") and draw(st.booleans()):
+        tolerance = ["--tolerance", repr(10.0 ** draw(st.floats(-18.0, -8.0)))]
     if not command.endswith("--input"):
         dim = draw(st.integers(1, 16 if command == "otm" else 64))
-        argv = [command, "--dim", str(dim), "--beta", beta, "--seed", str(draw(st.integers(0, 9)))]
+        argv = [command, "--dim", str(dim), "--beta", beta, "--seed", str(draw(st.integers(0, 9))),
+                *tolerance]
         if command in ("verify-identities", "otm"):
             argv += ["--trials", str(draw(st.integers(1, 3)))]
         return argv, None
@@ -1005,7 +1094,7 @@ def _contract_argv(draw):
         levels = rng.integers(0, draw(st.integers(1, dim)), dim) * 10.0 ** draw(st.floats(-3, 3))
         u = haar_unitaries(dim, 1, rng)[0]
         payload = _matrix_file(rho=rho, hamiltonian=(u * levels) @ u.conj().T)
-        return [command, "--beta", beta], payload
+        return [command, "--beta", beta, *tolerance], payload
     offset = draw(st.floats(-1e8, 1e8) if command == "classical" else st.floats(-1e3, 1e3))
     spread = 10.0 ** draw(st.floats(-3, 2))
     if command == "geometric-z":
@@ -1031,8 +1120,9 @@ class TestExitCodeContract:
     @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
     @given(case=_contract_argv())
     def test_every_subcommand_keeps_the_contract(self, case):
-        # Exit 0, 1 or 2; one stderr line on a failure and none on success; no traceback
-        # (an exception out of main fails the test) and no warning; no NaN or Infinity token.
+        # Exit 0, 1 or 2; one stderr line on a failure, however many checks fail, and none
+        # on success; no traceback (an exception out of main fails the test) and no
+        # warning; no NaN or Infinity token.
         argv, payload = case
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:

@@ -24,7 +24,7 @@ from ergokit import (
     quantum_relative_entropy,
     spectral_relative_entropy,
 )
-from ergokit.ergotropy import _aligned_gaps, optimal_alignment_unitary
+from ergokit.ergotropy import _aligned_gaps, _check_routes, optimal_alignment_unitary
 from ergokit.errors import InvariantViolation
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
@@ -274,6 +274,18 @@ class TestReport:
             expectation(rho, h) - report.passive_energy, abs=1e-12
         )
         assert report.total >= -1e-9
+
+    def test_route_gate_names_the_worst_row(self):
+        total = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(InvariantViolation, match=r"entropies\| = 3\.000e-07$"):
+            _check_routes(total, total + np.array([0.0, 1e-7, 3e-7]))
+        with pytest.raises(InvariantViolation, match=r"^negative ergotropy -1\.000e-03$"):
+            _check_routes(np.array([0.0, -1e-6, -1e-3]), np.array([0.0, -1e-6, -1e-3]))
+
+    @pytest.mark.parametrize("total, via", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_route_gate_fails_a_nan(self, total, via):
+        with pytest.raises(InvariantViolation, match="nan"):
+            _check_routes(total, via)
 
 
 class TestIdentitySweeps:

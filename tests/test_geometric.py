@@ -69,6 +69,7 @@ class TestPoints:
             (np.eye(2), np.array([1.0])),  # two rows, one weight
             (np.eye(2)[:0], np.array([])),  # no rows
             (np.array([[np.nan, 0.0]]), np.array([1.0])),  # a NaN norm
+            (np.eye(2), np.array([np.nan, 1.0])),  # a NaN weight
         ],
     )
     def test_rejects_malformed_arrays(self, points, weights):
@@ -311,6 +312,11 @@ class TestPartitionFunction:
 
         numeric, _ = quad(integrand, 0.0, math.pi, epsabs=1e-12)
         assert geometric_partition_closed_form(h, beta) == pytest.approx(numeric, abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            geometric_partition_function(H01, beta, 1_000, seed=0)
 
     def test_high_temperature_limit_is_volume(self):
         estimate, _ = geometric_partition_function(H01, 1e-9, 10_000, seed=1)

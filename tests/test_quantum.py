@@ -300,9 +300,11 @@ class TestGibbs:
         assert np.max(np.abs(rebuilt - g.rho.matrix)) < 1e-10
         assert g.populations.min() > 0.0
 
-    def test_rejects_nonpositive_beta(self):
+    # NaN and inf used to return NaN populations.
+    @pytest.mark.parametrize("beta", [0.0, math.nan, math.inf], ids=["nonpositive", "nan", "inf"])
+    def test_rejects_nonpositive_beta(self, beta):
         with pytest.raises(ValueError, match="beta"):
-            gibbs_state(H01, 0.0)
+            gibbs_state(H01, beta)
 
     def test_underflow_is_out_of_scope(self):
         with pytest.raises(OutOfScope, match="underflow"):
