@@ -36,7 +36,6 @@ from .ergotropy import (
 from .errors import (
     EmptyShell,
     ErgokitError,
-    NonDeterministicKernel,
     NotConverged,
     SupportMismatch,
     SupportViolation,

@@ -5,10 +5,10 @@ Kernels and joints are held as column layers: column j puts ``values[l, j]``
 on row ``rows[l, j]``.  Liouville (volume-preserving) dynamics is a
 permutation, one layer, so kernels and joints cost O(n) on an n-cell grid and
 the stationarity probe one sort; a general doubly stochastic kernel keeps the
-nonzero entries of each column, at most c layers for a mixture of c permutations.  General
-kernels are accepted wherever the defining relative entropy makes sense but
-rejected by the inhomogeneity-form routines, which require joint entropy to
-equal marginal entropy.
+nonzero entries of each column, at most c layers for a mixture of c permutations.  Every
+kernel has both ergotropy forms: by the chain rule for entropy, beta times the
+relative-entropy form is beta phi . E_B - H(F|I), and the conditional entropy H(F|I) of
+the final cell given the initial one vanishes for a permutation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import EmptyShell, NonDeterministicKernel, OutOfScope, SupportViolation
+from .errors import EmptyShell, OutOfScope, SupportViolation
 from .quantum import _logsumexp
 
 MASS_ATOL = 1e-10
@@ -212,8 +212,8 @@ class TransitionKernel(_ColumnLayers):
 class JointDistribution(_ColumnLayers):
     """Joint probability of (final, initial) cells; entry [f, i] of ``matrix``
     couples final cell f with initial cell i, and column i sums to the initial
-    weight of cell i.  ``from_deterministic`` is set when every initial cell
-    has at most one populated final cell, as for a permutation's joint.
+    weight of cell i.  A joint from ``joint_from_kernel`` holds its kernel's
+    layers, so a permutation's joint is one layer of the initial weights.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -221,10 +221,6 @@ class JointDistribution(_ColumnLayers):
         if abs(dense.sum() - 1.0) > MASS_ATOL:
             raise ValueError(f"total mass deviates from 1 by {abs(dense.sum() - 1.0):.3e}")
         self._hold(*_column_layers(dense))
-
-    @property
-    def from_deterministic(self) -> bool:
-        return bool(np.all((self.values > 0.0).sum(axis=0) <= 1))
 
     def initial_marginal(self) -> np.ndarray:
         return self.values.sum(axis=0)
@@ -247,13 +243,16 @@ def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: floa
 
 
 def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistribution:
-    """Boltzmann weights over the cells of one energy surface; ``OutOfScope``
-    when one is below the smallest normal float (beta * spread above ~708).  The
-    logits are taken above the lowest energy, so an offset costs no precision."""
+    """Boltzmann weights over the cells of one energy surface, from logits above the lowest
+    energy (an offset costs no precision); ``OutOfScope`` when a weight is below the smallest
+    normal float (beta * spread above ~708) or beta * spread is past the largest float."""
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     energies = grid.energies(surface)
-    logits = -beta * (energies - energies.min())
+    low, high = float(energies.min()), float(energies.max())
+    if not np.isfinite(beta * (high - low)):  # checked on Python floats: no overflow warning
+        raise OutOfScope(f"grid energy span [{low:g}, {high:g}] times beta = {beta:g} overflows")
+    logits = -beta * (energies - low)
     weights = np.exp(logits - _logsumexp(logits))
     if weights.min() < np.finfo(float).tiny:
         raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")
@@ -267,14 +266,18 @@ def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointD
     return JointDistribution._of(kernel.rows, kernel.values * p_a.weights)
 
 
+def _xlogx(x: np.ndarray) -> float:
+    """sum x ln x over the entries above ``WEIGHT_FLOOR`` (0 ln 0 := 0)."""
+    live = x[x > WEIGHT_FLOOR]
+    return float((live * np.log(live)).sum())
+
+
 def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: np.ndarray) -> float:
     """sum x ln x over the joint's entries minus sum_f row_sums[f] ln reference[f]."""
-    live = entries[entries > WEIGHT_FLOOR]
     populated = row_sums > WEIGHT_FLOOR
     if np.any(reference[populated] == 0.0):
         raise SupportViolation("reference distribution vanishes on a populated final cell")
-    xlogx = float((live * np.log(live)).sum())
-    return xlogx - float(row_sums[populated] @ np.log(reference[populated]))
+    return _xlogx(entries) - float(row_sums[populated] @ np.log(reference[populated]))
 
 
 def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,24 +325,22 @@ def inhomogeneity_phi(joint: JointDistribution, p_a: GridDistribution) -> np.nda
     return joint.final_marginal() - p_a.weights
 
 
+def _conditional_entropy(joint: JointDistribution, p_a: GridDistribution) -> float:
+    """H(F|I) = H(J) - H(p_A) from the joint's layer values; 0.0 for a permutation."""
+    return _xlogx(p_a.weights) - _xlogx(joint.values)
+
+
 def ergotropy_via_phi(
     joint: JointDistribution, p_a: GridDistribution, grid: PhaseGrid
 ) -> float:
-    """Work stored in inhomogeneities: sum_f phi[f] * E_B[f].  Since sum phi = 0,
-    the energies are taken above the integer part of the lowest one: a common
-    offset costs no precision, and energies whose lowest lies in [0, 1) are used
-    as given.
-
-    Valid only for joints generated by a deterministic (permutation) kernel;
-    otherwise the joint entropy no longer matches the marginal entropy and the
-    identity with the relative-entropy form breaks.
-    """
+    """Work stored in inhomogeneities: sum_f phi[f] * E_B[f].  By the chain rule for
+    entropy it equals ``classical_ergotropy`` + H(F|I)/beta for any doubly stochastic
+    kernel, H(F|I) the conditional entropy of the final cell given the initial one, so
+    it is the ergotropy only for a permutation joint (H(F|I) = 0).  Since sum phi = 0,
+    the energies are taken above the integer part of the lowest one: a common offset
+    costs no precision, and energies whose lowest lies in [0, 1) are used as given."""
     if joint.n_cells != grid.n_cells:
         raise ValueError(f"size mismatch: {joint.n_cells} vs {grid.n_cells}")
-    if not joint.from_deterministic:
-        raise NonDeterministicKernel(
-            "inhomogeneity form requires a permutation-kernel joint"
-        )
     return float(inhomogeneity_phi(joint, p_a) @ (grid.energy_b - np.floor(grid.energy_b.min())))
 
 

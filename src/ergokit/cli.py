@@ -278,10 +278,14 @@ def _cmd_classical(config: argparse.Namespace):
     marginal = joint.final_marginal()
     phi = cl.inhomogeneity_phi(joint, p_a)
     e18 = cl.classical_ergotropy(joint, p_a, p_eq, beta)
+    e19 = cl.ergotropy_via_phi(joint, p_a, grid)
+    conditional = cl._conditional_entropy(joint, p_a)
     sorted_value = cl.sorted_pairing_divergence(p_a.weights, p_eq.weights)
     results: dict = {
         "n_cells": n,
         "ergotropy_relative_entropy_route": e18,
+        "ergotropy_inhomogeneity_route": e19,
+        "conditional_entropy": conditional,
         "phi_sum": float(phi.sum()),
         "kernel_deterministic": kernel.is_deterministic,
         "sorted_pairing_divergence": sorted_value,
@@ -290,11 +294,8 @@ def _cmd_classical(config: argparse.Namespace):
     }
     checks = {
         "phi_sums_to_zero": _check(abs(float(phi.sum())), 1e-10),
+        "inhomogeneity_route_agrees": _check(abs(e18 - (e19 - conditional / beta)), 1e-9),
     }
-    if kernel.is_deterministic:
-        e19 = cl.ergotropy_via_phi(joint, p_a, grid)
-        results["ergotropy_inhomogeneity_route"] = e19
-        checks["inhomogeneity_route_agrees"] = _check(abs(e18 - e19), 1e-9)
     if n <= 8:
         brute, _ = cl.permutation_min_bruteforce(p_a, p_eq)
         results["bruteforce_min_divergence"] = brute

@@ -18,18 +18,13 @@ class EmptyShell(ErgokitError):
     """A microcanonical energy shell contains no grid cells."""
 
 
-class NonDeterministicKernel(ErgokitError):
-    """An operation that requires a permutation (deterministic) kernel received
-    a genuinely stochastic one."""
-
-
 class NotConverged(ErgokitError):
     """Iterative refinement hit its limit before meeting the accuracy gate."""
 
 
 class OutOfScope(ErgokitError, ValueError):
-    """Outside the documented scope: Gibbs populations that underflow, or a
-    manifold CP^(d-1) with d < 2.  The command line exits 2 on it."""
+    """Outside the documented scope: Gibbs populations that underflow, energies that
+    overflow, or a manifold CP^(d-1) with d < 2.  The command line exits 2 on it."""
 
 
 class InvariantViolation(ErgokitError, ValueError):

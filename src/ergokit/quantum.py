@@ -220,7 +220,10 @@ def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
     # cluster's vectors: a cluster's eigenvalues may differ by DEGENERACY_RTOL (1 + |w|), about
     # 1e-10 for a state, which is more than the gate allows once max |w| is below 0.1.
     matrices = np.array([op.matrix for op in operators])
-    residual = np.linalg.norm(matrices @ v - v * w[:, None, :], axis=1).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(matrices @ v - v * w[:, None, :], axis=1).max(axis=1)
+    if not np.all(np.isfinite(residual)):
+        raise OutOfScope(f"eigensolver residual overflows at |eigenvalue| {magnitude.max():.3e}")
     gate = EIGEN_RESIDUAL_RTOL * np.maximum(magnitude.max(axis=1), np.finfo(float).tiny)
     if np.any(residual > gate):
         raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")

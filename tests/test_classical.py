@@ -10,7 +10,6 @@ from ergokit import (
     EmptyShell,
     GridDistribution,
     JointDistribution,
-    NonDeterministicKernel,
     PhaseGrid,
     SupportViolation,
     TransitionKernel,
@@ -26,6 +25,7 @@ from ergokit import (
     sorted_pairing_divergence,
     stationarity_probe,
 )
+from ergokit.classical import _conditional_entropy
 from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
 
@@ -313,12 +313,39 @@ class TestErgotropyViaPhi:
         joint = joint_from_kernel(p_a, shift)
         assert ergotropy_via_phi(joint, p_a, GRID3) == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_mixing_kernels(self):
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 2.0])
+    def test_mixing_kernel_adds_the_conditional_entropy(self, beta):
+        # Chain rule: phi . E_B = classical_ergotropy + H(F|I) / beta for any doubly
+        # stochastic kernel; a mixing one has H(F|I) > 0.
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
         mixed = TransitionKernel(random_doubly_stochastic(3, stream(10)))
         joint = joint_from_kernel(p_a, mixed)
-        with pytest.raises(NonDeterministicKernel):
-            ergotropy_via_phi(joint, p_a, GRID3)
+        dense = mixed.matrix * p_a.weights
+        live = dense[dense > 0.0]
+        expected = float(-(live * np.log(live)).sum() + (p_a.weights * np.log(p_a.weights)).sum())
+        conditional = _conditional_entropy(joint, p_a)
+        assert conditional > 0.1
+        assert conditional == pytest.approx(expected, abs=1e-15)
+        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(GRID3, "B", beta), beta)
+        assert abs(ergotropy_via_phi(joint, p_a, GRID3) - (via_entropy + conditional / beta)) <= 1e-13
+
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 2.0])
+    def test_identity_at_ten_thousand_cells_from_column_layers(self, beta):
+        # Three layers: layer l sends cell j to sigma[(tau[j] + l) % n], so no column
+        # repeats a row and every row and column sums to the weights' total.
+        n, rng = 10_000, stream(12)
+        sigma, tau, weights = rng.permutation(n), rng.permutation(n), rng.dirichlet(np.ones(3))
+        rows = sigma[(tau[None, :] + np.arange(3)[:, None]) % n]
+        kernel = TransitionKernel._of(rows, np.repeat(weights[:, None], n, axis=1))
+        grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
+        p_a = GridDistribution(rng.dirichlet(np.ones(n)))
+        joint = joint_from_kernel(p_a, kernel)
+        conditional = _conditional_entropy(joint, p_a)
+        # Each column mixes with the same weights, so H(F|I) is their entropy.
+        assert conditional == pytest.approx(-float(weights @ np.log(weights)), abs=1e-12)
+        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(grid, "B", beta), beta)
+        via_phi = ergotropy_via_phi(joint, p_a, grid)
+        assert abs(via_entropy - (via_phi - conditional / beta)) <= 1e-12
 
     def test_matches_relative_entropy_route(self):
         for trial in range(500):
@@ -336,6 +363,7 @@ class TestErgotropyViaPhi:
             via_entropy = classical_ergotropy(joint, p_a, p_eq, beta)
             via_phi = ergotropy_via_phi(joint, p_a, grid)
             assert abs(via_entropy - via_phi) <= 1e-9
+            assert _conditional_entropy(joint, p_a) == 0.0
             assert abs(inhomogeneity_phi(joint, p_a).sum()) <= 1e-10
 
 
