@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import EmptyShell, OutOfScope, SupportViolation
-from .quantum import _logsumexp
+from .quantum import _gauge, _gibbs_logs
 
 MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
@@ -243,20 +243,15 @@ def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: floa
 
 
 def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistribution:
-    """Boltzmann weights over the cells of one energy surface, from logits above the lowest
-    energy (an offset costs no precision); ``OutOfScope`` when a weight is below the smallest
-    normal float (beta * spread above ~708) or beta * spread is past the largest float."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    energies = grid.energies(surface)
-    low, high = float(energies.min()), float(energies.max())
-    if not np.isfinite(beta * (high - low)):  # checked on Python floats: no overflow warning
-        raise OutOfScope(f"grid energy span [{low:g}, {high:g}] times beta = {beta:g} overflows")
-    logits = -beta * (energies - low)
-    weights = np.exp(logits - _logsumexp(logits))
+    """Boltzmann weights over the cells of one energy surface: ``_gibbs_logs`` of the
+    energies above the lowest one (``_gauge``), so an offset costs no precision.
+    ``OutOfScope`` when the span is past the largest float, or a weight is below the
+    smallest normal float (beta * span above ~708)."""
+    energies, _ = _gauge(grid.energies(surface))
+    _, _, weights = _gibbs_logs(energies[None], beta)
     if weights.min() < np.finfo(float).tiny:
         raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")
-    return GridDistribution(weights)
+    return GridDistribution(weights[0])
 
 
 def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointDistribution:
@@ -337,11 +332,11 @@ def ergotropy_via_phi(
     entropy it equals ``classical_ergotropy`` + H(F|I)/beta for any doubly stochastic
     kernel, H(F|I) the conditional entropy of the final cell given the initial one, so
     it is the ergotropy only for a permutation joint (H(F|I) = 0).  Since sum phi = 0,
-    the energies are taken above the integer part of the lowest one: a common offset
-    costs no precision, and energies whose lowest lies in [0, 1) are used as given."""
+    the energies are taken above the lowest one (``_gauge``): a common offset costs no
+    precision."""
     if joint.n_cells != grid.n_cells:
         raise ValueError(f"size mismatch: {joint.n_cells} vs {grid.n_cells}")
-    return float(inhomogeneity_phi(joint, p_a) @ (grid.energy_b - np.floor(grid.energy_b.min())))
+    return float(inhomogeneity_phi(joint, p_a) @ _gauge(grid.energy_b)[0])
 
 
 def sorted_pairing_divergence(p: np.ndarray, q: np.ndarray) -> float:

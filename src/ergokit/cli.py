@@ -276,7 +276,7 @@ def _cmd_classical(config: argparse.Namespace):
     log_eq = np.log(p_eq.weights)
     joint = cl.joint_from_kernel(p_a, kernel)
     marginal = joint.final_marginal()
-    phi = cl.inhomogeneity_phi(joint, p_a)
+    phi = marginal - p_a.weights  # inhomogeneity_phi's expression, on the marginal above
     e18 = cl.classical_ergotropy(joint, p_a, p_eq, beta)
     e19 = cl.ergotropy_via_phi(joint, p_a, grid)
     conditional = cl._conditional_entropy(joint, p_a)

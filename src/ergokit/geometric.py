@@ -26,6 +26,7 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     _fix_phase,
+    _gauge,
     _SpectralBlock,
     eigendecompose,
     gibbs_state,
@@ -200,16 +201,16 @@ def geometric_partition_function(
 ) -> tuple[float, float]:
     """Monte Carlo ``(estimate, standard_error)`` of the geometric partition integral
     over CP^(d-1): Vol(CP^(d-1)) e^(-beta E_0) * mean(exp(-beta (h(z) - E_0))) over uniform
-    samples, E_0 the ground energy; that scale must be a normal double (``OutOfScope``)."""
+    samples, h(z) - E_0 drawn from the spectrum above the ground energy E_0 (``_gauge``), so
+    no weight exceeds 1; Vol e^(-beta E_0) must be a normal double (``OutOfScope``)."""
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     volume = manifold_volume(hamiltonian.dim)
-    energies = eigendecompose(hamiltonian, "ascending").values
-    ground = float(energies[0])
+    energies, ground = _gauge(eigendecompose(hamiltonian, "ascending").values)
+    ground = float(ground)
     _require_normal(log(volume) - beta * ground, "Vol e^(-beta E_0)", beta)
-    energies = energies - ground  # so that no weight exceeds 1
     rows = max(1, MC_BLOCK_DRAWS // energies.size)
     full, rest = divmod(n_samples, rows)
     sizes = [rows] * full + [rest] * (rest > 0)
@@ -252,8 +253,8 @@ def geometric_partition_closed_form(hamiltonian: HermitianOperator, beta: float)
     g^(0) = 1/(d-1)!, g^(m) = cumsum(z g^(m-1))/(m+d-1): positive terms, summed in log scale
     past m = max z to 1e-17 (McCurdy, Ng and Parlett, Math. Comp. 43, 501 (1984))."""
     gibbs = gibbs_state(hamiltonian, beta)
-    z = gibbs.log_populations - gibbs.log_populations.min()
-    log_scale = gibbs.log_z + float(gibbs.log_populations.min())
+    z, low = _gauge(gibbs.log_populations)
+    log_scale = gibbs.log_z + float(low)
     g = np.full(z.size, 1.0 / factorial(z.size - 1))
     total = float(g[-1])
     for m in itertools.count(1):

@@ -284,39 +284,39 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return np.log1p(others / count) + np.log(count) + top
 
 
+def _gauge(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a stack (..., d) minus its lowest entry, and those lowest entries: the one
+    zero of energy or log-population.  ``OutOfScope`` when a span is past the doubles."""
+    low = values.min(axis=-1)
+    with np.errstate(over="ignore"):
+        gauged = values - low[..., None]
+    if not np.isfinite(gauged).all():
+        raise OutOfScope(f"energy span [{values.min():g}, {values.max():g}] overflows")
+    return gauged, low
+
+
 def _gibbs_logs(energies: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of
-    spectra, with ``OutOfScope`` if any population underflows to zero."""
+    """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of spectra, with
+    ``OutOfScope`` unless every population is positive (none underflows, no beta E overflows)."""
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    logits = -beta * energies
-    log_z = _logsumexp(logits)
-    log_populations = logits - log_z[:, None]
-    populations = np.exp(log_populations)
-    if populations.min() <= 0.0:
-        raise OutOfScope(
-            f"Gibbs populations underflow to zero at beta = {beta:g}; "
-            "beta too large for this spectrum"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = -beta * energies
+        log_z = _logsumexp(logits)
+        log_populations = logits - log_z[:, None]
+        populations = np.exp(log_populations)
+    if not populations.min() > 0.0:
+        raise OutOfScope(f"Gibbs populations underflow to zero at beta = {beta:g}; "
+                         "beta too large for this spectrum")
     return log_z, log_populations, populations
 
 
 def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
-    """Gibbs state of ``hamiltonian`` at inverse temperature ``beta`` (k_B = 1).
-
-    Populations are computed with a max-shift so the partition sum never
-    overflows; they must remain strictly positive at double precision
-    (``OutOfScope`` otherwise).
-    """
+    """Gibbs state of ``hamiltonian`` at inverse temperature ``beta`` (k_B = 1): the
+    ``_gibbs_logs`` of its ascending spectrum, every population positive (``OutOfScope``)."""
     spectrum = eigendecompose(hamiltonian, "ascending")
     log_z, log_populations, populations = _gibbs_logs(spectrum.values[None], beta)
-    return GibbsState(
-        beta=float(beta),
-        log_z=float(log_z[0]),
-        spectrum=spectrum,
-        populations=populations[0],
-        log_populations=log_populations[0],
-    )
+    return GibbsState(float(beta), float(log_z[0]), spectrum, populations[0], log_populations[0])
 
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -453,8 +453,7 @@ class TestClassicalInput:
         route = "ergotropy_relative_entropy_route"
         assert shifted[route] == plain[route]
         assert shifted["stationarity"] == plain["stationarity"]
-        assert shifted["ergotropy_inhomogeneity_route"] == pytest.approx(
-            plain["ergotropy_inhomogeneity_route"], abs=1e-10)
+        assert shifted["ergotropy_inhomogeneity_route"] == plain["ergotropy_inhomogeneity_route"]
 
     def test_dense_kernel_input(self, capsys, tmp_path):
         mixture = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]]
@@ -488,18 +487,55 @@ class TestClassicalInput:
             expected = -(live * np.log(live)).sum() + (weights * np.log(weights)).sum()
             assert results["conditional_entropy"] == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("energy_b, beta", [([-1e308, 1e308], "1"), ([0.0, 1e308], "10")],
-                             ids=["span-overflows", "logit-overflows"])
-    def test_energies_near_the_largest_float_exit_2(self, capsys, tmp_path, energy_b, beta):
-        # Refused before the subtraction or product that would overflow.
+    @pytest.mark.parametrize("energy_b, beta, line", [
+        ([-1e308, 1e308], "1", "energy span [-1e+308, 1e+308] overflows"),
+        ([0.0, 1e308], "10",
+         "Gibbs populations underflow to zero at beta = 10; beta too large for this spectrum"),
+    ], ids=["span-overflows", "logit-overflows"])
+    def test_energies_near_the_largest_float_exit_2(self, capsys, tmp_path, energy_b, beta, line):
+        # The gauge refuses a span past the doubles; a finite span whose product with beta
+        # overflows leaves a zero Gibbs weight, which _gibbs_logs refuses.  Neither warns.
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"grid": dict(GRID2, energy_b=energy_b)}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "classical", "--input", str(path), "--beta", beta)
         assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            f"error: grid energy span [{energy_b[0]:g}, {energy_b[1]:g}] times beta = {beta} overflows"]
+        assert err.splitlines() == [f"error: {line}"]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), m=st.integers(0, 2**30),
+           kernel=st.sampled_from(["generated", "image", "mixture"]),
+           beta=st.floats(-2.0, 2.0).map(lambda x: repr(10.0**x)))
+    def test_a_common_energy_offset_moves_no_bit(self, seed, n, m, kernel, beta):
+        # Energies on a 2^-10 grid in [0, 2), and the same plus c = m + 1/2: both exact in
+        # doubles, and equal once measured from their lowest entry.  So every printed
+        # number but the grid echo keeps its bits, the route check's value included.
+        rng = np.random.default_rng(seed)
+        energy_a, energy_b = rng.integers(0, 2048, (2, n)) / 1024.0
+        weights = rng.dirichlet(np.ones(n)).tolist()
+        extra = {}
+        if kernel == "image":
+            extra["kernel"] = {"n": n, "image": rng.permutation(n).tolist()}
+        elif kernel == "mixture":
+            matrix = sum(w * np.eye(n)[rng.permutation(n)] for w in rng.dirichlet(np.ones(3)))
+            extra["kernel"] = {"n": n, "matrix": matrix.tolist()}
+        payloads = []
+        for c in (0.0, m + 0.5):
+            grid = {"energy_a": (energy_a + c).tolist(), "energy_b": (energy_b + c).tolist(),
+                    "weights": weights}
+            out, err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:
+                path = f"{tmp}/grid.json"
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump({"grid": grid, **extra}, handle)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["classical", "--input", path, "--beta", beta])
+            payload = json.loads(out.getvalue()) if out.getvalue() else None
+            if payload is not None:
+                del payload["results"]["grid"]
+            payloads.append((code, err.getvalue(), payload))
+        assert payloads[1] == payloads[0]
 
     def test_large_grid_prints_the_image_and_reads_it_back(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "classical", "--dim", "1000", "--trials", "8", "--seed", "2")
@@ -1054,6 +1090,18 @@ class TestErrorContract:
         assert err.splitlines() == ["error: eigensolver residual overflows at |eigenvalue| "
                                     "1.000e+300"]
 
+    @pytest.mark.parametrize("argv", ["ergotropy --dim 8", "verify-identities --dim 4 --trials 2",
+                                      "otm", "geometric-z"])
+    def test_beta_past_the_largest_float_over_an_energy_exits_2(self, capsys, argv):
+        # -beta E overflows once |E| > 1.8 at beta = 1e308: the Gibbs populations come out
+        # NaN or zero, and _gibbs_logs refuses them without a numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv.split(), "--beta", "1e308")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: Gibbs populations underflow to zero at beta = "
+                                    "1e+308; beta too large for this spectrum"]
+
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
         from ergokit import ErgotropyReport, cli
 
@@ -1289,9 +1337,10 @@ def _known_failure(argv, measured):
 
 
 class TestKnownFailures:
-    """Configs inside the documented scope that exit 1 today, each with its measured
-    deviation.  A fix turns its case into a failure (strict xfail): the fixing change
-    removes the case, and the README line that names it, together."""
+    """Configs inside the documented scope that exit 1 today, or print a value that is not
+    scale covariant, each with its measured deviation.  A fix turns its case into a
+    failure (strict xfail): the fixing change removes the case, and the README line that
+    names it, together."""
 
     @pytest.mark.parametrize("argv", [
         # High temperature (ROADMAP item 2): the routes disagree by more than 1e-8.
@@ -1328,6 +1377,28 @@ class TestKnownFailures:
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "classical", "--input", str(path), "--beta", "0.05")
         assert code == 0, err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="exits 1: route gap 5.149e-08")
+    def test_hamiltonian_offset_by_1e8_exits_0(self, capsys, tmp_path):
+        # A spectrum keeps its offset c (ROADMAP item 2): in the entropy route beta tr(rho H)
+        # and ln Z each carry beta c, and cancel only to eps |c|.
+        rho, h = random_density(8, stream(1, 0)), random_hermitian(8, stream(1, 1))
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(_matrix_file(rho=rho.matrix,
+                                                hamiltonian=h.matrix + 1e8 * np.eye(8))))
+        code, _, err = run_cli(capsys, "ergotropy", "--input", str(path))
+        assert code == 0, err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="reads 2.69858618566, not 1.09640809884")
+    def test_dephased_ergotropy_scales_with_h_at_2_to_the_minus_34(self):
+        # DEGENERACY_RTOL (1 + |w|) is an absolute 1e-10 once |w| < 1: every gap of 2^-34 H
+        # is below it, so H is one cluster and dephasing keeps every coherence.
+        rho, h = random_density(8, stream(1, 0)), random_hermitian(8, stream(1, 1))
+        s = 2.0**-34
+        plain = ergotropy_report(rho, h, 1.0).dephased_ergotropy
+        scaled = ergotropy_report(rho, HermitianOperator(s * h.matrix), 1.0 / s).dephased_ergotropy
+        assert scaled / s == pytest.approx(plain, rel=1e-12)
 
 
 def _scaled(owner, name, factor, part=None):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergokit import (
     DensityMatrix,
@@ -26,6 +28,7 @@ from ergokit import (
 )
 from ergokit.ergotropy import _aligned_gaps, _check_routes, optimal_alignment_unitary
 from ergokit.errors import InvariantViolation
+from ergokit.geometric import _geometric_route
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
     haar_unitaries,
@@ -286,6 +289,25 @@ class TestReport:
     def test_route_gate_fails_a_nan(self, total, via):
         with pytest.raises(InvariantViolation, match="nan"):
             _check_routes(total, via)
+
+
+class TestScaleCovariance:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 15), dim=st.sampled_from([2, 4, 8, 16]),
+           k=st.integers(-400, 300))
+    def test_powers_of_two_scale_every_route_bit_for_bit(self, seed, dim, k):
+        # (H, beta) enter only through beta H, so (2^k H, 2^-k beta) scales every energy by
+        # 2^k; a power of two is exact, and the arithmetic keeps it.  Below k = -405 it
+        # breaks by an ulp or two at every d (seeds 0-3, first at k = -406 to -409).
+        rho, h = random_density(dim, stream(seed, 0)), random_hermitian(dim, stream(seed, 1))
+
+        def routes(hamiltonian, beta):
+            report = ergotropy_report(rho, hamiltonian, beta)
+            return (report.total, report.via_entropies, report.passive_energy,
+                    _geometric_route(report.context))
+
+        scaled = routes(HermitianOperator(math.ldexp(1.0, k) * h.matrix), math.ldexp(1.0, -k))
+        assert scaled == tuple(math.ldexp(value, k) for value in routes(h, 1.0))
 
 
 class TestIdentitySweeps:
