@@ -148,7 +148,7 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
     report = ergotropy_report(rho, hamiltonian, config.beta)
-    via_geometric = geo._geometric_route(report.context)
+    via_geometric = float(geo._geometric_route(report.context)[0])
     scale = 1.0 + abs(report.total)
     checks = {
         "route_entropies_agrees": _check(abs(report.total - report.via_entropies), config.tolerance * scale),

@@ -123,8 +123,8 @@ def ergotropy_direct(rho: DensityMatrix, hamiltonian: HermitianOperator) -> floa
 
 def _direct(rho: np.ndarray, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(``ergotropy_direct``, ``passive_energy``) over stacks (..., d, d) of matrices."""
-    p = np.sort(np.linalg.eigvalsh(rho))[..., None, ::-1]
-    passive = (p @ np.sort(np.linalg.eigvalsh(hamiltonian))[..., None])[..., 0, 0]
+    p = np.linalg.eigvalsh(rho)[..., None, ::-1]
+    passive = (p @ np.linalg.eigvalsh(hamiltonian)[..., None])[..., 0, 0]
     return _traces(rho, hamiltonian) - passive, passive
 
 
@@ -199,19 +199,12 @@ def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:
     row.  U attains the minimum over the unitary orbit (von Neumann's trace
     inequality), so the gap is zero up to rounding.  S(U rho U†||rho_eq) is
     evaluated through the overlaps |<s_j|U|v_i>|^2, not the sorted pairing, and D
-    is the block's ``spectral_divergence``, the one the entropy route reads.  Only
-    the populated eigenvectors v_i (a descending prefix) enter, so rows are
-    evaluated in groups of equal support size."""
-    sizes = (block.populations > SUPPORT_FLOOR).sum(axis=1)
-    groups = set(sizes.tolist())
-    gaps = np.empty(len(sizes))
-    for n in groups:
-        rows = sizes == n if len(groups) > 1 else slice(None)
-        basis, vectors = block.basis[rows], block.vectors[rows]
-        p_live, ln_s = block.populations[rows, :n], block.log_populations[rows]
-        amplitudes = basis.conj().swapaxes(1, 2) @ (
-            (basis @ vectors.conj().swapaxes(1, 2)) @ vectors[:, :, :n])
-        overlap = amplitudes.real**2 + amplitudes.imag**2
-        cross = (ln_s[:, None, :] @ overlap @ p_live[:, :, None])[:, 0, 0]
-        gaps[rows] = -block.entropy[rows] - cross - block.spectral_divergence[rows]
-    return gaps
+    is the block's ``spectral_divergence``, the one the entropy route reads.  Every
+    eigenvector v_i enters, weighted by its population, a population at or below
+    ``SUPPORT_FLOOR`` as an exact zero."""
+    basis, vectors = block.basis, block.vectors
+    weights = np.where(block.populations > SUPPORT_FLOOR, block.populations, 0.0)
+    amplitudes = basis.conj().swapaxes(1, 2) @ ((basis @ vectors.conj().swapaxes(1, 2)) @ vectors)
+    overlap = amplitudes.real**2 + amplitudes.imag**2
+    cross = (block.log_populations[:, None, :] @ overlap @ weights[:, :, None])[:, 0, 0]
+    return -block.entropy - cross - block.spectral_divergence

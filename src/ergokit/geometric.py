@@ -28,6 +28,7 @@ from .quantum import (
     _fix_phase,
     _gauge,
     _SpectralBlock,
+    _support_sums,
     eigendecompose,
     gibbs_state,
     spectral_context,
@@ -153,18 +154,18 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
     that carry rho_eq.  So no point merges, the matching of ``geometric_relative_entropy``
     is the identity, and D_geom = sum_{i<k} w_i (ln w_i - ln rho_eq,i), with the
     analytic ln rho_eq."""
-    return _geometric_route(spectral_context(rho, hamiltonian, beta))
+    return float(_geometric_route(spectral_context(rho, hamiltonian, beta))[0])
 
 
-def _geometric_route(block: _SpectralBlock) -> float:
-    """``ergotropy_geometric`` of the one row of a spectral block the caller already
-    holds (``spectral_context``); a block of more rows raises."""
-    (populations,), (log_eq,) = block.populations, block.log_populations
-    _require_manifold(len(populations))
-    weights = populations[populations > SUPPORT_FLOOR]
-    w = weights / weights.sum()
-    divergence = float((w * (np.log(w) - log_eq[: len(w)])).sum())
-    return (float(block.relative_entropy[0]) - divergence) / block.beta
+def _geometric_route(block: _SpectralBlock) -> np.ndarray:
+    """``ergotropy_geometric`` of each row of a spectral block: the populations above
+    ``SUPPORT_FLOOR``, renormalized, against the Gibbs log-populations of the same index,
+    the dead levels summed as exact zeros (``_support_sums``)."""
+    _require_manifold(block.populations.shape[1])
+    weights = np.where(block.populations > SUPPORT_FLOOR, block.populations, 0.0)
+    w = weights / weights.sum(axis=1, keepdims=True)
+    divergence = _support_sums(lambda w, ln_s: w * (np.log(w) - ln_s), w, block.log_populations)
+    return (block.relative_entropy - divergence) / block.beta
 
 
 def _require_manifold(dim: int) -> None:

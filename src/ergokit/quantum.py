@@ -297,11 +297,13 @@ def _gauge(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gibbs_logs(energies: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of spectra, with
-    ``OutOfScope`` unless every population is positive (none underflows, no beta E overflows)."""
+    ``OutOfScope`` when a beta E overflows or a population underflows to zero."""
     if not 0.0 < beta < np.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         logits = -beta * energies
+        if not np.isfinite(logits).all():
+            raise OutOfScope(f"beta * energy overflows at beta = {beta:g}")
         log_z = _logsumexp(logits)
         log_populations = logits - log_z[:, None]
         populations = np.exp(log_populations)
@@ -337,20 +339,10 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _support_sums(term, p: np.ndarray, *others: np.ndarray) -> np.ndarray:
     """sum_i term(p_i, *others_i) over the entries p_i > ``SUPPORT_FLOOR`` of each
-    row of a stack (B, d).  Rows with the same number of such entries are summed
-    together over just those entries, so a row adds its terms as the 1-D sum of
-    its live entries does (a sum with the dead entries zeroed would group them
-    differently once d >= 8)."""
+    row of a stack (B, d): ``term`` sees 1.0 in place of each dead p_i, and its
+    result there enters the row's sum as an exact zero (0 ln 0 := 0)."""
     live = p > SUPPORT_FLOOR
-    picked = [a[live] for a in (p, *others)]
-    if picked[0].size == p.size:  # every entry populated
-        return term(*(a.reshape(p.shape) for a in picked)).sum(axis=1)
-    sizes = live.sum(axis=1)
-    sums = np.empty(len(p))
-    for n in set(sizes.tolist()):
-        rows = sizes == n
-        sums[rows] = term(*(a[rows][live[rows]].reshape(-1, n) for a in (p, *others))).sum(axis=1)
-    return sums
+    return np.where(live, term(np.where(live, p, 1.0), *others), 0.0).sum(axis=1)
 
 
 def _entropies(values: np.ndarray) -> np.ndarray:
@@ -443,9 +435,10 @@ class _SpectralBlock:
     ``energy`` = tr(rho H).  Every relative entropy to rho_eq is then a closed
     form, and nothing diagonalizes exp(-beta H)/Z.  Each quantity is evaluated
     once for the whole block, each row with the bits a block of one gives it:
-    rows with fewer populated levels are summed in their own groups, and only a
-    degenerate H needs a solver for its row's dephased spectrum.  One triple is a
-    block of one row (``spectral_context``).
+    every row is summed over all d levels, a level at or below ``SUPPORT_FLOOR``
+    as an exact zero (``_support_sums``), and only a degenerate H needs a solver
+    for its row's dephased spectrum.  One triple is a block of one row
+    (``spectral_context``).
     """
 
     beta: float

@@ -27,6 +27,7 @@ from ergokit import (
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
 from ergokit.errors import InvariantViolation, OutOfScope
 from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
+from ergokit.geometric import _geometric_route
 from ergokit.quantum import DensityMatrix, HermitianOperator, _SpectralBlock, eigendecompose
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
@@ -152,6 +153,11 @@ class TestVerifyBlocks:
         rows = _identity_rows(rhos, hamiltonians, beta)
         for row, (m, h) in zip(rows, pairs):
             assert row == _identity_rows([DensityMatrix(m)], [HermitianOperator(h)], beta)[0]
+        if dim > 1:  # the geometric route needs the manifold CP^(d-1)
+            routes = _geometric_route(_SpectralBlock.of(rhos, hamiltonians, beta)).tolist()
+            for route, (m, h) in zip(routes, pairs):
+                one = _SpectralBlock.of([DensityMatrix(m)], [HermitianOperator(h)], beta)
+                assert route == _geometric_route(one)[0]
 
     def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
         # The twin of otm's case: the block as a whole fails first on a later trial's
@@ -489,12 +495,11 @@ class TestClassicalInput:
 
     @pytest.mark.parametrize("energy_b, beta, line", [
         ([-1e308, 1e308], "1", "energy span [-1e+308, 1e+308] overflows"),
-        ([0.0, 1e308], "10",
-         "Gibbs populations underflow to zero at beta = 10; beta too large for this spectrum"),
+        ([0.0, 1e308], "10", "beta * energy overflows at beta = 10"),
     ], ids=["span-overflows", "logit-overflows"])
     def test_energies_near_the_largest_float_exit_2(self, capsys, tmp_path, energy_b, beta, line):
-        # The gauge refuses a span past the doubles; a finite span whose product with beta
-        # overflows leaves a zero Gibbs weight, which _gibbs_logs refuses.  Neither warns.
+        # The gauge refuses a span past the doubles, and _gibbs_logs a finite span whose
+        # product with beta overflows.  Neither warns.
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"grid": dict(GRID2, energy_b=energy_b)}))
         with warnings.catch_warnings():
@@ -1090,17 +1095,22 @@ class TestErrorContract:
         assert err.splitlines() == ["error: eigensolver residual overflows at |eigenvalue| "
                                     "1.000e+300"]
 
-    @pytest.mark.parametrize("argv", ["ergotropy --dim 8", "verify-identities --dim 4 --trials 2",
-                                      "otm", "geometric-z"])
-    def test_beta_past_the_largest_float_over_an_energy_exits_2(self, capsys, argv):
-        # -beta E overflows once |E| > 1.8 at beta = 1e308: the Gibbs populations come out
-        # NaN or zero, and _gibbs_logs refuses them without a numpy warning.
+    @pytest.mark.parametrize("argv, line", [
+        (argv, "beta * energy overflows at beta = 1e+308")
+        for argv in ("ergotropy --dim 8", "verify-identities --dim 4 --trials 2")
+    ] + [
+        (argv, "Gibbs populations underflow to zero at beta = 1e+308; "
+               "beta too large for this spectrum") for argv in ("otm", "geometric-z")
+    ], ids=["ergotropy --dim 8", "verify-identities --dim 4 --trials 2", "otm", "geometric-z"])
+    def test_beta_past_the_largest_float_over_an_energy_exits_2(self, capsys, argv, line):
+        # -beta E overflows once |E| > 1.8 at beta = 1e308, and _gibbs_logs refuses it before
+        # summing; otm and geometric-z at d = 2 keep finite logits whose populations underflow.
+        # Neither warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv.split(), "--beta", "1e308")
         assert (code, out) == (2, "")
-        assert err.splitlines() == ["error: Gibbs populations underflow to zero at beta = "
-                                    "1e+308; beta too large for this spectrum"]
+        assert err.splitlines() == [f"error: {line}"]
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
         from ergokit import ErgotropyReport, cli

@@ -304,7 +304,7 @@ class TestScaleCovariance:
         def routes(hamiltonian, beta):
             report = ergotropy_report(rho, hamiltonian, beta)
             return (report.total, report.via_entropies, report.passive_energy,
-                    _geometric_route(report.context))
+                    _geometric_route(report.context)[0])
 
         scaled = routes(HermitianOperator(math.ldexp(1.0, k) * h.matrix), math.ldexp(1.0, -k))
         assert scaled == tuple(math.ldexp(value, k) for value in routes(h, 1.0))
