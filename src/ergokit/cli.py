@@ -31,9 +31,11 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gaps, _direct, _routes, ergotropy_report
+from .ergotropy import _aligned_gaps, _direct, _routes
 from .errors import ErgokitError, OutOfScope
-from .quantum import DensityMatrix, HermitianOperator, _SpectralBlock
+from .quantum import (
+    HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _stack_of, _states,
+)
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
     density_from_json,
@@ -130,56 +132,47 @@ def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
 # names to cells, and are read once, and only for ``--format csv``.
 
 
-def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
+def _load_state_pair(config: argparse.Namespace) -> tuple[tuple, tuple]:
+    """The ``_spectra`` of ``ergotropy``'s state and Hamiltonian as stacks of one row: a
+    generated pair drawn as arrays (``_random_block``), a pair read from ``--input`` as the
+    objects of the public API."""
     if config.input_path is None:
-        (rho,), (hamiltonian,) = _random_block(config.seed, range(1), config.dim)
-        return rho, hamiltonian
+        return _random_block(config.seed, range(1), config.dim)
 
-    def parse(text: str) -> tuple[DensityMatrix, HermitianOperator]:
+    def parse(text: str):
         obj = json.loads(text)
         rho, hamiltonian = density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
         if rho.dim != hamiltonian.dim:
             raise ValueError(f"rho has dimension {rho.dim}, the Hamiltonian {hamiltonian.dim}")
         return rho, hamiltonian
 
-    return _read_input(config.input_path, "state file", parse)
+    rho, hamiltonian = _read_input(config.input_path, "state file", parse)
+    return _stack_of(rho, "descending"), _stack_of(hamiltonian, "ascending")
 
 
 def _cmd_ergotropy(config: argparse.Namespace):
-    rho, hamiltonian = _load_state_pair(config)
-    report = ergotropy_report(rho, hamiltonian, config.beta)
-    via_geometric = float(geo._geometric_route(report.context)[0])
-    scale = 1.0 + abs(report.total)
-    checks = {
-        "route_entropies_agrees": _check(abs(report.total - report.via_entropies), config.tolerance * scale),
-        "route_geometric_agrees": _check(abs(report.total - via_geometric), config.tolerance * scale),
-    }
-    results = {
-        "total": report.total,
-        "via_entropies": report.via_entropies,
-        "via_geometric": via_geometric,
-        "coherent_eq11": report.coherent_eq11,
-        "incoherent": report.incoherent,
-        "dephased_ergotropy": report.dephased_ergotropy,
-        "beta_used": report.beta_used,
-        "passive_energy": report.passive_energy,
-        "state": matrix_to_json(rho.matrix),
-        "hamiltonian": matrix_to_json(hamiltonian.matrix),
-    }
+    states, hamiltonians = _load_state_pair(config)
+    block = _SpectralBlock.of(states, hamiltonians, config.beta)
+    results = {name: float(values[0]) for name, values in _routes(block).items()}
+    results["via_geometric"] = float(geo._geometric_route(block)[0])
+    scale = 1.0 + abs(results["total"])
+    checks = {f"route_{route}_agrees": _check(abs(results["total"] - results[f"via_{route}"]),
+                                              config.tolerance * scale)
+              for route in ("entropies", "geometric")}
+    results.update(beta_used=float(config.beta), state=matrix_to_json(states[0][0]),
+                   hamiltonian=matrix_to_json(hamiltonians[0][0]))
     return results, checks, [results]
 
 
-def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperator],
-                   beta: float) -> list[dict]:
-    """The sweep's rows for one block of trials, every column evaluated once over
-    the block: the spectral routes, the chain identity and the aligning-unitary
-    gap from one ``_SpectralBlock`` (one stacked ``eigh`` of the Hamiltonians; the
-    states keep their validating ``eigh``), and the direct route from one stacked
-    ``eigvalsh`` each of the states and the Hamiltonians.  Each row has the bits
-    the same trial gets as a block of one."""
-    block = _SpectralBlock.of(rhos, hamiltonians, beta)
+def _identity_rows(states: tuple, hamiltonians: tuple, beta: float) -> list[dict]:
+    """The sweep's rows for one block of trials, from the ``_spectra`` of its states and
+    Hamiltonians, every column evaluated once over the block: the spectral routes, the
+    chain identity and the aligning-unitary gap from one ``_SpectralBlock``, and the
+    direct route from one stacked ``eigvalsh`` each of the states and the Hamiltonians.
+    Each row has the bits the same trial gets as a block of one."""
+    block = _SpectralBlock.of(states, hamiltonians, beta)
     via = _routes(block)["via_entropies"]
-    direct = _direct(block.matrices, np.array([h.matrix for h in hamiltonians]))[0]
+    direct = _direct(block.matrices, hamiltonians[0])[0]
     columns = {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
         "chain_identity_dev":
@@ -189,15 +182,14 @@ def _identity_rows(rhos: list[DensityMatrix], hamiltonians: list[HermitianOperat
     return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
-def _random_block(seed: int, index: range,
-                  dim: int) -> tuple[list[DensityMatrix], list[HermitianOperator]]:
-    """The states and Hamiltonians of the trials i in ``index``, drawn from
-    ``stream(seed, 3i)`` and ``stream(seed, 3i + 1)`` (one repositioned generator
-    for the block) and then validated together."""
+def _random_block(seed: int, index: range, dim: int) -> tuple[tuple, tuple]:
+    """The ``_spectra`` of the states (descending) and of the Hamiltonians (ascending) of
+    the trials i in ``index``, drawn from ``stream(seed, 3i)`` and ``stream(seed, 3i + 1)``
+    (one repositioned generator for the block), each stack validated together."""
     streams = _streams(seed, (k for i in index for k in (3 * i, 3 * i + 1)))
     draws = _ginibre(streams, 2 * len(index), (dim, dim))
-    return (DensityMatrix._block(_densities(draws[0::2])),
-            HermitianOperator._block(_hermitians(draws[1::2])))
+    return (_states(_densities(draws[0::2])),
+            _spectra(_hermitian_stack(_hermitians(draws[1::2])), "ascending"))
 
 
 def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> list[dict]:
@@ -345,26 +337,25 @@ def _cmd_geometric_z(config: argparse.Namespace):
 
 def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     """The rows of the trials i in ``index``: H_A and H_B drawn from ``stream(seed, 4i)``
-    and ``stream(seed, 4i + 1)`` and validated together, tau from ``stream(seed, 4i + 2)``
-    (a sudden switch below 0.15), then one ``_evolve_all`` (doubling from 32 steps to the
-    1e-6 gate) and one ``_bound_reports`` over the block."""
+    and ``stream(seed, 4i + 1)``, each stack validated and diagonalized together, tau from
+    ``stream(seed, 4i + 2)`` (a sudden switch below 0.15), then one ``_evolve_all`` of
+    the paths (doubling from 32 steps to the 1e-6 gate) and one ``_bound_reports`` over
+    the block."""
     draws = _ginibre(_streams(seed, (k for i in index for k in (4 * i, 4 * i + 1))),
                      2 * len(index), (dim, dim))
-    h_a, h_b = (HermitianOperator._block(_hermitians(draws[k::2])) for k in (0, 1))
+    h_a, h_b = (_spectra(_hermitian_stack(_hermitians(draws[k::2])), "ascending")
+                for k in (0, 1))
     del draws
     taus = [float(rng.uniform(0.0, 1.5)) for rng in _streams(seed, (4 * i + 2 for i in index))]
-    protocols = [DrivingProtocol.sudden(a, b) if tau < 0.15
-                 else DrivingProtocol.linear_ramp(a, b, tau) for a, b, tau in zip(h_a, h_b, taus)]
-    reports = _bound_reports(protocols, np.array(_evolve_all(protocols, 32, 1e-6)), beta)
-    return [{
-        "tau": tau,
-        "avg_work": report.avg_work,
-        "delta_f": report.delta_f,
-        "w_irr": report.w_irr,
-        "bound": report.bound,
-        "jensen_gap": beta * report.w_irr - report.bound,
-        "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
-    } for tau, report in zip(taus, reports)]
+    paths = [(np.array([0.0, tau if tau >= 0.15 else 0.0]), np.stack((a, b)))
+             for a, b, tau in zip(h_a[0], h_b[0], taus)]
+    reports = _bound_reports(h_a, h_b, np.array(_evolve_all(paths, 32, 1e-6)), beta)
+    w_irr, bound = reports["w_irr"], reports["bound"]
+    columns = {"tau": np.array(taus), "avg_work": reports["avg_work"],
+               "delta_f": reports["delta_f"], "w_irr": w_irr, "bound": bound,
+               "jensen_gap": beta * w_irr - bound,
+               "conditional_z_identity_dev": np.abs(bound - reports["bound_closed_form"])}
+    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
 
 
 @cache

@@ -25,7 +25,6 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
-    _fix_phase,
     _gauge,
     _SpectralBlock,
     _support_sums,
@@ -60,9 +59,10 @@ def _overlap_deficits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GeometricState:
     """Probability distribution on CP^(d-1) as weighted point masses: row i of the
-    (k, d) array ``points`` is the unit vector that carries ``weights[i]``, phase-fixed
-    so its largest-magnitude component is real positive.  Coincident rows (overlap
-    deficit below ``MERGE_OVERLAP_DEFICIT``) are merged at construction."""
+    (k, d) array ``points`` is the unit vector that carries ``weights[i]``, normalized
+    but with its phase as given, since a point of CP^(d-1) is a ray and matching and
+    merging read |<a|b>|.  Coincident rows (overlap deficit below
+    ``MERGE_OVERLAP_DEFICIT``) are merged at construction."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -81,7 +81,7 @@ class GeometricState:
             raise ValueError(f"negative weight {w.min():.3e}")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights deviate from unit mass by {abs(w.sum() - 1.0):.3e}")
-        z = _fix_phase((z / norms[:, None]).T).T
+        z = z / norms[:, None]
         # Greedy merge in input order: a point joins the first earlier point
         # that still stands for itself and lies within the merge deficit.
         close = np.triu(_overlap_deficits(z, z) <= MERGE_OVERLAP_DEFICIT, 1)

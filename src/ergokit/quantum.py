@@ -1,8 +1,10 @@
-"""Dense Hermitian linear algebra: canonical spectra, Gibbs states, entropies,
-and energy-basis coherence primitives.
+"""Dense Hermitian linear algebra: spectra, Gibbs states, entropies, and
+energy-basis coherence primitives.
 
 All entropies use the natural logarithm (nats).  Every function is pure; the
-matrix-carrying types are immutable after construction.
+matrix-carrying types are immutable after construction.  Blocks of matrices run
+as stacks (B, d, d) with one stacked ``eigh``; the operator types are built at
+the public API, one matrix as a stack of one row.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ class HermitianOperator:
     Construction rejects matrices whose anti-Hermitian part exceeds
     ``HERMITICITY_ATOL`` entrywise; the stored matrix is the exactly
     symmetrized (M + M†)/2 and is read-only.  The object also keeps its one
-    ``eigh`` and the canonical spectra ``eigendecompose`` derives from it.
-    One matrix is validated as a block of one: ``_block`` validates a stack
-    of them together, row for row as one at a time.
+    ``eigh`` and the spectra ``eigendecompose`` derives from it.  It is
+    validated as a stack of one row (``_hermitian_stack``).
     """
 
     __slots__ = ("_matrix", "_eigh", "_spectra")
@@ -47,40 +48,14 @@ class HermitianOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        (m,), (eigh,) = self._validate(m[None])
-        self._store(m, eigh)
-
-    @classmethod
-    def _block(cls, matrices: np.ndarray) -> list:
-        """One operator per matrix of a stack (B, d, d), validated together; a
-        failing stack raises the error of its first failing row."""
-        operators = []
-        for m, eigh in zip(*cls._validate(matrices)):
-            operator = cls.__new__(cls)
-            operator._store(m, eigh)
-            operators.append(operator)
-        return operators
+        self._matrix, self._eigh = self._validate(m[None])  # np.linalg.eigh, once computed
+        self._matrix.setflags(write=False)
+        self._spectra = {}  # order -> SortedSpectrum
 
     @staticmethod
-    def _validate(m: np.ndarray) -> tuple[np.ndarray, list]:
-        """The matrices to store for a stack (B, d, d), and the ``eigh`` each keeps
-        (None: not yet computed)."""
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        adjoint = m.conj().swapaxes(1, 2)
-        for defect in np.abs(m - adjoint).max(axis=(1, 2)).tolist():
-            if defect > HERMITICITY_ATOL:
-                raise ValueError(
-                    f"matrix is not Hermitian: max |M - M.conj().T| = {defect:.3e} "
-                    f"> {HERMITICITY_ATOL:.0e}"
-                )
-        return (m + adjoint) / 2.0, [None] * len(m)
-
-    def _store(self, m: np.ndarray, eigh: tuple | None = None) -> None:
-        m.setflags(write=False)
-        self._matrix = m
-        self._eigh = eigh  # np.linalg.eigh(m), once computed
-        self._spectra = {}  # order -> SortedSpectrum
+    def _validate(m: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        """The matrix to store for a stack of one, and its ``eigh`` (None: not yet computed)."""
+        return _hermitian_stack(m)[0], None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,73 +70,111 @@ class HermitianOperator:
 
 
 class DensityMatrix(HermitianOperator):
-    """A quantum state: Hermitian, unit trace, positive semidefinite.
-
-    Eigenvalues in [-NEGATIVE_EIG_ATOL, 0) are clamped to zero and the state
-    renormalized; anything more negative is rejected.  Otherwise a rounded trace
-    is divided out of the matrix and its validating ``eigh``, which is kept.
-    """
+    """A quantum state: Hermitian, unit trace, positive semidefinite, validated as a
+    stack of one row (``_density_stack``), whose validating ``eigh`` it keeps."""
 
     __slots__ = ()
 
     @staticmethod
-    def _validate(m: np.ndarray) -> tuple[np.ndarray, list]:
-        """One stacked ``eigh`` (``_eigh_rows``) validates every state; the clamp and
-        the division by the trace run on the rows that need them, one at a time."""
-        m = HermitianOperator._validate(m)[0]
-        traces = np.trace(m, axis1=1, axis2=2).real.tolist()
-        for trace in traces:
-            if abs(trace - 1.0) > TRACE_ATOL:
-                raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-        eighs = _eigh_rows(m)
-        for r, (trace, (w, v)) in enumerate(zip(traces, eighs)):
-            if w[0] < -NEGATIVE_EIG_ATOL:
-                raise ValueError(f"minimum eigenvalue {w[0]:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
-            if w[0] < 0.0:
-                clamped = (v * np.clip(w, 0.0, None)) @ v.conj().T
-                clamped = (clamped + clamped.conj().T) / 2.0
-                m[r] = clamped / clamped.trace().real
-                eighs[r] = None
-            elif abs(trace - 1.0) > 1e-15:
-                m[r] /= trace
-                w /= trace
-        return m, eighs
+    def _validate(m: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+        (m,), w, v, stale = _density_stack(m)
+        return m, None if stale[0] else (w[0], v[0])
 
 
-def _eigh_rows(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``np.linalg.eigh`` of a stack (B, d, d) as (w, v) per matrix, a large stack in two
-    halves (``_threads.in_halves``): each matrix is solved on its own, so no bit moves."""
+def _hermitian_stack(m: np.ndarray) -> np.ndarray:
+    """The exactly symmetrized (M + M†)/2 of each matrix of a stack (B, d, d), every
+    entry finite and every anti-Hermitian part within ``HERMITICITY_ATOL``; a failing
+    stack raises the error of its first failing row."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    adjoint = m.conj().swapaxes(1, 2)
+    for defect in np.abs(m - adjoint).max(axis=(1, 2)).tolist():
+        if defect > HERMITICITY_ATOL:
+            raise ValueError(
+                f"matrix is not Hermitian: max |M - M.conj().T| = {defect:.3e} "
+                f"> {HERMITICITY_ATOL:.0e}"
+            )
+    return (m + adjoint) / 2.0
+
+
+def _density_stack(m: np.ndarray) -> tuple:
+    """A stack (B, d, d) of states validated together, as (matrices, w, v, stale): one
+    stacked ``eigh`` (w, v) checks every spectrum.  A row with eigenvalues in
+    [-NEGATIVE_EIG_ATOL, 0) is clamped to zero and renormalized, which leaves its (w, v)
+    stale; anything more negative is rejected.  Otherwise a rounded trace is divided out
+    of the row and its eigenvalues.  A failing stack raises its first failing row's error."""
+    m = _hermitian_stack(m)
+    traces = np.trace(m, axis1=1, axis2=2).real
+    for trace in traces.tolist():
+        if abs(trace - 1.0) > TRACE_ATOL:
+            raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
+    w, v = _eigh_stack(m)
+    for low in w[:, 0].tolist():
+        if low < -NEGATIVE_EIG_ATOL:
+            raise ValueError(f"minimum eigenvalue {low:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
+    stale = w[:, 0] < 0.0
+    if stale.any():
+        for r in np.flatnonzero(stale):
+            clamped = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
+            clamped = (clamped + clamped.conj().T) / 2.0
+            m[r] = clamped / clamped.trace().real
+    rounded = ~stale & (np.abs(traces - 1.0) > 1e-15)
+    if rounded.any():
+        m[rounded] /= traces[rounded, None, None]
+        w[rounded] /= traces[rounded, None]
+    return m, w, v, stale
+
+
+def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack (B, d, d), a large stack in two halves
+    (``_threads.in_halves``): each matrix is solved on its own, so no bit moves."""
     parts = _threads.in_halves(lambda part: np.linalg.eigh(m[part]), len(m), m.size,
                                _threads.EIGH_SPLIT_ENTRIES)
-    return [pair for w, v in parts for pair in zip(w, v)]
+    return tuple(np.concatenate(a) for a in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
 
 
-def _fix_phase(z: np.ndarray) -> np.ndarray:
-    """Rotate the global phase of each column of ``z`` (..., n, k) so that its
-    largest-magnitude component is real positive."""
-    cols = z.reshape((-1,) + z.shape[-2:])
-    a = cols[np.arange(len(cols))[:, None], np.abs(cols).argmax(axis=1), np.arange(cols.shape[2])]
-    mag = np.hypot(a.real, a.imag)
-    mag[mag == 0.0] = 1.0  # an all-zero column stays zero
-    return (cols * (a.conj() / mag)[:, None, :]).reshape(z.shape)
+def _states(m: np.ndarray) -> tuple:
+    """The descending ``_spectra`` of a stack of states validated together
+    (``_density_stack``): the clamped rows are diagonalized again, in one stacked call."""
+    m, w, v, stale = _density_stack(m)
+    if stale.any():
+        w[stale], v[stale] = _eigh_stack(m[stale])
+    return _spectra(m, "descending", (w, v))
 
 
-def _canonical_columns(block: np.ndarray) -> np.ndarray:
-    """Deterministic basis for a degenerate eigenspace: re-orthonormalize,
-    phase-fix, then order columns lexicographically by |component|."""
-    q = _fix_phase(np.linalg.qr(block)[0])
-    keys = [tuple(np.round(np.abs(q[:, j]), 12)) for j in range(q.shape[1])]
-    order = sorted(range(q.shape[1]), key=keys.__getitem__)
-    return q[:, order]
+def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> tuple:
+    """A stack (B, d, d) of validated matrices with its spectra, (matrices, values,
+    vectors, levels): the eigenvalues (B, d) in ``order`` and the eigenvector columns
+    (B, d, d) of the stack's ascending ``eigh`` (one stacked call if not given), reordered
+    and under the eigensolver's residual gate, and in levels (B, d) the index of each
+    eigenvalue's distinct level: neighbours within ``DEGENERACY_RTOL`` share one."""
+    w, v = _eigh_stack(m) if eigh is None else eigh
+    if order == "descending":
+        w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()
+    magnitude = np.abs(w)
+    top = magnitude.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = m @ v - v * w[:, None, :]
+        residual = np.sqrt((r.conj() * r).real.sum(axis=1)).max(axis=1)  # the columns' 2-norms
+    if not (residual <= EIGEN_RESIDUAL_RTOL * np.maximum(top, np.finfo(float).tiny)).all():
+        if not np.isfinite(residual).all():
+            raise OutOfScope(f"eigensolver residual overflows at |eigenvalue| {top.max():.3e}")
+        raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
+    levels = np.zeros(w.shape, dtype=int)
+    levels[:, 1:] = np.abs(w[:, 1:] - w[:, :-1]) > DEGENERACY_RTOL * (
+        1.0 + np.maximum(magnitude[:, 1:], magnitude[:, :-1]))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return m, w, v, levels.cumsum(axis=1)
 
 
 @dataclass(frozen=True)
 class SortedSpectrum:
-    """Eigenvalues and orthonormal eigenvectors in a canonical order.
+    """Eigenvalues and orthonormal eigenvectors in the order asked for.
 
-    ``values[i]`` belongs to column ``vectors[:, i]``.  ``clusters`` lists the
-    index runs of (numerically) degenerate eigenvalues; inside each cluster the
-    basis is fixed by a deterministic tie-break so repeated runs agree.
+    ``values[i]`` belongs to column ``vectors[:, i]``, as ``eigh`` returns the pair:
+    no phase is fixed, and inside a degenerate cluster the basis is the eigensolver's
+    own.  ``clusters`` lists the index runs of (numerically) degenerate eigenvalues.
     """
 
     values: np.ndarray
@@ -174,84 +187,42 @@ class SortedSpectrum:
 
 
 def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
-    """Eigendecomposition with deterministic degenerate-subspace tie-breaking.
+    """The eigenvalues in ``order`` and the eigenvector columns that ``eigh`` returns
+    with them (``_spectra`` of a stack of one).
 
     Use ``"descending"`` for states (largest population first) and
-    ``"ascending"`` for Hamiltonians (ground energy first).  Each operator
-    object is diagonalized at most once; the read-only spectrum of each order
-    is kept on it and returned by later calls.
+    ``"ascending"`` for Hamiltonians (ground energy first).  No result depends on a
+    vector's phase; the basis inside a degenerate cluster reaches only
+    ``conditional_thermal_state``, which flags it.  Each operator object is
+    diagonalized at most once; the read-only spectrum of each order is kept on it
+    and returned by later calls.
     """
     if order not in operator._spectra:
-        _canonicalize([operator], order)
+        if order not in ("ascending", "descending"):
+            raise ValueError(f"unknown order {order!r}")
+        if operator._eigh is None:
+            operator._eigh = tuple(a[0] for a in _eigh_stack(operator.matrix[None]))
+        _, values, vectors, levels = _spectra(operator.matrix[None], order,
+                                              tuple(a[None] for a in operator._eigh))
+        runs = tuple(tuple(np.flatnonzero(levels[0] == k).tolist())
+                     for k in range(levels[0, -1] + 1))
+        operator._spectra[order] = SortedSpectrum(values[0], vectors[0], order, runs)
     return operator._spectra[order]
 
 
-def _eigendecompose_all(
-    operators: list[HermitianOperator], order: Order
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """``eigendecompose`` of a block of operators of one dimension, stacked: the
-    values (B, d), vectors (B, d, d) and each row's clusters.  An operator that
-    holds the spectrum of ``order`` keeps it; the others get one stacked ``eigh``
-    (for those not yet diagonalized), the canonicalization over their stack, and
-    the degenerate-cluster tie-break only on the rows that need it."""
-    missing = [op for op in operators if order not in op._spectra]
-    if missing:
-        _canonicalize(missing, order)
-    spectra = [op._spectra[order] for op in operators]
-    return (np.array([s.values for s in spectra]), np.array([s.vectors for s in spectra]),
-            [s.clusters for s in spectra])
-
-
-def _canonicalize(operators: list[HermitianOperator], order: Order) -> None:
-    """Store the canonical spectrum of ``order`` on each operator of a block, under
-    the eigensolver's residual gate."""
-    if order not in ("ascending", "descending"):
-        raise ValueError(f"unknown order {order!r}")
-    todo = [op for op in operators if op._eigh is None]
-    if todo:
-        for op, eigh in zip(todo, _eigh_rows(np.array([op.matrix for op in todo]))):
-            op._eigh = eigh
-    step = -1 if order == "descending" else 1
-    w = np.array([op._eigh[0][::step] for op in operators])
-    v = np.array([op._eigh[1][:, ::step] for op in operators])
-
-    dim, magnitude = w.shape[1], np.abs(w)
-    # The gate reads the eigensolver's own pairs, before the tie-break below mixes each
-    # cluster's vectors: a cluster's eigenvalues may differ by DEGENERACY_RTOL (1 + |w|), about
-    # 1e-10 for a state, which is more than the gate allows once max |w| is below 0.1.
-    matrices = np.array([op.matrix for op in operators])
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(matrices @ v - v * w[:, None, :], axis=1).max(axis=1)
-    if not np.all(np.isfinite(residual)):
-        raise OutOfScope(f"eigensolver residual overflows at |eigenvalue| {magnitude.max():.3e}")
-    gate = EIGEN_RESIDUAL_RTOL * np.maximum(magnitude.max(axis=1), np.finfo(float).tiny)
-    if np.any(residual > gate):
-        raise ValueError(f"eigensolver residual {residual.max():.3e} exceeds gate")
-    scale = 1.0 + np.maximum(magnitude[:, 1:], magnitude[:, :-1])
-    gaps = np.abs(w[:, 1:] - w[:, :-1]) > DEGENERACY_RTOL * scale
-    clusters = [tuple((i,) for i in range(dim))] * len(operators)
-    fixed = _fix_phase(v)
-    degenerate = () if gaps.all() else np.flatnonzero(~gaps.all(axis=1))  # rows with a cluster
-    for r in degenerate:
-        breaks = (np.flatnonzero(gaps[r]) + 1).tolist()
-        clusters[r] = tuple(tuple(range(a, b)) for a, b in zip([0] + breaks, breaks + [dim]))
-        for members in clusters[r]:
-            if len(members) > 1:
-                sl = slice(members[0], members[-1] + 1)
-                fixed[r, :, sl] = _canonical_columns(v[r, :, sl])
-
-    for a in (w, fixed):
-        a.setflags(write=False)
-    for op, values, vectors, runs in zip(operators, w, fixed, clusters):
-        op._spectra[order] = SortedSpectrum(values, vectors, order, runs)
+def _stack_of(operator: HermitianOperator, order: Order) -> tuple:
+    """``eigendecompose`` of one operator as the stack of one row ``_spectra`` returns."""
+    s = eigendecompose(operator, order)
+    levels = np.repeat(np.arange(len(s.clusters)), [len(c) for c in s.clusters])
+    return operator.matrix[None], s.values[None], s.vectors[None], levels[None]
 
 
 @dataclass(frozen=True)
 class GibbsState:
-    """Thermal equilibrium state exp(-beta H)/Z on the canonical ascending
-    ``spectrum`` of H, with ln Z and ``log_populations`` = -beta E - ln Z (exact
-    to rounding however small the populations).  The dense ``rho`` is built on
-    first use; relative entropies to a Gibbs state never diagonalize it.
+    """Thermal equilibrium state exp(-beta H)/Z on the ascending ``spectrum`` of H,
+    with ln Z and ``log_populations`` = -beta E - ln Z (exact to rounding however
+    small the populations).  The dense ``rho`` is built on first use; relative
+    entropies to a Gibbs state never diagonalize it.
     """
 
     beta: float
@@ -399,11 +370,10 @@ def _rotate(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis.conj().swapaxes(-1, -2) @ matrices @ basis
 
 
-def _pinch(rotated: np.ndarray, clusters: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """A matrix in the energy eigenbasis with the blocks between distinct levels
-    zeroed; intra-cluster blocks of a degenerate spectrum are kept."""
-    ids = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])
-    return rotated * (ids[:, None] == ids[None, :])
+def _pinch(rotated: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Matrices (..., d, d) in the energy eigenbasis with the blocks between distinct
+    ``levels`` (..., d) zeroed; intra-cluster blocks of a degenerate spectrum are kept."""
+    return rotated * (levels[..., :, None] == levels[..., None, :])
 
 
 def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix:
@@ -415,9 +385,9 @@ def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
-    spectrum = eigendecompose(hamiltonian, "ascending")
-    pinched = _pinch(_rotate(rho.matrix, spectrum.vectors), spectrum.clusters)
-    return DensityMatrix(spectrum.vectors @ pinched @ spectrum.vectors.conj().T)
+    _, _, (basis,), (levels,) = _stack_of(hamiltonian, "ascending")
+    pinched = _pinch(_rotate(rho.matrix, basis), levels)
+    return DensityMatrix(basis @ pinched @ basis.conj().T)
 
 
 def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -430,15 +400,15 @@ class _SpectralBlock:
     """The spectra of a block of (rho, H) pairs of one dimension at one beta,
     stacked so that row b of every array belongs to pair b: rho's ``matrices``,
     eigenvectors ``vectors`` and eigenvalues ``populations`` (descending), H's
-    eigenbasis ``basis``, ``energies`` (ascending) and ``clusters``, the Gibbs
-    ``log_z`` and ``log_populations`` (ln rho_eq = -beta E - ln Z), and
+    eigenbasis ``basis``, ``energies`` (ascending) and ``levels`` (``_spectra``),
+    the Gibbs ``log_z`` and ``log_populations`` (ln rho_eq = -beta E - ln Z), and
     ``energy`` = tr(rho H).  Every relative entropy to rho_eq is then a closed
     form, and nothing diagonalizes exp(-beta H)/Z.  Each quantity is evaluated
     once for the whole block, each row with the bits a block of one gives it:
     every row is summed over all d levels, a level at or below ``SUPPORT_FLOOR``
     as an exact zero (``_support_sums``), and only a degenerate H needs a solver
-    for its row's dephased spectrum.  One triple is a block of one row
-    (``spectral_context``).
+    for its row's dephased spectrum.  A block is built from stacks and their
+    stacked ``eigh``; one triple is a block of one row (``spectral_context``).
     """
 
     beta: float
@@ -447,23 +417,21 @@ class _SpectralBlock:
     populations: np.ndarray
     basis: np.ndarray
     energies: np.ndarray
-    clusters: list
+    levels: np.ndarray
     log_z: np.ndarray
     log_populations: np.ndarray
     energy: np.ndarray
 
     @classmethod
-    def of(cls, rhos: list[DensityMatrix], hamiltonians: list[HermitianOperator],
-           beta: float) -> _SpectralBlock:
-        """The block of the pairs (rhos[b], hamiltonians[b]): one stacked
-        ``eigendecompose`` of each list, then the Gibbs logs of every row."""
-        energies, basis, clusters = _eigendecompose_all(hamiltonians, "ascending")
-        populations, vectors, _ = _eigendecompose_all(rhos, "descending")
+    def of(cls, states: tuple, hamiltonians: tuple, beta: float) -> _SpectralBlock:
+        """The block of the pairs of rows b of two stacks as ``_spectra`` returns them,
+        the states descending and the Hamiltonians ascending, with the Gibbs logs of
+        every row."""
+        matrices, populations, vectors, _ = states
+        h, energies, basis, levels = hamiltonians
         log_z, log_populations, _ = _gibbs_logs(energies, beta)
-        matrices = np.array([rho.matrix for rho in rhos])
-        energy = _traces(matrices, np.array([h.matrix for h in hamiltonians]))
-        return cls(float(beta), matrices, vectors, populations, basis, energies, clusters,
-                   log_z, log_populations, energy)
+        return cls(float(beta), matrices, vectors, populations, basis, energies, levels,
+                   log_z, log_populations, _traces(matrices, h))
 
     @cached_property
     def _rotated(self) -> np.ndarray:
@@ -475,9 +443,9 @@ class _SpectralBlock:
         diagonal, or those of the pinched state where H is degenerate."""
         rotated = self._rotated
         values = np.sort(np.diagonal(rotated, axis1=1, axis2=2).real, axis=1)[:, ::-1]
-        degenerate = [r for r, runs in enumerate(self.clusters) if len(runs) < rotated.shape[1]]
-        if degenerate:
-            pinched = np.array([_pinch(rotated[r], self.clusters[r]) for r in degenerate])
+        degenerate = self.levels[:, -1] < rotated.shape[1] - 1
+        if degenerate.any():
+            pinched = _pinch(rotated[degenerate], self.levels[degenerate])
             values[degenerate] = np.linalg.eigvalsh(pinched)[:, ::-1]
         return values
 
@@ -524,4 +492,5 @@ def spectral_context(
     that compares rho with the Gibbs state of H."""
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
-    return _SpectralBlock.of([rho], [hamiltonian], beta)
+    return _SpectralBlock.of(_stack_of(rho, "descending"), _stack_of(hamiltonian, "ascending"),
+                             beta)

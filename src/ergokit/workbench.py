@@ -19,9 +19,11 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     _dots,
-    _eigendecompose_all,
     _gibbs_logs,
     _SpectralBlock,
+    _stack_of,
+    _states,
+    eigendecompose,
 )
 
 UNITARY_ATOL = 1e-9
@@ -36,7 +38,8 @@ class DrivingProtocol:
     Knot times rise from 0 to ``tau``, and the Hamiltonian is interpolated
     linearly between neighbouring knots.  Two knots at one time make a jump:
     the later knot holds from that time on.  A protocol with ``tau == 0`` is
-    therefore a sudden switch from ``initial`` to ``final``.
+    therefore a sudden switch from ``initial`` to ``final``.  The propagators
+    read its path, (``_times``, ``_matrices``): the knot times and matrices.
     """
 
     knots: tuple[tuple[float, HermitianOperator], ...]
@@ -94,20 +97,20 @@ class DrivingProtocol:
         return (1.0 - x) * self._matrices[j] + x * self._matrices[j + 1]
 
 
-def _step_counts(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
-    """The steps on each knot interval: at least one, in proportion to its length, so no
-    step straddles a kink and a linear ramp takes ``n_steps`` equal steps."""
+def _step_counts(times: np.ndarray, n_steps: int) -> np.ndarray:
+    """The steps on each interval of a non-sudden path's knot ``times``: at least one, in
+    proportion to its length, so no step straddles a kink and a ramp takes ``n_steps``."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1 for non-sudden protocols")
-    return np.maximum(1, np.rint(n_steps * np.diff(protocol._times) / protocol.tau).astype(int))
+    return np.maximum(1, np.rint(n_steps * np.diff(times) / times[-1]).astype(int))
 
 
-def _step_midpoints(protocol: DrivingProtocol, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _step_midpoints(times: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The midpoint t_k + dt_k / 2 and the width dt_k of each step k."""
-    counts = _step_counts(protocol, n_steps)
-    dt = np.repeat(np.diff(protocol._times) / counts, counts)
+    counts = _step_counts(times, n_steps)
+    dt = np.repeat(np.diff(times) / counts, counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(protocol._times[:-1], counts) + (index + 0.5) * dt, dt
+    return np.repeat(times[:-1], counts) + (index + 0.5) * dt, dt
 
 
 def _polar(m: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     """
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
-    midpoints, dt = _step_midpoints(protocol, n_steps)
+    midpoints, dt = _step_midpoints(protocol._times, n_steps)
     return _ordered_exponentials([dt[:, None, None] * protocol.hamiltonian_at(midpoints)])[0]
 
 
@@ -179,13 +182,14 @@ GENERATOR_BLOCK = 2**19
 EIGH_CHUNK = 2**16  # entries (1 MiB) per eigh call there: a thread's temporaries stay small
 
 
-def _magnus_generators(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
-    """The fourth-order Magnus generators K of a non-sudden protocol's steps.  On knot interval
+def _magnus_generators(path: tuple[np.ndarray, np.ndarray], n_steps: int) -> np.ndarray:
+    """The fourth-order Magnus generators K of a non-sudden ``path``'s steps.  On knot interval
     j, H is linear, so [H_2, H_1] = (x_2 - x_1) [H_{j+1}, H_j] at the nodes' fractions x_1 < x_2
     of it: K = dt/2 ((2 - s) H_j + s H_{j+1}) - i (sqrt(3)/12) dt^2 (x_2 - x_1) [H_{j+1}, H_j],
     s = x_1 + x_2 = (2i + 1)/c at step i of c, x_2 - x_1 = 1/(sqrt(3) c).  A jump has K = 0."""
-    counts = _step_counts(protocol, n_steps)
-    dt, m = np.diff(protocol._times) / counts, protocol._matrices
+    times, m = path
+    counts = _step_counts(times, n_steps)
+    dt = np.diff(times) / counts
     generators = np.empty((int(counts.sum()),) + m.shape[1:], dtype=complex)
     for j, rows in enumerate(np.split(generators, np.cumsum(counts)[:-1])):
         c = len(rows)
@@ -196,18 +200,18 @@ def _magnus_generators(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     return generators
 
 
-def _magnus_products(units: list[tuple[DrivingProtocol, int]]) -> list[np.ndarray]:
-    """``magnus_product`` of each (non-sudden protocol, n_steps) unit, in order.  The
+def _magnus_products(units: list[tuple[tuple, int]]) -> list[np.ndarray]:
+    """``magnus_product`` of each (non-sudden protocol's path, n_steps) unit, in order.  The
     units' generators are stacked in order, up to ``GENERATOR_BLOCK`` entries a stack
     (a larger unit alone), and each stack is exponentiated by ``_ordered_exponentials``
     before the next unit's generators are built."""
     products, stack, size = [], [], 0
-    for protocol, n_steps in units:
-        entries = int(_step_counts(protocol, n_steps).sum()) * protocol.initial.dim**2
+    for path, n_steps in units:
+        entries = int(_step_counts(path[0], n_steps).sum()) * path[1][0].size
         if stack and size + entries > GENERATOR_BLOCK:
             products += _ordered_exponentials(stack)
             size = 0
-        stack.append(_magnus_generators(protocol, n_steps))
+        stack.append(_magnus_generators(path, n_steps))
         size += entries
     return products + (_ordered_exponentials(stack) if stack else [])
 
@@ -223,7 +227,7 @@ def magnus_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
     """
     if protocol.tau == 0.0:
         return np.eye(protocol.initial.dim, dtype=complex)
-    return _magnus_products([(protocol, n_steps)])[0]
+    return _magnus_products([((protocol._times, protocol._matrices), n_steps)])[0]
 
 
 def evolve_unitary(protocol: DrivingProtocol, n_steps: int = 32,
@@ -232,23 +236,24 @@ def evolve_unitary(protocol: DrivingProtocol, n_steps: int = 32,
     the two agree entrywise within ``tol``: the Richardson extrapolant polar((16 U_2n - U_n)/15)
     of that pair, whose dt^4 error term cancels (Hairer, Lubich and Wanner, Geometric Numerical
     Integration, 2006).  Raises ``NotConverged`` if ``MAX_DOUBLINGS`` doublings miss the gate."""
-    return _evolve_all([protocol], n_steps, tol)[0]
+    return _evolve_all([(protocol._times, protocol._matrices)], n_steps, tol)[0]
 
 
-def _evolve_all(protocols: list[DrivingProtocol], n_steps: int, tol: float) -> list[np.ndarray]:
-    """``evolve_unitary`` of each protocol of one dimension.  A sudden switch is the identity;
-    the first two resolutions of every other protocol are one ``_magnus_products`` pass, and
-    each further doubling is one pass over the protocols that missed the gate."""
-    unitaries = [np.eye(p.initial.dim, dtype=complex) for p in protocols]
-    pending = [i for i, p in enumerate(protocols) if p.tau != 0.0]
+def _evolve_all(paths: list[tuple], n_steps: int, tol: float) -> list[np.ndarray]:
+    """``evolve_unitary`` of the protocol of each path (knot times, matrices) of one
+    dimension.  A sudden switch is the identity; the first two resolutions of every other
+    path are one ``_magnus_products`` pass, and each further doubling is one pass over the
+    paths that missed the gate."""
+    unitaries = [np.eye(m.shape[-1], dtype=complex) for _, m in paths]
+    pending = [i for i, (times, _) in enumerate(paths) if times[-1] != 0.0]
     # The finer resolution first (its larger generators are built while fewer are
     # held), each resolution's units in a run that is multiplied together.
-    first = _magnus_products([(protocols[i], n) for n in (2 * n_steps, n_steps) for i in pending])
+    first = _magnus_products([(paths[i], n) for n in (2 * n_steps, n_steps) for i in pending])
     refined, current = first[:len(pending)], first[len(pending):]
     for doubling in range(MAX_DOUBLINGS):
         n_steps *= 2
         if doubling:
-            refined = _magnus_products([(protocols[i], n_steps) for i in pending])
+            refined = _magnus_products([(paths[i], n_steps) for i in pending])
         missed = [float(np.max(np.abs(new - old))) > tol for old, new in zip(current, refined)]
         met = [k for k, miss in enumerate(missed) if not miss]
         if met:  # the pass's extrapolants, polar-projected by one batched svd
@@ -286,42 +291,41 @@ def conditional_thermal_state(
     through ``unitary`` at inverse temperature ``beta``.
 
     Under a degenerate initial Hamiltonian the conditional energies depend on
-    the basis chosen inside each degenerate subspace; the canonical tie-broken
-    basis is used and the degeneracy flagged on the result.
+    the basis chosen inside each degenerate subspace: the eigenvectors that
+    ``eigendecompose`` gives h_initial, which are ``eigh``'s own there, are used
+    and the degeneracy flagged on the result.
     """
-    return _conditional_states([h_initial], [h_final], np.asarray(unitary, dtype=complex)[None],
-                               beta)[0]
+    if h_final.dim != h_initial.dim:
+        raise ValueError("Hamiltonian dimensions must match")
+    spectrum = eigendecompose(h_initial, "ascending")
+    states, weights, h_values, log_z = _conditional_states(
+        spectrum.vectors[None], h_final.matrix[None], np.asarray(unitary, dtype=complex)[None],
+        beta)
+    return ConditionalThermalState(DensityMatrix(states[0]), weights[0], h_values[0],
+                                   float(log_z[0]), len(spectrum.clusters) < h_initial.dim)
 
 
 def _conditional_states(
-    h_initial: list[HermitianOperator],
-    h_final: list[HermitianOperator],
-    unitaries: np.ndarray,
-    beta: float,
-) -> list[ConditionalThermalState]:
-    """``conditional_thermal_state`` of each row of a block of one dimension: one
-    stacked ``eigendecompose`` of the initial Hamiltonians, ln Z(B|A) and the weights
+    basis: np.ndarray, finals: np.ndarray, unitaries: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``conditional_thermal_state`` of each row of a block of one dimension, from the
+    stacks (B, d, d) of H_A's ascending eigenvectors ``basis``, H_B's matrices ``finals``
+    and the propagators: (states, weights, h_values, ln Z(B|A)), the weights and ln Z(B|A)
     from ``_gibbs_logs`` of the conditional energies (``OutOfScope`` if a weight
-    underflows, as for a Gibbs state), and the states validated together by
-    ``DensityMatrix._block``.  Each row has the bits of a block of one."""
-    dim = h_initial[0].dim
+    underflows, as for a Gibbs state), the states as matrices that the caller validates.
+    Each row has the bits of a block of one."""
+    dim = basis.shape[-1]
     u = np.asarray(unitaries, dtype=complex)
     if u.shape[1:] != (dim, dim):
         raise ValueError(f"propagator shape {u.shape[1:]} does not match dim {dim}")
     for defect in np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim)).max(axis=(1, 2)).tolist():
         if defect > UNITARY_ATOL:
             raise ValueError(f"propagator is not unitary: defect {defect:.3e}")
-    if any(h.dim != dim for h in h_final):
-        raise ValueError("Hamiltonian dimensions must match")
-
-    _, vectors, clusters = _eigendecompose_all(h_initial, "ascending")
-    evolved = u @ vectors
-    finals = np.array([h.matrix for h in h_final])
+    evolved = u @ basis
     h_values = np.einsum("bdi,bde,bei->bi", evolved.conj(), finals, evolved).real
     log_z, _, weights = _gibbs_logs(h_values, beta)
-    rhos = DensityMatrix._block((evolved * weights[:, None, :]) @ evolved.conj().swapaxes(1, 2))
-    return [ConditionalThermalState(rho, w, h, z, any(len(c) > 1 for c in runs))
-            for rho, w, h, z, runs in zip(rhos, weights, h_values, log_z.tolist(), clusters)]
+    states = (evolved * weights[:, None, :]) @ evolved.conj().swapaxes(1, 2)
+    return states, weights, h_values, log_z
 
 
 @dataclass(frozen=True)
@@ -347,9 +351,9 @@ class WorkReport:
     between beta <W_irr> and the bound.  ``bound_closed_form`` is
     ln Z_B - ln Z(B|A), which the bound equals exactly (the conditional
     partition identity).  ``w_irr`` is avg_work - delta_f, as ``_bound_reports``
-    computes it.  Building a report raises ``InvariantViolation`` if beta w_irr
-    falls below the bound, or the three terms miss it, by more than 1e-9: a
-    printed report has passed both, so ``otm`` prints neither as a check.
+    computes it.  Building a report applies ``_check_bound``, as ``_bound_reports``
+    does: a printed report has passed both of its gates, so ``otm`` prints
+    neither as a check.
     """
 
     avg_work: float
@@ -364,14 +368,19 @@ class WorkReport:
     bound_closed_form: float
 
     def __post_init__(self):
-        if self.beta * self.w_irr < self.bound - 1e-9:
-            raise InvariantViolation(
-                "maximum work bound violated: beta*w_irr = "
-                f"{self.beta * self.w_irr:.12e} < bound = {self.bound:.12e}"
-            )
-        gap = abs(self.bound_terms.total() - self.bound)
-        if gap > 1e-9:
-            raise InvariantViolation(f"bound decomposition misses the bound by {gap:.3e}")
+        _check_bound(self.beta * self.w_irr, self.bound, self.bound_terms.total())
+
+
+def _check_bound(beta_w_irr, bound, terms) -> None:
+    """The ``WorkReport`` invariants, on floats or on arrays of a block's rows: beta w_irr
+    is not below the bound, and the three terms do not miss it, by more than 1e-9.  Raises
+    ``InvariantViolation`` for the first row that breaks one."""
+    beta_w_irr, bound, gap = np.atleast_1d(beta_w_irr, bound, np.abs(terms - bound))
+    for r in np.flatnonzero((beta_w_irr < bound - 1e-9) | (gap > 1e-9))[:1]:
+        if beta_w_irr[r] < bound[r] - 1e-9:
+            raise InvariantViolation("maximum work bound violated: beta*w_irr = "
+                                     f"{beta_w_irr[r]:.12e} < bound = {bound[r]:.12e}")
+        raise InvariantViolation(f"bound decomposition misses the bound by {gap[r]:.3e}")
 
 
 def sharpened_bound_report(
@@ -389,31 +398,37 @@ def sharpened_bound_report(
     <W> = sum_j p_j (h_B(j) - E_j) over the initial Gibbs spectrum and
     Delta F = -(ln Z_B - ln Z_A) / beta.
     """
-    return _bound_reports([protocol], np.asarray(unitary, dtype=complex)[None], beta)[0]
+    columns = _bound_reports(_stack_of(protocol.initial, "ascending"),
+                             _stack_of(protocol.final, "ascending"),
+                             np.asarray(unitary, dtype=complex)[None], beta)
+    row = {name: float(values[0]) for name, values in columns.items()}
+    terms = BoundTerms(*(row.pop(name) for name in ("incoherent", "coherence", "population")))
+    return WorkReport(beta=float(beta), bound_terms=terms, **row)
 
 
-def _bound_reports(protocols: list[DrivingProtocol], unitaries: np.ndarray,
-                   beta: float) -> list[WorkReport]:
-    """``sharpened_bound_report`` of each row of a block of one dimension: the H_A
-    spectra and Gibbs logs stacked, the conditional states built as one stack, and
-    one ``_SpectralBlock`` of the conditional states and H_B's for every route and
-    check.  Each row has the bits of a block of one."""
-    h_initial = [p.initial for p in protocols]
-    h_final = [p.final for p in protocols]
-    energies = _eigendecompose_all(h_initial, "ascending")[0]
+def _bound_reports(initial: tuple, final: tuple, unitaries: np.ndarray,
+                   beta: float) -> dict[str, np.ndarray]:
+    """The ``sharpened_bound_report`` fields of each row of a block of one dimension, as
+    columns named like the ``WorkReport`` and ``BoundTerms`` fields, from the ascending
+    ``_spectra`` of the stacks of H_A and H_B: the H_A Gibbs logs, the conditional states
+    validated as one stack, and one ``_SpectralBlock`` of them and the H_B's for every
+    route and check, gated by ``_check_bound``.  Each row has the bits of a block of one."""
+    _, energies, basis, _ = initial
     log_z_a, _, populations = _gibbs_logs(energies, beta)
-    conditional = _conditional_states(h_initial, h_final, unitaries, beta)
-    block = _SpectralBlock.of([c.rho for c in conditional], h_final, beta)
+    states, _, h_values, log_cz = _conditional_states(basis, final[0], unitaries, beta)
+    block = _SpectralBlock.of(_states(states), final, beta)
     routes = _routes(block)
-    log_cz = np.array([c.log_conditional_z for c in conditional])
-    avg_work = _dots(populations, np.array([c.h_values for c in conditional]) - energies)
+    avg_work = _dots(populations, h_values - energies)
     delta_f = -(block.log_z - log_z_a) / float(beta)
-    rows = zip(*(column.tolist() for column in (
-        avg_work, delta_f, avg_work - delta_f, block.relative_entropy,
-        beta * routes["incoherent"], block.coherence, block.population_divergence,
-        beta * avg_work + log_cz - log_z_a, routes["dephased_ergotropy"],
-        routes["total"] - routes["dephased_ergotropy"], block.log_z - log_cz,
-    )))
-    # WorkReport's fields in order, beta and the bound's three terms put in place.
-    return [WorkReport(*row[:3], float(beta), row[3], BoundTerms(*row[4:7]), *row[7:])
-            for row in rows]
+    columns = {
+        "avg_work": avg_work, "delta_f": delta_f, "w_irr": avg_work - delta_f,
+        "bound": block.relative_entropy, "incoherent": beta * routes["incoherent"],
+        "coherence": block.coherence, "population": block.population_divergence,
+        "jensen_slack": beta * avg_work + log_cz - log_z_a,
+        "alt_incoherent_ergotropy": routes["dephased_ergotropy"],
+        "alt_coherent_ergotropy": routes["total"] - routes["dephased_ergotropy"],
+        "bound_closed_form": block.log_z - log_cz,
+    }
+    _check_bound(float(beta) * columns["w_irr"], columns["bound"],
+                 columns["incoherent"] + columns["coherence"] + columns["population"])
+    return columns

@@ -40,14 +40,10 @@ PLUS = DensityMatrix(np.full((2, 2), 0.5))
 class TestPoints:
     """Row i of ``GeometricState.points`` is the unit vector that carries weight i."""
 
-    def test_phase_fixed(self):
-        state = GeometricState(
-            points=np.array([[1j / math.sqrt(2), -1j / math.sqrt(2)], [0.6j, -0.8]]),
-            weights=np.array([0.5, 0.5]),
-        )
-        for row in state.points:
-            k = int(np.argmax(np.abs(row)))
-            assert row[k].real > 0.0 and row[k].imag == 0.0
+    def test_unit_rows_kept_as_given(self):
+        points = np.array([[1j / math.sqrt(2), -1j / math.sqrt(2)], [0.6j, -0.8]])
+        state = GeometricState(points=points, weights=np.array([0.5, 0.5]))
+        assert np.allclose(state.points, points, rtol=0.0, atol=1e-15)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):

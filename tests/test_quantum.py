@@ -24,7 +24,9 @@ from ergokit import (
 )
 from ergokit import _threads
 from ergokit.errors import OutOfScope
-from ergokit.quantum import _eigendecompose_all, _eigh_rows, _logsumexp
+from ergokit.quantum import (
+    _density_stack, _eigh_stack, _hermitian_stack, _logsumexp, _spectra, _states,
+)
 from ergokit.sampling import _streams, haar_unitaries, random_density, random_hermitian, stream
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -90,7 +92,7 @@ class TestEigendecompose:
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
-    def test_degenerate_tie_break_is_reproducible(self):
+    def test_degenerate_spectra_and_clusters_are_reproducible(self):
         # Two-fold degenerate subspace reached through different roundings.
         rng = stream(13)
         u = haar_unitaries(3, 1, rng)[0]
@@ -102,9 +104,9 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_near_degenerate_pair_on_a_small_spectrum_decomposes(self, seed):
-        # Eigenvalues 7 and 8 lie 1e-10 apart, inside the degeneracy tolerance, so the
-        # tie-break mixes their vectors; the mixed vectors miss the residual gate, which is
-        # 1e-9 * 0.07 here.  The gate reads the eigensolver's own pairs, so this decomposes.
+        # Eigenvalues 7 and 8 lie 1e-10 apart, inside the degeneracy tolerance: a basis that
+        # mixed their vectors would miss the residual gate, which is 1e-9 * 0.07 here.  The
+        # spectrum keeps the eigensolver's own pairs, so this decomposes.
         u = haar_unitaries(16, 1, stream(seed))[0]
         p = 1.0 / 16 + 1e-3 * (np.arange(16) - 7.5)
         p[7:9] = p[7:9].mean() + np.array([0.5e-10, -0.5e-10])
@@ -126,13 +128,13 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="eigensolver residual"):
             eigendecompose(random_density(4, stream(3)), "descending")
 
-    def test_phase_fix_largest_component_real_positive(self):
-        spec = eigendecompose(random_density(4, stream(21)), "descending")
-        for j in range(4):
-            col = spec.vectors[:, j]
-            k = int(np.argmax(np.abs(col)))
-            assert col[k].real > 0.0
-            assert abs(col[k].imag) < 1e-12
+    def test_vectors_are_the_eigensolver_columns_in_the_requested_order(self):
+        rho = random_density(4, stream(21))
+        w, v = np.linalg.eigh(rho.matrix)
+        for order, step in (("descending", -1), ("ascending", 1)):
+            spec = eigendecompose(rho, order)
+            assert np.array_equal(spec.values, w[::step])
+            assert np.array_equal(spec.vectors, v[:, ::step])
 
 
 class TestStoredSpectrum:
@@ -219,16 +221,15 @@ class TestSplitEigh:
             return counted(a)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        rows = _eigh_rows(m)
+        halves_w, halves_v = _eigh_stack(m)
         assert sorted(n for _, n in threads) == sorted([length // 2, length - length // 2])
         assert len({ident for ident, _ in threads}) == 2
         # The whole stack and its two halves: the same matrices are solved twice.
         assert eigensolver_calls["eigh"] == 3
         assert eigensolver_calls.matrices["eigh"] == 2 * length
-        assert len(rows) == length
-        for (row_w, row_v), whole_w, whole_v in zip(rows, w, v):
-            assert row_w.tobytes() == whole_w.tobytes()
-            assert row_v.tobytes() == whole_v.tobytes()
+        assert halves_w.shape == w.shape and halves_v.shape == v.shape
+        assert halves_w.tobytes() == w.tobytes()
+        assert halves_v.tobytes() == v.tobytes()
 
     def test_claimed_parts_go_out_once_in_turn(self, two_cpus):
         # Serial, one call takes every part in order; split, the two calls claim parts in
@@ -255,7 +256,7 @@ class TestSplitEigh:
     @pytest.mark.parametrize("dim", [3, 16])
     def test_blocks_keep_their_bits_split_or_whole(self, monkeypatch, two_cpus, dim):
         # Density matrices with a clamped row and a rounded trace, then Hermitian operators
-        # through the canonical spectra, with the split forced on and then disabled.
+        # through their spectra, with the split forced on and then disabled.
         states = np.array([random_density(dim, stream(50, k)).matrix for k in range(7)])
         states[2] *= 1.0 + 3e-13
         u = haar_unitaries(dim, 1, stream(51))[0]
@@ -265,14 +266,13 @@ class TestSplitEigh:
         runs = []
         for entries in (0, 2**62):
             monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
-            rhos = DensityMatrix._block(states.copy())
-            assert rhos[4]._eigh is None  # the clamped row, diagonalized again below
-            kept = [a.tobytes() for r in rhos if r._eigh is not None for a in r._eigh]
-            hamiltonians = HermitianOperator._block(operators.copy())
+            *validated, stale = _density_stack(states.copy())
+            assert list(np.flatnonzero(stale)) == [4]  # the clamped row, diagonalized again below
             runs.append(
-                [r.matrix.tobytes() for r in rhos] + kept
-                + [a.tobytes() for a in _eigendecompose_all(rhos, "descending")[:2]]
-                + [a.tobytes() for a in _eigendecompose_all(hamiltonians, "ascending")[:2]]
+                [a.tobytes() for a in validated]
+                + [a.tobytes() for a in _states(states.copy())[:3]]
+                + [a.tobytes()
+                   for a in _spectra(_hermitian_stack(operators.copy()), "ascending")[:3]]
             )
         assert runs[0] == runs[1]
 

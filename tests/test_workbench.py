@@ -22,7 +22,7 @@ from ergokit import (
 )
 from ergokit import _threads, workbench
 from ergokit.errors import OutOfScope
-from ergokit.quantum import _gibbs_logs
+from ergokit.quantum import _gibbs_logs, _spectra
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
 from ergokit.workbench import _bound_reports, _evolve_all, magnus_product
 
@@ -145,7 +145,7 @@ class TestEvolveUnitary:
         protocol = DrivingProtocol.from_schedule(
             [(0.0, h[0]), (0.25, h[1]), (0.7, h[2]), (0.7, h[3]), (1.6, h[4])])
         for n_steps in (1, 7, 64):
-            counts = workbench._step_counts(protocol, n_steps)
+            counts = workbench._step_counts(protocol._times, n_steps)
             dt = np.repeat(np.diff(protocol._times) / counts, counts)[:, None, None]
             start = np.repeat(protocol._times[:-1], counts)
             index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -153,7 +153,8 @@ class TestEvolveUnitary:
             h1, h2 = (protocol.hamiltonian_at(start + (index + c) * dt[:, 0, 0]) for c in nodes)
             reference = 0.5 * dt * (h1 + h2) - 1j * math.sqrt(3.0) / 12.0 * dt**2 * (
                 h2 @ h1 - h1 @ h2)
-            generators = workbench._magnus_generators(protocol, n_steps)
+            generators = workbench._magnus_generators((protocol._times, protocol._matrices),
+                                                      n_steps)
             scale = np.abs(reference).max(axis=(1, 2), keepdims=True)
             jump = np.flatnonzero(dt[:, 0, 0] == 0.0)
             assert len(jump) == 1 and not generators[jump].any()  # the jump's step is exp(0) = I
@@ -425,7 +426,8 @@ class TestBlocks:
         for entries, chunk in ((2**62, 2**62), (0, 5 * dim * dim)):
             monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
             monkeypatch.setattr(workbench, "EIGH_CHUNK", chunk)
-            runs.append([u.tobytes() for u in _evolve_all(block, 32, 1e-6)])
+            paths = [(p._times, p._matrices) for p in block]
+            runs.append([u.tobytes() for u in _evolve_all(paths, 32, 1e-6)])
         assert runs[0] == runs[1]
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -455,12 +457,17 @@ class TestBlocks:
             return made
 
         block = protocols()
-        unitaries = _evolve_all(block, 32, 1e-6)
-        reports = _bound_reports(block, np.array(unitaries), beta)
-        for kind, protocol, u, report in zip(kinds, protocols(), unitaries, reports):
+        unitaries = _evolve_all([(p._times, p._matrices) for p in block], 32, 1e-6)
+        initial, final = (_spectra(np.array([p._matrices[k] for p in block]), "ascending")
+                          for k in (0, -1))
+        columns = _bound_reports(initial, final, np.array(unitaries), beta)
+        for r, (kind, protocol, u) in enumerate(zip(kinds, protocols(), unitaries)):
             alone = evolve_unitary(protocol, n_steps=32, tol=1e-6)
             assert np.array_equal(u, alone)
-            assert report == sharpened_bound_report(protocol, alone, beta)
+            report = sharpened_bound_report(protocol, alone, beta)
+            fields = {**vars(report), **vars(report.bound_terms)}
+            assert {name: float(values[r]) for name, values in columns.items()} == {
+                name: fields[name] for name in columns}
             if kind == "slow" and dim > 1:
                 coarse, fine = magnus_product(protocol, 32), magnus_product(protocol, 64)
                 assert np.max(np.abs(fine - coarse)) > 1e-6
