@@ -31,10 +31,10 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gaps, _direct, _routes
+from .ergotropy import _aligned_gaps, _direct, _routes, ergotropy_report
 from .errors import ErgokitError, OutOfScope
 from .quantum import (
-    HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _stack_of, _states,
+    DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _states,
 )
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
@@ -132,47 +132,45 @@ def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
 # names to cells, and are read once, and only for ``--format csv``.
 
 
-def _load_state_pair(config: argparse.Namespace) -> tuple[tuple, tuple]:
-    """The ``_spectra`` of ``ergotropy``'s state and Hamiltonian as stacks of one row: a
-    generated pair drawn as arrays (``_random_block``), a pair read from ``--input`` as the
-    objects of the public API."""
+def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
     if config.input_path is None:
-        return _random_block(config.seed, range(1), config.dim)
+        states, hamiltonians = _random_block(config.seed, range(1), config.dim)
+        return DensityMatrix(states[0]), HermitianOperator(hamiltonians[0])
 
-    def parse(text: str):
+    def parse(text: str) -> tuple[DensityMatrix, HermitianOperator]:
         obj = json.loads(text)
         rho, hamiltonian = density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
         if rho.dim != hamiltonian.dim:
             raise ValueError(f"rho has dimension {rho.dim}, the Hamiltonian {hamiltonian.dim}")
         return rho, hamiltonian
 
-    rho, hamiltonian = _read_input(config.input_path, "state file", parse)
-    return _stack_of(rho, "descending"), _stack_of(hamiltonian, "ascending")
+    return _read_input(config.input_path, "state file", parse)
 
 
 def _cmd_ergotropy(config: argparse.Namespace):
-    states, hamiltonians = _load_state_pair(config)
-    block = _SpectralBlock.of(states, hamiltonians, config.beta)
-    results = {name: float(values[0]) for name, values in _routes(block).items()}
-    results["via_geometric"] = float(geo._geometric_route(block)[0])
-    scale = 1.0 + abs(results["total"])
-    checks = {f"route_{route}_agrees": _check(abs(results["total"] - results[f"via_{route}"]),
+    rho, hamiltonian = _load_state_pair(config)
+    report = ergotropy_report(rho, hamiltonian, config.beta)
+    results = {name: getattr(report, name) for name in (
+        "total", "via_entropies", "coherent_eq11", "incoherent", "dephased_ergotropy",
+        "beta_used", "passive_energy")}
+    results["via_geometric"] = float(geo._geometric_route(report.context)[0])
+    scale = 1.0 + abs(report.total)
+    checks = {f"route_{route}_agrees": _check(abs(report.total - results[f"via_{route}"]),
                                               config.tolerance * scale)
               for route in ("entropies", "geometric")}
-    results.update(beta_used=float(config.beta), state=matrix_to_json(states[0][0]),
-                   hamiltonian=matrix_to_json(hamiltonians[0][0]))
+    results.update(state=matrix_to_json(rho.matrix), hamiltonian=matrix_to_json(hamiltonian.matrix))
     return results, checks, [results]
 
 
-def _identity_rows(states: tuple, hamiltonians: tuple, beta: float) -> list[dict]:
-    """The sweep's rows for one block of trials, from the ``_spectra`` of its states and
+def _identity_rows(states: _Stack, hamiltonians: _Stack, beta: float) -> list[dict]:
+    """The sweep's rows for one block of trials, from the ``_Stack``s of its states and
     Hamiltonians, every column evaluated once over the block: the spectral routes, the
     chain identity and the aligning-unitary gap from one ``_SpectralBlock``, and the
     direct route from one stacked ``eigvalsh`` each of the states and the Hamiltonians.
     Each row has the bits the same trial gets as a block of one."""
     block = _SpectralBlock.of(states, hamiltonians, beta)
     via = _routes(block)["via_entropies"]
-    direct = _direct(block.matrices, hamiltonians[0])[0]
+    direct = _direct(block.matrices, hamiltonians.matrices)[0]
     columns = {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
         "chain_identity_dev":
@@ -182,14 +180,13 @@ def _identity_rows(states: tuple, hamiltonians: tuple, beta: float) -> list[dict
     return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
-def _random_block(seed: int, index: range, dim: int) -> tuple[tuple, tuple]:
-    """The ``_spectra`` of the states (descending) and of the Hamiltonians (ascending) of
-    the trials i in ``index``, drawn from ``stream(seed, 3i)`` and ``stream(seed, 3i + 1)``
-    (one repositioned generator for the block), each stack validated together."""
+def _random_block(seed: int, index: range, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The state and Hamiltonian matrices of the trials i in ``index``, not yet validated,
+    drawn from ``stream(seed, 3i)`` and ``stream(seed, 3i + 1)`` (one repositioned
+    generator for the block)."""
     streams = _streams(seed, (k for i in index for k in (3 * i, 3 * i + 1)))
     draws = _ginibre(streams, 2 * len(index), (dim, dim))
-    return (_states(_densities(draws[0::2])),
-            _spectra(_hermitian_stack(_hermitians(draws[1::2])), "ascending"))
+    return _densities(draws[0::2]), _hermitians(draws[1::2])
 
 
 def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> list[dict]:
@@ -211,9 +208,14 @@ def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> l
 
 def _cmd_verify_identities(config: argparse.Namespace):
     """Random-state sweep of the identities: ``_sweep`` over blocks whose states and
-    Hamiltonians are validated together and evaluated by ``_identity_rows``."""
-    trials = _sweep(config, lambda index: _identity_rows(
-        *_random_block(config.seed, index, config.dim), config.beta))
+    Hamiltonians are validated and diagonalized together and evaluated by
+    ``_identity_rows``."""
+    def rows(index: range) -> list[dict]:
+        states, hamiltonians = _random_block(config.seed, index, config.dim)
+        return _identity_rows(_states(states),
+                              _spectra(_hermitian_stack(hamiltonians), "ascending"), config.beta)
+
+    trials = _sweep(config, rows)
     results = {
         "trials": config.trials,
         "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),
@@ -348,7 +350,7 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     del draws
     taus = [float(rng.uniform(0.0, 1.5)) for rng in _streams(seed, (4 * i + 2 for i in index))]
     paths = [(np.array([0.0, tau if tau >= 0.15 else 0.0]), np.stack((a, b)))
-             for a, b, tau in zip(h_a[0], h_b[0], taus)]
+             for a, b, tau in zip(h_a.matrices, h_b.matrices, taus)]
     reports = _bound_reports(h_a, h_b, np.array(_evolve_all(paths, 32, 1e-6)), beta)
     w_irr, bound = reports["w_irr"], reports["bound"]
     columns = {"tau": np.array(taus), "avg_work": reports["avg_work"],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -45,17 +45,14 @@ class HermitianOperator:
     __slots__ = ("_matrix", "_eigh", "_spectra")
 
     def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        self._matrix, self._eigh = self._validate(m[None])  # np.linalg.eigh, once computed
-        self._matrix.setflags(write=False)
-        self._spectra = {}  # order -> SortedSpectrum
+        self._keep(_hermitian_stack(np.asarray(matrix, dtype=complex)[None]))
 
-    @staticmethod
-    def _validate(m: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        """The matrix to store for a stack of one, and its ``eigh`` (None: not yet computed)."""
-        return _hermitian_stack(m)[0], None
+    def _keep(self, matrices: np.ndarray, eigh: tuple | None = None) -> None:
+        """Keep the matrix of a validated stack of one row, read-only, and the stack's
+        ``eigh`` (None: not yet computed)."""
+        self._matrix = matrices[0]
+        self._matrix.setflags(write=False)
+        self._eigh, self._spectra = eigh, {}  # order -> (_Stack, SortedSpectrum)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -75,16 +72,17 @@ class DensityMatrix(HermitianOperator):
 
     __slots__ = ()
 
-    @staticmethod
-    def _validate(m: np.ndarray) -> tuple[np.ndarray, tuple | None]:
-        (m,), w, v, stale = _density_stack(m)
-        return m, None if stale[0] else (w[0], v[0])
+    def __init__(self, matrix: np.ndarray):
+        m, w, v, stale = _density_stack(np.asarray(matrix, dtype=complex)[None])
+        self._keep(m, None if stale[0] else (w, v))
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
     """The exactly symmetrized (M + M†)/2 of each matrix of a stack (B, d, d), every
     entry finite and every anti-Hermitian part within ``HERMITICITY_ATOL``; a failing
     stack raises the error of its first failing row."""
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {m.shape[1:]}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     adjoint = m.conj().swapaxes(1, 2)
@@ -133,7 +131,19 @@ def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(a) for a in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
 
 
-def _states(m: np.ndarray) -> tuple:
+class _Stack(NamedTuple):
+    """A stack (B, d, d) of validated matrices with its spectra, as ``_spectra`` returns
+    it: the eigenvalues ``values`` (B, d) in one order, the eigenvector columns ``vectors``
+    (B, d, d) in the same order, and in ``levels`` (B, d) the index of each eigenvalue's
+    distinct level, neighbours within ``DEGENERACY_RTOL`` sharing one."""
+
+    matrices: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    levels: np.ndarray
+
+
+def _states(m: np.ndarray) -> _Stack:
     """The descending ``_spectra`` of a stack of states validated together
     (``_density_stack``): the clamped rows are diagonalized again, in one stacked call."""
     m, w, v, stale = _density_stack(m)
@@ -142,12 +152,10 @@ def _states(m: np.ndarray) -> tuple:
     return _spectra(m, "descending", (w, v))
 
 
-def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> tuple:
-    """A stack (B, d, d) of validated matrices with its spectra, (matrices, values,
-    vectors, levels): the eigenvalues (B, d) in ``order`` and the eigenvector columns
-    (B, d, d) of the stack's ascending ``eigh`` (one stacked call if not given), reordered
-    and under the eigensolver's residual gate, and in levels (B, d) the index of each
-    eigenvalue's distinct level: neighbours within ``DEGENERACY_RTOL`` share one."""
+def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> _Stack:
+    """The ``_Stack`` of a stack (B, d, d) of validated matrices in ``order``, from the
+    stack's ascending ``eigh`` (one stacked call if not given), reordered and under the
+    eigensolver's residual gate."""
     w, v = _eigh_stack(m) if eigh is None else eigh
     if order == "descending":
         w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()
@@ -163,9 +171,10 @@ def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> tuple:
     levels = np.zeros(w.shape, dtype=int)
     levels[:, 1:] = np.abs(w[:, 1:] - w[:, :-1]) > DEGENERACY_RTOL * (
         1.0 + np.maximum(magnitude[:, 1:], magnitude[:, :-1]))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return m, w, v, levels.cumsum(axis=1)
+    levels = levels.cumsum(axis=1)
+    for a in (w, v, levels):
+        a.setflags(write=False)
+    return _Stack(m, w, v, levels)
 
 
 @dataclass(frozen=True)
@@ -174,13 +183,19 @@ class SortedSpectrum:
 
     ``values[i]`` belongs to column ``vectors[:, i]``, as ``eigh`` returns the pair:
     no phase is fixed, and inside a degenerate cluster the basis is the eigensolver's
-    own.  ``clusters`` lists the index runs of (numerically) degenerate eigenvalues.
+    own.  ``levels[i]`` numbers the distinct level of ``values[i]`` (``_Stack``), and
+    ``clusters`` lists the index runs of (numerically) degenerate eigenvalues.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     order: str
-    clusters: tuple[tuple[int, ...], ...]
+    levels: np.ndarray
+
+    @property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(np.flatnonzero(self.levels == k).tolist())
+                     for k in range(self.levels[-1] + 1))
 
     def reconstruct(self) -> np.ndarray:
         return (self.vectors * self.values) @ self.vectors.conj().T
@@ -188,33 +203,31 @@ class SortedSpectrum:
 
 def eigendecompose(operator: HermitianOperator, order: Order) -> SortedSpectrum:
     """The eigenvalues in ``order`` and the eigenvector columns that ``eigh`` returns
-    with them (``_spectra`` of a stack of one).
+    with them: row 0 of the operator's ``_stack_of``.
 
     Use ``"descending"`` for states (largest population first) and
     ``"ascending"`` for Hamiltonians (ground energy first).  No result depends on a
     vector's phase; the basis inside a degenerate cluster reaches only
-    ``conditional_thermal_state``, which flags it.  Each operator object is
-    diagonalized at most once; the read-only spectrum of each order is kept on it
-    and returned by later calls.
+    ``conditional_thermal_state``, which flags it.  The read-only spectrum of each
+    order is kept on the operator and returned by later calls.
     """
+    _stack_of(operator, order)
+    return operator._spectra[order][1]
+
+
+def _stack_of(operator: HermitianOperator, order: Order) -> _Stack:
+    """The ``_spectra`` of one operator as a stack of one row.  Each operator object is
+    diagonalized at most once, and the stack of each order is kept on it with its
+    ``SortedSpectrum``."""
     if order not in operator._spectra:
         if order not in ("ascending", "descending"):
             raise ValueError(f"unknown order {order!r}")
         if operator._eigh is None:
-            operator._eigh = tuple(a[0] for a in _eigh_stack(operator.matrix[None]))
-        _, values, vectors, levels = _spectra(operator.matrix[None], order,
-                                              tuple(a[None] for a in operator._eigh))
-        runs = tuple(tuple(np.flatnonzero(levels[0] == k).tolist())
-                     for k in range(levels[0, -1] + 1))
-        operator._spectra[order] = SortedSpectrum(values[0], vectors[0], order, runs)
-    return operator._spectra[order]
-
-
-def _stack_of(operator: HermitianOperator, order: Order) -> tuple:
-    """``eigendecompose`` of one operator as the stack of one row ``_spectra`` returns."""
-    s = eigendecompose(operator, order)
-    levels = np.repeat(np.arange(len(s.clusters)), [len(c) for c in s.clusters])
-    return operator.matrix[None], s.values[None], s.vectors[None], levels[None]
+            operator._eigh = _eigh_stack(operator.matrix[None])
+        s = _spectra(operator.matrix[None], order, operator._eigh)
+        operator._spectra[order] = s, SortedSpectrum(s.values[0], s.vectors[0], order,
+                                                     s.levels[0])
+    return operator._spectra[order][0]
 
 
 @dataclass(frozen=True)
@@ -385,8 +398,9 @@ def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
-    _, _, (basis,), (levels,) = _stack_of(hamiltonian, "ascending")
-    pinched = _pinch(_rotate(rho.matrix, basis), levels)
+    energies = eigendecompose(hamiltonian, "ascending")
+    basis = energies.vectors
+    pinched = _pinch(_rotate(rho.matrix, basis), energies.levels)
     return DensityMatrix(basis @ pinched @ basis.conj().T)
 
 
@@ -400,7 +414,7 @@ class _SpectralBlock:
     """The spectra of a block of (rho, H) pairs of one dimension at one beta,
     stacked so that row b of every array belongs to pair b: rho's ``matrices``,
     eigenvectors ``vectors`` and eigenvalues ``populations`` (descending), H's
-    eigenbasis ``basis``, ``energies`` (ascending) and ``levels`` (``_spectra``),
+    eigenbasis ``basis``, ``energies`` (ascending) and ``levels`` (``_Stack``),
     the Gibbs ``log_z`` and ``log_populations`` (ln rho_eq = -beta E - ln Z), and
     ``energy`` = tr(rho H).  Every relative entropy to rho_eq is then a closed
     form, and nothing diagonalizes exp(-beta H)/Z.  Each quantity is evaluated
@@ -423,15 +437,13 @@ class _SpectralBlock:
     energy: np.ndarray
 
     @classmethod
-    def of(cls, states: tuple, hamiltonians: tuple, beta: float) -> _SpectralBlock:
-        """The block of the pairs of rows b of two stacks as ``_spectra`` returns them,
-        the states descending and the Hamiltonians ascending, with the Gibbs logs of
-        every row."""
-        matrices, populations, vectors, _ = states
-        h, energies, basis, levels = hamiltonians
-        log_z, log_populations, _ = _gibbs_logs(energies, beta)
-        return cls(float(beta), matrices, vectors, populations, basis, energies, levels,
-                   log_z, log_populations, _traces(matrices, h))
+    def of(cls, states: _Stack, hamiltonians: _Stack, beta: float) -> _SpectralBlock:
+        """The block of the pairs of rows b of two ``_Stack``s, the states descending and
+        the Hamiltonians ascending, with the Gibbs logs of every row."""
+        log_z, log_populations, _ = _gibbs_logs(hamiltonians.values, beta)
+        return cls(float(beta), states.matrices, states.vectors, states.values,
+                   hamiltonians.vectors, hamiltonians.values, hamiltonians.levels, log_z,
+                   log_populations, _traces(states.matrices, hamiltonians.matrices))
 
     @cached_property
     def _rotated(self) -> np.ndarray:

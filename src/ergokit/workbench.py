@@ -21,6 +21,7 @@ from .quantum import (
     _dots,
     _gibbs_logs,
     _SpectralBlock,
+    _Stack,
     _stack_of,
     _states,
     eigendecompose,
@@ -406,16 +407,17 @@ def sharpened_bound_report(
     return WorkReport(beta=float(beta), bound_terms=terms, **row)
 
 
-def _bound_reports(initial: tuple, final: tuple, unitaries: np.ndarray,
+def _bound_reports(initial: _Stack, final: _Stack, unitaries: np.ndarray,
                    beta: float) -> dict[str, np.ndarray]:
     """The ``sharpened_bound_report`` fields of each row of a block of one dimension, as
     columns named like the ``WorkReport`` and ``BoundTerms`` fields, from the ascending
-    ``_spectra`` of the stacks of H_A and H_B: the H_A Gibbs logs, the conditional states
+    ``_Stack``s of H_A and H_B: the H_A Gibbs logs, the conditional states
     validated as one stack, and one ``_SpectralBlock`` of them and the H_B's for every
     route and check, gated by ``_check_bound``.  Each row has the bits of a block of one."""
-    _, energies, basis, _ = initial
+    energies = initial.values
     log_z_a, _, populations = _gibbs_logs(energies, beta)
-    states, _, h_values, log_cz = _conditional_states(basis, final[0], unitaries, beta)
+    states, _, h_values, log_cz = _conditional_states(initial.vectors, final.matrices,
+                                                      unitaries, beta)
     block = _SpectralBlock.of(_states(states), final, beta)
     routes = _routes(block)
     avg_work = _dots(populations, h_values - energies)

@@ -176,9 +176,9 @@ class TestVerifyBlocks:
         states = [random_density(2, stream(0, 3 * i)).matrix for i in range(3)]
 
         def rows(rhos, hamiltonians, beta):
-            if len(rhos[0]) > 1:
+            if len(rhos.matrices) > 1:
                 raise InvariantViolation("the block's error")
-            (trial,) = [i for i, m in enumerate(states) if np.allclose(m, rhos[0][0])]
+            (trial,) = [i for i, m in enumerate(states) if np.allclose(m, rhos.matrices[0])]
             if trial >= 1:
                 raise InvariantViolation(f"trial {trial}")
             return [{}]
@@ -277,17 +277,20 @@ print(json.dumps(runs))
 
 
 class TestNoPerTrialObjects:
-    @pytest.mark.parametrize("argv, built_first", [
-        ("ergotropy --dim 4", []),
-        ("verify-identities --dim 4 --trials 16", []),
+    PAIR = ["DensityMatrix", "HermitianOperator"]
+
+    @pytest.mark.parametrize("argv, built_first, built_again", [
+        # The public ergotropy_report's one (state, Hamiltonian) pair, on every run.
+        ("ergotropy --dim 4", PAIR, PAIR),
+        ("verify-identities --dim 4 --trials 16", [], []),
         # The sudden quench's literal H_A and H_B, once per process.
-        ("otm --dim 4 --trials 2", ["HermitianOperator", "HermitianOperator"]),
+        ("otm --dim 4 --trials 2", ["HermitianOperator", "HermitianOperator"], []),
     ])
-    def test_generated_runs_build_no_operator_objects(self, argv, built_first):
+    def test_generated_runs_build_no_per_trial_objects(self, argv, built_first, built_again):
         proc = subprocess.run([sys.executable, "-c", _OBJECT_COUNT_SCRIPT, *argv.split()],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[0, built_first], [0, []]]
+        assert json.loads(proc.stdout) == [[0, built_first], [0, built_again]]
 
 
 class TestDegenerateHamiltonian:
@@ -1199,11 +1202,15 @@ class TestErrorContract:
         assert err.splitlines() == [f"error: {line}"]
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
-        from ergokit import ergotropy
+        from ergokit import ErgotropyReport, cli
 
-        # The entropy route one unit above the direct one: the report's route gate fails.
-        monkeypatch.setattr(ergotropy, "_via_entropies",
-                            lambda block: block.energy - block.passive_energy + 1.0)
+        def broken_report(rho, hamiltonian, beta):
+            return ErgotropyReport(
+                total=1.0, via_entropies=2.0, coherent_eq11=1.0, incoherent=0.0,
+                dephased_ergotropy=0.0, beta_used=beta, passive_energy=0.0,
+            )
+
+        monkeypatch.setattr(cli, "ergotropy_report", broken_report)
         code, out, err = run_cli(capsys, "ergotropy", "--dim", "2")
         assert code == 1
         assert out == ""
