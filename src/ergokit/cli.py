@@ -11,7 +11,8 @@ machine-readable JSON report (schema 5, sorted keys, floats at 12 significant
 digits, kernels in the forms of ``serialize``) to stdout, encoded in one pass
 by ``_dumps``; a 1-D or 2-D float array that is at least half zeros, such as a
 dense kernel echo, is written as zero runs and costs one formatted token per
-nonzero entry.  ``--output`` additionally writes the report, or a plot-ready
+nonzero entry, and any other array is one ``%`` format against a cached layout
+template.  ``--output`` additionally writes the report, or a plot-ready
 CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
 asserted invariant holds at the configured tolerance, 1 on an invariant
 failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors;
@@ -24,7 +25,7 @@ import argparse
 import csv
 import json
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -303,9 +304,9 @@ def _cmd_classical(config: argparse.Namespace):
         "experiment_max_first_order": experiment_probe.max_first_order,
         "experiment_marginal_passive": experiment_probe.min_first_order >= 0.0,
     }
+    # Lazy columns: the rows are read only for --format csv.
     rows = (dict(index=i, energy_a=a, energy_b=b, weight=w, phi=f) for i, a, b, w, f in zip(
-        range(n), grid.energy_a.tolist(), grid.energy_b.tolist(), p_a.weights.tolist(),
-        phi.tolist()))
+        range(n), *(map(float, c) for c in (grid.energy_a, grid.energy_b, p_a.weights, phi))))
     return results, checks, rows
 
 
@@ -474,35 +475,16 @@ def _float_tokens(values: list[float]) -> list[str]:
     already is that token: it parses to a normal double whose shortest repr
     has the same digits (12 < DBL_DIG), and ``%g`` and ``repr`` choose the
     same notation outside 1e12..1e16.  The rest (integral values, zeros, nan,
-    infinities, that band and subnormals) is parsed and encoded again.  The
-    batch is formatted and checked as one text, token by token only if it fails.
+    infinities, that band and subnormals) is parsed and encoded again: a finite
+    value by its ``repr``, as ``json.dumps`` writes it.  The batch is formatted
+    and checked as one text, token by token only if it fails.
     """
     text = ("%.12g\0" * len(values)) % tuple(values)
     texts = text.split("\0")[:-1]
     if text.count(".") == len(texts) and "e+1" not in text and "e-3" not in text:
         return texts
-    return [t if "." in t and "e+1" not in t and "e-3" not in t else json.dumps(float(t))
-            for t in texts]
-
-
-def _array_tokens(array: np.ndarray) -> list[str]:
-    """The JSON token of each entry of a nonempty ``array``, row-major, floats
-    rounded.
-
-    A zero of either sign is its own rounding, so only nonzero floats are
-    formatted, in one ``_float_tokens`` batch."""
-    flat = array.reshape(-1)
-    if flat.dtype.kind in "biu":
-        return json.dumps(flat.tolist())[1:-1].split(", ")
-    values = flat.astype(float, copy=False)
-    zero = values == 0
-    tokens = ["0.0"] * values.size
-    for i in np.flatnonzero(zero & np.signbit(values)).tolist():
-        tokens[i] = "-0.0"
-    live = np.flatnonzero(~zero)
-    for i, token in zip(live.tolist(), _float_tokens(values[live].tolist())):
-        tokens[i] = token
-    return tokens
+    return [t if "." in t and "e+1" not in t and "e-3" not in t
+            else repr(float(t)) if "n" not in t else json.dumps(float(t)) for t in texts]
 
 
 def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
@@ -565,44 +547,75 @@ def _dumps(obj) -> str:
     string-keyed payloads, in one pass.
 
     With ``indent`` set, the standard library always runs its pure-Python
-    encoder and writes each float's shortest repr.  This copies that layout,
-    rounds each float as it writes it (``_float_tokens``), and takes float,
-    int and bool ndarrays whole, with no list of rounded floats in between.
-    An array has one of two writers, chosen by its zero count: a 1-D or 2-D
-    float array with at least as many zeros as nonzero entries goes to
-    ``_zero_runs``, which formats only its nonzero entries and writes each
-    run of zeros as a few repeated strings; any other array interleaves every
-    entry's token with the text ``_layout`` puts after it.  Every piece goes
-    to one list, joined once, so no level copies the text below it.
+    encoder and writes each float's shortest repr.  This copies that layout
+    and rounds each float as it writes it: the payload's scalar floats in one
+    ``_float_tokens`` batch at the end, and float, int and bool ndarrays
+    whole.  A 1-D or 2-D float array with at least as many zeros as nonzero
+    entries goes to ``_zero_runs``; any other array is one ``%`` format of its
+    entries against its cached ``_template``, written again from their
+    ``_float_tokens`` if that text fails the check ``_float_tokens`` makes.
+    Dict keys are encoded once per process, and every piece goes to one list,
+    joined once, so no level copies the text below it.
     """
-    out: list[str] = []
-    _encode(obj, "", out)
+    out: list = []
+    scalars: list[int] = []
+    _encode(obj, "", out, scalars)
+    for i, token in zip(scalars, _float_tokens([out[i] for i in scalars])):
+        out[i] = token
     return "".join(out)
 
 
-def _encode(obj, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``obj``'s text, its first line at ``indent``, to ``out``."""
+@lru_cache(maxsize=64)
+def _template(shape: tuple[int, ...], indent: str, zeros: bytes | None) -> str:
+    """The ``_layout`` text of a nonempty array of ``shape`` with ``%`` slots
+    for its entries: ``%s`` when ``zeros`` is None, else ``%.1f`` where the
+    zero mask ``zeros`` (one byte per entry) is set and ``%.12g`` elsewhere."""
+    head, tails = _layout(shape, indent)
+    slots = ["%s"] * len(tails) if zeros is None else ["%.1f" if z else "%.12g" for z in zeros]
+    return head + "".join(map(str.__add__, slots, tails))
+
+
+@lru_cache(maxsize=1024)
+def _key(name: str) -> str:
+    """A dict key's JSON string and the ``": "`` after it."""
+    return json.dumps(name) + ": "
+
+
+def _encode(obj, indent: str, out: list, scalars: list[int]) -> None:
+    """Append the pieces of ``obj``'s text, its first line at ``indent``, to
+    ``out``; a scalar float is appended as itself and its index to ``scalars``."""
     if isinstance(obj, (float, np.floating)):
-        out.append(_float_tokens([float(obj)])[0])
+        scalars.append(len(out))
+        out.append(float(obj))
     elif isinstance(obj, np.ndarray) and obj.size:
-        if obj.dtype.kind == "f" and obj.ndim in (1, 2) and 2 * np.count_nonzero(obj) <= obj.size:
-            out += _zero_runs(obj, indent)
-            return
-        head, tails = _layout(obj.shape, indent)
-        pieces = [head] * (2 * obj.size + 1)
-        pieces[1::2] = _array_tokens(obj)
-        pieces[2::2] = tails
-        out += pieces
+        flat = obj.reshape(-1)
+        if obj.dtype.kind == "f":
+            zero = flat == 0
+            if obj.ndim in (1, 2) and 2 * np.count_nonzero(zero) >= flat.size:
+                out += _zero_runs(obj, indent)
+                return
+            values = flat.tolist()
+            text = _template(obj.shape, indent, zero.tobytes()) % tuple(values)
+            if text.count(".") == flat.size and (
+                    "e" not in text or "e+1" not in text and "e-3" not in text):
+                out.append(text)
+                return
+            values = _float_tokens(values)
+        elif obj.dtype.kind == "b":
+            values = ["true" if v else "false" for v in flat.tolist()]
+        else:
+            values = flat.tolist()
+        out.append(_template(obj.shape, indent, None) % tuple(values))
     elif isinstance(obj, np.ndarray):  # a zero side, (r, 0) or (0, c): nested empty lists
-        _encode(obj.tolist(), indent, out)
+        _encode(obj.tolist(), indent, out, scalars)
     elif isinstance(obj, (dict, list, tuple)):
         brackets = "{}" if isinstance(obj, dict) else "[]"
-        items = ([(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())] if brackets == "{}"
+        items = ([(_key(k), v) for k, v in sorted(obj.items())] if brackets == "{}"
                  else [("", v) for v in obj])
         inner, sep = indent + "  ", brackets[0]
         for key, value in items:
             out.append(f"{sep}\n{inner}{key}")
-            _encode(value, inner, out)
+            _encode(value, inner, out, scalars)
             sep = ","
         out.append(f"\n{indent}{brackets[1]}" if items else brackets)
     elif isinstance(obj, (bool, np.bool_)):

@@ -7,10 +7,11 @@ flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight`
 as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
 distribution of the final cell given initial cell j.  ``kernel_from_json``
 reads both.  Matrix, grid and kernel dicts hold ndarrays, which the command
-line's report encoder writes as they are, in one pass: every float in a report
-is rounded to 12 significant digits (``format_float``) as it is written, so
-identical runs produce identical bytes.  ``round_floats`` is the reference for
-that encoder: a report reads ``json.dumps(round_floats(payload),
+line's report encoder writes as they are, in one pass: a mostly-zero array as
+runs of zeros, any other as one ``%`` format of all its entries, and every
+float is rounded to 12 significant digits (``format_float``) as it is written,
+so identical runs produce identical bytes.  ``round_floats`` is the reference
+for that encoder: a report reads ``json.dumps(round_floats(payload),
 sort_keys=True, indent=2)`` byte for byte.
 """
 

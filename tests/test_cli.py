@@ -734,8 +734,44 @@ class TestReportLayout:
     @example({"middle": np.pad([[0.5, 0.0, -1.5]], ((2, 3), (0, 0)))})
     @example({"half": np.array([[0.0, 1.5, 0.0], [2.5, -0.0, 3.0]])})
     @example({"hamiltonian": matrix_to_json(np.diag(np.arange(6.0)))})
+    # Entries that the one-format text writes right and entries that send the
+    # array back to _float_tokens, in one array.
+    @example({"mixed": np.array([0.25, 1.0, 1.5e13, 2.5e-310, np.nan, -0.0, -3.75, 0.1, 7.5])})
+    @example({"mixed": np.array([[0.25, 1.0, -0.0], [1.5e13, 0.3, 2.5e-310], [np.nan, 2.0, 0.5]])})
+    # A matrix echo whose zero imaginary diagonal is written by %.1f slots.
+    @example({**matrix_to_json(np.array([[1.5, 0.25 + 0.5j], [0.25 - 0.5j, 2.5]])),
+              "ints": np.arange(-3, 3).reshape(2, 3), "bools": np.array([True, False, True]),
+              "scalar": np.array(0.375), "int_scalar": np.array(7)})
     def test_dumps_matches_the_standard_indented_encoder(self, payload):
         assert _dumps(payload) == json.dumps(round_floats(payload), sort_keys=True, indent=2)
+
+    def test_array_templates_are_bounded_and_reused(self):
+        # The arrays of a second report of the same shapes, and the same zero
+        # masks, are served from the cache; none is laid out again.
+        assert cli._template.cache_info().maxsize is not None
+
+        def report(seed):
+            state = random_density(3, stream(seed)).matrix
+            return {"state": matrix_to_json(state), "image": np.arange(5) ^ seed,
+                    "weights": np.linspace(0.1, 0.9, 7) * (seed + 1)}
+
+        _dumps(report(1))
+        before = cli._template.cache_info()
+        _dumps(report(2))
+        after = cli._template.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+
+    def test_a_report_still_calls_json_dumps(self, capsys, monkeypatch):
+        # The benchmark's tracer times json.dumps as the report encoder: a
+        # report writes its string values, at least, through it, also once
+        # the dict keys are cached.
+        assert main(["ergotropy", "--dim", "3"]) == 0
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        assert main(["ergotropy", "--dim", "3"]) == 0
+        capsys.readouterr()
+        assert calls
 
     def test_float_tokens_match_the_rounded_standard_encoding_on_a_sweep(self):
         values = _token_sweep()
