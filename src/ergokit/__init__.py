@@ -23,7 +23,6 @@ from .classical import (
     stationarity_probe,
 )
 from .ergotropy import (
-    AlignmentUnitary,
     ErgotropyReport,
     coherent_ergotropy_eq11,
     dephased_ergotropy,
@@ -66,7 +65,6 @@ from .quantum import (
 )
 from .sampling import random_density, random_hermitian, stream
 from .workbench import (
-    BoundTerms,
     ConditionalThermalState,
     DrivingProtocol,
     WorkReport,

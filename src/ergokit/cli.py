@@ -151,10 +151,7 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
     report = ergotropy_report(rho, hamiltonian, config.beta)
-    results = {name: getattr(report, name) for name in (
-        "total", "via_entropies", "coherent_eq11", "incoherent", "dephased_ergotropy",
-        "beta_used", "passive_energy")}
-    results["via_geometric"] = float(geo._geometric_route(report.context)[0])
+    results = dict(vars(report))
     scale = 1.0 + abs(report.total)
     checks = {f"route_{route}_agrees": _check(abs(report.total - results[f"via_{route}"]),
                                               config.tolerance * scale)

@@ -1,11 +1,12 @@
 """Passive states and the ergotropy identities.
 
-Two of the three independent routes to the same number live here (the third
-is ``geometric.ergotropy_geometric``):
+Three independent routes to the same number, which ``ergotropy_report`` reads
+from one spectral block:
 
 * ``ergotropy_direct`` - energy above the passive state (sorted rearrangement);
 * ``ergotropy_via_entropies`` - difference of quantum and spectral relative
-  entropies with respect to the Gibbs state, divided by beta.
+  entropies with respect to the Gibbs state, divided by beta;
+* ``geometric.ergotropy_geometric`` - the same with the geometric relative entropy.
 
 The coherent/incoherent split of the same number is implemented verbatim in
 its printed three-term form in ``coherent_ergotropy_eq11``, with the
@@ -14,10 +15,11 @@ dephasing-based alternative in ``dephased_ergotropy``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometric
 from .errors import InvariantViolation
 from .quantum import (
     SUPPORT_FLOOR,
@@ -31,47 +33,26 @@ from .quantum import (
     spectral_context,
 )
 
-UNITARITY_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class AlignmentUnitary:
-    """Unitary built by pairing two sorted eigenbases column by column."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if defect > UNITARITY_ATOL:
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.matrix @ rho.matrix @ self.matrix.conj().T)
-
-
 @dataclass(frozen=True)
 class ErgotropyReport:
-    """All ergotropy routes for one (state, Hamiltonian, beta) triple.
+    """All ergotropy routes for one (state, Hamiltonian, beta) triple: ``total`` (the
+    direct route), ``via_entropies`` and ``via_geometric``.
 
     ``incoherent`` is total - coherent_eq11 by construction (``_routes``); with the
     printed three-term coherent form this is ~0 for every state (see
     ``dephased_ergotropy`` for the alternative split).  Building a report applies
-    ``_check_routes``, as ``_routes`` does, so a report built by hand is gated too.
-    ``context`` holds the spectra every route used: the triple as a
-    ``_SpectralBlock`` of one row.
+    ``_check_routes``, as ``_routes`` does, so a report built by hand is gated too;
+    the geometric route is compared by its readers, not gated here.
     """
 
     total: float
     via_entropies: float
+    via_geometric: float
     coherent_eq11: float
     incoherent: float
     dephased_ergotropy: float
     beta_used: float
     passive_energy: float
-    context: _SpectralBlock | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_routes(self.total, self.via_entropies)
@@ -91,12 +72,12 @@ def _check_routes(total, via_entropies) -> None:
 
 def passive_state(
     rho: DensityMatrix, hamiltonian: HermitianOperator
-) -> tuple[DensityMatrix, AlignmentUnitary]:
-    """Passive state of ``rho`` and the unitary that reaches it.
+) -> tuple[DensityMatrix, np.ndarray]:
+    """Passive state of ``rho`` and the unitary U, an array, with U rho U† passive.
 
     Populations sorted descending are placed on energy eigenstates sorted
-    ascending; the returned unitary maps the i-th population eigenvector onto
-    the i-th energy eigenvector.
+    ascending; U maps the i-th population eigenvector onto the i-th energy
+    eigenvector, so it is unitary to rounding.
     """
     if rho.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
@@ -105,8 +86,7 @@ def passive_state(
     passive = DensityMatrix(
         (energies.vectors * populations.values) @ energies.vectors.conj().T
     )
-    unitary = AlignmentUnitary(energies.vectors @ populations.vectors.conj().T)
-    return passive, unitary
+    return passive, energies.vectors @ populations.vectors.conj().T
 
 
 def passive_energy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
@@ -128,13 +108,14 @@ def _direct(rho: np.ndarray, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.nd
     return _traces(rho, hamiltonian) - passive, passive
 
 
-def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> AlignmentUnitary:
-    """The unitary minimizing S(U rho U†||sigma): sends sorted rho-basis to sorted sigma-basis."""
+def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
+    """The unitary minimizing S(U rho U†||sigma), as an array: sends sorted rho-basis to
+    sorted sigma-basis."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     p = eigendecompose(rho, "descending")
     s = eigendecompose(sigma, "descending")
-    return AlignmentUnitary(s.vectors @ p.vectors.conj().T)
+    return s.vectors @ p.vectors.conj().T
 
 
 def _via_entropies(block: _SpectralBlock) -> np.ndarray:
@@ -187,11 +168,13 @@ def _routes(block: _SpectralBlock) -> dict[str, np.ndarray]:
 def ergotropy_report(
     rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
 ) -> ErgotropyReport:
-    """Every route from row 0 of one spectral block, with the consistency
-    invariants.  The block is kept as the report's ``context``."""
-    context = spectral_context(rho, hamiltonian, beta)
-    routes = {name: float(values[0]) for name, values in _routes(context).items()}
-    return ErgotropyReport(**routes, beta_used=float(beta), context=context)
+    """Every route from row 0 of one spectral block, with the consistency invariants; the
+    geometric route needs d >= 2 (``OutOfScope``).  The operators keep their spectra, so
+    ``spectral_context(rho, hamiltonian, beta)`` rebuilds the block with no ``eigh``."""
+    block = spectral_context(rho, hamiltonian, beta)
+    routes = {name: float(values[0]) for name, values in _routes(block).items()}
+    via_geometric = float(geometric._geometric_route(block)[0])
+    return ErgotropyReport(**routes, via_geometric=via_geometric, beta_used=float(beta))
 
 
 def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:

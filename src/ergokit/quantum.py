@@ -232,25 +232,18 @@ def _stack_of(operator: HermitianOperator, order: Order) -> _Stack:
 
 @dataclass(frozen=True)
 class GibbsState:
-    """Thermal equilibrium state exp(-beta H)/Z on the ascending ``spectrum`` of H,
-    with ln Z and ``log_populations`` = -beta E - ln Z (exact to rounding however
-    small the populations).  The dense ``rho`` is built on first use; relative
-    entropies to a Gibbs state never diagonalize it.
+    """Thermal equilibrium state exp(-beta H)/Z on the ascending ``energies`` of H and
+    their eigenvector columns ``basis``, with ln Z and ``log_populations`` = -beta E - ln Z
+    (exact to rounding however small the populations).  The dense ``rho`` is built on
+    first use; relative entropies to a Gibbs state never diagonalize it.
     """
 
     beta: float
     log_z: float
-    spectrum: SortedSpectrum
+    energies: np.ndarray
+    basis: np.ndarray
     populations: np.ndarray
     log_populations: np.ndarray
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self.spectrum.values
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.spectrum.vectors
 
     @cached_property
     def rho(self) -> DensityMatrix:
@@ -302,7 +295,8 @@ def gibbs_state(hamiltonian: HermitianOperator, beta: float) -> GibbsState:
     ``_gibbs_logs`` of its ascending spectrum, every population positive (``OutOfScope``)."""
     spectrum = eigendecompose(hamiltonian, "ascending")
     log_z, log_populations, populations = _gibbs_logs(spectrum.values[None], beta)
-    return GibbsState(float(beta), float(log_z[0]), spectrum, populations[0], log_populations[0])
+    return GibbsState(float(beta), float(log_z[0]), spectrum.values, spectrum.vectors,
+                      populations[0], log_populations[0])
 
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.geometric import _geometric_route
 from ergokit.quantum import (
     DensityMatrix, HermitianOperator, _density_stack, _hermitian_stack, _SpectralBlock, _spectra,
-    _stack_of, _states, eigendecompose,
+    _stack_of, _states, eigendecompose, spectral_context,
 )
 from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
@@ -80,7 +80,7 @@ def _single_state_row(rho, hamiltonian, beta):
     the reference the blocked sweep must match bit for bit."""
     direct = ergotropy_direct(rho, hamiltonian)
     report = ergotropy_report(rho, hamiltonian, beta)
-    c = report.context
+    c = spectral_context(rho, hamiltonian, beta)
     return {
         "ergotropy_identity_dev": abs(direct - report.via_entropies) / (1.0 + abs(direct)),
         "chain_identity_dev": abs(c.relative_entropy[0] - c.coherence[0] - c.population_divergence[0]),
@@ -1242,8 +1242,8 @@ class TestErrorContract:
 
         def broken_report(rho, hamiltonian, beta):
             return ErgotropyReport(
-                total=1.0, via_entropies=2.0, coherent_eq11=1.0, incoherent=0.0,
-                dephased_ergotropy=0.0, beta_used=beta, passive_energy=0.0,
+                total=1.0, via_entropies=2.0, via_geometric=1.0, coherent_eq11=1.0,
+                incoherent=0.0, dephased_ergotropy=0.0, beta_used=beta, passive_energy=0.0,
             )
 
         monkeypatch.setattr(cli, "ergotropy_report", broken_report)

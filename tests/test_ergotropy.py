@@ -17,6 +17,7 @@ from ergokit import (
     dephased_ergotropy,
     eigendecompose,
     ergotropy_direct,
+    ergotropy_geometric,
     ergotropy_report,
     ergotropy_via_entropies,
     expectation,
@@ -27,8 +28,7 @@ from ergokit import (
     spectral_relative_entropy,
 )
 from ergokit.ergotropy import _aligned_gaps, _check_routes, optimal_alignment_unitary
-from ergokit.errors import InvariantViolation
-from ergokit.geometric import _geometric_route
+from ergokit.errors import InvariantViolation, OutOfScope
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
     haar_unitaries,
@@ -39,6 +39,11 @@ from ergokit.sampling import (
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
+
+
+def turned(u, rho):
+    """U rho U† for a unitary given as an array."""
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 class TestPassiveState:
@@ -53,7 +58,7 @@ class TestPassiveState:
         rho = DensityMatrix(np.diag([0.0, 1.0]))
         passive, unitary = passive_state(rho, H01)
         assert np.max(np.abs(passive.matrix - np.diag([1.0, 0.0]))) < 1e-12
-        moved = unitary.apply(rho)
+        moved = turned(unitary, rho)
         assert np.max(np.abs(moved.matrix - passive.matrix)) < 1e-12
 
     def test_population_inversion(self):
@@ -66,7 +71,7 @@ class TestPassiveState:
         rho = random_density(5, stream(1))
         h = random_hermitian(5, stream(2))
         passive, unitary = passive_state(rho, h)
-        assert np.max(np.abs(unitary.apply(rho).matrix - passive.matrix)) < 1e-10
+        assert np.max(np.abs(turned(unitary, rho).matrix - passive.matrix)) < 1e-10
 
     def test_passive_energy_beats_sampled_unitaries(self):
         rho = random_density(3, stream(3))
@@ -82,6 +87,19 @@ class TestPassiveState:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             passive_state(PLUS, HermitianOperator(np.diag([0.0, 1.0, 2.0])))
+
+    @pytest.mark.parametrize("dim", [2, 8, 28])
+    @pytest.mark.parametrize("rank", [None, 2, 1], ids=["full-rank-rho", "rank-2-rho", "pure-rho"])
+    def test_returned_unitaries_are_unitary(self, dim, rank):
+        # Both pair two orthonormal eigenbases column by column: U†U = I to rounding.
+        rho = random_density(dim, stream(77, dim), rank=rank)
+        h = random_hermitian(dim, stream(78, dim))
+        sigma = random_density(dim, stream(79, dim))
+        unitaries = (passive_state(rho, h)[1], optimal_alignment_unitary(rho, sigma),
+                     optimal_alignment_unitary(sigma, rho))
+        for u in unitaries:
+            assert u.shape == (dim, dim)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
 
 
 class TestDirectErgotropy:
@@ -100,13 +118,13 @@ class TestOptimalAlignment:
     def test_self_alignment_preserves_divergence(self):
         rho = random_density(3, stream(7))
         u = optimal_alignment_unitary(rho, rho)
-        aligned = u.apply(rho)
+        aligned = turned(u, rho)
         assert quantum_relative_entropy(aligned, rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_plus_vs_gibbs(self):
         g = gibbs_state(H01, 1.0)
         u = optimal_alignment_unitary(PLUS, g.rho)
-        aligned = u.apply(PLUS)
+        aligned = turned(u, PLUS)
         # |+> lands on the ground state; the single-term divergence is ln Z.
         assert np.max(np.abs(aligned.matrix - np.diag([1.0, 0.0]))) < 1e-10
         assert quantum_relative_entropy(aligned, g.rho) == pytest.approx(g.log_z, abs=1e-9)
@@ -114,7 +132,7 @@ class TestOptimalAlignment:
     def test_achieves_spectral_divergence(self):
         rho = random_density(4, stream(8))
         sigma = random_density(4, stream(9))
-        aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
+        aligned = turned(optimal_alignment_unitary(rho, sigma), rho)
         gap = quantum_relative_entropy(aligned, sigma) - spectral_relative_entropy(rho, sigma)
         assert abs(gap) <= 1e-9
 
@@ -236,7 +254,7 @@ class TestAlignedGap:
         assert abs(_aligned_gaps(c)[0]) <= 1e-12
         # the same gap through the density-matrix routes
         sigma = gibbs_state(h, 0.8).rho
-        aligned = optimal_alignment_unitary(rho, sigma).apply(rho)
+        aligned = turned(optimal_alignment_unitary(rho, sigma), rho)
         gap = quantum_relative_entropy(aligned, sigma) - spectral_relative_entropy(rho, sigma)
         assert abs(gap) <= 1e-12
 
@@ -278,6 +296,18 @@ class TestReport:
         )
         assert report.total >= -1e-9
 
+    @pytest.mark.parametrize("dim, rank", [(2, None), (5, 2), (8, 1), (16, None)])
+    def test_geometric_route_is_ergotropy_geometric(self, dim, rank):
+        rho = random_density(dim, stream(62, dim), rank=rank)
+        h = random_hermitian(dim, stream(63, dim))
+        assert ergotropy_report(rho, h, 0.9).via_geometric == ergotropy_geometric(rho, h, 0.9)
+
+    def test_a_report_needs_two_levels(self):
+        # The geometric route lives on the manifold CP^(d-1): the CLI's line for --dim 1.
+        with pytest.raises(OutOfScope) as raised:
+            ergotropy_report(DensityMatrix([[1.0]]), HermitianOperator([[0.5]]), 1.0)
+        assert str(raised.value) == "dim must be >= 2 for the manifold CP^(dim-1), got 1"
+
     def test_route_gate_names_the_worst_row(self):
         total = np.array([1.0, 2.0, 3.0])
         with pytest.raises(InvariantViolation, match=r"entropies\| = 3\.000e-07$"):
@@ -304,7 +334,7 @@ class TestScaleCovariance:
         def routes(hamiltonian, beta):
             report = ergotropy_report(rho, hamiltonian, beta)
             return (report.total, report.via_entropies, report.passive_energy,
-                    _geometric_route(report.context)[0])
+                    report.via_geometric)
 
         scaled = routes(HermitianOperator(math.ldexp(1.0, k) * h.matrix), math.ldexp(1.0, -k))
         assert scaled == tuple(math.ldexp(value, k) for value in routes(h, 1.0))
@@ -414,7 +444,7 @@ class TestSpectralContextReuse:
     def test_invariant_failures_are_toolkit_errors(self):
         with pytest.raises(InvariantViolation, match="route disagreement"):
             ErgotropyReport(
-                total=1.0, via_entropies=2.0, coherent_eq11=1.0, incoherent=0.0,
-                dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,
+                total=1.0, via_entropies=2.0, via_geometric=1.0, coherent_eq11=1.0,
+                incoherent=0.0, dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,
             )
         assert issubclass(InvariantViolation, ErgokitError)

@@ -122,8 +122,8 @@ class TestAlignedState:
         rho = random_density(4, stream(2))
         sigma = random_density(4, stream(3))
         aligned = aligned_geometric_state(rho, sigma)
-        rotated = optimal_alignment_unitary(rho, sigma).apply(rho)
-        assert np.max(np.abs(aligned.density().matrix - rotated.matrix)) < 1e-10
+        u = optimal_alignment_unitary(rho, sigma)
+        assert np.max(np.abs(aligned.density().matrix - u @ rho.matrix @ u.conj().T)) < 1e-10
 
 
 class TestGeometricRelativeEntropy:

@@ -1,5 +1,6 @@
 """Protocol propagators, conditional thermal states, and work bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ergokit import (
     DensityMatrix,
     DrivingProtocol,
     HermitianOperator,
+    WorkReport,
     conditional_thermal_state,
     eigendecompose,
     evolve_unitary,
@@ -21,10 +23,10 @@ from ergokit import (
     step_product,
 )
 from ergokit import _threads, workbench
-from ergokit.errors import OutOfScope
-from ergokit.quantum import _gibbs_logs, _spectra
+from ergokit.errors import InvariantViolation, OutOfScope
+from ergokit.quantum import _gibbs_logs, _spectra, _stack_of
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
-from ergokit.workbench import _bound_reports, _evolve_all, magnus_product
+from ergokit.workbench import _bound_reports, _check_bound, _evolve_all, magnus_product
 
 H_A = HermitianOperator(np.diag([0.0, 1.0]))
 H_B = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
@@ -307,6 +309,22 @@ class TestSharpenedBound:
         assert report.beta * report.w_irr == pytest.approx(report.bound, abs=1e-9)
         assert report.jensen_slack == pytest.approx(0.0, abs=1e-12)
 
+    def test_report_fields_are_the_block_columns_and_beta(self):
+        columns = _bound_reports(_stack_of(H_A, "ascending"), _stack_of(H_B, "ascending"),
+                                 np.eye(2, dtype=complex)[None], 1.0)
+        assert {f.name for f in dataclasses.fields(WorkReport)} == {*columns, "beta"}
+
+    def test_bound_gate_names_the_worst_row(self):
+        # Rows 1 and 2 fail; row 2's shortfall (and miss) is the larger.
+        bound = np.array([1.0, 2.0, 3.0])
+        below = bound - np.array([0.0, 1e-7, 3e-7])
+        with pytest.raises(InvariantViolation, match=r"beta\*w_irr = 2\.999999700000e\+00 < "
+                                                     r"bound = 3\.000000000000e\+00$"):
+            _check_bound(below, bound, bound)
+        with pytest.raises(InvariantViolation, match=r"^bound decomposition misses the bound "
+                                                     r"by 3\.000e-07$"):
+            _check_bound(bound, bound, below)
+
     def test_trivial_protocol_zero_bound(self):
         report = sharpened_bound_report(DrivingProtocol.sudden(H_A, H_A), np.eye(2, dtype=complex), 1.0)
         assert report.bound == pytest.approx(0.0, abs=1e-10)
@@ -321,7 +339,8 @@ class TestSharpenedBound:
             protocol = DrivingProtocol.sudden(h_a, h_b)
             report = sharpened_bound_report(protocol, u, 1.0)
             assert report.beta * report.w_irr >= report.bound - 1e-9
-            assert report.bound_terms.total() == pytest.approx(report.bound, abs=1e-9)
+            assert report.incoherent + report.coherence + report.population == pytest.approx(
+                report.bound, abs=1e-9)
             assert report.w_irr >= -1e-9
             assert report.jensen_slack >= -1e-9
             assert report.beta * report.w_irr - report.bound == pytest.approx(
@@ -360,7 +379,8 @@ class TestBoundReportProperties:
         h_a, h_b, u, beta = case
         report = sharpened_bound_report(DrivingProtocol.sudden(h_a, h_b), u, beta)
         assert report.beta * report.w_irr >= report.bound - 1e-9
-        assert report.bound_terms.total() == pytest.approx(report.bound, abs=1e-9)
+        assert report.incoherent + report.coherence + report.population == pytest.approx(
+            report.bound, abs=1e-9)
         assert report.jensen_slack >= -1e-9
         assert report.jensen_slack == pytest.approx(
             report.beta * report.w_irr - report.bound, abs=1e-9
@@ -465,9 +485,8 @@ class TestBlocks:
             alone = evolve_unitary(protocol, n_steps=32, tol=1e-6)
             assert np.array_equal(u, alone)
             report = sharpened_bound_report(protocol, alone, beta)
-            fields = {**vars(report), **vars(report.bound_terms)}
             assert {name: float(values[r]) for name, values in columns.items()} == {
-                name: fields[name] for name in columns}
+                name: vars(report)[name] for name in columns}
             if kind == "slow" and dim > 1:
                 coarse, fine = magnus_product(protocol, 32), magnus_product(protocol, 64)
                 assert np.max(np.abs(fine - coarse)) > 1e-6
