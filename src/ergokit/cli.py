@@ -13,10 +13,10 @@ by ``_dumps``; a 1-D or 2-D float array that is at least half zeros, such as a
 dense kernel echo, is written as zero runs and costs one formatted token per
 nonzero entry, and any other array is one ``%`` format against a cached layout
 template.  ``--output`` additionally writes the report, or a plot-ready
-CSV table when ``--format csv`` is chosen.  Exit status is 0 when every
-asserted invariant holds at the configured tolerance, 1 on an invariant
-failure, and 2 on I/O, parse, configuration, or scope (``OutOfScope``) errors;
-a failed run prints one line on stderr.
+CSV table when ``--format csv`` is chosen.  The printed checks, which the library
+raises through ``errors.require``, are the only gate, so a failing run still writes its
+report.  Exit status is 0 if every check holds, 1 if one fails or an error stops a trial,
+and 2 on I/O, parse, configuration or scope (``OutOfScope``) errors, with one stderr line.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gaps, _direct, _routes, ergotropy_report
-from .errors import ErgokitError, OutOfScope
+from .ergotropy import _aligned_gaps, _direct, _route_checks, _routes, _via_entropies
+from .errors import ErgokitError, OutOfScope, check, failure_line
 from .quantum import (
-    DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _states,
+    DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _stack_of,
+    _states, spectral_context,
 )
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
@@ -49,7 +50,7 @@ from .serialize import (
     kernel_to_json,
     matrix_to_json,
 )
-from .workbench import DrivingProtocol, WorkReport, _bound_reports, _evolve_all, sharpened_bound_report
+from .workbench import _bound_checks, _bound_reports, _evolve_all
 
 SCHEMA_VERSION = 5
 # Matrix entries (trials x d^2, 1 MiB per complex array) in one block of a sweep's
@@ -102,7 +103,7 @@ _OPTIONS = {
     "tolerance": (
         _positive_float, 1e-8,
         "tolerance for the identity checks; it can tighten, not loosen, the "
-        "1e-8 (1 + |total|) route gate every ergotropy report applies when built",
+        "1e-8 (1 + |total|) route gate every ergotropy report applies",
     ),
     "samples": (_positive_int, 100000, "Monte Carlo sample count"),
 }
@@ -121,11 +122,6 @@ def _read_input(path: str, what: str, parse: Callable[[str], Any]) -> Any:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
         raise _InputError(f"bad {what} {path}: {exc}") from exc
-
-
-def _check(value: float, tolerance: float, *, at_most: bool = True) -> dict:
-    passed = value <= tolerance if at_most else value >= tolerance
-    return {"passed": bool(passed), "value": float(value), "tolerance": float(tolerance)}
 
 
 # ----------------------------------------------------------------------------
@@ -150,12 +146,13 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
-    report = ergotropy_report(rho, hamiltonian, config.beta)
-    results = dict(vars(report))
-    scale = 1.0 + abs(report.total)
-    checks = {f"route_{route}_agrees": _check(abs(report.total - results[f"via_{route}"]),
-                                              config.tolerance * scale)
-              for route in ("entropies", "geometric")}
+    block = spectral_context(rho, hamiltonian, config.beta)
+    results = {name: float(values[0]) for name, values in _routes(block).items()}
+    total = results["total"]
+    results.update(via_geometric=float(geo._geometric_route(block)[0]), beta_used=config.beta)
+    checks = {**_route_checks(total, results["via_entropies"], config.tolerance),
+              "route_geometric_agrees": check(abs(total - results["via_geometric"]),
+                                              config.tolerance * (1.0 + abs(total)))}
     results.update(state=matrix_to_json(rho.matrix), hamiltonian=matrix_to_json(hamiltonian.matrix))
     return results, checks, [results]
 
@@ -167,7 +164,7 @@ def _identity_rows(states: _Stack, hamiltonians: _Stack, beta: float) -> list[di
     direct route from one stacked ``eigvalsh`` each of the states and the Hamiltonians.
     Each row has the bits the same trial gets as a block of one."""
     block = _SpectralBlock.of(states, hamiltonians, beta)
-    via = _routes(block)["via_entropies"]
+    via = _via_entropies(block)
     direct = _direct(block.matrices, hamiltonians.matrices)[0]
     columns = {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
@@ -190,8 +187,8 @@ def _random_block(seed: int, index: range, dim: int) -> tuple[np.ndarray, np.nda
 def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> list[dict]:
     """The numbered rows of a sweep's trials, ``rows(index)`` for each block ``index`` of at
     most ``BLOCK_ENTRIES // dim**2`` trials.  A trial's row does not depend on the block it
-    falls in, and a failing block runs again trial by trial: the error is its first failing
-    trial's."""
+    falls in, and a block that an error stops runs again trial by trial: the error is its
+    first failing trial's."""
     size = max(1, BLOCK_ENTRIES // config.dim**2)
     trials = []
     for start in range(0, config.trials, size):
@@ -221,10 +218,11 @@ def _cmd_verify_identities(config: argparse.Namespace):
         "max_optimal_unitary_gap": max(t["optimal_unitary_gap"] for t in trials),
     }
     checks = {
-        "ergotropy_identity": _check(results["max_ergotropy_identity_dev"], config.tolerance),
+        "ergotropy_identity":
+            check(results["max_ergotropy_identity_dev"], min(config.tolerance, 1e-8)),
         "chain_identity":
-            _check(results["max_chain_identity_dev"], min(1e-9, config.beta * config.tolerance)),
-        "optimal_unitary_equality": _check(results["max_optimal_unitary_gap"], 1e-9),
+            check(results["max_chain_identity_dev"], min(1e-9, config.beta * config.tolerance)),
+        "optimal_unitary_equality": check(results["max_optimal_unitary_gap"], 1e-9),
     }
     return results, checks, trials
 
@@ -285,13 +283,13 @@ def _cmd_classical(config: argparse.Namespace):
         "kernel": kernel_to_json(kernel),
     }
     checks = {
-        "phi_sums_to_zero": _check(abs(float(phi.sum())), 1e-10),
-        "inhomogeneity_route_agrees": _check(abs(e18 - (e19 - conditional / beta)), 1e-9),
+        "phi_sums_to_zero": check(abs(float(phi.sum())), 1e-10),
+        "inhomogeneity_route_agrees": check(abs(e18 - (e19 - conditional / beta)), 1e-9),
     }
     if n <= 8:
         brute, _ = cl.permutation_min_bruteforce(p_a, p_eq)
         results["bruteforce_min_divergence"] = brute
-        checks["bruteforce_matches_sorted_pairing"] = _check(abs(brute - sorted_value), 1e-12)
+        checks["bruteforce_matches_sorted_pairing"] = check(abs(brute - sorted_value), 1e-12)
 
     epsilon = 1e-3
     experiment_probe = cl.stationarity_probe(marginal, log_eq, epsilon)
@@ -331,7 +329,7 @@ def _cmd_geometric_z(config: argparse.Namespace):
         "closed_form": closed,
         "z_score": z_score,
     }
-    checks = {"within_four_standard_errors": _check(z_score, 4.0)}
+    checks = {"within_four_standard_errors": check(z_score, 4.0)}
     return results, checks, [{**results, "beta": config.beta}]
 
 
@@ -340,7 +338,7 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     and ``stream(seed, 4i + 1)``, each stack validated and diagonalized together, tau from
     ``stream(seed, 4i + 2)`` (a sudden switch below 0.15), then one ``_evolve_all`` of
     the paths (doubling from 32 steps to the 1e-6 gate) and one ``_bound_reports`` over
-    the block."""
+    the block, whose fields every row carries for ``_bound_checks``."""
     draws = _ginibre(_streams(seed, (k for i in index for k in (4 * i, 4 * i + 1))),
                      2 * len(index), (dim, dim))
     h_a, h_b = (_spectra(_hermitian_stack(_hermitians(draws[k::2])), "ascending")
@@ -350,26 +348,24 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
     paths = [(np.array([0.0, tau if tau >= 0.15 else 0.0]), np.stack((a, b)))
              for a, b, tau in zip(h_a.matrices, h_b.matrices, taus)]
     reports = _bound_reports(h_a, h_b, np.array(_evolve_all(paths, 32, 1e-6)), beta)
-    w_irr, bound = reports["w_irr"], reports["bound"]
-    columns = {"tau": np.array(taus), "avg_work": reports["avg_work"],
-               "delta_f": reports["delta_f"], "w_irr": w_irr, "bound": bound,
-               "jensen_gap": beta * w_irr - bound,
+    bound = reports["bound"]
+    columns = {"tau": np.array(taus), **reports, "jensen_gap": beta * reports["w_irr"] - bound,
                "conditional_z_identity_dev": np.abs(bound - reports["bound_closed_form"])}
     return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
 
 
 @cache
-def _sudden_quench() -> tuple[WorkReport, float]:
-    """The documented equality case, a sudden quench from diag(0, 1) onto a coupled
-    qubit, and its oracle ln Z_B - ln Z_A.  Its inputs are literals, so it is built
-    once per process."""
+def _sudden_quench() -> tuple[dict, float]:
+    """The documented equality case at beta = 1, a sudden quench from diag(0, 1) onto a
+    coupled qubit, as its ``_bound_reports`` row, and its oracle ln Z_B - ln Z_A.  Its
+    inputs are literals, so it is built once per process."""
     h_a = HermitianOperator(np.diag([0.0, 1.0]))
     h_b = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
-    quench = sharpened_bound_report(
-        DrivingProtocol.sudden(h_a, h_b), np.eye(2, dtype=complex), 1.0
-    )
+    quench = _bound_reports(_stack_of(h_a, "ascending"), _stack_of(h_b, "ascending"),
+                            np.eye(2, dtype=complex)[None], 1.0)
     eigs = np.linalg.eigvalsh(h_b.matrix)
-    return quench, float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0)))
+    return ({name: float(values[0]) for name, values in quench.items()},
+            float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0))))
 
 
 def _cmd_otm(config: argparse.Namespace):
@@ -383,16 +379,18 @@ def _cmd_otm(config: argparse.Namespace):
         "trials": config.trials,
         "min_jensen_gap": min(t["jensen_gap"] for t in trials),
         "max_conditional_z_identity_dev": max(t["conditional_z_identity_dev"] for t in trials),
-        "sudden_quench_bound": quench.bound,
+        "sudden_quench_bound": quench["bound"],
         "sudden_quench_oracle": oracle,
-        "sudden_quench_w_irr": quench.w_irr,
+        "sudden_quench_w_irr": quench["w_irr"],
     }
+    columns = {name: np.array([t[name] for t in trials]) for name in quench}
     checks = {
-        "conditional_z_identity": _check(results["max_conditional_z_identity_dev"], 1e-9),
+        **_bound_checks({**columns, "beta": config.beta}),
+        "conditional_z_identity": check(results["max_conditional_z_identity_dev"], 1e-9),
         "irreversible_work_nonnegative":
-            _check(min(t["w_irr"] for t in trials), -1e-9, at_most=False),
-        "sudden_quench_equality": _check(abs(quench.beta * quench.w_irr - quench.bound), 1e-9),
-        "sudden_quench_value": _check(abs(quench.bound - oracle), 1e-6),
+            check(min(t["w_irr"] for t in trials), -1e-9, at_most=False),
+        "sudden_quench_equality": check(abs(quench["w_irr"] - quench["bound"]), 1e-9),
+        "sudden_quench_value": check(abs(quench["bound"] - oracle), 1e-6),
     }
     return results, checks, trials
 
@@ -666,7 +664,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_InputError, OutOfScope) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ErgokitError as exc:
+    except ErgokitError as exc:  # an error that stops a trial
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 1
     try:
@@ -674,11 +672,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    failed = [f"invariant failed: {name}: value={format_float(c['value'])}, "
-              f"tolerance={format_float(c['tolerance'])}"
-              for name, c in checks.items() if not c["passed"]]
-    if failed:
-        print("; ".join(failed), file=sys.stderr)
+    if failed := failure_line(checks):
+        print(failed, file=sys.stderr)
     return 1 if failed else 0
 
 

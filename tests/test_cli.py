@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ergokit import (
-    DrivingProtocol, classical, cli, conditional_thermal_state, evolve_unitary, geometric,
-    sharpened_bound_report, workbench,
+    DrivingProtocol, classical, cli, conditional_thermal_state, ergotropy, evolve_unitary,
+    geometric, quantum, sharpened_bound_report, workbench,
 )
 from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
-from ergokit.errors import InvariantViolation, OutOfScope
+from ergokit.errors import NotConverged, OutOfScope
 from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.geometric import _geometric_route
 from ergokit.quantum import (
@@ -171,16 +171,17 @@ class TestVerifyBlocks:
                 assert route == _geometric_route(_SpectralBlock.of(*one(m, h), beta))[0]
 
     def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
-        # The twin of otm's case: the block as a whole fails first on a later trial's
-        # error; run alone, trial 1 is the first that fails.  A trial is known by its state.
+        # The twin of otm's case: an error that stops a trial stops the block as a whole
+        # first on a later trial; run alone, trial 1 is the first that fails.  A trial is
+        # known by its state.
         states = [random_density(2, stream(0, 3 * i)).matrix for i in range(3)]
 
         def rows(rhos, hamiltonians, beta):
             if len(rhos.matrices) > 1:
-                raise InvariantViolation("the block's error")
+                raise NotConverged("the block's error")
             (trial,) = [i for i, m in enumerate(states) if np.allclose(m, rhos.matrices[0])]
             if trial >= 1:
-                raise InvariantViolation(f"trial {trial}")
+                raise NotConverged(f"trial {trial}")
             return [{}]
 
         monkeypatch.setattr(cli, "_identity_rows", rows)
@@ -948,37 +949,39 @@ class TestOtmBlocks:
             protocol = (DrivingProtocol.sudden(h_a, h_b) if tau < 0.15
                         else DrivingProtocol.linear_ramp(h_a, h_b, tau))
             report = sharpened_bound_report(protocol, evolve_unitary(protocol, 32, 1e-6), 0.5)
+            fields = {name: value for name, value in vars(report).items() if name != "beta"}
             assert row == {
-                "trial": i, "tau": tau, "avg_work": report.avg_work, "delta_f": report.delta_f,
-                "w_irr": report.w_irr, "bound": report.bound,
+                "trial": i, "tau": tau, **fields,
                 "jensen_gap": 0.5 * report.w_irr - report.bound,
                 "conditional_z_identity_dev": abs(report.bound - report.bound_closed_form),
             }
 
     def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
-        # The block as a whole fails first on a later trial's error; run alone, trial 1
-        # is the first that fails.
+        # An error that stops a trial (here the propagator's refinement) stops the block as
+        # a whole first on a later trial; run alone, trial 1 is the first that fails.
         def rows(seed, index, dim, beta):
             if len(index) > 1:
-                raise InvariantViolation("the block's error")
+                raise NotConverged("the block's error")
             if index[0] >= 1:
-                raise InvariantViolation(f"trial {index[0]}")
+                raise NotConverged(f"trial {index[0]}")
             return [{"trial": 0}]
 
         monkeypatch.setattr(cli, "_otm_rows", rows)
         code, out, err = run_cli(capsys, "otm", "--trials", "3")
         assert (code, out, err) == (1, "", "invariant failed: trial 1\n")
 
-    def test_route_disagreement_is_the_first_failing_trials(self, capsys):
-        code, _, err = run_cli(capsys, "otm", "--dim", "4", "--trials", "3", "--beta", "1e-300")
-        first = None
-        for i in range(3):
-            try:
-                cli._otm_rows(0, range(i, i + 1), 4, 1e-300)
-            except InvariantViolation as exc:
-                first = first or str(exc)
-        assert code == 1
-        assert err == f"invariant failed: {first}\n" and "route disagreement" in first
+    def test_route_disagreement_reports_the_worst_trial(self, capsys):
+        # At beta = 1e-300 the conditional routes disagree by far more than beta 1e-8: the
+        # report is printed, and its decomposition check reads the worst of the trials,
+        # each evaluated alone.
+        code, out, err = run_cli(capsys, "otm", "--dim", "4", "--trials", "3", "--beta", "1e-300")
+        checks = json.loads(out)["checks"]
+        alone = [workbench._bound_checks({**cli._otm_rows(0, range(i, i + 1), 4, 1e-300)[0],
+                                          "beta": 1e-300})["bound_decomposition"]
+                 for i in range(3)]
+        assert code == 1 and _named_failures(err) == _failed(checks)
+        assert checks["bound_decomposition"] == round_floats(max(alone, key=lambda c: c["value"]))
+        assert checks["bound_decomposition"]["passed"] is False
 
 
 class TestOtmCommand:
@@ -992,8 +995,10 @@ class TestOtmCommand:
 
     @pytest.mark.parametrize("seed, code, stderr", [
         (10, 0, ""),
-        # Item 2's high-temperature route gap (1.1e-8), past the decomposition.
-        (0, 1, "invariant failed: route disagreement |direct - entropies| = 1.055e-08\n"),
+        # Item 2's high-temperature route gap (1.1e-8), past the decomposition: terms - bound =
+        # beta (total - via_entropies) misses its 1e-8 beta gate.
+        (0, 1, "invariant failed: bound_decomposition: value=1.36002327124e-15, "
+               "tolerance=1e-15\n"),
     ], ids=["seed-10", "seed-0"])
     def test_near_degenerate_conditional_states_decompose(self, seed, code, stderr):
         # At beta = 1e-7 the conditional states' spectra crowd near 1/16, some pairs within
@@ -1002,6 +1007,7 @@ class TestOtmCommand:
         proc = run_module("otm", "--dim", "16", "--trials", "4", "--seed", str(seed),
                           "--beta", "1e-7")
         assert (proc.returncode, proc.stderr) == (code, stderr)
+        assert json.loads(proc.stdout)["passed"] is (code == 0)
 
     def test_json_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -1238,33 +1244,34 @@ class TestErrorContract:
         assert err.splitlines() == [f"error: {line}"]
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
-        from ergokit import ErgotropyReport, cli
+        routes = cli._routes
 
-        def broken_report(rho, hamiltonian, beta):
-            return ErgotropyReport(
-                total=1.0, via_entropies=2.0, via_geometric=1.0, coherent_eq11=1.0,
-                incoherent=0.0, dephased_ergotropy=0.0, beta_used=beta, passive_energy=0.0,
-            )
+        def broken_routes(block):  # the entropy route one above the direct route
+            return {**routes(block), "via_entropies": routes(block)["total"] + 1.0}
 
-        monkeypatch.setattr(cli, "ergotropy_report", broken_report)
+        monkeypatch.setattr(cli, "_routes", broken_routes)
         code, out, err = run_cli(capsys, "ergotropy", "--dim", "2")
         assert code == 1
-        assert out == ""
-        assert err.startswith("invariant failed: route disagreement")
+        assert json.loads(out)["passed"] is False
+        assert re.fullmatch(r"invariant failed: route_entropies_agrees: value=1, "
+                            r"tolerance=[0-9.e-]+\n", err)
 
     @pytest.mark.parametrize("command", ["ergotropy", "verify-identities"])
     def test_tolerance_cannot_loosen_the_report_gate(self, capsys, command):
         # At beta = 1e-12 the entropy route's deviation (2.6e-4) passes --tolerance 1e-3,
-        # but the report's own 1e-8 (1 + |total|) gate fails it first.
+        # but the route check keeps its 1e-8 (1 + |total|) gate.
         code, out, err = run_cli(
             capsys, command, "--dim", "8", "--beta", "1e-12", "--tolerance", "1e-3",
             *(("--trials", "1") if command == "verify-identities" else ()),
         )
         assert code == 1
-        assert out == ""
-        assert err.splitlines() == [
-            "invariant failed: route disagreement |direct - entropies| = 2.619e-04"
-        ]
+        assert json.loads(out)["passed"] is False
+        assert err.splitlines() == [{
+            "ergotropy": "invariant failed: route_entropies_agrees: value=0.000261888521556, "
+                         "tolerance=3.77293287022e-08",  # 1e-8 (1 + |total|), total = 2.77
+            "verify-identities": "invariant failed: ergotropy_identity: value=6.94124519479e-05, "
+                                 "tolerance=1e-08",
+        }[command]]
 
 
 def _matrix_file(**matrices) -> dict:
@@ -1578,14 +1585,17 @@ def _moved(owner, name, amount):
     return patch
 
 
-# One case per printed check: a run that prints it false, by an option or by a patch
-# that perturbs one intermediate of the run.
+# One case per printed check: a run at the default --tolerance that prints it false, by a
+# patch that perturbs one intermediate of the run.
 _FAILING_CHECKS = {
-    ("ergotropy", "route_entropies_agrees"): ("ergotropy --dim 3 --tolerance 1e-18", None),
+    ("ergotropy", "route_entropies_agrees"):
+        ("ergotropy --dim 3", _scaled(ergotropy, "_via_entropies", 1 + 1e-6)),
     ("ergotropy", "route_geometric_agrees"):
         ("ergotropy --dim 3", _scaled(geometric, "_geometric_route", 1 + 1e-6)),
+    # tr(rho H) = 0.166 negated moves every route alike, and the total from 0.253 to -0.079.
+    ("ergotropy", "ergotropy_nonnegative"): ("ergotropy --dim 3", _scaled(quantum, "_traces", -1.0)),
     ("verify-identities", "ergotropy_identity"):
-        ("verify-identities --dim 3 --trials 4 --tolerance 1e-18", None),
+        ("verify-identities --dim 3 --trials 4", _scaled(cli, "_via_entropies", 1 + 1e-6)),
     ("verify-identities", "chain_identity"):
         ("verify-identities --dim 3 --trials 4", _scaled(_SpectralBlock, "coherence", 1 + 1e-6)),
     ("verify-identities", "optimal_unitary_equality"):
@@ -1610,7 +1620,30 @@ _FAILING_CHECKS = {
         ("otm --dim 2 --trials 2", _scaled(workbench, "_gibbs_logs", 1 - 1e-6, 0)),
     ("otm", "sudden_quench_value"):
         ("otm --dim 2 --trials 2", _scaled(cli, "_sudden_quench", 1 + 1e-5, 1)),
+    # Trial 1's Jensen gap is 3.1e-7: <W> = -0.457 scaled drops beta W_irr by 4.6e-7.
+    ("otm", "maximum_work_bound"): ("otm --dim 2 --trials 2", _scaled(workbench, "_dots", 1 + 1e-6)),
+    # The conditional totals move with the passive energies, -0.26 and -0.95, and the three
+    # terms with them; the bound does not.
+    ("otm", "bound_decomposition"):
+        ("otm --dim 2 --trials 2", _scaled(_SpectralBlock, "passive_energy", 1 + 1e-6)),
+    # Trial 1's conditional state has tr(rho H_B) = -0.881 and a passive energy of -0.955:
+    # scaled by 1.2, the energy puts its total at -0.102.
+    ("otm", "conditional_ergotropy_nonnegative"):
+        ("otm --dim 2 --trials 2", _scaled(quantum, "_traces", 1.2)),
 }
+
+
+def _named_failures(err: str) -> list[str]:
+    """The checks that the one stderr line of a failed run names, sorted."""
+    (line,) = err.splitlines()
+    parts = line.split("; ")
+    assert all(part.startswith("invariant failed: ") for part in parts)
+    return sorted(part.split(": ")[1] for part in parts)
+
+
+def _failed(checks: dict) -> list[str]:
+    """The checks that a report marks false, sorted."""
+    return sorted(name for name, c in checks.items() if not c["passed"])
 
 
 @pytest.fixture
@@ -1634,7 +1667,16 @@ class TestEveryCheckCanFail:
         payload = json.loads(out)
         assert payload["passed"] is False
         assert payload["checks"][key]["passed"] is False
-        assert f"invariant failed: {key}: " in err
+        assert _named_failures(err) == _failed(payload["checks"])
+
+    def test_a_nan_fails_the_bound_checks(self, capsys, monkeypatch, fresh_quench):
+        # A NaN bound compares false both ways, so each check that reads it fails.
+        _scaled(_SpectralBlock, "relative_entropy", math.nan)(monkeypatch)
+        code, out, err = run_cli(capsys, "otm", "--dim", "2", "--trials", "2")
+        checks = json.loads(out)["checks"]
+        assert code == 1 and _named_failures(err) == _failed(checks)
+        for key in ("maximum_work_bound", "bound_decomposition", "conditional_z_identity"):
+            assert checks[key]["passed"] is False and math.isnan(checks[key]["value"])
 
     @pytest.mark.parametrize("dense", [False, True], ids=["permutation", "dense-input"])
     def test_route_check_fails_with_the_marginal_total_kept(self, capsys, monkeypatch,
@@ -1660,10 +1702,10 @@ class TestEveryCheckCanFail:
         assert printed == set(_FAILING_CHECKS)
 
 
-# The keys schema 5 removed: each restated an assignment, or a build-time gate of the
-# same or a tighter tolerance.
-_REMOVED_CHECKS = {"ergotropy_nonnegative", "coherent_identity", "uniform_stationarity_envelope",
-                   "maximum_work_bound", "bound_decomposition"}
+# The keys schema 5 removed: each restated an assignment, or a check no accepted input can
+# fail.  ergotropy_nonnegative, maximum_work_bound and bound_decomposition were removed
+# with them as repeats of build-time gates, and returned as the gates themselves.
+_REMOVED_CHECKS = {"coherent_identity", "uniform_stationarity_envelope"}
 _REMOVED_RESULTS = {"max_coherent_identity_dev", "max_decomposition_dev",
                     "uniform_max_first_order", "uniform_envelope"}
 

@@ -27,8 +27,8 @@ from ergokit import (
     quantum_relative_entropy,
     spectral_relative_entropy,
 )
-from ergokit.ergotropy import _aligned_gaps, _check_routes, optimal_alignment_unitary
-from ergokit.errors import InvariantViolation, OutOfScope
+from ergokit.ergotropy import _aligned_gaps, _route_checks, optimal_alignment_unitary
+from ergokit.errors import InvariantViolation, OutOfScope, require
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
     haar_unitaries,
@@ -309,16 +309,21 @@ class TestReport:
         assert str(raised.value) == "dim must be >= 2 for the manifold CP^(dim-1), got 1"
 
     def test_route_gate_names_the_worst_row(self):
+        # Rows 1 and 2 fail; the line prints row 2's deviation 2^-21 against its own gate.
         total = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(InvariantViolation, match=r"entropies\| = 3\.000e-07$"):
-            _check_routes(total, total + np.array([0.0, 1e-7, 3e-7]))
-        with pytest.raises(InvariantViolation, match=r"^negative ergotropy -1\.000e-03$"):
-            _check_routes(np.array([0.0, -1e-6, -1e-3]), np.array([0.0, -1e-6, -1e-3]))
+        with pytest.raises(InvariantViolation) as raised:
+            require(_route_checks(total, total + np.array([0.0, 2.0**-23, 2.0**-21])))
+        assert str(raised.value) == ("invariant failed: route_entropies_agrees: "
+                                     "value=4.76837158203e-07, tolerance=4e-08")
+        with pytest.raises(InvariantViolation) as raised:
+            require(_route_checks(np.array([0.0, -1e-6, -1e-3]), np.array([0.0, -1e-6, -1e-3])))
+        assert str(raised.value) == ("invariant failed: ergotropy_nonnegative: value=-0.001, "
+                                     "tolerance=-1e-09")
 
     @pytest.mark.parametrize("total, via", [(math.nan, 0.0), (0.0, math.nan)])
     def test_route_gate_fails_a_nan(self, total, via):
-        with pytest.raises(InvariantViolation, match="nan"):
-            _check_routes(total, via)
+        with pytest.raises(InvariantViolation, match="route_entropies_agrees: value=nan"):
+            require(_route_checks(total, via))
 
 
 class TestScaleCovariance:
@@ -442,7 +447,7 @@ class TestSpectralContextReuse:
         assert report.passive_energy == pytest.approx(passive_energy(rho, h), abs=1e-12)
 
     def test_invariant_failures_are_toolkit_errors(self):
-        with pytest.raises(InvariantViolation, match="route disagreement"):
+        with pytest.raises(InvariantViolation, match="^invariant failed: route_entropies_agrees: "):
             ErgotropyReport(
                 total=1.0, via_entropies=2.0, via_geometric=1.0, coherent_eq11=1.0,
                 incoherent=0.0, dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,

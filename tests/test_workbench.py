@@ -23,10 +23,10 @@ from ergokit import (
     step_product,
 )
 from ergokit import _threads, workbench
-from ergokit.errors import InvariantViolation, OutOfScope
+from ergokit.errors import InvariantViolation, OutOfScope, require
 from ergokit.quantum import _gibbs_logs, _spectra, _stack_of
 from ergokit.sampling import haar_unitaries, random_hermitian, stream
-from ergokit.workbench import _bound_reports, _check_bound, _evolve_all, magnus_product
+from ergokit.workbench import _bound_checks, _bound_reports, _evolve_all, magnus_product
 
 H_A = HermitianOperator(np.diag([0.0, 1.0]))
 H_B = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
@@ -315,15 +315,25 @@ class TestSharpenedBound:
         assert {f.name for f in dataclasses.fields(WorkReport)} == {*columns, "beta"}
 
     def test_bound_gate_names_the_worst_row(self):
-        # Rows 1 and 2 fail; row 2's shortfall (and miss) is the larger.
+        # Rows 1 and 2 fail; the line prints row 2's shortfall (and miss), 2^-21.
         bound = np.array([1.0, 2.0, 3.0])
-        below = bound - np.array([0.0, 1e-7, 3e-7])
-        with pytest.raises(InvariantViolation, match=r"beta\*w_irr = 2\.999999700000e\+00 < "
-                                                     r"bound = 3\.000000000000e\+00$"):
-            _check_bound(below, bound, bound)
-        with pytest.raises(InvariantViolation, match=r"^bound decomposition misses the bound "
-                                                     r"by 3\.000e-07$"):
-            _check_bound(bound, bound, below)
+        below = bound - np.array([0.0, 2.0**-23, 2.0**-21])
+        fields = dict(beta=1.0, bound=bound, coherence=0.0, population=0.0,
+                      alt_incoherent_ergotropy=0.0, alt_coherent_ergotropy=0.0)
+        with pytest.raises(InvariantViolation) as raised:
+            require(_bound_checks({**fields, "w_irr": below, "incoherent": bound}))
+        assert str(raised.value) == ("invariant failed: maximum_work_bound: "
+                                     "value=-4.76837158203e-07, tolerance=-1e-09")
+        with pytest.raises(InvariantViolation) as raised:
+            require(_bound_checks({**fields, "w_irr": bound, "incoherent": below}))
+        assert str(raised.value) == ("invariant failed: bound_decomposition: "
+                                     "value=4.76837158203e-07, tolerance=1e-09")
+
+    @pytest.mark.parametrize("field", ["w_irr", "bound", "incoherent", "alt_coherent_ergotropy"])
+    def test_bound_gate_fails_a_nan(self, field):
+        report = sharpened_bound_report(DrivingProtocol.sudden(H_A, H_B), np.eye(2, dtype=complex), 1.0)
+        with pytest.raises(InvariantViolation, match="value=nan"):
+            dataclasses.replace(report, **{field: math.nan})
 
     def test_trivial_protocol_zero_bound(self):
         report = sharpened_bound_report(DrivingProtocol.sudden(H_A, H_A), np.eye(2, dtype=complex), 1.0)
