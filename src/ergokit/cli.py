@@ -32,11 +32,11 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import _aligned_gaps, _direct, _route_checks, _routes, _via_entropies
-from .errors import ErgokitError, OutOfScope, check, failure_line
+from .ergotropy import (_aligned_gaps, _direct, _ergotropy_fields, _route_checks, _via_entropies,
+                        ergotropy_report)
+from .errors import ErgokitError, InvariantViolation, OutOfScope, check, failure_line
 from .quantum import (
-    DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _stack_of,
-    _states, spectral_context,
+    DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _states,
 )
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
@@ -50,7 +50,7 @@ from .serialize import (
     kernel_to_json,
     matrix_to_json,
 )
-from .workbench import _bound_checks, _bound_reports, _evolve_all
+from .workbench import DrivingProtocol, _bound_checks, _bound_reports, _evolve_all, _work_fields
 
 SCHEMA_VERSION = 5
 # Matrix entries (trials x d^2, 1 MiB per complex array) in one block of a sweep's
@@ -146,10 +146,11 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
-    block = spectral_context(rho, hamiltonian, config.beta)
-    results = {name: float(values[0]) for name, values in _routes(block).items()}
+    try:
+        results = dict(vars(ergotropy_report(rho, hamiltonian, config.beta)))
+    except InvariantViolation:  # the same fields unchecked: the checks print what failed
+        results = _ergotropy_fields(rho, hamiltonian, config.beta)
     total = results["total"]
-    results.update(via_geometric=float(geo._geometric_route(block)[0]), beta_used=config.beta)
     checks = {**_route_checks(total, results["via_entropies"], config.tolerance),
               "route_geometric_agrees": check(abs(total - results["via_geometric"]),
                                               config.tolerance * (1.0 + abs(total)))}
@@ -211,12 +212,9 @@ def _cmd_verify_identities(config: argparse.Namespace):
                               _spectra(_hermitian_stack(hamiltonians), "ascending"), config.beta)
 
     trials = _sweep(config, rows)
-    results = {
-        "trials": config.trials,
-        "max_ergotropy_identity_dev": max(t["ergotropy_identity_dev"] for t in trials),
-        "max_chain_identity_dev": max(t["chain_identity_dev"] for t in trials),
-        "max_optimal_unitary_gap": max(t["optimal_unitary_gap"] for t in trials),
-    }
+    results = {"trials": config.trials, **{  # np.max: a NaN in any trial carries through
+        f"max_{name}": float(np.max([t[name] for t in trials]))
+        for name in ("ergotropy_identity_dev", "chain_identity_dev", "optimal_unitary_gap")}}
     checks = {
         "ergotropy_identity":
             check(results["max_ergotropy_identity_dev"], min(config.tolerance, 1e-8)),
@@ -356,16 +354,14 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
 
 @cache
 def _sudden_quench() -> tuple[dict, float]:
-    """The documented equality case at beta = 1, a sudden quench from diag(0, 1) onto a
-    coupled qubit, as its ``_bound_reports`` row, and its oracle ln Z_B - ln Z_A.  Its
-    inputs are literals, so it is built once per process."""
+    """The documented equality case, a sudden quench from diag(0, 1) onto a coupled qubit
+    at beta = 1, as its unchecked ``WorkReport`` fields, and its oracle ln Z_B - ln Z_A.
+    Its inputs are literals, so it is built once per process."""
     h_a = HermitianOperator(np.diag([0.0, 1.0]))
     h_b = HermitianOperator(np.array([[0.0, 0.5], [0.5, 1.0]]))
-    quench = _bound_reports(_stack_of(h_a, "ascending"), _stack_of(h_b, "ascending"),
-                            np.eye(2, dtype=complex)[None], 1.0)
+    quench = _work_fields(DrivingProtocol.sudden(h_a, h_b), np.eye(2, dtype=complex), 1.0)
     eigs = np.linalg.eigvalsh(h_b.matrix)
-    return ({name: float(values[0]) for name, values in quench.items()},
-            float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0))))
+    return quench, float(np.log(np.exp(-eigs).sum()) - np.log(1.0 + np.exp(-1.0)))
 
 
 def _cmd_otm(config: argparse.Namespace):
@@ -374,23 +370,23 @@ def _cmd_otm(config: argparse.Namespace):
     sudden-quench equality case of ``_sudden_quench``."""
     trials = _sweep(config, lambda index: _otm_rows(config.seed, index, config.dim, config.beta))
     quench, oracle = _sudden_quench()
-
-    results = {
+    columns = {name: np.array([t[name] for t in trials]) for name in trials[0]}
+    results = {  # min and max of arrays: a NaN in any trial carries through
         "trials": config.trials,
-        "min_jensen_gap": min(t["jensen_gap"] for t in trials),
-        "max_conditional_z_identity_dev": max(t["conditional_z_identity_dev"] for t in trials),
+        "min_jensen_gap": float(columns["jensen_gap"].min()),
+        "max_conditional_z_identity_dev": float(columns["conditional_z_identity_dev"].max()),
         "sudden_quench_bound": quench["bound"],
         "sudden_quench_oracle": oracle,
         "sudden_quench_w_irr": quench["w_irr"],
     }
-    columns = {name: np.array([t[name] for t in trials]) for name in quench}
     checks = {
         **_bound_checks({**columns, "beta": config.beta}),
         "conditional_z_identity": check(results["max_conditional_z_identity_dev"], 1e-9),
-        "irreversible_work_nonnegative":
-            check(min(t["w_irr"] for t in trials), -1e-9, at_most=False),
-        "sudden_quench_equality": check(abs(quench["w_irr"] - quench["bound"]), 1e-9),
+        "irreversible_work_nonnegative": check(columns["w_irr"].min(), -1e-9, at_most=False),
+        "sudden_quench_equality":
+            check(abs(quench["beta"] * quench["w_irr"] - quench["bound"]), 1e-9),
         "sudden_quench_value": check(abs(quench["bound"] - oracle), 1e-6),
+        **{f"sudden_quench_{name}": c for name, c in _bound_checks(quench).items()},
     }
     return results, checks, trials
 

@@ -154,16 +154,18 @@ def _routes(block: _SpectralBlock) -> dict[str, np.ndarray]:
                 block.dephased_energy - _dots(block.dephased_populations, block.energies)}
 
 
-def ergotropy_report(
-    rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float
-) -> ErgotropyReport:
-    """Every route from row 0 of one spectral block, with the consistency invariants; the
-    geometric route needs d >= 2 (``OutOfScope``).  The operators keep their spectra, so
-    ``spectral_context(rho, hamiltonian, beta)`` rebuilds the block with no ``eigh``."""
+def _ergotropy_fields(rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float) -> dict:
+    """The ``ErgotropyReport`` fields, unchecked, from row 0 of one spectral block, which the
+    operators' kept spectra rebuild with no ``eigh``; the geometric route needs d >= 2."""
     block = spectral_context(rho, hamiltonian, beta)
-    routes = {name: float(values[0]) for name, values in _routes(block).items()}
-    via_geometric = float(geometric._geometric_route(block)[0])
-    return ErgotropyReport(**routes, via_geometric=via_geometric, beta_used=float(beta))
+    return {**{name: float(values[0]) for name, values in _routes(block).items()},
+            "via_geometric": float(geometric._geometric_route(block)[0]), "beta_used": float(beta)}
+
+
+def ergotropy_report(rho: DensityMatrix, hamiltonian: HermitianOperator,
+                     beta: float) -> ErgotropyReport:
+    """The ``_ergotropy_fields`` as a report, which raises the failed ``_route_checks``."""
+    return ErgotropyReport(**_ergotropy_fields(rho, hamiltonian, beta))
 
 
 def _aligned_gaps(block: _SpectralBlock) -> np.ndarray:

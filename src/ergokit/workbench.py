@@ -374,26 +374,28 @@ def _bound_checks(report: dict) -> dict:
                 at_most=False)}
 
 
-def sharpened_bound_report(
-    protocol: DrivingProtocol, unitary: np.ndarray, beta: float
-) -> WorkReport:
-    """Work report of a thermal initial state driven through ``unitary``, with
-    the conditional-state bound and its decomposition.
+def sharpened_bound_report(protocol: DrivingProtocol, unitary: np.ndarray,
+                           beta: float) -> WorkReport:
+    """Work report of a thermal initial state driven through ``unitary``, with the
+    conditional-state bound and its decomposition (``_work_fields``).
 
-    The bound is the relative entropy of the conditional thermal state to the
-    final Gibbs state; its three pieces follow the printed coherent/incoherent
-    convention (which makes the incoherent piece vanish identically - the
-    dephasing-based alternative is reported alongside).  H_A and H_B are
-    diagonalized once each, the spectra kept on the operators.  The work
-    accounting reads those spectra and diagonalizes nothing more:
+    The bound is the relative entropy of the conditional thermal state to the final Gibbs
+    state; its three pieces follow the printed coherent/incoherent convention (which makes
+    the incoherent piece vanish identically - the dephasing-based alternative is reported
+    alongside).  H_A and H_B are diagonalized once each, the spectra kept on the operators.
+    The work accounting reads those spectra and diagonalizes nothing more:
     <W> = sum_j p_j (h_B(j) - E_j) over the initial Gibbs spectrum and
     Delta F = -(ln Z_B - ln Z_A) / beta.
     """
+    return WorkReport(**_work_fields(protocol, unitary, beta))
+
+
+def _work_fields(protocol: DrivingProtocol, unitary: np.ndarray, beta: float) -> dict:
+    """The ``sharpened_bound_report`` fields, unchecked: its ``_bound_reports`` row and beta."""
     columns = _bound_reports(_stack_of(protocol.initial, "ascending"),
                              _stack_of(protocol.final, "ascending"),
                              np.asarray(unitary, dtype=complex)[None], beta)
-    row = {name: float(values[0]) for name, values in columns.items()}
-    return WorkReport(beta=float(beta), **row)
+    return {"beta": float(beta), **{name: float(values[0]) for name, values in columns.items()}}
 
 
 def _bound_reports(initial: _Stack, final: _Stack, unitaries: np.ndarray,

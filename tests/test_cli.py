@@ -1244,12 +1244,12 @@ class TestErrorContract:
         assert err.splitlines() == [f"error: {line}"]
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
-        routes = cli._routes
+        routes = ergotropy._routes
 
         def broken_routes(block):  # the entropy route one above the direct route
             return {**routes(block), "via_entropies": routes(block)["total"] + 1.0}
 
-        monkeypatch.setattr(cli, "_routes", broken_routes)
+        monkeypatch.setattr(ergotropy, "_routes", broken_routes)
         code, out, err = run_cli(capsys, "ergotropy", "--dim", "2")
         assert code == 1
         assert json.loads(out)["passed"] is False
@@ -1630,6 +1630,17 @@ _FAILING_CHECKS = {
     # scaled by 1.2, the energy puts its total at -0.102.
     ("otm", "conditional_ergotropy_nonnegative"):
         ("otm --dim 2 --trials 2", _scaled(quantum, "_traces", 1.2)),
+    # The quench's own WorkReport checks.  ln Z_A = 0.313 raised by 1e-6 drops its beta W_irr
+    # 3.1e-7 below the bound that it equals.
+    ("otm", "sudden_quench_maximum_work_bound"):
+        ("otm --dim 2 --trials 2", _scaled(workbench, "_gibbs_logs", 1 + 1e-6, 0)),
+    # Its conditional total moves with its passive energy, 0.173; the bound does not.
+    ("otm", "sudden_quench_bound_decomposition"):
+        ("otm --dim 2 --trials 2", _scaled(_SpectralBlock, "passive_energy", 1 + 1e-6)),
+    # Its conditional state has tr(rho H_B) = 0.269 and a passive energy of 0.173: halved,
+    # the energy puts its total at -0.039.
+    ("otm", "sudden_quench_conditional_ergotropy_nonnegative"):
+        ("otm --dim 2 --trials 2", _scaled(quantum, "_traces", 0.5)),
 }
 
 
@@ -1677,6 +1688,22 @@ class TestEveryCheckCanFail:
         assert code == 1 and _named_failures(err) == _failed(checks)
         for key in ("maximum_work_bound", "bound_decomposition", "conditional_z_identity"):
             assert checks[key]["passed"] is False and math.isnan(checks[key]["value"])
+
+    @pytest.mark.parametrize("argv, key, patch", [
+        ("verify-identities --dim 3 --trials 4", "ergotropy_identity",
+         _scaled(cli, "_via_entropies", np.array([1.0, math.nan, 1.0, 1.0]))),
+        ("otm --dim 2 --trials 2", "conditional_z_identity",  # ln Z(B|A) of trial 1
+         _scaled(workbench, "_conditional_states", np.array([1.0, math.nan]), 3)),
+    ], ids=["verify-identities", "otm"])
+    def test_a_nan_in_a_later_trial_fails_its_check(self, capsys, monkeypatch, fresh_quench,
+                                                     argv, key, patch):
+        # Only trial 1 is NaN: the worst over the trials must carry it, not pass over it.
+        cli._sudden_quench()  # built unpatched: the patch is sized for the trials
+        patch(monkeypatch)
+        code, out, err = run_cli(capsys, *argv.split())
+        checks = json.loads(out)["checks"]
+        assert code == 1 and _named_failures(err) == _failed(checks)
+        assert checks[key]["passed"] is False and math.isnan(checks[key]["value"])
 
     @pytest.mark.parametrize("dense", [False, True], ids=["permutation", "dense-input"])
     def test_route_check_fails_with_the_marginal_total_kept(self, capsys, monkeypatch,
