@@ -386,6 +386,20 @@ class TestPartitionFunction:
         assert estimate == pytest.approx(volume * mean, rel=1e-14, abs=0)
         assert stderr == pytest.approx(volume * math.sqrt(m2 / 19_999 / 20_000), rel=1e-12, abs=0)
 
+    def test_estimates_pinned_bit_for_bit(self, two_cpus):
+        # (energies, beta, samples, seed): d = 2 draws three full blocks and one of 1 696
+        # samples in the calling thread; d = 4 a full block and a short one; d = 16 draws
+        # 245 blocks in two halves.  The hex digits fix every output bit of the estimator.
+        pinned = [
+            ([0.0, 1.0], 1.0, 100_000, 3, "0x1.fcbf06e24466ap+0", "0x1.d7e0c53eaf9e3p-10"),
+            ([0.0, 0.3, 1.1, 2.0], 0.7, 20_000, 5, "0x1.780d76f28b93ep+1", "0x1.42428ee67efd2p-8"),
+            (list(range(16)), 1.0, 1_000_000, 3, "0x1.82f1cb3e9c90bp-26", "0x1.28a5ebf994901p-35"),
+        ]
+        for energies, beta, n, seed, estimate, stderr in pinned:
+            h = HermitianOperator(np.diag(np.array(energies, dtype=float)))
+            result = geometric_partition_function(h, beta, n, seed)
+            assert tuple(x.hex() for x in result) == (estimate, stderr)
+
     def test_working_set_is_one_block(self):
         # Drawn whole, 10^5 samples at d = 64 hold 51.2 MB of exponentials; each of the two
         # threads holds one block of MC_BLOCK_DRAWS exponentials, 0.5 MB.
