@@ -45,6 +45,7 @@ NORM_ATOL = 1e-12
 # Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
 # Block b draws from stream(seed, b), so the block size decides which stream draws which
 # sample; blocks may run in any order on any thread, and their moments merge in block order.
+# Each half draws its blocks into one set of buffers, allocated once per call.
 # A run of at least 8 blocks' worth draws on two threads (``_threads.claimed``); a smaller
 # one loses more to the hand-off than it gains.
 MC_BLOCK_DRAWS = 1 << 16
@@ -185,13 +186,16 @@ def manifold_volume(dim: int) -> float:
     return pi ** (dim - 1) / factorial(dim - 1)
 
 
-def _sample_energies(energies: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """<z|H|z> = sum_k E_k w_k at ``count`` uniform points z, from H's eigenvalues: the
-    populations w_k = |<e_k|z>|^2 are Dirichlet(1, ..., 1), exponentials over their sum.
-    One product gives each row's energy sum and plain sum."""
-    x = rng.standard_exponential((count, energies.size))
-    sums = x @ np.stack([energies, np.ones_like(energies)], axis=1)
-    return sums[:, 0] / sums[:, 1]
+def _sample_energies(energies: np.ndarray, rng: np.random.Generator, x: np.ndarray,
+                     sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """<z|H|z> = sum_k E_k w_k at len(``out``) uniform points z, from H's eigenvalues, into
+    ``out``: the populations w_k = |<e_k|z>|^2 are Dirichlet(1, ..., 1), exponentials over
+    their sum.  The exponentials fill the leading rows of the caller's ``x`` (n, d), and one
+    product gives each row's energy sum and plain sum in the leading rows of ``sums`` (n, 2)."""
+    x, sums = x[: len(out)], sums[: len(out)]
+    rng.standard_exponential(out=x)
+    np.matmul(x, np.stack([energies, np.ones_like(energies)], axis=1), out=sums)
+    return np.divide(sums[:, 0], sums[:, 1], out=out)
 
 
 def geometric_partition_function(
@@ -221,9 +225,11 @@ def geometric_partition_function(
         # claims, so a half on a busier CPU draws fewer: sizes[b] samples from
         # stream(seed, b), through one repositioned generator.
         moments = {}
+        x, sums = np.empty((sizes[0], energies.size)), np.empty((sizes[0], 2))
+        out = np.empty(sizes[0])
         mine, positions = itertools.tee(claims)
         for b, rng in zip(mine, _streams(seed, positions)):
-            w = _sample_energies(energies, sizes[b], rng)
+            w = _sample_energies(energies, rng, x, sums, out[: sizes[b]])
             w *= -beta
             np.exp(w, out=w)
             mean = float(w.mean())

@@ -37,6 +37,12 @@ H01 = HermitianOperator(np.diag([0.0, 1.0]))
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 
 
+def _draw(energies, count, rng):
+    """``_sample_energies`` at ``count`` points, into buffers of exactly that many rows."""
+    buffers = np.empty((count, energies.size)), np.empty((count, 2)), np.empty(count)
+    return _sample_energies(energies, rng, *buffers)
+
+
 class TestPoints:
     """Row i of ``GeometricState.points`` is the unit vector that carries weight i."""
 
@@ -242,14 +248,14 @@ class TestGeometricErgotropy:
 
 class TestUniformSampler:
     def test_qubit_component_moment(self):
-        population = _sample_energies(np.array([1.0, 0.0]), 100_000, stream(0))
+        population = _draw(np.array([1.0, 0.0]), 100_000, stream(0))
         assert abs(float(population.mean()) - 0.5) < 0.005
 
     def test_component_moment_general_dim(self):
         for dim in (3, 5):
             # Unit energies pick out each population |z_k|^2 of the same draw.
             moments = np.array(
-                [_sample_energies(e_k, 50_000, stream(1)).mean() for e_k in np.eye(dim)]
+                [_draw(e_k, 50_000, stream(1)).mean() for e_k in np.eye(dim)]
             )
             # Var(|z_a|^2) = (d-1)/(d^2 (d+1)); stay within 4 sigma of 1/d.
             sigma = math.sqrt((dim - 1) / (dim**2 * (dim + 1)) / 50_000)
@@ -257,8 +263,8 @@ class TestUniformSampler:
 
     def test_bit_identical_for_fixed_seed(self):
         energies = np.array([0.0, 0.4, 1.0])
-        a = _sample_energies(energies, 50, stream(42))
-        b = _sample_energies(energies, 50, stream(42))
+        a = _draw(energies, 50, stream(42))
+        b = _draw(energies, 50, stream(42))
         assert np.array_equal(a, b)
         h = random_hermitian(3, stream(6))
         assert geometric_partition_function(h, 1.0, 1_000, 42) == geometric_partition_function(
@@ -271,7 +277,7 @@ class TestUniformSampler:
         # energy scale sum_k |E_k| w_k, since signed energies may cancel.
         for dim in (2, 3, 16, 64):
             energies = np.linalg.eigvalsh(random_hermitian(dim, stream(30, dim)).matrix)
-            fused = _sample_energies(energies, 20_000, stream(31, dim))
+            fused = _draw(energies, 20_000, stream(31, dim))
             x = stream(31, dim).standard_exponential((20_000, dim))
             separate = (x @ energies) / x.sum(axis=1)
             scale = (x @ np.abs(energies)) / x.sum(axis=1)
@@ -286,8 +292,20 @@ class TestUniformSampler:
         z = g.standard_normal((200_000, 3)) + 1j * g.standard_normal((200_000, 3))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         direct = np.einsum("ni,ij,nj->n", z.conj(), h.matrix, z).real
-        simplex = _sample_energies(np.linalg.eigvalsh(h.matrix), 200_000, stream(4))
+        simplex = _draw(np.linalg.eigvalsh(h.matrix), 200_000, stream(4))
         assert ks_2samp(direct, simplex).statistic <= 0.01
+
+    def test_fills_the_leading_rows_of_the_callers_buffers(self):
+        # One set of buffers serves a full block and then a short one: each call returns a
+        # view of the caller's out, with the bits of a fresh draw and product on its stream.
+        energies = np.array([0.0, 0.4, 1.0])
+        x, sums, out = np.empty((1000, 3)), np.empty((1000, 2)), np.empty(1000)
+        coef = np.stack([energies, np.ones(3)], axis=1)
+        for index, count in ((0, 1000), (1, 347)):
+            drawn = _sample_energies(energies, stream(7, index), x, sums, out[:count])
+            fresh = stream(7, index).standard_exponential((count, 3)) @ coef
+            assert np.shares_memory(drawn, out) and drawn.shape == (count,)
+            assert drawn.tobytes() == (fresh[:, 0] / fresh[:, 1]).tobytes()
 
 
 class TestPartitionFunction:
@@ -375,7 +393,7 @@ class TestPartitionFunction:
         h = HermitianOperator(np.diag(energies))
         sizes = (geometric.MC_BLOCK_DRAWS // 4, 20_000 - geometric.MC_BLOCK_DRAWS // 4)
         assert sizes == (16384, 3616)
-        w = [np.exp(-0.7 * _sample_energies(energies, m, stream(5, b)))
+        w = [np.exp(-0.7 * _draw(energies, m, stream(5, b)))
              for b, m in enumerate(sizes)]
         means = [float(x.mean()) for x in w]
         m2 = sum(float(((x - mu) ** 2).sum()) for x, mu in zip(w, means))
