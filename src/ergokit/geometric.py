@@ -45,9 +45,9 @@ NORM_ATOL = 1e-12
 # Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
 # Block b draws from stream(seed, b), so the block size decides which stream draws which
 # sample; blocks may run in any order on any thread, and their moments merge in block order.
-# Each half draws its blocks into one set of buffers, allocated once per call.
 # A run of at least 8 blocks' worth draws on two threads (``_threads.claimed``); a smaller
-# one loses more to the hand-off than it gains.
+# one loses more to the hand-off than it gains.  Each half (a smaller run is one) draws its
+# blocks into one set of buffers, allocated once per call.
 MC_BLOCK_DRAWS = 1 << 16
 MC_PARALLEL_DRAWS = 8 * MC_BLOCK_DRAWS
 
