@@ -20,12 +20,12 @@ from typing import Literal
 import numpy as np
 
 from .errors import EmptyShell, OutOfScope, SupportViolation
-from .quantum import _gauge, _gibbs_logs
+from .quantum import _divergences, _gauge, _gibbs_logs
 
 MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
-# Argument weights at or below the floor count as zero (0 ln 0 := 0).  Reference
-# weights are exact inputs, so a reference vanishes only where it is exactly 0.
+# Argument weights at or below the floor are exact zeros of ``_divergences`` (0 ln 0 := 0).
+# Reference weights are exact inputs, so a reference vanishes only where it is exactly 0.
 WEIGHT_FLOOR = 1e-15
 
 Surface = Literal["A", "B"]
@@ -222,9 +222,6 @@ class JointDistribution(_ColumnLayers):
             raise ValueError(f"total mass deviates from 1 by {abs(dense.sum() - 1.0):.3e}")
         self._hold(*_column_layers(dense))
 
-    def initial_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=0)
-
     def final_marginal(self) -> np.ndarray:
         rows, values = self.rows.ravel(), self.values.ravel()
         return np.bincount(rows, weights=values, minlength=self.n_cells)
@@ -261,18 +258,13 @@ def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointD
     return JointDistribution._of(kernel.rows, kernel.values * p_a.weights)
 
 
-def _xlogx(x: np.ndarray) -> float:
-    """sum x ln x over the entries above ``WEIGHT_FLOOR`` (0 ln 0 := 0)."""
-    live = x[x > WEIGHT_FLOOR]
-    return float((live * np.log(live)).sum())
-
-
 def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: np.ndarray) -> float:
     """sum x ln x over the joint's entries minus sum_f row_sums[f] ln reference[f]."""
     populated = row_sums > WEIGHT_FLOOR
     if np.any(reference[populated] == 0.0):
         raise SupportViolation("reference distribution vanishes on a populated final cell")
-    return _xlogx(entries) - float(row_sums[populated] @ np.log(reference[populated]))
+    return float(_divergences(entries.ravel(), floor=WEIGHT_FLOOR)
+                 - row_sums[populated] @ np.log(reference[populated]))
 
 
 def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +292,7 @@ def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> floa
     live = pw > WEIGHT_FLOOR
     if np.any(qw[live] == 0.0):
         raise SupportViolation("q vanishes where p is populated")
-    return float((pw[live] * (np.log(pw[live]) - np.log(qw[live]))).sum())
+    return float(_divergences(pw, np.log(np.where(live, qw, 1.0)), WEIGHT_FLOOR))
 
 
 def classical_ergotropy(
@@ -322,7 +314,8 @@ def inhomogeneity_phi(joint: JointDistribution, p_a: GridDistribution) -> np.nda
 
 def _conditional_entropy(joint: JointDistribution, p_a: GridDistribution) -> float:
     """H(F|I) = H(J) - H(p_A) from the joint's layer values; 0.0 for a permutation."""
-    return _xlogx(p_a.weights) - _xlogx(joint.values)
+    return float(_divergences(p_a.weights, floor=WEIGHT_FLOOR)
+                 - _divergences(joint.values.ravel(), floor=WEIGHT_FLOOR))
 
 
 def ergotropy_via_phi(
@@ -346,7 +339,7 @@ def sorted_pairing_divergence(p: np.ndarray, q: np.ndarray) -> float:
     live = ps > WEIGHT_FLOOR
     if np.any(qs[live] == 0.0):
         return float("inf")
-    return float((ps[live] * (np.log(ps[live]) - np.log(qs[live]))).sum())
+    return float(_divergences(ps, np.log(np.where(live, qs, 1.0)), WEIGHT_FLOOR))
 
 
 def permutation_min_bruteforce(
@@ -363,15 +356,9 @@ def permutation_min_bruteforce(
     if n > 8:
         raise ValueError(f"factorial search limited to n <= 8 cells, got {n}")
     perms = np.array(list(permutations(range(n))), dtype=int)
-    pp = p.weights[perms]  # (n!, n)
     # ln 0 = -inf makes a pairing onto an empty reference cell cost +inf.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            pp > WEIGHT_FLOOR,
-            pp * (np.log(np.maximum(pp, 1e-300)) - np.log(q.weights)[None, :]),
-            0.0,
-        )
-    totals = terms.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        totals = _divergences(p.weights[perms], np.log(q.weights), WEIGHT_FLOOR)  # (n!,)
     best = int(np.argmin(totals))
     return float(totals[best]), tuple(int(i) for i in perms[best])
 

@@ -25,9 +25,9 @@ from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
     HermitianOperator,
+    _divergences,
     _gauge,
     _SpectralBlock,
-    _support_sums,
     eigendecompose,
     gibbs_state,
     spectral_context,
@@ -144,7 +144,7 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
     live = p_w > SUPPORT_FLOOR
     if np.any(s_w[live] <= SUPPORT_FLOOR):
         raise SupportMismatch("matched reference point carries no weight")
-    return float((p_w[live] * (np.log(p_w[live]) - np.log(s_w[live]))).sum())
+    return float(_divergences(p_w, np.log(np.where(live, s_w, 1.0))))
 
 
 def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float) -> float:
@@ -161,12 +161,11 @@ def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta
 def _geometric_route(block: _SpectralBlock) -> np.ndarray:
     """``ergotropy_geometric`` of each row of a spectral block: the populations above
     ``SUPPORT_FLOOR``, renormalized, against the Gibbs log-populations of the same index,
-    the dead levels summed as exact zeros (``_support_sums``)."""
+    in the one kernel ``_divergences``, the dead levels as exact zeros."""
     _require_manifold(block.populations.shape[1])
     weights = np.where(block.populations > SUPPORT_FLOOR, block.populations, 0.0)
     w = weights / weights.sum(axis=1, keepdims=True)
-    divergence = _support_sums(lambda w, ln_s: w * (np.log(w) - ln_s), w, block.log_populations)
-    return (block.relative_entropy - divergence) / block.beta
+    return (block.relative_entropy - _divergences(w, block.log_populations)) / block.beta
 
 
 def _require_manifold(dim: int) -> None:

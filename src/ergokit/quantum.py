@@ -22,7 +22,7 @@ from .errors import OutOfScope, SupportViolation
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 NEGATIVE_EIG_ATOL = 1e-10
-# Eigenvalues at or below this floor are treated as exact zeros (0 ln 0 := 0).
+# Eigenvalues at or below this floor are exact zeros of ``_divergences`` (0 ln 0 := 0).
 SUPPORT_FLOOR = 1e-12
 # Relative gap below which two eigenvalues count as degenerate.
 DEGENERACY_RTOL = 1e-10
@@ -315,28 +315,21 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _support_sums(term, p: np.ndarray, *others: np.ndarray) -> np.ndarray:
-    """sum_i term(p_i, *others_i) over the entries p_i > ``SUPPORT_FLOOR`` of each
-    row of a stack (B, d): ``term`` sees 1.0 in place of each dead p_i, and its
-    result there enters the row's sum as an exact zero (0 ln 0 := 0)."""
-    live = p > SUPPORT_FLOOR
-    return np.where(live, term(np.where(live, p, 1.0), *others), 0.0).sum(axis=1)
-
-
-def _entropies(values: np.ndarray) -> np.ndarray:
-    """-sum w ln w over the entries above ``SUPPORT_FLOOR`` of each row of a stack
-    (B, d) of eigenvalues (0 ln 0 := 0)."""
-    return -_support_sums(lambda w: w * np.log(w), values)
-
-
-def _entropy(values: np.ndarray) -> float:
-    """``_entropies`` of one list of eigenvalues."""
-    return float(_entropies(values[None])[0])
+def _divergences(p: np.ndarray, ln_q=0.0, floor: float = SUPPORT_FLOOR) -> np.ndarray:
+    """sum p (ln p - ln q) over the entries p > ``floor`` of each row of a stack (..., d),
+    with 0 ln 0 := 0 (Cover and Thomas, Elements of Information Theory, ch. 2): a dead
+    entry is an exact zero whatever ``ln_q`` holds there, and its ln p is never taken.
+    ln q = 0 gives sum p ln p.  The floor is ``SUPPORT_FLOOR`` for eigenvalues, which carry
+    the rounding of ``eigh``, and ``classical.WEIGHT_FLOOR`` for grid weights, which are
+    exact inputs."""
+    live = p > floor
+    p = np.where(live, p, 1.0)
+    return np.where(live, p * (np.log(p) - ln_q), 0.0).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 := 0."""
-    return _entropy(eigendecompose(rho, "descending").values)
+    return -float(_divergences(eigendecompose(rho, "descending").values))
 
 
 def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -357,7 +350,7 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if deviation > SUPPORT_FLOOR:
         raise SupportViolation(f"rho leaks {deviation:.3e} probability outside support(sigma)")
     cross = np.einsum("i,ji,j->", p.values[live], overlap, np.log(s.values[support]))
-    return -_entropy(p.values) - float(cross)
+    return float(_divergences(p.values)) - float(cross)
 
 
 def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -369,7 +362,7 @@ def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float
     live = p > SUPPORT_FLOOR
     if np.any(s[live] <= SUPPORT_FLOOR):
         raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
-    return float((p[live] * (np.log(p[live]) - np.log(s[live]))).sum())
+    return float(_divergences(p, np.log(np.where(live, s, 1.0))))
 
 
 def _rotate(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -413,10 +406,10 @@ class _SpectralBlock:
     ``energy`` = tr(rho H).  Every relative entropy to rho_eq is then a closed
     form, and nothing diagonalizes exp(-beta H)/Z.  Each quantity is evaluated
     once for the whole block, each row with the bits a block of one gives it:
-    every row is summed over all d levels, a level at or below ``SUPPORT_FLOOR``
-    as an exact zero (``_support_sums``), and only a degenerate H needs a solver
-    for its row's dephased spectrum.  A block is built from stacks and their
-    stacked ``eigh``; one triple is a block of one row (``spectral_context``).
+    every entropy and divergence sums all d levels of a row in ``_divergences``, a
+    level at or below ``SUPPORT_FLOOR`` as an exact zero, and only a degenerate H
+    needs a solver for its row's dephased spectrum.  A block is built from stacks and
+    their stacked ``eigh``; one triple is a block of one row (``spectral_context``).
     """
 
     beta: float
@@ -466,8 +459,8 @@ class _SpectralBlock:
         return _dots(self.populations, self.energies)
 
     # H(rho) and H(dephased)
-    entropy = cached_property(lambda self: _entropies(self.populations))
-    dephased_entropy = cached_property(lambda self: _entropies(self.dephased_populations))
+    entropy = cached_property(lambda self: -_divergences(self.populations))
+    dephased_entropy = cached_property(lambda self: -_divergences(self.dephased_populations))
 
     @cached_property
     def relative_entropy(self) -> np.ndarray:
@@ -477,8 +470,7 @@ class _SpectralBlock:
     @cached_property
     def spectral_divergence(self) -> np.ndarray:
         """D(rho||rho_eq) = sum p_desc (ln p_desc + beta E_asc + ln Z)."""
-        return _support_sums(lambda p, ln_s: p * (np.log(p) - ln_s),
-                             self.populations, self.log_populations)
+        return _divergences(self.populations, self.log_populations)
 
     @cached_property
     def coherence(self) -> np.ndarray:

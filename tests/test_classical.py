@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ergokit import (
+    DensityMatrix,
     EmptyShell,
+    GeometricState,
     GridDistribution,
     JointDistribution,
     PhaseGrid,
@@ -16,6 +18,7 @@ from ergokit import (
     classical_ergotropy,
     classical_relative_entropy,
     ergotropy_via_phi,
+    geometric_relative_entropy,
     grid_gibbs,
     inhomogeneity_phi,
     joint_from_kernel,
@@ -23,6 +26,7 @@ from ergokit import (
     microcanonical,
     permutation_min_bruteforce,
     sorted_pairing_divergence,
+    spectral_relative_entropy,
     stationarity_probe,
 )
 from ergokit.classical import _conditional_entropy
@@ -95,7 +99,7 @@ class TestTypes:
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
         kernel = TransitionKernel(random_doubly_stochastic(3, stream(1)))
         joint = joint_from_kernel(p_a, kernel)
-        assert np.max(np.abs(joint.initial_marginal() - p_a.weights)) < 1e-12
+        assert np.max(np.abs(joint.values.sum(axis=0) - p_a.weights)) < 1e-12
 
 
 class TestMicrocanonical:
@@ -167,7 +171,7 @@ class TestJointAndKernels:
         p_a = GridDistribution(stream(2).dirichlet(np.ones(5)))
         kernel = TransitionKernel(random_doubly_stochastic(5, stream(3)))
         joint = joint_from_kernel(p_a, kernel)
-        assert np.max(np.abs(joint.initial_marginal() - p_a.weights)) < 1e-12
+        assert np.max(np.abs(joint.values.sum(axis=0) - p_a.weights)) < 1e-12
 
     def test_matrix_round_trip_with_uneven_columns(self):
         # Column 0 holds one entry, on row 0, where its padding also points;
@@ -240,6 +244,26 @@ class TestRelativeEntropies:
         assert joint_relative_entropy(joint, q) == close
         assert sorted_pairing_divergence(p.weights, q.weights) == close
         assert permutation_min_bruteforce(p, q)[0] == close
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("divergence", [
+        lambda p, q: classical_relative_entropy(GridDistribution(p), GridDistribution(q)),
+        lambda p, q: joint_relative_entropy(
+            joint_from_kernel(GridDistribution(p), TransitionKernel.identity(p.size)),
+            GridDistribution(q)),
+        sorted_pairing_divergence,
+        lambda p, q: permutation_min_bruteforce(GridDistribution(p), GridDistribution(q))[0],
+        lambda p, q: spectral_relative_entropy(DensityMatrix(np.diag(p)),
+                                               DensityMatrix(np.diag(q))),
+        lambda p, q: geometric_relative_entropy(GeometricState(np.eye(p.size), p),
+                                                GeometricState(np.eye(q.size), q)),
+    ], ids=["classical", "joint", "sorted_pairing", "bruteforce", "spectral", "geometric"])
+    def test_zero_reference_on_an_empty_cell_is_left_out(self, divergence):
+        # p and q are both exactly 0 on cell 2: the sum runs over the support of p, and
+        # no ln 0 is evaluated there (a RuntimeWarning fails the test).
+        p, q = np.array([0.5, 0.5, 0.0]), np.array([0.25, 0.75, 0.0])
+        expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
+        assert divergence(p, q) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_support_violation(self):
         p = GridDistribution(np.array([0.5, 0.5]))

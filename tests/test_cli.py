@@ -1486,9 +1486,11 @@ class TestKnownFailures:
 
     @pytest.mark.parametrize("argv", [
         # High temperature (ROADMAP item 2): the routes disagree by more than 1e-8.
-        _known_failure("verify-identities --dim 8 --beta 1e-8", "route gap 3.161e-08"),
-        _known_failure("otm --dim 4 --beta 1e-7", "route gap 1.332e-08"),
-        _known_failure("otm --dim 16 --trials 4 --seed 0 --beta 1e-7", "route gap 1.138e-08"),
+        _known_failure("verify-identities --dim 8 --beta 1e-8",
+                       "ergotropy_identity 3.332e-08, chain_identity 2.22e-16"),
+        _known_failure("otm --dim 4 --beta 1e-7", "bound_decomposition 1.887e-15"),
+        _known_failure("otm --dim 16 --trials 4 --seed 0 --beta 1e-7",
+                       "bound_decomposition 1.360e-15"),
         _known_failure("classical --dim 50 --beta 1e-8", "inhomogeneity routes 5.686e-08"),
         _known_failure("ergotropy --dim 8 --beta 1e-12", "route gap 2.619e-04"),
         _known_failure("ergotropy --dim 64 --beta 1e-300", "route gap 9.437e+284"),
