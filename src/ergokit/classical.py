@@ -269,7 +269,9 @@ def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: n
 
 def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of column layers in row-major order, with a repeated (row,
-    column) pair summed in layer order, and the row sums."""
+    column) pair summed in layer order, and the row sums: the relative-entropy route's own
+    final marginal, apart from the ``final_marginal`` that the inhomogeneity route reads,
+    so that ``inhomogeneity_route_agrees`` catches a wrong marginal in either."""
     n = rows.shape[1]
     cells, slot = np.unique((rows * n + np.arange(n)).ravel(), return_inverse=True)
     entries = np.bincount(slot, weights=values.ravel())

@@ -4,16 +4,16 @@ reports.
 Each subcommand is one ``COMMANDS`` entry and takes only the options it reads;
 its report's ``config`` echoes their values.  The sweeps, ``verify-identities``
 and ``otm``, run their trials in blocks of ``BLOCK_ENTRIES``: a trial only draws
-its seeded inputs, the block is evaluated as stacked arrays, and a trial's row
-does not depend on the block it falls in.  ``otm``'s sudden-quench equality case
-has literal inputs and is built once per process.  Every subcommand prints a
-machine-readable JSON report (schema 5, sorted keys, floats at 12 significant
-digits, kernels in the forms of ``serialize``) to stdout, encoded in one pass
-by ``_dumps``; a 1-D or 2-D float array that is at least half zeros, such as a
-dense kernel echo, is written as zero runs and costs one formatted token per
-nonzero entry, and any other array is one ``%`` format against a cached layout
-template.  ``--output`` additionally writes the report, or a plot-ready
-CSV table when ``--format csv`` is chosen.  The printed checks, which the library
+its seeded inputs, the block is evaluated as stacked arrays, one column per quantity,
+and a trial's entries do not depend on the block it falls in.  ``otm``'s sudden-quench
+equality case has literal inputs and is built once per process.  Every subcommand prints
+a machine-readable JSON report (schema 5, sorted keys, floats at 12 significant digits,
+kernels in the forms of ``serialize``) to stdout, encoded in one pass by ``_dumps``; a
+1-D or 2-D float array that is at least half zeros, such as a dense kernel echo, is
+written as zero runs and costs one formatted token per nonzero entry, and any other array
+is one ``%`` format against a cached layout template.  ``--output`` additionally writes
+the report, or with ``--format csv`` the ``csv_columns`` of the subcommand's column table
+(name to equal-length sequence) zipped into rows.  The printed checks, which the library
 raises through ``errors.require``, are the only gate, so a failing run still writes its
 report.  Exit status is 0 if every check holds, 1 if one fails or an error stops a trial,
 and 2 on I/O, parse, configuration or scope (``OutOfScope``) errors, with one stderr line.
@@ -26,7 +26,7 @@ import csv
 import json
 import sys
 from functools import cache, lru_cache
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,8 +125,8 @@ def _read_input(path: str, what: str, parse: Callable[[str], Any]) -> Any:
 
 
 # ----------------------------------------------------------------------------
-# Subcommands.  Each returns (results, checks, csv_rows): the rows map column
-# names to cells, and are read once, and only for ``--format csv``.
+# Subcommands.  Each returns (results, checks, table): the table maps column names
+# to equal-length sequences, and is read only for ``--format csv``.
 
 
 def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
@@ -150,30 +150,27 @@ def _cmd_ergotropy(config: argparse.Namespace):
         results = dict(vars(ergotropy_report(rho, hamiltonian, config.beta)))
     except InvariantViolation:  # the same fields unchecked: the checks print what failed
         results = _ergotropy_fields(rho, hamiltonian, config.beta)
-    total = results["total"]
-    checks = {**_route_checks(total, results["via_entropies"], config.tolerance),
-              "route_geometric_agrees": check(abs(total - results["via_geometric"]),
-                                              config.tolerance * (1.0 + abs(total)))}
+    routes = {"entropies": results["via_entropies"], "geometric": results["via_geometric"]}
+    checks = _route_checks(results["total"], routes, config.tolerance)
     results.update(state=matrix_to_json(rho.matrix), hamiltonian=matrix_to_json(hamiltonian.matrix))
-    return results, checks, [results]
+    return results, checks, {name: [value] for name, value in results.items()}
 
 
-def _identity_rows(states: _Stack, hamiltonians: _Stack, beta: float) -> list[dict]:
-    """The sweep's rows for one block of trials, from the ``_Stack``s of its states and
-    Hamiltonians, every column evaluated once over the block: the spectral routes, the
-    chain identity and the aligning-unitary gap from one ``_SpectralBlock``, and the
-    direct route from one stacked ``eigvalsh`` each of the states and the Hamiltonians.
-    Each row has the bits the same trial gets as a block of one."""
+def _identity_columns(states: _Stack, hamiltonians: _Stack, beta: float) -> dict:
+    """The sweep's columns for one block of trials, from the ``_Stack``s of its states and
+    Hamiltonians, each evaluated once over the block: the spectral routes, the chain
+    identity and the aligning-unitary gap from one ``_SpectralBlock``, and the direct route
+    from one stacked ``eigvalsh`` each of the states and the Hamiltonians.  Each trial's
+    entries have the bits the same trial gets as a block of one."""
     block = _SpectralBlock.of(states, hamiltonians, beta)
     via = _via_entropies(block)
     direct = _direct(block.matrices, hamiltonians.matrices)[0]
-    columns = {
+    return {
         "ergotropy_identity_dev": np.abs(direct - via) / (1.0 + np.abs(direct)),
         "chain_identity_dev":
             np.abs(block.relative_entropy - block.coherence - block.population_divergence),
         "optimal_unitary_gap": np.abs(_aligned_gaps(block)),
     }
-    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def _random_block(seed: int, index: range, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,35 +182,35 @@ def _random_block(seed: int, index: range, dim: int) -> tuple[np.ndarray, np.nda
     return _densities(draws[0::2]), _hermitians(draws[1::2])
 
 
-def _sweep(config: argparse.Namespace, rows: Callable[[range], list[dict]]) -> list[dict]:
-    """The numbered rows of a sweep's trials, ``rows(index)`` for each block ``index`` of at
-    most ``BLOCK_ENTRIES // dim**2`` trials.  A trial's row does not depend on the block it
-    falls in, and a block that an error stops runs again trial by trial: the error is its
-    first failing trial's."""
+def _sweep(config: argparse.Namespace, columns: Callable[[range], dict]) -> dict:
+    """The column table of a sweep's trials: ``trial`` = 0, 1, ..., then ``columns(index)``
+    of each block ``index`` of at most ``BLOCK_ENTRIES // dim**2`` trials, joined in trial
+    order.  A trial's entries do not depend on the block it falls in, and a block that an
+    error stops runs again as blocks of one: the error is its first failing trial's."""
     size = max(1, BLOCK_ENTRIES // config.dim**2)
-    trials = []
+    blocks = []
     for start in range(0, config.trials, size):
         index = range(start, min(start + size, config.trials))
         try:
-            block = rows(index)
+            blocks.append(columns(index))
         except (ErgokitError, ValueError):
-            block = [row for i in index for row in rows(range(i, i + 1))]
-        trials += [{"trial": i, **row} for i, row in zip(index, block)]
-    return trials
+            blocks += [columns(range(i, i + 1)) for i in index]
+    return {"trial": np.arange(config.trials),
+            **{name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}}
 
 
 def _cmd_verify_identities(config: argparse.Namespace):
     """Random-state sweep of the identities: ``_sweep`` over blocks whose states and
     Hamiltonians are validated and diagonalized together and evaluated by
-    ``_identity_rows``."""
-    def rows(index: range) -> list[dict]:
+    ``_identity_columns``."""
+    def columns(index: range) -> dict:
         states, hamiltonians = _random_block(config.seed, index, config.dim)
-        return _identity_rows(_states(states),
-                              _spectra(_hermitian_stack(hamiltonians), "ascending"), config.beta)
+        return _identity_columns(_states(states),
+                                 _spectra(_hermitian_stack(hamiltonians), "ascending"), config.beta)
 
-    trials = _sweep(config, rows)
+    table = _sweep(config, columns)
     results = {"trials": config.trials, **{  # np.max: a NaN in any trial carries through
-        f"max_{name}": float(np.max([t[name] for t in trials]))
+        f"max_{name}": float(np.max(table[name]))
         for name in ("ergotropy_identity_dev", "chain_identity_dev", "optimal_unitary_gap")}}
     checks = {
         "ergotropy_identity":
@@ -222,7 +219,7 @@ def _cmd_verify_identities(config: argparse.Namespace):
             check(results["max_chain_identity_dev"], min(1e-9, config.beta * config.tolerance)),
         "optimal_unitary_equality": check(results["max_optimal_unitary_gap"], 1e-9),
     }
-    return results, checks, trials
+    return results, checks, table
 
 
 def _load_grid_experiment(config: argparse.Namespace):
@@ -297,10 +294,9 @@ def _cmd_classical(config: argparse.Namespace):
         "experiment_max_first_order": experiment_probe.max_first_order,
         "experiment_marginal_passive": experiment_probe.min_first_order >= 0.0,
     }
-    # Lazy columns: the rows are read only for --format csv.
-    rows = (dict(index=i, energy_a=a, energy_b=b, weight=w, phi=f) for i, a, b, w, f in zip(
-        range(n), *(map(float, c) for c in (grid.energy_a, grid.energy_b, p_a.weights, phi))))
-    return results, checks, rows
+    table = {"index": np.arange(n), "energy_a": grid.energy_a, "energy_b": grid.energy_b,
+             "weight": p_a.weights, "phi": phi}
+    return results, checks, table
 
 
 def _cmd_geometric_z(config: argparse.Namespace):
@@ -328,15 +324,16 @@ def _cmd_geometric_z(config: argparse.Namespace):
         "z_score": z_score,
     }
     checks = {"within_four_standard_errors": check(z_score, 4.0)}
-    return results, checks, [{**results, "beta": config.beta}]
+    return results, checks, {name: [value] for name, value in results.items()} | {
+        "beta": [config.beta]}
 
 
-def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
-    """The rows of the trials i in ``index``: H_A and H_B drawn from ``stream(seed, 4i)``
+def _otm_columns(seed: int, index: range, dim: int, beta: float) -> dict:
+    """The columns of the trials i in ``index``: H_A and H_B drawn from ``stream(seed, 4i)``
     and ``stream(seed, 4i + 1)``, each stack validated and diagonalized together, tau from
     ``stream(seed, 4i + 2)`` (a sudden switch below 0.15), then one ``_evolve_all`` of
     the paths (doubling from 32 steps to the 1e-6 gate) and one ``_bound_reports`` over
-    the block, whose fields every row carries for ``_bound_checks``."""
+    the block, whose fields are columns too, for ``_bound_checks``."""
     draws = _ginibre(_streams(seed, (k for i in index for k in (4 * i, 4 * i + 1))),
                      2 * len(index), (dim, dim))
     h_a, h_b = (_spectra(_hermitian_stack(_hermitians(draws[k::2])), "ascending")
@@ -347,9 +344,8 @@ def _otm_rows(seed: int, index: range, dim: int, beta: float) -> list[dict]:
              for a, b, tau in zip(h_a.matrices, h_b.matrices, taus)]
     reports = _bound_reports(h_a, h_b, np.array(_evolve_all(paths, 32, 1e-6)), beta)
     bound = reports["bound"]
-    columns = {"tau": np.array(taus), **reports, "jensen_gap": beta * reports["w_irr"] - bound,
-               "conditional_z_identity_dev": np.abs(bound - reports["bound_closed_form"])}
-    return [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in columns.values()))]
+    return {"tau": np.array(taus), **reports, "jensen_gap": beta * reports["w_irr"] - bound,
+            "conditional_z_identity_dev": np.abs(bound - reports["bound_closed_form"])}
 
 
 @cache
@@ -365,12 +361,12 @@ def _sudden_quench() -> tuple[dict, float]:
 
 
 def _cmd_otm(config: argparse.Namespace):
-    """Driven-protocol sweep: ``_sweep`` over blocks evaluated by ``_otm_rows`` (the
+    """Driven-protocol sweep: ``_sweep`` over blocks evaluated by ``_otm_columns`` (the
     propagators' stacked generators are bounded apart, by ``GENERATOR_BLOCK``), then the
     sudden-quench equality case of ``_sudden_quench``."""
-    trials = _sweep(config, lambda index: _otm_rows(config.seed, index, config.dim, config.beta))
+    columns = _sweep(config,
+                     lambda index: _otm_columns(config.seed, index, config.dim, config.beta))
     quench, oracle = _sudden_quench()
-    columns = {name: np.array([t[name] for t in trials]) for name in trials[0]}
     results = {  # min and max of arrays: a NaN in any trial carries through
         "trials": config.trials,
         "min_jensen_gap": float(columns["jensen_gap"].min()),
@@ -388,14 +384,15 @@ def _cmd_otm(config: argparse.Namespace):
         "sudden_quench_value": check(abs(quench["bound"] - oracle), 1e-6),
         **{f"sudden_quench_{name}": c for name, c in _bound_checks(quench).items()},
     }
-    return results, checks, trials
+    return results, checks, columns
 
 
 class Command(NamedTuple):
-    """A subcommand: what it runs, the value options it reads, the file its ``--input``
-    reads (None: no ``--input``) and the options that replaces, its help and CSV columns."""
+    """A subcommand: what it runs, returning (results, checks, column table), the value
+    options it reads, the file its ``--input`` reads (None: no ``--input``) and the options
+    that replaces, its help, and the columns of the table its CSV file holds."""
 
-    run: Callable[[argparse.Namespace], tuple[dict, dict, Iterable[dict]]]
+    run: Callable[[argparse.Namespace], tuple[dict, dict, dict]]
     options: tuple[str, ...]
     input_file: str | None
     input_replaces: tuple[str, ...]
@@ -617,8 +614,7 @@ def _encode(obj, indent: str, out: list, scalars: list[int]) -> None:
         out.append(json.dumps(obj))
 
 
-def _emit(config: argparse.Namespace, results: dict, checks: dict,
-          rows: Iterable[dict]) -> None:
+def _emit(config: argparse.Namespace, results: dict, checks: dict, table: dict) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": config.command,
@@ -638,9 +634,8 @@ def _emit(config: argparse.Namespace, results: dict, checks: dict,
         columns = COMMANDS[config.command].csv_columns.split(",")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            cells = [row[k] for k in columns]
-            writer.writerow([format_float(x) if isinstance(x, float) else x for x in cells])
+        writer.writerows(zip(*([format_float(x) if isinstance(x, float) else x
+                                for x in np.asarray(table[name]).tolist()] for name in columns)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -656,7 +651,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif hasattr(config, name):
             parser.error(f"argument --{name}: not allowed with argument --input")
     try:
-        results, checks, rows = command.run(config)
+        results, checks, table = command.run(config)
     except (_InputError, OutOfScope) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -664,7 +659,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 1
     try:
-        _emit(config, results, checks, rows)
+        _emit(config, results, checks, table)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

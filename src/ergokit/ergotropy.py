@@ -40,8 +40,8 @@ class ErgotropyReport:
 
     ``incoherent`` is total - coherent_eq11 by construction (``_routes``); with the printed
     three-term coherent form this is ~0 for every state (see ``dephased_ergotropy`` for the
-    alternative split).  Building a report raises the failed ``_route_checks`` (``require``),
-    which ``ergotropy`` prints instead; the geometric route is compared by its readers.
+    alternative split).  Building a report raises the failed ``_route_checks`` of the entropy
+    route (``require``), which ``ergotropy`` prints instead, with the geometric route's.
     """
 
     total: float
@@ -54,15 +54,17 @@ class ErgotropyReport:
     passive_energy: float
 
     def __post_init__(self):
-        require(_route_checks(self.total, self.via_entropies))
+        require(_route_checks(self.total, {"entropies": self.via_entropies}))
 
 
-def _route_checks(total, via_entropies, tolerance: float = 1e-8) -> dict:
+def _route_checks(total, routes: dict, tolerance: float = 1e-8) -> dict:
     """The ``ErgotropyReport`` invariants, on floats or on arrays of a block's rows: the
-    direct and entropy routes agree within min(``tolerance``, 1e-8) (1 + |total|), so a
-    tolerance only tightens the gate, and the total is at least -1e-9."""
-    return {"route_entropies_agrees": check(abs(total - via_entropies),
-                                            min(tolerance, 1e-8) * (1.0 + abs(total))),
+    direct route and each of ``routes`` (name -> value, checked as ``route_<name>_agrees``)
+    agree within min(``tolerance``, 1e-8) (1 + |total|), so a tolerance only tightens the
+    gate, and the total is at least -1e-9."""
+    gate = min(tolerance, 1e-8) * (1.0 + abs(total))
+    return {**{f"route_{name}_agrees": check(abs(total - value), gate)
+               for name, value in routes.items()},
             "ergotropy_nonnegative": check(total, -1e-9, at_most=False)}
 
 

@@ -68,13 +68,13 @@ class HermitianOperator:
 
 class DensityMatrix(HermitianOperator):
     """A quantum state: Hermitian, unit trace, positive semidefinite, validated as a
-    stack of one row (``_density_stack``), whose validating ``eigh`` it keeps."""
+    stack of one row (``_density_stack``), whose ``eigh`` it keeps."""
 
     __slots__ = ()
 
     def __init__(self, matrix: np.ndarray):
-        m, w, v, stale = _density_stack(np.asarray(matrix, dtype=complex)[None])
-        self._keep(m, None if stale[0] else (w, v))
+        m, w, v = _density_stack(np.asarray(matrix, dtype=complex)[None])
+        self._keep(m, (w, v))
 
 
 def _hermitian_stack(m: np.ndarray) -> np.ndarray:
@@ -96,11 +96,11 @@ def _hermitian_stack(m: np.ndarray) -> np.ndarray:
 
 
 def _density_stack(m: np.ndarray) -> tuple:
-    """A stack (B, d, d) of states validated together, as (matrices, w, v, stale): one
-    stacked ``eigh`` (w, v) checks every spectrum.  A row with eigenvalues in
-    [-NEGATIVE_EIG_ATOL, 0) is clamped to zero and renormalized, which leaves its (w, v)
-    stale; anything more negative is rejected.  Otherwise a rounded trace is divided out
-    of the row and its eigenvalues.  A failing stack raises its first failing row's error."""
+    """A stack (B, d, d) of states validated together, as (matrices, w, v): one stacked
+    ``eigh`` (w, v) checks every spectrum.  A row with eigenvalues in [-NEGATIVE_EIG_ATOL, 0)
+    is clamped to zero and renormalized, and the clamped rows are diagonalized again in one
+    stacked call; anything more negative is rejected.  Otherwise a rounded trace is divided
+    out of the row and its eigenvalues.  A failing stack raises its first failing row's error."""
     m = _hermitian_stack(m)
     traces = np.trace(m, axis1=1, axis2=2).real
     for trace in traces.tolist():
@@ -110,17 +110,18 @@ def _density_stack(m: np.ndarray) -> tuple:
     for low in w[:, 0].tolist():
         if low < -NEGATIVE_EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {low:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
-    stale = w[:, 0] < 0.0
-    if stale.any():
-        for r in np.flatnonzero(stale):
-            clamped = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
-            clamped = (clamped + clamped.conj().T) / 2.0
-            m[r] = clamped / clamped.trace().real
-    rounded = ~stale & (np.abs(traces - 1.0) > 1e-15)
+    clamped = w[:, 0] < 0.0
+    if clamped.any():
+        for r in np.flatnonzero(clamped):
+            row = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
+            row = (row + row.conj().T) / 2.0
+            m[r] = row / row.trace().real
+        w[clamped], v[clamped] = _eigh_stack(m[clamped])
+    rounded = ~clamped & (np.abs(traces - 1.0) > 1e-15)
     if rounded.any():
         m[rounded] /= traces[rounded, None, None]
         w[rounded] /= traces[rounded, None]
-    return m, w, v, stale
+    return m, w, v
 
 
 def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,10 +146,8 @@ class _Stack(NamedTuple):
 
 def _states(m: np.ndarray) -> _Stack:
     """The descending ``_spectra`` of a stack of states validated together
-    (``_density_stack``): the clamped rows are diagonalized again, in one stacked call."""
-    m, w, v, stale = _density_stack(m)
-    if stale.any():
-        w[stale], v[stale] = _eigh_stack(m[stale])
+    (``_density_stack``)."""
+    m, w, v = _density_stack(m)
     return _spectra(m, "descending", (w, v))
 
 

@@ -25,7 +25,7 @@ from ergokit import (
     DrivingProtocol, classical, cli, conditional_thermal_state, ergotropy, evolve_unitary,
     geometric, quantum, sharpened_bound_report, workbench,
 )
-from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_rows, main
+from ergokit.cli import COMMANDS, _dumps, _float_tokens, _identity_columns, main
 from ergokit.errors import NotConverged, OutOfScope
 from ergokit.ergotropy import _aligned_gaps, ergotropy_direct, ergotropy_report
 from ergokit.geometric import _geometric_route
@@ -75,6 +75,12 @@ class TestVerifyIdentities:
         assert second.startswith("invariant failed: chain_identity: value=")
 
 
+def _rows(table):
+    """The per-trial dicts of a column table, each entry a Python number."""
+    columns = (np.asarray(column).tolist() for column in table.values())
+    return [dict(zip(table, row)) for row in zip(*columns)]
+
+
 def _single_state_row(rho, hamiltonian, beta):
     """A verify-identities row from the single-state routes, one trial at a time:
     the reference the blocked sweep must match bit for bit."""
@@ -104,7 +110,8 @@ class TestVerifyBlocks:
             lines[trials] = path.read_text().splitlines()
         assert lines[many][: few + 1] == lines[few]
         config = argparse.Namespace(dim=dim, trials=many, seed=9, beta=1.0, tolerance=1e-8)
-        _, _, rows = COMMANDS["verify-identities"].run(config)
+        rows = _rows(COMMANDS["verify-identities"].run(config)[2])
+        assert len(rows) == many
         for i, row in enumerate(rows):
             rho = random_density(dim, stream(9, 3 * i))
             hamiltonian = random_hermitian(dim, stream(9, 3 * i + 1))
@@ -120,9 +127,9 @@ class TestVerifyBlocks:
             return rhos, hamiltonians
 
         rhos, hamiltonians = block()
-        rows = _identity_rows(_states(np.array([r.matrix for r in rhos])),
-                              _spectra(np.array([h.matrix for h in hamiltonians]), "ascending"),
-                              1.0)
+        rows = _rows(_identity_columns(_states(np.array([r.matrix for r in rhos])),
+                                       _spectra(np.array([h.matrix for h in hamiltonians]),
+                                                "ascending"), 1.0))
         assert [len(eigendecompose(h, "ascending").clusters) for h in hamiltonians] == [4, 3, 4]
         assert [int(np.sum(eigendecompose(r, "descending").values > 1e-12)) for r in rhos] == [4, 4, 2]
         for row, rho, hamiltonian in zip(rows, *block()):
@@ -154,7 +161,8 @@ class TestVerifyBlocks:
         kinds = ["plain", "degenerate", "rank", "clamp"] + extra
         pairs = [trial(k, kind) for k, kind in enumerate(kinds)]
         states = np.array([m for m, _ in pairs])
-        assert _density_stack(states.copy())[3][3] == (dim > 1)  # the clamp rebuilt the state
+        # The clamp rebuilt the state: its eigenvalue -1e-12 is clipped to zero.
+        assert (abs(_density_stack(states.copy())[1][3, 0]) < 1e-13) == (dim > 1)
         rhos = _states(states)
         hamiltonians = _spectra(_hermitian_stack(np.array([h for _, h in pairs])), "ascending")
 
@@ -162,9 +170,10 @@ class TestVerifyBlocks:
             return _stack_of(DensityMatrix(m), "descending"), _stack_of(HermitianOperator(h),
                                                                         "ascending")
 
-        rows = _identity_rows(rhos, hamiltonians, beta)
+        rows = _rows(_identity_columns(rhos, hamiltonians, beta))
+        assert len(rows) == len(pairs)
         for row, (m, h) in zip(rows, pairs):
-            assert row == _identity_rows(*one(m, h), beta)[0]
+            assert row == _rows(_identity_columns(*one(m, h), beta))[0]
         if dim > 1:  # the geometric route needs the manifold CP^(d-1)
             routes = _geometric_route(_SpectralBlock.of(rhos, hamiltonians, beta)).tolist()
             for route, (m, h) in zip(routes, pairs):
@@ -176,15 +185,15 @@ class TestVerifyBlocks:
         # known by its state.
         states = [random_density(2, stream(0, 3 * i)).matrix for i in range(3)]
 
-        def rows(rhos, hamiltonians, beta):
+        def columns(rhos, hamiltonians, beta):
             if len(rhos.matrices) > 1:
                 raise NotConverged("the block's error")
             (trial,) = [i for i, m in enumerate(states) if np.allclose(m, rhos.matrices[0])]
             if trial >= 1:
                 raise NotConverged(f"trial {trial}")
-            return [{}]
+            return {}
 
-        monkeypatch.setattr(cli, "_identity_rows", rows)
+        monkeypatch.setattr(cli, "_identity_columns", columns)
         code, out, err = run_cli(capsys, "verify-identities", "--trials", "3")
         assert (code, out, err) == (1, "", "invariant failed: trial 1\n")
 
@@ -941,7 +950,8 @@ class TestOtmBlocks:
         monkeypatch.setattr(cli, "BLOCK_ENTRIES", 4 * 9)
         _, split, _ = run_cli(capsys, "otm", "--dim", "3", "--trials", "6", "--seed", "4")
         assert split == whole
-        _, _, rows = COMMANDS["otm"].run(argparse.Namespace(dim=3, trials=6, seed=4, beta=0.5))
+        rows = _rows(COMMANDS["otm"].run(argparse.Namespace(dim=3, trials=6, seed=4, beta=0.5))[2])
+        assert len(rows) == 6
         for i, row in enumerate(rows):
             h_a = random_hermitian(3, stream(4, 4 * i))
             h_b = random_hermitian(3, stream(4, 4 * i + 1))
@@ -959,14 +969,14 @@ class TestOtmBlocks:
     def test_a_failing_block_reports_its_first_failing_trial(self, capsys, monkeypatch):
         # An error that stops a trial (here the propagator's refinement) stops the block as
         # a whole first on a later trial; run alone, trial 1 is the first that fails.
-        def rows(seed, index, dim, beta):
+        def columns(seed, index, dim, beta):
             if len(index) > 1:
                 raise NotConverged("the block's error")
             if index[0] >= 1:
                 raise NotConverged(f"trial {index[0]}")
-            return [{"trial": 0}]
+            return {}
 
-        monkeypatch.setattr(cli, "_otm_rows", rows)
+        monkeypatch.setattr(cli, "_otm_columns", columns)
         code, out, err = run_cli(capsys, "otm", "--trials", "3")
         assert (code, out, err) == (1, "", "invariant failed: trial 1\n")
 
@@ -976,7 +986,7 @@ class TestOtmBlocks:
         # each evaluated alone.
         code, out, err = run_cli(capsys, "otm", "--dim", "4", "--trials", "3", "--beta", "1e-300")
         checks = json.loads(out)["checks"]
-        alone = [workbench._bound_checks({**cli._otm_rows(0, range(i, i + 1), 4, 1e-300)[0],
+        alone = [workbench._bound_checks({**cli._otm_columns(0, range(i, i + 1), 4, 1e-300),
                                           "beta": 1e-300})["bound_decomposition"]
                  for i in range(3)]
         assert code == 1 and _named_failures(err) == _failed(checks)
@@ -1016,6 +1026,20 @@ class TestOtmCommand:
         )
         assert code == 0
         assert out_path.read_text() == out
+
+    def test_csv_rows_are_the_trials_run_alone(self, capsys, tmp_path):
+        # One block of 6 trials; each CSV row is its trial evaluated as a block of one.
+        path = tmp_path / "otm.csv"
+        code, _, _ = run_cli(capsys, "otm", "--dim", "3", "--trials", "6", "--seed", "2",
+                             "--output", str(path), "--format", "csv")
+        assert code == 0
+        header, *lines = path.read_text().splitlines()
+        columns = header.split(",")
+        assert columns == COMMANDS["otm"].csv_columns.split(",")
+        assert len(lines) == 6
+        for i, line in enumerate(lines):
+            alone = _rows(cli._otm_columns(2, range(i, i + 1), 3, 1.0))[0]
+            assert line.split(",") == [str(i), *(format_float(alone[k]) for k in columns[1:])]
 
 
 class TestArgumentValidation:
@@ -1258,8 +1282,8 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command", ["ergotropy", "verify-identities"])
     def test_tolerance_cannot_loosen_the_report_gate(self, capsys, command):
-        # At beta = 1e-12 the entropy route's deviation (2.6e-4) passes --tolerance 1e-3,
-        # but the route check keeps its 1e-8 (1 + |total|) gate.
+        # At beta = 1e-12 the entropy and geometric routes' deviations (2.6e-4, 4.8e-4) pass
+        # --tolerance 1e-3, but each route check keeps its 1e-8 (1 + |total|) gate.
         code, out, err = run_cli(
             capsys, command, "--dim", "8", "--beta", "1e-12", "--tolerance", "1e-3",
             *(("--trials", "1") if command == "verify-identities" else ()),
@@ -1268,10 +1292,22 @@ class TestErrorContract:
         assert json.loads(out)["passed"] is False
         assert err.splitlines() == [{
             "ergotropy": "invariant failed: route_entropies_agrees: value=0.000261888521556, "
-                         "tolerance=3.77293287022e-08",  # 1e-8 (1 + |total|), total = 2.77
+                         "tolerance=3.77293287022e-08; "  # 1e-8 (1 + |total|), total = 2.77
+                         "invariant failed: route_geometric_agrees: value=0.000483933126481, "
+                         "tolerance=3.77293287022e-08",
             "verify-identities": "invariant failed: ergotropy_identity: value=6.94124519479e-05, "
                                  "tolerance=1e-08",
         }[command]]
+
+    def test_tolerance_tightens_both_route_gates_alike(self, capsys):
+        # A passing run: --tolerance 1e-3 leaves both route gates at 1e-8 (1 + |total|),
+        # total = 0.936.
+        code, out, _ = run_cli(capsys, "ergotropy", "--dim", "3", "--seed", "2",
+                               "--tolerance", "1e-3")
+        checks = json.loads(out)["checks"]
+        assert code == 0
+        assert [checks[f"route_{name}_agrees"]["tolerance"]
+                for name in ("entropies", "geometric")] == [1.93568568732e-08] * 2
 
 
 def _matrix_file(**matrices) -> dict:

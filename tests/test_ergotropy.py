@@ -312,18 +312,20 @@ class TestReport:
         # Rows 1 and 2 fail; the line prints row 2's deviation 2^-21 against its own gate.
         total = np.array([1.0, 2.0, 3.0])
         with pytest.raises(InvariantViolation) as raised:
-            require(_route_checks(total, total + np.array([0.0, 2.0**-23, 2.0**-21])))
+            via = total + np.array([0.0, 2.0**-23, 2.0**-21])
+            require(_route_checks(total, {"entropies": via}))
         assert str(raised.value) == ("invariant failed: route_entropies_agrees: "
                                      "value=4.76837158203e-07, tolerance=4e-08")
         with pytest.raises(InvariantViolation) as raised:
-            require(_route_checks(np.array([0.0, -1e-6, -1e-3]), np.array([0.0, -1e-6, -1e-3])))
+            total = np.array([0.0, -1e-6, -1e-3])
+            require(_route_checks(total, {"entropies": total}))
         assert str(raised.value) == ("invariant failed: ergotropy_nonnegative: value=-0.001, "
                                      "tolerance=-1e-09")
 
     @pytest.mark.parametrize("total, via", [(math.nan, 0.0), (0.0, math.nan)])
     def test_route_gate_fails_a_nan(self, total, via):
         with pytest.raises(InvariantViolation, match="route_entropies_agrees: value=nan"):
-            require(_route_checks(total, via))
+            require(_route_checks(total, {"entropies": via}))
 
 
 class TestScaleCovariance:

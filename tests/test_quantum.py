@@ -266,8 +266,12 @@ class TestSplitEigh:
         runs = []
         for entries in (0, 2**62):
             monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
-            *validated, stale = _density_stack(states.copy())
-            assert list(np.flatnonzero(stale)) == [4]  # the clamped row, diagonalized again below
+            m, w, v = validated = _density_stack(states.copy())
+            # Row 4 is clamped: its matrix is rebuilt with the eigenvalue -4e-11 clipped, and
+            # its (w, v) are the rebuilt matrix's own.
+            assert list(np.flatnonzero(np.abs(w[:, 0]) < 1e-15)) == [4]
+            assert [a.tobytes() for a in _eigh_stack(m[4:5])] == [w[4:5].tobytes(),
+                                                                  v[4:5].tobytes()]
             runs.append(
                 [a.tobytes() for a in validated]
                 + [a.tobytes() for a in _states(states.copy())[:3]]
