@@ -36,7 +36,6 @@ from .errors import (
     EmptyShell,
     ErgokitError,
     NotConverged,
-    SupportMismatch,
     SupportViolation,
 )
 from .geometric import (

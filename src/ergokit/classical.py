@@ -393,7 +393,8 @@ class StationarityProbeResult:
         xi = (1 - eps) I + eps P(image), for the joint J whose final marginal
         the probe read.  It includes the entropy term that mixing adds.  xi J is
         the joint's layers scaled by 1 - eps followed by the same layers moved
-        through ``image`` and scaled by eps."""
+        through ``image`` and scaled by eps.  No report prints it; the paper check that
+        reads it is acceptance criterion 10 in ``tests/test_acceptance.py``."""
         if joint.n_cells != self.image.size or p_eq.n_cells != self.image.size:
             raise ValueError("joint, p_eq and probe sizes must match")
         rows = np.vstack([joint.rows, self.image[joint.rows]])

@@ -11,12 +11,13 @@ a machine-readable JSON report (schema 5, sorted keys, floats at 12 significant 
 kernels in the forms of ``serialize``) to stdout, encoded in one pass by ``_dumps``; a
 1-D or 2-D float array that is at least half zeros, such as a dense kernel echo, is
 written as zero runs and costs one formatted token per nonzero entry, and any other array
-is one ``%`` format against a cached layout template.  ``--output`` additionally writes
-the report, or with ``--format csv`` the ``csv_columns`` of the subcommand's column table
-(name to equal-length sequence) zipped into rows.  The printed checks, which the library
-raises through ``errors.require``, are the only gate, so a failing run still writes its
-report.  Exit status is 0 if every check holds, 1 if one fails or an error stops a trial,
-and 2 on I/O, parse, configuration or scope (``OutOfScope``) errors, with one stderr line.
+is one ``%`` format against a cached layout template.  ``--output`` also writes a file,
+before anything is printed: for a name ending in ``.csv`` the ``csv_columns`` of the
+subcommand's column table (name to equal-length sequence) zipped into rows, else the
+report.  The printed checks, which the library raises through ``errors.require``, are the
+only gate, so a failing run still writes its report.  Exit status is 0 if every check
+holds, 1 if one fails or an error stops a trial, and 2 on I/O, parse, configuration, scope
+(``OutOfScope``) or allocation errors, with one stderr line and no report.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _read_input(path: str, what: str, parse: Callable[[str], Any]) -> Any:
 
 # ----------------------------------------------------------------------------
 # Subcommands.  Each returns (results, checks, table): the table maps column names
-# to equal-length sequences, and is read only for ``--format csv``.
+# to equal-length sequences, and is read only for an ``--output`` name ending in ``.csv``.
 
 
 def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, HermitianOperator]:
@@ -439,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, description=command.help,
-                           epilog=f"CSV columns (--format csv): {command.csv_columns}",
+                           epilog=f"CSV columns (--output NAME.csv): {command.csv_columns}",
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         for option, (kind, default, text) in _OPTIONS.items():
             if option in command.options:
@@ -450,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{command.input_file}; replaces --"
                                 + " and --".join(command.input_replaces))
         p.add_argument("--output", dest="output_path", default=None,
-                       help="write the report here (JSON, or CSV with --format csv)")
-        p.add_argument("--format", dest="out_format", choices=("json", "csv"), default="json",
-                       help="--output format; see the epilog for the CSV columns")
+                       help="write the report here too, or for a name ending in .csv the "
+                            "CSV table whose columns the epilog lists")
     return parser
 
 
@@ -624,25 +624,23 @@ def _emit(config: argparse.Namespace, results: dict, checks: dict, table: dict) 
         "passed": all(c["passed"] for c in checks.values()),
     }
     text = _dumps(payload)
+    path = config.output_path
+    if path is not None:  # written first, so a run that cannot write it prints nothing
+        with open(path, "w", encoding="utf-8") as handle:
+            if path.endswith(".csv"):
+                columns = COMMANDS[config.command].csv_columns.split(",")
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(columns)
+                writer.writerows(zip(*([format_float(x) if isinstance(x, float) else x
+                                        for x in np.asarray(table[n]).tolist()] for n in columns)))
+            else:
+                print(text, file=handle)
     print(text)
-    if config.output_path is None:
-        return
-    with open(config.output_path, "w", encoding="utf-8") as handle:
-        if config.out_format == "json":
-            print(text, file=handle)
-            return
-        columns = COMMANDS[config.command].csv_columns.split(",")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*([format_float(x) if isinstance(x, float) else x
-                                for x in np.asarray(table[name]).tolist()] for name in columns)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     config = parser.parse_args(argv)
-    if config.out_format == "csv" and config.output_path is None:
-        parser.error("--format csv requires --output")
     command = COMMANDS[config.command]
     replaced = () if getattr(config, "input_path", None) is None else command.input_replaces
     for name in command.options:
@@ -652,8 +650,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"argument --{name}: not allowed with argument --input")
     try:
         results, checks, table = command.run(config)
-    except (_InputError, OutOfScope) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_InputError, OutOfScope, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except ErgokitError as exc:  # an error that stops a trial
         print(f"invariant failed: {exc}", file=sys.stderr)

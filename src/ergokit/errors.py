@@ -9,11 +9,8 @@ class ErgokitError(Exception):
 
 class SupportViolation(ErgokitError):
     """A relative entropy was requested between states/distributions with
-    incompatible supports (the reference vanishes where the argument does not)."""
-
-
-class SupportMismatch(ErgokitError):
-    """Two geometric states cannot be paired point-by-point on the manifold."""
+    incompatible supports: the reference vanishes where the argument does not, or
+    two geometric states' support points do not pair one to one."""
 
 
 class EmptyShell(ErgokitError):

@@ -20,7 +20,7 @@ from math import exp, factorial, log, pi
 import numpy as np
 
 from . import _threads
-from .errors import OutOfScope, SupportMismatch
+from .errors import OutOfScope, SupportViolation
 from .quantum import (
     SUPPORT_FLOOR,
     DensityMatrix,
@@ -131,19 +131,20 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
 
     Each point of ``p_state`` pairs with its one neighbour in ``s_state`` within
     ``MATCH_OVERLAP_DEFICIT``, so weight-degenerate groups pair geometrically,
-    never by index order.  No neighbour, or an ambiguous pairing (two candidates
-    for a point, or one shared by two points), raises ``SupportMismatch``.
+    never by index order.  No neighbour or an ambiguous pairing (two candidates
+    for a point, or one shared by two points) raises ``SupportViolation``, as does a
+    live point whose matched reference point carries no weight.
     """
     if p_state.dim != s_state.dim:
         raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
     near = _overlap_deficits(p_state.points, s_state.points) <= MATCH_OVERLAP_DEFICIT
     if np.any(near.sum(axis=1) != 1) or np.any(near.sum(axis=0) > 1):
-        raise SupportMismatch("support points do not pair one to one within tolerance")
+        raise SupportViolation("support points do not pair one to one within tolerance")
     p_w = p_state.weights
     s_w = s_state.weights[near.argmax(axis=1)]
     live = p_w > SUPPORT_FLOOR
     if np.any(s_w[live] <= SUPPORT_FLOOR):
-        raise SupportMismatch("matched reference point carries no weight")
+        raise SupportViolation("matched reference point carries no weight")
     return float(_divergences(p_w, np.log(np.where(live, s_w, 1.0))))
 
 

@@ -1,4 +1,4 @@
-"""Seeded, splittable random streams and Haar-distributed test objects.
+"""Seeded, splittable random streams and the random states and Hamiltonians drawn from them.
 
 Streams are counter-based (Philox), so ``stream(seed, i)`` for distinct ``i``
 gives statistically independent generators that can run in parallel while
@@ -24,17 +24,6 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """
     counter = np.array([0, 0, index, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
-
-
-def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed unitaries, shape (count, dim, dim): phase-fixed QR
-    of complex Ginibre matrices (Mezzadri, Notices AMS 54, 592 (2007))."""
-    z = np.empty((count, dim, dim), dtype=complex)
-    z.real, z.imag = rng.standard_normal(z.shape), rng.standard_normal(z.shape)
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -66,9 +55,9 @@ def _ginibre(rngs: Iterable[np.random.Generator], count: int,
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _hermitians(a: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """scale (A + A†)/2 over a stack (B, d, d)."""
-    return scale * (a + a.conj().swapaxes(1, 2)) / 2.0
+def _hermitians(a: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 over a stack (B, d, d)."""
+    return (a + a.conj().swapaxes(1, 2)) / 2.0
 
 
 def _densities(g: np.ndarray) -> np.ndarray:
@@ -77,9 +66,9 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
-    """GUE-style random Hermitian operator with entries of order ``scale``."""
-    return HermitianOperator(_hermitians(_ginibre([rng], 1, (dim, dim)), scale)[0])
+def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    """GUE-style random Hermitian operator with entries of order 1."""
+    return HermitianOperator(_hermitians(_ginibre([rng], 1, (dim, dim)))[0])
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:

@@ -79,12 +79,6 @@ class DrivingProtocol:
     ) -> "DrivingProtocol":
         return cls(((0.0, initial), (tau, final)))
 
-    @classmethod
-    def from_schedule(
-        cls, knots: list[tuple[float, HermitianOperator]]
-    ) -> "DrivingProtocol":
-        return cls(tuple(knots))
-
     def hamiltonian_at(self, t: float | np.ndarray) -> np.ndarray:
         """Interpolated Hamiltonian matrix at time t in [0, tau]; an array of
         times gives the matrices stacked along its shape, t.shape + (d, d)."""

@@ -47,7 +47,8 @@ from ergokit import (
 )
 from ergokit.classical import _entropy_minus_cross
 from ergokit.ergotropy import optimal_alignment_unitary
-from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
+from ergokit.sampling import random_density, random_hermitian, stream
+from haar import haar_unitaries
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -80,7 +81,7 @@ def test_criterion_2_beta_independence():
         rho = random_density(dim, stream(1100, 2 * trial))
         # Desk-scale energies: beta * spread must keep every Gibbs population
         # above the support floor at beta = 4.
-        h = random_hermitian(dim, stream(1101, trial), scale=0.4)
+        h = HermitianOperator(0.4 * random_hermitian(dim, stream(1101, trial)).matrix)
         values = [ergotropy_via_entropies(rho, h, beta) for beta in betas]
         worst = max(worst, max(values) - min(values))
     ok = worst <= 1e-8

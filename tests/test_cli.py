@@ -33,8 +33,9 @@ from ergokit.quantum import (
     DensityMatrix, HermitianOperator, _density_stack, _hermitian_stack, _SpectralBlock, _spectra,
     _stack_of, _states, eigendecompose, spectral_context,
 )
-from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
+from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import format_float, kernel_to_json, matrix_to_json, round_floats
+from haar import haar_unitaries
 
 
 def run_cli(capsys, *argv):
@@ -104,7 +105,7 @@ class TestVerifyBlocks:
             path = tmp_path / f"{trials}.csv"
             code, _, _ = run_cli(
                 capsys, "verify-identities", "--dim", str(dim), "--trials", str(trials),
-                "--seed", "9", "--format", "csv", "--output", str(path),
+                "--seed", "9", "--output", str(path),
             )
             assert code == 0
             lines[trials] = path.read_text().splitlines()
@@ -454,8 +455,7 @@ class TestClassicalCommand:
     def test_csv_output(self, capsys, tmp_path):
         out_path = tmp_path / "cells.csv"
         code, _, _ = run_cli(
-            capsys, "classical", "--dim", "5", "--seed", "1",
-            "--output", str(out_path), "--format", "csv",
+            capsys, "classical", "--dim", "5", "--seed", "1", "--output", str(out_path)
         )
         assert code == 0
         lines = out_path.read_text().splitlines()
@@ -1031,7 +1031,7 @@ class TestOtmCommand:
         # One block of 6 trials; each CSV row is its trial evaluated as a block of one.
         path = tmp_path / "otm.csv"
         code, _, _ = run_cli(capsys, "otm", "--dim", "3", "--trials", "6", "--seed", "2",
-                             "--output", str(path), "--format", "csv")
+                             "--output", str(path))
         assert code == 0
         header, *lines = path.read_text().splitlines()
         columns = header.split(",")
@@ -1049,7 +1049,7 @@ class TestArgumentValidation:
             main([command, "--help"])
         assert info.value.code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert f"CSV columns (--format csv): {COMMANDS[command].csv_columns}" in lines
+        assert f"CSV columns (--output NAME.csv): {COMMANDS[command].csv_columns}" in lines
 
     @pytest.mark.parametrize("command", ["ergotropy", "classical", "geometric-z"])
     def test_input_help_offers_csv_only_where_it_is_read(self, capsys, command):
@@ -1116,7 +1116,7 @@ class TestArgumentValidation:
         flags = set(re.findall(r"^  --(\w+)", capsys.readouterr().out, re.M))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert set(json.loads(out)["config"]) == flags - {"input", "output", "format"}
+        assert set(json.loads(out)["config"]) == flags - {"input", "output"}
 
     def test_input_reports_echo_only_the_options_they_read(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "ergotropy", "--dim", "3")
@@ -1161,10 +1161,21 @@ class TestArgumentValidation:
         assert info.value.code == 2
         assert "must be positive and finite" in capsys.readouterr().err
 
-    def test_csv_without_output_exits_2(self):
+    def test_output_suffix_picks_the_csv_table_or_the_report(self, capsys, tmp_path):
+        argv = ["otm", "--dim", "3", "--trials", "4", "--seed", "2"]
+        files = {}
+        for name in ("table.csv", "report.json", "report"):
+            code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            files[name] = (tmp_path / name).read_bytes()
+        assert files["report.json"] == files["report"] == out.encode()
+        header, *rows = files["table.csv"].decode().splitlines()
+        assert header == COMMANDS["otm"].csv_columns
+        assert len(rows) == 4
         with pytest.raises(SystemExit) as info:
-            main(["classical", "--format", "csv"])
+            main([*argv, "--format", "csv"])
         assert info.value.code == 2
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --format csv\n")
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -1210,7 +1221,7 @@ class TestErrorContract:
             "gibbs-underflow", "otm-gibbs-underflow", "ergotropy-dim-1", "geometric-z-dim-1",
             "geometric-z-gibbs-underflow", "classical-gibbs-underflow", "classical-gibbs-subnormal", "geometric-z-1-sample",
             "geometric-z-99-samples", "argparse-beta-nan", "argparse-dim-0", "argparse-trials-0",
-            "argparse-no-subcommand", "argparse-csv-without-output",
+            "argparse-no-subcommand", "argparse-format-csv",
             "argparse-ergotropy-seed-negative", "argparse-verify-identities-seed-2**128",
             "argparse-classical-seed-negative", "argparse-geometric-z-seed-2**128",
             "argparse-otm-seed-2**64",
@@ -1266,6 +1277,21 @@ class TestErrorContract:
             code, out, err = run_cli(capsys, *argv.split(), "--beta", "1e308")
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {line}"]
+
+    def test_unwritable_output_exits_2_before_printing(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "ergotropy", "--dim", "2", "--output", str(path))
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: cannot write output: ")
+
+    def test_allocation_failure_exits_2_with_one_error_line(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_random_block", refuse)
+        for argv in ("ergotropy --dim 2", "verify-identities --dim 2 --trials 2"):
+            assert run_cli(capsys, *argv.split()) == (2, "", "error: out of memory\n")
 
     def test_report_invariant_exits_1_with_invariant_line(self, capsys, monkeypatch):
         routes = ergotropy._routes
@@ -1433,7 +1459,7 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         ["classical", "--input", grid, "--trials", "2"],
         ["otm", "--dim", "2", "--trials", "1"],
         ["geometric-z", "--dim", "3", "--samples", "1000"],
-        ["ergotropy", "--dim", "2", "--format", "csv", "--output", os.path.join(tmp, "e.csv")],
+        ["ergotropy", "--dim", "2", "--output", os.path.join(tmp, "e.csv")],
     ]
     for argv in runs:
         if "--input" in argv:
@@ -1781,7 +1807,7 @@ _REMOVED_RESULTS = {"max_coherent_identity_dev", "max_decomposition_dev",
 ])
 def test_schema_5_drops_the_checks_no_input_can_fail(capsys, tmp_path, argv):
     path = tmp_path / "table.csv"
-    code, out, err = run_cli(capsys, *argv.split(), "--output", str(path), "--format", "csv")
+    code, out, err = run_cli(capsys, *argv.split(), "--output", str(path))
     assert code == 0, err
     payload = json.loads(out)
     assert payload["schema"] == 5

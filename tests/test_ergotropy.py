@@ -31,11 +31,11 @@ from ergokit.ergotropy import _aligned_gaps, _route_checks, optimal_alignment_un
 from ergokit.errors import InvariantViolation, OutOfScope, require
 from ergokit.quantum import spectral_context
 from ergokit.sampling import (
-    haar_unitaries,
     random_density,
     random_hermitian,
     stream,
 )
+from haar import haar_unitaries
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
@@ -364,7 +364,7 @@ class TestIdentitySweeps:
             dim = 2 + trial % 5
             rho = random_density(dim, stream(80, 2 * trial))
             # Keep beta * spread below the support floor at beta = 4.
-            h = random_hermitian(dim, stream(81, trial), scale=0.4)
+            h = HermitianOperator(0.4 * random_hermitian(dim, stream(81, trial)).matrix)
             values = [ergotropy_via_entropies(rho, h, b) for b in betas]
             assert max(values) - min(values) <= 1e-8
 

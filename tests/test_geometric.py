@@ -14,7 +14,7 @@ from ergokit import (
     DensityMatrix,
     GeometricState,
     HermitianOperator,
-    SupportMismatch,
+    SupportViolation,
     aligned_geometric_state,
     ergotropy_direct,
     ergotropy_geometric,
@@ -31,7 +31,8 @@ from ergokit import _threads, geometric
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.geometric import _sample_energies
-from ergokit.sampling import haar_unitaries, random_density, random_hermitian, stream
+from ergokit.sampling import random_density, random_hermitian, stream
+from haar import haar_unitaries
 
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -146,7 +147,7 @@ class TestGeometricRelativeEntropy:
     def test_orthogonal_points_mismatch(self):
         a = GeometricState(points=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
         b = GeometricState(points=np.array([[0.0, 1.0]]), weights=np.array([1.0]))
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportViolation):
             geometric_relative_entropy(a, b)
 
     def test_ambiguous_pairing_mismatch(self):
@@ -158,13 +159,13 @@ class TestGeometricRelativeEntropy:
         p = state((0.0, 2e-6), (0.6, 0.4))
         s = state((1e-6, 2.5e-6), (0.5, 0.5))
         assert (len(p.points), len(s.points)) == (2, 2)
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportViolation):
             geometric_relative_entropy(p, s)
 
     def test_more_points_than_reference_mismatch(self):
         mixed = geometric_state_of(DensityMatrix(np.eye(2) / 2))
         pure = geometric_state_of(DensityMatrix(np.diag([1.0, 0.0])))
-        with pytest.raises(SupportMismatch):
+        with pytest.raises(SupportViolation):
             geometric_relative_entropy(mixed, pure)
 
     def test_equals_spectral_divergence(self):

@@ -27,7 +27,8 @@ from ergokit.errors import OutOfScope
 from ergokit.quantum import (
     _density_stack, _eigh_stack, _hermitian_stack, _logsumexp, _spectra, _states,
 )
-from ergokit.sampling import _streams, haar_unitaries, random_density, random_hermitian, stream
+from ergokit.sampling import _streams, random_density, random_hermitian, stream
+from haar import haar_unitaries
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
 H01 = HermitianOperator(np.diag([0.0, 1.0]))
