@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Literal
 
 import numpy as np
 
 from .errors import EmptyShell, OutOfScope, SupportViolation
-from .quantum import _divergences, _gauge, _gibbs_logs
+from .quantum import _divergences, _gauge, _gibbs_logs, _relative_entropy
 
 MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
@@ -28,12 +27,11 @@ STOCHASTIC_ATOL = 1e-10
 # Reference weights are exact inputs, so a reference vanishes only where it is exactly 0.
 WEIGHT_FLOOR = 1e-15
 
-Surface = Literal["A", "B"]
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    """Discrete phase-space cells with an energy per cell on surfaces A and B."""
+    """Discrete phase-space cells with an energy per cell on surfaces A and B: A carries
+    the initial shell (``microcanonical``), B the thermal reference (``grid_gibbs``)."""
 
     energy_a: np.ndarray
     energy_b: np.ndarray
@@ -53,13 +51,6 @@ class PhaseGrid:
     @property
     def n_cells(self) -> int:
         return self.energy_a.size
-
-    def energies(self, surface: Surface) -> np.ndarray:
-        if surface == "A":
-            return self.energy_a
-        if surface == "B":
-            return self.energy_b
-        raise ValueError(f"unknown surface {surface!r}")
 
 
 @dataclass(frozen=True)
@@ -199,10 +190,6 @@ class TransitionKernel(_ColumnLayers):
         return self.image is not None
 
     @classmethod
-    def identity(cls, n: int) -> "TransitionKernel":
-        return cls.from_permutation(np.arange(n))
-
-    @classmethod
     def from_permutation(cls, image: np.ndarray) -> "TransitionKernel":
         """Kernel sending cell j to cell image[j]."""
         return cls._of(*_permutation(image))
@@ -227,24 +214,22 @@ class JointDistribution(_ColumnLayers):
         return np.bincount(rows, weights=values, minlength=self.n_cells)
 
 
-def microcanonical(grid: PhaseGrid, surface: Surface, energy: float, delta: float) -> GridDistribution:
-    """Uniform distribution on the cells whose energy lies in [energy, energy + delta]."""
-    e = grid.energies(surface)
+def microcanonical(grid: PhaseGrid, energy: float, delta: float) -> GridDistribution:
+    """Uniform distribution on the cells whose surface-A energy lies in [energy, energy + delta]."""
+    e = grid.energy_a
     shell = (e >= energy) & (e <= energy + delta)
     count = int(shell.sum())
     if count == 0:
-        raise EmptyShell(
-            f"no cell on surface {surface} has energy in [{energy}, {energy + delta}]"
-        )
+        raise EmptyShell(f"no cell on surface A has energy in [{energy}, {energy + delta}]")
     return GridDistribution(shell.astype(float) / count)
 
 
-def grid_gibbs(grid: PhaseGrid, surface: Surface, beta: float) -> GridDistribution:
-    """Boltzmann weights over the cells of one energy surface: ``_gibbs_logs`` of the
+def grid_gibbs(grid: PhaseGrid, beta: float) -> GridDistribution:
+    """Boltzmann weights over the cells of energy surface B: ``_gibbs_logs`` of the
     energies above the lowest one (``_gauge``), so an offset costs no precision.
     ``OutOfScope`` when the span is past the largest float, or a weight is below the
     smallest normal float (beta * span above ~708)."""
-    energies, _ = _gauge(grid.energies(surface))
+    energies, _ = _gauge(grid.energy_b)
     _, _, weights = _gibbs_logs(energies[None], beta)
     if weights.min() < np.finfo(float).tiny:
         raise OutOfScope(f"grid Gibbs weights underflow at beta = {beta:g}; beta too large")
@@ -288,13 +273,7 @@ def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> 
 
 def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> float:
     """Pointwise Kullback-Leibler divergence sum p ln(p/q), no sorting."""
-    if p.n_cells != q.n_cells:
-        raise ValueError(f"size mismatch: {p.n_cells} vs {q.n_cells}")
-    pw, qw = p.weights, q.weights
-    live = pw > WEIGHT_FLOOR
-    if np.any(qw[live] == 0.0):
-        raise SupportViolation("q vanishes where p is populated")
-    return float(_divergences(pw, np.log(np.where(live, qw, 1.0)), WEIGHT_FLOOR))
+    return _relative_entropy(p.weights, q.weights, WEIGHT_FLOOR, 0.0)
 
 
 def classical_ergotropy(
@@ -335,13 +314,9 @@ def ergotropy_via_phi(
 
 
 def sorted_pairing_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL of descending-sorted p against descending-sorted q (0 ln 0 := 0)."""
-    ps = np.sort(np.asarray(p, dtype=float))[::-1]
-    qs = np.sort(np.asarray(q, dtype=float))[::-1]
-    live = ps > WEIGHT_FLOOR
-    if np.any(qs[live] == 0.0):
-        return float("inf")
-    return float(_divergences(ps, np.log(np.where(live, qs, 1.0)), WEIGHT_FLOOR))
+    """KL of descending-sorted p against descending-sorted q (``_relative_entropy``)."""
+    return _relative_entropy(np.sort(np.asarray(p, dtype=float))[::-1],
+                             np.sort(np.asarray(q, dtype=float))[::-1], WEIGHT_FLOOR, 0.0)
 
 
 def permutation_min_bruteforce(

@@ -41,6 +41,7 @@ from .quantum import (
 )
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
+    GRID_CSV_COLUMNS,
     density_from_json,
     format_float,
     grid_from_csv,
@@ -235,7 +236,7 @@ def _load_grid_experiment(config: argparse.Namespace):
         # Anchor the shell at an actual cell energy so it is never empty.
         shell_floor = float(grid.energy_a[n // 2])
         shell_width = float(grid.energy_a.max() - grid.energy_a.min()) / max(1, n // 2) + 1e-9
-        return grid, cl.microcanonical(grid, "A", shell_floor, shell_width), generated_kernel(n)
+        return grid, cl.microcanonical(grid, shell_floor, shell_width), generated_kernel(n)
     if config.input_path.endswith(".csv"):
         grid, p_a = _read_input(config.input_path, "grid CSV", grid_from_csv)
         return grid, p_a, generated_kernel(grid.n_cells)
@@ -258,7 +259,7 @@ def _cmd_classical(config: argparse.Namespace):
     n = grid.n_cells
     beta = config.beta
     # The grid context, built once and read by every result below.
-    p_eq = cl.grid_gibbs(grid, "B", beta)
+    p_eq = cl.grid_gibbs(grid, beta)
     log_eq = np.log(p_eq.weights)
     joint = cl.joint_from_kernel(p_a, kernel)
     marginal = joint.final_marginal()
@@ -415,10 +416,10 @@ COMMANDS = {
     "classical": Command(
         _cmd_classical, ("beta", "dim", "trials", "seed"),
         "grid file (JSON with grid and an optional kernel, or a .csv table "
-        "index,energy_a,energy_b,weight)", ("dim",),
+        f"{','.join(GRID_CSV_COLUMNS)})", ("dim",),
         "Grid experiment: classical ergotropy routes, inhomogeneity, exact stationarity "
         "extremes (--trials is echoed, but no result reads it).",
-        "index,energy_a,energy_b,weight,phi"),
+        ",".join((*GRID_CSV_COLUMNS, "phi"))),
     "geometric-z": Command(
         _cmd_geometric_z, ("beta", "dim", "seed", "samples"),
         "Hamiltonian file (JSON with hamiltonian)", ("dim",),

@@ -27,6 +27,7 @@ from .quantum import (
     HermitianOperator,
     _divergences,
     _gauge,
+    _relative_entropy,
     _SpectralBlock,
     eigendecompose,
     gibbs_state,
@@ -140,12 +141,8 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
     near = _overlap_deficits(p_state.points, s_state.points) <= MATCH_OVERLAP_DEFICIT
     if np.any(near.sum(axis=1) != 1) or np.any(near.sum(axis=0) > 1):
         raise SupportViolation("support points do not pair one to one within tolerance")
-    p_w = p_state.weights
-    s_w = s_state.weights[near.argmax(axis=1)]
-    live = p_w > SUPPORT_FLOOR
-    if np.any(s_w[live] <= SUPPORT_FLOOR):
-        raise SupportViolation("matched reference point carries no weight")
-    return float(_divergences(p_w, np.log(np.where(live, s_w, 1.0))))
+    return _relative_entropy(p_state.weights, s_state.weights[near.argmax(axis=1)],
+                             SUPPORT_FLOOR, SUPPORT_FLOOR)
 
 
 def ergotropy_geometric(rho: DensityMatrix, hamiltonian: HermitianOperator, beta: float) -> float:

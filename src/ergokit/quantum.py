@@ -326,6 +326,18 @@ def _divergences(p: np.ndarray, ln_q=0.0, floor: float = SUPPORT_FLOOR) -> np.nd
     return np.where(live, p * (np.log(p) - ln_q), 0.0).sum(axis=-1)
 
 
+def _relative_entropy(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> float:
+    """sum p ln(p/q) over the entries p > ``floor`` of two equal-length vectors, in
+    ``_divergences``, under the support rule of every relative entropy: ln q is taken on
+    those entries only, and q <= ``vanishes`` on one of them raises ``SupportViolation``."""
+    if p.shape != q.shape:
+        raise ValueError(f"size mismatch: {p.size} vs {q.size}")
+    live = p > floor
+    if np.any(q[live] <= vanishes):
+        raise SupportViolation("the reference vanishes where the argument is populated")
+    return float(_divergences(p, np.log(np.where(live, q, 1.0)), floor))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho ln rho) with 0 ln 0 := 0."""
     return -float(_divergences(eigendecompose(rho, "descending").values))
@@ -356,12 +368,8 @@ def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float
     """Kullback-Leibler divergence of the descending-sorted eigenvalue lists."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    p = eigendecompose(rho, "descending").values
-    s = eigendecompose(sigma, "descending").values
-    live = p > SUPPORT_FLOOR
-    if np.any(s[live] <= SUPPORT_FLOOR):
-        raise SupportViolation("sorted sigma spectrum vanishes where rho is populated")
-    return float(_divergences(p, np.log(np.where(live, s, 1.0))))
+    p, s = (eigendecompose(state, "descending").values for state in (rho, sigma))
+    return _relative_entropy(p, s, SUPPORT_FLOOR, SUPPORT_FLOOR)
 
 
 def _rotate(matrices: np.ndarray, basis: np.ndarray) -> np.ndarray:

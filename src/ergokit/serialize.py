@@ -121,10 +121,12 @@ GRID_CSV_COLUMNS = ("index", "energy_a", "energy_b", "weight")
 
 
 def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
+    """The grid and weights of a table with the ``GRID_CSV_COLUMNS``, optionally followed
+    by the ``phi`` column that ``classical --output F.csv`` writes, which is not read."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if tuple(h.strip() for h in header) != GRID_CSV_COLUMNS:
-        raise ValueError(f"expected header {GRID_CSV_COLUMNS}, got {header}")
+    if tuple(h.strip() for h in header) not in (GRID_CSV_COLUMNS, (*GRID_CSV_COLUMNS, "phi")):
+        raise ValueError(f"expected header {GRID_CSV_COLUMNS}, then phi or nothing, got {header}")
     rows = sorted((int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader if r)
     if not rows:
         raise ValueError("grid CSV has no rows")

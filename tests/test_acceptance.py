@@ -143,7 +143,7 @@ def test_criterion_5_grid_route_equivalence():
         p_a = GridDistribution(shell)
         kernel = TransitionKernel.from_permutation(rng.permutation(n))
         joint = joint_from_kernel(p_a, kernel)
-        p_eq = grid_gibbs(grid, "B", beta)
+        p_eq = grid_gibbs(grid, beta)
         worst = max(worst, abs(
             classical_ergotropy(joint, p_a, p_eq, beta) - ergotropy_via_phi(joint, p_a, grid)
         ))
@@ -254,7 +254,7 @@ def test_criterion_10_stationarity_probe():
     rng = stream(1800)
     grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
     uniform = GridDistribution(np.full(n, 1.0 / n))
-    p_eq = grid_gibbs(grid, "B", 1.0)
+    p_eq = grid_gibbs(grid, 1.0)
     log_eq = np.log(p_eq.weights)
 
     # (a) Uniform initial distribution, Liouville (permutation) kernel: the
@@ -301,7 +301,7 @@ def test_criterion_10_stationarity_probe():
     weights = np.zeros(n)
     weights[int(np.argmax(grid.energy_b))] = 1.0
     point = GridDistribution(weights)
-    point_joint = joint_from_kernel(point, TransitionKernel.identity(n))
+    point_joint = joint_from_kernel(point, TransitionKernel.from_permutation(np.arange(n)))
     counter = stationarity_probe(point_joint.final_marginal(), log_eq, 0.05)
     counter_total = counter.delta_total(point_joint, p_eq)
     negatives_ok = counter.min_first_order < 0.0 and counter_total < 0.0
@@ -341,7 +341,7 @@ def test_internal_joint_entropy_helper_matches_public():
     p_a = GridDistribution(rng.dirichlet(np.ones(n)))
     kernel = TransitionKernel.from_permutation(rng.permutation(n))
     joint = joint_from_kernel(p_a, kernel)
-    p_eq = grid_gibbs(grid, "B", 1.0)
+    p_eq = grid_gibbs(grid, 1.0)
     from ergokit import joint_relative_entropy
 
     dense = joint.matrix

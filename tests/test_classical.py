@@ -69,7 +69,7 @@ class TestTypes:
             TransitionKernel(column_only)
 
     def test_kernel_deterministic_flag(self):
-        assert TransitionKernel.identity(3).is_deterministic
+        assert TransitionKernel.from_permutation(np.arange(3)).is_deterministic
         assert TransitionKernel.from_permutation(np.array([2, 0, 1])).is_deterministic
         mixed = TransitionKernel(random_doubly_stochastic(4, stream(0)))
         assert not mixed.is_deterministic
@@ -104,59 +104,59 @@ class TestTypes:
 
 class TestMicrocanonical:
     def test_single_cell_shell(self):
-        dist = microcanonical(GRID3, "A", 1.0, 0.1)
+        dist = microcanonical(GRID3, 1.0, 0.1)
         assert np.allclose(dist.weights, [0.0, 1.0, 0.0])
 
     def test_uniform_on_shell(self):
         grid = PhaseGrid(energy_a=np.array([0.0, 1.0, 1.0, 2.0]), energy_b=np.zeros(4))
-        dist = microcanonical(grid, "A", 1.0, 0.1)
+        dist = microcanonical(grid, 1.0, 0.1)
         assert np.allclose(dist.weights, [0.0, 0.5, 0.5, 0.0])
 
     def test_empty_shell(self):
         with pytest.raises(EmptyShell):
-            microcanonical(GRID3, "A", 5.0, 0.1)
+            microcanonical(GRID3, 5.0, 0.1)
 
 
 class TestGridGibbs:
     def test_three_levels(self):
         expected = np.exp(-GRID3.energy_b)
         expected /= expected.sum()
-        assert np.allclose(grid_gibbs(GRID3, "B", 1.0).weights, expected, atol=1e-12)
+        assert np.allclose(grid_gibbs(GRID3, 1.0).weights, expected, atol=1e-12)
 
     def test_low_temperature_concentrates(self):
-        weights = grid_gibbs(GRID3, "B", 20.0).weights
+        weights = grid_gibbs(GRID3, 20.0).weights
         assert weights[0] >= 0.999
 
     def test_uniform_energies_give_uniform(self):
         grid = PhaseGrid(energy_a=np.zeros(4), energy_b=np.full(4, 0.7))
-        assert np.allclose(grid_gibbs(grid, "B", 2.0).weights, 0.25, atol=1e-12)
+        assert np.allclose(grid_gibbs(grid, 2.0).weights, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf],
                              ids=["nonpositive", "nan", "inf"])
     def test_rejects_nonpositive_beta(self, beta):
         p = GridDistribution(np.full(3, 1 / 3))
-        joint = joint_from_kernel(p, TransitionKernel.identity(3))
+        joint = joint_from_kernel(p, TransitionKernel.from_permutation(np.arange(3)))
         with pytest.raises(ValueError, match="beta"):
-            grid_gibbs(GRID3, "B", beta)
+            grid_gibbs(GRID3, beta)
         with pytest.raises(ValueError, match="beta"):
-            classical_ergotropy(joint, p, grid_gibbs(GRID3, "B", 1.0), beta)
+            classical_ergotropy(joint, p, grid_gibbs(GRID3, 1.0), beta)
 
     def test_keeps_the_smallest_normal_weights(self):
         grid = PhaseGrid(energy_a=np.zeros(2), energy_b=np.array([0.0, 1.0]))
-        weights = grid_gibbs(grid, "B", 700.0).weights
+        weights = grid_gibbs(grid, 700.0).weights
         assert weights[1] == pytest.approx(math.exp(-700.0), rel=1e-12)
 
     @pytest.mark.parametrize("beta", [720.0, 2000.0], ids=["subnormal", "zero"])
     def test_underflowing_weight_is_out_of_scope(self, beta):
         grid = PhaseGrid(energy_a=np.zeros(2), energy_b=np.array([0.0, 1.0]))
         with pytest.raises(OutOfScope, match="underflow"):
-            grid_gibbs(grid, "B", beta)
+            grid_gibbs(grid, beta)
 
 
 class TestJointAndKernels:
     def test_identity_kernel_diagonal_joint(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(3))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.arange(3)))
         assert np.allclose(np.diag(joint.matrix), p_a.weights)
         assert np.allclose(joint.matrix - np.diag(p_a.weights), 0.0)
 
@@ -200,20 +200,20 @@ class TestJointAndKernels:
 class TestRelativeEntropies:
     def test_joint_point_mass(self):
         joint = JointDistribution(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
+        p_eq = grid_gibbs(GRID3, 1.0)
         expected = -math.log(p_eq.weights[0])
         assert joint_relative_entropy(joint, p_eq) == pytest.approx(expected, abs=1e-12)
 
     def test_joint_matched_gibbs_identity_kernel(self):
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
-        joint = joint_from_kernel(p_eq, TransitionKernel.identity(3))
+        p_eq = grid_gibbs(GRID3, 1.0)
+        joint = joint_from_kernel(p_eq, TransitionKernel.from_permutation(np.arange(3)))
         assert joint_relative_entropy(joint, p_eq) == pytest.approx(0.0, abs=1e-12)
 
     def test_deterministic_joint_entropy_term(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
         perm = TransitionKernel.from_permutation(np.array([1, 2, 0]))
         joint = joint_from_kernel(p_a, perm)
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
+        p_eq = grid_gibbs(GRID3, 1.0)
         entropy_term = float((p_a.weights * np.log(p_a.weights)).sum())
         cross = float(joint.final_marginal() @ np.log(p_eq.weights))
         assert joint_relative_entropy(joint, p_eq) == pytest.approx(entropy_term - cross, abs=1e-12)
@@ -224,12 +224,12 @@ class TestRelativeEntropies:
 
     def test_classical_point_mass(self):
         p = GridDistribution(np.array([0.0, 1.0, 0.0]))
-        q = grid_gibbs(GRID3, "B", 1.0)
+        q = grid_gibbs(GRID3, 1.0)
         assert classical_relative_entropy(p, q) == pytest.approx(-math.log(q.weights[1]), abs=1e-12)
 
     def test_classical_two_terms(self):
         p = GridDistribution(np.array([0.5, 0.5, 0.0]))
-        q = grid_gibbs(GRID3, "B", 1.0)
+        q = grid_gibbs(GRID3, 1.0)
         expected = 0.5 * math.log(0.5 / q.weights[0]) + 0.5 * math.log(0.5 / q.weights[1])
         assert classical_relative_entropy(p, q) == pytest.approx(expected, abs=1e-12)
 
@@ -238,7 +238,7 @@ class TestRelativeEntropies:
         p = GridDistribution(np.array([0.5, 0.5]))
         q = GridDistribution(np.array([1.0, 1e-20]))
         expected = 0.5 * math.log(0.5) + 0.5 * math.log(0.5 / 1e-20)
-        joint = joint_from_kernel(p, TransitionKernel.identity(2))
+        joint = joint_from_kernel(p, TransitionKernel.from_permutation(np.arange(2)))
         close = pytest.approx(expected, rel=1e-14, abs=0)
         assert classical_relative_entropy(p, q) == close
         assert joint_relative_entropy(joint, q) == close
@@ -249,7 +249,8 @@ class TestRelativeEntropies:
     @pytest.mark.parametrize("divergence", [
         lambda p, q: classical_relative_entropy(GridDistribution(p), GridDistribution(q)),
         lambda p, q: joint_relative_entropy(
-            joint_from_kernel(GridDistribution(p), TransitionKernel.identity(p.size)),
+            joint_from_kernel(GridDistribution(p),
+                              TransitionKernel.from_permutation(np.arange(p.size))),
             GridDistribution(q)),
         sorted_pairing_divergence,
         lambda p, q: permutation_min_bruteforce(GridDistribution(p), GridDistribution(q))[0],
@@ -265,11 +266,27 @@ class TestRelativeEntropies:
         expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
         assert divergence(p, q) == pytest.approx(expected, rel=1e-14, abs=0)
 
-    def test_support_violation(self):
-        p = GridDistribution(np.array([0.5, 0.5]))
-        q = GridDistribution(np.array([1.0, 0.0]))
-        with pytest.raises(SupportViolation):
-            classical_relative_entropy(p, q)
+    @pytest.mark.parametrize("divergence", [
+        lambda p, q: spectral_relative_entropy(DensityMatrix(np.diag(p)),
+                                               DensityMatrix(np.diag(q))),
+        sorted_pairing_divergence,
+        lambda p, q: classical_relative_entropy(GridDistribution(p), GridDistribution(q)),
+        lambda p, q: geometric_relative_entropy(GeometricState(np.eye(p.size), p),
+                                                GeometricState(np.eye(q.size), q)),
+        lambda p, q: joint_relative_entropy(
+            joint_from_kernel(GridDistribution(p),
+                              TransitionKernel.from_permutation(np.arange(p.size))),
+            GridDistribution(q)),
+    ], ids=["spectral", "sorted_pairing", "classical", "geometric", "joint"])
+    def test_a_reference_that_vanishes_on_a_populated_entry_raises(self, divergence):
+        # The reference is 0 on cell 1, which p populates: the matched geometric point
+        # and the joint's populated final cell carry no reference weight.
+        with pytest.raises(SupportViolation, match="vanishes"):
+            divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+
+    def test_sorted_pairing_of_unequal_lengths_is_a_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch: 3 vs 2"):
+            sorted_pairing_divergence([0.5, 0.5, 0.0], [1.0, 0.0])
 
     def test_zero_iff_equal(self):
         rng = stream(8)
@@ -283,8 +300,8 @@ class TestRelativeEntropies:
 class TestClassicalErgotropy:
     def test_identity_kernel_zero(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(3))
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.arange(3)))
+        p_eq = grid_gibbs(GRID3, 1.0)
         assert classical_ergotropy(joint, p_a, p_eq, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_shift_up(self):
@@ -292,21 +309,21 @@ class TestClassicalErgotropy:
         p_a = GridDistribution(np.array([0.0, 1.0, 0.0]))
         shift = TransitionKernel.from_permutation(np.array([1, 2, 0]))
         joint = joint_from_kernel(p_a, shift)
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
+        p_eq = grid_gibbs(GRID3, 1.0)
         assert classical_ergotropy(joint, p_a, p_eq, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_shift_down_goes_negative(self):
         p_a = GridDistribution(np.array([0.0, 1.0, 0.0]))
         shift = TransitionKernel.from_permutation(np.array([2, 0, 1]))
         joint = joint_from_kernel(p_a, shift)
-        p_eq = grid_gibbs(GRID3, "B", 1.0)
+        p_eq = grid_gibbs(GRID3, 1.0)
         assert classical_ergotropy(joint, p_a, p_eq, 1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestInhomogeneity:
     def test_identity_kernel_zero_vector(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(3))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.arange(3)))
         assert np.allclose(inhomogeneity_phi(joint, p_a), 0.0)
 
     def test_point_mass_move(self):
@@ -328,7 +345,7 @@ class TestInhomogeneity:
 class TestErgotropyViaPhi:
     def test_identity_zero(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(3))
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.arange(3)))
         assert ergotropy_via_phi(joint, p_a, GRID3) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_shift(self):
@@ -350,7 +367,7 @@ class TestErgotropyViaPhi:
         conditional = _conditional_entropy(joint, p_a)
         assert conditional > 0.1
         assert conditional == pytest.approx(expected, abs=1e-15)
-        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(GRID3, "B", beta), beta)
+        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(GRID3, beta), beta)
         assert abs(ergotropy_via_phi(joint, p_a, GRID3) - (via_entropy + conditional / beta)) <= 1e-13
 
     @pytest.mark.parametrize("beta", [0.05, 1.0, 2.0])
@@ -367,7 +384,7 @@ class TestErgotropyViaPhi:
         conditional = _conditional_entropy(joint, p_a)
         # Each column mixes with the same weights, so H(F|I) is their entropy.
         assert conditional == pytest.approx(-float(weights @ np.log(weights)), abs=1e-12)
-        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(grid, "B", beta), beta)
+        via_entropy = classical_ergotropy(joint, p_a, grid_gibbs(grid, beta), beta)
         via_phi = ergotropy_via_phi(joint, p_a, grid)
         assert abs(via_entropy - (via_phi - conditional / beta)) <= 1e-12
 
@@ -383,7 +400,7 @@ class TestErgotropyViaPhi:
             p_a = GridDistribution(shell)
             kernel = TransitionKernel.from_permutation(rng.permutation(n))
             joint = joint_from_kernel(p_a, kernel)
-            p_eq = grid_gibbs(grid, "B", beta)
+            p_eq = grid_gibbs(grid, beta)
             via_entropy = classical_ergotropy(joint, p_a, p_eq, beta)
             via_phi = ergotropy_via_phi(joint, p_a, grid)
             assert abs(via_entropy - via_phi) <= 1e-9
@@ -437,7 +454,7 @@ class TestStationarityProbe:
     def test_zero_epsilon_is_exactly_flat(self):
         p_a = GridDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
         grid = PhaseGrid(energy_a=np.arange(4.0), energy_b=np.arange(4.0))
-        p_eq = grid_gibbs(grid, "B", 1.0)
+        p_eq = grid_gibbs(grid, 1.0)
         joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.array([1, 0, 3, 2])))
         probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), 0.0)
         assert probe.min_first_order == 0.0 and probe.max_first_order == 0.0
@@ -451,7 +468,7 @@ class TestStationarityProbe:
         p_a = GridDistribution(np.full(n, 1.0 / n))
         grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
         joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
-        log_eq = np.log(grid_gibbs(grid, "B", 3.0).weights)
+        log_eq = np.log(grid_gibbs(grid, 3.0).weights)
         probe = stationarity_probe(joint.final_marginal(), log_eq, 1e-3)
         assert probe.min_first_order == 0.0 and probe.max_first_order == 0.0
 
@@ -461,8 +478,8 @@ class TestStationarityProbe:
         weights[n - 1] = 1.0  # mass parked on the highest-energy cell
         p_a = GridDistribution(weights)
         grid = PhaseGrid(energy_a=np.arange(float(n)), energy_b=np.linspace(0.0, 2.0, n))
-        p_eq = grid_gibbs(grid, "B", 1.0)
-        joint = joint_from_kernel(p_a, TransitionKernel.identity(n))
+        p_eq = grid_gibbs(grid, 1.0)
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(np.arange(n)))
         probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), 0.1)
         # The extremal permutation moves the mass to the lowest-energy cell.
         assert probe.image[n - 1] == 0
@@ -478,10 +495,11 @@ class TestStationarityProbe:
         with pytest.raises(ValueError, match="equal length"):
             stationarity_probe(np.full(3, 1.0 / 3), np.zeros(4), 1e-3)
         p_a = GridDistribution(np.full(3, 1.0 / 3))
-        probe = stationarity_probe(p_a.weights, np.log(grid_gibbs(GRID3, "B", 1.0).weights), 1e-3)
+        probe = stationarity_probe(p_a.weights, np.log(grid_gibbs(GRID3, 1.0).weights), 1e-3)
         four = GridDistribution(np.full(4, 0.25))
         with pytest.raises(ValueError, match="sizes must match"):
-            probe.delta_total(joint_from_kernel(four, TransitionKernel.identity(4)), four)
+            probe.delta_total(
+                joint_from_kernel(four, TransitionKernel.from_permutation(np.arange(4))), four)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_extremes_equal_the_bruteforce_over_every_permutation(self, n):
@@ -525,7 +543,7 @@ class TestStationarityProbe:
         # exactly 0, and no permutation goes below it.
         rng = stream(57, n)
         levels = rng.integers(0, max(1, n // 2), n).astype(float)
-        log_eq = np.log(grid_gibbs(PhaseGrid(energy_a=levels, energy_b=levels), "B", 1.0).weights)
+        log_eq = np.log(grid_gibbs(PhaseGrid(energy_a=levels, energy_b=levels), 1.0).weights)
         marginal = rng.dirichlet(np.ones(n))
         # Populations falling with energy, and within a level with the index.
         marginal[np.argsort(-log_eq, kind="stable")] = np.sort(marginal)[::-1]
@@ -544,7 +562,7 @@ class TestStationarityProbe:
         rng = stream(23, n)
         grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
         p_a = GridDistribution(np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n)))
-        p_eq = grid_gibbs(grid, "B", 1.0)
+        p_eq = grid_gibbs(grid, 1.0)
         image_joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
         dense_joint = JointDistribution(image_joint.matrix)
         assert image_joint.image is not None
@@ -572,7 +590,7 @@ class TestStationarityProbe:
         if n >= 12:  # at n = 2 and 3 the three drawn permutations may coincide
             assert kernel.is_deterministic is (components == 1)
         joint = joint_from_kernel(p_a, kernel)
-        p_eq = grid_gibbs(grid, "B", 1.0)
+        p_eq = grid_gibbs(grid, 1.0)
         epsilon = 0.05
         probe = stationarity_probe(joint.final_marginal(), np.log(p_eq.weights), epsilon)
         log_eq = np.log(p_eq.weights)

@@ -462,6 +462,23 @@ class TestClassicalCommand:
         assert lines[0] == "index,energy_a,energy_b,weight,phi"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("fifth", ["phi", "psi"])
+    def test_the_csv_table_reads_back_as_input(self, capsys, tmp_path, fifth):
+        # --input reads the four grid columns of the table --output writes and skips its
+        # phi column; any other fifth column is a bad header.
+        path = tmp_path / "grid.csv"
+        assert run_cli(capsys, "classical", "--dim", "8", "--seed", "3",
+                       "--output", str(path))[0] == 0
+        header, rows = path.read_text().split("\n", 1)
+        path.write_text(f"{header.replace(',phi', ',' + fifth)}\n{rows}")
+        code, out, err = run_cli(capsys, "classical", "--input", str(path), "--seed", "3")
+        if fifth == "phi":
+            assert (code, err) == (0, "")
+            assert json.loads(out)["results"]["n_cells"] == 8
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad grid CSV") and err.count("\n") == 1
+
 
 GRID3 = {"energy_a": [0.0, 1.0, 2.0], "energy_b": [0.5, 1.0, 1.5], "weights": [0.2, 0.3, 0.5]}
 GRID2 = {"energy_a": [0.0, 1.0], "energy_b": [0.5, 1.0], "weights": [0.4, 0.6]}
@@ -1018,6 +1035,16 @@ class TestOtmCommand:
                           "--beta", "1e-7")
         assert (proc.returncode, proc.stderr) == (code, stderr)
         assert json.loads(proc.stdout)["passed"] is (code == 0)
+
+    def test_a_propagator_that_does_not_converge_exits_1_with_one_line(self, capsys,
+                                                                      monkeypatch):
+        # Seed 0's three d = 8 trials include a ramp that misses the 1e-6 gate at (32, 64)
+        # steps; with one doubling allowed, the run stops before printing anything.
+        monkeypatch.setattr(workbench, "MAX_DOUBLINGS", 1)
+        code, out, err = run_cli(capsys, "otm", "--dim", "8", "--trials", "3", "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("invariant failed: propagator did not converge")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_json_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

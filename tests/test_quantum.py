@@ -11,21 +11,37 @@ from scipy.special import logsumexp
 
 from ergokit import (
     DensityMatrix,
+    GeometricState,
+    GridDistribution,
     HermitianOperator,
+    PhaseGrid,
     SupportViolation,
+    TransitionKernel,
+    aligned_geometric_state,
+    classical_relative_entropy,
     coherence_relative_entropy,
+    conditional_thermal_state,
     dephase,
     eigendecompose,
+    ergotropy_via_phi,
     expectation,
+    geometric_relative_entropy,
     gibbs_state,
+    inhomogeneity_phi,
+    joint_from_kernel,
+    joint_relative_entropy,
+    passive_energy,
+    permutation_min_bruteforce,
     quantum_relative_entropy,
     spectral_relative_entropy,
     von_neumann_entropy,
 )
 from ergokit import _threads
+from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.quantum import (
     _density_stack, _eigh_stack, _hermitian_stack, _logsumexp, _spectra, _states,
+    spectral_context,
 )
 from ergokit.sampling import _streams, random_density, random_hermitian, stream
 from haar import haar_unitaries
@@ -391,6 +407,43 @@ class TestEntropies:
     def test_spectral_pure_vs_gibbs(self):
         g = gibbs_state(H01, 1.0)
         assert spectral_relative_entropy(PLUS, g.rho) == pytest.approx(g.log_z, abs=1e-12)
+
+
+class TestMismatchedArguments:
+    """Every two-argument function compares the sizes or dimensions of its arguments
+    before it computes anything, and raises ``ValueError`` on a mismatch."""
+
+    TWO, THREE = GridDistribution(np.full(2, 0.5)), GridDistribution(np.full(3, 1 / 3))
+    JOINT3 = joint_from_kernel(THREE, TransitionKernel.from_permutation(np.arange(3)))
+    RHO2, RHO3 = DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)
+    H2, H3 = HermitianOperator(np.diag([0.0, 1.0])), HermitianOperator(np.diag([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("call", [
+        lambda t: joint_from_kernel(t.TWO, TransitionKernel.from_permutation(np.arange(3))),
+        lambda t: joint_relative_entropy(t.JOINT3, t.TWO),
+        lambda t: classical_relative_entropy(t.TWO, t.THREE),
+        lambda t: inhomogeneity_phi(t.JOINT3, t.TWO),
+        lambda t: ergotropy_via_phi(t.JOINT3, t.THREE, PhaseGrid([0.0, 1.0], [0.0, 1.0])),
+        lambda t: permutation_min_bruteforce(t.TWO, t.THREE),
+        lambda t: passive_energy(t.RHO2, t.H3),
+        lambda t: optimal_alignment_unitary(t.RHO2, t.RHO3),
+        lambda t: aligned_geometric_state(t.RHO2, t.RHO3),
+        lambda t: geometric_relative_entropy(GeometricState(np.eye(2), [0.5, 0.5]),
+                                             GeometricState(np.eye(3), [1 / 3] * 3)),
+        lambda t: quantum_relative_entropy(t.RHO2, t.RHO3),
+        lambda t: spectral_relative_entropy(t.RHO2, t.RHO3),
+        lambda t: dephase(t.RHO2, t.H3),
+        lambda t: spectral_context(t.RHO2, t.H3, 1.0),
+        lambda t: conditional_thermal_state(t.H2, t.H3, np.eye(2), 1.0),
+    ], ids=["joint_from_kernel", "joint_relative_entropy", "classical_relative_entropy",
+            "inhomogeneity_phi", "ergotropy_via_phi", "permutation_min_bruteforce",
+            "passive_energy", "optimal_alignment_unitary", "aligned_geometric_state",
+            "geometric_relative_entropy", "quantum_relative_entropy",
+            "spectral_relative_entropy", "dephase", "spectral_context",
+            "conditional_thermal_state"])
+    def test_a_size_or_dimension_mismatch_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="mismatch|must match"):
+            call(self)
 
 
 class TestDephase:

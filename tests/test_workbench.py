@@ -23,7 +23,7 @@ from ergokit import (
     step_product,
 )
 from ergokit import _threads, workbench
-from ergokit.errors import InvariantViolation, OutOfScope, require
+from ergokit.errors import InvariantViolation, NotConverged, OutOfScope, require
 from ergokit.quantum import _gibbs_logs, _spectra, _stack_of
 from ergokit.sampling import random_hermitian, stream
 from ergokit.workbench import _bound_checks, _bound_reports, _evolve_all, magnus_product
@@ -169,6 +169,16 @@ class TestEvolveUnitary:
         u = evolve_unitary(protocol, n_steps=8, tol=1e-8)
         reference = evolve_unitary(protocol, n_steps=1024, tol=1e-10)
         assert np.max(np.abs(u - reference)) < 1e-6
+
+    def test_a_ramp_that_misses_the_gate_raises_not_converged(self, monkeypatch):
+        # Levels 12 apart coupled by 12 (TestBlocks' slow ramp) miss the 1e-6 gate at
+        # (32, 64) steps, and one doubling is all that is allowed.
+        monkeypatch.setattr(workbench, "MAX_DOUBLINGS", 1)
+        slow = DrivingProtocol.linear_ramp(
+            HermitianOperator(12.0 * np.diag(np.arange(3.0))),
+            HermitianOperator(12.0 * (np.eye(3, k=1) + np.eye(3, k=-1))), 1.5)
+        with pytest.raises(NotConverged, match="did not converge to 1e-06 within 64 steps"):
+            evolve_unitary(slow, n_steps=32, tol=1e-6)
 
 
 class TestPropagatorAccuracy:
@@ -446,7 +456,8 @@ class TestBlocks:
     def test_propagators_keep_their_bits_split_chunked_or_whole(self, monkeypatch, two_cpus,
                                                                dim):
         # Ramps, a sudden switch and a ramp that doubles further, their step exponentials
-        # from one whole eigh per stack, then in two halves of 5-matrix chunks.
+        # from one whole eigh per stack, then in two halves of 5-matrix chunks, then with
+        # each unit's generators in a stack of their own.
         h = [random_hermitian(dim, stream(60, k)) for k in range(8)]
         slow_a = HermitianOperator(12.0 * np.diag(np.arange(dim, dtype=float)))
         slow_b = HermitianOperator(12.0 * (np.eye(dim, k=1) + np.eye(dim, k=-1)))
@@ -454,12 +465,15 @@ class TestBlocks:
                  DrivingProtocol.linear_ramp(slow_a, slow_b, 1.5),
                  DrivingProtocol(((0.0, h[4]), (0.3, h[5]), (1.1, h[6])))]
         runs = []
-        for entries, chunk in ((2**62, 2**62), (0, 5 * dim * dim)):
+        for entries, chunk, stack in ((2**62, 2**62, workbench.GENERATOR_BLOCK),
+                                      (0, 5 * dim * dim, workbench.GENERATOR_BLOCK),
+                                      (2**62, 2**62, 1)):
             monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
             monkeypatch.setattr(workbench, "EIGH_CHUNK", chunk)
+            monkeypatch.setattr(workbench, "GENERATOR_BLOCK", stack)
             paths = [(p._times, p._matrices) for p in block]
             runs.append([u.tobytes() for u in _evolve_all(paths, 32, 1e-6)])
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
 
     @settings(derandomize=True, database=None, max_examples=20, deadline=None)
     @given(dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
