@@ -150,15 +150,6 @@ class _ColumnLayers:
         return m
 
 
-def _square(matrix: np.ndarray, what: str) -> np.ndarray:
-    dense = _frozen(matrix)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    if not dense.min() >= 0.0:
-        raise ValueError(f"negative {what} entry {dense.min():.3e}")
-    return dense
-
-
 @dataclass(frozen=True, init=False)
 class TransitionKernel(_ColumnLayers):
     """Doubly stochastic transition kernel; column j of ``matrix`` is the
@@ -170,7 +161,11 @@ class TransitionKernel(_ColumnLayers):
     """
 
     def __init__(self, matrix: np.ndarray):
-        dense = _square(matrix, "kernel")
+        dense = _frozen(matrix)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
+            raise ValueError(f"expected a square matrix, got shape {dense.shape}")
+        if not dense.min() >= 0.0:
+            raise ValueError(f"negative kernel entry {dense.min():.3e}")
         col_dev = float(np.max(np.abs(dense.sum(axis=0) - 1.0)))
         row_dev = float(np.max(np.abs(dense.sum(axis=1) - 1.0)))
         if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
@@ -197,17 +192,11 @@ class TransitionKernel(_ColumnLayers):
 
 @dataclass(frozen=True, init=False)
 class JointDistribution(_ColumnLayers):
-    """Joint probability of (final, initial) cells; entry [f, i] of ``matrix``
-    couples final cell f with initial cell i, and column i sums to the initial
-    weight of cell i.  A joint from ``joint_from_kernel`` holds its kernel's
-    layers, so a permutation's joint is one layer of the initial weights.
+    """Joint probability of (final, initial) cells: p_A pushed through a kernel by
+    ``joint_from_kernel``, its one constructor.  Entry [f, i] of ``matrix`` couples
+    final cell f with initial cell i, and column i sums to p_A[i].  The joint holds
+    its kernel's layers, so a permutation's joint is one layer of the initial weights.
     """
-
-    def __init__(self, matrix: np.ndarray):
-        dense = _square(matrix, "joint")
-        if abs(dense.sum() - 1.0) > MASS_ATOL:
-            raise ValueError(f"total mass deviates from 1 by {abs(dense.sum() - 1.0):.3e}")
-        self._hold(*_column_layers(dense))
 
     def final_marginal(self) -> np.ndarray:
         rows, values = self.rows.ravel(), self.values.ravel()
@@ -324,8 +313,8 @@ def permutation_min_bruteforce(
 ) -> tuple[float, tuple[int, ...]]:
     """Exhaustive minimum over all pairings of p-cells onto q-cells of
     sum_i p[pi(i)] ln(p[pi(i)] / q[i]); returns the value and an optimal pi.
-
     Equals the descending-sorted pairing; limited to small grids (n <= 8).
+    A pairing onto an empty reference cell costs +inf; ``SupportViolation`` if all do.
     """
     n = p.n_cells
     if q.n_cells != n:
@@ -337,6 +326,8 @@ def permutation_min_bruteforce(
     with np.errstate(divide="ignore"):
         totals = _divergences(p.weights[perms], np.log(q.weights), WEIGHT_FLOOR)  # (n!,)
     best = int(np.argmin(totals))
+    if totals[best] == np.inf:
+        raise SupportViolation("the reference vanishes where the argument is populated")
     return float(totals[best]), tuple(int(i) for i in perms[best])
 
 

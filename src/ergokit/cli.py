@@ -42,14 +42,13 @@ from .quantum import (
 from .sampling import _densities, _ginibre, _hermitians, _streams, stream
 from .serialize import (
     GRID_CSV_COLUMNS,
-    density_from_json,
     format_float,
     grid_from_csv,
     grid_from_json,
     grid_to_json,
-    hermitian_from_json,
     kernel_from_json,
     kernel_to_json,
+    matrix_from_json,
     matrix_to_json,
 )
 from .workbench import DrivingProtocol, _bound_checks, _bound_reports, _evolve_all, _work_fields
@@ -138,7 +137,8 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 
     def parse(text: str) -> tuple[DensityMatrix, HermitianOperator]:
         obj = json.loads(text)
-        rho, hamiltonian = density_from_json(obj["rho"]), hermitian_from_json(obj["hamiltonian"])
+        rho = DensityMatrix(matrix_from_json(obj["rho"]))
+        hamiltonian = HermitianOperator(matrix_from_json(obj["hamiltonian"]))
         if rho.dim != hamiltonian.dim:
             raise ValueError(f"rho has dimension {rho.dim}, the Hamiltonian {hamiltonian.dim}")
         return rho, hamiltonian
@@ -303,8 +303,8 @@ def _cmd_classical(config: argparse.Namespace):
 
 def _cmd_geometric_z(config: argparse.Namespace):
     if config.input_path is not None:
-        hamiltonian = _read_input(config.input_path, "Hamiltonian file",
-                                  lambda text: hermitian_from_json(json.loads(text)["hamiltonian"]))
+        hamiltonian = _read_input(config.input_path, "Hamiltonian file", lambda text: (
+            HermitianOperator(matrix_from_json(json.loads(text)["hamiltonian"]))))
     else:
         hamiltonian = HermitianOperator(np.diag(np.arange(config.dim, dtype=float)))
     try:

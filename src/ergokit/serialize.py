@@ -1,18 +1,19 @@
 """JSON/CSV wire formats for matrices, grids, kernels, and reports.
 
-Matrices travel as ``{"dim": d, "entries": [[re, im], ...]}`` with the entries
-flattened row-major.  Grid tables are CSV rows ``index,energy_a,energy_b,weight``
-(or the equivalent JSON object).  A permutation kernel travels as its image,
-``{"n": n, "image": [...]}`` with cell j sent to cell image[j]; any other kernel
-as the dense ``{"n": n, "matrix": [[...], ...]}``, column j holding the
-distribution of the final cell given initial cell j.  ``kernel_from_json``
-reads both.  Matrix, grid and kernel dicts hold ndarrays, which the command
-line's report encoder writes as they are, in one pass: a mostly-zero array as
-runs of zeros, any other as one ``%`` format of all its entries, and every
-float is rounded to 12 significant digits (``format_float``) as it is written,
-so identical runs produce identical bytes.  ``round_floats`` is the reference
-for that encoder: a report reads ``json.dumps(round_floats(payload),
-sort_keys=True, indent=2)`` byte for byte.
+Matrices travel as ``{"dim": d, "entries": [[re, im], ...]}``, entries row-major;
+``matrix_from_json`` reads one back as an array, which the caller hands to
+``DensityMatrix`` or ``HermitianOperator``.  Grid tables are CSV rows
+``index,energy_a,energy_b,weight`` (or the equivalent JSON object).  A permutation
+kernel travels as its image, ``{"n": n, "image": [...]}`` with cell j sent to cell
+image[j]; any other kernel as the dense ``{"n": n, "matrix": [[...], ...]}``, column
+j holding the distribution of the final cell given initial cell j; a kernel object
+holds exactly one of the two.  Matrix, grid and kernel dicts hold ndarrays, which
+the command line's report encoder writes as they are, in one pass: a mostly-zero
+array as runs of zeros, any other as one ``%`` format of all its entries, and every
+float is rounded to 12 significant digits (``format_float``) as it is written, so
+identical runs produce identical bytes.  ``round_floats`` is the reference for that
+encoder: a report reads ``json.dumps(round_floats(payload), sort_keys=True,
+indent=2)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Any
 import numpy as np
 
 from .classical import GridDistribution, PhaseGrid, TransitionKernel
-from .quantum import DensityMatrix, HermitianOperator
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:
@@ -67,14 +67,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def hermitian_from_json(obj: dict) -> HermitianOperator:
-    return HermitianOperator(matrix_from_json(obj))
-
-
-def density_from_json(obj: dict) -> DensityMatrix:
-    return DensityMatrix(matrix_from_json(obj))
-
-
 def kernel_to_json(kernel: TransitionKernel) -> dict:
     """``{"n", "image"}`` for a permutation, else ``{"n", "matrix"}``, each an
     ndarray that the report encoder writes itself."""
@@ -84,9 +76,11 @@ def kernel_to_json(kernel: TransitionKernel) -> dict:
 
 
 def kernel_from_json(obj: dict) -> TransitionKernel:
-    """Read either kernel form; ``"n"`` must match the cells it holds.  The dense
-    ``"matrix"`` is read in one type-inferring pass and refused unless that finds
+    """Read either kernel form, never both; ``"n"`` must match the cells it holds.  The
+    dense ``"matrix"`` is read in one type-inferring pass and refused unless that finds
     numbers: a string, a null or an all-bool matrix is not read as its number."""
+    if "image" in obj and "matrix" in obj:
+        raise ValueError("a kernel holds one of image and matrix, not both")
     if "image" in obj:
         kernel = TransitionKernel.from_permutation(obj["image"])
     else:

@@ -29,7 +29,7 @@ from ergokit import (
     spectral_relative_entropy,
     stationarity_probe,
 )
-from ergokit.classical import _conditional_entropy
+from ergokit.classical import _column_layers, _conditional_entropy
 from ergokit.errors import OutOfScope
 from ergokit.sampling import stream
 
@@ -56,12 +56,10 @@ class TestTypes:
         with pytest.raises(ValueError, match=match):
             GridDistribution(np.array(weights))
 
-    def test_kernel_and_joint_refuse_a_nan_entry(self):
+    def test_kernel_refuses_a_nan_entry(self):
         matrix = np.array([[np.nan, 0.5], [0.5, 0.5]])
         with pytest.raises(ValueError, match="negative kernel entry nan"):
             TransitionKernel(matrix)
-        with pytest.raises(ValueError, match="nan"):
-            JointDistribution(matrix / 2)
 
     def test_kernel_must_be_doubly_stochastic(self):
         column_only = np.array([[0.5, 1.0], [0.5, 0.0]])
@@ -74,19 +72,14 @@ class TestTypes:
         mixed = TransitionKernel(random_doubly_stochastic(4, stream(0)))
         assert not mixed.is_deterministic
 
-    def test_joint_mass(self):
-        with pytest.raises(ValueError, match="mass"):
-            JointDistribution(np.full((2, 2), 0.3))
-
     def test_constructors_leave_the_callers_arrays_writeable(self):
         energies, weights = np.array([0.0, 1.0]), np.array([0.25, 0.75])
         kernel = random_doubly_stochastic(2, stream(2))
-        joint = np.array([[0.25, 0.25], [0.25, 0.25]])
         grid = PhaseGrid(energy_a=energies, energy_b=energies)
         distribution = GridDistribution(weights)
         transition = TransitionKernel(kernel)
-        coupling = JointDistribution(joint)
-        for array in (energies, weights, kernel, joint):
+        coupling = joint_from_kernel(distribution, transition)
+        for array in (energies, weights, kernel):
             assert array.flags.writeable
         held = (grid.energy_a, distribution.weights, transition.rows, transition.values,
                 coupling.rows, coupling.values)
@@ -191,7 +184,7 @@ class TestJointAndKernels:
         coupling = np.zeros((4, 4))
         coupling[0, 0] = coupling[[0, 2, 3], 1] = coupling[[1, 3], 3] = 1.0
         coupling /= coupling.sum()
-        joint = JointDistribution(coupling)
+        joint = JointDistribution._of(*_column_layers(coupling))
         assert joint.rows.shape == (3, 4)
         assert np.array_equal(joint.matrix, coupling)
         assert np.array_equal(joint.final_marginal(), coupling.sum(axis=1))
@@ -199,7 +192,10 @@ class TestJointAndKernels:
 
 class TestRelativeEntropies:
     def test_joint_point_mass(self):
-        joint = JointDistribution(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        # All mass on initial cell 1, which the kernel sends to final cell 0.
+        joint = joint_from_kernel(GridDistribution(np.array([0.0, 1.0, 0.0])),
+                                  TransitionKernel.from_permutation(np.array([1, 0, 2])))
+        assert np.array_equal(joint.matrix, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         p_eq = grid_gibbs(GRID3, 1.0)
         expected = -math.log(p_eq.weights[0])
         assert joint_relative_entropy(joint, p_eq) == pytest.approx(expected, abs=1e-12)
@@ -277,7 +273,8 @@ class TestRelativeEntropies:
             joint_from_kernel(GridDistribution(p),
                               TransitionKernel.from_permutation(np.arange(p.size))),
             GridDistribution(q)),
-    ], ids=["spectral", "sorted_pairing", "classical", "geometric", "joint"])
+        lambda p, q: permutation_min_bruteforce(GridDistribution(p), GridDistribution(q)),
+    ], ids=["spectral", "sorted_pairing", "classical", "geometric", "joint", "bruteforce"])
     def test_a_reference_that_vanishes_on_a_populated_entry_raises(self, divergence):
         # The reference is 0 on cell 1, which p populates: the matched geometric point
         # and the joint's populated final cell carry no reference weight.
@@ -433,6 +430,15 @@ class TestPermutationBruteForce:
             brute, _ = permutation_min_bruteforce(p, q)
             assert abs(brute - sorted_pairing_divergence(p.weights, q.weights)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_pairing_avoids_an_empty_reference_cell(self):
+        # Pairings that put the unit mass on q's empty cell 0 cost +inf; the others ln 2.
+        p = GridDistribution(np.array([1.0, 0.0, 0.0]))
+        q = GridDistribution(np.array([0.0, 0.5, 0.5]))
+        value, perm = permutation_min_bruteforce(p, q)
+        assert value == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
+        assert p.weights[perm[0]] == 0.0
+
     def test_size_guard(self):
         big = GridDistribution(np.full(9, 1.0 / 9))
         with pytest.raises(ValueError, match="n <= 8"):
@@ -557,14 +563,15 @@ class TestStationarityProbe:
     @pytest.mark.parametrize("n", [2, 3, 7])
     @pytest.mark.parametrize("uniform", [True, False])
     def test_image_and_dense_joints_give_the_same_probe(self, n, uniform):
-        # A dense permutation joint reads back as the image joint's single
-        # layer, so the probe and its total change agree bit for bit.
+        # A dense permutation kernel reads back as the image kernel's single
+        # layer, so the joints, the probe and its total change agree bit for bit.
         rng = stream(23, n)
         grid = PhaseGrid(energy_a=rng.uniform(0, 2, n), energy_b=rng.uniform(0, 2, n))
         p_a = GridDistribution(np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n)))
         p_eq = grid_gibbs(grid, 1.0)
-        image_joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
-        dense_joint = JointDistribution(image_joint.matrix)
+        image_kernel = TransitionKernel.from_permutation(rng.permutation(n))
+        image_joint = joint_from_kernel(p_a, image_kernel)
+        dense_joint = joint_from_kernel(p_a, TransitionKernel(image_kernel.matrix))
         assert image_joint.image is not None
         assert np.array_equal(dense_joint.rows, image_joint.rows)
         assert np.array_equal(dense_joint.values, image_joint.values)

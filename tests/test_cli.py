@@ -517,11 +517,14 @@ class TestClassicalInput:
             [math.nan, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]]}},
         {"grid": dict(GRID3, weights=[math.inf, 0.5, 0.5])},
         {"grid": dict(GRID3, energy_b=[0.5, math.nan, 1.5])},
+        # A kernel holds one form: a valid image does not excuse a malformed matrix.
+        {"grid": GRID3, "kernel": {"n": 3, "image": [1, 0, 2],
+                                   "matrix": [[9, 9, 9], ["x", 0, 0], [0, 0, 1]]}},
     ], ids=["image-size", "matrix-size", "weights-size", "repeated-image", "image-range",
             "declared-n", "fractional-n", "bool-n", "infinite-cell-volume",
             "string-cell-volume", "bool-cell-volume", "string-energy-a", "bool-energy-b",
             "bool-weights", "string-matrix", "null-matrix", "bool-matrix", "nan-weight",
-            "nan-kernel-entry", "infinite-weight", "nan-energy"])
+            "nan-kernel-entry", "infinite-weight", "nan-energy", "image-and-matrix"])
     def test_inconsistent_input_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(payload))

@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from ergokit import (
     DensityMatrix,
+    DrivingProtocol,
     GeometricState,
     GridDistribution,
     HermitianOperator,
@@ -34,6 +35,7 @@ from ergokit import (
     permutation_min_bruteforce,
     quantum_relative_entropy,
     spectral_relative_entropy,
+    step_product,
     von_neumann_entropy,
 )
 from ergokit import _threads
@@ -44,6 +46,7 @@ from ergokit.quantum import (
     spectral_context,
 )
 from ergokit.sampling import _streams, random_density, random_hermitian, stream
+from ergokit.serialize import grid_from_csv, matrix_to_json
 from haar import haar_unitaries
 
 PLUS = DensityMatrix(np.full((2, 2), 0.5))
@@ -444,6 +447,35 @@ class TestMismatchedArguments:
     def test_a_size_or_dimension_mismatch_raises_value_error(self, call):
         with pytest.raises(ValueError, match="mismatch|must match"):
             call(self)
+
+
+class TestMalformedArguments:
+    """Each constructor and reader refuses a malformed argument with ``ValueError``
+    and a message that names what is wrong."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: PhaseGrid([0.0, 1.0], [0.0]),
+         "energy_a and energy_b must be 1-D vectors of equal length"),
+        (lambda: GridDistribution(np.full((2, 2), 0.25)), "weights must be a 1-D vector"),
+        (lambda: TransitionKernel.from_permutation(np.array([1.0, 0.0])),
+         "a permutation image must be a nonempty 1-D integer array"),
+        (lambda: TransitionKernel(np.full((2, 3), 0.5)), "expected a square matrix, got shape (2, 3)"),
+        (lambda: GeometricState(np.eye(2), [0.5, 0.4]),
+         "weights deviate from unit mass by 1.000e-01"),
+        (lambda: eigendecompose(H01, "sideways"), "unknown order 'sideways'"),
+        (lambda: random_density(3, stream(0), rank=0), "rank must be in [1, 3], got 0"),
+        (lambda: matrix_to_json(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
+        (lambda: grid_from_csv("index,energy_a,energy_b,weight\n"), "grid CSV has no rows"),
+        (lambda: step_product(DrivingProtocol.linear_ramp(H01, H01, 1.0), 0),
+         "n_steps must be >= 1 for non-sudden protocols"),
+    ], ids=["PhaseGrid-unequal-energies", "GridDistribution-2d", "float-permutation-image",
+            "non-square-kernel", "GeometricState-mass", "eigendecompose-order",
+            "random_density-rank-0", "matrix_to_json-non-square", "grid_from_csv-no-rows",
+            "ramp-zero-steps"])
+    def test_raises_value_error_with_its_message(self, call, message):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
 
 
 class TestDephase:

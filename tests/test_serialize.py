@@ -5,15 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from ergokit import GridDistribution, PhaseGrid, TransitionKernel
+from ergokit import DensityMatrix, GridDistribution, HermitianOperator, PhaseGrid, TransitionKernel
 from ergokit.sampling import random_density, random_hermitian, stream
 from ergokit.serialize import (
-    density_from_json,
     format_float,
     grid_from_csv,
     grid_from_json,
     grid_to_json,
-    hermitian_from_json,
     kernel_from_json,
     kernel_to_json,
     matrix_from_json,
@@ -29,13 +27,13 @@ def test_matrix_round_trip():
 
 def test_density_round_trip():
     rho = random_density(3, stream(1))
-    rebuilt = density_from_json(matrix_to_json(rho.matrix))
+    rebuilt = DensityMatrix(matrix_from_json(matrix_to_json(rho.matrix)))
     assert np.max(np.abs(rebuilt.matrix - rho.matrix)) < 1e-12
 
 
 def test_hermitian_round_trip():
     op = random_hermitian(3, stream(2))
-    rebuilt = hermitian_from_json(matrix_to_json(op.matrix))
+    rebuilt = HermitianOperator(matrix_from_json(matrix_to_json(op.matrix)))
     assert np.array_equal(rebuilt.matrix, op.matrix)
 
 

@@ -94,6 +94,10 @@ class TestEvolveUnitary:
         u = evolve_unitary(DrivingProtocol.sudden(H_A, H_B))
         assert np.array_equal(u, np.eye(2))
 
+    @pytest.mark.parametrize("product", [step_product, magnus_product])
+    def test_sudden_product_is_identity(self, product):
+        assert np.array_equal(product(DrivingProtocol.sudden(H_A, H_B), 8), np.eye(2))
+
     def test_constant_hamiltonian_is_exact(self):
         h = random_hermitian(3, stream(0))
         protocol = DrivingProtocol.linear_ramp(h, h, 0.9)
