@@ -322,8 +322,9 @@ def _divergences(p: np.ndarray, ln_q=0.0, floor: float = SUPPORT_FLOOR) -> np.nd
     the rounding of ``eigh``, and ``classical.WEIGHT_FLOOR`` for grid weights, which are
     exact inputs."""
     live = p > floor
-    p = np.where(live, p, 1.0)
-    return np.where(live, p * (np.log(p) - ln_q), 0.0).sum(axis=-1)
+    terms = np.log(p, out=np.zeros(p.shape), where=live)
+    terms -= ln_q
+    return np.multiply(p, terms, out=np.zeros(p.shape), where=live).sum(axis=-1)
 
 
 def _relative_entropy(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> float:

@@ -129,9 +129,9 @@ def _ordered_products(steps: np.ndarray) -> np.ndarray:
 def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
     """The polar-projected ordered product exp(-i K_n) ... exp(-i K_1) of each stack
     of Hermitian generators in ``stacks``: every factor of every stack from batched
-    ``eigh`` chunks of at most ``EIGH_CHUNK`` entries (two or more, claimed in turn, if the
-    stack may split: ``_threads.claimed``), each chunk's factors overwriting its generators,
-    and each run of stacks of one length multiplied together.  ``stacks`` is emptied."""
+    ``eigh`` chunks of at most ``EIGH_CHUNK`` entries (one below ``EIGH_SPLIT_ENTRIES``, else
+    two or more, claimed in turn: ``_threads.claimed``), each chunk's factors overwriting its
+    generators, and each run of stacks of one length multiplied together.  ``stacks`` is emptied."""
     lengths = [len(k) for k in stacks]
     steps = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     stacks.clear()
@@ -147,7 +147,7 @@ def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
             np.matmul(factors, np.conjugate(v, out=v).swapaxes(1, 2), out=steps[rows])
         return {}
 
-    _threads.claimed(exponentiate, -(-len(steps) // chunk), steps.size, _threads.EIGH_SPLIT_ENTRIES)
+    _threads.claimed(exponentiate, -(-len(steps) // chunk))
     products, start = [], 0
     for n, run in groupby(lengths):
         stop = start + n * len(list(run))

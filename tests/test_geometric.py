@@ -347,10 +347,10 @@ class TestPartitionFunction:
         assert manifold_volume(2) == pytest.approx(math.pi)
         assert manifold_volume(4) == pytest.approx(math.pi**3 / 6.0)
 
-    def test_output_bits_do_not_depend_on_the_worker_count(self, monkeypatch, two_cpus):
-        # Blocks of 1000 samples at d = 5: 50 blocks, which the two halves claim one at a time,
-        # so they finish out of block order.  Each half draws through its own generator, so
-        # the spy sees the thread of each half.
+    def test_output_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # Blocks of 1000 samples at d = 5: 50 blocks, in the calling thread on one usable CPU,
+        # and on two claimed one at a time by two halves, which finish out of block order.
+        # Each half draws through its own generator, so the spy sees the thread of each half.
         h = random_hermitian(5, stream(9))
         monkeypatch.setattr(geometric, "MC_BLOCK_DRAWS", 5000)
         halves = []
@@ -361,23 +361,22 @@ class TestPartitionFunction:
             return streams(seed, indices)
 
         monkeypatch.setattr(geometric, "_streams", spy)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
         serial = geometric_partition_function(h, 1.0, 50_000, seed=3)
         assert halves == [threading.get_ident()]
-        monkeypatch.setattr(geometric, "MC_PARALLEL_DRAWS", 500)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
         assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
         assert len(halves) == 3 and len(set(halves[1:])) == 2  # the helper thread drew
-        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
-        assert geometric_partition_function(h, 1.0, 50_000, seed=3) == serial
-        assert halves[3:] == [threading.get_ident()]
 
-    def test_every_block_is_drawn_once_under_fast_thread_switches(self, monkeypatch, two_cpus):
-        # 200 blocks of 10 samples, both halves popping from one list while the interpreter
-        # switches threads every microsecond: a block drawn twice or lost changes the bits
-        # or raises KeyError in the merge.
+    def test_every_block_is_drawn_once_under_fast_thread_switches(self, monkeypatch):
+        # 200 blocks of 10 samples, drawn on one usable CPU, then on two by both halves popping
+        # from one list while the interpreter switches threads every microsecond: a block
+        # drawn twice or lost changes the bits or raises KeyError in the merge.
         h = random_hermitian(5, stream(10))
         monkeypatch.setattr(geometric, "MC_BLOCK_DRAWS", 50)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
         serial = geometric_partition_function(h, 1.0, 2000, seed=4)
-        monkeypatch.setattr(geometric, "MC_PARALLEL_DRAWS", 0)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -385,6 +384,40 @@ class TestPartitionFunction:
                 assert geometric_partition_function(h, 1.0, 2000, seed=4) == serial
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("dim, samples, blocks", [
+        (2, 20_000, 1), (2, 40_000, 2), (2, 100_000, 4), (12, 20_000, 4), (64, 4_096, 4)])
+    def test_runs_of_two_blocks_split_at_the_default_block_size(self, monkeypatch, dim,
+                                                                 samples, blocks):
+        # On two usable CPUs a run of two or more blocks draws in two halves and a one-block
+        # run stays in the calling thread; the floats equal those of one CPU.  Split, a
+        # calling thread that draws the first block then waits (at most 30 s) until the
+        # helper has drawn one, so the helper's block shows however the threads are scheduled.
+        h = random_hermitian(dim, stream(11, dim))
+        caller, drawn, helper_drew = threading.get_ident(), [], threading.Event()
+        sample = geometric._sample_energies
+
+        def spy(*args):
+            out = sample(*args)
+            drawn.append(threading.get_ident())
+            if drawn[-1] != caller:
+                helper_drew.set()
+            elif wait and len(drawn) == 1:
+                helper_drew.wait(30)
+            return out
+
+        monkeypatch.setattr(geometric, "_sample_energies", spy)
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
+        wait = False
+        one = geometric_partition_function(h, 0.7, samples, seed=2)
+        assert drawn == [caller] * blocks
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
+        drawn.clear()
+        wait = blocks > 1
+        assert geometric_partition_function(h, 0.7, samples, seed=2) == one
+        helper_blocks = sum(ident != caller for ident in drawn)
+        assert len(drawn) == blocks
+        assert helper_blocks >= 1 if blocks > 1 else helper_blocks == 0
 
     def test_blocks_are_the_seeds_streams_merged(self):
         # d = 4 draws 16384 samples per block: 20 000 samples are block 0 from
@@ -407,8 +440,8 @@ class TestPartitionFunction:
 
     def test_estimates_pinned_bit_for_bit(self, two_cpus):
         # (energies, beta, samples, seed): d = 2 draws three full blocks and one of 1 696
-        # samples in the calling thread; d = 4 a full block and a short one; d = 16 draws
-        # 245 blocks in two halves.  The hex digits fix every output bit of the estimator.
+        # samples, d = 4 a full block and a short one, and d = 16 245 blocks, each in two
+        # halves.  The hex digits fix every output bit of the estimator.
         pinned = [
             ([0.0, 1.0], 1.0, 100_000, 3, "0x1.fcbf06e24466ap+0", "0x1.d7e0c53eaf9e3p-10"),
             ([0.0, 0.3, 1.1, 2.0], 0.7, 20_000, 5, "0x1.780d76f28b93ep+1", "0x1.42428ee67efd2p-8"),

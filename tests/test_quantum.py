@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -39,11 +40,12 @@ from ergokit import (
     von_neumann_entropy,
 )
 from ergokit import _threads
+from ergokit.classical import WEIGHT_FLOOR
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.quantum import (
-    _density_stack, _eigh_stack, _hermitian_stack, _logsumexp, _spectra, _states,
-    spectral_context,
+    SUPPORT_FLOOR, _density_stack, _divergences, _eigh_stack, _hermitian_stack, _logsumexp,
+    _spectra, _states, spectral_context,
 )
 from ergokit.sampling import _streams, random_density, random_hermitian, stream
 from ergokit.serialize import grid_from_csv, matrix_to_json
@@ -251,15 +253,41 @@ class TestSplitEigh:
         assert halves_w.tobytes() == w.tobytes()
         assert halves_v.tobytes() == v.tobytes()
 
-    def test_claimed_parts_go_out_once_in_turn(self, two_cpus):
-        # Serial, one call takes every part in order; split, the two calls claim parts in
-        # turn, each once, whichever thread is faster.
-        assert _threads.claimed(lambda claims: {"order": list(claims)}, 5, 1, 2) == {
+    def test_claimed_parts_go_out_once_in_turn(self, monkeypatch):
+        # On one usable CPU, one call takes every part in order; on two, the two calls claim
+        # parts in turn, each once, whichever thread is faster.
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 1)
+        assert _threads.claimed(lambda claims: {"order": list(claims)}, 5) == {
             "order": [0, 1, 2, 3, 4]}
+        monkeypatch.setattr(_threads, "_usable_cpus", lambda: 2)
         threads = _threads.claimed(lambda claims: {k: threading.get_ident() for k in claims},
-                                   200, 1, 0)
+                                   200)
         assert sorted(threads) == list(range(200))
         assert threading.get_ident() in threads.values()
+
+    def test_an_error_in_either_half_is_raised_once_both_halves_end(self, two_cpus):
+        # The helper's half raises in the calling thread; when the calling thread's half
+        # raises, the helper's half has ended first.  The helper serves the next job.
+        def fail_first(part):
+            if part.start == 0:
+                raise ZeroDivisionError("first half")
+            return part
+
+        with pytest.raises(ZeroDivisionError, match="first half"):
+            _threads.in_halves(fail_first, 2, 1, 0)
+        ended = threading.Event()
+
+        def fail_second(part):
+            if part.start == 0:
+                time.sleep(0.2)  # still running when the calling thread's half raises
+                ended.set()
+                return part
+            raise KeyError("second half")
+
+        with pytest.raises(KeyError, match="second half"):
+            _threads.in_halves(fail_second, 2, 1, 0)
+        assert ended.is_set()
+        assert _threads.in_halves(lambda part: part, 2, 1, 0) == [slice(0, 1), slice(1, 2)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_gets_a_helper_of_its_own(self, two_cpus):
@@ -410,6 +438,34 @@ class TestEntropies:
     def test_spectral_pure_vs_gibbs(self):
         g = gibbs_state(H01, 1.0)
         assert spectral_relative_entropy(PLUS, g.rho) == pytest.approx(g.log_z, abs=1e-12)
+
+
+def _divergences_of_every_entry(p, ln_q, floor):
+    """The reference form of ``_divergences``: ln p of every entry, a dead one's p read as 1."""
+    live = p > floor
+    p = np.where(live, p, 1.0)
+    return np.where(live, p * (np.log(p) - ln_q), 0.0).sum(axis=-1)
+
+
+class TestDivergences:
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 28), (16, 8), (256,)])
+    def test_bits_equal_the_log_of_every_entry(self, shape):
+        # Each row has the dead entries 0, 1e-300 and -1e-17, with ln q = -inf on the first,
+        # as permutation_min_bruteforce passes for a vanishing q; the 256 cells have 3 live
+        # entries.  No floating-point flag may rise.
+        rng = stream(70, shape[-1])
+        p = rng.random(shape)
+        if len(shape) == 1:
+            p[:] = 0.0
+            p[[17, 100, 255]] = [0.25, 0.5, 0.25]
+        p[..., :3] = [0.0, 1e-300, -1e-17]
+        ln_q = np.log(rng.random(shape))
+        ln_q[..., 0] = -np.inf
+        with np.errstate(all="raise"):
+            for floor in (SUPPORT_FLOOR, WEIGHT_FLOOR):
+                for q in (0.0, ln_q):
+                    expected = _divergences_of_every_entry(p, q, floor)
+                    assert _divergences(p, q, floor).tobytes() == expected.tobytes()
 
 
 class TestMismatchedArguments:
