@@ -33,9 +33,8 @@ import numpy as np
 
 from . import classical as cl
 from . import geometric as geo
-from .ergotropy import (_aligned_gaps, _direct, _ergotropy_fields, _route_checks, _via_entropies,
-                        ergotropy_report)
-from .errors import ErgokitError, InvariantViolation, OutOfScope, check, failure_line
+from .ergotropy import _aligned_gaps, _direct, _ergotropy_fields, _route_checks, _via_entropies
+from .errors import ErgokitError, OutOfScope, check, failure_line
 from .quantum import (
     DensityMatrix, HermitianOperator, _hermitian_stack, _SpectralBlock, _spectra, _Stack, _states,
 )
@@ -148,10 +147,7 @@ def _load_state_pair(config: argparse.Namespace) -> tuple[DensityMatrix, Hermiti
 
 def _cmd_ergotropy(config: argparse.Namespace):
     rho, hamiltonian = _load_state_pair(config)
-    try:
-        results = dict(vars(ergotropy_report(rho, hamiltonian, config.beta)))
-    except InvariantViolation:  # the same fields unchecked: the checks print what failed
-        results = _ergotropy_fields(rho, hamiltonian, config.beta)
+    results = _ergotropy_fields(rho, hamiltonian, config.beta)  # the checks print what fails
     routes = {"entropies": results["via_entropies"], "geometric": results["via_geometric"]}
     checks = _route_checks(results["total"], routes, config.tolerance)
     results.update(state=matrix_to_json(rho.matrix), hamiltonian=matrix_to_json(hamiltonian.matrix))

@@ -15,7 +15,6 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from . import _threads
 from .errors import OutOfScope, SupportViolation
 
 # Construction tolerances.
@@ -106,7 +105,7 @@ def _density_stack(m: np.ndarray) -> tuple:
     for trace in traces.tolist():
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace deviates from 1 by {abs(trace - 1.0):.3e}")
-    w, v = _eigh_stack(m)
+    w, v = np.linalg.eigh(m)
     for low in w[:, 0].tolist():
         if low < -NEGATIVE_EIG_ATOL:
             raise ValueError(f"minimum eigenvalue {low:.3e} below -{NEGATIVE_EIG_ATOL:.0e}")
@@ -116,20 +115,12 @@ def _density_stack(m: np.ndarray) -> tuple:
             row = (v[r] * np.clip(w[r], 0.0, None)) @ v[r].conj().T
             row = (row + row.conj().T) / 2.0
             m[r] = row / row.trace().real
-        w[clamped], v[clamped] = _eigh_stack(m[clamped])
+        w[clamped], v[clamped] = np.linalg.eigh(m[clamped])
     rounded = ~clamped & (np.abs(traces - 1.0) > 1e-15)
     if rounded.any():
         m[rounded] /= traces[rounded, None, None]
         w[rounded] /= traces[rounded, None]
     return m, w, v
-
-
-def _eigh_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh`` of a stack (B, d, d), a large stack in two halves
-    (``_threads.in_halves``): each matrix is solved on its own, so no bit moves."""
-    parts = _threads.in_halves(lambda part: np.linalg.eigh(m[part]), len(m), m.size,
-                               _threads.EIGH_SPLIT_ENTRIES)
-    return tuple(np.concatenate(a) for a in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
 
 
 class _Stack(NamedTuple):
@@ -155,7 +146,7 @@ def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> _Stack:
     """The ``_Stack`` of a stack (B, d, d) of validated matrices in ``order``, from the
     stack's ascending ``eigh`` (one stacked call if not given), reordered and under the
     eigensolver's residual gate."""
-    w, v = _eigh_stack(m) if eigh is None else eigh
+    w, v = np.linalg.eigh(m) if eigh is None else eigh
     if order == "descending":
         w, v = w[:, ::-1].copy(), v[:, :, ::-1].copy()
     magnitude = np.abs(w)
@@ -222,7 +213,7 @@ def _stack_of(operator: HermitianOperator, order: Order) -> _Stack:
         if order not in ("ascending", "descending"):
             raise ValueError(f"unknown order {order!r}")
         if operator._eigh is None:
-            operator._eigh = _eigh_stack(operator.matrix[None])
+            operator._eigh = np.linalg.eigh(operator.matrix[None])
         s = _spectra(operator.matrix[None], order, operator._eigh)
         operator._spectra[order] = s, SortedSpectrum(s.values[0], s.vectors[0], order,
                                                      s.levels[0])

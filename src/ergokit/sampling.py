@@ -18,22 +18,23 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator number ``index`` (0 <= index < 2**64) of the stream
     keyed by ``seed`` (0 <= seed < 2**128).
 
-    It starts where ``Philox(key=seed).jumped(index)`` does, with the jump
-    written into the counter's third word; the counter is built as uint64,
-    since numpy would route a list entry above 2**63 through float64.
+    It is the one generator of ``_streams(seed, (index,))``, and starts where
+    ``Philox(key=seed).jumped(index)`` does, with the jump written into the
+    counter's third word.
     """
-    counter = np.array([0, 0, index, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+    return next(_streams(seed, (index,)))
 
 
 def _streams(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     """``stream(seed, i)`` for each i of ``indices`` in turn, from one generator
     whose Philox bit generator is repositioned through its ``state`` for each:
-    the key is the seed's two 64-bit words, the counter [0, 0, i, 0], the output
-    buffer empty.  Each generator is valid only until the next is taken."""
-    bits = np.random.Philox(key=seed)
+    the key is the seed's two 64-bit words, the counter [0, 0, i, 0] (built as uint64,
+    since numpy would route a list entry above 2**63 through float64), the output
+    buffer empty.  Each generator is valid only until the next is taken.  The bit generator
+    is built from a fixed seed, which draws no OS entropy, since its state is replaced."""
+    bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
-    key = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+    key = np.array([int(seed) & (2**64 - 1), int(seed) >> 64], dtype=np.uint64)
     empty = np.zeros(4, dtype=np.uint64)
     for index in indices:
         bits.state = {

@@ -136,7 +136,7 @@ def _ordered_exponentials(stacks: list[np.ndarray]) -> list[np.ndarray]:
     steps = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
     stacks.clear()
     chunk = max(1, EIGH_CHUNK // steps[0].size)
-    if steps.size >= _threads.EIGH_SPLIT_ENTRIES:
+    if steps.size >= EIGH_SPLIT_ENTRIES:
         chunk = min(chunk, -(-len(steps) // 2))
 
     def exponentiate(claims) -> dict:
@@ -175,6 +175,9 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
 # ramp's 64- and 32-step units share one stack up to d = 73, past the scope's d = 64.
 GENERATOR_BLOCK = 2**19
 EIGH_CHUNK = 2**16  # entries (1 MiB) per eigh call there: a thread's temporaries stay small
+# Stack entries from which the chunks there are at least two, so that both CPUs take some: a
+# split lost below 1k entries (a hand-off costs about 0.15 ms) and took 0.6-0.85x the time at 3-9k.
+EIGH_SPLIT_ENTRIES = 1 << 13
 
 
 def _magnus_generators(path: tuple[np.ndarray, np.ndarray], n_steps: int) -> np.ndarray:

@@ -213,6 +213,19 @@ class TestDeterminism:
         assert first == second
 
 
+    def test_no_subcommand_draws_os_entropy(self, capsys, monkeypatch):
+        # Every random stream is keyed by the seed alone: no op asks the OS for entropy.
+        def refuse(*args):
+            raise AssertionError("OS entropy drawn")
+
+        monkeypatch.setattr("numpy.random.bit_generator.randbits", refuse)
+        for args in (("ergotropy", "--dim", "3"), ("verify-identities", "--trials", "2"),
+                     ("classical", "--dim", "6", "--trials", "2"), ("otm", "--trials", "1"),
+                     ("geometric-z", "--dim", "2", "--samples", "1000")):
+            code, _, err = run_cli(capsys, *args)
+            assert code == 0, (args, err)
+
+
 class TestEigensolverCalls:
     @pytest.mark.parametrize(
         "argv, most",
@@ -1510,10 +1523,11 @@ assert sys.modules["scipy"] is None
 """
 
 
-# The sweeps and single-state ops of the small-d benchmark are jobs of one part or below
-# the stacked eigh's size rule (their largest stack, the generators of otm --dim 4 --trials 2,
-# is 2 x 192 x 16 = 6 144 entries), so they start no helper thread.  Its Monte Carlo op,
-# geometric-z --dim 2 --samples 100000, is four blocks and splits on two CPUs.
+# The sweeps and single-state ops of the small-d benchmark start no helper thread: a stacked
+# eigh runs whole, and their largest generator stack, that of otm --dim 4 --trials 2 (2 x 192 x
+# 16 = 6 144 entries), is below the propagator's split.  Nor does an identity sweep of 8 192
+# entries, two states at d = 64.  The Monte Carlo op, geometric-z --dim 2 --samples 100000, is
+# four blocks and splits on two CPUs.
 _SERIAL_SWEEP_SCRIPT = """
 import contextlib, io, threading
 from ergokit import cli
@@ -1524,6 +1538,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["ergotropy", "--dim", "8"]) == 0
     assert cli.main(["verify-identities", "--dim", "8", "--trials", "16"]) == 0
     assert cli.main(["otm", "--dim", "4", "--trials", "2"]) == 0
+    assert cli.main(["verify-identities", "--dim", "64", "--trials", "2", "--seed", "1"]) == 0
 assert threading.active_count() == 1
 """
 

@@ -44,7 +44,7 @@ from ergokit.classical import WEIGHT_FLOOR
 from ergokit.ergotropy import optimal_alignment_unitary
 from ergokit.errors import OutOfScope
 from ergokit.quantum import (
-    SUPPORT_FLOOR, _density_stack, _divergences, _eigh_stack, _hermitian_stack, _logsumexp,
+    SUPPORT_FLOOR, _density_stack, _divergences, _hermitian_stack, _logsumexp,
     _spectra, _states, spectral_context,
 )
 from ergokit.sampling import _streams, random_density, random_hermitian, stream
@@ -225,33 +225,9 @@ def _stack(length: int, dim: int, seed: int) -> np.ndarray:
     return m
 
 
-class TestSplitEigh:
-    """A stacked eigh in two halves, the first on the helper thread, keeps every bit of
-    the whole-stack call: LAPACK solves each matrix of a stack on its own."""
-
-    @pytest.mark.parametrize("length, dim", [(2, 1), (5, 1), (4, 3), (7, 3), (2, 16), (9, 16)])
-    def test_halves_equal_the_whole_stack(self, monkeypatch, two_cpus, eigensolver_calls,
-                                          length, dim):
-        m = _stack(length, dim, seed=40 + dim)
-        w, v = np.linalg.eigh(m)
-        monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", 0)
-        threads = []
-        counted = np.linalg.eigh
-
-        def spy(a):
-            threads.append((threading.get_ident(), len(a)))
-            return counted(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        halves_w, halves_v = _eigh_stack(m)
-        assert sorted(n for _, n in threads) == sorted([length // 2, length - length // 2])
-        assert len({ident for ident, _ in threads}) == 2
-        # The whole stack and its two halves: the same matrices are solved twice.
-        assert eigensolver_calls["eigh"] == 3
-        assert eigensolver_calls.matrices["eigh"] == 2 * length
-        assert halves_w.shape == w.shape and halves_v.shape == v.shape
-        assert halves_w.tobytes() == w.tobytes()
-        assert halves_v.tobytes() == v.tobytes()
+class TestClaimed:
+    """``_threads.claimed``: on two usable CPUs, two calls of a job, the first on the helper
+    thread, claim its parts in turn."""
 
     def test_claimed_parts_go_out_once_in_turn(self, monkeypatch):
         # On one usable CPU, one call takes every part in order; on two, the two calls claim
@@ -265,68 +241,101 @@ class TestSplitEigh:
         assert sorted(threads) == list(range(200))
         assert threading.get_ident() in threads.values()
 
-    def test_an_error_in_either_half_is_raised_once_both_halves_end(self, two_cpus):
-        # The helper's half raises in the calling thread; when the calling thread's half
-        # raises, the helper's half has ended first.  The helper serves the next job.
-        def fail_first(part):
-            if part.start == 0:
-                raise ZeroDivisionError("first half")
-            return part
+    def test_an_error_in_either_part_is_raised_once_both_parts_end(self, two_cpus):
+        # The helper's call raises in the calling thread; when the calling thread's call
+        # raises, the helper's call has ended first.  The helper serves the next job.
+        caller = threading.get_ident()
 
-        with pytest.raises(ZeroDivisionError, match="first half"):
-            _threads.in_halves(fail_first, 2, 1, 0)
+        def fail_helper(claims):
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError("helper's part")
+            return dict.fromkeys(claims)
+
+        with pytest.raises(ZeroDivisionError, match="helper's part"):
+            _threads.claimed(fail_helper, 2)
         ended = threading.Event()
 
-        def fail_second(part):
-            if part.start == 0:
-                time.sleep(0.2)  # still running when the calling thread's half raises
+        def fail_caller(claims):
+            if threading.get_ident() != caller:
+                time.sleep(0.2)  # still running when the calling thread's call raises
                 ended.set()
-                return part
-            raise KeyError("second half")
+                return dict.fromkeys(claims)
+            raise KeyError("caller's part")
 
-        with pytest.raises(KeyError, match="second half"):
-            _threads.in_halves(fail_second, 2, 1, 0)
+        with pytest.raises(KeyError, match="caller's part"):
+            _threads.claimed(fail_caller, 2)
         assert ended.is_set()
-        assert _threads.in_halves(lambda part: part, 2, 1, 0) == [slice(0, 1), slice(1, 2)]
+        calls = []
+        assert _threads.claimed(lambda claims: calls.append(threading.get_ident())
+                                or dict.fromkeys(claims), 2) == {0: None, 1: None}
+        assert len(set(calls)) == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_gets_a_helper_of_its_own(self, two_cpus):
         # The parent's helper thread does not exist in a child: a split job there must
         # start a new one, not wait forever on the copy.
-        assert _threads.in_halves(lambda part: part, 2, 1, 0) == [slice(0, 1), slice(1, 2)]
+        def idents(claims):
+            return {k: threading.get_ident() for k in claims}
+
+        assert sorted(_threads.claimed(idents, 2)) == [0, 1]
         pid = os.fork()
         if pid == 0:
             signal.alarm(20)
-            halves = _threads.in_halves(lambda part: (part.start, part.stop), 4, 1, 0)
-            os._exit(0 if halves == [(0, 2), (2, 4)] else 1)
+            calls = []
+            parts = _threads.claimed(lambda claims: calls.append(threading.get_ident())
+                                     or idents(claims), 4)
+            os._exit(0 if sorted(parts) == [0, 1, 2, 3] and len(set(calls)) == 2 else 1)
         assert os.waitpid(pid, 0)[1] == 0
 
+
+class TestStackedEigh:
+    """A stack's ``eigh`` runs whole in the calling thread; LAPACK solves each matrix of a
+    stack on its own, so each row has the bits of its matrix solved alone."""
+
     @pytest.mark.parametrize("dim", [3, 16])
-    def test_blocks_keep_their_bits_split_or_whole(self, monkeypatch, two_cpus, dim):
+    def test_blocks_keep_the_bits_of_each_row_alone(self, dim):
         # Density matrices with a clamped row and a rounded trace, then Hermitian operators
-        # through their spectra, with the split forced on and then disabled.
+        # through their spectra.
         states = np.array([random_density(dim, stream(50, k)).matrix for k in range(7)])
         states[2] *= 1.0 + 3e-13
         u = haar_unitaries(dim, 1, stream(51))[0]
         levels = np.linspace(0.0, 1.0, dim)
         states[4] = (u * np.r_[-4e-11, levels[1:] / levels[1:].sum()]) @ u.conj().T
-        operators = _stack(9, dim, seed=52)
-        runs = []
-        for entries in (0, 2**62):
-            monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
-            m, w, v = validated = _density_stack(states.copy())
-            # Row 4 is clamped: its matrix is rebuilt with the eigenvalue -4e-11 clipped, and
-            # its (w, v) are the rebuilt matrix's own.
-            assert list(np.flatnonzero(np.abs(w[:, 0]) < 1e-15)) == [4]
-            assert [a.tobytes() for a in _eigh_stack(m[4:5])] == [w[4:5].tobytes(),
-                                                                  v[4:5].tobytes()]
-            runs.append(
-                [a.tobytes() for a in validated]
-                + [a.tobytes() for a in _states(states.copy())[:3]]
-                + [a.tobytes()
-                   for a in _spectra(_hermitian_stack(operators.copy()), "ascending")[:3]]
-            )
-        assert runs[0] == runs[1]
+        m, w, v = _density_stack(states.copy())
+        # Row 4 is clamped: its matrix is rebuilt with the eigenvalue -4e-11 clipped, and
+        # its (w, v) are the rebuilt matrix's own.
+        assert list(np.flatnonzero(np.abs(w[:, 0]) < 1e-15)) == [4]
+        assert [a.tobytes() for a in np.linalg.eigh(m[4:5])] == [w[4:5].tobytes(),
+                                                                 v[4:5].tobytes()]
+        # Row 2's trace is rounded off: its matrix and eigenvalues are divided by it.
+        row = _hermitian_stack(states[2:3].copy())
+        trace = np.trace(row[0]).real
+        alone_w, alone_v = np.linalg.eigh(row)
+        assert abs(trace - 1.0) > 1e-15
+        assert m[2].tobytes() == (row[0] / trace).tobytes()
+        assert w[2].tobytes() == (alone_w[0] / trace).tobytes()
+        assert v[2].tobytes() == alone_v[0].tobytes()
+        validated = _states(states.copy())
+        assert validated.values.tobytes() == w[:, ::-1].tobytes()
+        assert validated.vectors.tobytes() == v[:, :, ::-1].tobytes()
+        operators = _hermitian_stack(_stack(9, dim, seed=52))
+        spectra = _spectra(operators.copy(), "ascending")
+        for r in range(len(operators)):
+            alone_w, alone_v = np.linalg.eigh(operators[r:r + 1])
+            assert spectra.values[r].tobytes() == alone_w[0].tobytes()
+            assert spectra.vectors[r].tobytes() == alone_v[0].tobytes()
+
+    def test_a_large_state_stack_is_validated_in_one_eigh(self, two_cpus, eigensolver_calls):
+        # 16 x 64 x 64 = 65 536 entries, past any size the propagator splits at, make one
+        # eigh call of 16 matrices, in the calling thread.
+        states = np.array([random_density(64, stream(53, k)).matrix for k in range(16)])
+        eigensolver_calls.update(eigh=0, eigvalsh=0, qr=0)
+        eigensolver_calls.matrices.update(eigh=0, eigvalsh=0, qr=0)
+        threads = threading.active_count()
+        _states(states)
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == 16
+        assert threading.active_count() == threads
 
 
 class TestGibbs:

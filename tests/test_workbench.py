@@ -22,7 +22,7 @@ from ergokit import (
     sharpened_bound_report,
     step_product,
 )
-from ergokit import _threads, workbench
+from ergokit import workbench
 from ergokit.errors import InvariantViolation, NotConverged, OutOfScope, require
 from ergokit.quantum import _gibbs_logs, _spectra, _stack_of
 from ergokit.sampling import random_hermitian, stream
@@ -472,7 +472,7 @@ class TestBlocks:
         for entries, chunk, stack in ((2**62, 2**62, workbench.GENERATOR_BLOCK),
                                       (0, 5 * dim * dim, workbench.GENERATOR_BLOCK),
                                       (2**62, 2**62, 1)):
-            monkeypatch.setattr(_threads, "EIGH_SPLIT_ENTRIES", entries)
+            monkeypatch.setattr(workbench, "EIGH_SPLIT_ENTRIES", entries)
             monkeypatch.setattr(workbench, "EIGH_CHUNK", chunk)
             monkeypatch.setattr(workbench, "GENERATOR_BLOCK", stack)
             paths = [(p._times, p._matrices) for p in block]
