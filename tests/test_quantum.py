@@ -243,7 +243,7 @@ class TestClaimed:
 
     def test_an_error_in_either_part_is_raised_once_both_parts_end(self, two_cpus):
         # The helper's call raises in the calling thread; when the calling thread's call
-        # raises, the helper's call has ended first.  The helper serves the next job.
+        # raises, the helper's call has ended first.
         caller = threading.get_ident()
 
         def fail_helper(claims):
@@ -265,6 +265,18 @@ class TestClaimed:
         with pytest.raises(KeyError, match="caller's part"):
             _threads.claimed(fail_caller, 2)
         assert ended.is_set()
+
+    def test_the_helper_serves_the_next_job_after_an_error(self, two_cpus):
+        # A part that raised on the helper thread leaves the helper waiting for the next job.
+        caller = threading.get_ident()
+
+        def fail_helper(claims):
+            if threading.get_ident() != caller:
+                raise ZeroDivisionError("helper's part")
+            return dict.fromkeys(claims)
+
+        with pytest.raises(ZeroDivisionError, match="helper's part"):
+            _threads.claimed(fail_helper, 2)
         calls = []
         assert _threads.claimed(lambda claims: calls.append(threading.get_ident())
                                 or dict.fromkeys(claims), 2) == {0: None, 1: None}
@@ -325,16 +337,49 @@ class TestStackedEigh:
             assert spectra.values[r].tobytes() == alone_w[0].tobytes()
             assert spectra.vectors[r].tobytes() == alone_v[0].tobytes()
 
-    def test_a_large_state_stack_is_validated_in_one_eigh(self, two_cpus, eigensolver_calls):
-        # 16 x 64 x 64 = 65 536 entries, past any size the propagator splits at, make one
-        # eigh call of 16 matrices, in the calling thread.
-        states = np.array([random_density(64, stream(53, k)).matrix for k in range(16)])
+    @pytest.mark.parametrize("count", [2, 16])
+    def test_a_large_state_stack_is_validated_in_one_eigh(self, two_cpus, eigensolver_calls,
+                                                          count):
+        # 2 x 64 x 64 = 8 192 entries, the propagator's split size, and 16 x 64 x 64 = 65 536
+        # entries, past it, make one eigh call of the whole stack, in the calling thread.
+        states = np.array([random_density(64, stream(53, k)).matrix for k in range(count)])
         eigensolver_calls.update(eigh=0, eigvalsh=0, qr=0)
         eigensolver_calls.matrices.update(eigh=0, eigvalsh=0, qr=0)
         threads = threading.active_count()
         _states(states)
         assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
-        assert eigensolver_calls.matrices["eigh"] == 16
+        assert eigensolver_calls.matrices["eigh"] == count
+        assert threading.active_count() == threads
+
+    def test_clamped_rows_of_a_large_stack_are_solved_again_in_one_eigh(self, two_cpus,
+                                                                        eigensolver_calls):
+        # Rows 3 and 9 of 16 states at d = 64 have an eigenvalue -4e-11: the whole stack is
+        # one eigh call, and the two clamped rows are one more, of two matrices.
+        states = np.array([random_density(64, stream(54, k)).matrix for k in range(16)])
+        levels = np.linspace(0.0, 1.0, 64)
+        for r, u in zip((3, 9), haar_unitaries(64, 2, stream(55))):
+            states[r] = (u * np.r_[-4e-11, levels[1:] / levels[1:].sum()]) @ u.conj().T
+        eigensolver_calls.update(eigh=0, eigvalsh=0, qr=0)
+        eigensolver_calls.matrices.update(eigh=0, eigvalsh=0, qr=0)
+        threads = threading.active_count()
+        _m, w, _v = _density_stack(states)
+        assert list(np.flatnonzero(np.abs(w[:, 0]) < 1e-15)) == [3, 9]
+        assert eigensolver_calls == {"eigh": 2, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == 18
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("count", [2, 16])
+    def test_a_large_operator_stack_has_its_spectra_in_one_eigh(self, two_cpus,
+                                                               eigensolver_calls, count):
+        # Hermitian operators at d = 64 take their spectra from one eigh call of the stack.
+        operators = _hermitian_stack(_stack(count, 64, seed=56))
+        eigensolver_calls.update(eigh=0, eigvalsh=0, qr=0)
+        eigensolver_calls.matrices.update(eigh=0, eigvalsh=0, qr=0)
+        threads = threading.active_count()
+        spectra = _spectra(operators, "ascending")
+        assert spectra.values.shape == (count, 64)
+        assert eigensolver_calls == {"eigh": 1, "eigvalsh": 0, "qr": 0}
+        assert eigensolver_calls.matrices["eigh"] == count
         assert threading.active_count() == threads
 
 
