@@ -19,9 +19,9 @@ from itertools import permutations
 import numpy as np
 
 from .errors import EmptyShell, OutOfScope, SupportViolation
-from .quantum import _divergences, _gauge, _gibbs_logs, _relative_entropy
+from .quantum import (_divergences, _freeze, _gauge, _gibbs_logs, _probabilities,
+                      _relative_entropy, _same, _support)
 
-MASS_ATOL = 1e-10
 STOCHASTIC_ATOL = 1e-10
 # Argument weights at or below the floor are exact zeros of ``_divergences`` (0 ln 0 := 0).
 # Reference weights are exact inputs, so a reference vanishes only where it is exactly 0.
@@ -38,15 +38,14 @@ class PhaseGrid:
     cell_volume: float = 1.0
 
     def __post_init__(self):
-        ea, eb = _frozen(self.energy_a), _frozen(self.energy_b)
+        ea, eb = np.array(self.energy_a, dtype=float), np.array(self.energy_b, dtype=float)
         if ea.ndim != 1 or eb.shape != ea.shape or ea.size < 1:
             raise ValueError("energy_a and energy_b must be 1-D vectors of equal length")
         if not (np.all(np.isfinite(ea)) and np.all(np.isfinite(eb))):
             raise ValueError("grid energies must be finite")
         if not 0.0 < self.cell_volume < np.inf:
             raise ValueError(f"cell_volume must be positive and finite, got {self.cell_volume}")
-        object.__setattr__(self, "energy_a", ea)
-        object.__setattr__(self, "energy_b", eb)
+        _freeze(self, energy_a=ea, energy_b=eb)
 
     @property
     def n_cells(self) -> int:
@@ -55,31 +54,16 @@ class PhaseGrid:
 
 @dataclass(frozen=True)
 class GridDistribution:
-    """Probability per cell; nonnegative and normalized."""
+    """Probability per cell (``_probabilities``); the caller's array is copied."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _frozen(self.weights)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a 1-D vector")
-        if not w.min() >= 0.0:
-            raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > MASS_ATOL:
-            raise ValueError(f"total mass deviates from 1 by {abs(w.sum() - 1.0):.3e}")
-        object.__setattr__(self, "weights", w)
+        _freeze(self, weights=_probabilities(np.array(self.weights, dtype=float)))
 
     @property
     def n_cells(self) -> int:
         return self.weights.size
-
-
-def _frozen(values) -> np.ndarray:
-    """A read-only float array of ``values``; an ndarray is copied first, so
-    the caller's own array stays writeable."""
-    a = np.array(values, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def _permutation(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +105,9 @@ class _ColumnLayers:
     rows: np.ndarray
     values: np.ndarray
 
-    def _hold(self, rows: np.ndarray, values: np.ndarray) -> None:
-        for name, array in (("rows", rows), ("values", values)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-
     @classmethod
     def _of(cls, rows: np.ndarray, values: np.ndarray):
-        layers = object.__new__(cls)
-        layers._hold(rows, values)
-        return layers
+        return _freeze(object.__new__(cls), rows=rows, values=values)
 
     @property
     def n_cells(self) -> int:
@@ -161,7 +138,7 @@ class TransitionKernel(_ColumnLayers):
     """
 
     def __init__(self, matrix: np.ndarray):
-        dense = _frozen(matrix)
+        dense = np.asarray(matrix, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {dense.shape}")
         if not dense.min() >= 0.0:
@@ -169,16 +146,12 @@ class TransitionKernel(_ColumnLayers):
         col_dev = float(np.max(np.abs(dense.sum(axis=0) - 1.0)))
         row_dev = float(np.max(np.abs(dense.sum(axis=1) - 1.0)))
         if col_dev > STOCHASTIC_ATOL or row_dev > STOCHASTIC_ATOL:
-            raise ValueError(
-                f"kernel is not doubly stochastic: column dev {col_dev:.3e}, "
-                f"row dev {row_dev:.3e}"
-            )
-        if np.all(dense.max(axis=0) >= 1.0 - STOCHASTIC_ATOL):
-            # Row sums near 1 leave room for one near-unit entry per row, so
-            # the column argmaxes are distinct: a permutation.
-            self._hold(*_permutation(dense.argmax(axis=0)))
-        else:
-            self._hold(*_column_layers(dense))
+            raise ValueError(f"kernel is not doubly stochastic: column dev {col_dev:.3e}, "
+                             f"row dev {row_dev:.3e}")
+        # Row sums near 1 leave one near-unit entry per row: one in each column is a permutation.
+        unit = np.all(dense.max(axis=0) >= 1.0 - STOCHASTIC_ATOL)
+        rows, values = _permutation(dense.argmax(axis=0)) if unit else _column_layers(dense)
+        _freeze(self, rows=rows, values=values)
 
     @property
     def is_deterministic(self) -> bool:
@@ -227,16 +200,13 @@ def grid_gibbs(grid: PhaseGrid, beta: float) -> GridDistribution:
 
 def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointDistribution:
     """Joint distribution kernel[f, i] * p_a[i], on the kernel's layers."""
-    if p_a.n_cells != kernel.n_cells:
-        raise ValueError(f"size mismatch: {p_a.n_cells} vs {kernel.n_cells}")
+    _same("size", p_a.n_cells, kernel.n_cells)
     return JointDistribution._of(kernel.rows, kernel.values * p_a.weights)
 
 
 def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: np.ndarray) -> float:
     """sum x ln x over the joint's entries minus sum_f row_sums[f] ln reference[f]."""
-    populated = row_sums > WEIGHT_FLOOR
-    if np.any(reference[populated] == 0.0):
-        raise SupportViolation("reference distribution vanishes on a populated final cell")
+    populated = _support(row_sums, reference, WEIGHT_FLOOR, 0.0)
     return float(_divergences(entries.ravel(), floor=WEIGHT_FLOOR)
                  - row_sums[populated] @ np.log(reference[populated]))
 
@@ -255,8 +225,7 @@ def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nda
 def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> float:
     """Relative entropy of a joint distribution against a reference on the
     final coordinate: sum J ln J - sum_f (final marginal)_f ln p_eq[f]."""
-    if joint.n_cells != p_eq.n_cells:
-        raise ValueError(f"size mismatch: {joint.n_cells} vs {p_eq.n_cells}")
+    _same("size", joint.n_cells, p_eq.n_cells)
     return _entropy_minus_cross(*_row_major(joint.rows, joint.values), p_eq.weights)
 
 
@@ -277,8 +246,7 @@ def classical_ergotropy(
 
 def inhomogeneity_phi(joint: JointDistribution, p_a: GridDistribution) -> np.ndarray:
     """Inhomogeneity profile: final marginal minus the initial distribution."""
-    if joint.n_cells != p_a.n_cells:
-        raise ValueError(f"size mismatch: {joint.n_cells} vs {p_a.n_cells}")
+    _same("size", joint.n_cells, p_a.n_cells)
     return joint.final_marginal() - p_a.weights
 
 
@@ -297,8 +265,7 @@ def ergotropy_via_phi(
     it is the ergotropy only for a permutation joint (H(F|I) = 0).  Since sum phi = 0,
     the energies are taken above the lowest one (``_gauge``): a common offset costs no
     precision."""
-    if joint.n_cells != grid.n_cells:
-        raise ValueError(f"size mismatch: {joint.n_cells} vs {grid.n_cells}")
+    _same("size", joint.n_cells, grid.n_cells)
     return float(inhomogeneity_phi(joint, p_a) @ _gauge(grid.energy_b)[0])
 
 
@@ -317,8 +284,7 @@ def permutation_min_bruteforce(
     A pairing onto an empty reference cell costs +inf; ``SupportViolation`` if all do.
     """
     n = p.n_cells
-    if q.n_cells != n:
-        raise ValueError(f"size mismatch: {n} vs {q.n_cells}")
+    _same("size", n, q.n_cells)
     if n > 8:
         raise ValueError(f"factorial search limited to n <= 8 cells, got {n}")
     perms = np.array(list(permutations(range(n))), dtype=int)
@@ -353,6 +319,9 @@ class StationarityProbeResult:
     min_first_order: float
     max_first_order: float
     image: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        _freeze(self, image=self.image)
 
     def delta_total(self, joint: JointDistribution, p_eq: GridDistribution) -> float:
         """Finite-eps change of D(xi J || p_eq) along the extremal permutation,

@@ -1,11 +1,12 @@
 """Command-line front end: seeded experiments, identity sweeps, and JSON/CSV
 reports.
 
-Each subcommand is one ``COMMANDS`` entry and takes only the options it reads;
-its report's ``config`` echoes their values.  The sweeps, ``verify-identities``
-and ``otm``, run their trials in blocks of ``BLOCK_ENTRIES``: a trial only draws
-its seeded inputs, the block is evaluated as stacked arrays, one column per quantity,
-and a trial's entries do not depend on the block it falls in.  ``otm``'s sudden-quench
+Each subcommand is one ``COMMANDS`` entry and takes only the options it reads, but for
+``classical --trials``, which its help says is echoed and read by nothing; its report's
+``config`` echoes their values.  The sweeps, ``verify-identities`` and ``otm``, run their
+trials in blocks of ``BLOCK_ENTRIES``: a trial only draws its seeded inputs, the block is
+evaluated as stacked arrays, one column per quantity, and a trial's entries do not depend
+on the block it falls in.  ``otm``'s sudden-quench
 equality case has literal inputs and is built once per process.  Every subcommand prints
 a machine-readable JSON report (schema 5, sorted keys, floats at 12 significant digits,
 kernels in the forms of ``serialize``) to stdout, encoded in one pass by ``_dumps``; a

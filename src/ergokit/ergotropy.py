@@ -26,6 +26,7 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     _dots,
+    _same,
     _SpectralBlock,
     _traces,
     dephase,
@@ -77,25 +78,22 @@ def passive_state(
     ascending; U maps the i-th population eigenvector onto the i-th energy
     eigenvector, so it is unitary to rounding.
     """
-    if rho.dim != hamiltonian.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
+    _same("dimension", rho.dim, hamiltonian.dim)
     populations = eigendecompose(rho, "descending")
     energies = eigendecompose(hamiltonian, "ascending")
-    passive = DensityMatrix(
-        (energies.vectors * populations.values) @ energies.vectors.conj().T
-    )
+    passive = DensityMatrix((energies.vectors * populations.values) @ energies.vectors.conj().T)
     return passive, energies.vectors @ populations.vectors.conj().T
 
 
 def passive_energy(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
     """Minimal mean energy over the unitary orbit: sum of p_sorted_desc * E_sorted_asc."""
-    if rho.dim != hamiltonian.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
+    _same("dimension", rho.dim, hamiltonian.dim)
     return float(_direct(rho.matrix, hamiltonian.matrix)[1])
 
 
 def ergotropy_direct(rho: DensityMatrix, hamiltonian: HermitianOperator) -> float:
     """tr(rho H) minus the passive energy."""
+    _same("dimension", rho.dim, hamiltonian.dim)
     return float(_direct(rho.matrix, hamiltonian.matrix)[0])
 
 
@@ -109,8 +107,7 @@ def _direct(rho: np.ndarray, hamiltonian: np.ndarray) -> tuple[np.ndarray, np.nd
 def optimal_alignment_unitary(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     """The unitary minimizing S(U rho U†||sigma), as an array: sends sorted rho-basis to
     sorted sigma-basis."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    _same("dimension", rho.dim, sigma.dim)
     p = eigendecompose(rho, "descending")
     s = eigendecompose(sigma, "descending")
     return s.vectors @ p.vectors.conj().T

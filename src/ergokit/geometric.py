@@ -26,8 +26,11 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     _divergences,
+    _freeze,
     _gauge,
+    _probabilities,
     _relative_entropy,
+    _same,
     _SpectralBlock,
     eigendecompose,
     gibbs_state,
@@ -45,8 +48,10 @@ MERGE_OVERLAP_DEFICIT = 1e-14
 NORM_ATOL = 1e-12
 # Monte Carlo exponentials drawn per block: 2^16 (512 KiB), floor(2^16 / d) samples of d each.
 # Block b draws from stream(seed, b), so the block size decides which stream draws which sample.
-# On two usable CPUs a run of two or more blocks draws in two halves (``_threads.claimed``: 0.64x
-# the time at 4 blocks, d = 2), each into its own buffers; the moments merge in block order.
+# On two usable CPUs a run of two or more blocks draws in two halves (``_threads.claimed``), each
+# into its own buffers; the moments merge in block order.  Whether the split pays depends on the
+# host: one run measured 0.64x the time at 4 blocks, d = 2 (ROADMAP.md), and another, on a 2-CPU
+# x86-64 VM, the split slower than one thread (CHANGES.md).
 MC_BLOCK_DRAWS = 1 << 16
 
 
@@ -76,10 +81,7 @@ class GeometricState:
         norms = np.linalg.norm(z, axis=1)
         if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
             raise ValueError(f"point norm deviates from 1 by {np.abs(norms - 1.0).max():.3e}")
-        if not w.min() >= 0.0:
-            raise ValueError(f"negative weight {w.min():.3e}")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights deviate from unit mass by {abs(w.sum() - 1.0):.3e}")
+        _probabilities(w)
         z = z / norms[:, None]
         # Greedy merge in input order: a point joins the first earlier point
         # that still stands for itself and lies within the merge deficit.
@@ -88,10 +90,7 @@ class GeometricState:
         for i in np.flatnonzero(close.any(axis=0)):
             owner[i] = next((j for j in np.flatnonzero(close[:i, i]) if owner[j] == j), i)
         heads = np.flatnonzero(owner == np.arange(len(z)))
-        wm = np.bincount(owner, weights=w, minlength=len(z))[heads]
-        for name, value in (("points", z[heads]), ("weights", wm)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _freeze(self, points=z[heads], weights=np.bincount(owner, w, minlength=len(z))[heads])
 
     @property
     def dim(self) -> int:
@@ -118,8 +117,7 @@ def geometric_state_of(rho: DensityMatrix) -> GeometricState:
 def aligned_geometric_state(rho: DensityMatrix, sigma: DensityMatrix) -> GeometricState:
     """Weights of ``rho`` (descending) placed on sigma's eigenvector points;
     the geometric counterpart of conjugating rho with the aligning unitary."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    _same("dimension", rho.dim, sigma.dim)
     p = eigendecompose(rho, "descending")
     return _weights_on(p.values, eigendecompose(sigma, "descending").vectors)
 
@@ -133,8 +131,7 @@ def geometric_relative_entropy(p_state: GeometricState, s_state: GeometricState)
     for a point, or one shared by two points) raises ``SupportViolation``, as does a
     live point whose matched reference point carries no weight.
     """
-    if p_state.dim != s_state.dim:
-        raise ValueError(f"dimension mismatch: {p_state.dim} vs {s_state.dim}")
+    _same("dimension", p_state.dim, s_state.dim)
     near = _overlap_deficits(p_state.points, s_state.points) <= MATCH_OVERLAP_DEFICIT
     if np.any(near.sum(axis=1) != 1) or np.any(near.sum(axis=0) > 1):
         raise SupportViolation("support points do not pair one to one within tolerance")

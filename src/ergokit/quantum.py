@@ -1,9 +1,9 @@
 """Dense Hermitian linear algebra: spectra, Gibbs states, entropies, and
 energy-basis coherence primitives.
 
-All entropies use the natural logarithm (nats).  Every function is pure; the
-matrix-carrying types are immutable after construction.  Blocks of matrices run
-as stacks (B, d, d) with one stacked ``eigh``; the operator types are built at
+All entropies use the natural logarithm (nats).  Every function is pure; the matrix-carrying
+types are immutable after construction, every array field read-only (``_freeze``).  Blocks of
+matrices run as stacks (B, d, d) with one stacked ``eigh``; the operator types are built at
 the public API, one matrix as a stack of one row.
 """
 
@@ -20,6 +20,7 @@ from .errors import OutOfScope, SupportViolation
 # Construction tolerances.
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
+MASS_ATOL = 1e-10  # of a probability vector (``_probabilities``)
 NEGATIVE_EIG_ATOL = 1e-10
 # Eigenvalues at or below this floor are exact zeros of ``_divergences`` (0 ln 0 := 0).
 SUPPORT_FLOOR = 1e-12
@@ -29,6 +30,32 @@ DEGENERACY_RTOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-9
 
 Order = Literal["ascending", "descending"]
+
+
+def _same(kind: str, a, b) -> None:
+    """The one mismatch rule: ``ValueError`` ("<kind> mismatch: a vs b") unless ``a == b``."""
+    if a != b:
+        raise ValueError(f"{kind} mismatch: {a} vs {b}")
+
+
+def _freeze(obj, **fields: np.ndarray):
+    """``obj`` with each array of ``fields`` set read-only and assigned to its field of that
+    name through ``object.__setattr__``, as a frozen dataclass or a slot takes it."""
+    for name, array in fields.items():
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
+    return obj
+
+
+def _probabilities(w: np.ndarray) -> np.ndarray:
+    """``w``, checked to be 1-D and nonempty, nonnegative, and of unit mass to ``MASS_ATOL``."""
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must be a 1-D vector")
+    if not w.min() >= 0.0:
+        raise ValueError(f"negative weight {w.min():.3e}")
+    if abs(w.sum() - 1.0) > MASS_ATOL:
+        raise ValueError(f"total mass deviates from 1 by {abs(w.sum() - 1.0):.3e}")
+    return w
 
 
 class HermitianOperator:
@@ -49,8 +76,7 @@ class HermitianOperator:
     def _keep(self, matrices: np.ndarray, eigh: tuple | None = None) -> None:
         """Keep the matrix of a validated stack of one row, read-only, and the stack's
         ``eigh`` (None: not yet computed)."""
-        self._matrix = matrices[0]
-        self._matrix.setflags(write=False)
+        _freeze(self, _matrix=matrices[0])
         self._eigh, self._spectra = eigh, {}  # order -> (_Stack, SortedSpectrum)
 
     @property
@@ -235,6 +261,9 @@ class GibbsState:
     populations: np.ndarray
     log_populations: np.ndarray
 
+    def __post_init__(self):
+        _freeze(self, populations=self.populations, log_populations=self.log_populations)
+
     @cached_property
     def rho(self) -> DensityMatrix:
         return DensityMatrix((self.basis * self.populations) @ self.basis.conj().T)
@@ -296,6 +325,7 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def expectation(state: DensityMatrix, observable: HermitianOperator) -> float:
     """Re tr(rho O)."""
+    _same("dimension", state.dim, observable.dim)
     return float(_traces(state.matrix, observable.matrix))
 
 
@@ -320,14 +350,18 @@ def _divergences(p: np.ndarray, ln_q=0.0, floor: float = SUPPORT_FLOOR) -> np.nd
 
 def _relative_entropy(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> float:
     """sum p ln(p/q) over the entries p > ``floor`` of two equal-length vectors, in
-    ``_divergences``, under the support rule of every relative entropy: ln q is taken on
-    those entries only, and q <= ``vanishes`` on one of them raises ``SupportViolation``."""
-    if p.shape != q.shape:
-        raise ValueError(f"size mismatch: {p.size} vs {q.size}")
+    ``_divergences``, with ln q taken on the ``_support`` entries only."""
+    _same("size", p.size, q.size)
+    return float(_divergences(p, np.log(np.where(_support(p, q, floor, vanishes), q, 1.0)), floor))
+
+
+def _support(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> np.ndarray:
+    """The mask of the entries p > ``floor``, under the support rule of every relative
+    entropy: q <= ``vanishes`` on one of them raises ``SupportViolation``."""
     live = p > floor
     if np.any(q[live] <= vanishes):
         raise SupportViolation("the reference vanishes where the argument is populated")
-    return float(_divergences(p, np.log(np.where(live, q, 1.0)), floor))
+    return live
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -341,8 +375,7 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Raises ``SupportViolation`` when any populated eigenvector of ``rho``
     carries weight outside the support of ``sigma``.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    _same("dimension", rho.dim, sigma.dim)
     p = eigendecompose(rho, "descending")
     s = eigendecompose(sigma, "descending")
     support = s.values > SUPPORT_FLOOR
@@ -358,8 +391,7 @@ def quantum_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def spectral_relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Kullback-Leibler divergence of the descending-sorted eigenvalue lists."""
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    _same("dimension", rho.dim, sigma.dim)
     p, s = (eigendecompose(state, "descending").values for state in (rho, sigma))
     return _relative_entropy(p, s, SUPPORT_FLOOR, SUPPORT_FLOOR)
 
@@ -382,8 +414,7 @@ def dephase(rho: DensityMatrix, hamiltonian: HermitianOperator) -> DensityMatrix
     are kept, which makes the map independent of the basis choice inside each
     degenerate subspace.
     """
-    if rho.dim != hamiltonian.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
+    _same("dimension", rho.dim, hamiltonian.dim)
     energies = eigendecompose(hamiltonian, "ascending")
     basis = energies.vectors
     pinched = _pinch(_rotate(rho.matrix, basis), energies.levels)
@@ -487,7 +518,6 @@ def spectral_context(
 ) -> _SpectralBlock:
     """The (rho, H, beta) triple as a ``_SpectralBlock`` of one row, for every route
     that compares rho with the Gibbs state of H."""
-    if rho.dim != hamiltonian.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {hamiltonian.dim}")
+    _same("dimension", rho.dim, hamiltonian.dim)
     return _SpectralBlock.of(_stack_of(rho, "descending"), _stack_of(hamiltonian, "ascending"),
                              beta)

@@ -116,22 +116,26 @@ GRID_CSV_COLUMNS = ("index", "energy_a", "energy_b", "weight")
 
 def grid_from_csv(text: str) -> tuple[PhaseGrid, GridDistribution]:
     """The grid and weights of a table with the ``GRID_CSV_COLUMNS``, optionally followed
-    by the ``phi`` column that ``classical --output F.csv`` writes, which is not read."""
+    by the ``phi`` column that ``classical --output F.csv`` writes, which is not read.  Every
+    nonblank row holds as many fields as the header."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(h.strip() for h in header) not in (GRID_CSV_COLUMNS, (*GRID_CSV_COLUMNS, "phi")):
         raise ValueError(f"expected header {GRID_CSV_COLUMNS}, then phi or nothing, got {header}")
-    rows = sorted((int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in reader if r)
+    rows = []
+    for r in filter(None, reader):
+        if len(r) != len(header):
+            raise ValueError(f"grid CSV line {reader.line_num}: {len(r)} fields, not {len(header)}")
+        rows.append((int(r[0]), float(r[1]), float(r[2]), float(r[3])))
+    rows.sort()
     if not rows:
         raise ValueError("grid CSV has no rows")
     for position, row in enumerate(rows):
         if row[0] != position:
             raise ValueError(f"grid CSV index {row[0]} is repeated or out of range: "
                              f"the indices must be 0..{len(rows) - 1}, each once")
-    grid = PhaseGrid(
-        energy_a=[r[1] for r in rows], energy_b=[r[2] for r in rows]
-    )
-    return grid, GridDistribution([r[3] for r in rows])
+    _, energy_a, energy_b, weights = zip(*rows)
+    return PhaseGrid(energy_a, energy_b), GridDistribution(weights)
 
 
 def format_float(x: float) -> str:

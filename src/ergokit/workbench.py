@@ -19,7 +19,9 @@ from .quantum import (
     DensityMatrix,
     HermitianOperator,
     _dots,
+    _freeze,
     _gibbs_logs,
+    _same,
     _SpectralBlock,
     _Stack,
     _stack_of,
@@ -52,10 +54,7 @@ class DrivingProtocol:
         if len({h.dim for _, h in self.knots}) != 1:
             raise ValueError("every knot Hamiltonian must share one dimension")
         # The knot times and matrices, held once and read-only for the propagators.
-        for name, array in (("_times", np.array(times)),
-                            ("_matrices", np.stack([h.matrix for _, h in self.knots]))):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        _freeze(self, _times=np.array(times), _matrices=np.stack([h.matrix for _, h in self.knots]))
 
     @property
     def initial(self) -> HermitianOperator:
@@ -278,6 +277,9 @@ class ConditionalThermalState:
     log_conditional_z: float
     degenerate_initial: bool
 
+    def __post_init__(self):
+        _freeze(self, weights=self.weights, h_values=self.h_values)
+
 
 def conditional_thermal_state(
     h_initial: HermitianOperator,
@@ -293,8 +295,7 @@ def conditional_thermal_state(
     ``eigendecompose`` gives h_initial, which are ``eigh``'s own there, are used
     and the degeneracy flagged on the result.
     """
-    if h_final.dim != h_initial.dim:
-        raise ValueError("Hamiltonian dimensions must match")
+    _same("dimension", h_initial.dim, h_final.dim)
     spectrum = eigendecompose(h_initial, "ascending")
     states, weights, h_values, log_z = _conditional_states(
         spectrum.vectors[None], h_final.matrix[None], np.asarray(unitary, dtype=complex)[None],
@@ -314,8 +315,7 @@ def _conditional_states(
     Each row has the bits of a block of one."""
     dim = basis.shape[-1]
     u = np.asarray(unitaries, dtype=complex)
-    if u.shape[1:] != (dim, dim):
-        raise ValueError(f"propagator shape {u.shape[1:]} does not match dim {dim}")
+    _same("propagator shape", u.shape[1:], (dim, dim))
     for defect in np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(dim)).max(axis=(1, 2)).tolist():
         if defect > UNITARY_ATOL:
             raise ValueError(f"propagator is not unitary: defect {defect:.3e}")

@@ -553,6 +553,17 @@ class TestClassicalInput:
         assert (code, out) == (2, "")
         assert err == f"error: bad grid CSV {path}: negative weight nan\n"
 
+    @pytest.mark.parametrize("row, fields", [("1,1,1,0.5,9", 5), ("1,1,1", 3)],
+                             ids=["five-fields", "three-fields"])
+    def test_a_ragged_csv_row_exits_2(self, capsys, tmp_path, row, fields):
+        # A row is read whole or refused: a fifth field under the four-column header is not
+        # dropped, and a short row is named, not an index error.
+        path = tmp_path / "grid.csv"
+        path.write_text(f"index,energy_a,energy_b,weight\n0,0,0.5,0.5\n{row}\n")
+        code, out, err = run_cli(capsys, "classical", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad grid CSV {path}: grid CSV line 3: {fields} fields, not 4\n"
+
     @pytest.mark.parametrize("name", ["grid.csv", "grid.json"])
     def test_unreadable_input_exits_2(self, capsys, tmp_path, name):
         path = tmp_path / "missing" / name

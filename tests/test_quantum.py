@@ -1,5 +1,6 @@
 """Core linear algebra, spectra, Gibbs states, entropies, and coherence."""
 
+import dataclasses
 import math
 import os
 import signal
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import ergokit
 from ergokit import (
     DensityMatrix,
     DrivingProtocol,
@@ -20,22 +22,35 @@ from ergokit import (
     SupportViolation,
     TransitionKernel,
     aligned_geometric_state,
+    classical_ergotropy,
     classical_relative_entropy,
     coherence_relative_entropy,
+    coherent_ergotropy_eq11,
     conditional_thermal_state,
     dephase,
+    dephased_ergotropy,
     eigendecompose,
+    ergotropy_direct,
+    ergotropy_geometric,
+    ergotropy_report,
+    ergotropy_via_entropies,
     ergotropy_via_phi,
     expectation,
     geometric_relative_entropy,
+    geometric_state_of,
     gibbs_state,
+    grid_gibbs,
     inhomogeneity_phi,
     joint_from_kernel,
     joint_relative_entropy,
     passive_energy,
+    passive_state,
     permutation_min_bruteforce,
     quantum_relative_entropy,
+    sharpened_bound_report,
+    sorted_pairing_divergence,
     spectral_relative_entropy,
+    stationarity_probe,
     step_product,
     von_neumann_entropy,
 )
@@ -523,40 +538,98 @@ class TestDivergences:
 
 
 class TestMismatchedArguments:
-    """Every two-argument function compares the sizes or dimensions of its arguments
-    before it computes anything, and raises ``ValueError`` on a mismatch."""
+    """Every public function of two operators, states or distributions compares their sizes
+    before it computes anything, through one rule: ``ValueError`` with "dimension mismatch"
+    for operators and states, "size mismatch" for grid distributions, then the two sizes."""
 
     TWO, THREE = GridDistribution(np.full(2, 0.5)), GridDistribution(np.full(3, 1 / 3))
-    JOINT3 = joint_from_kernel(THREE, TransitionKernel.from_permutation(np.arange(3)))
+    JOINT2 = joint_from_kernel(TWO, TransitionKernel.from_permutation(np.arange(2)))
     RHO2, RHO3 = DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)
     H2, H3 = HermitianOperator(np.diag([0.0, 1.0])), HermitianOperator(np.diag([0.0, 1.0, 2.0]))
 
-    @pytest.mark.parametrize("call", [
-        lambda t: joint_from_kernel(t.TWO, TransitionKernel.from_permutation(np.arange(3))),
-        lambda t: joint_relative_entropy(t.JOINT3, t.TWO),
-        lambda t: classical_relative_entropy(t.TWO, t.THREE),
-        lambda t: inhomogeneity_phi(t.JOINT3, t.TWO),
-        lambda t: ergotropy_via_phi(t.JOINT3, t.THREE, PhaseGrid([0.0, 1.0], [0.0, 1.0])),
-        lambda t: permutation_min_bruteforce(t.TWO, t.THREE),
-        lambda t: passive_energy(t.RHO2, t.H3),
-        lambda t: optimal_alignment_unitary(t.RHO2, t.RHO3),
-        lambda t: aligned_geometric_state(t.RHO2, t.RHO3),
-        lambda t: geometric_relative_entropy(GeometricState(np.eye(2), [0.5, 0.5]),
-                                             GeometricState(np.eye(3), [1 / 3] * 3)),
-        lambda t: quantum_relative_entropy(t.RHO2, t.RHO3),
-        lambda t: spectral_relative_entropy(t.RHO2, t.RHO3),
-        lambda t: dephase(t.RHO2, t.H3),
-        lambda t: spectral_context(t.RHO2, t.H3, 1.0),
-        lambda t: conditional_thermal_state(t.H2, t.H3, np.eye(2), 1.0),
+    @pytest.mark.parametrize("kind, call", [
+        ("size", lambda t: joint_from_kernel(t.TWO, TransitionKernel.from_permutation(np.arange(3)))),
+        ("size", lambda t: joint_relative_entropy(t.JOINT2, t.THREE)),
+        ("size", lambda t: classical_relative_entropy(t.TWO, t.THREE)),
+        ("size", lambda t: inhomogeneity_phi(t.JOINT2, t.THREE)),
+        ("size", lambda t: ergotropy_via_phi(t.JOINT2, t.TWO, PhaseGrid([0.0, 1.0, 2.0], [0.0] * 3))),
+        ("size", lambda t: permutation_min_bruteforce(t.TWO, t.THREE)),
+        ("dimension", lambda t: passive_energy(t.RHO2, t.H3)),
+        ("dimension", lambda t: optimal_alignment_unitary(t.RHO2, t.RHO3)),
+        ("dimension", lambda t: aligned_geometric_state(t.RHO2, t.RHO3)),
+        ("dimension", lambda t: geometric_relative_entropy(
+            GeometricState(np.eye(2), [0.5, 0.5]), GeometricState(np.eye(3), [1 / 3] * 3))),
+        ("dimension", lambda t: quantum_relative_entropy(t.RHO2, t.RHO3)),
+        ("dimension", lambda t: spectral_relative_entropy(t.RHO2, t.RHO3)),
+        ("dimension", lambda t: dephase(t.RHO2, t.H3)),
+        ("dimension", lambda t: spectral_context(t.RHO2, t.H3, 1.0)),
+        ("dimension", lambda t: conditional_thermal_state(t.H2, t.H3, np.eye(2), 1.0)),
+        ("dimension", lambda t: ergotropy_direct(t.RHO2, t.H3)),
+        ("dimension", lambda t: expectation(t.RHO2, t.H3)),
+        ("dimension", lambda t: passive_state(t.RHO2, t.H3)),
+        ("dimension", lambda t: ergotropy_via_entropies(t.RHO2, t.H3, 1.0)),
+        ("dimension", lambda t: coherent_ergotropy_eq11(t.RHO2, t.H3, 1.0)),
+        ("dimension", lambda t: ergotropy_geometric(t.RHO2, t.H3, 1.0)),
+        ("dimension", lambda t: ergotropy_report(t.RHO2, t.H3, 1.0)),
+        ("dimension", lambda t: dephased_ergotropy(t.RHO2, t.H3)),
+        ("dimension", lambda t: coherence_relative_entropy(t.RHO2, t.H3)),
+        ("size", lambda t: sorted_pairing_divergence([0.5, 0.5], [1 / 3] * 3)),
+        ("size", lambda t: classical_ergotropy(t.JOINT2, t.TWO, t.THREE, 1.0)),
     ], ids=["joint_from_kernel", "joint_relative_entropy", "classical_relative_entropy",
             "inhomogeneity_phi", "ergotropy_via_phi", "permutation_min_bruteforce",
             "passive_energy", "optimal_alignment_unitary", "aligned_geometric_state",
             "geometric_relative_entropy", "quantum_relative_entropy",
             "spectral_relative_entropy", "dephase", "spectral_context",
-            "conditional_thermal_state"])
-    def test_a_size_or_dimension_mismatch_raises_value_error(self, call):
-        with pytest.raises(ValueError, match="mismatch|must match"):
+            "conditional_thermal_state", "ergotropy_direct", "expectation", "passive_state",
+            "ergotropy_via_entropies", "coherent_ergotropy_eq11", "ergotropy_geometric",
+            "ergotropy_report", "dephased_ergotropy", "coherence_relative_entropy",
+            "sorted_pairing_divergence", "classical_ergotropy"])
+    def test_a_size_or_dimension_mismatch_raises_value_error(self, kind, call):
+        with pytest.raises(ValueError) as error:
             call(self)
+        assert str(error.value) == f"{kind} mismatch: 2 vs 3"
+
+
+def _public_value_types() -> set:
+    return {value for name in ergokit.__all__ if isinstance(value := getattr(ergokit, name), type)
+            and not issubclass(value, Exception)}
+
+
+def _array_fields(obj) -> dict:
+    """The ndarray attributes of ``obj``: its dataclass fields, the other entries of its
+    ``__dict__``, its slots and its properties."""
+    names = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+    names |= set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        names |= set(getattr(cls, "__slots__", ()))
+        names |= {n for n, v in vars(cls).items() if isinstance(v, property)}
+    return {n: v for n in names if isinstance(v := getattr(obj, n), np.ndarray)}
+
+
+class TestReadOnlyValues:
+    def test_every_array_field_of_every_public_value_type_is_read_only(self):
+        # Each value type built as the library builds it; writing to one of these arrays
+        # would change the value after its construction (a Gibbs state's populations,
+        # before its first rho, the state that rho builds).
+        rho, h = random_density(3, stream(91, 0)), random_hermitian(3, stream(91, 1))
+        grid = PhaseGrid([0.0, 1.0, 2.0], [0.5, 1.0, 1.5])
+        p_a = GridDistribution([0.2, 0.3, 0.5])
+        kernels = [TransitionKernel.from_permutation(np.array([2, 0, 1])),
+                   TransitionKernel(np.full((3, 3), 1 / 3))]
+        protocol = DrivingProtocol.linear_ramp(H01, HermitianOperator(np.diag([0.0, 2.0])), 0.5)
+        values = [
+            rho, h, eigendecompose(h, "ascending"), gibbs_state(h, 1.0), grid, p_a, *kernels,
+            *(joint_from_kernel(p_a, k) for k in kernels),
+            stationarity_probe(p_a.weights, np.log(grid_gibbs(grid, 1.0).weights), 1e-3),
+            ergotropy_report(rho, h, 1.0), geometric_state_of(rho), protocol,
+            conditional_thermal_state(H01, protocol.final, step_product(protocol, 8), 1.0),
+            sharpened_bound_report(protocol, step_product(protocol, 8), 1.0),
+        ]
+        assert {type(v) for v in values} == _public_value_types()
+        writeable = [f"{type(v).__name__}.{name}" for v in values
+                     for name, array in _array_fields(v).items() if array.flags.writeable]
+        assert writeable == []
+        assert sum(len(_array_fields(v)) for v in values) >= 30
 
 
 class TestMalformedArguments:
@@ -571,7 +644,7 @@ class TestMalformedArguments:
          "a permutation image must be a nonempty 1-D integer array"),
         (lambda: TransitionKernel(np.full((2, 3), 0.5)), "expected a square matrix, got shape (2, 3)"),
         (lambda: GeometricState(np.eye(2), [0.5, 0.4]),
-         "weights deviate from unit mass by 1.000e-01"),
+         "total mass deviates from 1 by 1.000e-01"),
         (lambda: eigendecompose(H01, "sideways"), "unknown order 'sideways'"),
         (lambda: random_density(3, stream(0), rank=0), "rank must be in [1, 3], got 0"),
         (lambda: matrix_to_json(np.zeros((2, 3))), "expected a square matrix, got shape (2, 3)"),
