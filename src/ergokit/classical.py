@@ -19,8 +19,8 @@ from itertools import permutations
 import numpy as np
 
 from .errors import EmptyShell, OutOfScope, SupportViolation
-from .quantum import (_divergences, _freeze, _gauge, _gibbs_logs, _probabilities,
-                      _relative_entropy, _same, _support)
+from .quantum import (_divergences, _freeze, _gauge, _gibbs_logs, _positive_beta,
+                      _probabilities, _relative_entropy, _same)
 
 STOCHASTIC_ATOL = 1e-10
 # Argument weights at or below the floor are exact zeros of ``_divergences`` (0 ln 0 := 0).
@@ -39,8 +39,9 @@ class PhaseGrid:
 
     def __post_init__(self):
         ea, eb = np.array(self.energy_a, dtype=float), np.array(self.energy_b, dtype=float)
-        if ea.ndim != 1 or eb.shape != ea.shape or ea.size < 1:
-            raise ValueError("energy_a and energy_b must be 1-D vectors of equal length")
+        if ea.ndim != 1 or eb.ndim != 1 or ea.size < 1:
+            raise ValueError("energy_a and energy_b must be nonempty 1-D vectors")
+        _same("size", ea.size, eb.size)
         if not (np.all(np.isfinite(ea)) and np.all(np.isfinite(eb))):
             raise ValueError("grid energies must be finite")
         if not 0.0 < self.cell_volume < np.inf:
@@ -204,29 +205,23 @@ def joint_from_kernel(p_a: GridDistribution, kernel: TransitionKernel) -> JointD
     return JointDistribution._of(kernel.rows, kernel.values * p_a.weights)
 
 
-def _entropy_minus_cross(entries: np.ndarray, row_sums: np.ndarray, reference: np.ndarray) -> float:
-    """sum x ln x over the joint's entries minus sum_f row_sums[f] ln reference[f]."""
-    populated = _support(row_sums, reference, WEIGHT_FLOOR, 0.0)
-    return float(_divergences(entries.ravel(), floor=WEIGHT_FLOOR)
-                 - row_sums[populated] @ np.log(reference[populated]))
-
-
-def _row_major(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of column layers in row-major order, with a repeated (row,
-    column) pair summed in layer order, and the row sums: the relative-entropy route's own
-    final marginal, apart from the ``final_marginal`` that the inhomogeneity route reads,
-    so that ``inhomogeneity_route_agrees`` catches a wrong marginal in either."""
+def _merged(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of the entries of column layers, flattened, with a repeated (row,
+    column) pair summed in layer order and kept at its first place: merging in entries
+    of value 0 leaves the others, and their order, as they were."""
     n = rows.shape[1]
-    cells, slot = np.unique((rows * n + np.arange(n)).ravel(), return_inverse=True)
-    entries = np.bincount(slot, weights=values.ravel())
-    return entries, np.bincount(cells // n, weights=entries, minlength=n)
+    cells = (rows * n + np.arange(n)).ravel()
+    _, first, slot = np.unique(cells, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return cells[first[order]] // n, np.bincount(slot, weights=values.ravel())[order]
 
 
 def joint_relative_entropy(joint: JointDistribution, p_eq: GridDistribution) -> float:
-    """Relative entropy of a joint distribution against a reference on the
-    final coordinate: sum J ln J - sum_f (final marginal)_f ln p_eq[f]."""
+    """Relative entropy of a joint distribution against a reference on the final
+    coordinate, sum J[f, i] ln(J[f, i] / p_eq[f]), over the joint's layer entries."""
     _same("size", joint.n_cells, p_eq.n_cells)
-    return _entropy_minus_cross(*_row_major(joint.rows, joint.values), p_eq.weights)
+    return _relative_entropy(joint.values.ravel(), p_eq.weights[joint.rows].ravel(),
+                             WEIGHT_FLOOR, 0.0)
 
 
 def classical_relative_entropy(p: GridDistribution, q: GridDistribution) -> float:
@@ -239,8 +234,7 @@ def classical_ergotropy(
 ) -> float:
     """(D(joint||p_eq) - D(p_a||p_eq)) / beta.  Returned as computed: the value
     can be negative when the dynamics has already lowered the energy."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _positive_beta(beta)
     return (joint_relative_entropy(joint, p_eq) - classical_relative_entropy(p_a, p_eq)) / beta
 
 
@@ -328,14 +322,15 @@ class StationarityProbeResult:
         xi = (1 - eps) I + eps P(image), for the joint J whose final marginal
         the probe read.  It includes the entropy term that mixing adds.  xi J is
         the joint's layers scaled by 1 - eps followed by the same layers moved
-        through ``image`` and scaled by eps.  No report prints it; the paper check that
-        reads it is acceptance criterion 10 in ``tests/test_acceptance.py``."""
-        if joint.n_cells != self.image.size or p_eq.n_cells != self.image.size:
-            raise ValueError("joint, p_eq and probe sizes must match")
-        rows = np.vstack([joint.rows, self.image[joint.rows]])
-        values = np.vstack([(1.0 - self.epsilon) * joint.values, self.epsilon * joint.values])
-        mixed = _entropy_minus_cross(*_row_major(rows, values), p_eq.weights)
-        return mixed - joint_relative_entropy(joint, p_eq)
+        through ``image`` and scaled by eps, a cell that both reach summed
+        (``_merged``).  No report prints it; the paper check that reads it is
+        acceptance criterion 10 in ``tests/test_acceptance.py``."""
+        unmixed = joint_relative_entropy(joint, p_eq)
+        _same("size", joint.n_cells, self.image.size)
+        rows, values = _merged(np.vstack([joint.rows, self.image[joint.rows]]),
+                               np.vstack([(1.0 - self.epsilon) * joint.values,
+                                          self.epsilon * joint.values]))
+        return _relative_entropy(values, p_eq.weights[rows], WEIGHT_FLOOR, 0.0) - unmixed
 
 
 def stationarity_probe(
@@ -353,8 +348,9 @@ def stationarity_probe(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"infeasible epsilon {epsilon}: perturbed kernels must stay nonnegative")
     marginal, log_eq = np.asarray(marginal, dtype=float), np.asarray(log_eq, dtype=float)
-    if marginal.ndim != 1 or log_eq.shape != marginal.shape:
-        raise ValueError("marginal and log_eq must be 1-D vectors of equal length")
+    if marginal.ndim != 1 or log_eq.ndim != 1:
+        raise ValueError("marginal and log_eq must be 1-D vectors")
+    _same("size", marginal.size, log_eq.size)
     # Cells with equal ln p_eq are ordered by m, so a passive m reads
     # m[order] == sort(m) to the bit and its minimum is exactly 0.
     rank, order = np.argsort(marginal, kind="stable"), np.lexsort((marginal, log_eq))

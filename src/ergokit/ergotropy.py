@@ -41,8 +41,8 @@ class ErgotropyReport:
 
     ``incoherent`` is total - coherent_eq11 by construction (``_routes``); with the printed
     three-term coherent form this is ~0 for every state (see ``dephased_ergotropy`` for the
-    alternative split).  Building a report raises the failed ``_route_checks`` of the entropy
-    route (``require``), which ``ergotropy`` prints instead, with the geometric route's.
+    alternative split).  Building a report raises the failed ``_route_checks`` of both routes
+    (``require``), which ``ergotropy`` prints instead.
     """
 
     total: float
@@ -55,7 +55,8 @@ class ErgotropyReport:
     passive_energy: float
 
     def __post_init__(self):
-        require(_route_checks(self.total, {"entropies": self.via_entropies}))
+        require(_route_checks(self.total, {"entropies": self.via_entropies,
+                                           "geometric": self.via_geometric}))
 
 
 def _route_checks(total, routes: dict, tolerance: float = 1e-8) -> dict:

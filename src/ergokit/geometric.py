@@ -28,6 +28,7 @@ from .quantum import (
     _divergences,
     _freeze,
     _gauge,
+    _positive_beta,
     _probabilities,
     _relative_entropy,
     _same,
@@ -74,10 +75,9 @@ class GeometricState:
     def __post_init__(self):
         z = np.asarray(self.points, dtype=complex)
         w = np.asarray(self.weights, dtype=float)
-        if z.ndim != 2 or z.shape[1] < 2:
-            raise ValueError("points must be a (k, d) array with d >= 2")
-        if len(z) == 0 or w.shape != (len(z),):
-            raise ValueError("points and weights must be nonempty and equal length")
+        if z.ndim != 2 or len(z) < 1 or z.shape[1] < 2:
+            raise ValueError("points must be a nonempty (k, d) array with d >= 2")
+        _same("weights shape", w.shape, (len(z),))
         norms = np.linalg.norm(z, axis=1)
         if not np.all(np.abs(norms - 1.0) <= NORM_ATOL):
             raise ValueError(f"point norm deviates from 1 by {np.abs(norms - 1.0).max():.3e}")
@@ -199,8 +199,7 @@ def geometric_partition_function(
     over CP^(d-1): Vol(CP^(d-1)) e^(-beta E_0) * mean(exp(-beta (h(z) - E_0))) over uniform
     samples, h(z) - E_0 drawn from the spectrum above the ground energy E_0 (``_gauge``), so
     no weight exceeds 1; Vol e^(-beta E_0) must be a normal double (``OutOfScope``)."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _positive_beta(beta)
     if n_samples < 100:
         raise ValueError(f"n_samples must be >= 100, got {n_samples}")
     volume = manifold_volume(hamiltonian.dim)

@@ -38,6 +38,12 @@ def _same(kind: str, a, b) -> None:
         raise ValueError(f"{kind} mismatch: {a} vs {b}")
 
 
+def _positive_beta(beta: float) -> None:
+    """The one inverse-temperature rule: ``ValueError`` unless 0 < beta < inf."""
+    if not 0.0 < beta < np.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+
+
 def _freeze(obj, **fields: np.ndarray):
     """``obj`` with each array of ``fields`` set read-only and assigned to its field of that
     name through ``object.__setattr__``, as a frozen dataclass or a slot takes it."""
@@ -294,8 +300,7 @@ def _gauge(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _gibbs_logs(energies: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ln Z, ln p, p) of the Gibbs populations on each row of a stack (B, d) of spectra, with
     ``OutOfScope`` when a beta E overflows or a population underflows to zero."""
-    if not 0.0 < beta < np.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    _positive_beta(beta)
     with np.errstate(over="ignore"):
         logits = -beta * energies
         if not np.isfinite(logits).all():
@@ -349,19 +354,14 @@ def _divergences(p: np.ndarray, ln_q=0.0, floor: float = SUPPORT_FLOOR) -> np.nd
 
 
 def _relative_entropy(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> float:
-    """sum p ln(p/q) over the entries p > ``floor`` of two equal-length vectors, in
-    ``_divergences``, with ln q taken on the ``_support`` entries only."""
+    """sum p ln(p/q) of two equal-length vectors over their live entries p > ``floor`` only,
+    in order, in ``_divergences``; q <= ``vanishes`` on a live entry raises
+    ``SupportViolation``, the support rule of every relative entropy."""
     _same("size", p.size, q.size)
-    return float(_divergences(p, np.log(np.where(_support(p, q, floor, vanishes), q, 1.0)), floor))
-
-
-def _support(p: np.ndarray, q: np.ndarray, floor: float, vanishes: float) -> np.ndarray:
-    """The mask of the entries p > ``floor``, under the support rule of every relative
-    entropy: q <= ``vanishes`` on one of them raises ``SupportViolation``."""
     live = p > floor
     if np.any(q[live] <= vanishes):
         raise SupportViolation("the reference vanishes where the argument is populated")
-    return live
+    return float(_divergences(p[live], np.log(q[live]), floor))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -59,6 +59,8 @@ def _numbers(values: list, key: str) -> list:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     dim = _size(obj, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")

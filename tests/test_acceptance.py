@@ -38,6 +38,7 @@ from ergokit import (
     grid_gibbs,
     inhomogeneity_phi,
     joint_from_kernel,
+    joint_relative_entropy,
     permutation_min_bruteforce,
     quantum_relative_entropy,
     sharpened_bound_report,
@@ -45,8 +46,9 @@ from ergokit import (
     spectral_relative_entropy,
     stationarity_probe,
 )
-from ergokit.classical import _entropy_minus_cross
+from ergokit.classical import WEIGHT_FLOOR
 from ergokit.ergotropy import optimal_alignment_unitary
+from ergokit.quantum import _relative_entropy
 from ergokit.sampling import random_density, random_hermitian, stream
 from haar import haar_unitaries
 
@@ -332,20 +334,25 @@ def test_criterion_11_commuting_case():
                                 f"= {worst:.2e}")
 
 
-# The internal helper on the dense joint matrix and its row sums must match the
-# public path, which sums the kernel's layers in row-major order.
-def test_internal_joint_entropy_helper_matches_public():
-    rng = stream(1900)
-    n = 5
-    grid = PhaseGrid(energy_a=rng.uniform(0, 1, n), energy_b=rng.uniform(0, 1, n))
-    p_a = GridDistribution(rng.dirichlet(np.ones(n)))
-    kernel = TransitionKernel.from_permutation(rng.permutation(n))
-    joint = joint_from_kernel(p_a, kernel)
-    p_eq = grid_gibbs(grid, 1.0)
-    from ergokit import joint_relative_entropy
-
-    dense = joint.matrix
-    assert _entropy_minus_cross(dense, dense.sum(axis=1), p_eq.weights) == joint_relative_entropy(joint, p_eq)
+# The joint relative entropy is the one relative-entropy kernel on the joint's own
+# entries: for a permutation, the nonzero entries of the dense joint taken column by
+# column, against p_eq at their rows, bit for bit.
+def test_joint_relative_entropy_is_the_relative_entropy_of_its_entries():
+    for seed in range(20):
+        rng = stream(1900, seed)
+        n = int(rng.integers(2, 40))
+        grid = PhaseGrid(energy_a=rng.uniform(0, 1, n), energy_b=rng.uniform(0, 1, n))
+        weights = rng.dirichlet(np.ones(n))
+        dead = rng.random(n) < 0.3
+        dead[rng.integers(n)] = False
+        weights[dead] = 0.0
+        p_a = GridDistribution(weights / weights.sum())
+        joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(rng.permutation(n)))
+        p_eq = grid_gibbs(grid, float(rng.uniform(0.1, 3.0)))
+        columns, rows = np.nonzero(joint.matrix.T)
+        entries = joint.matrix[rows, columns]
+        assert joint_relative_entropy(joint, p_eq) == _relative_entropy(
+            entries, p_eq.weights[rows], WEIGHT_FLOOR, 0.0)
 
 
 def test_criterion_3_support_matches_haar_batch():

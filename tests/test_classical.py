@@ -317,6 +317,29 @@ class TestClassicalErgotropy:
         assert classical_ergotropy(joint, p_a, p_eq, 1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [2, 7, 96, 1000])
+    def test_a_permutation_fixing_every_populated_cell_reads_exactly_zero(self, n, beta):
+        # Such a joint holds p_A's entries at their own rows, so D(J || p_eq) and
+        # D(p_A || p_eq) sum the same live entries in the same order and cancel exactly,
+        # whatever the empty cells do: a shell (odd trials) or scattered empty cells.
+        for trial in range(6):
+            rng = stream(58, 16 * n + trial)
+            grid = PhaseGrid(energy_a=np.sort(rng.uniform(0.0, 2.0, n)),
+                             energy_b=rng.uniform(0.0, 2.0, n))
+            if trial % 2:
+                p_a = microcanonical(grid, float(grid.energy_a[n // 2]), 2.0 / n)
+            else:
+                weights = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5 + 0.1 * trial)
+                weights[rng.integers(n)] += 0.5
+                p_a = GridDistribution(weights / weights.sum())
+            empty = np.flatnonzero(p_a.weights == 0.0)
+            image = np.arange(n)
+            image[empty] = rng.permutation(empty)
+            joint = joint_from_kernel(p_a, TransitionKernel.from_permutation(image))
+            assert classical_ergotropy(joint, p_a, grid_gibbs(grid, beta), beta) == 0.0
+
+
 class TestInhomogeneity:
     def test_identity_kernel_zero_vector(self):
         p_a = GridDistribution(np.array([0.2, 0.3, 0.5]))
@@ -498,12 +521,12 @@ class TestStationarityProbe:
             stationarity_probe(np.full(3, 1.0 / 3), np.log(np.full(3, 1.0 / 3)), 1.5)
 
     def test_mismatched_sizes_are_rejected(self):
-        with pytest.raises(ValueError, match="equal length"):
+        with pytest.raises(ValueError, match="size mismatch: 3 vs 4"):
             stationarity_probe(np.full(3, 1.0 / 3), np.zeros(4), 1e-3)
         p_a = GridDistribution(np.full(3, 1.0 / 3))
         probe = stationarity_probe(p_a.weights, np.log(grid_gibbs(GRID3, 1.0).weights), 1e-3)
         four = GridDistribution(np.full(4, 0.25))
-        with pytest.raises(ValueError, match="sizes must match"):
+        with pytest.raises(ValueError, match="size mismatch: 4 vs 3"):
             probe.delta_total(
                 joint_from_kernel(four, TransitionKernel.from_permutation(np.arange(4))), four)
 

@@ -455,3 +455,13 @@ class TestSpectralContextReuse:
                 incoherent=0.0, dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,
             )
         assert issubclass(InvariantViolation, ErgokitError)
+
+    def test_the_geometric_route_is_gated_as_ergotropy_gates_it(self):
+        # The report checks the geometric route as the command line does, with its line.
+        with pytest.raises(InvariantViolation) as error:
+            ErgotropyReport(
+                total=1.0, via_entropies=1.0, via_geometric=2.0, coherent_eq11=1.0,
+                incoherent=0.0, dephased_ergotropy=0.0, beta_used=1.0, passive_energy=0.0,
+            )
+        assert str(error.value) == (
+            "invariant failed: route_geometric_agrees: value=1, tolerance=2e-08")

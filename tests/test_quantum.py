@@ -637,8 +637,7 @@ class TestMalformedArguments:
     and a message that names what is wrong."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: PhaseGrid([0.0, 1.0], [0.0]),
-         "energy_a and energy_b must be 1-D vectors of equal length"),
+        (lambda: PhaseGrid([0.0, 1.0], [0.0]), "size mismatch: 2 vs 1"),
         (lambda: GridDistribution(np.full((2, 2), 0.25)), "weights must be a 1-D vector"),
         (lambda: TransitionKernel.from_permutation(np.array([1.0, 0.0])),
          "a permutation image must be a nonempty 1-D integer array"),
