@@ -28,7 +28,7 @@ STOCHASTIC_ATOL = 1e-10
 WEIGHT_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Discrete phase-space cells with an energy per cell on surfaces A and B: A carries
     the initial shell (``microcanonical``), B the thermal reference (``grid_gibbs``)."""
@@ -53,7 +53,7 @@ class PhaseGrid:
         return self.energy_a.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDistribution:
     """Probability per cell (``_probabilities``); the caller's array is copied."""
 
@@ -96,7 +96,7 @@ def _column_layers(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return held_rows, held_values
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class _ColumnLayers:
     """Matrix held as column layers: column j puts ``values[l, j]`` on row
     ``rows[l, j]``, each (row, column) pair at most once.  A column with fewer
@@ -128,7 +128,6 @@ class _ColumnLayers:
         return m
 
 
-@dataclass(frozen=True, init=False)
 class TransitionKernel(_ColumnLayers):
     """Doubly stochastic transition kernel; column j of ``matrix`` is the
     distribution of the final cell given initial cell j.
@@ -164,7 +163,6 @@ class TransitionKernel(_ColumnLayers):
         return cls._of(*_permutation(image))
 
 
-@dataclass(frozen=True, init=False)
 class JointDistribution(_ColumnLayers):
     """Joint probability of (final, initial) cells: p_A pushed through a kernel by
     ``joint_from_kernel``, its one constructor.  Entry [f, i] of ``matrix`` couples

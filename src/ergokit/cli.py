@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from functools import cache, lru_cache
 from typing import Any, Callable, NamedTuple, Sequence
@@ -57,6 +58,7 @@ SCHEMA_VERSION = 5
 # Matrix entries (trials x d^2, 1 MiB per complex array) in one block of a sweep's
 # trials, so that memory does not grow with --trials.
 BLOCK_ENTRIES = 2**16
+_OFF_BAND = re.compile(r"e(?:\+1|-3)")  # the exponents that ``_as_json`` refuses
 
 
 class _InputError(Exception):
@@ -455,22 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _float_tokens(values: list[float]) -> list[str]:
-    """``json.dumps(float(format_float(x)))`` for each x, formatting it once.
-
-    A ``%.12g`` text that holds a "." and no ``e+1..`` or ``e-3..`` exponent
-    already is that token: it parses to a normal double whose shortest repr
-    has the same digits (12 < DBL_DIG), and ``%g`` and ``repr`` choose the
-    same notation outside 1e12..1e16.  The rest (integral values, zeros, nan,
-    infinities, that band and subnormals) is parsed and encoded again: a finite
-    value by its ``repr``, as ``json.dumps`` writes it.  The batch is formatted
-    and checked as one text, token by token only if it fails.
-    """
+    """``json.dumps(float(format_float(x)))`` for each x: one ``%.12g`` text if it passes
+    ``_as_json``, else each token that fails it parsed again and written as ``json.dumps`` does."""
     text = ("%.12g\0" * len(values)) % tuple(values)
     texts = text.split("\0")[:-1]
-    if text.count(".") == len(texts) and "e+1" not in text and "e-3" not in text:
+    if _as_json(text, len(texts)):
         return texts
-    return [t if "." in t and "e+1" not in t and "e-3" not in t
-            else repr(float(t)) if "n" not in t else json.dumps(float(t)) for t in texts]
+    return [t if _as_json(t, 1) else repr(float(t)) if "n" not in t else json.dumps(float(t))
+            for t in texts]
+
+
+def _as_json(text: str, count: int) -> bool:
+    """Whether a ``%.12g`` text of ``count`` floats is their JSON: each token holds a "." and no
+    e+1.. or e-3.. exponent, so it is a normal double whose shortest repr has the same digits
+    (12 < DBL_DIG) in the same notation (``%g`` and ``repr`` differ only in 1e12..1e16)."""
+    return text.count(".") == count and ("e" not in text or _OFF_BAND.search(text) is None)
 
 
 def _layout(shape: tuple[int, ...], indent: str) -> tuple[str, list[str]]:
@@ -539,7 +540,7 @@ def _dumps(obj) -> str:
     whole.  A 1-D or 2-D float array with at least as many zeros as nonzero
     entries goes to ``_zero_runs``; any other array is one ``%`` format of its
     entries against its cached ``_template``, written again from their
-    ``_float_tokens`` if that text fails the check ``_float_tokens`` makes.
+    ``_float_tokens`` if that text fails ``_as_json``.
     Dict keys are encoded once per process, and every piece goes to one list,
     joined once, so no level copies the text below it.
     """
@@ -582,8 +583,7 @@ def _encode(obj, indent: str, out: list, scalars: list[int]) -> None:
                 return
             values = flat.tolist()
             text = _template(obj.shape, indent, zero.tobytes()) % tuple(values)
-            if text.count(".") == flat.size and (
-                    "e" not in text or "e+1" not in text and "e-3" not in text):
+            if _as_json(text, flat.size):
                 out.append(text)
                 return
             values = _float_tokens(values)

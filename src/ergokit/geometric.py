@@ -61,7 +61,7 @@ def _overlap_deficits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(a.conj() @ b.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricState:
     """Probability distribution on CP^(d-1) as weighted point masses: row i of the
     (k, d) array ``points`` is the unit vector that carries ``weights[i]``, normalized

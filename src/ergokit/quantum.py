@@ -199,7 +199,7 @@ def _spectra(m: np.ndarray, order: Order, eigh: tuple | None = None) -> _Stack:
     return _Stack(m, w, v, levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedSpectrum:
     """Eigenvalues and orthonormal eigenvectors in the order asked for.
 
@@ -252,7 +252,7 @@ def _stack_of(operator: HermitianOperator, order: Order) -> _Stack:
     return operator._spectra[order][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GibbsState:
     """Thermal equilibrium state exp(-beta H)/Z on the ascending ``energies`` of H and
     their eigenvector columns ``basis``, with ln Z and ``log_populations`` = -beta E - ln Z
@@ -426,7 +426,7 @@ def coherence_relative_entropy(rho: DensityMatrix, hamiltonian: HermitianOperato
     return von_neumann_entropy(dephase(rho, hamiltonian)) - von_neumann_entropy(rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SpectralBlock:
     """The spectra of a block of (rho, H) pairs of one dimension at one beta,
     stacked so that row b of every array belongs to pair b: rho's ``matrices``,

@@ -64,9 +64,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
+    if bad := [p for p in entries if type(p) not in (list, np.ndarray) or len(p) != 2]:
+        raise ValueError(f"entries: expected a [re, im] pair, got {bad[0]!r}")
     _numbers([x for pair in entries for x in pair], "entries")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)
+    return np.array(entries, dtype=float).view(complex).reshape(dim, dim)
 
 
 def kernel_to_json(kernel: TransitionKernel) -> dict:

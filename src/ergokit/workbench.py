@@ -174,8 +174,8 @@ def step_product(protocol: DrivingProtocol, n_steps: int) -> np.ndarray:
 # ramp's 64- and 32-step units share one stack up to d = 73, past the scope's d = 64.
 GENERATOR_BLOCK = 2**19
 EIGH_CHUNK = 2**16  # entries (1 MiB) per eigh call there: a thread's temporaries stay small
-# Stack entries from which the chunks there are at least two, so that both CPUs take some: a
-# split lost below 1k entries (a hand-off costs about 0.15 ms) and took 0.6-0.85x the time at 3-9k.
+# Stack entries from which the chunks there are at least two, for both CPUs.  A hand-off costs
+# about 20 us: a split lost below 1k entries (`otm --dim 2..4`: +3%) and took 0.6-0.85x at 3-9k.
 EIGH_SPLIT_ENTRIES = 1 << 13
 
 
@@ -266,7 +266,7 @@ def _evolve_all(paths: list[tuple], n_steps: int, tol: float) -> list[np.ndarray
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalThermalState:
     """Mixture of evolved initial-energy eigenstates with Boltzmann weights in
     the conditional energies h_B(j) = <j_A|U† H_B U|j_A>."""

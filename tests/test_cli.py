@@ -420,6 +420,24 @@ class TestErgotropyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {line.format(path=path)}\n"
 
+    @pytest.mark.parametrize("command, kind, pair, shown", [
+        (command, kind, pair, shown)
+        for command, kind in [("ergotropy", "state"), ("geometric-z", "Hamiltonian")]
+        for pair, shown in [([1], "[1]"), ([1, 0, 0], "[1, 0, 0]"), (1, "1")]
+    ], ids=[f"{c}-{p}" for c in ["ergotropy", "geometric-z"] for p in ["one", "three", "bare"]])
+    def test_a_malformed_entry_pair_is_refused_by_name(self, capsys, tmp_path, command, kind,
+                                                       pair, shown):
+        # The bad first entry is named, not unpacked: a short or long pair and a bare number.
+        matrix = {"dim": 2, "entries": [pair, [0, 0], [0, 0], [1, 0]]}
+        payload = ({"rho": matrix, "hamiltonian": {"dim": 2, "entries": [[0, 0]] * 3 + [[1, 0]]}}
+                   if command == "ergotropy" else {"hamiltonian": matrix})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert (code, out) == (2, "")
+        line = f"error: bad {kind} file {path}: entries: expected a [re, im] pair, got {shown}"
+        assert err == line + "\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "ergotropy", "--input", "/nonexistent/state.json")
         assert code == 2
@@ -811,6 +829,8 @@ class TestReportLayout:
     @example({**matrix_to_json(np.array([[1.5, 0.25 + 0.5j], [0.25 - 0.5j, 2.5]])),
               "ints": np.arange(-3, 3).reshape(2, 3), "bools": np.array([True, False, True]),
               "scalar": np.array(0.375), "int_scalar": np.array(7)})
+    # A d = 28 state echo: its 26 exponents send the one-format text through the exponent search.
+    @example({"state": matrix_to_json(random_density(28, stream(3, 0)).matrix)})
     def test_dumps_matches_the_standard_indented_encoder(self, payload):
         assert _dumps(payload) == json.dumps(round_floats(payload), sort_keys=True, indent=2)
 

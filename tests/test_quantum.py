@@ -632,6 +632,69 @@ class TestReadOnlyValues:
         assert sum(len(_array_fields(v)) for v in values) >= 30
 
 
+def _array_records() -> dict:
+    """A builder per record type that holds arrays: each call builds an equal-valued twin
+    from fresh inputs, so no cached spectrum is shared between two calls."""
+    r, m = random_density(3, stream(92, 0)).matrix, random_hermitian(3, stream(92, 1)).matrix
+    p_a = GridDistribution([0.2, 0.3, 0.5])
+    final = HermitianOperator(np.diag([0.0, 2.0]))
+    unitary = step_product(DrivingProtocol.linear_ramp(H01, final, 0.5), 8)
+    return {
+        "PhaseGrid": lambda: PhaseGrid([0.0, 1.0, 2.0], [0.5, 1.0, 1.5]),
+        "GridDistribution": lambda: GridDistribution(p_a.weights),
+        "TransitionKernel": lambda: TransitionKernel(np.full((3, 3), 1 / 3)),
+        "JointDistribution": lambda: joint_from_kernel(
+            p_a, TransitionKernel.from_permutation(np.array([2, 0, 1]))),
+        "SortedSpectrum": lambda: eigendecompose(HermitianOperator(m), "ascending"),
+        "GibbsState": lambda: gibbs_state(HermitianOperator(m), 1.0),
+        "_SpectralBlock": lambda: spectral_context(DensityMatrix(r), HermitianOperator(m), 1.0),
+        "GeometricState": lambda: geometric_state_of(DensityMatrix(r)),
+        "ConditionalThermalState": lambda: conditional_thermal_state(H01, final, unitary, 1.0),
+    }
+
+
+class TestRecordEquality:
+    @pytest.mark.parametrize("name", list(_array_records()))
+    def test_a_record_that_holds_arrays_equals_only_itself(self, name):
+        # Value equality of arrays has no single answer, so these records compare and
+        # hash by identity: an equal-valued twin is another record, and neither raises.
+        record, twin = (_array_records()[name]() for _ in range(2))
+        assert type(record).__name__ == name
+        for field in dataclasses.fields(record):
+            mine, theirs = getattr(record, field.name), getattr(twin, field.name)
+            if isinstance(mine, HermitianOperator):
+                mine, theirs = mine.matrix, theirs.matrix
+            assert np.array_equal(mine, theirs), field.name
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert len({record, twin, record}) == 2
+
+    def test_records_of_scalars_compare_by_value(self):
+        rho, h = random_density(3, stream(93, 0)), random_hermitian(3, stream(93, 1))
+        protocol = DrivingProtocol.linear_ramp(H01, HermitianOperator(np.diag([0.0, 2.0])), 0.5)
+        unitary = step_product(protocol, 8)
+        p_a, log_eq = np.array([0.2, 0.3, 0.5]), np.log([0.5, 0.3, 0.2])
+        builders = [
+            lambda: ergotropy_report(DensityMatrix(rho.matrix), HermitianOperator(h.matrix), 1.0),
+            lambda: sharpened_bound_report(protocol, unitary, 1.0),
+            lambda: stationarity_probe(p_a, log_eq, 1e-3),
+            lambda: DrivingProtocol(protocol.knots),
+        ]
+        for build in builders:
+            record, twin = build(), build()
+            assert record is not twin
+            assert record == twin and hash(record) == hash(twin)
+
+    def test_the_layer_records_stay_frozen(self):
+        kernel = TransitionKernel.from_permutation(np.array([1, 0]))
+        for record in (kernel, joint_from_kernel(GridDistribution([0.5, 0.5]), kernel)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.rows = np.zeros((1, 2), dtype=np.intp)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.values = np.ones((1, 2))
+            assert repr(record).startswith(f"{type(record).__name__}(rows=")
+
+
 class TestMalformedArguments:
     """Each constructor and reader refuses a malformed argument with ``ValueError``
     and a message that names what is wrong."""

@@ -37,6 +37,23 @@ def test_hermitian_round_trip():
     assert np.array_equal(rebuilt.matrix, op.matrix)
 
 
+def test_matrix_entries_read_as_the_complex_of_each_pair():
+    # Bit for bit, with signed zeros and integer entries, from JSON lists and from
+    # matrix_to_json's own ndarray.
+    entries = [[-0.0, 0.0], [1, -2], [0.1, -0.0], [3, 0]]
+    expected = np.array([complex(re, im) for re, im in entries]).reshape(2, 2)
+    for given in (entries, matrix_to_json(expected)["entries"]):
+        read = matrix_from_json({"dim": 2, "entries": given})
+        assert read.dtype == complex and read.flags.writeable
+        assert read.view(float).tobytes() == expected.view(float).tobytes()
+
+
+@pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 0.0], 1.0, None, "10"])
+def test_a_malformed_entry_pair_is_named(pair):
+    with pytest.raises(ValueError, match=r"^entries: expected a \[re, im\] pair, got "):
+        matrix_from_json({"dim": 2, "entries": [[0.0, 0.0], pair, [0.0, 0.0], [1.0, 0.0]]})
+
+
 def test_matrix_entry_count_checked():
     with pytest.raises(ValueError, match="entries"):
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
